@@ -60,47 +60,6 @@ def uniform_param_sampler(policy: Policy):
 
 
 @dataclass
-class EmpiricalFIM:
-    """Averaged outer products of log-policy gradients."""
-
-    matrix: np.ndarray
-    samples: int
-    descriptor: str = ""
-
-    def __post_init__(self):
-        sym_gap = np.abs(self.matrix - self.matrix.T).max()
-        if sym_gap > 1e-12:
-            raise ValueError(f"FIM asymmetric by {sym_gap:.3e}")
-        min_eig = float(np.linalg.eigvalsh(self.matrix).min())
-        if min_eig < -PSD_TOLERANCE:
-            raise ValueError(f"FIM indefinite: min eigenvalue {min_eig:.3e}")
-
-
-def empirical_fim(
-    policy: Policy,
-    params,
-    state_sampler,
-    samples: int,
-    rng: np.random.Generator,
-    descriptor: str = "",
-) -> EmpiricalFIM:
-    """Estimate the FIM at fixed parameters from sampled (state, action) pairs."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    dim = policy_mod.num_trainables(policy)
-    acc = np.zeros((dim, dim))
-    for _ in range(samples):
-        state = state_sampler(rng)
-        probs = policy_mod.action_probs(policy, state, params)
-        action = policy_mod._sample_index(probs, rng)
-        grad = policy_mod.log_prob_grad(policy, state, action, params)
-        acc += np.outer(grad, grad)
-    acc /= samples
-    acc = (acc + acc.T) / 2.0
-    return EmpiricalFIM(acc, samples, descriptor)
-
-
-@dataclass
 class FimSamples:
     """FIM estimates over sampled parameter sets, trace-normalised.
 
@@ -252,10 +211,11 @@ def accuracy_bound(num_actions: int) -> Fraction:
 
 def exact_accuracy(env, encoder, policy: Policy, params) -> float:
     """Share of optimal decisions on a bandit task, from exact probabilities."""
+    feats = np.array([encoder.encode(state) for state in range(env.num_states)])
+    probs = policy_mod.batch_action_probs(policy, feats, params)
     total = 0.0
     for state in range(env.num_states):
-        probs = policy_mod.action_probs(policy, encoder.encode(state), params)
-        total += probs[env.optimal[state]]
+        total += probs[state, env.optimal[state]]
     return total / env.num_states
 
 

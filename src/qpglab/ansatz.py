@@ -25,16 +25,25 @@ Entangler pairs ``(i, j)`` with ``i < j`` are applied in lexicographic
 order; for CX the control is ``i`` and the target ``j``.  A CZ layer is
 diagonal, so it is applied as one precomputed sign vector.
 
-Gradients follow the parameter-shift rule: a rotation angle shifted by
-+-pi/2 with coefficients +-1/2.  A scale factor feeding feature ``s``
-enters only through the angle ``lam * s``, so its rule shifts the angle
-by +-pi/2 (i.e. the scale by +-pi/(2s)) with coefficients +-s/2; when
-``s`` is exactly zero the derivative vanishes identically.
+Gradients of diagonal expectations come from :func:`adjoint_grads`
+(adjoint differentiation, Jones & Gacon, arXiv:2009.02823): one forward
+pass through :func:`run_batch`, then one backward sweep that undoes the
+gates on the state and on the observable-weighted state together and
+reads each rotation's derivative off the pair.  A scale factor feeding
+feature ``s`` enters only through the angle ``lam * s``, so its
+derivative is ``s`` times the angle's; for ``s`` exactly zero it is
+zero.
+
+:func:`shift_rows` gives the same derivatives by the parameter-shift
+rule (Schuld et al., arXiv:1811.11184), the rule hardware runs: each
+rotation angle shifted by +-pi/2 with coefficients +-1/2, each scale
+factor by +-pi/(2s) with coefficients +-s/2.  It costs two circuits per
+parameter and serves as the test oracle for the adjoint sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -84,13 +93,6 @@ def param_counts(config: ModelConfig) -> tuple[int, int]:
 def total_params(config: ModelConfig) -> int:
     n_theta, n_lam = param_counts(config)
     return n_theta + n_lam
-
-
-def params_from_flat(config: ModelConfig, flat: np.ndarray) -> ParamSet:
-    n_theta, n_lam = param_counts(config)
-    if flat.shape != (n_theta + n_lam,):
-        raise ValueError(f"expected {n_theta + n_lam} parameters, got {flat.shape}")
-    return ParamSet(flat[:n_theta].copy(), flat[n_theta:].copy())
 
 
 def init_params(
@@ -143,14 +145,16 @@ def entangler_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _apply_entangler(amps: np.ndarray, config: ModelConfig) -> None:
+def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = False) -> None:
     n = config.n_qubits
     if n == 1:
         return
     if config.entangler == "cz":
         amps *= _cz_layer_signs(n)
         return
-    for i, j in entangler_pairs(n):
+    # Each CX is its own inverse, so the layer's inverse is the reversed order.
+    pairs = entangler_pairs(n)
+    for i, j in reversed(pairs) if inverse else pairs:
         src, dst = qsim._cx_swap_indices(n, i, j)
         tmp = amps[..., src].copy()
         amps[..., src] = amps[..., dst]
@@ -216,17 +220,111 @@ def run_batch(
     return amps
 
 
+def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
+    """Final amplitudes (T, 2**n) of one parameter set at ``T`` feature rows.
+
+    Row ``t`` equals ``prepare_state(config, params, features[t]).amps``
+    bit for bit.
+    """
+    features = np.asarray(features, dtype=float)
+    _validate(config, params, features)
+    steps = features.shape[0]
+    return run_batch(
+        config,
+        np.broadcast_to(params.theta, (steps, params.theta.size)),
+        np.broadcast_to(params.lam, (steps, params.lam.size)),
+        features,
+    )
+
+
 def prepare_state(config: ModelConfig, params: ParamSet, features) -> qsim.Statevector:
     """Prepare the circuit's output state for one parameter set."""
     features = np.asarray(features, dtype=float)
-    _validate(config, params, features)
-    amps = run_batch(
-        config,
-        params.theta[None, :],
-        params.lam[None, :],
-        features[None, :],
-    )
+    amps = run_states(config, params, features[None, :])
     return qsim.Statevector(config.n_qubits, amps[0])
+
+
+def _re_inner(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    # Re <bra|ket> per row, summed over the trailing (outer, inner) axes.
+    return (bra.real * ket.real + bra.imag * ket.imag).sum(axis=(-2, -1))
+
+
+def _im_inner(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    # Im <bra|ket> per row, summed over the trailing (outer, inner) axes.
+    return (bra.real * ket.imag - bra.imag * ket.real).sum(axis=(-2, -1))
+
+
+def _undo_ry(pair: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
+    """Derivative Im<lam|Y|psi> of an Ry(angle), then Ry(angle) undone.
+
+    ``pair`` stacks ``(psi, lam)`` along its first axis.
+    """
+    view = qsim._paired_view(pair, n, qubit)
+    grad = _re_inner(view[1, ..., 1, :], view[0, ..., 0, :]) - _re_inner(
+        view[1, ..., 0, :], view[0, ..., 1, :]
+    )
+    c = np.cos(angle / 2.0)
+    s = np.sin(angle / 2.0)
+    qsim.apply_1q(pair, n, qubit, c, s, -s, c)
+    return grad
+
+
+def _undo_rz(pair: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
+    """Derivative Im<lam|Z|psi> of an Rz(angle), then Rz(angle) undone."""
+    view = qsim._paired_view(pair, n, qubit)
+    grad = _im_inner(view[1, ..., 0, :], view[0, ..., 0, :]) - _im_inner(
+        view[1, ..., 1, :], view[0, ..., 1, :]
+    )
+    qsim.apply_1q(pair, n, qubit, np.exp(0.5j * angle), 0.0, 0.0, np.exp(-0.5j * angle))
+    return grad
+
+
+def adjoint_grads(
+    config: ModelConfig,
+    params: ParamSet,
+    features,
+    weights,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of diagonal expectations by one backward sweep.
+
+    Row ``t`` runs feature row ``features[t]`` (shape (T, n)) under the
+    shared ``params`` and measures the real diagonal observable
+    ``diag(weights[t])``; ``weights`` is (T, 2**n) or one (2**n,) row for
+    all.  Returns ``(amps, grads)``: the final amplitudes (T, 2**n),
+    exactly as :func:`run_states` gives them, and
+    ``d<psi_t|diag(w_t)|psi_t>/d(theta, lam)`` of shape
+    (T, |theta| + |lam|) in the flat layout.
+
+    Each rotation exp(-i phi P / 2) contributes Im<lam|P|psi>, where
+    ``psi`` is the state and ``lam = diag(w) psi`` the weighted state,
+    both carried back to just after that rotation.
+    """
+    n, d = config.n_qubits, config.depth
+    features = np.asarray(features, dtype=float)
+    amps = run_states(config, params, features)
+    n_theta, n_lam = param_counts(config)
+    pair = np.empty((2,) + amps.shape, dtype=np.complex128)
+    pair[0] = amps
+    np.multiply(amps, weights, out=pair[1])
+    grads = np.empty((amps.shape[0], n_theta + n_lam))
+    for layer in range(d, -1, -1):
+        if layer < d:
+            enc = 2 * n * layer
+            for q in reversed(range(n)):
+                # Forward order was Ry(lam * s) then Rz(lam' * s).
+                s_q = features[:, n - 1 - q]
+                k = enc + 2 * q
+                angles = qsim.batch_coeff(params.lam[k + 1] * s_q)
+                grads[:, n_theta + k + 1] = s_q * _undo_rz(pair, n, q, angles)
+                angles = qsim.batch_coeff(params.lam[k] * s_q)
+                grads[:, n_theta + k] = s_q * _undo_ry(pair, n, q, angles)
+        _apply_entangler(pair, config, inverse=True)
+        base = 2 * n * layer
+        for q in reversed(range(n)):
+            # Forward order was Rz(theta) then Ry(theta').
+            grads[:, base + 2 * q + 1] = _undo_ry(pair, n, q, params.theta[base + 2 * q + 1])
+            grads[:, base + 2 * q] = _undo_rz(pair, n, q, params.theta[base + 2 * q])
+    return amps, grads
 
 
 def gate_counts(config: ModelConfig) -> dict:
@@ -237,53 +335,6 @@ def gate_counts(config: ModelConfig) -> dict:
         "rotations": 2 * n * (d + 1) + 2 * n * d,
         "entanglers": (d + 1) * pairs,
     }
-
-
-@dataclass
-class ShiftTerm:
-    params: ParamSet
-    coeff: float
-
-
-@dataclass
-class ShiftPlan:
-    """Evaluation plan whose coefficient-weighted sum is one derivative."""
-
-    param_index: int
-    terms: list[ShiftTerm] = field(default_factory=list)
-
-
-def shift_plan(
-    config: ModelConfig,
-    params: ParamSet,
-    features,
-    param_index: int,
-) -> ShiftPlan:
-    """Parameter-shift plan for one flat parameter index (theta then lam)."""
-    features = np.asarray(features, dtype=float)
-    _validate(config, params, features)
-    n_theta, n_lam = param_counts(config)
-    if not 0 <= param_index < n_theta + n_lam:
-        raise ValueError(f"param_index {param_index} out of range")
-    plan = ShiftPlan(param_index)
-    if param_index < n_theta:
-        for sign in (1.0, -1.0):
-            variant = params.copy()
-            variant.theta[param_index] += sign * np.pi / 2.0
-            plan.terms.append(ShiftTerm(variant, sign * 0.5))
-        return plan
-    j = param_index - n_theta
-    qubit = (j % (2 * config.n_qubits)) // 2
-    s = features[config.n_qubits - 1 - qubit]
-    if s == 0.0:
-        for sign in (1.0, -1.0):
-            plan.terms.append(ShiftTerm(params.copy(), 0.0))
-        return plan
-    for sign in (1.0, -1.0):
-        variant = params.copy()
-        variant.lam[j] += sign * np.pi / (2.0 * s)
-        plan.terms.append(ShiftTerm(variant, sign * s / 2.0))
-    return plan
 
 
 def shift_rows(
@@ -298,6 +349,8 @@ def shift_rows(
     parameter ``owner[r]``.  Scale entries whose feature is exactly
     zero contribute no rows (their derivative is identically zero).
     """
+    features = np.asarray(features, dtype=float)
+    _validate(config, params, features)
     n_theta, n_lam = param_counts(config)
     n = config.n_qubits
     rows_theta = []

@@ -153,7 +153,7 @@ def cmd_fim(args) -> int:
 
     lines = _header(cfg, extra=[f"seed = {seed}"])
     for row in fims.aggregate:
-        lines.append(",".join(repr(v) for v in row))
+        lines.append(",".join(repr(float(v)) for v in row))
     _write_lines(os.path.join(out_dir, "fim_aggregate.csv"), lines)
 
     print(
@@ -172,9 +172,9 @@ def cmd_effdim(args) -> int:
     lines = _header(cfg, extra=[f"seed = {seed}"])
     lines.append("data_size,eff_dim,normalized")
     for size, value, norm in zip(report.data_sizes, report.values, report.normalized):
-        lines.append(f"{size},{value!r},{norm!r}")
+        lines.append(f"{size},{float(value)!r},{float(norm)!r}")
     _write_lines(os.path.join(out_dir, "effdim.csv"), lines)
-    print(f"effective dimension at {report.data_sizes[-1]}: {report.values[-1]!r}")
+    print(f"effective dimension at {report.data_sizes[-1]}: {float(report.values[-1])!r}")
     return 0
 
 
@@ -199,7 +199,7 @@ def cmd_bound(args) -> int:
     )
     lines.append("seed,accuracy,within_bound")
     for seed, acc in zip(seeds, report.accuracies):
-        lines.append(f"{seed},{acc!r},{acc <= float(report.bound) + report.slack}")
+        lines.append(f"{seed},{float(acc)!r},{acc <= float(report.bound) + report.slack}")
     _write_lines(os.path.join(out_dir, "bound_report.csv"), lines)
     print(
         f"bound {float(report.bound)!r}: "

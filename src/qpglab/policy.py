@@ -9,13 +9,16 @@ Two families are implemented:
   <O>`` with a single shared Pauli-Z-mask observable and per-action
   weights.
 
-Log-policy gradients are exact: projector/observable expectations are
-differentiated with the parameter-shift rule (see
-:func:`qpglab.ansatz.shift_rows`), and the softmax factors are applied
-in closed form.  The ``exact`` evaluation mode is the default
-everywhere; ``shots`` mode estimates action probabilities from sampled
-bitstrings and is exercised for its own contract, while gradients are
-always computed from exact expectations.
+Log-policy gradients are exact: the taken action's projector (Born
+policy) or the Z-mask observable (softmax policy) is differentiated by
+the adjoint sweep of :func:`qpglab.ansatz.adjoint_grads`, one forward
+and one backward pass for a whole trajectory, and the softmax factors
+are applied in closed form.  The parameter-shift rule of
+:func:`qpglab.ansatz.shift_rows`, which hardware would run, is kept as
+the test oracle for these gradients.  The ``exact`` evaluation mode is
+the default everywhere; ``shots`` mode estimates action probabilities
+from sampled bitstrings and is exercised for its own contract, while
+gradients are always computed from exact expectations.
 """
 
 from __future__ import annotations
@@ -144,11 +147,6 @@ def _member_matrix(postfn: PostProcessing) -> np.ndarray:
     return cached
 
 
-def _batch_probs(config: ModelConfig, thetas, lams, features_rows) -> np.ndarray:
-    amps = ansatz.run_batch(config, thetas, lams, features_rows)
-    return np.abs(amps) ** 2
-
-
 # ---------------------------------------------------------------------------
 # Action distributions and sampling
 
@@ -156,19 +154,31 @@ def _batch_probs(config: ModelConfig, thetas, lams, features_rows) -> np.ndarray
 def action_probs(policy: Policy, features, params: ParamSet, rng=None) -> np.ndarray:
     """Distribution over actions for one state (exact or shot-estimated)."""
     features = np.asarray(features, dtype=float)
-    if isinstance(policy, SoftmaxObservablePolicy):
-        obs = _observable_value(policy, features, params)
-        return _softmax(policy.beta * policy.weights * obs)
-    state = ansatz.prepare_state(policy.model, params, features)
-    table = policy.postfn.action_table()
-    if isinstance(policy.eval_mode, Shots):
+    if isinstance(policy, MeasurementPolicy) and isinstance(policy.eval_mode, Shots):
         if rng is None:
             raise ValueError("shots mode needs an rng")
+        state = ansatz.prepare_state(policy.model, params, features)
         samples = qsim.sample_bitstrings(state, policy.eval_mode.count, rng)
+        table = policy.postfn.action_table()
         counts = np.bincount(table[samples], minlength=policy.num_actions)
         return counts / policy.eval_mode.count
-    probs = qsim.probabilities(state)
-    return np.bincount(table, weights=probs, minlength=policy.num_actions)
+    return batch_action_probs(policy, features[None, :], params)[0]
+
+
+def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.ndarray:
+    """Exact action distributions (T, M) of ``T`` states from one circuit call.
+
+    Each row is reduced on its own, in the order a single state is, so
+    row ``t`` does not depend on the other rows of the batch.
+    """
+    amps = ansatz.run_states(policy.model, params, features_rows)
+    rows = [qsim.probabilities(qsim.Statevector(policy.model.n_qubits, a)) for a in amps]
+    if isinstance(policy, SoftmaxObservablePolicy):
+        signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
+        scaled = policy.beta * policy.weights
+        return np.array([_softmax(scaled * float(p @ signs)) for p in rows])
+    table = policy.postfn.action_table()
+    return np.array([np.bincount(table, weights=p, minlength=policy.num_actions) for p in rows])
 
 
 def sample_action(policy: Policy, features, params: ParamSet, rng) -> int:
@@ -195,11 +205,6 @@ def _sample_index(probs: np.ndarray, rng) -> int:
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = np.exp(logits - logits.max())
     return z / z.sum()
-
-
-def _observable_value(policy: SoftmaxObservablePolicy, features, params) -> float:
-    state = ansatz.prepare_state(policy.model, params, features)
-    return z_mask_expectation(state, policy.z_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +249,8 @@ def trajectory_log_grads(
 ) -> np.ndarray:
     """Log-policy gradients for every (state, action) step of a trajectory.
 
-    One vectorised pass evolves all parameter-shift variants of all
-    steps together; returns shape (T, num_trainables).
+    One adjoint sweep over all steps together; returns shape
+    (T, num_trainables).  The steps need not come from one episode.
     """
     features_seq = np.asarray(features_seq, dtype=float)
     actions = np.asarray(actions, dtype=np.int64)
@@ -254,89 +259,33 @@ def trajectory_log_grads(
     return _measurement_traj_grads(policy, features_seq, actions, params)
 
 
-def _stacked_shift_rows(config, params, features_seq):
-    """Shift rows of every step stacked into one batch."""
-    blocks = [ansatz.shift_rows(config, params, f) for f in features_seq]
-    thetas = np.concatenate([b[0] for b in blocks])
-    lams = np.concatenate([b[1] for b in blocks])
-    coeffs = [b[2] for b in blocks]
-    owners = [b[3] for b in blocks]
-    feat_rows = np.concatenate(
-        [np.broadcast_to(f, (len(b[2]), len(f))) for f, b in zip(features_seq, blocks)]
-    )
-    sizes = [len(b[2]) for b in blocks]
-    return thetas, lams, feat_rows, coeffs, owners, sizes
-
-
 def _measurement_traj_grads(policy, features_seq, actions, params):
-    config = policy.model
-    steps = features_seq.shape[0]
-    total = num_trainables(policy)
+    # d ln p_a = d<Pi_a> / p_a, with Pi_a the taken action's projector.
     member = _member_matrix(policy.postfn)
-
-    base = _batch_probs(
-        config,
-        np.broadcast_to(params.theta, (steps, len(params.theta))),
-        np.broadcast_to(params.lam, (steps, len(params.lam))),
-        features_seq,
-    )
-    base_action_probs = base @ member
-    p_taken = base_action_probs[np.arange(steps), actions]
+    amps, grads = ansatz.adjoint_grads(policy.model, params, features_seq, member[:, actions].T)
+    p_taken = ((np.abs(amps) ** 2) @ member)[np.arange(len(actions)), actions]
     if (p_taken == 0.0).any():
         bad = int(np.nonzero(p_taken == 0.0)[0][0])
         raise ZeroProbabilityError(
             f"action {actions[bad]} has zero probability at step {bad}"
         )
-
-    thetas, lams, feat_rows, coeffs, owners, sizes = _stacked_shift_rows(
-        config, params, features_seq
-    )
-    probs = _batch_probs(config, thetas, lams, feat_rows)
-    shifted_action_probs = probs @ member
-
-    grads = np.zeros((steps, total))
-    offset = 0
-    for t in range(steps):
-        size = sizes[t]
-        expvals = shifted_action_probs[offset : offset + size, actions[t]]
-        np.add.at(grads[t], owners[t], coeffs[t] * expvals)
-        grads[t] /= max(p_taken[t], PROB_CLAMP)
-        offset += size
-    return grads
+    return grads / np.maximum(p_taken, PROB_CLAMP)[:, None]
 
 
 def _softmax_traj_grads(policy, features_seq, actions, params):
-    config = policy.model
-    steps = features_seq.shape[0]
-    n_circuit = ansatz.total_params(config)
-    num_actions = policy.num_actions
-    signs = _z_signs(config.n_qubits, policy.z_qubits)
-
-    base = _batch_probs(
-        config,
-        np.broadcast_to(params.theta, (steps, len(params.theta))),
-        np.broadcast_to(params.lam, (steps, len(params.lam))),
-        features_seq,
+    signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
+    amps, grad_obs = ansatz.adjoint_grads(policy.model, params, features_seq, signs)
+    obs = (np.abs(amps) ** 2) @ signs
+    logits = policy.beta * policy.weights * obs[:, None]
+    pi = np.exp(logits - logits.max(axis=1, keepdims=True))
+    pi /= pi.sum(axis=1, keepdims=True)
+    steps = np.arange(len(actions))
+    bracket = policy.weights[actions] - pi @ policy.weights
+    indicator = np.zeros_like(pi)
+    indicator[steps, actions] = 1.0
+    return np.hstack(
+        [
+            policy.beta * bracket[:, None] * grad_obs,
+            policy.beta * obs[:, None] * (indicator - pi),
+        ]
     )
-    obs = base @ signs
-
-    thetas, lams, feat_rows, coeffs, owners, sizes = _stacked_shift_rows(
-        config, params, features_seq
-    )
-    probs = _batch_probs(config, thetas, lams, feat_rows)
-    shifted_obs = probs @ signs
-
-    grads = np.zeros((steps, n_circuit + num_actions))
-    offset = 0
-    for t in range(steps):
-        size = sizes[t]
-        pi = _softmax(policy.beta * policy.weights * obs[t])
-        grad_obs = np.zeros(n_circuit)
-        np.add.at(grad_obs, owners[t], coeffs[t] * shifted_obs[offset : offset + size])
-        bracket = policy.weights[actions[t]] - pi @ policy.weights
-        grads[t, :n_circuit] = policy.beta * bracket * grad_obs
-        indicator = np.zeros(num_actions)
-        indicator[actions[t]] = 1.0
-        grads[t, n_circuit:] = policy.beta * obs[t] * (indicator - pi)
-        offset += size
-    return grads

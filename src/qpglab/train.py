@@ -91,22 +91,23 @@ def collect_episode(env, encoder, policy: Policy, params: ParamSet, rng) -> Traj
     )
 
 
-def collect_batch(env, encoder, policy, params, batch_size: int, rng) -> list[Trajectory]:
-    return [collect_episode(env, encoder, policy, params, rng) for _ in range(batch_size)]
-
-
 def reinforce_gradient(
     batch: list[Trajectory], policy: Policy, params: ParamSet, gamma: float
 ) -> np.ndarray:
-    """Ascent-direction gradient of the REINFORCE objective over a batch."""
+    """Ascent-direction gradient of the REINFORCE objective over a batch.
+
+    The steps of all trajectories go through one gradient call.
+    """
     if not batch:
         raise ValueError("empty batch")
-    total = np.zeros(policy_mod.num_trainables(policy))
-    for traj in batch:
-        returns = discounted_returns(traj.rewards, gamma)
-        grads = policy_mod.trajectory_log_grads(policy, traj.features, traj.actions, params)
-        total += returns @ grads
-    return total / len(batch)
+    returns = np.concatenate([discounted_returns(traj.rewards, gamma) for traj in batch])
+    grads = policy_mod.trajectory_log_grads(
+        policy,
+        np.concatenate([traj.features for traj in batch]),
+        np.concatenate([traj.actions for traj in batch]),
+        params,
+    )
+    return returns @ grads / len(batch)
 
 
 @dataclass
@@ -179,6 +180,11 @@ def train_run(
 ) -> TrainResult:
     """Train a policy with REINFORCE; returns the per-episode log.
 
+    An update runs after every ``batch_size`` episodes.  When
+    ``episodes`` is not a multiple of ``batch_size``, the trailing
+    partial batch is collected and logged but never used for an update,
+    so the returned parameters are those of the last full batch.
+
     ``episode_hook(episode, policy, params) -> dict`` may record extra
     diagnostics (e.g. exact expected reward on a bandit task) after
     each episode; its results are returned but not written to the CSV
@@ -243,6 +249,6 @@ def write_aggregate_curve(path, per_seed_records, header_lines=()) -> None:
     lines.append("episode,mean,std")
     for ep in range(episodes):
         col = rewards[:, ep]
-        lines.append(f"{ep},{col.mean()!r},{col.std()!r}")
+        lines.append(f"{ep},{float(col.mean())!r},{float(col.std())!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,0 +1,71 @@
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qpglab import analysis, ansatz, decode, envs, policy
+
+
+def _policies():
+    model = ansatz.ModelConfig(3, 2)
+    return [
+        policy.MeasurementPolicy(model, decode.RecursiveParity(3, 4)),
+        policy.SoftmaxObservablePolicy(model, np.zeros(4)),
+    ]
+
+
+def _per_state_actions(pol, sampler, num_param_sets, num_states, seed):
+    """Oracle: the draws of sample_fims with one action_probs call per state."""
+    rng = np.random.default_rng(seed)
+    param_sampler = analysis.uniform_param_sampler(pol)
+    states = [sampler(rng) for _ in range(num_states)]
+    drawn = []
+    for _ in range(num_param_sets):
+        params_j, policy_j = param_sampler(rng)
+        probs = [policy.action_probs(policy_j, s, params_j) for s in states]
+        drawn.append([policy._sample_index(p, rng) for p in probs])
+    return drawn
+
+
+@pytest.mark.parametrize("pol", _policies(), ids=["born", "softmax"])
+def test_sample_fims_draws_the_per_state_actions(monkeypatch, pol):
+    sampler = analysis.normal_state_sampler(3, 0.5)
+    seen = []
+    grads = policy.trajectory_log_grads
+    monkeypatch.setattr(
+        policy,
+        "trajectory_log_grads",
+        lambda pol_j, feats, actions, params: seen.append(list(actions))
+        or grads(pol_j, feats, actions, params),
+    )
+    analysis.sample_fims(pol, sampler, 4, 30, np.random.default_rng(17))
+    assert seen == _per_state_actions(pol, sampler, 4, 30, 17)
+
+
+@pytest.mark.parametrize("pol", _policies(), ids=["born", "softmax"])
+def test_sampled_fims_are_psd_and_trace_normalised(pol):
+    sampler = analysis.uniform_angle_state_sampler(3)
+    fims = analysis.sample_fims(pol, sampler, 5, 20, np.random.default_rng(3))
+    for m in fims.per_set:
+        assert np.abs(m - m.T).max() == 0.0
+        assert np.linalg.eigvalsh(m).min() >= -analysis.PSD_TOLERANCE
+    mean_trace = np.mean([np.trace(m) for m in fims.per_set])
+    assert mean_trace == pytest.approx(fims.dim, rel=1e-12)
+
+
+def test_accuracy_bound_values():
+    assert analysis.accuracy_bound(2) == 1
+    assert analysis.accuracy_bound(4) == Fraction(3, 4)
+    with pytest.raises(ValueError):
+        analysis.accuracy_bound(3)
+
+
+@pytest.mark.parametrize("pol", _policies(), ids=["born", "softmax"])
+def test_exact_accuracy_equals_per_state_sum(pol):
+    env = envs.ContextualBandits(8, 4, envs.optimal_map("mod", 8, 4), "acc01")
+    encoder = envs.BinaryEncoder(3)
+    params, pol = analysis.uniform_param_sampler(pol)(np.random.default_rng(5))
+    total = 0.0
+    for state in range(8):
+        total += policy.action_probs(pol, encoder.encode(state), params)[env.optimal[state]]
+    assert analysis.exact_accuracy(env, encoder, pol, params) == total / 8

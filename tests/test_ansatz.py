@@ -114,32 +114,48 @@ def test_prepare_state_rejects_dimension_mismatch():
         ansatz.prepare_state(ModelConfig(3, 2), params, [0.1, 0.2, 0.3])
 
 
-def test_shift_plan_variational_terms():
+def _rows_of(config, params, features, param_index):
+    """(thetas, lams, coeffs) of the shift rows owned by one flat index."""
+    thetas, lams, coeffs, owner = ansatz.shift_rows(config, params, features)
+    mine = owner == param_index
+    return thetas[mine], lams[mine], coeffs[mine]
+
+
+def test_shift_rows_variational_terms():
     config = ModelConfig(2, 1)
     params, rng = _random_params(config, 5)
     features = rng.uniform(-1, 1, 2)
-    plan = ansatz.shift_plan(config, params, features, param_index=3)
-    assert [t.coeff for t in plan.terms] == [0.5, -0.5]
-    assert plan.terms[0].params.theta[3] == pytest.approx(params.theta[3] + np.pi / 2)
-    assert plan.terms[1].params.theta[3] == pytest.approx(params.theta[3] - np.pi / 2)
+    thetas, lams, coeffs = _rows_of(config, params, features, param_index=3)
+    assert list(coeffs) == [0.5, -0.5]
+    assert thetas[0, 3] == pytest.approx(params.theta[3] + np.pi / 2)
+    assert thetas[1, 3] == pytest.approx(params.theta[3] - np.pi / 2)
+    others = np.arange(len(params.theta)) != 3
+    assert (thetas[:, others] == params.theta[others]).all()
+    assert (lams == params.lam).all()
 
 
-def test_shift_plan_zero_feature_kills_coefficients():
+def test_shift_rows_zero_feature_contributes_no_rows():
     config = ModelConfig(2, 1)
     params, _ = _random_params(config, 6)
     features = np.array([0.5, 0.0])
     n_theta, _ = ansatz.param_counts(config)
-    # lam index 2 belongs to qubit 1, which reads features[0]; index 0 to
-    # qubit 0, reading features[1] = 0.
-    plan = ansatz.shift_plan(config, params, features, param_index=n_theta + 0)
-    assert [t.coeff for t in plan.terms] == [0.0, 0.0]
+    _, _, _, owner = ansatz.shift_rows(config, params, features)
+    # lam indices 0, 1 belong to qubit 0, which reads features[1] = 0;
+    # indices 2, 3 to qubit 1, reading features[0] = 0.5.
+    assert not np.isin([n_theta + 0, n_theta + 1], owner).any()
+    _, lams, coeffs = _rows_of(config, params, features, param_index=n_theta + 2)
+    assert list(coeffs) == [0.25, -0.25]
+    assert lams[0, 2] == pytest.approx(params.lam[2] + np.pi / (2 * 0.5))
+    assert len(owner) == 2 * n_theta + 4
 
 
-def test_shift_plan_rejects_bad_index():
+def test_shift_rows_rejects_mismatched_shapes():
     config = ModelConfig(2, 1)
     params, _ = _random_params(config, 6)
     with pytest.raises(ValueError):
-        ansatz.shift_plan(config, params, np.zeros(2), param_index=100)
+        ansatz.shift_rows(config, params, np.zeros(3))
+    with pytest.raises(ValueError):
+        ansatz.shift_rows(ModelConfig(2, 2), params, np.zeros(2))
 
 
 def _probability_vector(config, params, features):
@@ -153,11 +169,11 @@ def test_shift_rule_matches_finite_differences_everywhere():
     features = rng.uniform(-1, 1, 3)
     n_theta, n_lam = ansatz.param_counts(config)
     h = 1e-5
+    thetas, lams, coeffs, owner = ansatz.shift_rows(config, params, features)
     for idx in range(n_theta + n_lam):
-        plan = ansatz.shift_plan(config, params, features, idx)
         shifted = sum(
-            term.coeff * _probability_vector(config, term.params, features)
-            for term in plan.terms
+            coeffs[r] * _probability_vector(config, ParamSet(thetas[r], lams[r]), features)
+            for r in np.nonzero(owner == idx)[0]
         )
         up = params.copy()
         down = params.copy()
@@ -172,6 +188,46 @@ def test_shift_rule_matches_finite_differences_everywhere():
             - _probability_vector(config, down, features)
         ) / (2 * h)
         assert np.abs(shifted - fd).max() < 1e-5
+
+
+def shift_rule_expval_grads(config, params, features, weights):
+    """Oracle: d<diag(w_t)>/dparam per row by the parameter-shift rule."""
+    out = np.zeros((len(features), ansatz.total_params(config)))
+    for t, f in enumerate(features):
+        thetas, lams, coeffs, owner = ansatz.shift_rows(config, params, f)
+        amps = ansatz.run_batch(config, thetas, lams, np.broadcast_to(f, (len(coeffs), len(f))))
+        np.add.at(out[t], owner, coeffs * ((np.abs(amps) ** 2) @ weights[t]))
+    return out
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_adjoint_grads_match_shift_rule(entangler, n, depth):
+    config = ModelConfig(n, depth, entangler)
+    params, rng = _random_params(config, 100 * n + depth)
+    features = rng.uniform(-1, 1, (4, n))
+    features[1, 0] = 0.0
+    weights = rng.normal(size=(4, 1 << n))
+    amps, grads = ansatz.adjoint_grads(config, params, features, weights)
+    assert (amps == ansatz.run_states(config, params, features)).all()
+    oracle = shift_rule_expval_grads(config, params, features, weights)
+    assert np.abs(grads - oracle).max() < 1e-10
+    # features[1, 0] drives qubit n-1, whose scale entries are 2(n-1), 2(n-1)+1.
+    n_theta, _ = ansatz.param_counts(config)
+    for block in range(depth):
+        for offset in (2 * (n - 1), 2 * (n - 1) + 1):
+            assert grads[1, n_theta + 2 * n * block + offset] == 0.0
+
+
+def test_adjoint_grads_broadcast_one_weight_row():
+    config = ModelConfig(3, 2, "cx")
+    params, rng = _random_params(config, 7)
+    features = rng.uniform(-1, 1, (5, 3))
+    weights = rng.normal(size=8)
+    _, shared = ansatz.adjoint_grads(config, params, features, weights)
+    _, tiled = ansatz.adjoint_grads(config, params, features, np.tile(weights, (5, 1)))
+    assert (shared == tiled).all()
 
 
 def test_encoding_linear_in_scale_factors():

@@ -3,6 +3,7 @@ import pytest
 
 from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
+from test_ansatz import shift_rule_expval_grads
 
 
 def _instance(n=3, d=2, seed=0, zero_feature=None):
@@ -271,3 +272,65 @@ def test_trajectory_grads_match_single_step_calls():
     for t in range(5):
         single = policy.log_prob_grad(pol, feats[t], int(actions[t]), params)
         assert np.abs(stacked[t] - single).max() < 1e-14
+
+
+def _shift_rule_log_grads(pol, feats, actions, params):
+    """Oracle: circuit part of the log-policy gradients by parameter shift."""
+    if isinstance(pol, policy.SoftmaxObservablePolicy):
+        weights = np.tile(policy._z_signs(pol.model.n_qubits, pol.z_qubits), (len(actions), 1))
+    else:
+        weights = policy._member_matrix(pol.postfn)[:, actions].T
+    d_expval = shift_rule_expval_grads(pol.model, params, feats, weights)
+    pis = np.array([policy.action_probs(pol, f, params) for f in feats])
+    if isinstance(pol, policy.MeasurementPolicy):
+        return d_expval / pis[np.arange(len(actions)), actions][:, None]
+    bracket = pol.weights[actions] - pis @ pol.weights
+    return pol.beta * bracket[:, None] * d_expval
+
+
+@pytest.mark.parametrize("kind", ["measurement", "softmax"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_trajectory_grads_match_shift_rule(entangler, n, kind):
+    rng = np.random.default_rng(n)
+    config = ModelConfig(n, 2, entangler)
+    params = ansatz.init_params(config, rng)
+    params.lam[:] = rng.normal(1.0, 0.4, size=params.lam.shape)
+    if kind == "measurement":
+        pol = policy.MeasurementPolicy(config, decode.MostSignificantBit(n))
+    else:
+        pol = policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3, 0.1]), beta=1.3)
+    feats = rng.uniform(-1, 1, (4, n))
+    feats[2, n - 1] = 0.0
+    actions = rng.integers(0, pol.num_actions, 4)
+    grads = policy.trajectory_log_grads(pol, feats, actions, params)
+    n_circuit = ansatz.total_params(config)
+    oracle = _shift_rule_log_grads(pol, feats, actions, params)
+    assert np.abs(grads[:, :n_circuit] - oracle).max() < 1e-10
+
+
+def test_batch_action_probs_rows_equal_single_state_calls():
+    config, params, _, rng = _instance(n=4, d=3, seed=13)
+    feats = rng.normal(0, 0.5, (50, 4))
+    for pol in (
+        policy.MeasurementPolicy(config, decode.RecursiveParity(4, 4)),
+        policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3, 0.1, 0.8]), beta=1.3),
+    ):
+        batch = policy.batch_action_probs(pol, feats, params)
+        single = np.array([policy.action_probs(pol, f, params) for f in feats])
+        assert (batch == single).all()
+
+
+def test_batch_action_probs_checks_norm_per_row(monkeypatch):
+    config, params, _, rng = _instance(seed=14)
+    pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
+    run_states = ansatz.run_states
+
+    def drifted(*args):
+        amps = run_states(*args)
+        amps[1] *= 1.001
+        return amps
+
+    monkeypatch.setattr(ansatz, "run_states", drifted)
+    with pytest.raises(qsim.NormDriftError):
+        policy.batch_action_probs(pol, rng.uniform(-1, 1, (3, 3)), params)
