@@ -1,8 +1,9 @@
 """Command-line front end: config-driven experiments with CSV outputs.
 
 Subcommands: train, globality, enum, fim, effdim, bound, decode.
-Common flags: --config, --seed, --jobs, --out-dir.  Exit codes: 0 on
-success, 2 for configuration/usage errors, 3 for runtime failures.
+Common flags: --config, --seed, --out-dir; ``train`` also takes --jobs,
+the number of seeds trained in parallel.  Exit codes: 0 on success, 2
+for configuration/usage errors, 3 for runtime failures.
 Every output file embeds the fully resolved configuration as comment
 lines, and reruns with the same config and seed are byte-identical.
 """
@@ -98,9 +99,8 @@ def cmd_globality(args) -> int:
     if args.ei_dump:
         if fn.n_qubits > 8:
             raise RuntimeError("EI dump is limited to 8 qubits")
-        for b in range(1 << fn.n_qubits):
-            bits = format(b, f"0{fn.n_qubits}b")
-            print(f"{bits},{fn.decode_index(b)},{report.ei[b]}")
+        for b, action in enumerate(fn.action_table().tolist()):
+            print(f"{format(b, f'0{fn.n_qubits}b')},{action},{report.ei[b]}")
     return 0
 
 
@@ -224,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, config=False):
         p.add_argument("--seed", type=int, default=None, help="override the config seed(s)")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap for parallel parts")
         p.add_argument("--out-dir", default="runs", help="output directory")
         if config:
             p.add_argument("--config", required=True, help="experiment config file")
 
     p = sub.add_parser("train", help="REINFORCE training, learning-curve CSVs")
     add_common(p, config=True)
+    p.add_argument("--jobs", type=int, default=1, help="seeds trained in parallel")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("globality", help="globality of a post-processing function")
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="qubit count")
     p.add_argument("--m", type=int, required=True, help="action count")
     p.add_argument("--ei-dump", action="store_true", help="print per-bitstring EI (n <= 8)")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_globality)
 
     p = sub.add_parser("enum", help="histogram of globality over balanced partitionings")
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4, help="action count for the bare bound")
     p.add_argument("--config", default=None, help="run the training compliance experiment")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", default="runs")
     p.set_defaults(func=cmd_bound)
 

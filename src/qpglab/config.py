@@ -188,7 +188,10 @@ def _float_list(section, key, raw) -> tuple:
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate a config file; raises :class:`ConfigError`."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
@@ -379,7 +382,10 @@ def build_postfn(spec: str, n_qubits: int, num_actions: int) -> decode.PostProce
     if spec.startswith("parity:"):
         return decode.PrefixParity(n_qubits, int(spec.split(":", 1)[1]))
     if spec.startswith("table:"):
-        return decode.load_table(spec.split(":", 1)[1], num_actions)
+        fn = decode.load_table(spec.split(":", 1)[1], num_actions)
+        if fn.n_qubits != n_qubits:
+            raise ValueError(f"table has {fn.n_qubits} qubits, expected {n_qubits}")
+        return fn
     raise ValueError(f"unknown postfn spec {spec!r}")
 
 

@@ -18,29 +18,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-# Bitmask-based extracted-information search is cached per qubit count
-# up to this size; beyond it a slower on-the-fly scan is used.
-_MASK_CACHE_LIMIT = 10
-_BRUTE_FORCE_LIMIT = 16
+# Largest qubit count for explicit classes, extracted information and
+# histograms: the subcube pass holds 3**n entries per table.
+_QUBIT_LIMIT = 16
 
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def _check_qubits(n: int, what: str) -> None:
+    if n > _QUBIT_LIMIT:
+        raise ValueError(f"{what} is limited to {_QUBIT_LIMIT} qubits")
+
+
 class PostProcessing:
-    """Total map from n-bit measurement outcomes to actions."""
+    """Total map from n-bit measurement outcomes to actions.
+
+    Each subclass defines its map once, in ``_build_table``, which
+    returns the action of every basis index (``ExplicitTable`` stores
+    that array directly).
+    """
 
     n_qubits: int
     num_actions: int
-
-    def decode_index(self, index: int) -> int:
-        raise NotImplementedError
 
     def action_table(self) -> np.ndarray:
         """Action of every basis index, cached; length 2**n."""
@@ -51,18 +56,6 @@ class PostProcessing:
             self._table = cached
         return cached
 
-    def _build_table(self) -> np.ndarray:
-        return np.array(
-            [self.decode_index(i) for i in range(1 << self.n_qubits)],
-            dtype=np.int64,
-        )
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < (1 << self.n_qubits):
-            raise ValueError(
-                f"basis index {index} out of range for {self.n_qubits} qubits"
-            )
-
 
 class MostSignificantBit(PostProcessing):
     """Two actions decided by the uppermost qubit alone (globality 1)."""
@@ -72,10 +65,6 @@ class MostSignificantBit(PostProcessing):
             raise ValueError("need at least one qubit")
         self.n_qubits = n_qubits
         self.num_actions = 2
-
-    def decode_index(self, index: int) -> int:
-        self._check_index(index)
-        return (index >> (self.n_qubits - 1)) & 1
 
     def _build_table(self) -> np.ndarray:
         idx = np.arange(1 << self.n_qubits)
@@ -95,10 +84,6 @@ class PrefixParity(PostProcessing):
         self.n_qubits = n_qubits
         self.q = q
         self.num_actions = 2
-
-    def decode_index(self, index: int) -> int:
-        self._check_index(index)
-        return _parity(index >> (self.n_qubits - self.q))
 
     def _build_table(self) -> np.ndarray:
         idx = np.arange(1 << self.n_qubits, dtype=np.uint64)
@@ -124,14 +109,6 @@ class RecursiveParity(PostProcessing):
         self.n_qubits = n_qubits
         self.num_actions = num_actions
         self._m = num_actions.bit_length() - 2  # log2(M) - 1
-
-    def decode_index(self, index: int) -> int:
-        self._check_index(index)
-        m = self._m
-        action = _parity(index >> m)
-        for j in range(m):
-            action |= ((index >> j) & 1) << (m - j)
-        return action
 
     def _build_table(self) -> np.ndarray:
         m = self._m
@@ -172,20 +149,20 @@ class ExplicitTable(PostProcessing):
             raise ValueError(f"basis index {missing} not assigned to any action")
         return cls(n_qubits, max(sets) + 1, table)
 
-    def decode_index(self, index: int) -> int:
-        self._check_index(index)
-        return int(self._table[index])
+
+def _basis_index(fn: PostProcessing, bits) -> int:
+    """Basis index of a measurement outcome given as an index or a string."""
+    if isinstance(bits, str):
+        return decode_bits_to_index(fn.n_qubits, bits)
+    index = int(bits)
+    if not 0 <= index < (1 << fn.n_qubits):
+        raise ValueError(f"basis index {index} out of range for {fn.n_qubits} qubits")
+    return index
 
 
 def decode(fn: PostProcessing, bits) -> int:
     """Decode a measurement outcome (basis index or '0101'-style string)."""
-    if isinstance(bits, str):
-        if len(bits) != fn.n_qubits or set(bits) - {"0", "1"}:
-            raise ValueError(
-                f"bitstring {bits!r} is not a {fn.n_qubits}-bit binary string"
-            )
-        bits = int(bits, 2)
-    return fn.decode_index(int(bits))
+    return int(fn.action_table()[_basis_index(fn, bits)])
 
 
 def recursive_partition_sets(n_qubits: int, num_actions: int) -> dict:
@@ -220,10 +197,7 @@ def recursive_partition_sets(n_qubits: int, num_actions: int) -> dict:
 
 def partition_sets(fn: PostProcessing) -> dict:
     """Explicit ``{action: sorted list of basis indices}`` classes."""
-    if fn.n_qubits > _BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"explicit materialisation is limited to {_BRUTE_FORCE_LIMIT} qubits"
-        )
+    _check_qubits(fn.n_qubits, "explicit materialisation")
     table = fn.action_table()
     return {
         a: [int(b) for b in np.nonzero(table == a)[0]]
@@ -235,81 +209,45 @@ def partition_sets(fn: PostProcessing) -> dict:
 # Extracted information and globality
 
 
-@lru_cache(maxsize=None)
-def _subset_order(n: int) -> tuple:
-    """All bit-position subsets of {0..n-1} as masks, smallest first."""
-    order = []
-    for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for p in combo:
-                mask |= 1 << p
-            order.append((k, mask))
-    return tuple(order)
+def _extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
+    """Extracted information of every string, for a batch of action tables.
 
-
-@lru_cache(maxsize=None)
-def _completion_masks(n: int) -> dict:
-    """For each subset mask S and residue r: bitmask over all strings x
-    with x & S == r.  Total size is 3**n entries, so only cached for
-    small n."""
-    table: dict = {}
-    for s_mask in range(1 << n):
-        residues: dict = {}
-        for x in range(1 << n):
-            r = x & s_mask
-            residues[r] = residues.get(r, 0) | (1 << x)
-        table[s_mask] = residues
-    return table
-
-
-def _class_masks(table: np.ndarray, num_actions: int) -> list[int]:
-    masks = [0] * num_actions
-    for b, a in enumerate(table):
-        masks[a] |= 1 << b
-    return masks
-
-
-def _ei_masked(n: int, class_masks: list[int], action: int, b: int) -> int:
-    completions = _completion_masks(n)
-    not_mine = ~class_masks[action]
-    for k, s_mask in _subset_order(n):
-        if completions[s_mask][b & s_mask] & not_mine == 0:
-            return k
-    raise AssertionError("full bitstring always determines the action")
-
-
-def _ei_scan(table: np.ndarray, n: int, b: int) -> int:
-    # Fallback without the 3**n cache: enumerate completions per subset.
-    target = table[b]
-    for k, s_mask in _subset_order(n):
-        base = b & s_mask
-        offsets = np.zeros(1, dtype=np.int64)
-        for p in range(n):
-            if not s_mask & (1 << p):
-                offsets = np.concatenate([offsets, offsets + (1 << p)])
-        if (table[base + offsets] == target).all():
-            return k
-    raise AssertionError("full bitstring always determines the action")
+    ``tables`` has shape (B, 2**n); so has the result.  EI(b) is the
+    certificate complexity of the decoding at b: n minus the most free
+    positions of a subcube that contains b and on which the action is
+    constant.  One pass builds the action of every subcube of
+    {0,1,*}**n (-1 where it is not constant), a second takes the best
+    star count over the subcubes around each string.
+    """
+    batch = len(tables)
+    # The narrowest signed type that holds every action and the -1 mark.
+    value = tables.astype(np.min_scalar_type(-int(tables.max()) - 1))
+    stars = np.zeros(1, dtype=np.int8)
+    for axis in range(n):
+        # Axes 0..axis-1 already range over {0,1,*}; give this one its *.
+        value = value.reshape(batch, 3**axis, 2, -1)
+        v0, v1 = value[:, :, 0], value[:, :, 1]
+        star = np.where(v0 == v1, v0, -1)[:, :, None]
+        value = np.concatenate([value, star], axis=2)
+        stars = (stars[:, None] + np.array([0, 0, 1], dtype=np.int8)).ravel()
+    score = np.where(value.reshape(batch, -1) >= 0, stars, np.int8(-1))
+    del value
+    for axis in range(n):
+        # Each string may free this position or keep it.
+        score = score.reshape(batch, 2**axis, 3, -1)
+        score = np.maximum(score[:, :, :2], score[:, :, 2:])
+    return n - score.reshape(batch, -1).astype(np.int64)
 
 
 def extracted_information(fn: PostProcessing, bits) -> int:
     """Minimum number of bit positions that pin down the action of ``bits``.
 
-    Exhaustive search over position subsets in increasing size: the
-    smallest k such that some k positions of the string force every
+    The smallest k such that some k positions of the string force every
     agreeing string into the same action class.
     """
-    if isinstance(bits, str):
-        bits = decode_bits_to_index(fn.n_qubits, bits)
-    n = fn.n_qubits
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"extracted information is limited to {_BRUTE_FORCE_LIMIT} qubits")
-    table = fn.action_table()
-    if n <= _MASK_CACHE_LIMIT:
-        masks = _class_masks(table, fn.num_actions)
-        return _ei_masked(n, masks, int(table[bits]), int(bits))
-    return _ei_scan(table, n, int(bits))
+    index = _basis_index(fn, bits)
+    _check_qubits(fn.n_qubits, "extracted information")
+    return int(_extracted_information(fn.action_table()[None, :], fn.n_qubits)[0, index])
 
 
 def decode_bits_to_index(n_qubits: int, bits: str) -> int:
@@ -333,13 +271,6 @@ class GlobalityReport:
         return float(self.value)
 
 
-def _globality_sum(n: int, class_masks: list[int], actions) -> int:
-    total = 0
-    for b in range(1 << n):
-        total += _ei_masked(n, class_masks, actions[b], b)
-    return total
-
-
 def globality(fn: PostProcessing) -> GlobalityReport:
     """Average extracted information over all 2**n strings, exactly.
 
@@ -349,17 +280,9 @@ def globality(fn: PostProcessing) -> GlobalityReport:
     lower bound is only asserted when class sizes are equal).
     """
     n = fn.n_qubits
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"globality is limited to {_BRUTE_FORCE_LIMIT} qubits")
+    _check_qubits(n, "globality")
     table = fn.action_table()
-    if n <= _MASK_CACHE_LIMIT:
-        masks = _class_masks(table, fn.num_actions)
-        ei = np.array(
-            [_ei_masked(n, masks, int(table[b]), b) for b in range(1 << n)],
-            dtype=np.int64,
-        )
-    else:
-        ei = np.array([_ei_scan(table, n, b) for b in range(1 << n)], dtype=np.int64)
+    ei = _extracted_information(table[None, :], n)[0]
     value = Fraction(int(ei.sum()), 1 << n)
     sizes = np.bincount(table, minlength=fn.num_actions)
     balanced = bool((sizes == (1 << n) // fn.num_actions).all())
@@ -430,6 +353,8 @@ def _actions_from_masks(big_n: int, class_masks: list[int]) -> list[int]:
 
 
 EXHAUSTIVE_LIMIT = 10**7
+# Histograms score their tables in batches of about this many subcubes.
+_CHUNK_ENTRIES = 1 << 22
 
 
 @dataclass
@@ -462,9 +387,7 @@ def globality_histogram(
     big_n = 1 << n_qubits
     if num_actions < 2 or big_n % num_actions:
         raise ValueError("num_actions must be >= 2 and divide 2**n_qubits")
-    if n_qubits > _MASK_CACHE_LIMIT:
-        raise ValueError(f"histograms are limited to {_MASK_CACHE_LIMIT} qubits")
-    counts: dict = {}
+    _check_qubits(n_qubits, "histograms")
     if mode == "exhaustive":
         census = count_balanced_partitionings(n_qubits, num_actions)
         if census > EXHAUSTIVE_LIMIT:
@@ -472,30 +395,27 @@ def globality_histogram(
                 f"{census} partitionings exceed the exhaustive limit "
                 f"{EXHAUSTIVE_LIMIT}; use sampled mode"
             )
-        total = 0
-        for masks in _enumerate_balanced_masks(big_n, num_actions):
-            actions = _actions_from_masks(big_n, masks)
-            g = Fraction(_globality_sum(n_qubits, masks, actions), big_n)
-            counts[g] = counts.get(g, 0) + 1
-            total += 1
-        return HistogramResult(n_qubits, num_actions, mode, total, counts)
-    if mode == "sampled":
+        tables = (
+            _actions_from_masks(big_n, masks)
+            for masks in _enumerate_balanced_masks(big_n, num_actions)
+        )
+    elif mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an rng")
+        # One permutation per sample; its a-th block of N/M strings is class a.
         size = big_n // num_actions
-        for _ in range(samples):
-            perm = rng.permutation(big_n)
-            masks = []
-            for a in range(num_actions):
-                mask = 0
-                for b in perm[a * size : (a + 1) * size]:
-                    mask |= 1 << int(b)
-                masks.append(mask)
-            actions = _actions_from_masks(big_n, masks)
-            g = Fraction(_globality_sum(n_qubits, masks, actions), big_n)
+        tables = (np.argsort(rng.permutation(big_n)) // size for _ in range(samples))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    counts: dict = {}
+    total = 0
+    it = iter(tables)
+    while chunk := list(islice(it, max(1, _CHUNK_ENTRIES // 3**n_qubits))):
+        for ei_sum in _extracted_information(np.array(chunk), n_qubits).sum(axis=1).tolist():
+            g = Fraction(ei_sum, big_n)
             counts[g] = counts.get(g, 0) + 1
-        return HistogramResult(n_qubits, num_actions, mode, samples, counts)
-    raise ValueError(f"unknown mode {mode!r}")
+        total += len(chunk)
+    return HistogramResult(n_qubits, num_actions, mode, total, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +423,10 @@ def globality_histogram(
 
 
 def save_table(path, fn: PostProcessing) -> None:
-    lines = []
-    for b in range(1 << fn.n_qubits):
-        bits = format(b, f"0{fn.n_qubits}b")
-        lines.append(f"{bits},{fn.decode_index(b)}")
+    lines = [
+        f"{format(b, f'0{fn.n_qubits}b')},{action}"
+        for b, action in enumerate(fn.action_table().tolist())
+    ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpglab import analysis, ansatz, decode, envs, policy
+from qpglab import analysis, ansatz, config, decode, envs, policy
 
 
 def _policies():
@@ -69,3 +69,37 @@ def test_exact_accuracy_equals_per_state_sum(pol):
     for state in range(8):
         total += policy.action_probs(pol, encoder.encode(state), params)[env.optimal[state]]
     assert analysis.exact_accuracy(env, encoder, pol, params) == total / 8
+
+
+def test_effective_dimension_matches_the_determinant_formula():
+    rng = np.random.default_rng(2)
+    per_set = []
+    for _ in range(4):
+        a = rng.normal(size=(5, 3))
+        per_set.append(a @ a.T / 3)
+    fims = analysis.FimSamples(per_set, np.mean(per_set, axis=0), 5, 10, 1.0)
+    report = analysis.effective_dimension(fims, [5000, 10**6])
+    for size, value in zip(report.data_sizes, report.values):
+        kappa = size / (2 * np.pi * np.log(size))
+        dets = [np.linalg.det(np.eye(5) + kappa * m) for m in per_set]
+        assert value == pytest.approx(2 * np.log(np.mean(np.sqrt(dets))) / np.log(kappa), rel=1e-10)
+    assert report.normalized == pytest.approx([v / 5 for v in report.values], rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_effective_dimension_is_below_dim_and_grows_with_data(seed):
+    # Each eigenvalue lam adds ln(1 + kappa lam) / ln(kappa) per set.  That
+    # term is below 1 and grows with kappa when lam <= 0.1 and kappa >= e**2;
+    # the log-mean-exp over sets then grows too.  Sampled FIMs have larger
+    # eigenvalues (trace = dim), and their value can dip as data grows.
+    rng = np.random.default_rng(seed)
+    per_set = []
+    for _ in range(4):
+        a = rng.normal(size=(6, rng.integers(1, 7)))
+        m = a @ a.T
+        per_set.append(0.1 * m / np.linalg.eigvalsh(m).max())
+    fims = analysis.FimSamples(per_set, np.mean(per_set, axis=0), 6, 10, 1.0)
+    sizes = config.AnalysisBlock().data_sizes + (10**9, 10**15)
+    values = analysis.effective_dimension(fims, sizes).values
+    assert all(0 < v <= fims.dim for v in values)
+    assert all(b >= a for a, b in zip(values, values[1:]))

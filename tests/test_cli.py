@@ -78,3 +78,50 @@ def test_reruns_are_byte_identical(tmp_path, command, kind, actions, files):
     second = _run(tmp_path, command, kind, actions, "second")
     for name in files:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_globality_exits_zero(capsys):
+    assert cli.main(["globality", "--postfn", "global", "--n", "3", "--m", "2"]) == 0
+    assert capsys.readouterr().out == "globality = 3 (3.0)\n"
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("[model]", "[extras]\nkey = 1\n\n[model]"), ("depth = 1", "depth = 1\ndepth_typo = 2")],
+    ids=["unknown-section", "unknown-key"],
+)
+def test_config_errors_exit_two(tmp_path, capsys, old, new):
+    config = tmp_path / "bad.ini"
+    config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2).replace(old, new))
+    assert cli.main(["fim", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_runtime_failure_exits_three(capsys):
+    argv = ["globality", "--postfn", "global", "--n", "9", "--m", "2", "--ei-dump"]
+    assert cli.main(argv) == 3
+    assert "EI dump is limited to 8 qubits" in capsys.readouterr().err
+
+
+def test_table_with_the_wrong_qubit_count_fails(tmp_path, capsys):
+    path = tmp_path / "table.txt"
+    path.write_text("00,0\n01,0\n10,1\n11,1\n")
+    assert cli.main(["globality", "--postfn", f"table:{path}", "--n", "4", "--m", "2"]) == 3
+    assert "table has 2 qubits, expected 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fim", "--config", "c.ini", "--jobs", "2"],
+        ["effdim", "--config", "c.ini", "--jobs", "2"],
+        ["enum", "--n", "2", "--m", "2", "--jobs", "2"],
+        ["bound", "--jobs", "2"],
+        ["globality", "--postfn", "msb", "--n", "2", "--m", "2", "--seed", "1"],
+    ],
+    ids=["fim", "effdim", "enum", "bound", "globality"],
+)
+def test_options_that_did_nothing_are_gone(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2

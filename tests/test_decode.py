@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_closed_form_agrees_with_recursion(n, m):
     recursive = decode.recursive_partition_sets(n, m)
     for action, members in recursive.items():
         for b in members:
-            assert fn.decode_index(b) == action
+            assert decode.decode(fn, b) == action
     assert sum(len(v) for v in recursive.values()) == 1 << n
 
 
@@ -237,3 +238,39 @@ def test_ei_within_range(n, b):
     fn = decode.RecursiveParity(n, 2)
     ei = decode.extracted_information(fn, b)
     assert 0 <= ei <= n
+
+
+def _brute_force_ei(table, n):
+    """Oracle: for each string, the fewest positions whose values force its action."""
+    strings = np.arange(1 << n)
+    ei = []
+    for b in range(1 << n):
+        for k in range(n + 1):
+            masks = (sum(1 << p for p in ps) for ps in combinations(range(n), k))
+            if any((table[strings & mask == b & mask] == table[b]).all() for mask in masks):
+                ei.append(k)
+                break
+    return np.array(ei)
+
+
+def _families(n):
+    fns = [decode.MostSignificantBit(n)] + [decode.PrefixParity(n, q) for q in range(1, n + 1)]
+    return fns + [decode.RecursiveParity(n, m) for m in (2, 4, 8) if m <= 1 << n]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_globality_ei_matches_brute_force(data):
+    n = data.draw(st.integers(1, 6))
+    kind = data.draw(st.sampled_from(["family", "balanced", "random"]))
+    if kind == "family":
+        fn = data.draw(st.sampled_from(_families(n)))
+    elif kind == "balanced":
+        m = data.draw(st.sampled_from([1 << k for k in range(1, n + 1)]))
+        perm = data.draw(st.permutations(range(1 << n)))
+        fn = decode.ExplicitTable(n, m, np.argsort(perm) // ((1 << n) // m))
+    else:
+        m = data.draw(st.integers(2, 4))
+        table = data.draw(st.lists(st.integers(0, m - 1), min_size=1 << n, max_size=1 << n))
+        fn = decode.ExplicitTable(n, m, table)
+    assert (decode.globality(fn).ei == _brute_force_ei(fn.action_table(), n)).all()
