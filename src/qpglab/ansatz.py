@@ -25,6 +25,16 @@ Entangler pairs ``(i, j)`` with ``i < j`` are applied in lexicographic
 order; for CX the control is ``i`` and the target ``j``.  A CZ layer is
 diagonal, so it is applied as one precomputed sign vector.
 
+:func:`run_batch` is the one forward implementation (``run_states``,
+``prepare_state``, the policies and the forward pass of
+:func:`adjoint_grads` all call it).  It evolves B rows at once, in
+passes of up to 512 rows: one vectorised pass computes the fused 2x2
+entries of every rotation of every row of the pass, then the gate loop
+applies them in circuit order to half-views of the register built once
+per pass.  Each entry is the same elementwise cos/sin/exp product
+whatever the batch, so row ``r`` is bit-identical to the same row
+evaluated alone.
+
 Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): one forward
 pass through :func:`run_batch`, then one backward sweep that undoes the
@@ -161,22 +171,50 @@ def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = Fals
         amps[..., dst] = tmp
 
 
-def _apply_rz_then_ry(amps: np.ndarray, n: int, qubit: int, angle_z, angle_y) -> None:
-    # Fused product Ry(angle_y) @ Rz(angle_z), exact up to rounding.
+# Rows per gate-table pass of run_batch.  The table takes 64 bytes per
+# rotation and row, more than the register at small n; passes of this
+# many rows keep it in cache and bound its memory on large batches.
+_ROWS_PER_PASS = 512
+
+
+def _gate_table(
+    config: ModelConfig,
+    thetas: np.ndarray,
+    lams: np.ndarray,
+    features: np.ndarray,
+) -> np.ndarray:
+    """Fused 2x2 entries of every rotation of one :func:`run_batch` call.
+
+    Returns shape (2d+1, n, 4, B, 1, 1): rotation blocks in circuit
+    order V_0, E_1, V_1, ..., E_d, V_d, then qubit, then the entries
+    (u00, u01, u10, u11) per row, shaped for :func:`qsim.apply_1q_halves`.
+    A variational rotation is Ry(theta') @ Rz(theta), an encoding one
+    Rz(lam' s) @ Ry(lam s).
+    """
+    n, d = config.n_qubits, config.depth
+    batch = thetas.shape[0]
+    # (z angle, y angle) of each rotation, blocks in circuit order, rows
+    # last so that every gate's entries are contiguous.
+    angles = np.empty((2, 2 * d + 1, n, batch))
+    angles[:, 0::2] = thetas.reshape(batch, d + 1, n, 2).transpose(3, 1, 2, 0)
+    encoded = lams.reshape(batch, d, n, 2) * features[:, None, ::-1, None]
+    angles[:, 1::2] = encoded.transpose(3, 1, 2, 0)[::-1]
+    angle_z, angle_y = angles
     c = np.cos(angle_y / 2.0)
     s = np.sin(angle_y / 2.0)
     pm = np.exp(-0.5j * angle_z)
     pp = np.exp(0.5j * angle_z)
-    qsim.apply_1q(amps, n, qubit, c * pm, -s * pp, s * pm, c * pp)
-
-
-def _apply_ry_then_rz(amps: np.ndarray, n: int, qubit: int, angle_y, angle_z) -> None:
-    # Fused product Rz(angle_z) @ Ry(angle_y).
-    c = np.cos(angle_y / 2.0)
-    s = np.sin(angle_y / 2.0)
-    pm = np.exp(-0.5j * angle_z)
-    pp = np.exp(0.5j * angle_z)
-    qsim.apply_1q(amps, n, qubit, c * pm, -s * pm, s * pp, c * pp)
+    table = np.empty((2 * d + 1, n, 4, batch), dtype=np.complex128)
+    np.multiply(c, pm, out=table[:, :, 0])
+    np.multiply(c, pp, out=table[:, :, 3])
+    # Rz's e^{+i z/2} sits in column 1 of Ry @ Rz (variational, even
+    # blocks) but in row 1 of Rz @ Ry (encoding, odd blocks).
+    var, enc = slice(0, None, 2), slice(1, None, 2)
+    np.multiply(-s[var], pp[var], out=table[var, :, 1])
+    np.multiply(s[var], pm[var], out=table[var, :, 2])
+    np.multiply(-s[enc], pm[enc], out=table[enc, :, 1])
+    np.multiply(s[enc], pp[enc], out=table[enc, :, 2])
+    return table[..., None, None]
 
 
 def run_batch(
@@ -191,32 +229,18 @@ def run_batch(
     (B, n).  Returns the final amplitudes, shape (B, 2**n).  Row ``r``
     equals the state prepared from row ``r``'s parameters alone.
     """
-    n, d = config.n_qubits, config.depth
-    batch = thetas.shape[0]
-    amps = np.zeros((batch, 1 << n), dtype=np.complex128)
+    n = config.n_qubits
+    amps = np.zeros((thetas.shape[0], 1 << n), dtype=np.complex128)
     amps[:, 0] = 1.0
-    for layer in range(d + 1):
-        base = 2 * n * layer
-        for q in range(n):
-            _apply_rz_then_ry(
-                amps,
-                n,
-                q,
-                qsim.batch_coeff(thetas[:, base + 2 * q]),
-                qsim.batch_coeff(thetas[:, base + 2 * q + 1]),
-            )
-        _apply_entangler(amps, config)
-        if layer < d:
-            enc = 2 * n * layer
-            for q in range(n):
-                s_q = features[:, n - 1 - q]
-                _apply_ry_then_rz(
-                    amps,
-                    n,
-                    q,
-                    qsim.batch_coeff(lams[:, enc + 2 * q] * s_q),
-                    qsim.batch_coeff(lams[:, enc + 2 * q + 1] * s_q),
-                )
+    for start in range(0, len(amps), _ROWS_PER_PASS):
+        rows = slice(start, start + _ROWS_PER_PASS)
+        part = amps[rows]
+        halves = [qsim.half_views(part, n, q) for q in range(n)]
+        for block, gates in enumerate(_gate_table(config, thetas[rows], lams[rows], features[rows])):
+            for (a0, a1), entries in zip(halves, gates):
+                qsim.apply_1q_halves(a0, a1, *entries)
+            if block % 2 == 0:
+                _apply_entangler(part, config)
     return amps
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -316,12 +316,44 @@ def count_balanced_partitionings(n_qubits: int, num_actions: int) -> int:
     )
 
 
+def _balanced_tables(big_n: int, num_actions: int, rows: int):
+    """Yield the action table of every balanced partitioning once.
+
+    Tables come as (k, big_n) arrays of at most ``rows`` rows, in the
+    canonical order of :func:`_enumerate_balanced_masks`: each class is
+    led by the smallest string not yet assigned, which quotients out
+    the M! action relabellings exactly as the counting formula does.
+    """
+    size = big_n // num_actions
+
+    def expand(partial: np.ndarray, action: int):
+        if action == num_actions:
+            yield partial
+            return
+        # Unassigned strings of each row, ascending; every row has as many.
+        free = np.nonzero(partial < 0)[1].reshape(len(partial), -1)
+        # The leader (position 0) joins each (size-1)-subset of the rest.
+        picks = np.array(
+            [(0,) + c for c in combinations(range(1, free.shape[1]), size - 1)],
+            dtype=np.intp,
+        )
+        total = len(partial) * len(picks)
+        for start in range(0, total, rows):
+            row, pick = np.divmod(np.arange(start, min(start + rows, total)), len(picks))
+            tables = partial[row]
+            tables[np.arange(len(row))[:, None], free[row[:, None], picks[pick]]] = action
+            yield from expand(tables, action + 1)
+
+    yield from expand(np.full((1, big_n), -1, dtype=np.min_scalar_type(-num_actions)), 0)
+
+
 def _enumerate_balanced_masks(big_n: int, num_actions: int):
     """Yield class-mask lists for every balanced partitioning once.
 
-    Canonical order: each block is led by the smallest index not yet
-    assigned, which quotients out the M! action relabellings exactly as
-    the counting formula does.
+    The reference enumeration in canonical order (see
+    :func:`_balanced_tables`): one big-int mask per class, built one
+    partitioning at a time.  Tests check the fast enumeration against
+    it through :func:`_actions_from_masks`.
     """
     size = big_n // num_actions
 
@@ -357,6 +389,17 @@ EXHAUSTIVE_LIMIT = 10**7
 _CHUNK_ENTRIES = 1 << 22
 
 
+def _sampled_tables(big_n: int, num_actions: int, samples: int, rng, rows: int):
+    """Yield ``samples`` uniform balanced tables as arrays of at most ``rows``.
+
+    One permutation per sample; its a-th block of N/M strings is class a.
+    """
+    size = big_n // num_actions
+    for start in range(0, samples, rows):
+        count = min(rows, samples - start)
+        yield np.array([np.argsort(rng.permutation(big_n)) // size for _ in range(count)])
+
+
 @dataclass
 class HistogramResult:
     """Counts of globality values over balanced partitionings."""
@@ -388,6 +431,8 @@ def globality_histogram(
     if num_actions < 2 or big_n % num_actions:
         raise ValueError("num_actions must be >= 2 and divide 2**n_qubits")
     _check_qubits(n_qubits, "histograms")
+    # Tables per extracted-information pass, which holds 3**n entries each.
+    rows = max(1, _CHUNK_ENTRIES // 3**n_qubits)
     if mode == "exhaustive":
         census = count_balanced_partitionings(n_qubits, num_actions)
         if census > EXHAUSTIVE_LIMIT:
@@ -395,26 +440,23 @@ def globality_histogram(
                 f"{census} partitionings exceed the exhaustive limit "
                 f"{EXHAUSTIVE_LIMIT}; use sampled mode"
             )
-        tables = (
-            _actions_from_masks(big_n, masks)
-            for masks in _enumerate_balanced_masks(big_n, num_actions)
-        )
+        chunks = _balanced_tables(big_n, num_actions, rows)
     elif mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode needs an rng")
-        # One permutation per sample; its a-th block of N/M strings is class a.
-        size = big_n // num_actions
-        tables = (np.argsort(rng.permutation(big_n)) // size for _ in range(samples))
+        chunks = _sampled_tables(big_n, num_actions, samples, rng, rows)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    counts: dict = {}
+    sums: dict = {}
     total = 0
-    it = iter(tables)
-    while chunk := list(islice(it, max(1, _CHUNK_ENTRIES // 3**n_qubits))):
-        for ei_sum in _extracted_information(np.array(chunk), n_qubits).sum(axis=1).tolist():
-            g = Fraction(ei_sum, big_n)
-            counts[g] = counts.get(g, 0) + 1
-        total += len(chunk)
+    for tables in chunks:
+        values, freq = np.unique(
+            _extracted_information(tables, n_qubits).sum(axis=1), return_counts=True
+        )
+        for ei_sum, count in zip(values.tolist(), freq.tolist()):
+            sums[ei_sum] = sums.get(ei_sum, 0) + count
+        total += len(tables)
+    counts = {Fraction(ei_sum, big_n): count for ei_sum, count in sums.items()}
     return HistogramResult(n_qubits, num_actions, mode, total, counts)
 
 

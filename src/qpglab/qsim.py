@@ -20,11 +20,14 @@ beyond ``NORM_DRIFT_LIMIT`` raises :class:`NormDriftError`, because at
 the circuit depths used here drift of that size indicates a bug rather
 than accumulated rounding.
 
-All gate kernels accept amplitude arrays of shape ``(..., 2**n)`` so
-that batches of independent states (e.g. parameter-shift variants) can
-be evolved in one vectorised pass.  The batched path performs the same
-elementwise operations in the same order as the single-state path, so
-results do not depend on how work is grouped.
+All gate kernels accept amplitude arrays of shape ``(..., 2**n)``, so
+a batch of independent states (the rows of one circuit call, or a state
+stacked with its observable-weighted copy in the adjoint sweep) evolves
+in one vectorised pass, with gate entries given per row.  A batch runs
+the same elementwise operations in the same order as a single state,
+so results do not depend on how work is grouped.  A caller that applies
+many gates to one register builds its :func:`half_views` once and calls
+:func:`apply_1q_halves`; :func:`apply_1q` does both per gate.
 """
 
 from __future__ import annotations
@@ -88,6 +91,30 @@ def _paired_view(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
     return amps.reshape(amps.shape[:-1] + (outer, 2, inner))
 
 
+def half_views(amps: np.ndarray, n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views ``(a0, a1)`` of the amplitudes whose ``qubit`` bit is 0 and 1.
+
+    Each has shape ``(..., 2**(n-1-qubit), 2**qubit)``; writes through
+    them hit ``amps``.
+    """
+    view = _paired_view(amps, n, qubit)
+    return view[..., 0, :], view[..., 1, :]
+
+
+def apply_1q_halves(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
+    """Apply the gate ``[[u00, u01], [u10, u11]]`` in place to half-views.
+
+    ``a0, a1`` come from :func:`half_views`; the entries broadcast as in
+    :func:`apply_1q`.
+    """
+    new0 = u00 * a0
+    new0 += u01 * a1
+    # a1 is updated in place while a0 still holds its original values.
+    a1 *= u11
+    a1 += u10 * a0
+    a0[...] = new0
+
+
 def apply_1q(amps: np.ndarray, n: int, qubit: int, u00, u01, u10, u11) -> None:
     """Apply a generic single-qubit gate in place.
 
@@ -95,15 +122,7 @@ def apply_1q(amps: np.ndarray, n: int, qubit: int, u00, u01, u10, u11) -> None:
     scalars or arrays broadcastable against the leading batch dims with
     two trailing length-1 axes appended (see :func:`batch_coeff`).
     """
-    view = _paired_view(amps, n, qubit)
-    a0 = view[..., 0, :]
-    a1 = view[..., 1, :]
-    new0 = u00 * a0
-    new0 += u01 * a1
-    # a1 is updated in place while a0 still holds its original values.
-    a1 *= u11
-    a1 += u10 * a0
-    a0[...] = new0
+    apply_1q_halves(*half_views(amps, n, qubit), u00, u01, u10, u11)
 
 
 def batch_coeff(values: np.ndarray) -> np.ndarray:
@@ -174,17 +193,17 @@ def apply_cx(state: Statevector, control: int, target: int) -> Statevector:
     return state
 
 
-def check_norm(state: Statevector) -> None:
-    """Raise :class:`NormDriftError` if the norm has drifted too far."""
-    drift = abs(state.norm_squared() - 1.0)
+def probabilities(state: Statevector) -> np.ndarray:
+    """Measurement probabilities ``|c_i|^2`` for every basis index.
+
+    Raises :class:`NormDriftError` if they sum to further than
+    ``NORM_DRIFT_LIMIT`` from 1.
+    """
+    probs = np.abs(state.amps) ** 2
+    drift = abs(float(probs.sum()) - 1.0)
     if drift > NORM_DRIFT_LIMIT:
         raise NormDriftError(f"state norm squared off by {drift:.3e}")
-
-
-def probabilities(state: Statevector) -> np.ndarray:
-    """Measurement probabilities ``|c_i|^2`` for every basis index."""
-    check_norm(state)
-    return np.abs(state.amps) ** 2
+    return probs
 
 
 def sample_bitstrings(state: Statevector, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -289,3 +289,86 @@ def test_init_params_conventions():
     assert (params.lam == 1.0).all()
     normal = ansatz.init_params(config, rng, theta_init="normal", theta_scale=0.1)
     assert np.abs(normal.theta).max() < 1.0  # loose sanity for sigma=0.1
+
+
+def _per_gate_run_batch(config, thetas, lams, features):
+    """Oracle: the forward pass one gate at a time, coefficients per gate."""
+    n, d = config.n_qubits, config.depth
+    amps = np.zeros((thetas.shape[0], 1 << n), dtype=np.complex128)
+    amps[:, 0] = 1.0
+
+    def rotate(qubit, angle_y, angle_z, z_first):
+        c = np.cos(angle_y / 2.0)
+        s = np.sin(angle_y / 2.0)
+        pm = np.exp(-0.5j * angle_z)
+        pp = np.exp(0.5j * angle_z)
+        if z_first:  # Ry(angle_y) @ Rz(angle_z)
+            qsim.apply_1q(amps, n, qubit, c * pm, -s * pp, s * pm, c * pp)
+        else:  # Rz(angle_z) @ Ry(angle_y)
+            qsim.apply_1q(amps, n, qubit, c * pm, -s * pm, s * pp, c * pp)
+
+    for layer in range(d + 1):
+        base = 2 * n * layer
+        for q in range(n):
+            rotate(
+                q,
+                qsim.batch_coeff(thetas[:, base + 2 * q + 1]),
+                qsim.batch_coeff(thetas[:, base + 2 * q]),
+                z_first=True,
+            )
+        ansatz._apply_entangler(amps, config)
+        if layer < d:
+            for q in range(n):
+                s_q = features[:, n - 1 - q]
+                rotate(
+                    q,
+                    qsim.batch_coeff(lams[:, base + 2 * q] * s_q),
+                    qsim.batch_coeff(lams[:, base + 2 * q + 1] * s_q),
+                    z_first=False,
+                )
+    return amps
+
+
+def _same_bits(a, b):
+    # Stricter than ==, which equates 0.0 with -0.0.
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps, monkeypatch):
+    config = ModelConfig(n, depth, entangler)
+    params, rng = _random_params(config, 1000 * n + 10 * depth + steps)
+    features = rng.uniform(-2, 2, (steps, n))
+    features[0, -1] = 0.0
+    n_theta, n_lam = ansatz.param_counts(config)
+    thetas = rng.uniform(-np.pi, np.pi, (steps, n_theta))
+    lams = rng.normal(1.0, 0.5, (steps, n_lam))
+    weights = rng.normal(size=(steps, 1 << n))
+    assert _same_bits(
+        ansatz.run_batch(config, thetas, lams, features),
+        _per_gate_run_batch(config, thetas, lams, features),
+    )
+    states = ansatz.run_states(config, params, features)
+    amps, grads = ansatz.adjoint_grads(config, params, features, weights)
+    monkeypatch.setattr(ansatz, "run_batch", _per_gate_run_batch)
+    assert _same_bits(states, ansatz.run_states(config, params, features))
+    oracle_amps, oracle_grads = ansatz.adjoint_grads(config, params, features, weights)
+    assert _same_bits(amps, oracle_amps)
+    assert _same_bits(grads, oracle_grads)
+
+
+def test_forward_bit_identical_across_row_passes():
+    config = ModelConfig(3, 2, "cx")
+    rng = np.random.default_rng(17)
+    rows = 2 * ansatz._ROWS_PER_PASS + 3
+    n_theta, n_lam = ansatz.param_counts(config)
+    thetas = rng.uniform(-np.pi, np.pi, (rows, n_theta))
+    lams = rng.normal(1.0, 0.5, (rows, n_lam))
+    features = rng.uniform(-2, 2, (rows, 3))
+    assert _same_bits(
+        ansatz.run_batch(config, thetas, lams, features),
+        _per_gate_run_batch(config, thetas, lams, features),
+    )

@@ -1,6 +1,6 @@
 import pytest
 
-from qpglab import config, decode
+from qpglab import cli, config, decode
 
 MINIMAL = "[model]\nn_qubits = 3\n"
 
@@ -27,3 +27,79 @@ def test_table_postfn_must_match_the_qubit_count(tmp_path):
     assert config.build_postfn(f"table:{path}", 2, 2).n_qubits == 2
     with pytest.raises(ValueError, match="table has 2 qubits, expected 4"):
         config.build_postfn(f"table:{path}", 4, 2)
+
+
+def _ini(env: str, model: str, policy: str = "") -> str:
+    return f"[env]\n{env}\n[model]\n{model}\n[policy]\n{policy}\n"
+
+
+CARTPOLE = "type = cartpole"
+LAKE = "type = frozenlake"
+BANDITS = "type = bandits\nnum_states = 8\nnum_actions = 4"
+
+# Every error of config._cross_validate, as (file text, message).
+CROSS_ERRORS = {
+    "cartpole-encoder": (
+        _ini(CARTPOLE + "\nencoder = binary", "n_qubits = 4"),
+        "[env] cartpole needs the continuous encoder",
+    ),
+    "cartpole-bounds": (
+        _ini(CARTPOLE + "\nbounds = 1, 2, 3", "n_qubits = 4"),
+        "[env] cartpole bounds must have 4 entries",
+    ),
+    "cartpole-qubits": (
+        _ini(CARTPOLE, "n_qubits = 3"),
+        "[model] n_qubits must equal the cartpole state dimension 4, got 3",
+    ),
+    "frozenlake-encoder": (
+        _ini(LAKE + "\nencoder = continuous", "n_qubits = 4"),
+        "[env] frozenlake needs the binary encoder",
+    ),
+    "frozenlake-qubits": (
+        _ini(LAKE, "n_qubits = 3"),
+        "[model] n_qubits=3 cannot binary-encode 16 cells",
+    ),
+    "bandits-encoder": (
+        _ini(BANDITS + "\nencoder = continuous", "n_qubits = 3"),
+        "[env] bandits need the binary encoder",
+    ),
+    "bandits-qubits": (
+        _ini(BANDITS, "n_qubits = 2"),
+        "[model] n_qubits=2 cannot binary-encode 8 states",
+    ),
+    "bandits-optimal-map": (
+        _ini(BANDITS + "\noptimal_map = bit:0", "n_qubits = 3"),
+        "[env] optimal_map: bit:<j> maps need exactly 2 actions",
+    ),
+    "policy-postfn": (
+        _ini(BANDITS, "n_qubits = 3", "postfn = nonsense"),
+        "[policy] postfn: unknown postfn spec 'nonsense'",
+    ),
+    "policy-action-count": (
+        _ini(BANDITS, "n_qubits = 3", "postfn = msb"),
+        "[policy] postfn provides 2 actions, environment needs 4",
+    ),
+    "policy-z-qubits": (
+        _ini(BANDITS, "n_qubits = 3", "kind = softmax\nz_qubits = 0, 3"),
+        "[policy] z_qubits entry 3 out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CROSS_ERRORS))
+def test_every_cross_validation_error_is_reachable(tmp_path, case):
+    text, message = CROSS_ERRORS[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(config.ConfigError) as info:
+        config.load_config(path)
+    assert str(info.value) == message
+
+
+def test_cross_validation_error_exits_two(tmp_path, capsys):
+    text, message = CROSS_ERRORS["cartpole-qubits"]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli.main(["train", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()

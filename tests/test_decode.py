@@ -163,6 +163,18 @@ def test_count_matches_enumeration_for_tiny_cases():
         assert total == decode.count_balanced_partitionings(n, m)
 
 
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 2), (2, 4), (3, 4), (4, 2), (3, 8)])
+def test_table_enumeration_matches_the_mask_reference(n, m):
+    reference = [
+        decode._actions_from_masks(1 << n, masks)
+        for masks in decode._enumerate_balanced_masks(1 << n, m)
+    ]
+    for rows in (1, 7, 1 << 20):
+        chunks = list(decode._balanced_tables(1 << n, m, rows))
+        assert all(1 <= len(chunk) <= rows for chunk in chunks)
+        assert np.concatenate(chunks).tolist() == reference
+
+
 def test_exhaustive_histogram_n2():
     hist = decode.globality_histogram(2, 2, mode="exhaustive")
     assert hist.total == 3
