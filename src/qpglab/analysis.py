@@ -163,11 +163,7 @@ def effective_dimension(fims: FimSamples, data_sizes) -> EffDimReport:
     values: list[float] = []
     normalized: list[float] = []
     for n in data_sizes:
-        if n <= math.e:
-            raise ValueError(f"data size {n} must exceed e")
-        kappa = n / (2.0 * math.pi * math.log(n))
-        if kappa <= 1.0:
-            raise ValueError(f"data size {n} gives kappa <= 1")
+        kappa = data_size_kappa(n)
         half_logdets = np.array(
             [_half_logdet_plus(kappa, m) for m in fims.per_set]
         )
@@ -177,6 +173,16 @@ def effective_dimension(fims: FimSamples, data_sizes) -> EffDimReport:
         values.append(ed)
         normalized.append(ed / dim)
     return EffDimReport(list(data_sizes), values, normalized, dim)
+
+
+def data_size_kappa(n) -> float:
+    """kappa = n / (2 pi ln n) of a data size; raises unless kappa > 1."""
+    if n <= math.e:
+        raise ValueError(f"data size {n} must exceed e")
+    kappa = n / (2.0 * math.pi * math.log(n))
+    if kappa <= 1.0:
+        raise ValueError(f"data size {n} gives kappa <= 1")
+    return kappa
 
 
 def _half_logdet_plus(kappa: float, matrix: np.ndarray) -> float:

@@ -37,12 +37,13 @@ evaluated alone.
 
 Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): one forward
-pass through :func:`run_batch`, then one backward sweep that undoes the
-gates on the state and on the observable-weighted state together and
-reads each rotation's derivative off the pair.  A scale factor feeding
-feature ``s`` enters only through the angle ``lam * s``, so its
-derivative is ``s`` times the angle's; for ``s`` exactly zero it is
-zero.
+pass through :func:`run_batch`, then one backward sweep that undoes
+each fused rotation once, with the conjugate transpose of its
+:func:`_gate_table` entries, on the state and the observable-weighted
+state together, and reads the rotation's derivatives off the pair.  A
+scale factor feeding feature ``s`` enters only through the angle
+``lam * s``, so its derivative is ``s`` times the angle's; for ``s``
+exactly zero it is zero.
 
 :func:`shift_rows` gives the same derivatives by the parameter-shift
 rule (Schuld et al., arXiv:1811.11184), the rule hardware runs: each
@@ -217,6 +218,16 @@ def _gate_table(
     return table[..., None, None]
 
 
+def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_gate_table`'s angle layout: d/d(angle) as
+    (z, y, block, qubit, row) to flat (theta, lam) derivatives (B, P).
+    """
+    batch = angle_grads.shape[-1]
+    d_theta = angle_grads[:, 0::2].transpose(3, 1, 2, 0)
+    d_lam = angle_grads[::-1, 1::2].transpose(3, 1, 2, 0) * features[:, None, ::-1, None]
+    return np.hstack([d_theta.reshape(batch, -1), d_lam.reshape(batch, -1)])
+
+
 def run_batch(
     config: ModelConfig,
     thetas: np.ndarray,
@@ -244,6 +255,14 @@ def run_batch(
     return amps
 
 
+def _param_rows(params: ParamSet, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    # One parameter set as ``steps`` batch rows, without copying.
+    return (
+        np.broadcast_to(params.theta, (steps, params.theta.size)),
+        np.broadcast_to(params.lam, (steps, params.lam.size)),
+    )
+
+
 def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
     """Final amplitudes (T, 2**n) of one parameter set at ``T`` feature rows.
 
@@ -252,13 +271,7 @@ def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
     """
     features = np.asarray(features, dtype=float)
     _validate(config, params, features)
-    steps = features.shape[0]
-    return run_batch(
-        config,
-        np.broadcast_to(params.theta, (steps, params.theta.size)),
-        np.broadcast_to(params.lam, (steps, params.lam.size)),
-        features,
-    )
+    return run_batch(config, *_param_rows(params, len(features)), features)
 
 
 def prepare_state(config: ModelConfig, params: ParamSet, features) -> qsim.Statevector:
@@ -266,41 +279,6 @@ def prepare_state(config: ModelConfig, params: ParamSet, features) -> qsim.State
     features = np.asarray(features, dtype=float)
     amps = run_states(config, params, features[None, :])
     return qsim.Statevector(config.n_qubits, amps[0])
-
-
-def _re_inner(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    # Re <bra|ket> per row, summed over the trailing (outer, inner) axes.
-    return (bra.real * ket.real + bra.imag * ket.imag).sum(axis=(-2, -1))
-
-
-def _im_inner(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    # Im <bra|ket> per row, summed over the trailing (outer, inner) axes.
-    return (bra.real * ket.imag - bra.imag * ket.real).sum(axis=(-2, -1))
-
-
-def _undo_ry(pair: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
-    """Derivative Im<lam|Y|psi> of an Ry(angle), then Ry(angle) undone.
-
-    ``pair`` stacks ``(psi, lam)`` along its first axis.
-    """
-    view = qsim._paired_view(pair, n, qubit)
-    grad = _re_inner(view[1, ..., 1, :], view[0, ..., 0, :]) - _re_inner(
-        view[1, ..., 0, :], view[0, ..., 1, :]
-    )
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    qsim.apply_1q(pair, n, qubit, c, s, -s, c)
-    return grad
-
-
-def _undo_rz(pair: np.ndarray, n: int, qubit: int, angle) -> np.ndarray:
-    """Derivative Im<lam|Z|psi> of an Rz(angle), then Rz(angle) undone."""
-    view = qsim._paired_view(pair, n, qubit)
-    grad = _im_inner(view[1, ..., 0, :], view[0, ..., 0, :]) - _im_inner(
-        view[1, ..., 1, :], view[0, ..., 1, :]
-    )
-    qsim.apply_1q(pair, n, qubit, np.exp(0.5j * angle), 0.0, 0.0, np.exp(-0.5j * angle))
-    return grad
 
 
 def adjoint_grads(
@@ -321,34 +299,47 @@ def adjoint_grads(
 
     Each rotation exp(-i phi P / 2) contributes Im<lam|P|psi>, where
     ``psi`` is the state and ``lam = diag(w) psi`` the weighted state,
-    both carried back to just after that rotation.
+    both carried back to that rotation.  A Pauli commutes with its own
+    rotation, so the later factor of a fused rotation is read before
+    its undo and the earlier factor after.
     """
-    n, d = config.n_qubits, config.depth
+    n = config.n_qubits
     features = np.asarray(features, dtype=float)
     amps = run_states(config, params, features)
-    n_theta, n_lam = param_counts(config)
+    undo = _gate_table(config, *_param_rows(params, len(amps)), features).conj()
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])
-    grads = np.empty((amps.shape[0], n_theta + n_lam))
-    for layer in range(d, -1, -1):
-        if layer < d:
-            enc = 2 * n * layer
-            for q in reversed(range(n)):
-                # Forward order was Ry(lam * s) then Rz(lam' * s).
-                s_q = features[:, n - 1 - q]
-                k = enc + 2 * q
-                angles = qsim.batch_coeff(params.lam[k + 1] * s_q)
-                grads[:, n_theta + k + 1] = s_q * _undo_rz(pair, n, q, angles)
-                angles = qsim.batch_coeff(params.lam[k] * s_q)
-                grads[:, n_theta + k] = s_q * _undo_ry(pair, n, q, angles)
-        _apply_entangler(pair, config, inverse=True)
-        base = 2 * n * layer
+    halves = [qsim.half_views(pair, n, q) for q in range(n)]
+    # d/d(angle) as (z, y, block, qubit, row), the layout _flat_grads reads.
+    angle_grads = np.empty((2,) + undo.shape[:2] + (len(amps),))
+    for block in range(len(undo) - 1, -1, -1):
+        if block % 2 == 0:
+            _apply_entangler(pair, config, inverse=True)
+        # Variational blocks apply Rz then Ry, encoding blocks Ry then Rz.
+        later, earlier = (1, 0) if block % 2 == 0 else (0, 1)
         for q in reversed(range(n)):
-            # Forward order was Rz(theta) then Ry(theta').
-            grads[:, base + 2 * q + 1] = _undo_ry(pair, n, q, params.theta[base + 2 * q + 1])
-            grads[:, base + 2 * q] = _undo_rz(pair, n, q, params.theta[base + 2 * q])
-    return amps, grads
+            a0, a1 = halves[q]
+            c00, c01, c10, c11 = undo[block, q]
+            angle_grads[later, block, q] = _pauli_grad(later, a0, a1)
+            qsim.apply_1q_halves(a0, a1, c00, c10, c01, c11)
+            angle_grads[earlier, block, q] = _pauli_grad(earlier, a0, a1)
+    return amps, _flat_grads(angle_grads, features)
+
+
+def _pauli_grad(pauli: int, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Im<lam|P|psi> per row, for P = Z (``pauli`` 0) or Y (``pauli`` 1).
+
+    ``a0, a1`` are one qubit's half-views of the stacked ``(psi, lam)``.
+    """
+    (psi0, lam0), (psi1, lam1) = a0, a1
+    if pauli == 0:  # Im<lam0|psi0> - Im<lam1|psi1>
+        terms = lam0.real * psi0.imag - lam0.imag * psi0.real
+        terms -= lam1.real * psi1.imag - lam1.imag * psi1.real
+    else:  # Re<lam1|psi0> - Re<lam0|psi1>
+        terms = lam1.real * psi0.real + lam1.imag * psi0.imag
+        terms -= lam0.real * psi1.real + lam0.imag * psi1.imag
+    return terms.sum(axis=(-2, -1))
 
 
 def gate_counts(config: ModelConfig) -> dict:

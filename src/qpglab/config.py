@@ -1,9 +1,11 @@
 """Experiment configuration: flat INI-style files into typed dataclasses.
 
 Grammar: standard INI sections with ``key = value`` pairs.  Sections
-and keys are fixed (unknown ones are rejected before any compute), all
-values are scalars or comma-separated lists, and every field has a
-documented default, so a config file only states what deviates.  The
+and keys are fixed.  Unknown ones and invalid values, down to the
+``[analysis]`` sampler spec and data sizes, are rejected before any
+compute and before any output directory is made.  All values are
+scalars or comma-separated lists, and every field has a documented
+default, so a config file only states what deviates.  The
 fully resolved configuration is embedded as ``# section.key = value``
 comment lines at the top of every output file for provenance.
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import decode, envs, policy as policy_mod, train as train_mod
+from . import analysis as analysis_mod, decode, envs, policy as policy_mod, train as train_mod
 from .ansatz import ModelConfig
 
 
@@ -359,6 +361,18 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
             if not 0 <= q < n:
                 raise ConfigError(f"[policy] z_qubits entry {q} out of range")
 
+    try:
+        build_state_sampler(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"[analysis] state_sampler: {exc}") from None
+    if not cfg.analysis.data_sizes:
+        raise ConfigError("[analysis] data_sizes: need at least one data size")
+    for size in cfg.analysis.data_sizes:
+        try:
+            analysis_mod.data_size_kappa(size)
+        except ValueError as exc:
+            raise ConfigError(f"[analysis] data_sizes: {exc}") from None
+
 
 def _build_lake(env: EnvBlock) -> envs.FrozenLake:
     rewards = envs.FrozenLakeRewards(env.reward_step, env.reward_hole, env.reward_goal)
@@ -420,12 +434,13 @@ def build_policy(cfg: ExperimentConfig):
 
 
 def build_state_sampler(cfg: ExperimentConfig):
+    """Feature sampler from its spec: ``normal:<sigma>`` or ``uniform_angles``."""
     spec = cfg.analysis.state_sampler
-    from . import analysis as analysis_mod
-
     if spec.startswith("normal:"):
         sigma = float(spec.split(":", 1)[1])
+        if not sigma >= 0.0:
+            raise ValueError(f"sigma must be >= 0, got {sigma!r}")
         return analysis_mod.normal_state_sampler(cfg.model.n_qubits, sigma)
     if spec == "uniform_angles":
         return analysis_mod.uniform_angle_state_sampler(cfg.model.n_qubits)
-    raise ConfigError(f"[analysis] unknown state_sampler {spec!r}")
+    raise ValueError(f"unknown spec {spec!r}")

@@ -9,6 +9,10 @@ Two families are implemented:
   <O>`` with a single shared Pauli-Z-mask observable and per-action
   weights.
 
+One row-by-row reduction turns final amplitudes into action
+distributions for :func:`batch_action_probs`, :func:`sample_action`
+and both gradient paths.
+
 Log-policy gradients are exact: the taken action's projector (Born
 policy) or the Z-mask observable (softmax policy) is differentiated by
 the adjoint sweep of :func:`qpglab.ansatz.adjoint_grads`, one forward
@@ -16,9 +20,10 @@ and one backward pass for a whole trajectory, and the softmax factors
 are applied in closed form.  The parameter-shift rule of
 :func:`qpglab.ansatz.shift_rows`, which hardware would run, is kept as
 the test oracle for these gradients.  The ``exact`` evaluation mode is
-the default everywhere; ``shots`` mode estimates action probabilities
-from sampled bitstrings and is exercised for its own contract, while
-gradients are always computed from exact expectations.
+the default everywhere; ``shots`` mode estimates :func:`action_probs`
+from sampled bitstrings.  Acting is one measured bitstring in either
+mode, so equal seeds draw equal actions whatever the shot count, and
+gradients always come from exact expectations.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ def _z_signs(n: int, qubits: tuple) -> np.ndarray:
 
 def z_mask_expectation(state: qsim.Statevector, qubits) -> float:
     """<Z-on-qubits (identity elsewhere)> of a prepared state."""
-    probs = qsim.probabilities(state)
+    probs = qsim.probabilities(state.amps)
     return float(probs @ _z_signs(state.n_qubits, tuple(sorted(qubits))))
 
 
@@ -132,7 +137,7 @@ def parity_via_ancilla(state: qsim.Statevector) -> float:
     extended = qsim.Statevector(n + 1, ext)
     for q in range(n):
         qsim.apply_cx(extended, control=q, target=n)
-    probs = qsim.probabilities(extended)
+    probs = qsim.probabilities(extended.amps)
     return float(probs[: 1 << n].sum() - probs[1 << n :].sum())
 
 
@@ -149,6 +154,25 @@ def _member_matrix(postfn: PostProcessing) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Action distributions and sampling
+
+
+def _reduce(policy: Policy, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reading and action distributions (T, M) of final amplitudes (T, 2**n).
+
+    The reading is the Born probabilities (T, 2**n) of a Born policy or
+    the Z-mask values (T,) of a softmax policy.  Rows never mix.
+    """
+    born = qsim.probabilities(amps)
+    if isinstance(policy, SoftmaxObservablePolicy):
+        obs = (born * _z_signs(policy.model.n_qubits, policy.z_qubits)).sum(axis=1)
+        logits = policy.beta * policy.weights * obs[:, None]
+        pi = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return obs, pi / pi.sum(axis=1, keepdims=True)
+    # Row t's classes are bins t*M .. t*M + M-1, summed in basis order.
+    steps, m = len(born), policy.num_actions
+    bins = policy.postfn.action_table() + m * np.arange(steps)[:, None]
+    probs = np.bincount(bins.ravel(), weights=born.ravel(), minlength=steps * m)
+    return born, probs.reshape(steps, m)
 
 
 def action_probs(policy: Policy, features, params: ParamSet, rng=None) -> np.ndarray:
@@ -168,43 +192,27 @@ def action_probs(policy: Policy, features, params: ParamSet, rng=None) -> np.nda
 def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.ndarray:
     """Exact action distributions (T, M) of ``T`` states from one circuit call.
 
-    Each row is reduced on its own, in the order a single state is, so
-    row ``t`` does not depend on the other rows of the batch.
+    Row ``t`` is bit-identical to the same state evaluated alone.
     """
-    amps = ansatz.run_states(policy.model, params, features_rows)
-    rows = [qsim.probabilities(qsim.Statevector(policy.model.n_qubits, a)) for a in amps]
-    if isinstance(policy, SoftmaxObservablePolicy):
-        signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
-        scaled = policy.beta * policy.weights
-        return np.array([_softmax(scaled * float(p @ signs)) for p in rows])
-    table = policy.postfn.action_table()
-    return np.array([np.bincount(table, weights=p, minlength=policy.num_actions) for p in rows])
+    return _reduce(policy, ansatz.run_states(policy.model, params, features_rows))[1]
 
 
 def sample_action(policy: Policy, features, params: ParamSet, rng) -> int:
-    """Draw one action; in shots mode a single measured bitstring decides."""
+    """Draw one action with one ``rng.random()`` draw.
+
+    A Born policy measures one bitstring and decodes it, in either
+    evaluation mode.
+    """
     features = np.asarray(features, dtype=float)
-    if isinstance(policy, MeasurementPolicy) and isinstance(policy.eval_mode, Shots):
-        state = ansatz.prepare_state(policy.model, params, features)
-        outcome = qsim.sample_bitstrings(state, 1, rng)[0]
-        return int(policy.postfn.action_table()[outcome])
+    reading, probs = _reduce(policy, ansatz.run_states(policy.model, params, features[None, :]))
     if isinstance(policy, MeasurementPolicy):
-        state = ansatz.prepare_state(policy.model, params, features)
-        probs = qsim.probabilities(state)
-        outcome = _sample_index(probs, rng)
-        return int(policy.postfn.action_table()[outcome])
-    probs = action_probs(policy, features, params)
-    return _sample_index(probs, rng)
+        return int(policy.postfn.action_table()[_sample_index(reading[0], rng)])
+    return _sample_index(probs[0], rng)
 
 
 def _sample_index(probs: np.ndarray, rng) -> int:
     cdf = np.cumsum(probs)
     return int(min(np.searchsorted(cdf, rng.random(), side="right"), len(probs) - 1))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +271,7 @@ def _measurement_traj_grads(policy, features_seq, actions, params):
     # d ln p_a = d<Pi_a> / p_a, with Pi_a the taken action's projector.
     member = _member_matrix(policy.postfn)
     amps, grads = ansatz.adjoint_grads(policy.model, params, features_seq, member[:, actions].T)
-    p_taken = ((np.abs(amps) ** 2) @ member)[np.arange(len(actions)), actions]
+    p_taken = _reduce(policy, amps)[1][np.arange(len(actions)), actions]
     if (p_taken == 0.0).any():
         bad = int(np.nonzero(p_taken == 0.0)[0][0])
         raise ZeroProbabilityError(
@@ -275,10 +283,7 @@ def _measurement_traj_grads(policy, features_seq, actions, params):
 def _softmax_traj_grads(policy, features_seq, actions, params):
     signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
     amps, grad_obs = ansatz.adjoint_grads(policy.model, params, features_seq, signs)
-    obs = (np.abs(amps) ** 2) @ signs
-    logits = policy.beta * policy.weights * obs[:, None]
-    pi = np.exp(logits - logits.max(axis=1, keepdims=True))
-    pi /= pi.sum(axis=1, keepdims=True)
+    obs, pi = _reduce(policy, amps)
     steps = np.arange(len(actions))
     bracket = policy.weights[actions] - pi @ policy.weights
     indicator = np.zeros_like(pi)

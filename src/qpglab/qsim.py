@@ -18,7 +18,7 @@ Gate matrices (half-angle convention)::
 States are never renormalised behind the caller's back: a norm drift
 beyond ``NORM_DRIFT_LIMIT`` raises :class:`NormDriftError`, because at
 the circuit depths used here drift of that size indicates a bug rather
-than accumulated rounding.
+than accumulated rounding; :func:`probabilities` checks each row.
 
 All gate kernels accept amplitude arrays of shape ``(..., 2**n)``, so
 a batch of independent states (the rows of one circuit call, or a state
@@ -193,16 +193,18 @@ def apply_cx(state: Statevector, control: int, target: int) -> Statevector:
     return state
 
 
-def probabilities(state: Statevector) -> np.ndarray:
-    """Measurement probabilities ``|c_i|^2`` for every basis index.
+def probabilities(amps: np.ndarray) -> np.ndarray:
+    """Measurement probabilities ``|c_i|^2`` of amplitudes (..., 2**n).
 
-    Raises :class:`NormDriftError` if they sum to further than
-    ``NORM_DRIFT_LIMIT`` from 1.
+    Row ``r`` of a batch equals the call on that row alone, bit for bit.
+    Raises :class:`NormDriftError` if any row sums to further than
+    ``NORM_DRIFT_LIMIT`` from 1 or is not finite.
     """
-    probs = np.abs(state.amps) ** 2
-    drift = abs(float(probs.sum()) - 1.0)
-    if drift > NORM_DRIFT_LIMIT:
-        raise NormDriftError(f"state norm squared off by {drift:.3e}")
+    probs = np.abs(amps) ** 2
+    drift = np.abs(probs.sum(axis=-1) - 1.0).ravel()
+    row = int(np.argmax(drift))
+    if not drift[row] <= NORM_DRIFT_LIMIT:  # NaN amplitudes fail too
+        raise NormDriftError(f"state norm squared off by {drift[row]:.3e} at row {row}")
     return probs
 
 
@@ -215,7 +217,7 @@ def sample_bitstrings(state: Statevector, shots: int, rng: np.random.Generator) 
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = probabilities(state)
+    probs = probabilities(state.amps)
     cdf = np.cumsum(probs)
     draws = rng.random(shots)
     idx = np.searchsorted(cdf, draws, side="right")

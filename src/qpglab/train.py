@@ -8,7 +8,11 @@ paper-style per-episode runs; larger batches are a config choice).
 
 Everything is a pure function of (config, seed): a single generator
 drives initialisation, episode collection and action sampling in a
-fixed order, so reruns produce byte-identical learning curves.
+fixed order, so reruns produce byte-identical learning curves.  Each
+action takes one ``rng.random()`` draw whatever the policy's evaluation
+mode, so a Born policy's curve does not depend on its shot count.
+:func:`train_run` returns the per-episode records and the final
+parameters and policy.
 """
 
 from __future__ import annotations
@@ -167,7 +171,6 @@ class TrainResult:
     records: list[EpisodeRecord]
     params: ParamSet
     policy: Policy
-    extras: list[dict]
 
 
 def train_run(
@@ -176,7 +179,6 @@ def train_run(
     policy: Policy,
     hyper: Hyperparams,
     seed: int,
-    episode_hook=None,
 ) -> TrainResult:
     """Train a policy with REINFORCE; returns the per-episode log.
 
@@ -184,11 +186,6 @@ def train_run(
     ``episodes`` is not a multiple of ``batch_size``, the trailing
     partial batch is collected and logged but never used for an update,
     so the returned parameters are those of the last full batch.
-
-    ``episode_hook(episode, policy, params) -> dict`` may record extra
-    diagnostics (e.g. exact expected reward on a bandit task) after
-    each episode; its results are returned but not written to the CSV
-    contract columns.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     params = ansatz.init_params(
@@ -202,7 +199,6 @@ def train_run(
     rates = rate_vector(policy, hyper)
 
     records: list[EpisodeRecord] = []
-    extras: list[dict] = []
     recent: list[float] = []
     pending: list[Trajectory] = []
     for episode in range(hyper.episodes):
@@ -220,9 +216,7 @@ def train_run(
         records.append(
             EpisodeRecord(episode, traj.total_reward, float(np.mean(recent)))
         )
-        if episode_hook is not None:
-            extras.append(episode_hook(episode, policy, params))
-    return TrainResult(records, params, policy, extras)
+    return TrainResult(records, params, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_shift_rows_rejects_mismatched_shapes():
 
 
 def _probability_vector(config, params, features):
-    return qsim.probabilities(ansatz.prepare_state(config, params, features))
+    return qsim.probabilities(ansatz.prepare_state(config, params, features).amps)
 
 
 def test_shift_rule_matches_finite_differences_everywhere():

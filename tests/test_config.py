@@ -103,3 +103,52 @@ def test_cross_validation_error_exits_two(tmp_path, capsys):
     assert cli.main(["train", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# Every [analysis] value that would fail only once compute has started.
+ANALYSIS_ERRORS = {
+    "sampler-sigma-text": (
+        "state_sampler = normal:abc",
+        "[analysis] state_sampler: could not convert string to float: 'abc'",
+    ),
+    "sampler-sigma-negative": (
+        "state_sampler = normal:-1",
+        "[analysis] state_sampler: sigma must be >= 0, got -1.0",
+    ),
+    "sampler-unknown": (
+        "state_sampler = gaussian",
+        "[analysis] state_sampler: unknown spec 'gaussian'",
+    ),
+    "data-size-kappa": ("data_sizes = 5000, 10", "[analysis] data_sizes: data size 10 gives kappa <= 1"),
+    "data-size-below-e": ("data_sizes = 2", "[analysis] data_sizes: data size 2 must exceed e"),
+    "data-sizes-empty": ("data_sizes =", "[analysis] data_sizes: need at least one data size"),
+}
+
+
+@pytest.mark.parametrize("case", list(ANALYSIS_ERRORS))
+def test_analysis_values_are_validated_on_load(tmp_path, case):
+    line, message = ANALYSIS_ERRORS[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(MINIMAL + f"[analysis]\n{line}\n")
+    with pytest.raises(config.ConfigError) as info:
+        config.load_config(path)
+    assert str(info.value) == message
+
+
+def test_analysis_defaults_and_valid_values_load(tmp_path):
+    path = tmp_path / "good.ini"
+    path.write_text(MINIMAL + "[analysis]\nstate_sampler = uniform_angles\ndata_sizes = 100\n")
+    assert config.load_config(path).analysis.data_sizes == (100,)
+    path.write_text(MINIMAL)
+    assert config.load_config(path).analysis == config.AnalysisBlock()
+
+
+@pytest.mark.parametrize("case", ["sampler-sigma-text", "data-size-kappa", "data-sizes-empty"])
+def test_analysis_error_exits_two_before_the_output_directory(tmp_path, capsys, case):
+    line, message = ANALYSIS_ERRORS[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(MINIMAL + f"[analysis]\n{line}\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["effdim", "--config", str(path), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out_dir.exists()

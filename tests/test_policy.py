@@ -334,3 +334,15 @@ def test_batch_action_probs_checks_norm_per_row(monkeypatch):
     monkeypatch.setattr(ansatz, "run_states", drifted)
     with pytest.raises(qsim.NormDriftError):
         policy.batch_action_probs(pol, rng.uniform(-1, 1, (3, 3)), params)
+
+
+def test_born_sampling_is_one_measurement_in_every_eval_mode():
+    config, params, _, rng = _instance(n=4, d=2, seed=15)
+    feats = rng.uniform(-1, 1, (40, 4))
+    draws = []
+    for mode in (policy.Shots(1), policy.Shots(50), policy.Exact()):
+        pol = policy.MeasurementPolicy(config, decode.RecursiveParity(4, 4), mode)
+        seeded = np.random.default_rng(21)
+        draws.append([policy.sample_action(pol, f, params, seeded) for f in feats])
+    assert draws[0] == draws[1] == draws[2]
+    assert len(set(draws[0])) > 1

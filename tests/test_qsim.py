@@ -85,17 +85,17 @@ def _random_state(n, seed):
 
 
 def test_probabilities_zero_state():
-    assert np.allclose(qsim.probabilities(qsim.zero_state(2)), [1, 0, 0, 0])
+    assert np.allclose(qsim.probabilities(qsim.zero_state(2).amps), [1, 0, 0, 0])
 
 
 def test_probabilities_after_quarter_turn():
     state = qsim.apply_ry(qsim.zero_state(2), 0, np.pi / 2)
-    assert np.allclose(qsim.probabilities(state), [0.5, 0.5, 0, 0], atol=1e-15)
+    assert np.allclose(qsim.probabilities(state.amps), [0.5, 0.5, 0, 0], atol=1e-15)
 
 
 def test_probabilities_sum_to_one_and_nonnegative():
     state = _random_state(3, 1)
-    probs = qsim.probabilities(state)
+    probs = qsim.probabilities(state.amps)
     assert (probs >= 0).all()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -192,7 +192,7 @@ def test_sampling_chi_square_consistency():
     state = qsim.zero_state(3)
     for q in range(3):
         qsim.apply_ry(state, q, 0.4 + 0.3 * q)
-    probs = qsim.probabilities(state)
+    probs = qsim.probabilities(state.amps)
     samples = qsim.sample_bitstrings(state, 100_000, rng)
     counts = np.bincount(samples, minlength=8)
     _, p_value = scipy_stats.chisquare(counts, probs * 100_000)
@@ -203,4 +203,19 @@ def test_norm_drift_raises():
     state = qsim.zero_state(2)
     state.amps *= 1.1
     with pytest.raises(qsim.NormDriftError):
-        qsim.probabilities(state)
+        qsim.probabilities(state.amps)
+
+
+def test_batched_probabilities_check_every_row_alone():
+    amps = np.array([_random_state(3, seed).amps for seed in range(5)])
+    batch = qsim.probabilities(amps)
+    for row, single in zip(batch, amps):
+        assert row.tobytes() == qsim.probabilities(single).tobytes()
+    amps[3] *= 1.001
+    with pytest.raises(qsim.NormDriftError, match="at row 3"):
+        qsim.probabilities(amps)
+    for row in (0, 1, 2, 4):
+        assert qsim.probabilities(amps[row]).tobytes() == batch[row].tobytes()
+    amps[1, 0] = np.nan
+    with pytest.raises(qsim.NormDriftError, match="off by nan at row 1"):
+        qsim.probabilities(amps)
