@@ -87,7 +87,10 @@ def sample_fims(
 
     One batch of ``num_states`` states is shared across all parameter
     sets; per parameter set, one action is drawn per state from the
-    policy and the log-gradient outer products are averaged.
+    policy's exact distribution, in state order, and the log-gradient
+    outer products are averaged.  Shot-estimated probabilities play no
+    part (gradients are exact too), so a ``Shots`` policy gives the
+    same matrices as an ``Exact`` one.
     """
     if param_sampler is None:
         param_sampler = uniform_param_sampler(policy)
@@ -97,12 +100,10 @@ def sample_fims(
     raw = []
     for _ in range(num_param_sets):
         params_j, policy_j = param_sampler(rng)
-        base_probs = np.array(
-            [policy_mod.action_probs(policy_j, s, params_j) for s in states]
+        base_probs = np.vstack(
+            [policy_mod.batch_action_probs(policy_j, s[None, :], params_j) for s in states]
         )
-        actions = np.array(
-            [policy_mod._sample_index(p, rng) for p in base_probs], dtype=np.int64
-        )
+        actions = policy_mod._sample_rows(base_probs, [rng] * num_states)
         grads = policy_mod.trajectory_log_grads(policy_j, feats, actions, params_j)
         matrix = grads.T @ grads / num_states
         raw.append((matrix + matrix.T) / 2.0)

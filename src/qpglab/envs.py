@@ -1,13 +1,19 @@
 """Benchmark environments and feature encoders.
 
-Environments follow a minimal episodic protocol: ``reset(rng)`` returns
-the initial observation and ``step(action, rng)`` returns ``(obs,
-reward, done)``.  Episodes end on a terminal transition or when the
-horizon is reached; the runner in :mod:`qpglab.train` enforces nothing
-beyond that protocol.  Encoders map raw observations to the length-n
-feature vectors consumed by the circuit; features are listed in wire
-order (the first feature drives the uppermost wire, i.e. the most
-significant measured bit).
+Environments are stateless transitions, so one object serves any
+number of episodes at once: ``reset(rng)`` returns an initial state
+and ``step(state, action, rng)`` returns ``(state, reward, terminal)``
+without touching the state it was given.  Every random draw of an
+episode comes from the generator passed in, which the runner keeps
+per episode.  ``terminal`` marks a transition that ends the task (a
+hole, the goal, a fallen pole, a bandit's single decision); the runner
+in :mod:`qpglab.train` also ends every episode after ``horizon``
+steps, and no environment counts steps.  States are the observations:
+an index for the discrete tasks, a fresh array for CartPole.
+
+Encoders map raw observations to the length-n feature vectors consumed
+by the circuit; features are listed in wire order (the first feature
+drives the uppermost wire, i.e. the most significant measured bit).
 """
 
 from __future__ import annotations
@@ -65,21 +71,19 @@ class ContextualBandits:
         self.optimal = optimal
         self.reward_scheme = reward_scheme
         self.horizon = 1
-        self._state = None
 
     def reset(self, rng: np.random.Generator) -> int:
-        self._state = int(rng.integers(self.num_states))
-        return self._state
+        return int(rng.integers(self.num_states))
 
-    def step(self, action: int, rng: np.random.Generator | None = None):
+    def step(self, state: int, action: int, rng: np.random.Generator | None = None):
         if not 0 <= action < self.num_actions:
             raise ValueError(f"action {action} out of range")
-        hit = action == self.optimal[self._state]
+        hit = action == self.optimal[state]
         if self.reward_scheme == "pm1":
             reward = 1.0 if hit else -1.0
         else:
             reward = 1.0 if hit else 0.0
-        return self._state, reward, True
+        return state, reward, True
 
     def preimage_sizes(self) -> np.ndarray:
         return np.bincount(self.optimal, minlength=self.num_actions)
@@ -109,10 +113,11 @@ class FrozenLakeRewards:
 class FrozenLake:
     """Deterministic gridworld over {start, frozen, hole, goal} cells.
 
-    Moves that would leave the grid keep the position unchanged; the
-    episode ends in a hole, at the goal, or at the horizon.  With
-    ``slippery`` on, the intended move is replaced by one of the two
-    perpendicular moves with probability 1/3 each.
+    Moves that would leave the grid keep the position unchanged; a hole
+    or the goal is terminal, and the runner ends other episodes at the
+    horizon.  With ``slippery`` on, the intended move is replaced by one
+    of the two perpendicular moves with probability 1/3 each, drawn from
+    the episode's generator.
     """
 
     def __init__(
@@ -132,6 +137,8 @@ class FrozenLake:
             raise ValueError("grid may only contain S, F, H, G cells")
         if cells.count("S") != 1 or cells.count("G") != 1:
             raise ValueError("grid needs exactly one start and one goal")
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
         self.grid = grid
         self.rows = rows
         self.cols = cols
@@ -141,8 +148,6 @@ class FrozenLake:
         self.slippery = slippery
         self.num_actions = 4
         self.num_states = rows * cols
-        self._pos = None
-        self._steps = 0
 
     @classmethod
     def from_file(cls, path, **kwargs) -> "FrozenLake":
@@ -154,11 +159,9 @@ class FrozenLake:
         return self.grid[index // self.cols][index % self.cols]
 
     def reset(self, rng: np.random.Generator) -> int:
-        self._pos = self.start
-        self._steps = 0
-        return self._pos
+        return self.start
 
-    def step(self, action: int, rng: np.random.Generator | None = None):
+    def step(self, state: int, action: int, rng: np.random.Generator | None = None):
         if not 0 <= action < 4:
             raise ValueError(f"action {action} out of range")
         if self.slippery:
@@ -170,17 +173,15 @@ class FrozenLake:
             elif roll == 2:
                 action = (action + 1) % 4
         dr, dc = _LAKE_MOVES[action]
-        r, c = divmod(self._pos, self.cols)
+        r, c = divmod(state, self.cols)
         nr, nc = r + dr, c + dc
-        if 0 <= nr < self.rows and 0 <= nc < self.cols:
-            self._pos = nr * self.cols + nc
-        self._steps += 1
-        kind = self.cell(self._pos)
+        pos = nr * self.cols + nc if 0 <= nr < self.rows and 0 <= nc < self.cols else state
+        kind = self.cell(pos)
         if kind == "H":
-            return self._pos, self.rewards.hole, True
+            return pos, self.rewards.hole, True
         if kind == "G":
-            return self._pos, self.rewards.goal, True
-        return self._pos, self.rewards.step, self._steps >= self.horizon
+            return pos, self.rewards.goal, True
+        return pos, self.rewards.step, False
 
 
 # Classic cart-pole physical constants (reference classic-control dynamics).
@@ -201,7 +202,7 @@ class CartPole:
     velocity); actions push the cart with -10 N (0) or +10 N (1).  The
     episode fails when |x| > 2.4 m or |angle| > 12 degrees and is
     otherwise capped at the horizon (200 for v0, 500 for v1), with
-    reward +1 for every step taken.
+    reward +1 for every step taken.  ``step`` returns a new state array.
     """
 
     def __init__(self, version: str = "v0"):
@@ -211,18 +212,14 @@ class CartPole:
         self.horizon = 200 if version == "v0" else 500
         self.num_actions = 2
         self.state_dim = 4
-        self._state = None
-        self._steps = 0
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
-        self._state = rng.uniform(-0.05, 0.05, size=4)
-        self._steps = 0
-        return self._state.copy()
+        return rng.uniform(-0.05, 0.05, size=4)
 
-    def step(self, action: int, rng: np.random.Generator | None = None):
+    def step(self, state: np.ndarray, action: int, rng: np.random.Generator | None = None):
         if action not in (0, 1):
             raise ValueError(f"action {action} out of range")
-        x, x_dot, theta, theta_dot = self._state
+        x, x_dot, theta, theta_dot = state
         force = _FORCE if action == 1 else -_FORCE
         cos_t = math.cos(theta)
         sin_t = math.sin(theta)
@@ -237,11 +234,8 @@ class CartPole:
         x_dot = x_dot + _DT * x_acc
         theta = theta + _DT * theta_dot
         theta_dot = theta_dot + _DT * theta_acc
-        self._state = np.array([x, x_dot, theta, theta_dot])
-        self._steps += 1
         failed = abs(x) > _X_LIMIT or abs(theta) > _ANGLE_LIMIT
-        done = failed or self._steps >= self.horizon
-        return self._state.copy(), 1.0, done
+        return np.array([x, x_dot, theta, theta_dot]), 1.0, failed
 
 
 # ---------------------------------------------------------------------------

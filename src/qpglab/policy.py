@@ -197,22 +197,28 @@ def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.nd
     return _reduce(policy, ansatz.run_states(policy.model, params, features_rows))[1]
 
 
-def sample_action(policy: Policy, features, params: ParamSet, rng) -> int:
-    """Draw one action with one ``rng.random()`` draw.
+def sample_action(policy: Policy, features_rows, params: ParamSet, rngs) -> np.ndarray:
+    """One action per feature row, row ``t`` drawn with ``rngs[t]``.
 
-    A Born policy measures one bitstring and decodes it, in either
-    evaluation mode.
+    All rows go through one circuit call, and each row takes one
+    ``random()`` draw from its generator, in row order, so a row's
+    action does not depend on the other rows.  A Born policy measures
+    one bitstring and decodes it, in either evaluation mode.
     """
-    features = np.asarray(features, dtype=float)
-    reading, probs = _reduce(policy, ansatz.run_states(policy.model, params, features[None, :]))
+    reading, probs = _reduce(policy, ansatz.run_states(policy.model, params, features_rows))
     if isinstance(policy, MeasurementPolicy):
-        return int(policy.postfn.action_table()[_sample_index(reading[0], rng)])
-    return _sample_index(probs[0], rng)
+        return policy.postfn.action_table()[_sample_rows(reading, rngs)]
+    return _sample_rows(probs, rngs)
 
 
-def _sample_index(probs: np.ndarray, rng) -> int:
-    cdf = np.cumsum(probs)
-    return int(min(np.searchsorted(cdf, rng.random(), side="right"), len(probs) - 1))
+def _sample_rows(probs: np.ndarray, rngs) -> np.ndarray:
+    """Inverse-CDF index of each row of ``probs`` (T, K) at one ``rngs[t].random()``."""
+    if len(rngs) != len(probs):
+        raise ValueError(f"need one generator per row: {len(rngs)} for {len(probs)} rows")
+    draws = np.array([rng.random() for rng in rngs])
+    # Entries of a row's CDF at or below its draw: searchsorted(side="right").
+    below = (np.cumsum(probs, axis=1) <= draws[:, None]).sum(axis=1)
+    return np.minimum(below, probs.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,21 @@ discounted returns ``G_t`` and no baseline.  Updates are synchronous at
 batch boundaries (one trajectory per update by default for the
 paper-style per-episode runs; larger batches are a config choice).
 
-Everything is a pure function of (config, seed): a single generator
-drives initialisation, episode collection and action sampling in a
-fixed order, so reruns produce byte-identical learning curves.  Each
-action takes one ``rng.random()`` draw whatever the policy's evaluation
-mode, so a Born policy's curve does not depend on its shot count.
-:func:`train_run` returns the per-episode records and the final
-parameters and policy.
+The episodes of one batch share one parameter set, so they are
+stepped in lockstep (:func:`collect_episodes`): each time step makes
+one circuit call over the episodes still running.  An episode ends on
+a terminal transition or after the environment's ``horizon`` steps.
+
+Everything is a pure function of (config, seed), through independent
+streams (:func:`run_streams`): one generator draws the initial
+parameters, and episode ``e`` draws its start state, its actions and
+any environment randomness from its own child stream ``e``.  Episode
+``e``'s trajectory therefore depends only on (seed, e, parameters),
+not on the batch size or on which other episodes run beside it, and
+reruns produce byte-identical learning curves.  Each action takes one
+``random()`` draw whatever the policy's evaluation mode, so a Born
+policy's curve does not depend on its shot count.  :func:`train_run`
+returns the per-episode records and the final parameters and policy.
 """
 
 from __future__ import annotations
@@ -78,21 +86,49 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
     return returns
 
 
-def collect_episode(env, encoder, policy: Policy, params: ParamSet, rng) -> Trajectory:
-    """Run one full episode under the current policy."""
-    obs = env.reset(rng)
-    features, actions, rewards = [], [], []
-    done = False
-    while not done:
-        feats = encoder.encode(obs)
-        action = policy_mod.sample_action(policy, feats, params, rng)
-        obs, reward, done = env.step(action, rng)
-        features.append(feats)
-        actions.append(action)
-        rewards.append(reward)
-    return Trajectory(
-        np.array(features), np.array(actions, dtype=np.int64), np.array(rewards)
-    )
+def run_streams(seed: int) -> tuple[np.random.Generator, np.random.SeedSequence]:
+    """The parameter-initialisation generator and the episode stream of a run.
+
+    Both are children of ``SeedSequence(seed)``.  Episode ``e`` draws
+    from child ``e`` of the episode stream; ``spawn`` numbers children
+    consecutively over successive calls, so spawning them batch by
+    batch gives the same streams as spawning them all at once.
+    """
+    init, episodes = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(init), episodes
+
+
+def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> list[Trajectory]:
+    """Run one episode per generator in lockstep, episode ``e`` on ``rngs[e]``.
+
+    Each time step makes one :func:`qpglab.policy.sample_action` call
+    over the episodes still running, then one ``env.step`` per episode.
+    Every draw of episode ``e`` comes from ``rngs[e]`` in the order a
+    lone run of it would make, so its trajectory equals the one it
+    gives when collected alone.  Episodes are truncated after
+    ``env.horizon`` steps.
+    """
+    states = [env.reset(rng) for rng in rngs]
+    features, actions, rewards = ([[] for _ in rngs] for _ in range(3))
+    live = list(range(len(rngs)))
+    for _ in range(env.horizon):
+        if not live:
+            break
+        rows = np.array([encoder.encode(states[e]) for e in live])
+        chosen = policy_mod.sample_action(policy, rows, params, [rngs[e] for e in live])
+        running = []
+        for e, row, action in zip(live, rows, chosen.tolist()):
+            states[e], reward, terminal = env.step(states[e], action, rngs[e])
+            features[e].append(row)
+            actions[e].append(action)
+            rewards[e].append(reward)
+            if not terminal:
+                running.append(e)
+        live = running
+    return [
+        Trajectory(np.array(f), np.array(a, dtype=np.int64), np.array(r))
+        for f, a, r in zip(features, actions, rewards)
+    ]
 
 
 def reinforce_gradient(
@@ -187,10 +223,10 @@ def train_run(
     partial batch is collected and logged but never used for an update,
     so the returned parameters are those of the last full batch.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    init_rng, episode_stream = run_streams(seed)
     params = ansatz.init_params(
         policy.model,
-        rng,
+        init_rng,
         theta_init=hyper.theta_init,
         theta_scale=hyper.theta_scale,
         lam_init=hyper.lambda_init,
@@ -200,22 +236,20 @@ def train_run(
 
     records: list[EpisodeRecord] = []
     recent: list[float] = []
-    pending: list[Trajectory] = []
-    for episode in range(hyper.episodes):
-        traj = collect_episode(env, encoder, policy, params, rng)
-        pending.append(traj)
-        if len(pending) >= hyper.batch_size:
-            grad = reinforce_gradient(pending, policy, params, hyper.gamma)
+    for start in range(0, hyper.episodes, hyper.batch_size):
+        size = min(hyper.batch_size, hyper.episodes - start)
+        rngs = [np.random.default_rng(child) for child in episode_stream.spawn(size)]
+        batch = collect_episodes(env, encoder, policy, params, rngs)
+        if size == hyper.batch_size:
+            grad = reinforce_gradient(batch, policy, params, hyper.gamma)
             flat = policy_mod.flat_trainables(policy, params)
             flat = adam_amsgrad_step(opt, flat, grad, rates)
             params, policy = policy_mod.apply_flat(policy, flat)
-            pending = []
-        recent.append(traj.total_reward)
-        if len(recent) > 20:
-            recent.pop(0)
-        records.append(
-            EpisodeRecord(episode, traj.total_reward, float(np.mean(recent)))
-        )
+        for episode, traj in enumerate(batch, start):
+            recent.append(traj.total_reward)
+            if len(recent) > 20:
+                recent.pop(0)
+            records.append(EpisodeRecord(episode, traj.total_reward, float(np.mean(recent))))
     return TrainResult(records, params, policy)
 
 

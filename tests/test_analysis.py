@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpglab import analysis, ansatz, config, decode, envs, policy
+from oracles import sample_index
 
 
 def _policies():
@@ -23,7 +24,7 @@ def _per_state_actions(pol, sampler, num_param_sets, num_states, seed):
     for _ in range(num_param_sets):
         params_j, policy_j = param_sampler(rng)
         probs = [policy.action_probs(policy_j, s, params_j) for s in states]
-        drawn.append([policy._sample_index(p, rng) for p in probs])
+        drawn.append([sample_index(p, rng) for p in probs])
     return drawn
 
 
@@ -103,3 +104,18 @@ def test_effective_dimension_is_below_dim_and_grows_with_data(seed):
     values = analysis.effective_dimension(fims, sizes).values
     assert all(0 < v <= fims.dim for v in values)
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_shots_policy_fims_equal_exact_fims():
+    model = ansatz.ModelConfig(3, 2)
+    sampler = analysis.normal_state_sampler(3, 0.5)
+    fims = [
+        analysis.sample_fims(
+            policy.MeasurementPolicy(model, decode.RecursiveParity(3, 4), mode),
+            sampler, 3, 15, np.random.default_rng(6),
+        )
+        for mode in (policy.Shots(100), policy.Exact())
+    ]
+    assert fims[0].scale == fims[1].scale
+    for a, b in zip(fims[0].per_set, fims[1].per_set):
+        assert a.tobytes() == b.tobytes()

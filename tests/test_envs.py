@@ -25,8 +25,8 @@ def test_bandit_episode_shape():
     rng = np.random.default_rng(0)
     state = env.reset(rng)
     assert 0 <= state < 8
-    _, reward, done = env.step(0)
-    assert done
+    next_state, reward, terminal = env.step(state, 0)
+    assert terminal and next_state == state
     assert reward in (-1.0, 1.0)
 
 
@@ -38,16 +38,16 @@ def test_bandit_uniform_random_policy_expectations():
     total = 0.0
     episodes = 40_000
     for _ in range(episodes):
-        env8.reset(rng)
-        _, r, _ = env8.step(int(rng.integers(8)))
+        state = env8.reset(rng)
+        _, r, _ = env8.step(state, int(rng.integers(8)))
         total += r
     assert abs(total / episodes - (2 - 8) / 8) < 0.02
 
     env4 = _bandit(8, 4, "acc01", "blocks")
     total = 0.0
     for _ in range(episodes):
-        env4.reset(rng)
-        _, r, _ = env4.step(int(rng.integers(4)))
+        state = env4.reset(rng)
+        _, r, _ = env4.step(state, int(rng.integers(4)))
         total += r
     assert abs(total / episodes - 0.25) < 0.01
 
@@ -57,7 +57,7 @@ def test_bandit_optimal_policy_expectation():
     rng = np.random.default_rng(2)
     for _ in range(200):
         state = env.reset(rng)
-        _, reward, _ = env.step(int(env.optimal[state]))
+        _, reward, _ = env.step(state, int(env.optimal[state]))
         assert reward == 1.0
 
 
@@ -72,9 +72,9 @@ def test_bandit_rejects_bad_maps_and_actions():
     with pytest.raises(ValueError):
         envs.ContextualBandits(4, 2, [0, 1, 1])
     env = _bandit()
-    env.reset(np.random.default_rng(0))
+    state = env.reset(np.random.default_rng(0))
     with pytest.raises(ValueError):
-        env.step(5)
+        env.step(state, 5)
 
 
 def _bfs_shortest_path(lake):
@@ -107,38 +107,43 @@ def test_frozenlake_shortest_path_is_six_moves():
 
 def test_frozenlake_wall_clamp():
     lake = envs.FrozenLake()
-    rng = np.random.default_rng(0)
-    lake.reset(rng)
-    pos, _, _ = lake.step(0)  # step left from the corner
+    start = lake.reset(np.random.default_rng(0))
+    pos, _, _ = lake.step(start, 0)  # step left from the corner
     assert pos == lake.start
-    pos, _, _ = lake.step(3)  # step up from the corner
+    pos, _, _ = lake.step(pos, 3)  # step up from the corner
     assert pos == lake.start
 
 
 def test_frozenlake_rewards_and_termination():
     lake = envs.FrozenLake(rewards=envs.FrozenLakeRewards(-1.0, -50.0, 25.0))
     rng = np.random.default_rng(0)
-    lake.reset(rng)
-    _, r, done = lake.step(2)  # onto frozen cell
-    assert (r, done) == (-1.0, False)
-    _, r, done = lake.step(1)  # (1,1) is a hole
-    assert (r, done) == (-50.0, True)
+    pos = lake.reset(rng)
+    pos, r, terminal = lake.step(pos, 2)  # onto frozen cell
+    assert (r, terminal) == (-1.0, False)
+    _, r, terminal = lake.step(pos, 1)  # (1,1) is a hole
+    assert (r, terminal) == (-50.0, True)
 
-    lake.reset(rng)
+    pos = lake.reset(rng)
     total = 0.0
     # Down, down, right, right, down, right reaches the goal in 6 moves.
     for action in (1, 1, 2, 2, 1, 2):
-        _, r, done = lake.step(action)
+        pos, r, terminal = lake.step(pos, action)
         total += r
-    assert done
+    assert terminal
     assert total == -5.0 + 25.0
 
 
-def test_frozenlake_horizon_caps_episode():
+def test_frozenlake_counts_no_steps():
+    # Truncation at the horizon is the runner's job (tests/test_train.py).
     lake = envs.FrozenLake(horizon=3)
-    lake.reset(np.random.default_rng(0))
-    done_flags = [lake.step(3)[2] for _ in range(3)]
-    assert done_flags == [False, False, True]
+    pos = lake.reset(np.random.default_rng(0))
+    flags = []
+    for _ in range(5):
+        pos, _, terminal = lake.step(pos, 3)
+        flags.append(terminal)
+    assert flags == [False] * 5
+    with pytest.raises(ValueError):
+        envs.FrozenLake(horizon=0)
 
 
 def test_frozenlake_map_file(tmp_path):
@@ -153,31 +158,24 @@ def test_frozenlake_map_file(tmp_path):
 
 
 def test_cartpole_mirror_symmetry():
-    env_a, env_b = envs.CartPole(), envs.CartPole()
-    rng = np.random.default_rng(0)
-    env_a.reset(rng)
-    env_b.reset(rng)
+    env = envs.CartPole()
     start = np.array([0.01, -0.02, 0.03, 0.04])
-    env_a._state = start.copy()
-    env_b._state = -start.copy()
+    s_a, s_b = start.copy(), -start
     for action in (1, 0, 0, 1):
-        s_a, _, _ = env_a.step(action)
-        s_b, _, _ = env_b.step(1 - action)
+        s_a, _, _ = env.step(s_a, action)
+        s_b, _, _ = env.step(s_b, 1 - action)
         assert np.abs(s_a + s_b).max() < 1e-15
+    assert (start == [0.01, -0.02, 0.03, 0.04]).all()  # inputs are not written
 
 
-def test_cartpole_horizon_cap():
+def test_cartpole_counts_no_steps():
+    # A balancing push keeps the pole up past the horizon; truncation is
+    # the runner's job (tests/test_train.py).
     env = envs.CartPole("v0")
-    rng = np.random.default_rng(3)
-    env.reset(rng)
-    env._state = np.zeros(4)  # perfectly balanced start survives alternation
-    total, done, steps = 0.0, False, 0
-    while not done:
-        _, r, done = env.step(steps % 2)
-        total += r
-        steps += 1
-    assert steps <= 200
-    assert total <= 200.0
+    state = np.zeros(4)
+    for _ in range(2 * env.horizon):
+        state, reward, terminal = env.step(state, int(state[2] + 0.5 * state[3] > 0))
+        assert (reward, terminal) == (1.0, False)
 
 
 def test_cartpole_random_baseline():
@@ -185,10 +183,10 @@ def test_cartpole_random_baseline():
     env = envs.CartPole("v0")
     totals = []
     for _ in range(1000):
-        env.reset(rng)
-        total, done = 0.0, False
-        while not done:
-            _, r, done = env.step(int(rng.integers(2)))
+        state = env.reset(rng)
+        total, terminal = 0.0, False
+        while not terminal and total < env.horizon:
+            state, r, terminal = env.step(state, int(rng.integers(2)))
             total += r
         totals.append(total)
     assert 20.0 < np.mean(totals) < 27.0
@@ -198,12 +196,12 @@ def test_cartpole_deterministic_given_seed():
     def rollout(seed):
         rng = np.random.default_rng(seed)
         env = envs.CartPole("v1")
-        env.reset(rng)
+        s = env.reset(rng)
         states = []
         for _ in range(50):
-            s, _, done = env.step(int(rng.integers(2)))
+            s, _, terminal = env.step(s, int(rng.integers(2)))
             states.append(s)
-            if done:
+            if terminal:
                 break
         return np.array(states)
 

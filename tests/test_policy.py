@@ -3,6 +3,7 @@ import pytest
 
 from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
+from oracles import sample_index
 from test_ansatz import shift_rule_expval_grads
 
 
@@ -111,9 +112,7 @@ def test_single_measurement_sampling_matches_distribution():
         params,
     )
     trials = 20_000
-    draws = np.array(
-        [policy.sample_action(shot_pol, features, params, rng) for _ in range(trials)]
-    )
+    draws = policy.sample_action(shot_pol, np.tile(features, (trials, 1)), params, [rng] * trials)
     freq = np.mean(draws == 1)
     sigma = np.sqrt(exact[1] * (1 - exact[1]) / trials)
     assert abs(freq - exact[1]) < 3.5 * sigma + 1e-4
@@ -123,11 +122,11 @@ def test_sample_action_deterministic_given_seed():
     config, params, features, _ = _instance(seed=5)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
     first = [
-        policy.sample_action(pol, features, params, np.random.default_rng(11))
+        policy.sample_action(pol, features[None, :], params, [np.random.default_rng(11)])[0]
         for _ in range(3)
     ]
     second = [
-        policy.sample_action(pol, features, params, np.random.default_rng(11))
+        policy.sample_action(pol, features[None, :], params, [np.random.default_rng(11)])[0]
         for _ in range(3)
     ]
     assert first == second
@@ -343,6 +342,47 @@ def test_born_sampling_is_one_measurement_in_every_eval_mode():
     for mode in (policy.Shots(1), policy.Shots(50), policy.Exact()):
         pol = policy.MeasurementPolicy(config, decode.RecursiveParity(4, 4), mode)
         seeded = np.random.default_rng(21)
-        draws.append([policy.sample_action(pol, f, params, seeded) for f in feats])
+        draws.append(policy.sample_action(pol, feats, params, [seeded] * len(feats)).tolist())
     assert draws[0] == draws[1] == draws[2]
     assert len(set(draws[0])) > 1
+
+
+@pytest.mark.parametrize("kind", ["born", "softmax"])
+def test_sample_action_rows_match_one_row_draws(kind):
+    config, params, _, rng = _instance(n=3, d=2, seed=16)
+    if kind == "born":
+        pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 4))
+    else:
+        pol = policy.SoftmaxObservablePolicy(config, np.array([2.0, -1.5, 0.5, 3.0]), beta=2.0)
+    feats = rng.uniform(-np.pi, np.pi, (25, 3))
+    rngs = [np.random.default_rng(seed) for seed in range(25)]
+    batched = policy.sample_action(pol, feats, params, rngs)
+    expected = []
+    for seed, f in enumerate(feats):
+        reading, probs = policy._reduce(pol, ansatz.run_states(config, params, f[None, :]))
+        alone = np.random.default_rng(seed)
+        if kind == "born":
+            expected.append(int(pol.postfn.action_table()[sample_index(reading[0], alone)]))
+        else:
+            expected.append(sample_index(probs[0], alone))
+    assert batched.tolist() == expected
+    assert len(set(expected)) > 1
+    with pytest.raises(ValueError, match="one generator per row"):
+        policy.sample_action(pol, feats, params, [rng] * 24)
+
+
+def test_row_sampling_matches_searchsorted_at_cdf_edges():
+    # Draws that land exactly on a CDF value, rows with zero entries and
+    # a row whose CDF ends below 1 (the last index is the fallback).
+    probs = np.array([[0.25, 0.25, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0], [0.1, 0.2, 0.3, 0.3]])
+
+    class Fixed:
+        def __init__(self, value):
+            self.value = value
+
+        def random(self):
+            return self.value
+
+    for u in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.999999):
+        got = policy._sample_rows(probs, [Fixed(u)] * 3).tolist()
+        assert got == [sample_index(p, Fixed(u)) for p in probs]

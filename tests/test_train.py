@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qpglab import ansatz, decode, envs, policy, train
+from oracles import collect_episode, episode_rngs
 
 
 def _bandit(kind="born"):
@@ -18,6 +19,20 @@ def _cartpole():
     model = ansatz.ModelConfig(4, 2)
     pol = policy.MeasurementPolicy(model, decode.RecursiveParity(4, 2))
     return envs.CartPole("v0"), envs.cartpole_encoder(), pol
+
+
+def _slippery_lake():
+    model = ansatz.ModelConfig(4, 1)
+    pol = policy.MeasurementPolicy(model, decode.RecursiveParity(4, 4))
+    return envs.FrozenLake(horizon=30, slippery=True), envs.BinaryEncoder(4), pol
+
+
+TASKS = {
+    "cartpole_born": _cartpole,
+    "bandit_born": lambda: _bandit("born"),
+    "bandit_softmax": lambda: _bandit("softmax"),
+    "slippery_lake_born": _slippery_lake,
+}
 
 
 def test_discounted_returns_hand_worked():
@@ -84,9 +99,8 @@ def _per_trajectory_sum(batch, pol, params, gamma):
 @pytest.mark.parametrize("task", ["cartpole_born", "bandit_softmax"])
 def test_batched_reinforce_gradient_equals_per_trajectory_sum(task):
     env, encoder, pol = _cartpole() if task == "cartpole_born" else _bandit("softmax")
-    rng = np.random.default_rng(9)
-    params = ansatz.init_params(pol.model, rng)
-    batch = [train.collect_episode(env, encoder, pol, params, rng) for _ in range(4)]
+    params = ansatz.init_params(pol.model, np.random.default_rng(9))
+    batch = train.collect_episodes(env, encoder, pol, params, episode_rngs(9, 4))
     batched = train.reinforce_gradient(batch, pol, params, 0.99)
     oracle = _per_trajectory_sum(batch, pol, params, 0.99)
     assert np.abs(batched - oracle).max() < 1e-12
@@ -94,9 +108,8 @@ def test_batched_reinforce_gradient_equals_per_trajectory_sum(task):
 
 def test_reinforce_gradient_makes_one_gradient_call(monkeypatch):
     env, encoder, pol = _cartpole()
-    rng = np.random.default_rng(2)
-    params = ansatz.init_params(pol.model, rng)
-    batch = [train.collect_episode(env, encoder, pol, params, rng) for _ in range(3)]
+    params = ansatz.init_params(pol.model, np.random.default_rng(2))
+    batch = train.collect_episodes(env, encoder, pol, params, episode_rngs(2, 3))
     calls = []
     grads = policy.trajectory_log_grads
     monkeypatch.setattr(
@@ -120,3 +133,100 @@ def test_trailing_partial_batch_is_logged_but_not_used(monkeypatch):
     assert len(ragged.records) == 8
     assert ragged.records[:6] == full.records
     assert (ragged.params.flat() == full.params.flat()).all()
+
+
+def _same_trajectories(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for field in ("features", "actions", "rewards"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 3, 10])
+@pytest.mark.parametrize("task", TASKS)
+def test_lockstep_episodes_equal_one_at_a_time(task, size):
+    env, encoder, pol = TASKS[task]()
+    params = ansatz.init_params(pol.model, np.random.default_rng(size))
+    lockstep = train.collect_episodes(env, encoder, pol, params, episode_rngs(5, size))
+    alone = [collect_episode(env, encoder, pol, params, rng) for rng in episode_rngs(5, size)]
+    _same_trajectories(lockstep, alone)
+    if size == 10 and not task.startswith("bandit"):
+        assert len({len(traj) for traj in lockstep}) > 1  # episodes end at different steps
+
+
+@pytest.mark.parametrize("size,episodes", [(1, 3), (3, 7), (10, 23)])
+@pytest.mark.parametrize("task", ["cartpole_born", "slippery_lake_born", "bandit_softmax"])
+def test_train_run_batches_equal_one_at_a_time(monkeypatch, task, size, episodes):
+    env, encoder, pol = TASKS[task]()
+    lockstep = train.collect_episodes
+    sizes = []
+
+    def checked(env, encoder, pol, params, rngs):
+        copies = [np.random.default_rng() for _ in rngs]
+        for copy, rng in zip(copies, rngs):
+            copy.bit_generator.state = rng.bit_generator.state
+        batch = lockstep(env, encoder, pol, params, rngs)
+        _same_trajectories(batch, [collect_episode(env, encoder, pol, params, c) for c in copies])
+        sizes.append(len(rngs))
+        return batch
+
+    monkeypatch.setattr(train, "collect_episodes", checked)
+    hyper = train.Hyperparams(batch_size=size, episodes=episodes)
+    result = train.train_run(env, encoder, pol, hyper, seed=11)
+    tail = episodes % size
+    assert sizes == [size] * (episodes // size) + ([tail] if tail else [])
+    assert [rec.episode for rec in result.records] == list(range(episodes))
+
+
+def test_run_streams_are_separate_children_of_the_seed():
+    init, episodes = train.run_streams(4)
+    first, second = np.random.SeedSequence(4).spawn(2)
+    assert init.random(3).tolist() == np.random.default_rng(first).random(3).tolist()
+    assert (episodes.entropy, episodes.spawn_key) == (4, second.spawn_key) == (4, (1,))
+
+
+def test_first_batch_does_not_depend_on_batch_size():
+    # Episodes 0-2 run under the initial parameters in both runs.
+    env, encoder, pol = _cartpole()
+    runs = [
+        train.train_run(env, encoder, pol, train.Hyperparams(batch_size=b, episodes=3), seed=8)
+        for b in (3, 10)
+    ]
+    assert runs[0].records == runs[1].records
+
+
+def _fixed_actions(monkeypatch, choose):
+    """Replace the policy's draws by ``choose(feature_row)``."""
+
+    def sample_action(pol, feats, params, rngs):
+        return np.array([choose(row) for row in feats], dtype=np.int64)
+
+    monkeypatch.setattr(policy, "sample_action", sample_action)
+
+
+def test_runner_truncates_frozenlake_at_the_horizon(monkeypatch):
+    _fixed_actions(monkeypatch, lambda row: 3)  # "up" keeps the start cell
+    _, encoder, pol = _slippery_lake()
+    lake = envs.FrozenLake(horizon=3)
+    params = ansatz.init_params(pol.model, np.random.default_rng(0))
+    batch = train.collect_episodes(lake, encoder, pol, params, episode_rngs(0, 2))
+    for traj in batch:
+        assert traj.rewards.tolist() == [-1.0, -1.0, -1.0]
+        assert traj.actions.tolist() == [3, 3, 3]
+
+
+def test_runner_truncates_cartpole_at_the_horizon(monkeypatch):
+    # A balancing push never fails, so every episode runs to the horizon;
+    # a straight push ends the same batch early.
+    _, encoder, pol = _cartpole()
+    params = ansatz.init_params(pol.model, np.random.default_rng(0))
+    for version, horizon in (("v0", 200), ("v1", 500)):
+        _fixed_actions(monkeypatch, lambda row: int(row[2] + 0.5 * row[3] > 0))
+        batch = train.collect_episodes(
+            envs.CartPole(version), encoder, pol, params, episode_rngs(1, 3)
+        )
+        assert [traj.total_reward for traj in batch] == [float(horizon)] * 3
+    _fixed_actions(monkeypatch, lambda row: 1)
+    batch = train.collect_episodes(envs.CartPole(), encoder, pol, params, episode_rngs(1, 3))
+    assert all(len(traj) < 200 for traj in batch)
