@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import policy as policy_mod, train as train_mod
+from . import ansatz, policy as policy_mod, train as train_mod
 from .policy import Policy
 
 PSD_TOLERANCE = 1e-10
@@ -86,9 +86,10 @@ def sample_fims(
     """FIM estimates at ``num_param_sets`` random parameter sets.
 
     One batch of ``num_states`` states is shared across all parameter
-    sets; per parameter set, one action is drawn per state from the
-    policy's exact distribution, in state order, and the log-gradient
-    outer products are averaged.  Shot-estimated probabilities play no
+    sets; per parameter set, each state takes one circuit call, one
+    action is drawn per state from the policy's exact distribution, in
+    state order, and the log-gradient outer products of those final
+    amplitudes are averaged.  Shot-estimated probabilities play no
     part (gradients are exact too), so a ``Shots`` policy gives the
     same matrices as an ``Exact`` one.
     """
@@ -100,11 +101,12 @@ def sample_fims(
     raw = []
     for _ in range(num_param_sets):
         params_j, policy_j = param_sampler(rng)
-        base_probs = np.vstack(
-            [policy_mod.batch_action_probs(policy_j, s[None, :], params_j) for s in states]
+        amps = np.vstack(
+            [ansatz.run_states(policy_j.model, params_j, s[None, :]) for s in states]
         )
-        actions = policy_mod._sample_rows(base_probs, [rng] * num_states)
-        grads = policy_mod.trajectory_log_grads(policy_j, feats, actions, params_j)
+        probs = policy_mod._reduce(policy_j, amps)[1]
+        actions = policy_mod._sample_rows(probs, [rng] * num_states)
+        grads = policy_mod.trajectory_log_grads(policy_j, feats, actions, params_j, amps)
         matrix = grads.T @ grads / num_states
         raw.append((matrix + matrix.T) / 2.0)
     mean_trace = float(np.mean([np.trace(m) for m in raw]))

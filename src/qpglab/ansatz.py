@@ -26,21 +26,20 @@ order; for CX the control is ``i`` and the target ``j``.  A CZ layer is
 diagonal, so it is applied as one precomputed sign vector.
 
 :func:`run_batch` is the one forward implementation (``run_states``,
-``prepare_state``, the policies and the forward pass of
-:func:`adjoint_grads` all call it).  It evolves B rows at once, in
-passes of up to 512 rows: one vectorised pass computes the fused 2x2
-entries of every rotation of every row of the pass, then the gate loop
-applies them in circuit order to half-views of the register built once
-per pass.  Each entry is the same elementwise cos/sin/exp product
+``prepare_state`` and the policies all call it).  It evolves B rows at
+once, in passes of up to 512 rows: one vectorised pass computes the
+fused 2x2 entries of every rotation of every row of the pass, then the
+gate loop applies them in circuit order to half-views of the register
+built once per pass.  Each entry is the same elementwise cos/sin/exp product
 whatever the batch, so row ``r`` is bit-identical to the same row
 evaluated alone.
 
 Gradients of diagonal expectations come from :func:`adjoint_grads`
-(adjoint differentiation, Jones & Gacon, arXiv:2009.02823): one forward
-pass through :func:`run_batch`, then one backward sweep that undoes
-each fused rotation once, with the conjugate transpose of its
+(adjoint differentiation, Jones & Gacon, arXiv:2009.02823): starting
+from final amplitudes the caller already holds, one backward sweep
+undoes each fused rotation once, with the conjugate transpose of its
 :func:`_gate_table` entries, on the state and the observable-weighted
-state together, and reads the rotation's derivatives off the pair.  A
+state together, and reads the rotations' derivatives off the pair.  A
 scale factor feeding feature ``s`` enters only through the angle
 ``lam * s``, so its derivative is ``s`` times the angle's; for ``s``
 exactly zero it is zero.
@@ -286,31 +285,40 @@ def adjoint_grads(
     params: ParamSet,
     features,
     weights,
-) -> tuple[np.ndarray, np.ndarray]:
+    amps: np.ndarray,
+) -> np.ndarray:
     """Gradients of diagonal expectations by one backward sweep.
 
     Row ``t`` runs feature row ``features[t]`` (shape (T, n)) under the
     shared ``params`` and measures the real diagonal observable
     ``diag(weights[t])``; ``weights`` is (T, 2**n) or one (2**n,) row for
-    all.  Returns ``(amps, grads)``: the final amplitudes (T, 2**n),
-    exactly as :func:`run_states` gives them, and
-    ``d<psi_t|diag(w_t)|psi_t>/d(theta, lam)`` of shape
-    (T, |theta| + |lam|) in the flat layout.
+    all.  ``amps`` are the rows' final amplitudes (T, 2**n), as
+    :func:`run_states` gives them; the sweep starts from them and runs
+    no forward pass.  Returns ``d<psi_t|diag(w_t)|psi_t>/d(theta, lam)``
+    of shape (T, |theta| + |lam|) in the flat layout.
 
     Each rotation exp(-i phi P / 2) contributes Im<lam|P|psi>, where
     ``psi`` is the state and ``lam = diag(w) psi`` the weighted state,
-    both carried back to that rotation.  A Pauli commutes with its own
-    rotation, so the later factor of a fused rotation is read before
-    its undo and the earlier factor after.
+    both carried back to that rotation.  Rotations on different qubits
+    commute, and a Pauli commutes with its own rotation and with the
+    other qubits' ones, so every later factor of a block is read before
+    the block is undone and every earlier factor after it.  All Z reads
+    of a block are then one product of Im(conj(lam) psi) with the
+    (n, 2**n) table of Z signs.
     """
     n = config.n_qubits
     features = np.asarray(features, dtype=float)
-    amps = run_states(config, params, features)
+    _validate(config, params, features)
+    if amps.shape != (len(features), 1 << n):
+        raise ValueError(
+            f"amps must have shape {(len(features), 1 << n)}, got {amps.shape}"
+        )
     undo = _gate_table(config, *_param_rows(params, len(amps)), features).conj()
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])
     halves = [qsim.half_views(pair, n, q) for q in range(n)]
+    z_signs = _z_sign_table(n)
     # d/d(angle) as (z, y, block, qubit, row), the layout _flat_grads reads.
     angle_grads = np.empty((2,) + undo.shape[:2] + (len(amps),))
     for block in range(len(undo) - 1, -1, -1):
@@ -318,28 +326,43 @@ def adjoint_grads(
             _apply_entangler(pair, config, inverse=True)
         # Variational blocks apply Rz then Ry, encoding blocks Ry then Rz.
         later, earlier = (1, 0) if block % 2 == 0 else (0, 1)
+        angle_grads[later, block] = _pauli_grads(later, pair, halves, z_signs)
         for q in reversed(range(n)):
-            a0, a1 = halves[q]
             c00, c01, c10, c11 = undo[block, q]
-            angle_grads[later, block, q] = _pauli_grad(later, a0, a1)
-            qsim.apply_1q_halves(a0, a1, c00, c10, c01, c11)
-            angle_grads[earlier, block, q] = _pauli_grad(earlier, a0, a1)
-    return amps, _flat_grads(angle_grads, features)
+            qsim.apply_1q_halves(*halves[q], c00, c10, c01, c11)
+        angle_grads[earlier, block] = _pauli_grads(earlier, pair, halves, z_signs)
+    return _flat_grads(angle_grads, features)
 
 
-def _pauli_grad(pauli: int, a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Im<lam|P|psi> per row, for P = Z (``pauli`` 0) or Y (``pauli`` 1).
+@lru_cache(maxsize=None)
+def _z_sign_table(n: int) -> np.ndarray:
+    """(n, 2**n): row q is +1 where bit q of the basis index is 0, else -1."""
+    bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+    signs = 1.0 - 2.0 * bits
+    signs.setflags(write=False)
+    return signs
 
-    ``a0, a1`` are one qubit's half-views of the stacked ``(psi, lam)``.
+
+def _pauli_grads(pauli: int, pair, halves, z_signs) -> np.ndarray:
+    """Im<lam|P_q|psi> for every qubit q, shape (n, T); P = Z (``pauli`` 0) or Y (1).
+
+    ``pair`` is the stacked ``(psi, lam)`` and ``halves`` its per-qubit
+    half-views.  The Z reads are one product of Im(conj(lam) psi) with
+    the sign table.  A Y read pairs the two halves of its qubit, so the
+    Y reads go qubit by qubit on the half-views; gathering them for all
+    qubits at once would take n times the register in temporaries.
     """
-    (psi0, lam0), (psi1, lam1) = a0, a1
-    if pauli == 0:  # Im<lam0|psi0> - Im<lam1|psi1>
-        terms = lam0.real * psi0.imag - lam0.imag * psi0.real
-        terms -= lam1.real * psi1.imag - lam1.imag * psi1.real
-    else:  # Re<lam1|psi0> - Re<lam0|psi1>
+    if pauli == 0:
+        psi, lam = pair
+        im = lam.real * psi.imag
+        im -= lam.imag * psi.real
+        return z_signs @ im.T
+    grads = []
+    for (psi0, lam0), (psi1, lam1) in halves:  # Re<lam1|psi0> - Re<lam0|psi1>
         terms = lam1.real * psi0.real + lam1.imag * psi0.imag
         terms -= lam0.real * psi1.real + lam0.imag * psi1.imag
-    return terms.sum(axis=(-2, -1))
+        grads.append(terms.sum(axis=(-2, -1)))
+    return np.stack(grads)
 
 
 def gate_counts(config: ModelConfig) -> dict:

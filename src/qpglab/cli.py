@@ -37,6 +37,17 @@ def _ensure_out_dir(args) -> str:
     return args.out_dir
 
 
+def _seed(raw: str) -> int:
+    """A ``--seed`` value: a non-negative integer."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _seeds(cfg, args) -> tuple:
     if args.seed is not None:
         return (args.seed,)
@@ -223,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config=False):
-        p.add_argument("--seed", type=int, default=None, help="override the config seed(s)")
+        p.add_argument("--seed", type=_seed, default=None, help="override the config seed(s)")
         p.add_argument("--out-dir", default="runs", help="output directory")
         if config:
             p.add_argument("--config", required=True, help="experiment config file")
@@ -259,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="softmax accuracy bound / compliance experiment")
     p.add_argument("--m", type=int, default=4, help="action count for the bare bound")
     p.add_argument("--config", default=None, help="run the training compliance experiment")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out-dir", default="runs")
     p.set_defaults(func=cmd_bound)
 

@@ -11,7 +11,7 @@ comment lines at the top of every output file for provenance.
 
 Sections::
 
-    [experiment]  seeds
+    [experiment]  seeds (distinct, non-negative)
     [env]         type + environment parameters + encoder choice
     [model]       n_qubits, depth, entangler
     [policy]      kind, postfn / beta + weights, shots
@@ -210,6 +210,13 @@ def load_config(path) -> ExperimentConfig:
         cfg.seeds = _int_list("experiment", "seeds", get("experiment", "seeds"))
         if not cfg.seeds:
             raise ConfigError("[experiment] seeds: need at least one seed")
+        if min(cfg.seeds) < 0:
+            raise ConfigError(f"[experiment] seeds: must be >= 0, got {min(cfg.seeds)}")
+        # Each seed names one run and one curve file; a repeat would be
+        # averaged into the aggregate twice.
+        repeated = sorted({s for s in cfg.seeds if cfg.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"[experiment] seeds: duplicate seed {_fmt(repeated)}")
 
     env = cfg.env
     if parser.has_section("env"):

@@ -15,9 +15,10 @@ and both gradient paths.
 
 Log-policy gradients are exact: the taken action's projector (Born
 policy) or the Z-mask observable (softmax policy) is differentiated by
-the adjoint sweep of :func:`qpglab.ansatz.adjoint_grads`, one forward
-and one backward pass for a whole trajectory, and the softmax factors
-are applied in closed form.  The parameter-shift rule of
+the adjoint sweep of :func:`qpglab.ansatz.adjoint_grads`, one backward
+pass for a whole trajectory that starts from the final amplitudes
+:func:`sample_action` already computed, and the softmax factors are
+applied in closed form.  The parameter-shift rule of
 :func:`qpglab.ansatz.shift_rows`, which hardware would run, is kept as
 the test oracle for these gradients.  The ``exact`` evaluation mode is
 the default everywhere; ``shots`` mode estimates :func:`action_probs`
@@ -118,29 +119,6 @@ def _z_signs(n: int, qubits: tuple) -> np.ndarray:
     return signs
 
 
-def z_mask_expectation(state: qsim.Statevector, qubits) -> float:
-    """<Z-on-qubits (identity elsewhere)> of a prepared state."""
-    probs = qsim.probabilities(state.amps)
-    return float(probs @ _z_signs(state.n_qubits, tuple(sorted(qubits))))
-
-
-def parity_via_ancilla(state: qsim.Statevector) -> float:
-    """All-qubit parity read off an ancilla instead of a global mask.
-
-    Appends an ancilla in |0>, applies a CX from each original qubit
-    onto it, and returns P(ancilla=0) - P(ancilla=1); equals the
-    all-qubit Z-mask expectation of the original state.
-    """
-    n = state.n_qubits
-    ext = np.zeros(1 << (n + 1), dtype=np.complex128)
-    ext[: 1 << n] = state.amps
-    extended = qsim.Statevector(n + 1, ext)
-    for q in range(n):
-        qsim.apply_cx(extended, control=q, target=n)
-    probs = qsim.probabilities(extended.amps)
-    return float(probs[: 1 << n].sum() - probs[1 << n :].sum())
-
-
 def _member_matrix(postfn: PostProcessing) -> np.ndarray:
     """(2**n, M) indicator matrix of class membership, cached per instance."""
     cached = getattr(postfn, "_member_matrix", None)
@@ -197,18 +175,24 @@ def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.nd
     return _reduce(policy, ansatz.run_states(policy.model, params, features_rows))[1]
 
 
-def sample_action(policy: Policy, features_rows, params: ParamSet, rngs) -> np.ndarray:
+def sample_action(
+    policy: Policy, features_rows, params: ParamSet, rngs
+) -> tuple[np.ndarray, np.ndarray]:
     """One action per feature row, row ``t`` drawn with ``rngs[t]``.
 
-    All rows go through one circuit call, and each row takes one
-    ``random()`` draw from its generator, in row order, so a row's
-    action does not depend on the other rows.  A Born policy measures
-    one bitstring and decodes it, in either evaluation mode.
+    Returns ``(actions, amps)``: the actions (T,) and the final
+    amplitudes (T, 2**n) they were drawn from, which
+    :func:`trajectory_log_grads` takes back.  All rows go through one
+    circuit call, and each row takes one ``random()`` draw from its
+    generator, in row order, so a row's action does not depend on the
+    other rows.  A Born policy measures one bitstring and decodes it, in
+    either evaluation mode.
     """
-    reading, probs = _reduce(policy, ansatz.run_states(policy.model, params, features_rows))
+    amps = ansatz.run_states(policy.model, params, features_rows)
+    reading, probs = _reduce(policy, amps)
     if isinstance(policy, MeasurementPolicy):
-        return policy.postfn.action_table()[_sample_rows(reading, rngs)]
-    return _sample_rows(probs, rngs)
+        return policy.postfn.action_table()[_sample_rows(reading, rngs)], amps
+    return _sample_rows(probs, rngs), amps
 
 
 def _sample_rows(probs: np.ndarray, rngs) -> np.ndarray:
@@ -248,35 +232,31 @@ def apply_flat(policy: Policy, flat: np.ndarray) -> tuple[ParamSet, Policy]:
     return params, policy
 
 
-def log_prob_grad(policy: Policy, features, action: int, params: ParamSet) -> np.ndarray:
-    """Exact gradient of ln pi(action | features) over the flat trainables."""
-    features = np.asarray(features, dtype=float)
-    grads = trajectory_log_grads(policy, features[None, :], np.array([action]), params)
-    return grads[0]
-
-
 def trajectory_log_grads(
     policy: Policy,
     features_seq: np.ndarray,
     actions: np.ndarray,
     params: ParamSet,
+    amps: np.ndarray,
 ) -> np.ndarray:
     """Log-policy gradients for every (state, action) step of a trajectory.
 
+    ``amps`` are the steps' final amplitudes (T, 2**n), as
+    :func:`sample_action` returns them; no step is simulated again.
     One adjoint sweep over all steps together; returns shape
     (T, num_trainables).  The steps need not come from one episode.
     """
     features_seq = np.asarray(features_seq, dtype=float)
     actions = np.asarray(actions, dtype=np.int64)
     if isinstance(policy, SoftmaxObservablePolicy):
-        return _softmax_traj_grads(policy, features_seq, actions, params)
-    return _measurement_traj_grads(policy, features_seq, actions, params)
+        return _softmax_traj_grads(policy, features_seq, actions, params, amps)
+    return _measurement_traj_grads(policy, features_seq, actions, params, amps)
 
 
-def _measurement_traj_grads(policy, features_seq, actions, params):
+def _measurement_traj_grads(policy, features_seq, actions, params, amps):
     # d ln p_a = d<Pi_a> / p_a, with Pi_a the taken action's projector.
     member = _member_matrix(policy.postfn)
-    amps, grads = ansatz.adjoint_grads(policy.model, params, features_seq, member[:, actions].T)
+    grads = ansatz.adjoint_grads(policy.model, params, features_seq, member[:, actions].T, amps)
     p_taken = _reduce(policy, amps)[1][np.arange(len(actions)), actions]
     if (p_taken == 0.0).any():
         bad = int(np.nonzero(p_taken == 0.0)[0][0])
@@ -286,9 +266,9 @@ def _measurement_traj_grads(policy, features_seq, actions, params):
     return grads / np.maximum(p_taken, PROB_CLAMP)[:, None]
 
 
-def _softmax_traj_grads(policy, features_seq, actions, params):
+def _softmax_traj_grads(policy, features_seq, actions, params, amps):
     signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
-    amps, grad_obs = ansatz.adjoint_grads(policy.model, params, features_seq, signs)
+    grad_obs = ansatz.adjoint_grads(policy.model, params, features_seq, signs, amps)
     obs, pi = _reduce(policy, amps)
     steps = np.arange(len(actions))
     bracket = policy.weights[actions] - pi @ policy.weights

@@ -10,6 +10,8 @@ The episodes of one batch share one parameter set, so they are
 stepped in lockstep (:func:`collect_episodes`): each time step makes
 one circuit call over the episodes still running.  An episode ends on
 a terminal transition or after the environment's ``horizon`` steps.
+The update differentiates the final amplitudes that the rollout drew
+its actions from, so each step is simulated once.
 
 Everything is a pure function of (config, seed), through independent
 streams (:func:`run_streams`): one generator draws the initial
@@ -36,9 +38,12 @@ from .policy import Policy
 
 @dataclass
 class Trajectory:
-    """One episode: encoded features, chosen actions, rewards, in step order."""
+    """One episode in step order: encoded features, the circuit's final
+    amplitudes at each step, chosen actions and rewards.
+    """
 
     features: np.ndarray  # (T, n)
+    amps: np.ndarray  # (T, 2**n)
     actions: np.ndarray  # (T,)
     rewards: np.ndarray  # (T,)
 
@@ -102,32 +107,35 @@ def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> li
     """Run one episode per generator in lockstep, episode ``e`` on ``rngs[e]``.
 
     Each time step makes one :func:`qpglab.policy.sample_action` call
-    over the episodes still running, then one ``env.step`` per episode.
+    over the episodes still running, then one ``env.step`` per episode;
+    each trajectory keeps the final amplitudes of its steps for the
+    gradient.
     Every draw of episode ``e`` comes from ``rngs[e]`` in the order a
     lone run of it would make, so its trajectory equals the one it
     gives when collected alone.  Episodes are truncated after
     ``env.horizon`` steps.
     """
     states = [env.reset(rng) for rng in rngs]
-    features, actions, rewards = ([[] for _ in rngs] for _ in range(3))
+    features, amps, actions, rewards = ([[] for _ in rngs] for _ in range(4))
     live = list(range(len(rngs)))
     for _ in range(env.horizon):
         if not live:
             break
         rows = np.array([encoder.encode(states[e]) for e in live])
-        chosen = policy_mod.sample_action(policy, rows, params, [rngs[e] for e in live])
+        chosen, finals = policy_mod.sample_action(policy, rows, params, [rngs[e] for e in live])
         running = []
-        for e, row, action in zip(live, rows, chosen.tolist()):
+        for e, row, final, action in zip(live, rows, finals, chosen.tolist()):
             states[e], reward, terminal = env.step(states[e], action, rngs[e])
             features[e].append(row)
+            amps[e].append(final)
             actions[e].append(action)
             rewards[e].append(reward)
             if not terminal:
                 running.append(e)
         live = running
     return [
-        Trajectory(np.array(f), np.array(a, dtype=np.int64), np.array(r))
-        for f, a, r in zip(features, actions, rewards)
+        Trajectory(np.array(f), np.array(p), np.array(a, dtype=np.int64), np.array(r))
+        for f, p, a, r in zip(features, amps, actions, rewards)
     ]
 
 
@@ -136,7 +144,9 @@ def reinforce_gradient(
 ) -> np.ndarray:
     """Ascent-direction gradient of the REINFORCE objective over a batch.
 
-    The steps of all trajectories go through one gradient call.
+    The steps of all trajectories go through one gradient call, which
+    starts from the amplitudes the rollout computed, so no step is
+    simulated twice.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -146,6 +156,7 @@ def reinforce_gradient(
         np.concatenate([traj.features for traj in batch]),
         np.concatenate([traj.actions for traj in batch]),
         params,
+        np.concatenate([traj.amps for traj in batch]),
     )
     return returns @ grads / len(batch)
 

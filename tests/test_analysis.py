@@ -33,12 +33,14 @@ def test_sample_fims_draws_the_per_state_actions(monkeypatch, pol):
     sampler = analysis.normal_state_sampler(3, 0.5)
     seen = []
     grads = policy.trajectory_log_grads
-    monkeypatch.setattr(
-        policy,
-        "trajectory_log_grads",
-        lambda pol_j, feats, actions, params: seen.append(list(actions))
-        or grads(pol_j, feats, actions, params),
-    )
+
+    def checked(pol_j, feats, actions, params, amps):
+        states = ansatz.run_states(pol_j.model, params, feats)
+        assert amps.tobytes() == states.tobytes()
+        seen.append(list(actions))
+        return grads(pol_j, feats, actions, params, amps)
+
+    monkeypatch.setattr(policy, "trajectory_log_grads", checked)
     analysis.sample_fims(pol, sampler, 4, 30, np.random.default_rng(17))
     assert seen == _per_state_actions(pol, sampler, 4, 30, 17)
 

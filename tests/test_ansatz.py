@@ -3,6 +3,7 @@ import pytest
 
 from qpglab import ansatz, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
+from oracles import per_qubit_adjoint_grads
 
 # Published model sizes: ((n, d), |theta| + |lam|).
 PUBLISHED_SIZES = [
@@ -209,8 +210,8 @@ def test_adjoint_grads_match_shift_rule(entangler, n, depth):
     features = rng.uniform(-1, 1, (4, n))
     features[1, 0] = 0.0
     weights = rng.normal(size=(4, 1 << n))
-    amps, grads = ansatz.adjoint_grads(config, params, features, weights)
-    assert (amps == ansatz.run_states(config, params, features)).all()
+    amps = ansatz.run_states(config, params, features)
+    grads = ansatz.adjoint_grads(config, params, features, weights, amps)
     oracle = shift_rule_expval_grads(config, params, features, weights)
     assert np.abs(grads - oracle).max() < 1e-10
     # features[1, 0] drives qubit n-1, whose scale entries are 2(n-1), 2(n-1)+1.
@@ -225,9 +226,40 @@ def test_adjoint_grads_broadcast_one_weight_row():
     params, rng = _random_params(config, 7)
     features = rng.uniform(-1, 1, (5, 3))
     weights = rng.normal(size=8)
-    _, shared = ansatz.adjoint_grads(config, params, features, weights)
-    _, tiled = ansatz.adjoint_grads(config, params, features, np.tile(weights, (5, 1)))
+    amps = ansatz.run_states(config, params, features)
+    shared = ansatz.adjoint_grads(config, params, features, weights, amps)
+    tiled = ansatz.adjoint_grads(config, params, features, np.tile(weights, (5, 1)), amps)
     assert (shared == tiled).all()
+
+
+# The block-wide Z product sums each derivative in another order than
+# the per-qubit half-view sums.  The largest difference measured was
+# 2.0e-15 (n 1-6, d 1/2/3/5, cz and cx, T = 57; 1.1e-15 on this test's
+# cases at n 1-6), and the bound leaves a factor of five above it.
+PER_QUBIT_READOUT_TOL = 1e-14
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_adjoint_grads_match_per_qubit_readout(entangler, n, depth):
+    config = ModelConfig(n, depth, entangler)
+    params, rng = _random_params(config, 500 + 10 * n + depth)
+    features = rng.uniform(-2, 2, (57, n))
+    amps = ansatz.run_states(config, params, features)
+    for weights in (rng.normal(size=(57, 1 << n)), 1.0 - 2.0 * (rng.random(1 << n) < 0.5)):
+        grads = ansatz.adjoint_grads(config, params, features, weights, amps)
+        oracle = per_qubit_adjoint_grads(config, params, features, weights, amps)
+        assert np.abs(grads - oracle).max() <= PER_QUBIT_READOUT_TOL
+
+
+def test_adjoint_grads_reject_amplitudes_of_another_shape():
+    config = ModelConfig(3, 1)
+    params, rng = _random_params(config, 9)
+    features = rng.uniform(-1, 1, (4, 3))
+    amps = ansatz.run_states(config, params, features)
+    with pytest.raises(ValueError, match="amps must have shape"):
+        ansatz.adjoint_grads(config, params, features, np.ones(8), amps[:3])
 
 
 def test_encoding_linear_in_scale_factors():
@@ -346,18 +378,13 @@ def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps, mo
     n_theta, n_lam = ansatz.param_counts(config)
     thetas = rng.uniform(-np.pi, np.pi, (steps, n_theta))
     lams = rng.normal(1.0, 0.5, (steps, n_lam))
-    weights = rng.normal(size=(steps, 1 << n))
     assert _same_bits(
         ansatz.run_batch(config, thetas, lams, features),
         _per_gate_run_batch(config, thetas, lams, features),
     )
     states = ansatz.run_states(config, params, features)
-    amps, grads = ansatz.adjoint_grads(config, params, features, weights)
     monkeypatch.setattr(ansatz, "run_batch", _per_gate_run_batch)
     assert _same_bits(states, ansatz.run_states(config, params, features))
-    oracle_amps, oracle_grads = ansatz.adjoint_grads(config, params, features, weights)
-    assert _same_bits(amps, oracle_amps)
-    assert _same_bits(grads, oracle_grads)
 
 
 def test_forward_bit_identical_across_row_passes():

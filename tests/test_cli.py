@@ -159,3 +159,22 @@ def test_shots_policy_analysis_matches_exact(tmp_path, command, files):
         ]
         assert data[0] == data[1]
     assert "shots = 100" in (out_dir / files[0]).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--config", "c.ini", "--seed", "-2"],
+        ["fim", "--config", "c.ini", "--seed", "-1"],
+        ["enum", "--n", "2", "--m", "2", "--seed", "-1"],
+        ["bound", "--seed", "-1"],
+    ],
+    ids=["train", "fim", "enum", "bound"],
+)
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
+    assert not out_dir.exists()

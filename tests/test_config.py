@@ -152,3 +152,25 @@ def test_analysis_error_exits_two_before_the_output_directory(tmp_path, capsys, 
     assert cli.main(["effdim", "--config", str(path), "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out_dir.exists()
+
+
+SEED_ERRORS = {
+    "negative": ("-1", "[experiment] seeds: must be >= 0, got -1"),
+    "negative-among-others": ("0, 2, -5", "[experiment] seeds: must be >= 0, got -5"),
+    "duplicate": ("3, 3", "[experiment] seeds: duplicate seed 3"),
+    "duplicates": ("1, 4, 1, 2, 4", "[experiment] seeds: duplicate seed 1,4"),
+}
+
+
+@pytest.mark.parametrize("case", list(SEED_ERRORS))
+def test_bad_seed_lists_exit_two_before_the_output_directory(tmp_path, capsys, case):
+    seeds, message = SEED_ERRORS[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[experiment]\nseeds = {seeds}\n" + MINIMAL)
+    with pytest.raises(config.ConfigError) as info:
+        config.load_config(path)
+    assert str(info.value) == message
+    out_dir = tmp_path / "out"
+    assert cli.main(["train", "--config", str(path), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out_dir.exists()

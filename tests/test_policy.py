@@ -3,7 +3,7 @@ import pytest
 
 from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
-from oracles import sample_index
+from oracles import log_prob_grad, parity_via_ancilla, sample_index, z_mask_expectation
 from test_ansatz import shift_rule_expval_grads
 
 
@@ -74,8 +74,8 @@ def test_observable_equivalences(seed):
         for a in (0, 1):
             assert probs[a] == pytest.approx(((-1) ** a * expv + 1) / 2, abs=1e-12)
 
-    mask_expv = policy.z_mask_expectation(state, range(4))
-    assert policy.parity_via_ancilla(state) == pytest.approx(mask_expv, abs=1e-12)
+    mask_expv = z_mask_expectation(state, range(4))
+    assert parity_via_ancilla(state) == pytest.approx(mask_expv, abs=1e-12)
 
 
 def test_shots_mode_estimates_exact_probabilities():
@@ -112,7 +112,9 @@ def test_single_measurement_sampling_matches_distribution():
         params,
     )
     trials = 20_000
-    draws = policy.sample_action(shot_pol, np.tile(features, (trials, 1)), params, [rng] * trials)
+    draws, _ = policy.sample_action(
+        shot_pol, np.tile(features, (trials, 1)), params, [rng] * trials
+    )
     freq = np.mean(draws == 1)
     sigma = np.sqrt(exact[1] * (1 - exact[1]) / trials)
     assert abs(freq - exact[1]) < 3.5 * sigma + 1e-4
@@ -122,11 +124,11 @@ def test_sample_action_deterministic_given_seed():
     config, params, features, _ = _instance(seed=5)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
     first = [
-        policy.sample_action(pol, features[None, :], params, [np.random.default_rng(11)])[0]
+        policy.sample_action(pol, features[None, :], params, [np.random.default_rng(11)])[0][0]
         for _ in range(3)
     ]
     second = [
-        policy.sample_action(pol, features[None, :], params, [np.random.default_rng(11)])[0]
+        policy.sample_action(pol, features[None, :], params, [np.random.default_rng(11)])[0][0]
         for _ in range(3)
     ]
     assert first == second
@@ -170,7 +172,7 @@ def _finite_difference_log_grad(pol, features, action, params, h=1e-5):
 def test_measurement_log_grad_matches_finite_differences(seed):
     config, params, features, _ = _instance(seed=seed)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
-    grad = policy.log_prob_grad(pol, features, 1, params)
+    grad = log_prob_grad(pol, features, 1, params)
     fd = _finite_difference_log_grad(pol, features, 1, params)
     assert np.abs(grad - fd).max() < 1e-5
 
@@ -178,7 +180,7 @@ def test_measurement_log_grad_matches_finite_differences(seed):
 def test_lambda_components_vanish_for_zero_features():
     config, params, features, _ = _instance(seed=3, zero_feature=1)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
-    grad = policy.log_prob_grad(pol, features, 0, params)
+    grad = log_prob_grad(pol, features, 0, params)
     n_theta, _ = ansatz.param_counts(config)
     n = config.n_qubits
     # features[1] drives qubit n-1-1 = 1; its lam entries are 2*1, 2*1+1
@@ -194,7 +196,7 @@ def test_probability_weighted_grads_sum_to_zero():
     probs = policy.action_probs(pol, features, params)
     acc = np.zeros(policy.num_trainables(pol))
     for action in range(4):
-        acc += probs[action] * policy.log_prob_grad(pol, features, action, params)
+        acc += probs[action] * log_prob_grad(pol, features, action, params)
     assert np.abs(acc).max() < 1e-8
 
 
@@ -204,7 +206,7 @@ def test_zero_probability_action_raises():
     params = ParamSet(np.zeros(n_theta), np.zeros(n_lam))
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(2, 2))
     with pytest.raises(policy.ZeroProbabilityError):
-        policy.log_prob_grad(pol, np.zeros(2), 1, params)
+        log_prob_grad(pol, np.zeros(2), 1, params)
 
 
 def test_softmax_uniform_cases():
@@ -240,7 +242,7 @@ def test_softmax_log_grad_matches_finite_differences(seed):
     pol = policy.SoftmaxObservablePolicy(
         config, np.array([0.5, -0.3, 0.1, 0.8]), beta=1.3
     )
-    grad = policy.log_prob_grad(pol, features, 2, params)
+    grad = log_prob_grad(pol, features, 2, params)
     fd = _finite_difference_log_grad(pol, features, 2, params)
     assert np.abs(grad - fd).max() < 1e-5
 
@@ -250,14 +252,14 @@ def test_softmax_weight_grads_sum_to_zero_over_actions():
     pol = policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3, 0.1, 0.8]))
     n_circuit = ansatz.total_params(config)
     for action in range(4):
-        grad = policy.log_prob_grad(pol, features, action, params)
+        grad = log_prob_grad(pol, features, action, params)
         assert abs(grad[n_circuit:].sum()) < 1e-12
 
 
 def test_softmax_equal_weights_kill_circuit_gradient():
     config, params, features, _ = _instance(seed=7)
     pol = policy.SoftmaxObservablePolicy(config, np.full(4, 0.2))
-    grad = policy.log_prob_grad(pol, features, 1, params)
+    grad = log_prob_grad(pol, features, 1, params)
     n_circuit = ansatz.total_params(config)
     assert np.abs(grad[:n_circuit]).max() < 1e-12
 
@@ -267,9 +269,10 @@ def test_trajectory_grads_match_single_step_calls():
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
     feats = rng.uniform(-1, 1, (5, 3))
     actions = rng.integers(0, 2, 5)
-    stacked = policy.trajectory_log_grads(pol, feats, actions, params)
+    amps = ansatz.run_states(config, params, feats)
+    stacked = policy.trajectory_log_grads(pol, feats, actions, params, amps)
     for t in range(5):
-        single = policy.log_prob_grad(pol, feats[t], int(actions[t]), params)
+        single = log_prob_grad(pol, feats[t], int(actions[t]), params)
         assert np.abs(stacked[t] - single).max() < 1e-14
 
 
@@ -302,7 +305,8 @@ def test_trajectory_grads_match_shift_rule(entangler, n, kind):
     feats = rng.uniform(-1, 1, (4, n))
     feats[2, n - 1] = 0.0
     actions = rng.integers(0, pol.num_actions, 4)
-    grads = policy.trajectory_log_grads(pol, feats, actions, params)
+    amps = ansatz.run_states(config, params, feats)
+    grads = policy.trajectory_log_grads(pol, feats, actions, params, amps)
     n_circuit = ansatz.total_params(config)
     oracle = _shift_rule_log_grads(pol, feats, actions, params)
     assert np.abs(grads[:, :n_circuit] - oracle).max() < 1e-10
@@ -342,7 +346,7 @@ def test_born_sampling_is_one_measurement_in_every_eval_mode():
     for mode in (policy.Shots(1), policy.Shots(50), policy.Exact()):
         pol = policy.MeasurementPolicy(config, decode.RecursiveParity(4, 4), mode)
         seeded = np.random.default_rng(21)
-        draws.append(policy.sample_action(pol, feats, params, [seeded] * len(feats)).tolist())
+        draws.append(policy.sample_action(pol, feats, params, [seeded] * len(feats))[0].tolist())
     assert draws[0] == draws[1] == draws[2]
     assert len(set(draws[0])) > 1
 
@@ -356,7 +360,8 @@ def test_sample_action_rows_match_one_row_draws(kind):
         pol = policy.SoftmaxObservablePolicy(config, np.array([2.0, -1.5, 0.5, 3.0]), beta=2.0)
     feats = rng.uniform(-np.pi, np.pi, (25, 3))
     rngs = [np.random.default_rng(seed) for seed in range(25)]
-    batched = policy.sample_action(pol, feats, params, rngs)
+    batched, amps = policy.sample_action(pol, feats, params, rngs)
+    assert amps.tobytes() == ansatz.run_states(config, params, feats).tobytes()
     expected = []
     for seed, f in enumerate(feats):
         reading, probs = policy._reduce(pol, ansatz.run_states(config, params, f[None, :]))

@@ -91,7 +91,7 @@ def _per_trajectory_sum(batch, pol, params, gamma):
     """Oracle: the REINFORCE gradient one trajectory at a time."""
     total = np.zeros(policy.num_trainables(pol))
     for traj in batch:
-        grads = policy.trajectory_log_grads(pol, traj.features, traj.actions, params)
+        grads = policy.trajectory_log_grads(pol, traj.features, traj.actions, params, traj.amps)
         total += train.discounted_returns(traj.rewards, gamma) @ grads
     return total / len(batch)
 
@@ -138,7 +138,7 @@ def test_trailing_partial_batch_is_logged_but_not_used(monkeypatch):
 def _same_trajectories(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        for field in ("features", "actions", "rewards"):
+        for field in ("features", "amps", "actions", "rewards"):
             x, y = getattr(a, field), getattr(b, field)
             assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -151,6 +151,9 @@ def test_lockstep_episodes_equal_one_at_a_time(task, size):
     lockstep = train.collect_episodes(env, encoder, pol, params, episode_rngs(5, size))
     alone = [collect_episode(env, encoder, pol, params, rng) for rng in episode_rngs(5, size)]
     _same_trajectories(lockstep, alone)
+    for traj in lockstep:
+        states = ansatz.run_states(pol.model, params, traj.features)
+        assert traj.amps.shape == states.shape and traj.amps.tobytes() == states.tobytes()
     if size == 10 and not task.startswith("bandit"):
         assert len({len(traj) for traj in lockstep}) > 1  # episodes end at different steps
 
@@ -200,7 +203,8 @@ def _fixed_actions(monkeypatch, choose):
     """Replace the policy's draws by ``choose(feature_row)``."""
 
     def sample_action(pol, feats, params, rngs):
-        return np.array([choose(row) for row in feats], dtype=np.int64)
+        actions = np.array([choose(row) for row in feats], dtype=np.int64)
+        return actions, ansatz.run_states(pol.model, params, feats)
 
     monkeypatch.setattr(policy, "sample_action", sample_action)
 
