@@ -23,7 +23,9 @@ Parameter layout (flat arrays):
 
 Entangler pairs ``(i, j)`` with ``i < j`` are applied in lexicographic
 order; for CX the control is ``i`` and the target ``j``.  A CZ layer is
-diagonal, so it is applied as one precomputed sign vector.
+diagonal, so it is applied as one precomputed sign vector; a CX layer
+permutes basis states, so it is applied as one precomputed index
+permutation.
 
 :func:`run_batch` is the one forward implementation (``run_states``,
 ``prepare_state`` and the policies all call it).  It evolves B rows at
@@ -37,18 +39,16 @@ evaluated alone.
 Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): starting
 from final amplitudes the caller already holds, one backward sweep
-undoes each fused rotation once, with the conjugate transpose of its
-:func:`_gate_table` entries, on the state and the observable-weighted
-state together, and reads the rotations' derivatives off the pair.  A
-scale factor feeding feature ``s`` enters only through the angle
-``lam * s``, so its derivative is ``s`` times the angle's; for ``s``
-exactly zero it is zero.
-
-:func:`shift_rows` gives the same derivatives by the parameter-shift
-rule (Schuld et al., arXiv:1811.11184), the rule hardware runs: each
-rotation angle shifted by +-pi/2 with coefficients +-1/2, each scale
-factor by +-pi/(2s) with coefficients +-s/2.  It costs two circuits per
-parameter and serves as the test oracle for the adjoint sweep.
+carries the state and the observable-weighted state back through the
+circuit a whole rotation layer at a time.  Each Rz layer is one phase
+multiply; each Ry layer is one phase multiply in the eigenbasis of Y,
+reached by a change of basis shared by all qubits.  Every derivative
+of a layer is one product with a table of Z signs.  A scale factor
+feeding feature ``s`` enters only through the angle ``lam * s``, so its
+derivative is ``s`` times the angle's; for ``s`` exactly zero it is
+zero.  The parameter-shift rule (Schuld et al., arXiv:1811.11184), the
+rule hardware runs, gives the same derivatives at two circuits per
+parameter; it is the tests' oracle for the sweep.
 """
 
 from __future__ import annotations
@@ -155,6 +155,24 @@ def entangler_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+@lru_cache(maxsize=None)
+def _cx_layer_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index permutations of the CX layer and of its inverse.
+
+    ``amps[..., perm]`` applies the layer.  A CX sends amplitude ``x`` to
+    the index with the target bit flipped when the control bit is set,
+    so the layer reads ``x`` through every pair's flip, the last gate's
+    first.
+    """
+    perm = np.arange(1 << n)
+    for i, j in reversed(entangler_pairs(n)):
+        perm ^= ((perm >> i) & 1) << j
+    inverse = np.argsort(perm)
+    perm.setflags(write=False)
+    inverse.setflags(write=False)
+    return perm, inverse
+
+
 def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = False) -> None:
     n = config.n_qubits
     if n == 1:
@@ -162,13 +180,7 @@ def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = Fals
     if config.entangler == "cz":
         amps *= _cz_layer_signs(n)
         return
-    # Each CX is its own inverse, so the layer's inverse is the reversed order.
-    pairs = entangler_pairs(n)
-    for i, j in reversed(pairs) if inverse else pairs:
-        src, dst = qsim._cx_swap_indices(n, i, j)
-        tmp = amps[..., src].copy()
-        amps[..., src] = amps[..., dst]
-        amps[..., dst] = tmp
+    amps[...] = amps[..., _cx_layer_perms(n)[inverse]]
 
 
 # Rows per gate-table pass of run_batch.  The table takes 64 bytes per
@@ -299,38 +311,49 @@ def adjoint_grads(
 
     Each rotation exp(-i phi P / 2) contributes Im<lam|P|psi>, where
     ``psi`` is the state and ``lam = diag(w) psi`` the weighted state,
-    both carried back to that rotation.  Rotations on different qubits
-    commute, and a Pauli commutes with its own rotation and with the
-    other qubits' ones, so every later factor of a block is read before
-    the block is undone and every earlier factor after it.  All Z reads
-    of a block are then one product of Im(conj(lam) psi) with the
-    (n, 2**n) table of Z signs.
+    both carried back to that rotation.  The sweep undoes whole layers
+    of rotations, one axis at a time.  Rotations on different qubits
+    commute, a Pauli commutes with its own rotation, and a diagonal
+    undo applied to both ``psi`` and ``lam`` leaves Im(conj(lam) psi)
+    unchanged, so every derivative of a layer is read in one product
+    of Im(conj(lam) psi) with the (n, 2**n) table of Z signs.
+
+    * An Rz layer is diagonal: its undo is one phase multiply
+      exp(+i/2 angles @ Z signs).  A variational Rz layer and the
+      encoding Rz layer just before it share their reading and are
+      undone by one multiply with their summed angles.
+    * An Ry layer is diagonal in the eigenbasis of Y.  With
+      A = [[1, 1], [i, -i]] / sqrt(2) on every qubit, Y_q = A Z_q A^dag
+      for every q at once and Ry(a) = A Rz(a) A^dag, so the pair is
+      mapped by A^dag (:func:`_change_basis`), read and undone there as
+      an Rz layer, and mapped back.
     """
-    n = config.n_qubits
+    n, d = config.n_qubits, config.depth
     features = np.asarray(features, dtype=float)
     _validate(config, params, features)
     if amps.shape != (len(features), 1 << n):
         raise ValueError(
             f"amps must have shape {(len(features), 1 << n)}, got {amps.shape}"
         )
-    undo = _gate_table(config, *_param_rows(params, len(amps)), features).conj()
+    z_signs = _z_sign_table(n)
+    # (block, qubit, (z, y)) angles of the variational blocks, and
+    # (block, row, qubit, (y, z)) angles of the encoding blocks.
+    var = params.theta.reshape(d + 1, n, 2)
+    enc = params.lam.reshape(d, 1, n, 2) * features[:, ::-1, None]
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])
-    halves = [qsim.half_views(pair, n, q) for q in range(n)]
-    z_signs = _z_sign_table(n)
     # d/d(angle) as (z, y, block, qubit, row), the layout _flat_grads reads.
-    angle_grads = np.empty((2,) + undo.shape[:2] + (len(amps),))
-    for block in range(len(undo) - 1, -1, -1):
-        if block % 2 == 0:
-            _apply_entangler(pair, config, inverse=True)
-        # Variational blocks apply Rz then Ry, encoding blocks Ry then Rz.
-        later, earlier = (1, 0) if block % 2 == 0 else (0, 1)
-        angle_grads[later, block] = _pauli_grads(later, pair, halves, z_signs)
-        for q in reversed(range(n)):
-            c00, c01, c10, c11 = undo[block, q]
-            qsim.apply_1q_halves(*halves[q], c00, c10, c01, c11)
-        angle_grads[earlier, block] = _pauli_grads(earlier, pair, halves, z_signs)
+    angle_grads = np.empty((2, 2 * d + 1, n, len(amps)))
+    for layer in range(d, -1, -1):
+        _apply_entangler(pair, config, inverse=True)
+        pair, angle_grads[1, 2 * layer] = _undo_ry_layer(pair, var[layer, :, 1], z_signs)
+        angle_grads[0, 2 * layer] = _z_reads(pair, z_signs)
+        if layer == 0:
+            break
+        angle_grads[0, 2 * layer - 1] = angle_grads[0, 2 * layer]
+        pair *= _undo_phases(var[layer, :, 0] + enc[layer - 1, ..., 1], z_signs)
+        pair, angle_grads[1, 2 * layer - 1] = _undo_ry_layer(pair, enc[layer - 1, ..., 0], z_signs)
     return _flat_grads(angle_grads, features)
 
 
@@ -343,80 +366,72 @@ def _z_sign_table(n: int) -> np.ndarray:
     return signs
 
 
-def _pauli_grads(pauli: int, pair, halves, z_signs) -> np.ndarray:
-    """Im<lam|P_q|psi> for every qubit q, shape (n, T); P = Z (``pauli`` 0) or Y (1).
+def _z_reads(pair: np.ndarray, z_signs: np.ndarray) -> np.ndarray:
+    """Im<lam|Z_q|psi> for every qubit q, shape (n, T), of the stacked ``(psi, lam)``."""
+    psi, lam = pair
+    im = lam.real * psi.imag
+    im -= lam.imag * psi.real
+    return z_signs @ im.T
 
-    ``pair`` is the stacked ``(psi, lam)`` and ``halves`` its per-qubit
-    half-views.  The Z reads are one product of Im(conj(lam) psi) with
-    the sign table.  A Y read pairs the two halves of its qubit, so the
-    Y reads go qubit by qubit on the half-views; gathering them for all
-    qubits at once would take n times the register in temporaries.
+
+def _undo_phases(angles: np.ndarray, z_signs: np.ndarray) -> np.ndarray:
+    """Diagonal exp(+i/2 angles @ Z signs) that undoes an Rz layer with
+    ``angles`` (..., n) per qubit.
     """
-    if pauli == 0:
-        psi, lam = pair
-        im = lam.real * psi.imag
-        im -= lam.imag * psi.real
-        return z_signs @ im.T
-    grads = []
-    for (psi0, lam0), (psi1, lam1) in halves:  # Re<lam1|psi0> - Re<lam0|psi1>
-        terms = lam1.real * psi0.real + lam1.imag * psi0.imag
-        terms -= lam0.real * psi1.real + lam0.imag * psi1.imag
-        grads.append(terms.sum(axis=(-2, -1)))
-    return np.stack(grads)
+    half = angles @ (0.5 * z_signs)
+    phases = np.empty(half.shape, dtype=np.complex128)
+    np.cos(half, out=phases.real)
+    np.sin(half, out=phases.imag)
+    return phases
 
 
-def gate_counts(config: ModelConfig) -> dict:
-    """Rotation and entangler gate totals for auditing the layout."""
-    n, d = config.n_qubits, config.depth
-    pairs = n * (n - 1) // 2
-    return {
-        "rotations": 2 * n * (d + 1) + 2 * n * d,
-        "entanglers": (d + 1) * pairs,
-    }
+def _undo_ry_layer(pair, angles, z_signs) -> tuple[np.ndarray, np.ndarray]:
+    """Undo an Ry layer with ``angles`` (..., n) on the stacked ``(psi, lam)``.
 
-
-def shift_rows(
-    config: ModelConfig,
-    params: ParamSet,
-    features: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All parameter-shift variants of one parameter set, as batch rows.
-
-    Returns ``(thetas, lams, coeffs, owner)`` where row ``r`` evaluates
-    with coefficient ``coeffs[r]`` into the derivative of flat
-    parameter ``owner[r]``.  Scale entries whose feature is exactly
-    zero contribute no rows (their derivative is identically zero).
+    Returns the undone pair, a new array, and the layer's derivatives
+    (n, T).  Both come from the Y eigenbasis, where the layer is an Rz
+    layer.
     """
-    features = np.asarray(features, dtype=float)
-    _validate(config, params, features)
-    n_theta, n_lam = param_counts(config)
-    n = config.n_qubits
-    rows_theta = []
-    rows_lam = []
-    coeffs = []
-    owner = []
-    for j in range(n_theta):
-        for sign in (1.0, -1.0):
-            t = params.theta.copy()
-            t[j] += sign * np.pi / 2.0
-            rows_theta.append(t)
-            rows_lam.append(params.lam)
-            coeffs.append(sign * 0.5)
-            owner.append(j)
-    for j in range(n_lam):
-        s = features[n - 1 - (j % (2 * n)) // 2]
-        if s == 0.0:
-            continue
-        for sign in (1.0, -1.0):
-            lam = params.lam.copy()
-            lam[j] += sign * np.pi / (2.0 * s)
-            rows_theta.append(params.theta)
-            rows_lam.append(lam)
-            coeffs.append(sign * s / 2.0)
-            owner.append(n_theta + j)
-    thetas = np.array(rows_theta) if rows_theta else np.empty((0, n_theta))
-    lams = np.array(rows_lam) if rows_lam else np.empty((0, n_lam))
-    return thetas, lams, np.array(coeffs), np.array(owner, dtype=np.int64)
+    n = z_signs.shape[0]
+    pair = _change_basis(pair, n, back=False)
+    grads = _z_reads(pair, z_signs)
+    pair *= _undo_phases(angles, z_signs)
+    return _change_basis(pair, n, back=True), grads
+
+
+# Qubits per dense factor of the Y-eigenbasis change.  A factor on g
+# qubits is a 2**g x 2**g matrix and costs 2**g products per amplitude,
+# so the change runs in groups of at most this many qubits; below it,
+# one matrix product covers the whole register.
+_BASIS_GROUP = 4
+
+
+@lru_cache(maxsize=None)
+def _basis_factor(qubits: int, back: bool) -> np.ndarray:
+    """A^dag (or A, when ``back``) on ``qubits`` qubits, A = [[1, 1], [i, -i]] / sqrt(2)."""
+    a = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0)
+    factor = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(qubits):
+        factor = np.kron(factor, a if back else a.conj().T)
+    factor.setflags(write=False)
+    return factor
+
+
+def _change_basis(amps: np.ndarray, n: int, back: bool) -> np.ndarray:
+    """``amps`` (..., 2**n) mapped to the Y eigenbasis of every qubit, or back.
+
+    Applies A^dag (or A) qubit group by qubit group, lowest group first;
+    returns a new array.
+    """
+    out = amps.reshape(-1, 1 << n)
+    for low in range(0, n, _BASIS_GROUP):
+        width = min(_BASIS_GROUP, n - low)
+        factor = _basis_factor(width, back)
+        if low == 0:
+            out = out.reshape(-1, 1 << width) @ factor.T
+        else:
+            out = factor @ out.reshape(-1, 1 << width, 1 << low)
+    return out.reshape(amps.shape)
 
 
 def save_params(path, config: ModelConfig, params: ParamSet) -> None:

@@ -319,10 +319,11 @@ def count_balanced_partitionings(n_qubits: int, num_actions: int) -> int:
 def _balanced_tables(big_n: int, num_actions: int, rows: int):
     """Yield the action table of every balanced partitioning once.
 
-    Tables come as (k, big_n) arrays of at most ``rows`` rows, in the
-    canonical order of :func:`_enumerate_balanced_masks`: each class is
-    led by the smallest string not yet assigned, which quotients out
-    the M! action relabellings exactly as the counting formula does.
+    Tables come as (k, big_n) arrays of at most ``rows`` rows, in
+    canonical order: each class is led by the smallest string not yet
+    assigned and takes the rest of its strings in lexicographic order of
+    their combinations, which quotients out the M! action relabellings
+    exactly as the counting formula does.
     """
     size = big_n // num_actions
 
@@ -345,43 +346,6 @@ def _balanced_tables(big_n: int, num_actions: int, rows: int):
             yield from expand(tables, action + 1)
 
     yield from expand(np.full((1, big_n), -1, dtype=np.min_scalar_type(-num_actions)), 0)
-
-
-def _enumerate_balanced_masks(big_n: int, num_actions: int):
-    """Yield class-mask lists for every balanced partitioning once.
-
-    The reference enumeration in canonical order (see
-    :func:`_balanced_tables`): one big-int mask per class, built one
-    partitioning at a time.  Tests check the fast enumeration against
-    it through :func:`_actions_from_masks`.
-    """
-    size = big_n // num_actions
-
-    def rec(remaining: tuple, acc: list):
-        if not remaining:
-            yield list(acc)
-            return
-        leader, rest = remaining[0], remaining[1:]
-        for combo in combinations(rest, size - 1):
-            mask = 1 << leader
-            for b in combo:
-                mask |= 1 << b
-            chosen = set(combo)
-            acc.append(mask)
-            yield from rec(tuple(b for b in rest if b not in chosen), acc)
-            acc.pop()
-
-    yield from rec(tuple(range(big_n)), [])
-
-
-def _actions_from_masks(big_n: int, class_masks: list[int]) -> list[int]:
-    actions = [0] * big_n
-    for a, mask in enumerate(class_masks):
-        while mask:
-            low = mask & -mask
-            actions[low.bit_length() - 1] = a
-            mask ^= low
-    return actions
 
 
 EXHAUSTIVE_LIMIT = 10**7

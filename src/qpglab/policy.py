@@ -17,14 +17,13 @@ Log-policy gradients are exact: the taken action's projector (Born
 policy) or the Z-mask observable (softmax policy) is differentiated by
 the adjoint sweep of :func:`qpglab.ansatz.adjoint_grads`, one backward
 pass for a whole trajectory that starts from the final amplitudes
-:func:`sample_action` already computed, and the softmax factors are
-applied in closed form.  The parameter-shift rule of
-:func:`qpglab.ansatz.shift_rows`, which hardware would run, is kept as
-the test oracle for these gradients.  The ``exact`` evaluation mode is
-the default everywhere; ``shots`` mode estimates :func:`action_probs`
-from sampled bitstrings.  Acting is one measured bitstring in either
-mode, so equal seeds draw equal actions whatever the shot count, and
-gradients always come from exact expectations.
+:func:`sample_action` already computed and undoes one rotation layer
+per phase multiply, and the softmax factors are applied in closed
+form.  The ``exact`` evaluation mode is the default everywhere;
+``shots`` mode estimates :func:`action_probs` from sampled bitstrings.
+Acting is one measured bitstring in either mode, so equal seeds draw
+equal actions whatever the shot count, and gradients always come from
+exact expectations.
 """
 
 from __future__ import annotations

@@ -20,19 +20,16 @@ beyond ``NORM_DRIFT_LIMIT`` raises :class:`NormDriftError`, because at
 the circuit depths used here drift of that size indicates a bug rather
 than accumulated rounding; :func:`probabilities` checks each row.
 
-All gate kernels accept amplitude arrays of shape ``(..., 2**n)``, so
-a batch of independent states (the rows of one circuit call, or a state
-stacked with its observable-weighted copy in the adjoint sweep) evolves
-in one vectorised pass, with gate entries given per row.  A batch runs
-the same elementwise operations in the same order as a single state,
-so results do not depend on how work is grouped.  A caller that applies
-many gates to one register builds its :func:`half_views` once and calls
-:func:`apply_1q_halves`; :func:`apply_1q` does both per gate.
+The gate kernel :func:`apply_1q_halves` acts on amplitude arrays of
+shape ``(..., 2**n)``, so a batch of independent states (the rows of
+one circuit call) evolves in one vectorised pass, with gate entries
+given per row.  A batch runs the same elementwise operations in the
+same order as a single state, so results do not depend on how work is
+grouped.  A caller that applies many gates to one register builds its
+:func:`half_views` once.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,11 +75,6 @@ def zero_state(n_qubits: int) -> Statevector:
     return Statevector(n_qubits, amps)
 
 
-def _check_qubit(n: int, qubit: int) -> None:
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
-
-
 def _paired_view(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
     # Groups amplitudes into (outer, bit-of-qubit, inner) blocks; a view,
     # so in-place writes hit the original array.
@@ -104,8 +96,9 @@ def half_views(amps: np.ndarray, n: int, qubit: int) -> tuple[np.ndarray, np.nda
 def apply_1q_halves(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
     """Apply the gate ``[[u00, u01], [u10, u11]]`` in place to half-views.
 
-    ``a0, a1`` come from :func:`half_views`; the entries broadcast as in
-    :func:`apply_1q`.
+    ``a0, a1`` come from :func:`half_views`.  The entries may be scalars
+    or arrays broadcastable against the leading batch dims with two
+    trailing length-1 axes appended.
     """
     new0 = u00 * a0
     new0 += u01 * a1
@@ -113,84 +106,6 @@ def apply_1q_halves(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
     a1 *= u11
     a1 += u10 * a0
     a0[...] = new0
-
-
-def apply_1q(amps: np.ndarray, n: int, qubit: int, u00, u01, u10, u11) -> None:
-    """Apply a generic single-qubit gate in place.
-
-    ``amps`` has shape ``(..., 2**n)``.  The matrix entries may be
-    scalars or arrays broadcastable against the leading batch dims with
-    two trailing length-1 axes appended (see :func:`batch_coeff`).
-    """
-    apply_1q_halves(*half_views(amps, n, qubit), u00, u01, u10, u11)
-
-
-def batch_coeff(values: np.ndarray) -> np.ndarray:
-    """Shape per-batch gate coefficients for broadcasting inside kernels."""
-    return np.asarray(values)[..., None, None]
-
-
-def apply_ry(state: Statevector, qubit: int, angle: float) -> Statevector:
-    """Rotate ``qubit`` about Y by ``angle`` (in place)."""
-    _check_qubit(state.n_qubits, qubit)
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    apply_1q(state.amps, state.n_qubits, qubit, c, -s, s, c)
-    return state
-
-
-def apply_rz(state: Statevector, qubit: int, angle: float) -> Statevector:
-    """Rotate ``qubit`` about Z by ``angle`` (in place)."""
-    _check_qubit(state.n_qubits, qubit)
-    view = _paired_view(state.amps, state.n_qubits, qubit)
-    view[..., 0, :] *= np.exp(-0.5j * angle)
-    view[..., 1, :] *= np.exp(0.5j * angle)
-    return state
-
-
-@lru_cache(maxsize=None)
-def _both_one_indices(n: int, q1: int, q2: int) -> np.ndarray:
-    mask = (1 << q1) | (1 << q2)
-    idx = np.nonzero((np.arange(1 << n) & mask) == mask)[0]
-    idx.setflags(write=False)
-    return idx
-
-
-@lru_cache(maxsize=None)
-def _cx_swap_indices(n: int, control: int, target: int) -> tuple:
-    basis = np.arange(1 << n)
-    src = np.nonzero(
-        ((basis >> control) & 1 == 1) & ((basis >> target) & 1 == 0)
-    )[0]
-    dst = src | (1 << target)
-    src.setflags(write=False)
-    dst.setflags(write=False)
-    return src, dst
-
-
-def _check_pair(n: int, q1: int, q2: int) -> None:
-    _check_qubit(n, q1)
-    _check_qubit(n, q2)
-    if q1 == q2:
-        raise ValueError(f"two-qubit gate needs distinct qubits, got {q1} twice")
-
-
-def apply_cz(state: Statevector, q1: int, q2: int) -> Statevector:
-    """Controlled-Z on qubits ``q1, q2`` (symmetric, in place)."""
-    _check_pair(state.n_qubits, q1, q2)
-    idx = _both_one_indices(state.n_qubits, q1, q2)
-    state.amps[idx] *= -1.0
-    return state
-
-
-def apply_cx(state: Statevector, control: int, target: int) -> Statevector:
-    """Controlled-X with the given control and target (in place)."""
-    _check_pair(state.n_qubits, control, target)
-    src, dst = _cx_swap_indices(state.n_qubits, control, target)
-    tmp = state.amps[src].copy()
-    state.amps[src] = state.amps[dst]
-    state.amps[dst] = tmp
-    return state
 
 
 def probabilities(amps: np.ndarray) -> np.ndarray:

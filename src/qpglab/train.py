@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ansatz, policy as policy_mod
 from .ansatz import ModelConfig, ParamSet
@@ -206,7 +207,7 @@ def rate_vector(policy: Policy, hyper: Hyperparams) -> np.ndarray:
     return np.concatenate(rates)
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeRecord:
     episode: int
     reward: float
@@ -245,8 +246,7 @@ def train_run(
     opt = AdamState(policy_mod.num_trainables(policy))
     rates = rate_vector(policy, hyper)
 
-    records: list[EpisodeRecord] = []
-    recent: list[float] = []
+    totals: list[float] = []
     for start in range(0, hyper.episodes, hyper.batch_size):
         size = min(hyper.batch_size, hyper.episodes - start)
         rngs = [np.random.default_rng(child) for child in episode_stream.spawn(size)]
@@ -256,12 +256,26 @@ def train_run(
             flat = policy_mod.flat_trainables(policy, params)
             flat = adam_amsgrad_step(opt, flat, grad, rates)
             params, policy = policy_mod.apply_flat(policy, flat)
-        for episode, traj in enumerate(batch, start):
-            recent.append(traj.total_reward)
-            if len(recent) > 20:
-                recent.pop(0)
-            records.append(EpisodeRecord(episode, traj.total_reward, float(np.mean(recent))))
+        totals.extend(traj.total_reward for traj in batch)
+    records = [
+        EpisodeRecord(episode, reward, avg)
+        for episode, (reward, avg) in enumerate(zip(totals, _trailing_means(totals, 20)))
+    ]
     return TrainResult(records, params, policy)
+
+
+def _trailing_means(values, window: int) -> list[float]:
+    """Mean of each value with the up to ``window - 1`` values before it.
+
+    The first ``window - 1`` are prefix means; the rest are one
+    reduction over the sliding windows, which equals ``np.mean`` of each
+    window alone bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    head = [float(np.mean(values[: k + 1])) for k in range(min(window - 1, len(values)))]
+    if len(values) < window:
+        return head
+    return head + sliding_window_view(values, window).mean(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

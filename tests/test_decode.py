@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpglab import decode
+from oracles import actions_from_masks, enumerate_balanced_masks
 
 # The worked 4-qubit, 4-action partitioning used throughout the docs,
 # keyed by action, members as basis indices.
@@ -159,15 +160,15 @@ def test_count_balanced_partitionings_values():
 
 def test_count_matches_enumeration_for_tiny_cases():
     for n, m in [(2, 2), (3, 2), (2, 4)]:
-        total = sum(1 for _ in decode._enumerate_balanced_masks(1 << n, m))
+        total = sum(1 for _ in enumerate_balanced_masks(1 << n, m))
         assert total == decode.count_balanced_partitionings(n, m)
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 2), (2, 4), (3, 4), (4, 2), (3, 8)])
 def test_table_enumeration_matches_the_mask_reference(n, m):
     reference = [
-        decode._actions_from_masks(1 << n, masks)
-        for masks in decode._enumerate_balanced_masks(1 << n, m)
+        actions_from_masks(1 << n, masks)
+        for masks in enumerate_balanced_masks(1 << n, m)
     ]
     for rows in (1, 7, 1 << 20):
         chunks = list(decode._balanced_tables(1 << n, m, rows))

@@ -234,3 +234,13 @@ def test_runner_truncates_cartpole_at_the_horizon(monkeypatch):
     _fixed_actions(monkeypatch, lambda row: 1)
     batch = train.collect_episodes(envs.CartPole(), encoder, pol, params, episode_rngs(1, 3))
     assert all(len(traj) < 200 for traj in batch)
+
+
+@pytest.mark.parametrize("length", [1, 19, 20, 21, 300])
+def test_trailing_means_equal_per_episode_means_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    for scale in (0.37, 10.0):
+        rewards = np.round(rng.uniform(-1, 1, length), 2) * scale
+        expected = [float(np.mean(rewards[max(0, k - 19) : k + 1])) for k in range(length)]
+        got = train._trailing_means(rewards.tolist(), 20)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
