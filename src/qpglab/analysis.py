@@ -81,20 +81,17 @@ def sample_fims(
     num_param_sets: int,
     num_states: int,
     rng: np.random.Generator,
-    param_sampler=None,
 ) -> FimSamples:
     """FIM estimates at ``num_param_sets`` random parameter sets.
 
-    One batch of ``num_states`` states is shared across all parameter
-    sets; per parameter set, each state takes one circuit call, one
-    action is drawn per state from the policy's exact distribution, in
-    state order, and the log-gradient outer products of those final
-    amplitudes are averaged.  Shot-estimated probabilities play no
-    part (gradients are exact too), so a ``Shots`` policy gives the
-    same matrices as an ``Exact`` one.
+    Parameter sets come from :func:`uniform_param_sampler`.  One batch
+    of ``num_states`` states is shared across all parameter sets; per
+    parameter set, each state takes one circuit call, one action is
+    drawn per state from the policy's exact distribution, in state
+    order, and the exact log-gradient outer products of those final
+    amplitudes are averaged.
     """
-    if param_sampler is None:
-        param_sampler = uniform_param_sampler(policy)
+    param_sampler = uniform_param_sampler(policy)
     dim = policy_mod.num_trainables(policy)
     states = [state_sampler(rng) for _ in range(num_states)]
     feats = np.array(states)

@@ -27,8 +27,8 @@ diagonal, so it is applied as one precomputed sign vector; a CX layer
 permutes basis states, so it is applied as one precomputed index
 permutation.
 
-:func:`run_batch` is the one forward implementation (``run_states``,
-``prepare_state`` and the policies all call it).  It evolves B rows at
+:func:`run_batch` is the one forward implementation; :func:`run_states`,
+and through it every policy, calls it.  It evolves B rows at
 once, in passes of up to 512 rows: one vectorised pass computes the
 fused 2x2 entries of every rotation of every row of the pass, then the
 gate loop applies them in circuit order to half-views of the register
@@ -233,10 +233,13 @@ def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_gate_table`'s angle layout: d/d(angle) as
     (z, y, block, qubit, row) to flat (theta, lam) derivatives (B, P).
     """
-    batch = angle_grads.shape[-1]
+    # Sizes are explicit because reshape cannot infer -1 with no rows.
+    _, blocks, n, batch = angle_grads.shape
     d_theta = angle_grads[:, 0::2].transpose(3, 1, 2, 0)
     d_lam = angle_grads[::-1, 1::2].transpose(3, 1, 2, 0) * features[:, None, ::-1, None]
-    return np.hstack([d_theta.reshape(batch, -1), d_lam.reshape(batch, -1)])
+    return np.hstack(
+        [d_theta.reshape(batch, (blocks + 1) * n), d_lam.reshape(batch, (blocks - 1) * n)]
+    )
 
 
 def run_batch(
@@ -277,19 +280,11 @@ def _param_rows(params: ParamSet, steps: int) -> tuple[np.ndarray, np.ndarray]:
 def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
     """Final amplitudes (T, 2**n) of one parameter set at ``T`` feature rows.
 
-    Row ``t`` equals ``prepare_state(config, params, features[t]).amps``
-    bit for bit.
+    Row ``t`` equals the call on ``features[t:t+1]`` alone, bit for bit.
     """
     features = np.asarray(features, dtype=float)
     _validate(config, params, features)
     return run_batch(config, *_param_rows(params, len(features)), features)
-
-
-def prepare_state(config: ModelConfig, params: ParamSet, features) -> qsim.Statevector:
-    """Prepare the circuit's output state for one parameter set."""
-    features = np.asarray(features, dtype=float)
-    amps = run_states(config, params, features[None, :])
-    return qsim.Statevector(config.n_qubits, amps[0])
 
 
 def adjoint_grads(

@@ -14,7 +14,7 @@ Sections::
     [experiment]  seeds (distinct, non-negative)
     [env]         type + environment parameters + encoder choice
     [model]       n_qubits, depth, entangler
-    [policy]      kind, postfn / beta + weights, shots
+    [policy]      kind, postfn / beta + weights
     [train]       episodes, batch_size, learning rates, gamma, inits
     [analysis]    samplers, sample counts, data sizes, threshold
 """
@@ -53,7 +53,7 @@ _KNOWN_KEYS = {
         "bounds",
     },
     "model": {"n_qubits", "depth", "entangler"},
-    "policy": {"kind", "postfn", "shots", "beta", "weight_init", "z_qubits"},
+    "policy": {"kind", "postfn", "beta", "weight_init", "z_qubits"},
     "train": {
         "episodes",
         "batch_size",
@@ -91,7 +91,6 @@ class EnvBlock:
 class PolicyBlock:
     kind: str = "measurement"
     postfn: str = "global"
-    shots: int = 0  # 0 means exact evaluation
     beta: float = 1.0
     weight_init: float = 0.0
     z_qubits: tuple = ()  # empty means Z on all qubits
@@ -266,8 +265,6 @@ def load_config(path) -> ExperimentConfig:
         sec = parser["policy"]
         pol.kind = _choice("policy", "kind", sec.get("kind", pol.kind), ("measurement", "softmax"))
         pol.postfn = sec.get("postfn", pol.postfn)
-        if "shots" in sec:
-            pol.shots = _int("policy", "shots", sec["shots"], lo=1)
         if "beta" in sec:
             pol.beta = _float("policy", "beta", sec["beta"])
         if "weight_init" in sec:
@@ -433,8 +430,7 @@ def build_policy(cfg: ExperimentConfig):
     pol = cfg.policy
     if pol.kind == "measurement":
         fn = build_postfn(pol.postfn, cfg.model.n_qubits, num_actions)
-        mode = policy_mod.Shots(pol.shots) if pol.shots else policy_mod.Exact()
-        return policy_mod.MeasurementPolicy(cfg.model, fn, mode)
+        return policy_mod.MeasurementPolicy(cfg.model, fn)
     weights = np.full(num_actions, pol.weight_init)
     z_qubits = pol.z_qubits or None
     return policy_mod.SoftmaxObservablePolicy(cfg.model, weights, pol.beta, z_qubits)

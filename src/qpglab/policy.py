@@ -19,11 +19,9 @@ the adjoint sweep of :func:`qpglab.ansatz.adjoint_grads`, one backward
 pass for a whole trajectory that starts from the final amplitudes
 :func:`sample_action` already computed and undoes one rotation layer
 per phase multiply, and the softmax factors are applied in closed
-form.  The ``exact`` evaluation mode is the default everywhere;
-``shots`` mode estimates :func:`action_probs` from sampled bitstrings.
-Acting is one measured bitstring in either mode, so equal seeds draw
-equal actions whatever the shot count, and gradients always come from
-exact expectations.
+form.  A Born policy acts by measuring one bitstring and decoding it,
+as on hardware; its probabilities and gradients are exact
+expectations of the simulated state, never shot estimates.
 """
 
 from __future__ import annotations
@@ -44,29 +42,12 @@ class ZeroProbabilityError(ValueError):
     """A recorded action has probability zero under the current policy."""
 
 
-@dataclass(frozen=True)
-class Exact:
-    """Evaluate action probabilities from the full statevector."""
-
-
-@dataclass(frozen=True)
-class Shots:
-    """Estimate action probabilities from ``count`` sampled bitstrings."""
-
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("shot count must be >= 1")
-
-
 @dataclass(eq=False)
 class MeasurementPolicy:
     """Policy induced by decoding a computational-basis measurement."""
 
     model: ModelConfig
     postfn: PostProcessing
-    eval_mode: Exact | Shots = Exact()
 
     def __post_init__(self):
         if self.postfn.n_qubits != self.model.n_qubits:
@@ -152,20 +133,6 @@ def _reduce(policy: Policy, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return born, probs.reshape(steps, m)
 
 
-def action_probs(policy: Policy, features, params: ParamSet, rng=None) -> np.ndarray:
-    """Distribution over actions for one state (exact or shot-estimated)."""
-    features = np.asarray(features, dtype=float)
-    if isinstance(policy, MeasurementPolicy) and isinstance(policy.eval_mode, Shots):
-        if rng is None:
-            raise ValueError("shots mode needs an rng")
-        state = ansatz.prepare_state(policy.model, params, features)
-        samples = qsim.sample_bitstrings(state, policy.eval_mode.count, rng)
-        table = policy.postfn.action_table()
-        counts = np.bincount(table[samples], minlength=policy.num_actions)
-        return counts / policy.eval_mode.count
-    return batch_action_probs(policy, features[None, :], params)[0]
-
-
 def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.ndarray:
     """Exact action distributions (T, M) of ``T`` states from one circuit call.
 
@@ -184,8 +151,7 @@ def sample_action(
     :func:`trajectory_log_grads` takes back.  All rows go through one
     circuit call, and each row takes one ``random()`` draw from its
     generator, in row order, so a row's action does not depend on the
-    other rows.  A Born policy measures one bitstring and decodes it, in
-    either evaluation mode.
+    other rows.  A Born policy measures one bitstring and decodes it.
     """
     amps = ansatz.run_states(policy.model, params, features_rows)
     reading, probs = _reduce(policy, amps)

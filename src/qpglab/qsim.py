@@ -1,12 +1,14 @@
-"""Dense statevector simulation for small qubit registers.
+"""Dense statevector kernels for small qubit registers.
 
 Conventions
 -----------
-Basis index ``i`` corresponds to the bitstring ``b_{n-1} ... b_1 b_0``
-(most significant bit first), where bit ``b_q`` belongs to qubit ``q``.
-Qubit ``n-1`` is the uppermost wire of circuit diagrams.  Amplitudes
-live in one contiguous complex128 array of length ``2**n`` indexed by
-``i``.
+A state is a plain complex128 array of ``2**n`` amplitudes, and a batch
+of states one array of shape ``(..., 2**n)``.  Basis index ``i``
+corresponds to the bitstring ``b_{n-1} ... b_1 b_0`` (most significant
+bit first), where bit ``b_q`` belongs to qubit ``q``.  Qubit ``n-1`` is
+the uppermost wire of circuit diagrams.  A measurement draws basis
+index ``i`` with probability ``|c_i|^2`` (:func:`probabilities`); the
+policies draw it and decode it into an action.
 
 Gate matrices (half-angle convention)::
 
@@ -39,40 +41,6 @@ NORM_DRIFT_LIMIT = 1e-9
 
 class NormDriftError(RuntimeError):
     """State norm drifted further than rounding can explain."""
-
-
-class Statevector:
-    """An ``n``-qubit pure state as 2**n complex amplitudes."""
-
-    __slots__ = ("n_qubits", "amps")
-
-    def __init__(self, n_qubits: int, amps: np.ndarray):
-        if amps.shape != (1 << n_qubits,):
-            raise ValueError(
-                f"expected {1 << n_qubits} amplitudes for {n_qubits} qubits, "
-                f"got shape {amps.shape}"
-            )
-        self.n_qubits = n_qubits
-        self.amps = amps
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amps.copy())
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-
-def zero_state(n_qubits: int) -> Statevector:
-    """The computational all-zeros state on ``n_qubits`` qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return Statevector(n_qubits, amps)
 
 
 def _paired_view(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
@@ -121,24 +89,3 @@ def probabilities(amps: np.ndarray) -> np.ndarray:
     if not drift[row] <= NORM_DRIFT_LIMIT:  # NaN amplitudes fail too
         raise NormDriftError(f"state norm squared off by {drift[row]:.3e} at row {row}")
     return probs
-
-
-def sample_bitstrings(state: Statevector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``shots`` i.i.d. basis indices from the state's distribution.
-
-    Returns an int64 array of basis indices; each index encodes the
-    measured bitstring ``b_{n-1} ... b_0`` per the module convention.
-    Deterministic for a given generator state.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = probabilities(state.amps)
-    cdf = np.cumsum(probs)
-    draws = rng.random(shots)
-    idx = np.searchsorted(cdf, draws, side="right")
-    return np.minimum(idx, state.dim - 1).astype(np.int64)
-
-
-def bitstring(index: int, n_qubits: int) -> str:
-    """Render a basis index as the bitstring ``b_{n-1} ... b_0``."""
-    return format(index, f"0{n_qubits}b")

@@ -20,8 +20,8 @@ any environment randomness from its own child stream ``e``.  Episode
 ``e``'s trajectory therefore depends only on (seed, e, parameters),
 not on the batch size or on which other episodes run beside it, and
 reruns produce byte-identical learning curves.  Each action takes one
-``random()`` draw whatever the policy's evaluation mode, so a Born
-policy's curve does not depend on its shot count.  :func:`train_run`
+``random()`` draw: a Born policy measures one bitstring per step.
+:func:`train_run`
 returns the per-episode records and the final parameters and policy.
 """
 

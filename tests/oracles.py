@@ -43,6 +43,11 @@ def episode_rngs(seed: int, count: int) -> list:
     return [np.random.default_rng(child) for child in stream.spawn(count)]
 
 
+def state_action_probs(pol, features, params) -> np.ndarray:
+    """Action distribution (M,) of one state alone."""
+    return policy.batch_action_probs(pol, np.asarray(features, dtype=float)[None, :], params)[0]
+
+
 def log_prob_grad(pol, features, action: int, params) -> np.ndarray:
     """Gradient of ln pi(action | features) for one state alone."""
     feats = np.asarray(features, dtype=float)[None, :]
@@ -50,26 +55,30 @@ def log_prob_grad(pol, features, action: int, params) -> np.ndarray:
     return policy.trajectory_log_grads(pol, feats, np.array([action]), params, amps)[0]
 
 
-def z_mask_expectation(state: qsim.Statevector, qubits) -> float:
-    """<Z-on-qubits (identity elsewhere)> of a prepared state."""
-    probs = qsim.probabilities(state.amps)
-    return float(probs @ policy._z_signs(state.n_qubits, tuple(sorted(qubits))))
+def _num_qubits(amps: np.ndarray) -> int:
+    """Qubit count of amplitudes (..., 2**n)."""
+    return amps.shape[-1].bit_length() - 1
 
 
-def parity_via_ancilla(state: qsim.Statevector) -> float:
+def z_mask_expectation(amps: np.ndarray, qubits) -> float:
+    """<Z-on-qubits (identity elsewhere)> of one state's amplitudes."""
+    probs = qsim.probabilities(amps)
+    return float(probs @ policy._z_signs(_num_qubits(amps), tuple(sorted(qubits))))
+
+
+def parity_via_ancilla(amps: np.ndarray) -> float:
     """All-qubit parity read off an ancilla instead of a global mask.
 
     Appends an ancilla in |0>, applies a CX from each original qubit
     onto it, and returns P(ancilla=0) - P(ancilla=1); equals the
     all-qubit Z-mask expectation of the original state.
     """
-    n = state.n_qubits
-    ext = np.zeros(1 << (n + 1), dtype=np.complex128)
-    ext[: 1 << n] = state.amps
-    extended = qsim.Statevector(n + 1, ext)
+    n = _num_qubits(amps)
+    extended = np.zeros(1 << (n + 1), dtype=np.complex128)
+    extended[: 1 << n] = amps
     for q in range(n):
         apply_cx(extended, control=q, target=n)
-    probs = qsim.probabilities(extended.amps)
+    probs = qsim.probabilities(extended)
     return float(probs[: 1 << n].sum() - probs[1 << n :].sum())
 
 
@@ -114,7 +123,7 @@ def _pauli_grad(pauli: int, a0, a1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gates one at a time on a Statevector
+# Gates one at a time on one state's amplitudes (2**n,)
 
 
 def _check_qubit(n: int, qubit: int) -> None:
@@ -142,22 +151,24 @@ def batch_coeff(values) -> np.ndarray:
     return np.asarray(values)[..., None, None]
 
 
-def apply_ry(state: qsim.Statevector, qubit: int, angle: float) -> qsim.Statevector:
+def apply_ry(amps: np.ndarray, qubit: int, angle: float) -> np.ndarray:
     """Rotate ``qubit`` about Y by ``angle`` (in place)."""
-    _check_qubit(state.n_qubits, qubit)
+    n = _num_qubits(amps)
+    _check_qubit(n, qubit)
     c = np.cos(angle / 2.0)
     s = np.sin(angle / 2.0)
-    apply_1q(state.amps, state.n_qubits, qubit, c, -s, s, c)
-    return state
+    apply_1q(amps, n, qubit, c, -s, s, c)
+    return amps
 
 
-def apply_rz(state: qsim.Statevector, qubit: int, angle: float) -> qsim.Statevector:
+def apply_rz(amps: np.ndarray, qubit: int, angle: float) -> np.ndarray:
     """Rotate ``qubit`` about Z by ``angle`` (in place)."""
-    _check_qubit(state.n_qubits, qubit)
-    a0, a1 = qsim.half_views(state.amps, state.n_qubits, qubit)
+    n = _num_qubits(amps)
+    _check_qubit(n, qubit)
+    a0, a1 = qsim.half_views(amps, n, qubit)
     a0 *= np.exp(-0.5j * angle)
     a1 *= np.exp(0.5j * angle)
-    return state
+    return amps
 
 
 def _both_one_indices(n: int, q1: int, q2: int) -> np.ndarray:
@@ -171,18 +182,20 @@ def _cx_swap_indices(n: int, control: int, target: int) -> tuple:
     return src, src | (1 << target)
 
 
-def apply_cz(state: qsim.Statevector, q1: int, q2: int) -> qsim.Statevector:
+def apply_cz(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Controlled-Z on qubits ``q1, q2`` (symmetric, in place)."""
-    _check_pair(state.n_qubits, q1, q2)
-    state.amps[_both_one_indices(state.n_qubits, q1, q2)] *= -1.0
-    return state
+    n = _num_qubits(amps)
+    _check_pair(n, q1, q2)
+    amps[_both_one_indices(n, q1, q2)] *= -1.0
+    return amps
 
 
-def apply_cx(state: qsim.Statevector, control: int, target: int) -> qsim.Statevector:
+def apply_cx(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     """Controlled-X with the given control and target (in place)."""
-    _check_pair(state.n_qubits, control, target)
-    cx_swap(state.amps, state.n_qubits, control, target)
-    return state
+    n = _num_qubits(amps)
+    _check_pair(n, control, target)
+    cx_swap(amps, n, control, target)
+    return amps
 
 
 def cx_swap(amps: np.ndarray, n: int, control: int, target: int) -> None:

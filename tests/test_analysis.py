@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpglab import analysis, ansatz, config, decode, envs, policy
-from oracles import sample_index
+from oracles import sample_index, state_action_probs
 
 
 def _policies():
@@ -16,14 +16,14 @@ def _policies():
 
 
 def _per_state_actions(pol, sampler, num_param_sets, num_states, seed):
-    """Oracle: the draws of sample_fims with one action_probs call per state."""
+    """Oracle: the draws of sample_fims with one single-state call per state."""
     rng = np.random.default_rng(seed)
     param_sampler = analysis.uniform_param_sampler(pol)
     states = [sampler(rng) for _ in range(num_states)]
     drawn = []
     for _ in range(num_param_sets):
         params_j, policy_j = param_sampler(rng)
-        probs = [policy.action_probs(policy_j, s, params_j) for s in states]
+        probs = [state_action_probs(policy_j, s, params_j) for s in states]
         drawn.append([sample_index(p, rng) for p in probs])
     return drawn
 
@@ -70,7 +70,7 @@ def test_exact_accuracy_equals_per_state_sum(pol):
     params, pol = analysis.uniform_param_sampler(pol)(np.random.default_rng(5))
     total = 0.0
     for state in range(8):
-        total += policy.action_probs(pol, encoder.encode(state), params)[env.optimal[state]]
+        total += state_action_probs(pol, encoder.encode(state), params)[env.optimal[state]]
     assert analysis.exact_accuracy(env, encoder, pol, params) == total / 8
 
 
@@ -107,17 +107,3 @@ def test_effective_dimension_is_below_dim_and_grows_with_data(seed):
     assert all(0 < v <= fims.dim for v in values)
     assert all(b >= a for a, b in zip(values, values[1:]))
 
-
-def test_shots_policy_fims_equal_exact_fims():
-    model = ansatz.ModelConfig(3, 2)
-    sampler = analysis.normal_state_sampler(3, 0.5)
-    fims = [
-        analysis.sample_fims(
-            policy.MeasurementPolicy(model, decode.RecursiveParity(3, 4), mode),
-            sampler, 3, 15, np.random.default_rng(6),
-        )
-        for mode in (policy.Shots(100), policy.Exact())
-    ]
-    assert fims[0].scale == fims[1].scale
-    for a, b in zip(fims[0].per_set, fims[1].per_set):
-        assert a.tobytes() == b.tobytes()

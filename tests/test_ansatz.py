@@ -46,6 +46,11 @@ def test_param_count_examples():
     assert ansatz.param_counts(ModelConfig(10, 4)) == (100, 80)
 
 
+def _state(config, params, features):
+    """Final amplitudes (2**n,) of one feature row."""
+    return ansatz.run_states(config, params, np.asarray(features, dtype=float)[None, :])[0]
+
+
 def _random_params(config, seed, lam_spread=0.4):
     rng = np.random.default_rng(seed)
     params = ansatz.init_params(config, rng)
@@ -57,10 +62,10 @@ def test_all_zero_parameters_give_zero_state():
     config = ModelConfig(3, 2)
     n_theta, n_lam = ansatz.param_counts(config)
     params = ParamSet(np.zeros(n_theta), np.zeros(n_lam))
-    state = ansatz.prepare_state(config, params, [0.3, -0.7, 0.2])
+    state = _state(config, params, [0.3, -0.7, 0.2])
     expected = np.zeros(8)
     expected[0] = 1.0
-    assert np.allclose(state.amps, expected, atol=0)
+    assert np.allclose(state, expected, atol=0)
 
 
 def test_single_qubit_skips_entangler():
@@ -69,15 +74,16 @@ def test_single_qubit_skips_entangler():
     theta = np.zeros(n_theta)
     theta[1] = 0.9  # Ry angle of the first block
     params = ParamSet(theta, np.zeros(n_lam))
-    state = ansatz.prepare_state(config, params, [0.0])
-    assert abs(state.amps[0]) == pytest.approx(np.cos(0.45), abs=1e-12)
-    assert abs(state.amps[1]) == pytest.approx(np.sin(0.45), abs=1e-12)
+    state = _state(config, params, [0.0])
+    assert abs(state[0]) == pytest.approx(np.cos(0.45), abs=1e-12)
+    assert abs(state[1]) == pytest.approx(np.sin(0.45), abs=1e-12)
 
 
 def _gatewise_reference(config, params, features):
     """Independent circuit construction, one public gate at a time."""
     n, d = config.n_qubits, config.depth
-    state = qsim.zero_state(n)
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[0] = 1.0
     for layer in range(d + 1):
         base = 2 * n * layer
         for q in range(n):
@@ -102,28 +108,28 @@ def test_prepare_state_matches_gatewise_construction(entangler):
     config = ModelConfig(3, 2, entangler)
     params, rng = _random_params(config, 11)
     features = rng.uniform(-1, 1, 3)
-    fast = ansatz.prepare_state(config, params, features)
+    fast = _state(config, params, features)
     slow = _gatewise_reference(config, params, features)
-    assert np.abs(fast.amps - slow.amps).max() < 1e-12
+    assert np.abs(fast - slow).max() < 1e-12
 
 
 def test_prepare_state_deterministic():
     config = ModelConfig(4, 1)
     params, rng = _random_params(config, 3)
     features = rng.uniform(-1, 1, 4)
-    first = ansatz.prepare_state(config, params, features)
-    second = ansatz.prepare_state(config, params, features)
-    assert (first.amps == second.amps).all()
-    assert first.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    first = _state(config, params, features)
+    second = _state(config, params, features)
+    assert (first == second).all()
+    assert np.sum(np.abs(first) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prepare_state_rejects_dimension_mismatch():
     config = ModelConfig(3, 1)
     params, _ = _random_params(config, 0)
     with pytest.raises(ValueError):
-        ansatz.prepare_state(config, params, [0.1, 0.2])
+        _state(config, params, [0.1, 0.2])
     with pytest.raises(ValueError):
-        ansatz.prepare_state(ModelConfig(3, 2), params, [0.1, 0.2, 0.3])
+        _state(ModelConfig(3, 2), params, [0.1, 0.2, 0.3])
 
 
 def _rows_of(config, params, features, param_index):
@@ -171,7 +177,7 @@ def test_shift_rows_rejects_mismatched_shapes():
 
 
 def _probability_vector(config, params, features):
-    return qsim.probabilities(ansatz.prepare_state(config, params, features).amps)
+    return qsim.probabilities(_state(config, params, features))
 
 
 def test_shift_rule_matches_finite_differences_everywhere():
@@ -241,6 +247,8 @@ def test_adjoint_grads_broadcast_one_weight_row():
     shared = ansatz.adjoint_grads(config, params, features, weights, amps)
     tiled = ansatz.adjoint_grads(config, params, features, np.tile(weights, (5, 1)), amps)
     assert (shared == tiled).all()
+    empty = ansatz.adjoint_grads(config, params, features[:0], weights, amps[:0])
+    assert empty.shape == (0, ansatz.total_params(config))
 
 
 # The layer-wide sweep changes basis and sums each derivative in
@@ -338,9 +346,9 @@ def test_encoding_linear_in_scale_factors():
     doubled_params.lam[2 * qubit + 1] *= 2.0
     doubled_features = features.copy()
     doubled_features[config.n_qubits - 1 - qubit] *= 2.0
-    left = ansatz.prepare_state(config, doubled_params, features)
-    right = ansatz.prepare_state(config, params, doubled_features)
-    assert np.abs(left.amps - right.amps).max() < 1e-12
+    left = _state(config, doubled_params, features)
+    right = _state(config, params, doubled_features)
+    assert np.abs(left - right).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (4, 3), (5, 1)])
@@ -359,10 +367,8 @@ def test_batch_rows_match_single_evaluations():
         config, thetas, lams, np.broadcast_to(features, (len(coeffs), 3))
     )
     for row in range(0, len(coeffs), 7):
-        single = ansatz.prepare_state(
-            config, ParamSet(thetas[row], lams[row]), features
-        )
-        assert (batch[row] == single.amps).all()
+        single = _state(config, ParamSet(thetas[row], lams[row]), features)
+        assert (batch[row] == single).all()
 
 
 def test_checkpoint_round_trip(tmp_path):

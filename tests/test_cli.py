@@ -141,26 +141,6 @@ def test_train_jobs_two_writes_the_files_of_jobs_one(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-@pytest.mark.parametrize("command,files", [("fim", RUNS[1][3]), ("effdim", RUNS[2][3])])
-def test_shots_policy_analysis_matches_exact(tmp_path, command, files):
-    exact = _run(tmp_path, command, "measurement", 2, "exact")
-    config = tmp_path / "shots.ini"
-    config.write_text(
-        BANDIT_CONFIG.format(kind="measurement", actions=2).replace(
-            "kind = measurement", "kind = measurement\nshots = 100"
-        )
-    )
-    out_dir = tmp_path / "shots"
-    assert cli.main([command, "--config", str(config), "--out-dir", str(out_dir)]) == 0
-    for name in files:
-        data = [
-            [ln for ln in (d / name).read_text().splitlines() if not ln.startswith("#")]
-            for d in (exact, out_dir)
-        ]
-        assert data[0] == data[1]
-    assert "shots = 100" in (out_dir / files[0]).read_text()
-
-
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,8 +11,10 @@ MINIMAL = "[model]\nn_qubits = 3\n"
         (MINIMAL + "[extras]\nkey = 1\n", "unknown section [extras]"),
         (MINIMAL + "depth_typo = 2\n", "[model] unknown key 'depth_typo'"),
         (MINIMAL + MINIMAL, "section 'model' already exists"),
+        # A Born policy acts on one measured bitstring; it has no shot count.
+        (MINIMAL + "[policy]\nshots = 100\n", "[policy] unknown key 'shots'"),
     ],
-    ids=["section", "key", "duplicate-section"],
+    ids=["section", "key", "duplicate-section", "shots"],
 )
 def test_bad_sections_and_keys_are_rejected(tmp_path, text, message):
     path = tmp_path / "bad.ini"

@@ -240,5 +240,5 @@ def test_zero_state_composes_to_point_mass():
     n_theta, n_lam = ansatz.param_counts(config)
     params = ParamSet(np.zeros(n_theta), np.zeros(n_lam))
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
-    probs = policy.action_probs(pol, enc.encode(0), params)
+    probs = policy.batch_action_probs(pol, enc.encode(0)[None, :], params)[0]
     assert probs[0] == pytest.approx(1.0, abs=1e-14)

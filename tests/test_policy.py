@@ -3,7 +3,13 @@ import pytest
 
 from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
-from oracles import log_prob_grad, parity_via_ancilla, sample_index, z_mask_expectation
+from oracles import (
+    log_prob_grad,
+    parity_via_ancilla,
+    sample_index,
+    state_action_probs,
+    z_mask_expectation,
+)
 from test_ansatz import shift_rule_expval_grads
 
 
@@ -32,14 +38,14 @@ def test_all_zero_parameters_give_point_mass():
     n_theta, n_lam = ansatz.param_counts(config)
     params = ParamSet(np.zeros(n_theta), np.zeros(n_lam))
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
-    probs = policy.action_probs(pol, np.zeros(3), params)
+    probs = state_action_probs(pol, np.zeros(3), params)
     assert probs[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_action_probs_is_distribution():
     config, params, features, _ = _instance()
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 4))
-    probs = policy.action_probs(pol, features, params)
+    probs = state_action_probs(pol, features, params)
     assert probs.shape == (4,)
     assert (probs >= 0).all()
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -48,9 +54,9 @@ def test_action_probs_is_distribution():
 def test_parity_policy_matches_dense_observable():
     config, params, features, _ = _instance(seed=4)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
-    probs = policy.action_probs(pol, features, params)
-    state = ansatz.prepare_state(config, params, features)
-    expv = np.real(np.conj(state.amps) @ (dense_z(3, {0, 1, 2}) @ state.amps))
+    probs = state_action_probs(pol, features, params)
+    state = ansatz.run_states(config, params, features[None, :])[0]
+    expv = np.real(np.conj(state) @ (dense_z(3, {0, 1, 2}) @ state))
     for a in (0, 1):
         assert probs[a] == pytest.approx(((-1) ** a * expv + 1) / 2, abs=1e-12)
 
@@ -58,7 +64,7 @@ def test_parity_policy_matches_dense_observable():
 @pytest.mark.parametrize("seed", range(5))
 def test_observable_equivalences(seed):
     config, params, features, _ = _instance(n=4, d=1, seed=seed)
-    state = ansatz.prepare_state(config, params, features)
+    state = ansatz.run_states(config, params, features[None, :])[0]
 
     cases = [
         (decode.MostSignificantBit(4), {3}),
@@ -67,10 +73,10 @@ def test_observable_equivalences(seed):
         (decode.RecursiveParity(4, 2), {3, 2, 1, 0}),
     ]
     for fn, qubits in cases:
-        probs = policy.action_probs(
+        probs = state_action_probs(
             policy.MeasurementPolicy(config, fn), features, params
         )
-        expv = np.real(np.conj(state.amps) @ (dense_z(4, qubits) @ state.amps))
+        expv = np.real(np.conj(state) @ (dense_z(4, qubits) @ state))
         for a in (0, 1):
             assert probs[a] == pytest.approx(((-1) ** a * expv + 1) / 2, abs=1e-12)
 
@@ -78,43 +84,12 @@ def test_observable_equivalences(seed):
     assert parity_via_ancilla(state) == pytest.approx(mask_expv, abs=1e-12)
 
 
-def test_shots_mode_estimates_exact_probabilities():
-    config, params, features, rng = _instance(seed=9)
-    exact = policy.action_probs(
-        policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2)),
-        features,
-        params,
-    )
-    shot_pol = policy.MeasurementPolicy(
-        config, decode.RecursiveParity(3, 2), policy.Shots(100_000)
-    )
-    estimate = policy.action_probs(shot_pol, features, params, rng)
-    assert np.abs(estimate - exact).max() < 0.01  # 3 sigma for 1e5 shots
-
-
-def test_shots_mode_needs_rng():
-    config, params, features, _ = _instance()
-    shot_pol = policy.MeasurementPolicy(
-        config, decode.RecursiveParity(3, 2), policy.Shots(10)
-    )
-    with pytest.raises(ValueError):
-        policy.action_probs(shot_pol, features, params)
-
-
 def test_single_measurement_sampling_matches_distribution():
     config, params, features, rng = _instance(seed=2)
-    shot_pol = policy.MeasurementPolicy(
-        config, decode.RecursiveParity(3, 2), policy.Shots(1)
-    )
-    exact = policy.action_probs(
-        policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2)),
-        features,
-        params,
-    )
+    pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
+    exact = state_action_probs(pol, features, params)
     trials = 20_000
-    draws, _ = policy.sample_action(
-        shot_pol, np.tile(features, (trials, 1)), params, [rng] * trials
-    )
+    draws, _ = policy.sample_action(pol, np.tile(features, (trials, 1)), params, [rng] * trials)
     freq = np.mean(draws == 1)
     sigma = np.sqrt(exact[1] * (1 - exact[1]) / trials)
     assert abs(freq - exact[1]) < 3.5 * sigma + 1e-4
@@ -134,24 +109,6 @@ def test_sample_action_deterministic_given_seed():
     assert first == second
 
 
-def test_shot_estimator_unbiased_with_bounded_variance():
-    config, params, features, rng = _instance(seed=6)
-    exact = policy.action_probs(
-        policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2)),
-        features,
-        params,
-    )
-    shots = 100
-    shot_pol = policy.MeasurementPolicy(
-        config, decode.RecursiveParity(3, 2), policy.Shots(shots)
-    )
-    estimates = np.array(
-        [policy.action_probs(shot_pol, features, params, rng)[0] for _ in range(800)]
-    )
-    assert abs(estimates.mean() - exact[0]) < 4 * np.sqrt(1 / (4 * shots) / 800)
-    assert estimates.var() <= 1 / (4 * shots) + 1e-4
-
-
 def _finite_difference_log_grad(pol, features, action, params, h=1e-5):
     flat0 = policy.flat_trainables(pol, params)
     fd = np.zeros_like(flat0)
@@ -162,8 +119,8 @@ def _finite_difference_log_grad(pol, features, action, params, h=1e-5):
         p_up, pol_up = policy.apply_flat(pol, up)
         p_dn, pol_dn = policy.apply_flat(pol, down)
         fd[j] = (
-            np.log(policy.action_probs(pol_up, features, p_up)[action])
-            - np.log(policy.action_probs(pol_dn, features, p_dn)[action])
+            np.log(state_action_probs(pol_up, features, p_up)[action])
+            - np.log(state_action_probs(pol_dn, features, p_dn)[action])
         ) / (2 * h)
     return fd
 
@@ -193,7 +150,7 @@ def test_lambda_components_vanish_for_zero_features():
 def test_probability_weighted_grads_sum_to_zero():
     config, params, features, _ = _instance(seed=8)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 4))
-    probs = policy.action_probs(pol, features, params)
+    probs = state_action_probs(pol, features, params)
     acc = np.zeros(policy.num_trainables(pol))
     for action in range(4):
         acc += probs[action] * log_prob_grad(pol, features, action, params)
@@ -213,13 +170,13 @@ def test_softmax_uniform_cases():
     config, params, features, _ = _instance(seed=1)
     equal_weights = policy.SoftmaxObservablePolicy(config, np.full(4, 0.7))
     assert np.allclose(
-        policy.action_probs(equal_weights, features, params), 0.25, atol=1e-12
+        state_action_probs(equal_weights, features, params), 0.25, atol=1e-12
     )
     zero_beta = policy.SoftmaxObservablePolicy(
         config, np.array([0.4, -1.0, 0.2, 0.9]), beta=0.0
     )
     assert np.allclose(
-        policy.action_probs(zero_beta, features, params), 0.25, atol=1e-12
+        state_action_probs(zero_beta, features, params), 0.25, atol=1e-12
     )
 
 
@@ -229,7 +186,7 @@ def test_softmax_logits_on_zero_state():
     params = ParamSet(np.zeros(n_theta), np.zeros(n_lam))
     weights = np.array([0.3, -0.5])
     pol = policy.SoftmaxObservablePolicy(config, weights, beta=2.0)
-    probs = policy.action_probs(pol, np.zeros(3), params)
+    probs = state_action_probs(pol, np.zeros(3), params)
     # All masked bits are 0 on |0...0>, so <O> = +1 and logits are beta*w.
     logits = 2.0 * weights
     expected = np.exp(logits) / np.exp(logits).sum()
@@ -283,7 +240,7 @@ def _shift_rule_log_grads(pol, feats, actions, params):
     else:
         weights = policy._member_matrix(pol.postfn)[:, actions].T
     d_expval = shift_rule_expval_grads(pol.model, params, feats, weights)
-    pis = np.array([policy.action_probs(pol, f, params) for f in feats])
+    pis = np.array([state_action_probs(pol, f, params) for f in feats])
     if isinstance(pol, policy.MeasurementPolicy):
         return d_expval / pis[np.arange(len(actions)), actions][:, None]
     bracket = pol.weights[actions] - pis @ pol.weights
@@ -320,7 +277,7 @@ def test_batch_action_probs_rows_equal_single_state_calls():
         policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3, 0.1, 0.8]), beta=1.3),
     ):
         batch = policy.batch_action_probs(pol, feats, params)
-        single = np.array([policy.action_probs(pol, f, params) for f in feats])
+        single = np.array([state_action_probs(pol, f, params) for f in feats])
         assert (batch == single).all()
 
 
@@ -342,13 +299,15 @@ def test_batch_action_probs_checks_norm_per_row(monkeypatch):
 def test_born_sampling_is_one_measurement_in_every_eval_mode():
     config, params, _, rng = _instance(n=4, d=2, seed=15)
     feats = rng.uniform(-1, 1, (40, 4))
-    draws = []
-    for mode in (policy.Shots(1), policy.Shots(50), policy.Exact()):
-        pol = policy.MeasurementPolicy(config, decode.RecursiveParity(4, 4), mode)
-        seeded = np.random.default_rng(21)
-        draws.append(policy.sample_action(pol, feats, params, [seeded] * len(feats))[0].tolist())
-    assert draws[0] == draws[1] == draws[2]
-    assert len(set(draws[0])) > 1
+    pol = policy.MeasurementPolicy(config, decode.RecursiveParity(4, 4))
+    seeded = np.random.default_rng(21)
+    draws = policy.sample_action(pol, feats, params, [seeded] * len(feats))[0].tolist()
+    # The same generator measures one bitstring per row, which is decoded.
+    measured = np.random.default_rng(21)
+    born = qsim.probabilities(ansatz.run_states(config, params, feats))
+    table = pol.postfn.action_table()
+    assert draws == [int(table[sample_index(p, measured)]) for p in born]
+    assert len(set(draws)) > 1
 
 
 @pytest.mark.parametrize("kind", ["born", "softmax"])
