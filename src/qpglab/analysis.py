@@ -95,8 +95,10 @@ def sample_fims(
     dim = policy_mod.num_trainables(policy)
     states = [state_sampler(rng) for _ in range(num_states)]
     feats = np.array(states)
-    raw = []
-    for _ in range(num_param_sets):
+    # One block for every matrix, normalised in place, so that each is
+    # held once and the block is the only allocation the result keeps.
+    per_set = np.empty((num_param_sets, dim, dim))
+    for matrix in per_set:
         params_j, policy_j = param_sampler(rng)
         amps = np.vstack(
             [ansatz.run_states(policy_j.model, params_j, s[None, :]) for s in states]
@@ -104,15 +106,15 @@ def sample_fims(
         probs = policy_mod._reduce(policy_j, amps)[1]
         actions = policy_mod._sample_rows(probs, [rng] * num_states)
         grads = policy_mod.trajectory_log_grads(policy_j, feats, actions, params_j, amps)
-        matrix = grads.T @ grads / num_states
-        raw.append((matrix + matrix.T) / 2.0)
-    mean_trace = float(np.mean([np.trace(m) for m in raw]))
+        fim = grads.T @ grads / num_states
+        np.add(fim, fim.T, out=matrix)
+        matrix /= 2.0
+    mean_trace = float(np.mean(np.trace(per_set, axis1=1, axis2=2)))
     if mean_trace <= 0.0:
         raise ValueError("singular normalisation: average FIM trace is zero")
     scale = dim / mean_trace
-    per_set = [scale * m for m in raw]
-    aggregate = np.mean(per_set, axis=0)
-    return FimSamples(per_set, aggregate, dim, num_states, scale)
+    per_set *= scale
+    return FimSamples(list(per_set), per_set.mean(axis=0), dim, num_states, scale)
 
 
 @dataclass

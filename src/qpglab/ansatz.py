@@ -28,13 +28,19 @@ permutes basis states, so it is applied as one precomputed index
 permutation.
 
 :func:`run_batch` is the one forward implementation; :func:`run_states`,
-and through it every policy, calls it.  It evolves B rows at
-once, in passes of up to 512 rows: one vectorised pass computes the
-fused 2x2 entries of every rotation of every row of the pass, then the
-gate loop applies them in circuit order to half-views of the register
-built once per pass.  Each entry is the same elementwise cos/sin/exp product
-whatever the batch, so row ``r`` is bit-identical to the same row
-evaluated alone.
+and through it every policy, calls it.  On each wire no entangler
+separates an encoding block E_l from the variational block V_l after
+it, so the forward pass applies the two as one gate, V_l E_l =
+Ry(theta') Rz(theta + lam' s) Ry(lam s), with the two Rz angles summed;
+layer 0 is V_0 alone.  A forward pass is thus d+1 layers of one gate
+per qubit, each layer followed by the entangler: (d+1) n single-qubit
+gates.  It evolves B rows at once, in passes of up to 512 rows: one
+vectorised pass computes the 2x2 entries of every gate of every row
+of the pass, then the gate loop applies them layer by layer to
+half-views of the register built once per pass.  Each entry is the
+same elementwise cos/sin product, and each gate the same elementwise
+multiply-add, whatever the batch, so row ``r`` is bit-identical to
+the same row evaluated alone.
 
 Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): starting
@@ -184,8 +190,9 @@ def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = Fals
 
 
 # Rows per gate-table pass of run_batch.  The table takes 64 bytes per
-# rotation and row, more than the register at small n; passes of this
-# many rows keep it in cache and bound its memory on large batches.
+# fused gate and row, (d+1) n gates, more than the register at small n;
+# passes of this many rows keep it in cache and bound its memory on
+# large batches.
 _ROWS_PER_PASS = 512
 
 
@@ -195,43 +202,51 @@ def _gate_table(
     lams: np.ndarray,
     features: np.ndarray,
 ) -> np.ndarray:
-    """Fused 2x2 entries of every rotation of one :func:`run_batch` call.
+    """Entries of the fused gate of every layer and qubit of one
+    :func:`run_batch` call.
 
-    Returns shape (2d+1, n, 4, B, 1, 1): rotation blocks in circuit
-    order V_0, E_1, V_1, ..., E_d, V_d, then qubit, then the entries
-    (u00, u01, u10, u11) per row, shaped for :func:`qsim.apply_1q_halves`.
-    A variational rotation is Ry(theta') @ Rz(theta), an encoding one
-    Rz(lam' s) @ Ry(lam s).
+    Returns shape (d+1, n, 4, B, 1, 1): layers, then qubit, then the
+    entries (u00, u01, u10, u11) per row, shaped for
+    :func:`qsim.apply_1q_halves`.  Layer 0 is Ry(theta') @ Rz(theta);
+    layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
+    encoding block E_l fused into the variational block V_l that
+    follows it.  With b the Rz angle and a, c the outer and inner Ry
+    angles (c = 0 in layer 0), the gate is in SU(2):
+
+        u00 = cos(b/2) cos((a+c)/2) - i sin(b/2) cos((a-c)/2) = conj(u11)
+        u01 = -cos(b/2) sin((a+c)/2) - i sin(b/2) sin((a-c)/2) = -conj(u10)
     """
     n, d = config.n_qubits, config.depth
     batch = thetas.shape[0]
-    # (z angle, y angle) of each rotation, blocks in circuit order, rows
-    # last so that every gate's entries are contiguous.
-    angles = np.empty((2, 2 * d + 1, n, batch))
-    angles[:, 0::2] = thetas.reshape(batch, d + 1, n, 2).transpose(3, 1, 2, 0)
-    encoded = lams.reshape(batch, d, n, 2) * features[:, None, ::-1, None]
-    angles[:, 1::2] = encoded.transpose(3, 1, 2, 0)[::-1]
-    angle_z, angle_y = angles
-    c = np.cos(angle_y / 2.0)
-    s = np.sin(angle_y / 2.0)
-    pm = np.exp(-0.5j * angle_z)
-    pp = np.exp(0.5j * angle_z)
-    table = np.empty((2 * d + 1, n, 4, batch), dtype=np.complex128)
-    np.multiply(c, pm, out=table[:, :, 0])
-    np.multiply(c, pp, out=table[:, :, 3])
-    # Rz's e^{+i z/2} sits in column 1 of Ry @ Rz (variational, even
-    # blocks) but in row 1 of Rz @ Ry (encoding, odd blocks).
-    var, enc = slice(0, None, 2), slice(1, None, 2)
-    np.multiply(-s[var], pp[var], out=table[var, :, 1])
-    np.multiply(s[var], pm[var], out=table[var, :, 2])
-    np.multiply(-s[enc], pm[enc], out=table[enc, :, 1])
-    np.multiply(s[enc], pp[enc], out=table[enc, :, 2])
+    # Angles as (axis, layer, qubit, row): theta's axes are (z, y), the
+    # encoded lam * s axes (y, z) for layers 1..d.
+    var = thetas.reshape(batch, d + 1, n, 2).transpose(3, 1, 2, 0)
+    enc = (lams.reshape(batch, d, n, 2) * features[:, None, ::-1, None]).transpose(3, 1, 2, 0)
+    half_b = 0.5 * var[0]
+    half_b[1:] += 0.5 * enc[1]
+    half_sum = 0.5 * var[1]
+    half_diff = half_sum.copy()
+    half_sum[1:] += 0.5 * enc[0]
+    half_diff[1:] -= 0.5 * enc[0]
+    cos_b, sin_b = np.cos(half_b), np.sin(half_b)
+    # Rows last, so that every gate's entries are contiguous.  Each
+    # negation makes a new array: numpy 2.4's in-place np.negative
+    # reads the wrong elements of these strided views.
+    table = np.empty((d + 1, n, 4, batch), dtype=np.complex128)
+    re, im = table.real, table.imag
+    re[:, :, 0] = re[:, :, 3] = cos_b * np.cos(half_sum)
+    re[:, :, 2] = cos_b * np.sin(half_sum)
+    re[:, :, 1] = -re[:, :, 2]
+    im[:, :, 3] = sin_b * np.cos(half_diff)
+    im[:, :, 0] = -im[:, :, 3]
+    im[:, :, 1] = im[:, :, 2] = -sin_b * np.sin(half_diff)
     return table[..., None, None]
 
 
 def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_gate_table`'s angle layout: d/d(angle) as
-    (z, y, block, qubit, row) to flat (theta, lam) derivatives (B, P).
+    """Inverse of the backward sweep's angle layout: d/d(angle) as
+    (z, y, block, qubit, row), rotation blocks in circuit order V_0,
+    E_1, V_1, ..., E_d, V_d, to flat (theta, lam) derivatives (B, P).
     """
     # Sizes are explicit because reshape cannot infer -1 with no rows.
     _, blocks, n, batch = angle_grads.shape
@@ -261,11 +276,10 @@ def run_batch(
         rows = slice(start, start + _ROWS_PER_PASS)
         part = amps[rows]
         halves = [qsim.half_views(part, n, q) for q in range(n)]
-        for block, gates in enumerate(_gate_table(config, thetas[rows], lams[rows], features[rows])):
+        for gates in _gate_table(config, thetas[rows], lams[rows], features[rows]):
             for (a0, a1), entries in zip(halves, gates):
                 qsim.apply_1q_halves(a0, a1, *entries)
-            if block % 2 == 0:
-                _apply_entangler(part, config)
+            _apply_entangler(part, config)
     return amps
 
 

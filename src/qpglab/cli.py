@@ -37,15 +37,19 @@ def _ensure_out_dir(args) -> str:
     return args.out_dir
 
 
-def _seed(raw: str) -> int:
-    """A ``--seed`` value: a non-negative integer."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _seeds(cfg, args) -> tuple:
@@ -67,12 +71,11 @@ def cmd_train(args) -> int:
     cfg = config_mod.load_config(args.config)
     out_dir = _ensure_out_dir(args)
     seeds = _seeds(cfg, args)
-    jobs = max(1, args.jobs)
     payloads = [(args.config, seed) for seed in seeds]
-    if jobs > 1 and len(seeds) > 1:
+    if args.jobs > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = dict(pool.map(_train_one, payloads))
     else:
         results = dict(_train_one(p) for p in payloads)
@@ -234,14 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, config=False):
-        p.add_argument("--seed", type=_seed, default=None, help="override the config seed(s)")
+        p.add_argument(
+            "--seed", type=_int_at_least(0), default=None, help="override the config seed(s)"
+        )
         p.add_argument("--out-dir", default="runs", help="output directory")
         if config:
             p.add_argument("--config", required=True, help="experiment config file")
 
     p = sub.add_parser("train", help="REINFORCE training, learning-curve CSVs")
     add_common(p, config=True)
-    p.add_argument("--jobs", type=int, default=1, help="seeds trained in parallel")
+    p.add_argument(
+        "--jobs", type=_int_at_least(1), default=1, help="seeds trained in parallel"
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("globality", help="globality of a post-processing function")
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="softmax accuracy bound / compliance experiment")
     p.add_argument("--m", type=int, default=4, help="action count for the bare bound")
     p.add_argument("--config", default=None, help="run the training compliance experiment")
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--out-dir", default="runs")
     p.set_defaults(func=cmd_bound)
 

@@ -27,8 +27,9 @@ shape ``(..., 2**n)``, so a batch of independent states (the rows of
 one circuit call) evolves in one vectorised pass, with gate entries
 given per row.  A batch runs the same elementwise operations in the
 same order as a single state, so results do not depend on how work is
-grouped.  A caller that applies many gates to one register builds its
-:func:`half_views` once.
+grouped.  The circuit's forward pass applies one gate per qubit per
+layer to the same register, so it builds each qubit's
+:func:`half_views` once and reuses them in every layer.
 """
 
 from __future__ import annotations
@@ -70,8 +71,11 @@ def apply_1q_halves(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
     """
     new0 = u00 * a0
     new0 += u01 * a1
-    # a1 is updated in place while a0 still holds its original values.
-    a1 *= u11
+    # a1 is updated while a0 still holds its original values.  Its
+    # product is not formed in place: numpy's in-place complex multiply
+    # rounds a single element differently from longer runs, so a
+    # one-row call at n = 1 would differ from the same row in a batch.
+    a1[...] = u11 * a1
     a1 += u10 * a0
     a0[...] = new0
 

@@ -82,6 +82,39 @@ def parity_via_ancilla(amps: np.ndarray) -> float:
     return float(probs[: 1 << n].sum() - probs[1 << n :].sum())
 
 
+def per_rotation_gate_table(config, thetas, lams, features) -> np.ndarray:
+    """The 2x2 entries of every rotation block, before any fusing.
+
+    Returns shape (2d+1, n, 4, B, 1, 1): rotation blocks in circuit
+    order V_0, E_1, V_1, ..., E_d, V_d, then qubit, then the entries
+    (u00, u01, u10, u11) per row.  A variational rotation is
+    Ry(theta') @ Rz(theta), an encoding one Rz(lam' s) @ Ry(lam s).
+    """
+    n, d = config.n_qubits, config.depth
+    batch = thetas.shape[0]
+    # (z angle, y angle) of each rotation, blocks in circuit order.
+    angles = np.empty((2, 2 * d + 1, n, batch))
+    angles[:, 0::2] = thetas.reshape(batch, d + 1, n, 2).transpose(3, 1, 2, 0)
+    encoded = lams.reshape(batch, d, n, 2) * features[:, None, ::-1, None]
+    angles[:, 1::2] = encoded.transpose(3, 1, 2, 0)[::-1]
+    angle_z, angle_y = angles
+    c = np.cos(angle_y / 2.0)
+    s = np.sin(angle_y / 2.0)
+    pm = np.exp(-0.5j * angle_z)
+    pp = np.exp(0.5j * angle_z)
+    table = np.empty((2 * d + 1, n, 4, batch), dtype=np.complex128)
+    np.multiply(c, pm, out=table[:, :, 0])
+    np.multiply(c, pp, out=table[:, :, 3])
+    # Rz's e^{+i z/2} sits in column 1 of Ry @ Rz (variational, even
+    # blocks) but in row 1 of Rz @ Ry (encoding, odd blocks).
+    var, enc = slice(0, None, 2), slice(1, None, 2)
+    np.multiply(-s[var], pp[var], out=table[var, :, 1])
+    np.multiply(s[var], pm[var], out=table[var, :, 2])
+    np.multiply(-s[enc], pm[enc], out=table[enc, :, 1])
+    np.multiply(s[enc], pp[enc], out=table[enc, :, 2])
+    return table[..., None, None]
+
+
 def per_qubit_adjoint_grads(config, params, features, weights, amps) -> np.ndarray:
     """The adjoint sweep reading each derivative at its own rotation.
 
@@ -91,7 +124,8 @@ def per_qubit_adjoint_grads(config, params, features, weights, amps) -> np.ndarr
     """
     n = config.n_qubits
     features = np.asarray(features, dtype=float)
-    undo = ansatz._gate_table(config, *ansatz._param_rows(params, len(amps)), features).conj()
+    rows = ansatz._param_rows(params, len(amps))
+    undo = per_rotation_gate_table(config, *rows, features).conj()
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])

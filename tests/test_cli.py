@@ -158,3 +158,19 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "argument --seed: must be >= 0" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "jobs,message",
+    [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"), ("two", "expected an integer")],
+    ids=["zero", "negative", "word"],
+)
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs, message):
+    config = tmp_path / "train.ini"
+    config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--config", str(config), "--out-dir", str(out_dir), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
