@@ -59,8 +59,7 @@ def _seeds(cfg, args) -> tuple:
 
 
 def _train_one(payload):
-    config_path, seed = payload
-    cfg = config_mod.load_config(config_path)
+    cfg, seed = payload
     env = config_mod.build_env(cfg)
     encoder = config_mod.build_encoder(cfg)
     policy = config_mod.build_policy(cfg)
@@ -71,7 +70,7 @@ def cmd_train(args) -> int:
     cfg = config_mod.load_config(args.config)
     out_dir = _ensure_out_dir(args)
     seeds = _seeds(cfg, args)
-    payloads = [(args.config, seed) for seed in seeds]
+    payloads = [(cfg, seed) for seed in seeds]
     if args.jobs > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -253,16 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("globality", help="globality of a post-processing function")
     p.add_argument("--postfn", required=True, help="global | msb | parity:<q> | table:<path>")
-    p.add_argument("--n", type=int, required=True, help="qubit count")
-    p.add_argument("--m", type=int, required=True, help="action count")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="qubit count")
+    p.add_argument("--m", type=_int_at_least(2), required=True, help="action count")
     p.add_argument("--ei-dump", action="store_true", help="print per-bitstring EI (n <= 8)")
     p.set_defaults(func=cmd_globality)
 
     p = sub.add_parser("enum", help="histogram of globality over balanced partitionings")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(2), required=True)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_int_at_least(1), default=100000)
     add_common(p)
     p.set_defaults(func=cmd_enum)
 
@@ -275,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_effdim)
 
     p = sub.add_parser("bound", help="softmax accuracy bound / compliance experiment")
-    p.add_argument("--m", type=int, default=4, help="action count for the bare bound")
+    p.add_argument(
+        "--m", type=_int_at_least(2), default=4, help="action count for the bare bound"
+    )
     p.add_argument("--config", default=None, help="run the training compliance experiment")
     p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--out-dir", default="runs")
@@ -283,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode one bitstring")
     p.add_argument("--postfn", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(2), required=True)
     p.add_argument("--bits", required=True, help="bitstring, most significant bit first")
     p.set_defaults(func=cmd_decode)
 

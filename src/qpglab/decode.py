@@ -27,10 +27,6 @@ import numpy as np
 _QUBIT_LIMIT = 16
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def _check_qubits(n: int, what: str) -> None:
     if n > _QUBIT_LIMIT:
         raise ValueError(f"{what} is limited to {_QUBIT_LIMIT} qubits")
@@ -97,8 +93,8 @@ class RecursiveParity(PostProcessing):
     For M = 2**(m+1) actions the class of a string is, in closed form,
     the number whose binary digits (most significant first) are
     b_0, b_1, ..., b_{m-1} followed by the parity of bits m..n-1.
-    The equivalent recursive set construction is materialised by
-    :func:`recursive_partition_sets`.
+    The test suite checks it against the equivalent recursive set
+    construction, materialised class by class.
     """
 
     def __init__(self, n_qubits: int, num_actions: int):
@@ -135,20 +131,6 @@ class ExplicitTable(PostProcessing):
         self._table = table.copy()
         self._table.setflags(write=False)
 
-    @classmethod
-    def from_sets(cls, n_qubits: int, sets: dict) -> "ExplicitTable":
-        """Build from ``{action: iterable of basis indices}`` classes."""
-        table = np.full(1 << n_qubits, -1, dtype=np.int64)
-        for action, members in sets.items():
-            for b in members:
-                if table[b] != -1:
-                    raise ValueError(f"basis index {b} assigned to two actions")
-                table[b] = action
-        if (table < 0).any():
-            missing = int(np.nonzero(table < 0)[0][0])
-            raise ValueError(f"basis index {missing} not assigned to any action")
-        return cls(n_qubits, max(sets) + 1, table)
-
 
 def _basis_index(fn: PostProcessing, bits) -> int:
     """Basis index of a measurement outcome given as an index or a string."""
@@ -163,46 +145,6 @@ def _basis_index(fn: PostProcessing, bits) -> int:
 def decode(fn: PostProcessing, bits) -> int:
     """Decode a measurement outcome (basis index or '0101'-style string)."""
     return int(fn.action_table()[_basis_index(fn, bits)])
-
-
-def recursive_partition_sets(n_qubits: int, num_actions: int) -> dict:
-    """Materialise the recursive parity-split classes directly.
-
-    Independent of the closed form in :class:`RecursiveParity`: the
-    base case splits all strings by total parity, and each recursion
-    level splits a class by the parity of bits m..n-1, relabelling the
-    parent class as a_m ... a_2 (a_1 xor a_0).  Returns
-    ``{action: set of basis indices}``.
-    """
-    if num_actions < 2 or num_actions & (num_actions - 1):
-        raise ValueError("num_actions must be a power of two >= 2")
-    if num_actions > (1 << n_qubits):
-        raise ValueError("num_actions cannot exceed 2**n_qubits")
-    if num_actions == 2:
-        strings = range(1 << n_qubits)
-        return {
-            0: {b for b in strings if _parity(b) == 0},
-            1: {b for b in strings if _parity(b) == 1},
-        }
-    parent = recursive_partition_sets(n_qubits, num_actions // 2)
-    m = num_actions.bit_length() - 2
-    sets = {}
-    for a in range(num_actions):
-        a0 = a & 1
-        a1 = (a >> 1) & 1
-        parent_label = ((a >> 2) << 1) | (a1 ^ a0)
-        sets[a] = {b for b in parent[parent_label] if _parity(b >> m) == a0}
-    return sets
-
-
-def partition_sets(fn: PostProcessing) -> dict:
-    """Explicit ``{action: sorted list of basis indices}`` classes."""
-    _check_qubits(fn.n_qubits, "explicit materialisation")
-    table = fn.action_table()
-    return {
-        a: [int(b) for b in np.nonzero(table == a)[0]]
-        for a in range(fn.num_actions)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +181,6 @@ def _extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
     return n - score.reshape(batch, -1).astype(np.int64)
 
 
-def extracted_information(fn: PostProcessing, bits) -> int:
-    """Minimum number of bit positions that pin down the action of ``bits``.
-
-    The smallest k such that some k positions of the string force every
-    agreeing string into the same action class.
-    """
-    index = _basis_index(fn, bits)
-    _check_qubits(fn.n_qubits, "extracted information")
-    return int(_extracted_information(fn.action_table()[None, :], fn.n_qubits)[0, index])
-
-
 def decode_bits_to_index(n_qubits: int, bits: str) -> int:
     if len(bits) != n_qubits or set(bits) - {"0", "1"}:
         raise ValueError(f"bitstring {bits!r} is not a {n_qubits}-bit binary string")
@@ -265,10 +196,6 @@ class GlobalityReport:
     ei: np.ndarray
     value: Fraction
     balanced: bool
-
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
 
 
 def globality(fn: PostProcessing) -> GlobalityReport:
@@ -426,15 +353,6 @@ def globality_histogram(
 
 # ---------------------------------------------------------------------------
 # Table file format: one "bits,action" line per basis string
-
-
-def save_table(path, fn: PostProcessing) -> None:
-    lines = [
-        f"{format(b, f'0{fn.n_qubits}b')},{action}"
-        for b, action in enumerate(fn.action_table().tolist())
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def load_table(path, num_actions: int | None = None) -> ExplicitTable:

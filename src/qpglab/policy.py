@@ -77,9 +77,11 @@ class SoftmaxObservablePolicy:
         if self.z_qubits is None:
             self.z_qubits = tuple(range(self.model.n_qubits))
         self.z_qubits = tuple(sorted(self.z_qubits))
-        for q in self.z_qubits:
+        for i, q in enumerate(self.z_qubits):
             if not 0 <= q < self.model.n_qubits:
-                raise ValueError(f"z qubit {q} out of range")
+                raise ValueError(f"z_qubits entry {q} out of range")
+            if q in self.z_qubits[:i]:
+                raise ValueError(f"z_qubits entry {q} repeated")
 
     @property
     def num_actions(self) -> int:

@@ -27,6 +27,7 @@ returns the per-episode records and the final parameters and policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,11 @@ class Hyperparams:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if min(self.alpha_theta, self.alpha_lambda, self.alpha_w) <= 0:
-            raise ValueError("learning rates must be positive")
+        rates = (self.alpha_theta, self.alpha_lambda, self.alpha_w)
+        if not all(0 < rate < math.inf for rate in rates):
+            raise ValueError("learning rates must be finite and positive")
+        if not 0 <= self.theta_scale < math.inf:
+            raise ValueError("theta_scale must be finite and >= 0")
         if self.batch_size < 1 or self.episodes < 1:
             raise ValueError("batch_size and episodes must be >= 1")
 

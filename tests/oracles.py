@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 
-from qpglab import ansatz, policy, qsim, train
+from qpglab import ansatz, decode, policy, qsim, train
 
 
 def sample_index(probs, rng) -> int:
@@ -350,3 +350,62 @@ def actions_from_masks(big_n: int, class_masks: list[int]) -> list[int]:
     return actions
 
 
+
+
+# ---------------------------------------------------------------------------
+# Decodings as explicit classes
+
+
+def recursive_partition_sets(n_qubits: int, num_actions: int) -> dict:
+    """Materialise the recursive parity-split classes directly.
+
+    Independent of the closed form in :class:`qpglab.decode.RecursiveParity`:
+    the base case splits all strings by total parity, and each recursion
+    level splits a class by the parity of bits m..n-1, relabelling the
+    parent class as a_m ... a_2 (a_1 xor a_0).  Returns
+    ``{action: set of basis indices}``.
+    """
+    if num_actions == 2:
+        strings = range(1 << n_qubits)
+        return {p: {b for b in strings if b.bit_count() & 1 == p} for p in (0, 1)}
+    parent = recursive_partition_sets(n_qubits, num_actions // 2)
+    m = num_actions.bit_length() - 2
+    sets = {}
+    for a in range(num_actions):
+        a0 = a & 1
+        a1 = (a >> 1) & 1
+        parent_label = ((a >> 2) << 1) | (a1 ^ a0)
+        sets[a] = {b for b in parent[parent_label] if (b >> m).bit_count() & 1 == a0}
+    return sets
+
+
+def partition_sets(fn) -> dict:
+    """Explicit ``{action: sorted list of basis indices}`` classes."""
+    table = fn.action_table()
+    return {a: np.nonzero(table == a)[0].tolist() for a in range(fn.num_actions)}
+
+
+def table_from_sets(n_qubits: int, sets: dict) -> decode.ExplicitTable:
+    """An explicit table from ``{action: iterable of basis indices}`` classes."""
+    table = np.full(1 << n_qubits, -1, dtype=np.int64)
+    for action, members in sets.items():
+        for b in members:
+            if table[b] != -1:
+                raise ValueError(f"basis index {b} assigned to two actions")
+            table[b] = action
+    if (table < 0).any():
+        raise ValueError(f"basis index {np.argmax(table < 0)} not assigned to any action")
+    return decode.ExplicitTable(n_qubits, max(sets) + 1, table)
+
+
+def extracted_information(fn, bits) -> int:
+    """Extracted information of one outcome (basis index or bit string)."""
+    ei = decode._extracted_information(fn.action_table()[None, :], fn.n_qubits)
+    return int(ei[0, decode._basis_index(fn, bits)])
+
+
+def save_table(path, fn) -> None:
+    """Write ``fn`` in the ``bits,action`` table format that ``decode.load_table`` reads."""
+    with open(path, "w") as fh:
+        for b, action in enumerate(fn.action_table().tolist()):
+            fh.write(f"{b:0{fn.n_qubits}b},{action}\n")

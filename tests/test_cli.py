@@ -161,6 +161,35 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["globality", "--postfn", "global", "--n", "-1", "--m", "2"], "--n: must be >= 1, got -1"),
+        (["globality", "--postfn", "global", "--n", "3", "--m", "1"], "--m: must be >= 2, got 1"),
+        (["decode", "--postfn", "msb", "--n", "0", "--m", "2", "--bits", "0"], "--n: must be >= 1, got 0"),
+        (["enum", "--n", "2", "--m", "0"], "--m: must be >= 2, got 0"),
+        (["enum", "--n", "x", "--m", "2"], "--n: expected an integer, got 'x'"),
+        (
+            ["enum", "--n", "2", "--m", "2", "--mode", "sampled", "--samples", "-5"],
+            "--samples: must be >= 1, got -5",
+        ),
+        (["bound", "--m", "1"], "--m: must be >= 2, got 1"),
+    ],
+    ids=[
+        "globality-n", "globality-m", "decode-n", "enum-m", "enum-n-word", "enum-samples", "bound-m"
+    ],
+)
+def test_integer_flags_below_their_floor_are_usage_errors(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    if argv[0] in ("enum", "bound"):
+        argv = argv + ["--out-dir", str(out_dir)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "jobs,message",
     [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"), ("two", "expected an integer")],
     ids=["zero", "negative", "word"],

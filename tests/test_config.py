@@ -1,6 +1,7 @@
 import pytest
 
 from qpglab import cli, config, decode
+from oracles import save_table
 
 MINIMAL = "[model]\nn_qubits = 3\n"
 
@@ -25,7 +26,7 @@ def test_bad_sections_and_keys_are_rejected(tmp_path, text, message):
 
 def test_table_postfn_must_match_the_qubit_count(tmp_path):
     path = tmp_path / "table.txt"
-    decode.save_table(path, decode.MostSignificantBit(2))
+    save_table(path, decode.MostSignificantBit(2))
     assert config.build_postfn(f"table:{path}", 2, 2).n_qubits == 2
     with pytest.raises(ValueError, match="table has 2 qubits, expected 4"):
         config.build_postfn(f"table:{path}", 4, 2)
@@ -39,11 +40,11 @@ CARTPOLE = "type = cartpole"
 LAKE = "type = frozenlake"
 BANDITS = "type = bandits\nnum_states = 8\nnum_actions = 4"
 
-# Every error of config._cross_validate, as (file text, message).
+# Every pairing that config._cross_validate checks, as (file text, message).
 CROSS_ERRORS = {
     "cartpole-encoder": (
         _ini(CARTPOLE + "\nencoder = binary", "n_qubits = 4"),
-        "[env] cartpole needs the continuous encoder",
+        "[env] encoder must be continuous for cartpole, got 'binary'",
     ),
     "cartpole-bounds": (
         _ini(CARTPOLE + "\nbounds = 1, 2, 3", "n_qubits = 4"),
@@ -55,15 +56,15 @@ CROSS_ERRORS = {
     ),
     "frozenlake-encoder": (
         _ini(LAKE + "\nencoder = continuous", "n_qubits = 4"),
-        "[env] frozenlake needs the binary encoder",
+        "[env] encoder must be binary for frozenlake, got 'continuous'",
     ),
     "frozenlake-qubits": (
         _ini(LAKE, "n_qubits = 3"),
-        "[model] n_qubits=3 cannot binary-encode 16 cells",
+        "[model] n_qubits=3 cannot binary-encode 16 states",
     ),
     "bandits-encoder": (
         _ini(BANDITS + "\nencoder = continuous", "n_qubits = 3"),
-        "[env] bandits need the binary encoder",
+        "[env] encoder must be binary for bandits, got 'continuous'",
     ),
     "bandits-qubits": (
         _ini(BANDITS, "n_qubits = 2"),
@@ -115,7 +116,11 @@ ANALYSIS_ERRORS = {
     ),
     "sampler-sigma-negative": (
         "state_sampler = normal:-1",
-        "[analysis] state_sampler: sigma must be >= 0, got -1.0",
+        "[analysis] state_sampler: sigma must be finite and >= 0, got -1.0",
+    ),
+    "sampler-sigma-inf": (
+        "state_sampler = normal:inf",
+        "[analysis] state_sampler: sigma must be finite and >= 0, got inf",
     ),
     "sampler-unknown": (
         "state_sampler = gaussian",
@@ -176,3 +181,123 @@ def test_bad_seed_lists_exit_two_before_the_output_directory(tmp_path, capsys, c
     assert cli.main(["train", "--config", str(path), "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out_dir.exists()
+
+
+# Configs whose constructors or numbers used to fail only once a run had
+# started, as (file text, message).
+LOAD_ERRORS = {
+    "model-missing": ("[env]\ntype = bandits\n", "[model] n_qubits is required"),
+    "model-without-n_qubits": ("[model]\ndepth = 2\n", "[model] n_qubits is required"),
+    "cartpole-bounds-positive": (
+        _ini(CARTPOLE + "\nbounds = 0, 1, 1, 1", "n_qubits = 4"),
+        "[env] bounds must be positive",
+    ),
+    "optimal-map-actions": (
+        _ini(
+            "type = bandits\nnum_states = 8\nnum_actions = 2\noptimal_map = list:0,1,5,0,1,0,1,0",
+            "n_qubits = 3",
+        ),
+        "[env] optimal_map: optimal actions out of range",
+    ),
+    "map-file-missing": (
+        _ini(LAKE + "\nmap_file = /nonexistent.txt", "n_qubits = 4"),
+        "[env] map_file: cannot read /nonexistent.txt: No such file or directory",
+    ),
+    "alpha-theta-nan": (
+        MINIMAL + "[train]\nalpha_theta = nan\n",
+        "[train] alpha_theta: expected finite number, got 'nan'",
+    ),
+    "alpha-lambda-nan": (
+        MINIMAL + "[train]\nalpha_lambda = nan\n",
+        "[train] alpha_lambda: expected finite number, got 'nan'",
+    ),
+    "alpha-theta-inf": (
+        MINIMAL + "[train]\nalpha_theta = inf\n",
+        "[train] alpha_theta: expected finite number, got 'inf'",
+    ),
+    "theta-scale-negative": (
+        MINIMAL + "[train]\ntheta_init = normal\ntheta_scale = -0.5\n",
+        "[train] theta_scale must be finite and >= 0",
+    ),
+    "beta-nan": (
+        MINIMAL + "[policy]\nkind = softmax\nbeta = nan\n",
+        "[policy] beta: expected finite number, got 'nan'",
+    ),
+    "z-qubits-repeated": (
+        _ini(BANDITS, "n_qubits = 3", "kind = softmax\nz_qubits = 0, 0"),
+        "[policy] z_qubits entry 0 repeated",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LOAD_ERRORS))
+def test_run_time_failures_exit_two_on_load(tmp_path, capsys, case):
+    text, message = LOAD_ERRORS[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(config.ConfigError) as info:
+        config.load_config(path)
+    assert str(info.value) == message
+    out_dir = tmp_path / "out"
+    assert cli.main(["train", "--config", str(path), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out_dir.exists()
+
+
+EVERY_SECTION = """
+[experiment]
+seeds = 4, 2
+[env]
+type = bandits
+num_states = 8
+num_actions = 4
+optimal_map = mod
+reward = acc01
+horizon = 7
+slippery = yes
+reward_step = -0.5
+version = v1
+bounds = 1, 2.5
+[model]
+n_qubits = 3
+depth = 2
+entangler = cx
+[policy]
+kind = softmax
+postfn = msb
+beta = 0.5
+weight_init = 0.25
+z_qubits = 2, 0
+[train]
+episodes = 20
+batch_size = 5
+alpha_theta = 0.05
+gamma = 0.9
+theta_init = normal
+theta_scale = 0.2
+lambda_init = 0.5
+[analysis]
+state_sampler = uniform_angles
+param_sets = 3
+data_sizes = 100, 1000
+near_zero = 1e-6
+"""
+
+
+def _resolved_ini(cfg) -> str:
+    """A config's provenance lines written back as INI text."""
+    sections = {}
+    for name, value in cfg.resolved_items():
+        section, key = name.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+
+
+@pytest.mark.parametrize("text", [MINIMAL, EVERY_SECTION], ids=["minimal", "every-section"])
+def test_provenance_header_loads_back_to_the_same_config(tmp_path, text):
+    path = tmp_path / "first.ini"
+    path.write_text(text)
+    cfg = config.load_config(path)
+    resolved = tmp_path / "resolved.ini"
+    resolved.write_text(_resolved_ini(cfg))
+    assert config.load_config(resolved) == cfg

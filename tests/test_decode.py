@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpglab import decode
-from oracles import actions_from_masks, enumerate_balanced_masks
+from oracles import (
+    actions_from_masks,
+    enumerate_balanced_masks,
+    extracted_information,
+    partition_sets,
+    recursive_partition_sets,
+    save_table,
+    table_from_sets,
+)
 
 # The worked 4-qubit, 4-action partitioning used throughout the docs,
 # keyed by action, members as basis indices.
@@ -21,7 +29,7 @@ WORKED_SETS = {
 
 @pytest.fixture
 def worked_table():
-    return decode.ExplicitTable.from_sets(4, WORKED_SETS)
+    return table_from_sets(4, WORKED_SETS)
 
 
 def test_worked_table_decodes_0111(worked_table):
@@ -29,7 +37,7 @@ def test_worked_table_decodes_0111(worked_table):
 
 
 def test_worked_table_ei_0111(worked_table):
-    assert decode.extracted_information(worked_table, "0111") == 2
+    assert extracted_information(worked_table, "0111") == 2
 
 
 def test_worked_table_ei_split_by_msb(worked_table):
@@ -41,7 +49,7 @@ def test_worked_table_ei_split_by_msb(worked_table):
 def test_worked_table_globality_is_five_halves(worked_table):
     report = decode.globality(worked_table)
     assert report.value == Fraction(5, 2)
-    assert report.value_float == 2.5
+    assert float(report.value) == 2.5
 
 
 def test_recursive_parity_closed_form_example():
@@ -51,18 +59,18 @@ def test_recursive_parity_closed_form_example():
 
 def test_recursive_parity_m2_is_full_parity():
     fn = decode.RecursiveParity(3, 2)
-    sets = decode.partition_sets(fn)
+    sets = partition_sets(fn)
     assert sets[0] == [0b000, 0b011, 0b101, 0b110]
     assert sets[1] == [0b001, 0b010, 0b100, 0b111]
 
 
 def test_recursive_parity_m4_action_zero():
-    sets = decode.partition_sets(decode.RecursiveParity(4, 4))
+    sets = partition_sets(decode.RecursiveParity(4, 4))
     assert sets[0] == [0b0000, 0b0110, 0b1010, 0b1100]
 
 
 def test_recursive_parity_m8_action_five():
-    sets = decode.partition_sets(decode.RecursiveParity(4, 8))
+    sets = partition_sets(decode.RecursiveParity(4, 8))
     assert sets[5] == [0b0101, 0b1001]
 
 
@@ -72,7 +80,7 @@ def test_closed_form_agrees_with_recursion(n, m):
     if m > (1 << n):
         pytest.skip("more actions than strings")
     fn = decode.RecursiveParity(n, m)
-    recursive = decode.recursive_partition_sets(n, m)
+    recursive = recursive_partition_sets(n, m)
     for action, members in recursive.items():
         for b in members:
             assert decode.decode(fn, b) == action
@@ -84,7 +92,7 @@ def test_closed_form_agrees_with_recursion(n, m):
 def test_partition_laws(n, m):
     if m > (1 << n):
         return
-    sets = decode.partition_sets(decode.RecursiveParity(n, m))
+    sets = partition_sets(decode.RecursiveParity(n, m))
     seen = set()
     for members in sets.values():
         assert len(members) == (1 << n) // m
@@ -132,7 +140,7 @@ def test_globality_bounds_hold():
         decode.MostSignificantBit(5),
         decode.PrefixParity(5, 3),
         decode.RecursiveParity(5, 4),
-        decode.ExplicitTable.from_sets(4, WORKED_SETS),
+        table_from_sets(4, WORKED_SETS),
     ):
         report = decode.globality(fn)
         assert report.value <= fn.n_qubits
@@ -141,7 +149,7 @@ def test_globality_bounds_hold():
 
 def test_special_partitioning_scores_three_and_a_half():
     # The explicit 4-qubit split used as the G=3.5 configuration.
-    fn = decode.ExplicitTable.from_sets(
+    fn = table_from_sets(
         4,
         {
             0: [1, 3, 5, 6, 9, 10, 12, 15],
@@ -208,9 +216,9 @@ def test_sampled_histogram_reproducible():
 
 def test_explicit_table_rejects_partial_and_overlapping():
     with pytest.raises(ValueError):
-        decode.ExplicitTable.from_sets(2, {0: [0, 1], 1: [3]})
+        table_from_sets(2, {0: [0, 1], 1: [3]})
     with pytest.raises(ValueError):
-        decode.ExplicitTable.from_sets(2, {0: [0, 1, 2], 1: [2, 3]})
+        table_from_sets(2, {0: [0, 1, 2], 1: [2, 3]})
 
 
 def test_decode_validates_inputs(worked_table):
@@ -231,7 +239,7 @@ def test_recursive_parity_validates_action_count():
 
 def test_table_file_round_trip(tmp_path, worked_table):
     path = tmp_path / "table.txt"
-    decode.save_table(path, worked_table)
+    save_table(path, worked_table)
     loaded = decode.load_table(path)
     assert (loaded.action_table() == worked_table.action_table()).all()
     assert loaded.num_actions == 4
@@ -249,7 +257,7 @@ def test_table_file_rejects_missing_rows(tmp_path):
 def test_ei_within_range(n, b):
     b %= 1 << n
     fn = decode.RecursiveParity(n, 2)
-    ei = decode.extracted_information(fn, b)
+    ei = extracted_information(fn, b)
     assert 0 <= ei <= n
 
 

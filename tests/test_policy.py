@@ -33,6 +33,21 @@ def dense_z(n, qubits):
     return out
 
 
+@pytest.mark.parametrize(
+    "z_qubits,message",
+    [
+        ((0, 0), "entry 0 repeated"),
+        ((2, 1, 2), "entry 2 repeated"),
+        ((0, 3), "entry 3 out of range"),
+    ],
+    ids=["pair", "among-others", "range"],
+)
+def test_softmax_z_qubits_are_distinct_qubits_in_range(z_qubits, message):
+    # A repeated qubit would cancel out of the Z mask, not square Z.
+    with pytest.raises(ValueError, match=f"z_qubits {message}"):
+        policy.SoftmaxObservablePolicy(ModelConfig(3, 1), np.zeros(2), z_qubits=z_qubits)
+
+
 def test_all_zero_parameters_give_point_mass():
     config = ModelConfig(3, 1)
     n_theta, n_lam = ansatz.param_counts(config)

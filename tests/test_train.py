@@ -27,6 +27,22 @@ def _slippery_lake():
     return envs.FrozenLake(horizon=30, slippery=True), envs.BinaryEncoder(4), pol
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("alpha_theta", float("nan"), "learning rates must be finite and positive"),
+        ("alpha_lambda", float("inf"), "learning rates must be finite and positive"),
+        ("alpha_w", 0.0, "learning rates must be finite and positive"),
+        ("theta_scale", -0.1, "theta_scale must be finite and >= 0"),
+        ("theta_scale", float("nan"), "theta_scale must be finite and >= 0"),
+    ],
+    ids=["alpha-theta-nan", "alpha-lambda-inf", "alpha-w-zero", "scale-negative", "scale-nan"],
+)
+def test_hyperparams_reject_non_finite_and_out_of_range_values(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        train.Hyperparams(**{key: value})
+
+
 TASKS = {
     "cartpole_born": _cartpole,
     "bandit_born": lambda: _bandit("born"),
