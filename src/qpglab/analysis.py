@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ansatz, policy as policy_mod, train as train_mod
+from . import ansatz, envs, policy as policy_mod, train as train_mod
 from .policy import Policy
 
 PSD_TOLERANCE = 1e-10
@@ -235,6 +235,19 @@ class BoundComplianceReport:
     all_within: bool
 
 
+def check_bound_task(env, policy: Policy) -> None:
+    """Raise ValueError unless :func:`bound_compliance_experiment` applies.
+
+    It needs a softmax policy and a uniform bandit task (equal-size
+    optimal preimages) with an even action count.
+    """
+    if not isinstance(policy, policy_mod.SoftmaxObservablePolicy):
+        raise ValueError("bound compliance applies to the softmax policy family")
+    if not isinstance(env, envs.ContextualBandits) or not env.is_uniform():
+        raise ValueError("bound compliance needs a uniform bandit task (equal optimal preimages)")
+    accuracy_bound(env.num_actions)
+
+
 def bound_compliance_experiment(
     env,
     encoder,
@@ -245,14 +258,11 @@ def bound_compliance_experiment(
 ) -> BoundComplianceReport:
     """Train the softmax policy per seed and test its accuracy ceiling.
 
-    Requires a uniform bandit task (equal-size optimal preimages);
-    trains with the given hyperparameters and checks that the exact
-    final accuracy never exceeds the bound plus ``slack``.
+    Requires what :func:`check_bound_task` checks; trains with the
+    given hyperparameters and checks that the exact final accuracy
+    never exceeds the bound plus ``slack``.
     """
-    if not isinstance(policy, policy_mod.SoftmaxObservablePolicy):
-        raise ValueError("bound compliance applies to the softmax policy family")
-    if not env.is_uniform():
-        raise ValueError("environment is not uniform (unequal optimal preimages)")
+    check_bound_task(env, policy)
     bound = accuracy_bound(env.num_actions)
     accuracies = []
     for seed in seeds:

@@ -55,6 +55,10 @@ derivative is ``s`` times the angle's; for ``s`` exactly zero it is
 zero.  The parameter-shift rule (Schuld et al., arXiv:1811.11184), the
 rule hardware runs, gives the same derivatives at two circuits per
 parameter; it is the tests' oracle for the sweep.
+
+This module reads and writes no file: ``qpglab.config`` builds an
+experiment's model once, when its config is loaded, and ``qpglab.cli``
+writes every output file, checkpoints included.
 """
 
 from __future__ import annotations
@@ -441,39 +445,3 @@ def _change_basis(amps: np.ndarray, n: int, back: bool) -> np.ndarray:
         else:
             out = factor @ out.reshape(-1, 1 << width, 1 << low)
     return out.reshape(amps.shape)
-
-
-def save_params(path, config: ModelConfig, params: ParamSet) -> None:
-    """Checkpoint parameters as text: header line, then one value per line.
-
-    The header carries ``n=<n> d=<d> entangler=<e>``; theta values come
-    first, then lam values, in flat-layout order, with full round-trip
-    precision.
-    """
-    lines = [f"n={config.n_qubits} d={config.depth} entangler={config.entangler}"]
-    lines.extend(repr(float(v)) for v in params.theta)
-    lines.extend(repr(float(v)) for v in params.lam)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_params(path) -> tuple[ModelConfig, ParamSet]:
-    """Load a checkpoint written by :func:`save_params`."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty checkpoint file {path}")
-    fields = dict(item.split("=", 1) for item in lines[0].split())
-    config = ModelConfig(
-        n_qubits=int(fields["n"]),
-        depth=int(fields["d"]),
-        entangler=fields["entangler"],
-    )
-    n_theta, n_lam = param_counts(config)
-    values = [float(v) for v in lines[1:]]
-    if len(values) != n_theta + n_lam:
-        raise ValueError(
-            f"checkpoint holds {len(values)} values, expected {n_theta + n_lam}"
-        )
-    flat = np.array(values)
-    return config, ParamSet(flat[:n_theta], flat[n_theta:])

@@ -4,32 +4,44 @@ Subcommands: train, globality, enum, fim, effdim, bound, decode.
 Common flags: --config, --seed, --out-dir; ``train`` also takes --jobs,
 the number of seeds trained in parallel.  Exit codes: 0 on success, 2
 for configuration/usage errors, 3 for runtime failures.
-Every output file embeds the fully resolved configuration as comment
-lines, and reruns with the same config and seed are byte-identical.
+
+A command builds nothing itself: :func:`qpglab.config.load_config`
+builds the environment, encoder, policy and state sampler once, before
+any output directory is made, and the command runs on them.  This
+module is the only one that writes files, all through :func:`_write`.
+A CSV file starts with the command's own values and the fully resolved
+configuration as ``#`` comment lines, and reruns with the same config
+and seed are byte-identical.  A checkpoint ``params_seed<k>.txt`` has
+one header line, ``n=<n> d=<d> entangler=<e>``, to which a softmax
+policy adds ``kind=softmax weights=<M>``; then one value per line of
+``policy.flat_trainables`` (theta, lam, then any action weights) with
+full round-trip precision.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
-from . import analysis, ansatz, config as config_mod, decode, train as train_mod
+from . import analysis, config as config_mod, decode, policy as policy_mod, train as train_mod
 from .config import ConfigError
 
 
-def _write_lines(path, lines) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write(out_dir, name, rows, cfg=None, extra=()) -> None:
+    """Write ``rows`` to ``out_dir/name`` below the provenance comments.
 
-
-def _header(cfg: config_mod.ExperimentConfig | None, extra=()) -> list[str]:
-    items = list(extra)
+    The comments are the ``extra`` lines, then the resolved items of
+    ``cfg`` when one is given.
+    """
+    lines = [f"# {line}" for line in extra]
     if cfg is not None:
-        items.extend(f"{key} = {value}" for key, value in cfg.resolved_items())
-    return [f"# {line}" for line in items]
+        lines.extend(f"# {key} = {value}" for key, value in cfg.resolved_items())
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write("\n".join(lines + rows) + "\n")
 
 
 def _ensure_out_dir(args) -> str:
@@ -58,45 +70,41 @@ def _seeds(cfg, args) -> tuple:
     return cfg.seeds
 
 
-def _train_one(payload):
-    cfg, seed = payload
-    env = config_mod.build_env(cfg)
-    encoder = config_mod.build_encoder(cfg)
-    policy = config_mod.build_policy(cfg)
-    return seed, train_mod.train_run(env, encoder, policy, cfg.train, seed)
+def _checkpoint(result) -> list[str]:
+    model = result.policy.model
+    head = f"n={model.n_qubits} d={model.depth} entangler={model.entangler}"
+    if isinstance(result.policy, policy_mod.SoftmaxObservablePolicy):
+        head += f" kind=softmax weights={result.policy.num_actions}"
+    flat = policy_mod.flat_trainables(result.policy, result.params)
+    return [head] + [repr(float(v)) for v in flat]
 
 
 def cmd_train(args) -> int:
-    cfg = config_mod.load_config(args.config)
+    exp = config_mod.load_config(args.config)
+    cfg = exp.config
     out_dir = _ensure_out_dir(args)
     seeds = _seeds(cfg, args)
-    payloads = [(cfg, seed) for seed in seeds]
+    run = functools.partial(train_mod.train_run, exp.env, exp.encoder, exp.policy, cfg.train)
     if args.jobs > 1 and len(seeds) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_train_one, payloads))
+            results = list(pool.map(run, seeds))
     else:
-        results = dict(_train_one(p) for p in payloads)
+        results = list(map(run, seeds))
 
-    per_seed_records = []
-    for seed in seeds:
-        result = results[seed]
-        train_mod.write_learning_curve(
-            os.path.join(out_dir, f"curve_seed{seed}.csv"),
-            result.records,
-            [f"seed = {seed}"] + [f"{k} = {v}" for k, v in cfg.resolved_items()],
-        )
-        ansatz.save_params(
-            os.path.join(out_dir, f"params_seed{seed}.txt"), cfg.model, result.params
-        )
-        per_seed_records.append(result.records)
-    train_mod.write_aggregate_curve(
-        os.path.join(out_dir, "curve_aggregate.csv"),
-        per_seed_records,
-        [f"seeds = {','.join(str(s) for s in seeds)}"]
-        + [f"{k} = {v}" for k, v in cfg.resolved_items()],
+    for seed, result in zip(seeds, results):
+        rows = ["episode,reward,avg20"]
+        rows.extend(f"{rec.episode},{rec.reward!r},{rec.avg20!r}" for rec in result.records)
+        _write(out_dir, f"curve_seed{seed}.csv", rows, cfg, [f"seed = {seed}"])
+        _write(out_dir, f"params_seed{seed}.txt", _checkpoint(result))
+    # Population std across seeds, episode by episode.
+    rewards = np.array([[rec.reward for rec in result.records] for result in results])
+    rows = ["episode,mean,std"]
+    rows.extend(
+        f"{ep},{float(col.mean())!r},{float(col.std())!r}" for ep, col in enumerate(rewards.T)
     )
+    _write(out_dir, "curve_aggregate.csv", rows, cfg, [f"seeds = {','.join(map(str, seeds))}"])
     print(f"wrote {len(seeds)} learning curves to {out_dir}")
     return 0
 
@@ -123,52 +131,42 @@ def cmd_enum(args) -> int:
     hist = decode.globality_histogram(
         args.n, args.m, mode=args.mode, samples=args.samples, rng=rng
     )
-    lines = _header(
-        None,
-        extra=[
-            f"n = {args.n}",
-            f"m = {args.m}",
-            f"mode = {args.mode}",
-            f"samples = {args.samples if args.mode == 'sampled' else hist.total}",
-            f"seed = {args.seed or 0}",
-        ],
-    )
-    lines.append("g_value,count")
-    for value, count in hist.sorted_items():
-        lines.append(f"{float(value)!r},{count}")
-    _write_lines(os.path.join(out_dir, "histogram.csv"), lines)
+    extra = [
+        f"n = {args.n}",
+        f"m = {args.m}",
+        f"mode = {args.mode}",
+        f"samples = {args.samples if args.mode == 'sampled' else hist.total}",
+        f"seed = {args.seed or 0}",
+    ]
+    rows = ["g_value,count"]
+    rows.extend(f"{float(value)!r},{count}" for value, count in hist.sorted_items())
+    _write(out_dir, "histogram.csv", rows, extra=extra)
     census = decode.count_balanced_partitionings(args.n, args.m)
     print(f"{hist.total} partitionings examined of {census} total")
     return 0
 
 
-def _fim_samples(cfg, seed):
-    policy = config_mod.build_policy(cfg)
-    sampler = config_mod.build_state_sampler(cfg)
+def _load_fims(args):
+    """The config, its seed, and the FIMs sampled under that seed."""
+    exp = config_mod.load_config(args.config)
+    cfg = exp.config
+    seed = args.seed if args.seed is not None else cfg.seeds[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return analysis.sample_fims(
-        policy, sampler, cfg.analysis.param_sets, cfg.analysis.states, rng
+    fims = analysis.sample_fims(
+        exp.policy, exp.state_sampler, cfg.analysis.param_sets, cfg.analysis.states, rng
     )
+    return cfg, seed, fims
 
 
 def cmd_fim(args) -> int:
-    cfg = config_mod.load_config(args.config)
+    cfg, seed, fims = _load_fims(args)
     out_dir = _ensure_out_dir(args)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    fims = _fim_samples(cfg, seed)
     stats = analysis.spectrum_stats(fims.aggregate, cfg.analysis.near_zero)
-
-    lines = _header(cfg, extra=[f"seed = {seed}"])
-    lines.append("bucket_low,bucket_high,count")
-    for low, high, count in stats.buckets:
-        lines.append(f"{low!r},{high!r},{count}")
-    _write_lines(os.path.join(out_dir, "spectrum.csv"), lines)
-
-    lines = _header(cfg, extra=[f"seed = {seed}"])
-    for row in fims.aggregate:
-        lines.append(",".join(repr(float(v)) for v in row))
-    _write_lines(os.path.join(out_dir, "fim_aggregate.csv"), lines)
-
+    rows = ["bucket_low,bucket_high,count"]
+    rows.extend(f"{low!r},{high!r},{count}" for low, high, count in stats.buckets)
+    _write(out_dir, "spectrum.csv", rows, cfg, [f"seed = {seed}"])
+    rows = [",".join(repr(float(v)) for v in row) for row in fims.aggregate]
+    _write(out_dir, "fim_aggregate.csv", rows, cfg, [f"seed = {seed}"])
     print(
         f"near-zero eigenvalue fraction: {stats.near_zero_fraction!r} "
         f"(threshold {cfg.analysis.near_zero!r})"
@@ -177,16 +175,15 @@ def cmd_fim(args) -> int:
 
 
 def cmd_effdim(args) -> int:
-    cfg = config_mod.load_config(args.config)
+    cfg, seed, fims = _load_fims(args)
     out_dir = _ensure_out_dir(args)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    fims = _fim_samples(cfg, seed)
     report = analysis.effective_dimension(fims, cfg.analysis.data_sizes)
-    lines = _header(cfg, extra=[f"seed = {seed}"])
-    lines.append("data_size,eff_dim,normalized")
-    for size, value, norm in zip(report.data_sizes, report.values, report.normalized):
-        lines.append(f"{size},{float(value)!r},{float(norm)!r}")
-    _write_lines(os.path.join(out_dir, "effdim.csv"), lines)
+    rows = ["data_size,eff_dim,normalized"]
+    rows.extend(
+        f"{size},{float(value)!r},{float(norm)!r}"
+        for size, value, norm in zip(report.data_sizes, report.values, report.normalized)
+    )
+    _write(out_dir, "effdim.csv", rows, cfg, [f"seed = {seed}"])
     print(f"effective dimension at {report.data_sizes[-1]}: {float(report.values[-1])!r}")
     return 0
 
@@ -196,24 +193,24 @@ def cmd_bound(args) -> int:
         bound = analysis.accuracy_bound(args.m)
         print(f"accuracy bound = {bound} ({float(bound)!r})")
         return 0
-    cfg = config_mod.load_config(args.config)
+    exp = config_mod.load_config(args.config)
+    cfg = exp.config
+    try:
+        analysis.check_bound_task(exp.env, exp.policy)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out_dir = _ensure_out_dir(args)
-    env = config_mod.build_env(cfg)
-    encoder = config_mod.build_encoder(cfg)
-    policy = config_mod.build_policy(cfg)
     seeds = _seeds(cfg, args)
-    report = analysis.bound_compliance_experiment(env, encoder, policy, cfg.train, seeds)
-    lines = _header(
-        cfg,
-        extra=[
-            f"bound = {report.bound} ({float(report.bound)!r})",
-            f"slack = {report.slack!r}",
-        ],
+    report = analysis.bound_compliance_experiment(
+        exp.env, exp.encoder, exp.policy, cfg.train, seeds
     )
-    lines.append("seed,accuracy,within_bound")
-    for seed, acc in zip(seeds, report.accuracies):
-        lines.append(f"{seed},{float(acc)!r},{acc <= float(report.bound) + report.slack}")
-    _write_lines(os.path.join(out_dir, "bound_report.csv"), lines)
+    extra = [f"bound = {report.bound} ({float(report.bound)!r})", f"slack = {report.slack!r}"]
+    rows = ["seed,accuracy,within_bound"]
+    rows.extend(
+        f"{seed},{float(acc)!r},{acc <= float(report.bound) + report.slack}"
+        for seed, acc in zip(seeds, report.accuracies)
+    )
+    _write(out_dir, "bound_report.csv", rows, cfg, extra)
     print(
         f"bound {float(report.bound)!r}: "
         f"{'all seeds within' if report.all_within else 'VIOLATED'}"

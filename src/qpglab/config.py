@@ -9,9 +9,15 @@ Then bad values, a block's own checks, and every error that the run's
 constructors (environment, encoder, policy, state sampler) raise on
 the loaded config are rejected too, all before any compute and before
 any output directory is made.  Values are scalars or comma-separated
-lists, and numbers must be finite.  The fully resolved configuration
-is embedded as ``# section.key = value`` comment lines at the top of
-every output file for provenance.
+lists, and numbers must be finite; ``%`` is a literal character.
+
+Loading is also where an experiment is built: :func:`load_config`
+returns the parsed config together with the environment, encoder,
+policy and state sampler it describes, each built once, so a table or
+map file is read once and every command uses the objects that were
+validated.  :meth:`ExperimentConfig.resolved_items` lists the fully
+resolved configuration, which ``qpglab.cli`` writes as ``# section.key
+= value`` comment lines at the top of its output files for provenance.
 
 Sections::
 
@@ -247,9 +253,20 @@ def _checked(where: str, build, *args, **kwargs):
         raise ConfigError(f"{where} {exc}") from None
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and fully validate a config file; raises :class:`ConfigError`."""
-    parser = configparser.ConfigParser()
+@dataclass(eq=False)
+class Experiment:
+    """A loaded config and the run objects built from it."""
+
+    config: ExperimentConfig
+    env: object
+    encoder: object
+    policy: policy_mod.Policy
+    state_sampler: object
+
+
+def load_config(path) -> Experiment:
+    """Parse, fully validate and build a config file; raises :class:`ConfigError`."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -273,12 +290,11 @@ def load_config(path) -> ExperimentConfig:
         **parsed["experiment"],
         **{s: _checked(f"[{s}]", block, **parsed[s]) for s, block in _BLOCKS.items()},
     )
-    _cross_validate(cfg)
-    return cfg
+    return _build(cfg)
 
 
-def _cross_validate(cfg: ExperimentConfig) -> None:
-    """Build what a run builds, then check the pairings no constructor sees."""
+def _build(cfg: ExperimentConfig) -> Experiment:
+    """Build what a run uses, checking the pairings no constructor sees."""
     kind, n = cfg.env.type, cfg.model.n_qubits
     # Past the parsers, an env fails only on its map (CartPole cannot fail)
     # and a Born policy only on its postfn spec.
@@ -299,13 +315,14 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[model] n_qubits={n} cannot binary-encode {env.num_states} states")
 
     where = "[policy] postfn:" if cfg.policy.kind == "measurement" else "[policy]"
-    policy = _checked(where, build_policy, cfg)
+    policy = _checked(where, build_policy, cfg, env.num_actions)
     if policy.num_actions != env.num_actions:
         raise ConfigError(
             f"[policy] postfn provides {policy.num_actions} actions, "
             f"environment needs {env.num_actions}"
         )
-    _checked("[analysis] state_sampler:", build_state_sampler, cfg)
+    sampler = _checked("[analysis] state_sampler:", build_state_sampler, cfg)
+    return Experiment(cfg, env, encoder, policy, sampler)
 
 
 def build_postfn(spec: str, n_qubits: int, num_actions: int) -> decode.PostProcessing:
@@ -349,9 +366,7 @@ def build_encoder(cfg: ExperimentConfig):
     return envs.ContinuousEncoder(bounds)
 
 
-def build_policy(cfg: ExperimentConfig):
-    environment = build_env(cfg)
-    num_actions = environment.num_actions
+def build_policy(cfg: ExperimentConfig, num_actions: int):
     pol = cfg.policy
     if pol.kind == "measurement":
         fn = build_postfn(pol.postfn, cfg.model.n_qubits, num_actions)

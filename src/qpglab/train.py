@@ -19,10 +19,12 @@ parameters, and episode ``e`` draws its start state, its actions and
 any environment randomness from its own child stream ``e``.  Episode
 ``e``'s trajectory therefore depends only on (seed, e, parameters),
 not on the batch size or on which other episodes run beside it, and
-reruns produce byte-identical learning curves.  Each action takes one
-``random()`` draw: a Born policy measures one bitstring per step.
-:func:`train_run`
-returns the per-episode records and the final parameters and policy.
+reruns produce identical records.  Each action takes one ``random()``
+draw: a Born policy measures one bitstring per step.
+:func:`train_run` returns the per-episode records and the final
+parameters and policy; it builds nothing and writes no file, since
+``qpglab.config`` builds the run's objects once and ``qpglab.cli``
+writes its outputs.
 """
 
 from __future__ import annotations
@@ -280,32 +282,3 @@ def _trailing_means(values, window: int) -> list[float]:
     if len(values) < window:
         return head
     return head + sliding_window_view(values, window).mean(axis=1).tolist()
-
-
-# ---------------------------------------------------------------------------
-# Learning-curve CSV output
-
-
-def write_learning_curve(path, records: list[EpisodeRecord], header_lines=()) -> None:
-    """Per-seed CSV: ``episode,reward,avg20`` with full precision."""
-    lines = [f"# {line}" for line in header_lines]
-    lines.append("episode,reward,avg20")
-    for rec in records:
-        lines.append(f"{rec.episode},{rec.reward!r},{rec.avg20!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_aggregate_curve(path, per_seed_records, header_lines=()) -> None:
-    """Across-seed CSV: ``episode,mean,std`` (population std)."""
-    episodes = len(per_seed_records[0])
-    if any(len(records) != episodes for records in per_seed_records):
-        raise ValueError("seeds produced different episode counts")
-    rewards = np.array([[rec.reward for rec in records] for records in per_seed_records])
-    lines = [f"# {line}" for line in header_lines]
-    lines.append("episode,mean,std")
-    for ep in range(episodes):
-        col = rewards[:, ep]
-        lines.append(f"{ep},{float(col.mean())!r},{float(col.std())!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -409,3 +409,25 @@ def save_table(path, fn) -> None:
     with open(path, "w") as fh:
         for b, action in enumerate(fn.action_table().tolist()):
             fh.write(f"{b:0{fn.n_qubits}b},{action}\n")
+
+
+def load_checkpoint(path, pol):
+    """Rebuild ``(params, policy)`` from a ``qpglab train`` checkpoint.
+
+    ``pol`` supplies what a checkpoint does not hold: a Born policy's
+    decoding, or a softmax policy's beta and Z mask.  The header must
+    name its model, and for a softmax policy its kind and weight count.
+    """
+    with open(path) as fh:
+        head, *values = fh.read().splitlines()
+    model = pol.model
+    expected = f"n={model.n_qubits} d={model.depth} entangler={model.entangler}"
+    if isinstance(pol, policy.SoftmaxObservablePolicy):
+        expected += f" kind=softmax weights={pol.num_actions}"
+    if head != expected:
+        raise ValueError(f"checkpoint header {head!r} does not match {expected!r}")
+    flat = np.array([float(v) for v in values])
+    expected = policy.num_trainables(pol)
+    if len(flat) != expected:
+        raise ValueError(f"checkpoint holds {len(flat)} values, expected {expected}")
+    return policy.apply_flat(pol, flat)

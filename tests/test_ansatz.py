@@ -371,19 +371,6 @@ def test_batch_rows_match_single_evaluations():
         assert (batch[row] == single).all()
 
 
-def test_checkpoint_round_trip(tmp_path):
-    config = ModelConfig(4, 2, "cx")
-    params, _ = _random_params(config, 13)
-    path = tmp_path / "params.txt"
-    ansatz.save_params(path, config, params)
-    loaded_config, loaded = ansatz.load_params(path)
-    assert loaded_config == config
-    assert (loaded.theta == params.theta).all()
-    assert (loaded.lam == params.lam).all()
-    header = path.read_text().splitlines()[0]
-    assert header == "n=4 d=2 entangler=cx"
-
-
 def test_init_params_conventions():
     config = ModelConfig(3, 1)
     rng = np.random.default_rng(0)

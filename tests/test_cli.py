@@ -1,8 +1,12 @@
+import builtins
+import collections
 import csv
 
+import numpy as np
 import pytest
 
-from qpglab import cli
+from oracles import load_checkpoint, save_table
+from qpglab import ansatz, cli, config, decode, policy, train
 
 BANDIT_CONFIG = """
 [experiment]
@@ -72,12 +76,120 @@ def test_every_csv_parses_as_numbers(tmp_path, capsys, command, kind, actions, f
                     float(cell)
 
 
-@pytest.mark.parametrize("command,kind,actions,files", RUNS[:3], ids=[r[0] for r in RUNS[:3]])
+@pytest.mark.parametrize("command,kind,actions,files", RUNS, ids=[r[0] for r in RUNS])
 def test_reruns_are_byte_identical(tmp_path, command, kind, actions, files):
     first = _run(tmp_path, command, kind, actions, "first")
     second = _run(tmp_path, command, kind, actions, "second")
-    for name in files:
+    # Every file written, the checkpoints of ``train`` included.
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    assert set(files) <= set(names)
+    for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+# Policy kind and the action count its bandit is trained on.
+KINDS = {"measurement": 2, "softmax": 4}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_checkpoint_parses_as_data(tmp_path, kind):
+    out_dir = _run(tmp_path, "train", kind, KINDS[kind], "out")
+    for seed in (0, 1):
+        head, *values = (out_dir / f"params_seed{seed}.txt").read_text().splitlines()
+        fields = dict(item.split("=") for item in head.split())
+        n, depth = int(fields.pop("n")), int(fields.pop("d"))
+        assert (n, depth, fields.pop("entangler")) == (3, 1, "cz")
+        expected = ansatz.total_params(ansatz.ModelConfig(n, depth))
+        if kind == "softmax":
+            assert fields.pop("kind") == "softmax"
+            expected += int(fields.pop("weights"))
+        assert fields == {}
+        assert len([float(value) for value in values]) == expected
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_checkpoint_round_trip(tmp_path, kind):
+    out_dir = _run(tmp_path, "train", kind, KINDS[kind], "out")
+    exp = config.load_config(tmp_path / "train.ini")
+    states = np.array([exp.encoder.encode(s) for s in range(exp.env.num_states)])
+    for seed in (0, 1):
+        trained = train.train_run(exp.env, exp.encoder, exp.policy, exp.config.train, seed)
+        params, pol = load_checkpoint(out_dir / f"params_seed{seed}.txt", exp.policy)
+        probs = policy.batch_action_probs(pol, states, params)
+        assert (probs == policy.batch_action_probs(trained.policy, states, trained.params)).all()
+        if kind == "softmax":
+            assert (pol.weights == trained.policy.weights).all()
+            assert (pol.weights != exp.policy.weights).any()
+
+
+LAKE_MAP = "SFFF\nFHFH\nFFFH\nHFFG\n"
+
+
+@pytest.mark.parametrize("key", ["table", "map_file"])
+def test_train_reads_each_input_file_once(tmp_path, monkeypatch, key):
+    path = tmp_path / "input.txt"
+    if key == "table":
+        save_table(path, decode.MostSignificantBit(3))
+        text = BANDIT_CONFIG.format(kind="measurement", actions=2).replace(
+            "[policy]", f"[policy]\npostfn = table:{path}"
+        )
+    else:
+        path.write_text(LAKE_MAP)
+        text = (
+            f"[experiment]\nseeds = 0, 1\n[env]\ntype = frozenlake\nmap_file = {path}\n"
+            "horizon = 5\n[model]\nn_qubits = 4\n[train]\nepisodes = 4\nbatch_size = 2\n"
+        )
+    config_path = tmp_path / "train.ini"
+    config_path.write_text(text.replace("seeds = 0, 1", "seeds = 0, 1, 2"))
+    reads = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        reads[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    argv = ["train", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert reads[str(path)] == 1
+
+
+NOT_UNIFORM = "bound compliance needs a uniform bandit task (equal optimal preimages)"
+# Configs that ``bound`` cannot run, as (file text, message).
+BOUND_ERRORS = {
+    "born": (
+        BANDIT_CONFIG.format(kind="measurement", actions=4),
+        "bound compliance applies to the softmax policy family",
+    ),
+    "non-uniform": (
+        BANDIT_CONFIG.format(kind="softmax", actions=2).replace(
+            "reward = acc01", "reward = acc01\noptimal_map = list:0,0,0,0,0,0,1,1"
+        ),
+        NOT_UNIFORM,
+    ),
+    "cartpole": (
+        "[env]\ntype = cartpole\n[model]\nn_qubits = 4\n[policy]\nkind = softmax\n",
+        NOT_UNIFORM,
+    ),
+    "odd-actions": (
+        "[env]\nnum_states = 9\nnum_actions = 3\n"
+        "[model]\nn_qubits = 4\n[policy]\nkind = softmax\n",
+        "bound implemented for even action counts; the odd case requires "
+        "adapting the weight-ordering count",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUND_ERRORS))
+def test_bound_preconditions_exit_two_before_the_output_directory(tmp_path, capsys, case):
+    text, message = BOUND_ERRORS[case]
+    path = tmp_path / "bound.ini"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert cli.main(["bound", "--config", str(path), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_globality_exits_zero(capsys):

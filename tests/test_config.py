@@ -145,9 +145,9 @@ def test_analysis_values_are_validated_on_load(tmp_path, case):
 def test_analysis_defaults_and_valid_values_load(tmp_path):
     path = tmp_path / "good.ini"
     path.write_text(MINIMAL + "[analysis]\nstate_sampler = uniform_angles\ndata_sizes = 100\n")
-    assert config.load_config(path).analysis.data_sizes == (100,)
+    assert config.load_config(path).config.analysis.data_sizes == (100,)
     path.write_text(MINIMAL)
-    assert config.load_config(path).analysis == config.AnalysisBlock()
+    assert config.load_config(path).config.analysis == config.AnalysisBlock()
 
 
 @pytest.mark.parametrize("case", ["sampler-sigma-text", "data-size-kappa", "data-sizes-empty"])
@@ -202,6 +202,11 @@ LOAD_ERRORS = {
     "map-file-missing": (
         _ini(LAKE + "\nmap_file = /nonexistent.txt", "n_qubits = 4"),
         "[env] map_file: cannot read /nonexistent.txt: No such file or directory",
+    ),
+    # Values are read without interpolation, so a '%' is a literal character.
+    "map-file-percent": (
+        _ini(LAKE + "\nmap_file = /nonexistent/50%.txt", "n_qubits = 4"),
+        "[env] map_file: cannot read /nonexistent/50%.txt: No such file or directory",
     ),
     "alpha-theta-nan": (
         MINIMAL + "[train]\nalpha_theta = nan\n",
@@ -297,7 +302,7 @@ def _resolved_ini(cfg) -> str:
 def test_provenance_header_loads_back_to_the_same_config(tmp_path, text):
     path = tmp_path / "first.ini"
     path.write_text(text)
-    cfg = config.load_config(path)
+    cfg = config.load_config(path).config
     resolved = tmp_path / "resolved.ini"
     resolved.write_text(_resolved_ini(cfg))
-    assert config.load_config(resolved) == cfg
+    assert config.load_config(resolved).config == cfg
