@@ -63,16 +63,20 @@ def uniform_param_sampler(policy: Policy):
 class FimSamples:
     """FIM estimates over sampled parameter sets, trace-normalised.
 
-    ``per_set`` holds one normalised matrix per parameter sample and
-    ``aggregate`` their average; the normalisation constant makes the
-    Monte Carlo mean of the trace equal the trainable count exactly.
+    ``per_set`` is the (sets, P, P) block of one normalised matrix per
+    parameter sample, and :attr:`aggregate` their average; the
+    normalisation constant makes the Monte Carlo mean of the trace
+    equal the trainable count exactly.
     """
 
-    per_set: list
-    aggregate: np.ndarray
+    per_set: np.ndarray
     dim: int
     num_states: int
     scale: float
+
+    @property
+    def aggregate(self) -> np.ndarray:
+        return self.per_set.mean(axis=0)
 
 
 def sample_fims(
@@ -114,7 +118,7 @@ def sample_fims(
         raise ValueError("singular normalisation: average FIM trace is zero")
     scale = dim / mean_trace
     per_set *= scale
-    return FimSamples(list(per_set), per_set.mean(axis=0), dim, num_states, scale)
+    return FimSamples(per_set, dim, num_states, scale)
 
 
 @dataclass

@@ -32,15 +32,17 @@ and through it every policy, calls it.  On each wire no entangler
 separates an encoding block E_l from the variational block V_l after
 it, so the forward pass applies the two as one gate, V_l E_l =
 Ry(theta') Rz(theta + lam' s) Ry(lam s), with the two Rz angles summed;
-layer 0 is V_0 alone.  A forward pass is thus d+1 layers of one gate
-per qubit, each layer followed by the entangler: (d+1) n single-qubit
-gates.  It evolves B rows at once, in passes of up to 512 rows: one
-vectorised pass computes the 2x2 entries of every gate of every row
-of the pass, then the gate loop applies them layer by layer to
-half-views of the register built once per pass.  Each entry is the
-same elementwise cos/sin product, and each gate the same elementwise
-multiply-add, whatever the batch, so row ``r`` is bit-identical to
-the same row evaluated alone.
+layer 0 is V_0 alone.  Gates on different qubits commute, so each
+layer's gates on qubits (q, q+1), q even, act as one 4x4 factor
+U_{q+1} (x) U_q, and an odd top qubit keeps its 2x2 gate.  A forward
+pass is thus d+1 layers of ceil(n/2) factors, each layer followed by
+the entangler.  It evolves B rows at once, in passes of up to 512
+rows: one vectorised pass computes the factors of every layer of
+every row of the pass, then each factor is one batched contraction
+with the register, which it replaces by a new C-ordered array.  Each
+factor entry is the same elementwise cos/sin and complex product, and
+each contraction the same per-row sum in the same order, whatever the
+batch, so row ``r`` is bit-identical to the same row evaluated alone.
 
 Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): starting
@@ -193,10 +195,11 @@ def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = Fals
     amps[...] = amps[..., _cx_layer_perms(n)[inverse]]
 
 
-# Rows per gate-table pass of run_batch.  The table takes 64 bytes per
-# fused gate and row, (d+1) n gates, more than the register at small n;
-# passes of this many rows keep it in cache and bound its memory on
-# large batches.
+# Rows per gate-table pass of run_batch.  The table holds 256 bytes
+# per pair factor and row, (d+1) floor(n/2) of them, plus 64 per top
+# gate at odd n: 3 KB per row at n = 4, d = 5, more than the register
+# at small n.  Passes of this many rows keep it in cache and bound its
+# memory on large batches.
 _ROWS_PER_PASS = 512
 
 
@@ -205,13 +208,14 @@ def _gate_table(
     thetas: np.ndarray,
     lams: np.ndarray,
     features: np.ndarray,
-) -> np.ndarray:
-    """Entries of the fused gate of every layer and qubit of one
-    :func:`run_batch` call.
+) -> list[list[np.ndarray]]:
+    """Per-row factors of every layer of one :func:`run_batch` call.
 
-    Returns shape (d+1, n, 4, B, 1, 1): layers, then qubit, then the
-    entries (u00, u01, u10, u11) per row, shaped for
-    :func:`qsim.apply_1q_halves`.  Layer 0 is Ry(theta') @ Rz(theta);
+    Returns one list per layer: the factor U_{q+1} (x) U_q, shape
+    (B, 4, 4), of each qubit pair (q, q+1) with q even, lowest first,
+    then at odd n the top qubit's gate U_{n-1}, shape (B, 2, 2).  A
+    factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
+    U_q is the fused gate of qubit q: layer 0 is Ry(theta') @ Rz(theta);
     layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
     encoding block E_l fused into the variational block V_l that
     follows it.  With b the Rz angle and a, c the outer and inner Ry
@@ -233,18 +237,23 @@ def _gate_table(
     half_sum[1:] += 0.5 * enc[0]
     half_diff[1:] -= 0.5 * enc[0]
     cos_b, sin_b = np.cos(half_b), np.sin(half_b)
-    # Rows last, so that every gate's entries are contiguous.  Each
-    # negation makes a new array: numpy 2.4's in-place np.negative
+    # Each negation makes a new array: numpy 2.4's in-place np.negative
     # reads the wrong elements of these strided views.
-    table = np.empty((d + 1, n, 4, batch), dtype=np.complex128)
-    re, im = table.real, table.imag
-    re[:, :, 0] = re[:, :, 3] = cos_b * np.cos(half_sum)
-    re[:, :, 2] = cos_b * np.sin(half_sum)
-    re[:, :, 1] = -re[:, :, 2]
-    im[:, :, 3] = sin_b * np.cos(half_diff)
-    im[:, :, 0] = -im[:, :, 3]
-    im[:, :, 1] = im[:, :, 2] = -sin_b * np.sin(half_diff)
-    return table[..., None, None]
+    gates = np.empty((d + 1, n, batch, 2, 2), dtype=np.complex128)
+    re, im = gates.real, gates.imag
+    re[..., 0, 0] = re[..., 1, 1] = cos_b * np.cos(half_sum)
+    re[..., 1, 0] = cos_b * np.sin(half_sum)
+    re[..., 0, 1] = -re[..., 1, 0]
+    im[..., 1, 1] = sin_b * np.cos(half_diff)
+    im[..., 0, 0] = -im[..., 1, 1]
+    im[..., 0, 1] = im[..., 1, 0] = -sin_b * np.sin(half_diff)
+    # Kronecker products of the pairs, axes (i1, i0, j1, j0) of the
+    # entries high[i1, j1] * low[i0, j0].
+    low, high = gates[:, 0 : n - 1 : 2], gates[:, 1::2]
+    pairs = high[..., :, None, :, None] * low[..., None, :, None, :]
+    pairs = pairs.reshape(high.shape[:3] + (4, 4))
+    top = gates[:, n - n % 2 :]
+    return [[*p, *t] for p, t in zip(pairs, top)]
 
 
 def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -279,20 +288,23 @@ def run_batch(
     for start in range(0, len(amps), _ROWS_PER_PASS):
         rows = slice(start, start + _ROWS_PER_PASS)
         part = amps[rows]
-        halves = [qsim.half_views(part, n, q) for q in range(n)]
-        for gates in _gate_table(config, thetas[rows], lams[rows], features[rows]):
-            for (a0, a1), entries in zip(halves, gates):
-                qsim.apply_1q_halves(a0, a1, *entries)
+        for factors in _gate_table(config, thetas[rows], lams[rows], features[rows]):
+            for low, factor in zip(range(0, n, 2), factors):
+                view = part.reshape(len(part), -1, factor.shape[-1], 1 << low)
+                # order="C": einsum's default follows its operands'
+                # layout, and the reshapes need C-ordered rows.
+                part = np.einsum("bij,bojk->boik", factor, view, order="C")
+                part = part.reshape(len(view), -1)
             _apply_entangler(part, config)
+        amps[rows] = part
     return amps
 
 
 def _param_rows(params: ParamSet, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    # One parameter set as ``steps`` batch rows, without copying.
-    return (
-        np.broadcast_to(params.theta, (steps, params.theta.size)),
-        np.broadcast_to(params.lam, (steps, params.lam.size)),
-    )
+    # One parameter set as ``steps`` batch rows.  A gather costs less
+    # per call than np.broadcast_to at the few rows a rollout runs.
+    rows = np.zeros(steps, dtype=np.intp)
+    return params.theta[None][rows], params.lam[None][rows]
 
 
 def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:

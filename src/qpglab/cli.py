@@ -161,11 +161,12 @@ def _load_fims(args):
 def cmd_fim(args) -> int:
     cfg, seed, fims = _load_fims(args)
     out_dir = _ensure_out_dir(args)
-    stats = analysis.spectrum_stats(fims.aggregate, cfg.analysis.near_zero)
+    aggregate = fims.aggregate
+    stats = analysis.spectrum_stats(aggregate, cfg.analysis.near_zero)
     rows = ["bucket_low,bucket_high,count"]
     rows.extend(f"{low!r},{high!r},{count}" for low, high, count in stats.buckets)
     _write(out_dir, "spectrum.csv", rows, cfg, [f"seed = {seed}"])
-    rows = [",".join(repr(float(v)) for v in row) for row in fims.aggregate]
+    rows = [",".join(repr(float(v)) for v in row) for row in aggregate]
     _write(out_dir, "fim_aggregate.csv", rows, cfg, [f"seed = {seed}"])
     print(
         f"near-zero eigenvalue fraction: {stats.near_zero_fraction!r} "

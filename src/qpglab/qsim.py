@@ -1,4 +1,4 @@
-"""Dense statevector kernels for small qubit registers.
+"""Statevector conventions, the norm guard and Born probabilities.
 
 Conventions
 -----------
@@ -22,14 +22,9 @@ beyond ``NORM_DRIFT_LIMIT`` raises :class:`NormDriftError`, because at
 the circuit depths used here drift of that size indicates a bug rather
 than accumulated rounding; :func:`probabilities` checks each row.
 
-The gate kernel :func:`apply_1q_halves` acts on amplitude arrays of
-shape ``(..., 2**n)``, so a batch of independent states (the rows of
-one circuit call) evolves in one vectorised pass, with gate entries
-given per row.  A batch runs the same elementwise operations in the
-same order as a single state, so results do not depend on how work is
-grouped.  The circuit's forward pass applies one gate per qubit per
-layer to the same register, so it builds each qubit's
-:func:`half_views` once and reuses them in every layer.
+The gates themselves are applied in :mod:`qpglab.ansatz`, whose
+forward pass and adjoint sweep evolve a batch of states, one row per
+circuit row, a whole layer at a time.
 """
 
 from __future__ import annotations
@@ -42,42 +37,6 @@ NORM_DRIFT_LIMIT = 1e-9
 
 class NormDriftError(RuntimeError):
     """State norm drifted further than rounding can explain."""
-
-
-def _paired_view(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    # Groups amplitudes into (outer, bit-of-qubit, inner) blocks; a view,
-    # so in-place writes hit the original array.
-    outer = 1 << (n - 1 - qubit)
-    inner = 1 << qubit
-    return amps.reshape(amps.shape[:-1] + (outer, 2, inner))
-
-
-def half_views(amps: np.ndarray, n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views ``(a0, a1)`` of the amplitudes whose ``qubit`` bit is 0 and 1.
-
-    Each has shape ``(..., 2**(n-1-qubit), 2**qubit)``; writes through
-    them hit ``amps``.
-    """
-    view = _paired_view(amps, n, qubit)
-    return view[..., 0, :], view[..., 1, :]
-
-
-def apply_1q_halves(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
-    """Apply the gate ``[[u00, u01], [u10, u11]]`` in place to half-views.
-
-    ``a0, a1`` come from :func:`half_views`.  The entries may be scalars
-    or arrays broadcastable against the leading batch dims with two
-    trailing length-1 axes appended.
-    """
-    new0 = u00 * a0
-    new0 += u01 * a1
-    # a1 is updated while a0 still holds its original values.  Its
-    # product is not formed in place: numpy's in-place complex multiply
-    # rounds a single element differently from longer runs, so a
-    # one-row call at n = 1 would differ from the same row in a batch.
-    a1[...] = u11 * a1
-    a1 += u10 * a0
-    a0[...] = new0
 
 
 def probabilities(amps: np.ndarray) -> np.ndarray:

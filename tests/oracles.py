@@ -82,6 +82,46 @@ def parity_via_ancilla(amps: np.ndarray) -> float:
     return float(probs[: 1 << n].sum() - probs[1 << n :].sum())
 
 
+# ---------------------------------------------------------------------------
+# The per-qubit gate kernel on half-views of a register
+
+
+def _paired_view(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    # Groups amplitudes into (outer, bit-of-qubit, inner) blocks; a view,
+    # so in-place writes hit the original array.
+    outer = 1 << (n - 1 - qubit)
+    inner = 1 << qubit
+    return amps.reshape(amps.shape[:-1] + (outer, 2, inner))
+
+
+def half_views(amps: np.ndarray, n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views ``(a0, a1)`` of the amplitudes (..., 2**n) whose ``qubit`` bit is 0 and 1.
+
+    Each has shape ``(..., 2**(n-1-qubit), 2**qubit)``; writes through
+    them hit ``amps``.
+    """
+    view = _paired_view(amps, n, qubit)
+    return view[..., 0, :], view[..., 1, :]
+
+
+def apply_1q_halves(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
+    """Apply the gate ``[[u00, u01], [u10, u11]]`` in place to half-views.
+
+    ``a0, a1`` come from :func:`half_views`.  The entries may be scalars
+    or arrays broadcastable against the leading batch dims with two
+    trailing length-1 axes appended.
+    """
+    new0 = u00 * a0
+    new0 += u01 * a1
+    # a1 is updated while a0 still holds its original values.  Its
+    # product is not formed in place: numpy's in-place complex multiply
+    # rounds a single element differently from longer runs, so a
+    # one-row call at n = 1 would differ from the same row in a batch.
+    a1[...] = u11 * a1
+    a1 += u10 * a0
+    a0[...] = new0
+
+
 def per_rotation_gate_table(config, thetas, lams, features) -> np.ndarray:
     """The 2x2 entries of every rotation block, before any fusing.
 
@@ -129,7 +169,7 @@ def per_qubit_adjoint_grads(config, params, features, weights, amps) -> np.ndarr
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])
-    halves = [qsim.half_views(pair, n, q) for q in range(n)]
+    halves = [half_views(pair, n, q) for q in range(n)]
     angle_grads = np.empty((2,) + undo.shape[:2] + (len(amps),))
     for block in range(len(undo) - 1, -1, -1):
         if block % 2 == 0:
@@ -139,7 +179,7 @@ def per_qubit_adjoint_grads(config, params, features, weights, amps) -> np.ndarr
             a0, a1 = halves[q]
             c00, c01, c10, c11 = undo[block, q]
             angle_grads[later, block, q] = _pauli_grad(later, a0, a1)
-            qsim.apply_1q_halves(a0, a1, c00, c10, c01, c11)
+            apply_1q_halves(a0, a1, c00, c10, c01, c11)
             angle_grads[earlier, block, q] = _pauli_grad(earlier, a0, a1)
     return ansatz._flat_grads(angle_grads, features)
 
@@ -177,7 +217,7 @@ def apply_1q(amps: np.ndarray, n: int, qubit: int, u00, u01, u10, u11) -> None:
 
     Per-row entries are shaped by :func:`batch_coeff`.
     """
-    qsim.apply_1q_halves(*qsim.half_views(amps, n, qubit), u00, u01, u10, u11)
+    apply_1q_halves(*half_views(amps, n, qubit), u00, u01, u10, u11)
 
 
 def batch_coeff(values) -> np.ndarray:
@@ -199,7 +239,7 @@ def apply_rz(amps: np.ndarray, qubit: int, angle: float) -> np.ndarray:
     """Rotate ``qubit`` about Z by ``angle`` (in place)."""
     n = _num_qubits(amps)
     _check_qubit(n, qubit)
-    a0, a1 = qsim.half_views(amps, n, qubit)
+    a0, a1 = half_views(amps, n, qubit)
     a0 *= np.exp(-0.5j * angle)
     a1 *= np.exp(0.5j * angle)
     return amps

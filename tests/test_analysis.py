@@ -56,6 +56,16 @@ def test_sampled_fims_are_psd_and_trace_normalised(pol):
     assert mean_trace == pytest.approx(fims.dim, rel=1e-12)
 
 
+def test_fim_samples_keep_each_matrix_once():
+    pol = _policies()[0]
+    fims = analysis.sample_fims(
+        pol, analysis.uniform_angle_state_sampler(3), 3, 10, np.random.default_rng(4)
+    )
+    assert fims.per_set.shape == (3, fims.dim, fims.dim)
+    assert "aggregate" not in vars(fims)
+    assert fims.aggregate.tobytes() == fims.per_set.mean(axis=0).tobytes()
+
+
 def test_accuracy_bound_values():
     assert analysis.accuracy_bound(2) == 1
     assert analysis.accuracy_bound(4) == Fraction(3, 4)
@@ -80,7 +90,7 @@ def test_effective_dimension_matches_the_determinant_formula():
     for _ in range(4):
         a = rng.normal(size=(5, 3))
         per_set.append(a @ a.T / 3)
-    fims = analysis.FimSamples(per_set, np.mean(per_set, axis=0), 5, 10, 1.0)
+    fims = analysis.FimSamples(np.array(per_set), 5, 10, 1.0)
     report = analysis.effective_dimension(fims, [5000, 10**6])
     for size, value in zip(report.data_sizes, report.values):
         kappa = size / (2 * np.pi * np.log(size))
@@ -101,7 +111,7 @@ def test_effective_dimension_is_below_dim_and_grows_with_data(seed):
         a = rng.normal(size=(6, rng.integers(1, 7)))
         m = a @ a.T
         per_set.append(0.1 * m / np.linalg.eigvalsh(m).max())
-    fims = analysis.FimSamples(per_set, np.mean(per_set, axis=0), 6, 10, 1.0)
+    fims = analysis.FimSamples(np.array(per_set), 6, 10, 1.0)
     sizes = config.AnalysisBlock().data_sizes + (10**9, 10**15)
     values = analysis.effective_dimension(fims, sizes).values
     assert all(0 < v <= fims.dim for v in values)

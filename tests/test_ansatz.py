@@ -426,32 +426,63 @@ def _complex(re, im):
     return out
 
 
-def _per_gate_run_batch(config, thetas, lams, features):
-    """Oracle: the forward pass one fused gate at a time, angles read per gate.
+def _fused_gate(config, thetas, lams, features, layer, q):
+    """The 2x2 fused gate of one row on qubit ``q`` in ``layer``.
 
-    The gate of layer l on qubit q is Ry(a) @ Rz(b) @ Ry(c), from its
-    closed form in the half angles b/2 and (a +- c)/2.
+    The gate is Ry(a) @ Rz(b) @ Ry(c), from its closed form in the half
+    angles b/2 and (a +- c)/2.
+    """
+    n = config.n_qubits
+    half_b = 0.5 * thetas[2 * n * layer + 2 * q]
+    half_a = 0.5 * thetas[2 * n * layer + 2 * q + 1]
+    half_sum = half_diff = half_a
+    if layer > 0:
+        s_q = features[n - 1 - q]
+        enc = 2 * n * (layer - 1) + 2 * q
+        half_b = half_b + 0.5 * (lams[enc + 1] * s_q)
+        half_c = 0.5 * (lams[enc] * s_q)
+        half_sum, half_diff = half_a + half_c, half_a - half_c
+    cos_b, sin_b = np.cos(half_b), np.sin(half_b)
+    u00 = complex(cos_b * np.cos(half_sum), -(sin_b * np.cos(half_diff)))
+    u01 = complex(-(cos_b * np.sin(half_sum)), -(sin_b * np.sin(half_diff)))
+    return np.array([[u00, u01], [-u01.conjugate(), u00.conjugate()]])
+
+
+def _contract(factor, view):
+    """``factor`` applied to the middle axis of ``view`` (outer, w, inner).
+
+    The sum over the factor's columns runs in order from zero, each
+    complex product formed as (ar br - ai bi) + i (ar bi + ai br).
+    """
+    re, im = np.zeros(view.shape), np.zeros(view.shape)
+    for j in range(len(factor)):
+        f, v = factor[:, j, None], view[:, j : j + 1]
+        re = re + (f.real * v.real - f.imag * v.imag)
+        im = im + (f.real * v.imag + f.imag * v.real)
+    return _complex(re, im)
+
+
+def _per_pair_run_batch(config, thetas, lams, features):
+    """Oracle: the forward pass one row at a time, one pair factor at a time.
+
+    Each layer applies np.kron(U_{q+1}, U_q) to qubits (q, q+1) for even
+    q, and at odd n the top qubit's own gate, then the entangler.
     """
     n, d = config.n_qubits, config.depth
-    amps = np.zeros((thetas.shape[0], 1 << n), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    for layer in range(d + 1):
-        for q in range(n):
-            half_b = 0.5 * thetas[:, 2 * n * layer + 2 * q]
-            half_a = 0.5 * thetas[:, 2 * n * layer + 2 * q + 1]
-            half_sum = half_diff = half_a
-            if layer > 0:
-                s_q = features[:, n - 1 - q]
-                enc = 2 * n * (layer - 1) + 2 * q
-                half_b = half_b + 0.5 * (lams[:, enc + 1] * s_q)
-                half_c = 0.5 * (lams[:, enc] * s_q)
-                half_sum, half_diff = half_a + half_c, half_a - half_c
-            cos_b, sin_b = np.cos(half_b), np.sin(half_b)
-            u00 = _complex(cos_b * np.cos(half_sum), -(sin_b * np.cos(half_diff)))
-            u01 = _complex(-(cos_b * np.sin(half_sum)), -(sin_b * np.sin(half_diff)))
-            entries = (u00, u01, -u01.conj(), u00.conj())
-            apply_1q(amps, n, q, *(batch_coeff(u) for u in entries))
-        ansatz._apply_entangler(amps, config)
+    amps = np.empty((len(thetas), 1 << n), dtype=np.complex128)
+    for row in range(len(thetas)):
+        state = np.zeros(1 << n, dtype=np.complex128)
+        state[0] = 1.0
+        for layer in range(d + 1):
+            gates = [
+                _fused_gate(config, thetas[row], lams[row], features[row], layer, q)
+                for q in range(n)
+            ]
+            for low in range(0, n, 2):
+                factor = np.kron(gates[low + 1], gates[low]) if low + 1 < n else gates[low]
+                state = _contract(factor, state.reshape(-1, len(factor), 1 << low)).ravel()
+            ansatz._apply_entangler(state, config)
+        amps[row] = state
     return amps
 
 
@@ -460,10 +491,11 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# Fusing E_l into V_l rounds the forward pass differently from the
-# per-rotation oracle.  The largest amplitude difference measured over
-# this file's forward cases was 6.0e-16 (7.1e-16 over n 1-8, d 1/2/3/5,
-# cz and cx, 1 or 7 rows), and the bound leaves a factor of five above it.
+# Fusing E_l into V_l and contracting pair factors rounds the forward
+# pass differently from the per-rotation oracle.  The largest amplitude
+# difference measured over this file's forward cases was 6.2e-16
+# (7.8e-16 over n 1-8, d 1/2/3/5, cz and cx, 1 or 7 rows), and the
+# bound leaves a factor of almost four above it.
 FORWARD_ORACLE_TOL = 3e-15
 
 
@@ -486,11 +518,12 @@ def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps, mo
     params, rng = _random_params(config, 1000 * n + 10 * depth + steps)
     rows = _random_rows(config, rng, steps)
     amps = ansatz.run_batch(config, *rows)
-    assert _same_bits(amps, _per_gate_run_batch(config, *rows))
+    assert amps.flags.c_contiguous
+    assert _same_bits(amps, _per_pair_run_batch(config, *rows))
     assert np.abs(amps - _per_rotation_run_batch(config, *rows)).max() <= FORWARD_ORACLE_TOL
     features = rows[2]
     states = ansatz.run_states(config, params, features)
-    monkeypatch.setattr(ansatz, "run_batch", _per_gate_run_batch)
+    monkeypatch.setattr(ansatz, "run_batch", _per_pair_run_batch)
     assert _same_bits(states, ansatz.run_states(config, params, features))
     monkeypatch.setattr(ansatz, "run_batch", _per_rotation_run_batch)
     assert np.abs(states - ansatz.run_states(config, params, features)).max() <= FORWARD_ORACLE_TOL
@@ -500,7 +533,8 @@ def test_forward_bit_identical_across_row_passes():
     config = ModelConfig(3, 2, "cx")
     rows = _random_rows(config, np.random.default_rng(17), 2 * ansatz._ROWS_PER_PASS + 3)
     amps = ansatz.run_batch(config, *rows)
-    assert _same_bits(amps, _per_gate_run_batch(config, *rows))
+    assert amps.flags.c_contiguous
+    assert _same_bits(amps, _per_pair_run_batch(config, *rows))
     assert np.abs(amps - _per_rotation_run_batch(config, *rows)).max() <= FORWARD_ORACLE_TOL
 
 
@@ -523,12 +557,14 @@ def test_run_batch_rows_do_not_depend_on_grouping(entangler, n, depth):
 
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])
 def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
+    # Each layer's fused gates act as one contraction per qubit pair,
+    # plus one for the top qubit at odd n.
     config = ModelConfig(n, depth)
     calls = []
-    apply = qsim.apply_1q_halves
-    monkeypatch.setattr(qsim, "apply_1q_halves", lambda *args: (calls.append(1), apply(*args)))
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kw: (calls.append(1), einsum(*args, **kw))[1])
     rng = np.random.default_rng(3)
     for count, passes in ((1, 1), (2 * ansatz._ROWS_PER_PASS + 3, 3)):
         calls.clear()
         ansatz.run_batch(config, *_random_rows(config, rng, count))
-        assert len(calls) == passes * (depth + 1) * n
+        assert len(calls) == passes * (depth + 1) * ((n + 1) // 2)
