@@ -223,7 +223,7 @@ def accuracy_bound(num_actions: int) -> Fraction:
 
 def exact_accuracy(env, encoder, policy: Policy, params) -> float:
     """Share of optimal decisions on a bandit task, from exact probabilities."""
-    feats = np.array([encoder.encode(state) for state in range(env.num_states)])
+    feats = encoder.encode(np.arange(env.num_states))
     probs = policy_mod.batch_action_probs(policy, feats, params)
     total = 0.0
     for state in range(env.num_states):

@@ -37,12 +37,13 @@ layer's gates on qubits (q, q+1), q even, act as one 4x4 factor
 U_{q+1} (x) U_q, and an odd top qubit keeps its 2x2 gate.  A forward
 pass is thus d+1 layers of ceil(n/2) factors, each layer followed by
 the entangler.  It evolves B rows at once, in passes of up to 512
-rows: one vectorised pass computes the factors of every layer of
-every row of the pass, then each factor is one batched contraction
-with the register, which it replaces by a new C-ordered array.  Each
-factor entry is the same elementwise cos/sin and complex product, and
-each contraction the same per-row sum in the same order, whatever the
-batch, so row ``r`` is bit-identical to the same row evaluated alone.
+rows.  One vectorised pass computes the factors of every layer of
+every row of the pass, with one cos and one sin call over all their
+half angles.  Then each factor is one batched contraction that reads
+one of two register buffers and writes the other.  Each factor entry
+is the same elementwise cos/sin and product, and each contraction the
+same per-row sum in the same order, whatever the batch, so row ``r``
+is bit-identical to the same row evaluated alone.
 
 Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): starting
@@ -158,7 +159,9 @@ def _cz_layer_signs(n: int) -> np.ndarray:
     # Product of all pairwise CZ diagonals: (-1)^(k choose 2) for an
     # index with k set bits.
     ones = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-    signs = np.where((ones * (ones - 1) // 2) % 2 == 1, -1.0, 1.0)
+    # Complex, so that multiplying amplitudes needs no cast: numpy casts a
+    # real sign s to s + 0j, so the products are the same.
+    signs = np.where((ones * (ones - 1) // 2) % 2 == 1, -1.0, 1.0).astype(np.complex128)
     signs.setflags(write=False)
     return signs
 
@@ -202,58 +205,69 @@ def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = Fals
 # memory on large batches.
 _ROWS_PER_PASS = 512
 
+# The factors of the encoded angles in the half angles b/2, (a+c)/2 and
+# (a-c)/2: (lam * s) * -0.5 is -(0.5 * (lam * s)) exactly.
+_HALF_ENCODED = np.array([0.5, 0.5, -0.5])
+# The (re, im) signs of the gate entries (u00, u11) and (u01, u10).
+_DIAGONAL_SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])[..., None]
+_OFF_DIAGONAL_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0]])[..., None]
+
 
 def _gate_table(
     config: ModelConfig,
     thetas: np.ndarray,
     lams: np.ndarray,
     features: np.ndarray,
-) -> list[list[np.ndarray]]:
-    """Per-row factors of every layer of one :func:`run_batch` call.
+) -> list[np.ndarray]:
+    """Per-row factors of one :func:`run_batch` call, in the order it applies them.
 
-    Returns one list per layer: the factor U_{q+1} (x) U_q, shape
-    (B, 4, 4), of each qubit pair (q, q+1) with q even, lowest first,
-    then at odd n the top qubit's gate U_{n-1}, shape (B, 2, 2).  A
-    factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
-    U_q is the fused gate of qubit q: layer 0 is Ry(theta') @ Rz(theta);
-    layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
-    encoding block E_l fused into the variational block V_l that
-    follows it.  With b the Rz angle and a, c the outer and inner Ry
-    angles (c = 0 in layer 0), the gate is in SU(2):
+    Per layer: the factor U_{q+1} (x) U_q, shape (B, 4, 4), of each qubit
+    pair (q, q+1) with q even, lowest first, then at odd n the top
+    qubit's gate U_{n-1}, shape (B, 2, 2).  A factor's row and column
+    index the pair's bits as 2 b_{q+1} + b_q.  U_q is the fused gate of
+    qubit q: layer 0 is Ry(theta') @ Rz(theta); layer l >= 1 is
+    Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the encoding block E_l
+    fused into the variational block V_l that follows it.  With b the
+    Rz angle and a, c the outer and inner Ry angles (c = 0 in layer 0),
+    the gate is in SU(2):
 
         u00 = cos(b/2) cos((a+c)/2) - i sin(b/2) cos((a-c)/2) = conj(u11)
         u01 = -cos(b/2) sin((a+c)/2) - i sin(b/2) sin((a-c)/2) = -conj(u10)
     """
     n, d = config.n_qubits, config.depth
     batch = thetas.shape[0]
-    # Angles as (axis, layer, qubit, row): theta's axes are (z, y), the
-    # encoded lam * s axes (y, z) for layers 1..d.
+    # theta as (axis, layer, qubit, row), its axes (z, y).
     var = thetas.reshape(batch, d + 1, n, 2).transpose(3, 1, 2, 0)
-    enc = (lams.reshape(batch, d, n, 2) * features[:, None, ::-1, None]).transpose(3, 1, 2, 0)
-    half_b = 0.5 * var[0]
-    half_b[1:] += 0.5 * enc[1]
-    half_sum = 0.5 * var[1]
-    half_diff = half_sum.copy()
-    half_sum[1:] += 0.5 * enc[0]
-    half_diff[1:] -= 0.5 * enc[0]
-    cos_b, sin_b = np.cos(half_b), np.sin(half_b)
-    # Each negation makes a new array: numpy 2.4's in-place np.negative
-    # reads the wrong elements of these strided views.
+    # The encoded lam * s of layers 1..d, lam's axes (y, z) read as the
+    # terms (z, y, y) and scaled by their factors in the half angles.
+    enc = lams.reshape(batch, d, n, 2)[..., [1, 0, 0]] * features[:, None, ::-1, None]
+    enc *= _HALF_ENCODED
+    # The half angles (b/2, (a+c)/2, (a-c)/2) as (term, layer, qubit,
+    # row), stacked so that one cos and one sin call cover all three.
+    half = var[[0, 1, 1]]
+    half *= 0.5
+    half[:, 1:] += enc.transpose(3, 1, 2, 0)
+    trig = np.empty((2,) + half.shape)
+    np.cos(half, out=trig[0])
+    np.sin(half, out=trig[1])
+    trig = trig.reshape(2, 3, (d + 1) * n * batch)
+    # Each entry's (re, im) is +-(cos(b/2) f((a+c)/2), sin(b/2) f((a-c)/2)),
+    # with f = cos for u00 and u11 and f = sin for u01 and u10, written
+    # straight into the gates' (entry, re/im, gate) view.
     gates = np.empty((d + 1, n, batch, 2, 2), dtype=np.complex128)
-    re, im = gates.real, gates.imag
-    re[..., 0, 0] = re[..., 1, 1] = cos_b * np.cos(half_sum)
-    re[..., 1, 0] = cos_b * np.sin(half_sum)
-    re[..., 0, 1] = -re[..., 1, 0]
-    im[..., 1, 1] = sin_b * np.cos(half_diff)
-    im[..., 0, 0] = -im[..., 1, 1]
-    im[..., 0, 1] = im[..., 1, 0] = -sin_b * np.sin(half_diff)
+    entries = gates.view(np.float64).reshape(-1, 4, 2).transpose(1, 2, 0)
+    np.multiply(trig[:, 0] * trig[0, 1:], _DIAGONAL_SIGNS, out=entries[0::3])
+    np.multiply(trig[:, 0] * trig[1, 1:], _OFF_DIAGONAL_SIGNS, out=entries[1:3])
     # Kronecker products of the pairs, axes (i1, i0, j1, j0) of the
     # entries high[i1, j1] * low[i0, j0].
     low, high = gates[:, 0 : n - 1 : 2], gates[:, 1::2]
     pairs = high[..., :, None, :, None] * low[..., None, :, None, :]
-    pairs = pairs.reshape(high.shape[:3] + (4, 4))
-    top = gates[:, n - n % 2 :]
-    return [[*p, *t] for p, t in zip(pairs, top)]
+    factors = list(pairs.reshape((d + 1) * (n // 2), batch, 4, 4))
+    if n % 2:
+        # The top qubit's gate closes each layer.
+        for layer, top in enumerate(gates[:, n - 1]):
+            factors.insert(layer * (n + 1) // 2 + n // 2, top)
+    return factors
 
 
 def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -282,22 +296,35 @@ def run_batch(
     (B, n).  Returns the final amplitudes, shape (B, 2**n).  Row ``r``
     equals the state prepared from row ``r``'s parameters alone.
     """
-    n = config.n_qubits
-    amps = np.zeros((thetas.shape[0], 1 << n), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    for start in range(0, len(amps), _ROWS_PER_PASS):
-        rows = slice(start, start + _ROWS_PER_PASS)
-        part = amps[rows]
-        for factors in _gate_table(config, thetas[rows], lams[rows], features[rows]):
-            for low, factor in zip(range(0, n, 2), factors):
-                view = part.reshape(len(part), -1, factor.shape[-1], 1 << low)
-                # order="C": einsum's default follows its operands'
-                # layout, and the reshapes need C-ordered rows.
-                part = np.einsum("bij,bojk->boik", factor, view, order="C")
-                part = part.reshape(len(view), -1)
-            _apply_entangler(part, config)
-        amps[rows] = part
-    return amps
+    if len(thetas) <= _ROWS_PER_PASS:
+        return _run_pass(config, thetas, lams, features)
+    passes = [slice(i, i + _ROWS_PER_PASS) for i in range(0, len(thetas), _ROWS_PER_PASS)]
+    return np.concatenate([_run_pass(config, thetas[p], lams[p], features[p]) for p in passes])
+
+
+def _run_pass(config, thetas, lams, features) -> np.ndarray:
+    """:func:`run_batch` on at most ``_ROWS_PER_PASS`` rows."""
+    n, batch = config.n_qubits, len(thetas)
+    # Two registers: each contraction reads one and writes the other,
+    # through views of the factor's shape (outer, width, inner) built
+    # once per pass.
+    registers = np.zeros((2, batch, 1 << n), dtype=np.complex128)
+    registers[0, :, 0] = 1.0
+    views = []
+    for low in range(0, n, 2):
+        width = min(4, 1 << (n - low))
+        shape = (2, batch, (1 << n) // (width << low), width, 1 << low)
+        views.append(tuple(registers.reshape(shape)))
+    factors = _gate_table(config, thetas, lams, features)
+    live = 0
+    for layer in range(0, len(factors), len(views)):
+        for view, factor in zip(views, factors[layer : layer + len(views)]):
+            # order="C" iterates in the registers' layout; with ``out``
+            # given, einsum's default order ran slower at some widths.
+            np.einsum("bij,bojk->boik", factor, view[live], out=view[1 - live], order="C")
+            live = 1 - live
+        _apply_entangler(registers[live], config)
+    return registers[live]
 
 
 def _param_rows(params: ParamSet, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,9 +389,12 @@ def adjoint_grads(
         )
     z_signs = _z_sign_table(n)
     # (block, qubit, (z, y)) angles of the variational blocks, and
-    # (block, row, qubit, (y, z)) angles of the encoding blocks.
+    # (block, row, qubit, (y, z)) angles of the encoding blocks; an
+    # encoding Rz layer is undone together with the variational Rz layer
+    # after it, at their summed angles (block, row, qubit).
     var = params.theta.reshape(d + 1, n, 2)
     enc = params.lam.reshape(d, 1, n, 2) * features[:, ::-1, None]
+    rz_sums = var[1:, None, :, 0] + enc[..., 1]
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])
@@ -376,9 +406,10 @@ def adjoint_grads(
         angle_grads[0, 2 * layer] = _z_reads(pair, z_signs)
         if layer == 0:
             break
-        angle_grads[0, 2 * layer - 1] = angle_grads[0, 2 * layer]
-        pair *= _undo_phases(var[layer, :, 0] + enc[layer - 1, ..., 1], z_signs)
+        pair *= _undo_phases(rz_sums[layer - 1])
         pair, angle_grads[1, 2 * layer - 1] = _undo_ry_layer(pair, enc[layer - 1, ..., 0], z_signs)
+    # An encoding Rz layer shares its reading with the variational one.
+    angle_grads[0, 1::2] = angle_grads[0, 2::2]
     return _flat_grads(angle_grads, features)
 
 
@@ -399,11 +430,19 @@ def _z_reads(pair: np.ndarray, z_signs: np.ndarray) -> np.ndarray:
     return z_signs @ im.T
 
 
-def _undo_phases(angles: np.ndarray, z_signs: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _half_z_sign_table(n: int) -> np.ndarray:
+    """The Z sign table times 1/2, the factor of :func:`_undo_phases`."""
+    half = 0.5 * _z_sign_table(n)
+    half.setflags(write=False)
+    return half
+
+
+def _undo_phases(angles: np.ndarray) -> np.ndarray:
     """Diagonal exp(+i/2 angles @ Z signs) that undoes an Rz layer with
     ``angles`` (..., n) per qubit.
     """
-    half = angles @ (0.5 * z_signs)
+    half = angles @ _half_z_sign_table(angles.shape[-1])
     phases = np.empty(half.shape, dtype=np.complex128)
     np.cos(half, out=phases.real)
     np.sin(half, out=phases.imag)
@@ -420,7 +459,7 @@ def _undo_ry_layer(pair, angles, z_signs) -> tuple[np.ndarray, np.ndarray]:
     n = z_signs.shape[0]
     pair = _change_basis(pair, n, back=False)
     grads = _z_reads(pair, z_signs)
-    pair *= _undo_phases(angles, z_signs)
+    pair *= _undo_phases(angles)
     return _change_basis(pair, n, back=True), grads
 
 

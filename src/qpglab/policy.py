@@ -10,8 +10,10 @@ Two families are implemented:
   weights.
 
 One row-by-row reduction turns final amplitudes into action
-distributions for :func:`batch_action_probs`, :func:`sample_action`
-and both gradient paths.
+distributions for :func:`batch_action_probs`, the softmax policy's
+:func:`sample_action` and both gradient paths.  A Born policy's
+:func:`sample_action` draws a basis index from the Born probabilities
+and decodes it, so it needs no action distribution.
 
 Log-policy gradients are exact: the taken action's projector (Born
 policy) or the Z-mask observable (softmax policy) is differentiated by
@@ -156,10 +158,10 @@ def sample_action(
     other rows.  A Born policy measures one bitstring and decodes it.
     """
     amps = ansatz.run_states(policy.model, params, features_rows)
-    reading, probs = _reduce(policy, amps)
     if isinstance(policy, MeasurementPolicy):
-        return policy.postfn.action_table()[_sample_rows(reading, rngs)], amps
-    return _sample_rows(probs, rngs), amps
+        outcomes = _sample_rows(qsim.probabilities(amps), rngs)
+        return policy.postfn.action_table()[outcomes], amps
+    return _sample_rows(_reduce(policy, amps)[1], rngs), amps
 
 
 def _sample_rows(probs: np.ndarray, rngs) -> np.ndarray:

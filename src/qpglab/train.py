@@ -113,10 +113,10 @@ def run_streams(seed: int) -> tuple[np.random.Generator, np.random.SeedSequence]
 def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> list[Trajectory]:
     """Run one episode per generator in lockstep, episode ``e`` on ``rngs[e]``.
 
-    Each time step makes one :func:`qpglab.policy.sample_action` call
-    over the episodes still running, then one ``env.step`` per episode;
-    each trajectory keeps the final amplitudes of its steps for the
-    gradient.
+    Each time step makes one ``encoder.encode`` call and one
+    :func:`qpglab.policy.sample_action` call over the episodes still
+    running, then one ``env.step`` per episode; each trajectory keeps the
+    final amplitudes of its steps for the gradient.
     Every draw of episode ``e`` comes from ``rngs[e]`` in the order a
     lone run of it would make, so its trajectory equals the one it
     gives when collected alone.  Episodes are truncated after
@@ -128,7 +128,7 @@ def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> li
     for _ in range(env.horizon):
         if not live:
             break
-        rows = np.array([encoder.encode(states[e]) for e in live])
+        rows = encoder.encode([states[e] for e in live])
         chosen, finals = policy_mod.sample_action(policy, rows, params, [rngs[e] for e in live])
         running = []
         for e, row, final, action in zip(live, rows, finals, chosen.tolist()):

@@ -568,3 +568,24 @@ def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
         calls.clear()
         ansatz.run_batch(config, *_random_rows(config, rng, count))
         assert len(calls) == passes * (depth + 1) * ((n + 1) // 2)
+
+
+@pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])
+def test_gate_table_takes_cos_and_sin_once_per_row_pass(monkeypatch, n, depth):
+    # The half angles of every layer, qubit and row are stacked, so each
+    # row pass makes one cos and one sin call.
+    config = ModelConfig(n, depth)
+    rng = np.random.default_rng(4)
+    calls = []
+
+    def counted(name):
+        ufunc = getattr(np, name)
+        return lambda *args, **kw: (calls.append(name), ufunc(*args, **kw))[1]
+
+    for name in ("cos", "sin"):
+        monkeypatch.setattr(np, name, counted(name))
+    for count, passes in ((1, 1), (7, 1), (2 * ansatz._ROWS_PER_PASS + 3, 3)):
+        rows = _random_rows(config, rng, count)
+        calls.clear()
+        ansatz.run_batch(config, *rows)
+        assert sorted(calls) == ["cos"] * passes + ["sin"] * passes

@@ -231,6 +231,46 @@ def test_continuous_encoder_clips_below_one():
         enc.encode([1.0])
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_binary_encoder_batch_equals_states_alone():
+    enc = envs.BinaryEncoder(4)
+    states = np.array([5, 0, 15, 8, 5, 3])
+    batch = enc.encode(states)
+    assert _same_bits(batch, np.stack([enc.encode(int(s)) for s in states]))
+    assert enc.encode(states[:0]).shape == (0, 4)
+
+
+def test_continuous_encoder_batch_equals_states_alone():
+    enc = envs.cartpole_encoder()
+    states = np.random.default_rng(4).normal(0.0, 2.0, (7, 4))
+    states[2, 1] = 0.0
+    states[3, 0] = 10.0  # saturates
+    batch = enc.encode(states)
+    assert _same_bits(batch, np.stack([enc.encode(s) for s in states]))
+    assert _same_bits(enc.encode(list(states)), batch)
+
+
+@pytest.mark.parametrize("position", [0, 3, 5])
+@pytest.mark.parametrize("bad", [16, -1])
+def test_binary_encoder_names_an_out_of_range_state_in_a_batch(position, bad):
+    states = [1, 2, 3, 4, 5, 6]
+    states[position] = bad
+    with pytest.raises(ValueError, match=rf"^state {bad} does not fit in 4 bits$"):
+        envs.BinaryEncoder(4).encode(states)
+
+
+def test_encoders_reject_a_wrong_trailing_dimension():
+    with pytest.raises(ValueError, match=r"expected \(4,\) or \(L, 4\)"):
+        envs.cartpole_encoder().encode(np.zeros((3, 5)))
+    with pytest.raises(ValueError, match=r"expected \(4,\) or \(L, 4\)"):
+        envs.cartpole_encoder().encode(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match=r"expected \(\) or \(L,\)"):
+        envs.BinaryEncoder(3).encode(np.zeros((2, 3), dtype=int))
+
+
 def test_zero_state_composes_to_point_mass():
     from qpglab import ansatz, decode, policy
     from qpglab.ansatz import ModelConfig, ParamSet

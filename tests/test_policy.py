@@ -4,6 +4,7 @@ import pytest
 from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
 from oracles import (
+    episode_rngs,
     log_prob_grad,
     parity_via_ancilla,
     sample_index,
@@ -348,6 +349,21 @@ def test_sample_action_rows_match_one_row_draws(kind):
     assert len(set(expected)) > 1
     with pytest.raises(ValueError, match="one generator per row"):
         policy.sample_action(pol, feats, params, [rng] * 24)
+
+
+def test_born_sample_action_draws_from_born_probabilities_without_reduce(monkeypatch):
+    # A Born policy measures a bitstring, so it needs no action distribution.
+    config, params, _, rng = _instance(n=3, d=2, seed=17)
+    pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 4))
+    feats = rng.uniform(-np.pi, np.pi, (6, 3))
+    expected, _ = policy.sample_action(pol, feats, params, episode_rngs(1, 6))
+
+    def refuse(*args):
+        raise AssertionError("a Born sample_action called _reduce")
+
+    monkeypatch.setattr(policy, "_reduce", refuse)
+    drawn, _ = policy.sample_action(pol, feats, params, episode_rngs(1, 6))
+    assert drawn.tolist() == expected.tolist()
 
 
 def test_row_sampling_matches_searchsorted_at_cdf_edges():

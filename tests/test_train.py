@@ -131,6 +131,24 @@ def test_reinforce_gradient_makes_one_gradient_call(monkeypatch):
     assert calls == [sum(len(traj) for traj in batch)]
 
 
+@pytest.mark.parametrize("task", ["cartpole_born", "bandit_softmax"])
+def test_collect_episodes_encodes_once_per_time_step(task):
+    # One encode call per lockstep time step, over the live episodes.
+    env, encoder, pol = TASKS[task]()
+    params = ansatz.init_params(pol.model, np.random.default_rng(6))
+    live_counts = []
+
+    class CountingEncoder:
+        def encode(self, states):
+            live_counts.append(len(states))
+            return encoder.encode(states)
+
+    batch = train.collect_episodes(env, CountingEncoder(), pol, params, episode_rngs(3, 6))
+    lengths = [len(traj) for traj in batch]
+    assert len(live_counts) == max(lengths)
+    assert live_counts == [sum(length > t for length in lengths) for t in range(max(lengths))]
+
+
 def test_trailing_partial_batch_is_logged_but_not_used(monkeypatch):
     env, encoder, pol = _bandit("born")
     updates = []
