@@ -120,7 +120,7 @@ def cmd_globality(args) -> int:
     if args.ei_dump:
         if fn.n_qubits > 8:
             raise RuntimeError("EI dump is limited to 8 qubits")
-        for b, action in enumerate(fn.action_table().tolist()):
+        for b, action in enumerate(fn.table.tolist()):
             print(f"{format(b, f'0{fn.n_qubits}b')},{action},{report.ei[b]}")
     return 0
 

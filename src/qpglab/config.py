@@ -22,7 +22,7 @@ resolved configuration, which ``qpglab.cli`` writes as ``# section.key
 Sections::
 
     [experiment]  seeds (distinct, non-negative)
-    [env]         type + environment parameters + encoder choice
+    [env]         type + environment parameters
     [model]       n_qubits (required), depth, entangler
     [policy]      kind, postfn / beta + weights
     [train]       episodes, batch_size, learning rates, gamma, inits
@@ -59,12 +59,7 @@ class EnvBlock:
     reward_hole: float = -100.0
     reward_goal: float = 100.0
     version: str = "v0"
-    encoder: str = ""  # empty means continuous for cartpole, binary otherwise
     bounds: tuple = ()  # empty means envs.CARTPOLE_BOUNDS
-
-    def __post_init__(self):
-        if not self.encoder:
-            self.encoder = "continuous" if self.type == "cartpole" else "binary"
 
 
 @dataclass
@@ -211,7 +206,6 @@ SCHEMA = {
         "reward_hole": _float,
         "reward_goal": _float,
         "version": _choice("v0", "v1"),
-        "encoder": _choice("binary", "continuous"),
         "bounds": _list(_float),
     },
     "model": {"n_qubits": _int(1), "depth": _int(1), "entangler": _choice(*ENTANGLERS)},
@@ -300,9 +294,6 @@ def _build(cfg: ExperimentConfig) -> Experiment:
     # and a Born policy only on its postfn spec.
     env = _checked(f"[env] {'optimal_map' if kind == 'bandits' else 'map_file'}:", build_env, cfg)
     encoder = _checked("[env]", build_encoder, cfg)
-    need = "continuous" if kind == "cartpole" else "binary"
-    if cfg.env.encoder != need:
-        raise ConfigError(f"[env] encoder must be {need} for {kind}, got {cfg.env.encoder!r}")
     if kind == "cartpole":
         if encoder.output_dim != env.state_dim:
             raise ConfigError(f"[env] cartpole bounds must have {env.state_dim} entries")
@@ -360,10 +351,10 @@ def build_env(cfg: ExperimentConfig):
 
 
 def build_encoder(cfg: ExperimentConfig):
-    if cfg.env.encoder == "binary":
+    """Continuous angle encoding for CartPole, binary state encoding otherwise."""
+    if cfg.env.type != "cartpole":
         return envs.BinaryEncoder(cfg.model.n_qubits)
-    bounds = cfg.env.bounds or envs.CARTPOLE_BOUNDS
-    return envs.ContinuousEncoder(bounds)
+    return envs.ContinuousEncoder(cfg.env.bounds or envs.CARTPOLE_BOUNDS)
 
 
 def build_policy(cfg: ExperimentConfig, num_actions: int):

@@ -2,11 +2,14 @@
 
 A post-processing function maps every n-bit measurement outcome to one
 of M actions; equivalently it partitions the 2**n basis strings into M
-action classes.  This module provides the concrete families used in
-the experiments, the extracted-information / globality measures that
-rank them, the recursive construction that achieves maximal globality
-(with its closed form), and enumeration/statistics over the space of
-balanced partitionings.
+action classes.  A decoding is stored as exactly that map: its action
+table, one action per basis index, built once when it is constructed.
+:class:`PostProcessing` holds any such table (``load_table`` reads one
+from a file); the families used in the experiments compute theirs in
+closed form.  The module also provides the extracted-information /
+globality measures that rank decodings, the recursive construction
+that achieves maximal globality, and enumeration/statistics over the
+space of balanced partitionings.
 
 Bitstrings are handled as basis indices per the :mod:`qpglab.qsim`
 convention: index ``i`` is the string ``b_{n-1} ... b_0`` with bit
@@ -33,24 +36,26 @@ def _check_qubits(n: int, what: str) -> None:
 
 
 class PostProcessing:
-    """Total map from n-bit measurement outcomes to actions.
+    """Total map from n-bit measurement outcomes to actions, as its table.
 
-    Each subclass defines its map once, in ``_build_table``, which
-    returns the action of every basis index (``ExplicitTable`` stores
-    that array directly).
+    ``table[i]`` is the action of basis index ``i``: a read-only int64
+    array of length 2**n with every entry in [0, num_actions).  The
+    constructor copies and checks the table; the families below only
+    compute theirs in closed form.
     """
 
-    n_qubits: int
-    num_actions: int
-
-    def action_table(self) -> np.ndarray:
-        """Action of every basis index, cached; length 2**n."""
-        cached = getattr(self, "_table", None)
-        if cached is None:
-            cached = self._build_table()
-            cached.setflags(write=False)
-            self._table = cached
-        return cached
+    def __init__(self, n_qubits: int, num_actions: int, table):
+        table = np.array(table, dtype=np.int64)
+        if table.shape != (1 << n_qubits,):
+            raise ValueError(
+                f"table must assign all {1 << n_qubits} strings, got {table.shape}"
+            )
+        if table.min() < 0 or table.max() >= num_actions:
+            raise ValueError("table actions must lie in [0, num_actions)")
+        table.setflags(write=False)
+        self.n_qubits = n_qubits
+        self.num_actions = num_actions
+        self.table = table
 
 
 class MostSignificantBit(PostProcessing):
@@ -59,12 +64,7 @@ class MostSignificantBit(PostProcessing):
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
-        self.n_qubits = n_qubits
-        self.num_actions = 2
-
-    def _build_table(self) -> np.ndarray:
-        idx = np.arange(1 << self.n_qubits)
-        return ((idx >> (self.n_qubits - 1)) & 1).astype(np.int64)
+        super().__init__(n_qubits, 2, np.arange(1 << n_qubits) >> (n_qubits - 1))
 
 
 class PrefixParity(PostProcessing):
@@ -77,14 +77,8 @@ class PrefixParity(PostProcessing):
     def __init__(self, n_qubits: int, q: int):
         if not 1 <= q <= n_qubits:
             raise ValueError(f"prefix length q={q} must be in [1, {n_qubits}]")
-        self.n_qubits = n_qubits
-        self.q = q
-        self.num_actions = 2
-
-    def _build_table(self) -> np.ndarray:
-        idx = np.arange(1 << self.n_qubits, dtype=np.uint64)
-        shifted = idx >> np.uint64(self.n_qubits - self.q)
-        return (np.bitwise_count(shifted) & 1).astype(np.int64)
+        idx = np.arange(1 << n_qubits, dtype=np.uint64)
+        super().__init__(n_qubits, 2, np.bitwise_count(idx >> np.uint64(n_qubits - q)) & 1)
 
 
 class RecursiveParity(PostProcessing):
@@ -102,49 +96,17 @@ class RecursiveParity(PostProcessing):
             raise ValueError("num_actions must be a power of two >= 2")
         if num_actions > (1 << n_qubits):
             raise ValueError("num_actions cannot exceed 2**n_qubits")
-        self.n_qubits = n_qubits
-        self.num_actions = num_actions
-        self._m = num_actions.bit_length() - 2  # log2(M) - 1
-
-    def _build_table(self) -> np.ndarray:
-        m = self._m
-        idx = np.arange(1 << self.n_qubits, dtype=np.uint64)
+        m = num_actions.bit_length() - 2  # log2(M) - 1
+        idx = np.arange(1 << n_qubits, dtype=np.uint64)
         table = (np.bitwise_count(idx >> np.uint64(m)) & 1).astype(np.int64)
         for j in range(m):
             table |= ((idx >> np.uint64(j)) & 1).astype(np.int64) << (m - j)
-        return table
+        super().__init__(n_qubits, num_actions, table)
 
 
-class ExplicitTable(PostProcessing):
-    """Post-processing given by an explicit index-to-action table."""
-
-    def __init__(self, n_qubits: int, num_actions: int, table):
-        table = np.asarray(table, dtype=np.int64)
-        if table.shape != (1 << n_qubits,):
-            raise ValueError(
-                f"table must assign all {1 << n_qubits} strings, got {table.shape}"
-            )
-        if table.min() < 0 or table.max() >= num_actions:
-            raise ValueError("table actions must lie in [0, num_actions)")
-        self.n_qubits = n_qubits
-        self.num_actions = num_actions
-        self._table = table.copy()
-        self._table.setflags(write=False)
-
-
-def _basis_index(fn: PostProcessing, bits) -> int:
-    """Basis index of a measurement outcome given as an index or a string."""
-    if isinstance(bits, str):
-        return decode_bits_to_index(fn.n_qubits, bits)
-    index = int(bits)
-    if not 0 <= index < (1 << fn.n_qubits):
-        raise ValueError(f"basis index {index} out of range for {fn.n_qubits} qubits")
-    return index
-
-
-def decode(fn: PostProcessing, bits) -> int:
-    """Decode a measurement outcome (basis index or '0101'-style string)."""
-    return int(fn.action_table()[_basis_index(fn, bits)])
+def decode(fn: PostProcessing, bits: str) -> int:
+    """Action of a measurement outcome given as a '0101'-style string."""
+    return int(fn.table[decode_bits_to_index(fn.n_qubits, bits)])
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +170,7 @@ def globality(fn: PostProcessing) -> GlobalityReport:
     """
     n = fn.n_qubits
     _check_qubits(n, "globality")
-    table = fn.action_table()
+    table = fn.table
     ei = _extracted_information(table[None, :], n)[0]
     value = Fraction(int(ei.sum()), 1 << n)
     sizes = np.bincount(table, minlength=fn.num_actions)
@@ -355,7 +317,7 @@ def globality_histogram(
 # Table file format: one "bits,action" line per basis string
 
 
-def load_table(path, num_actions: int | None = None) -> ExplicitTable:
+def load_table(path, num_actions: int) -> PostProcessing:
     """Read an explicit table from its text form, validating coverage."""
     entries = {}
     n_qubits = None
@@ -380,7 +342,4 @@ def load_table(path, num_actions: int | None = None) -> ExplicitTable:
         raise ValueError(
             f"{path}: table covers {len(entries)} of {1 << n_qubits} strings"
         )
-    table = np.array([entries[i] for i in range(1 << n_qubits)], dtype=np.int64)
-    if num_actions is None:
-        num_actions = int(table.max()) + 1
-    return ExplicitTable(n_qubits, num_actions, table)
+    return PostProcessing(n_qubits, num_actions, [entries[i] for i in range(1 << n_qubits)])

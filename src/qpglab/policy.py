@@ -21,9 +21,12 @@ the adjoint sweep of :func:`qpglab.ansatz.adjoint_grads`, one backward
 pass for a whole trajectory that starts from the final amplitudes
 :func:`sample_action` already computed and undoes one rotation layer
 per phase multiply, and the softmax factors are applied in closed
-form.  A Born policy acts by measuring one bitstring and decoding it,
-as on hardware; its probabilities and gradients are exact
-expectations of the simulated state, never shot estimates.
+form.  The Born gradient reads the decoding's action table directly:
+the taken action's projector is the 0/1 mask of basis indices whose
+table entry is that action, as in sampling and in the class sums.  A
+Born policy acts by measuring one bitstring and decoding it, as on
+hardware; its probabilities and gradients are exact expectations of
+the simulated state, never shot estimates.
 """
 
 from __future__ import annotations
@@ -103,17 +106,6 @@ def _z_signs(n: int, qubits: tuple) -> np.ndarray:
     return signs
 
 
-def _member_matrix(postfn: PostProcessing) -> np.ndarray:
-    """(2**n, M) indicator matrix of class membership, cached per instance."""
-    cached = getattr(postfn, "_member_matrix", None)
-    if cached is None:
-        table = postfn.action_table()
-        cached = (table[:, None] == np.arange(postfn.num_actions)[None, :]).astype(float)
-        cached.setflags(write=False)
-        postfn._member_matrix = cached
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # Action distributions and sampling
 
@@ -132,7 +124,7 @@ def _reduce(policy: Policy, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return obs, pi / pi.sum(axis=1, keepdims=True)
     # Row t's classes are bins t*M .. t*M + M-1, summed in basis order.
     steps, m = len(born), policy.num_actions
-    bins = policy.postfn.action_table() + m * np.arange(steps)[:, None]
+    bins = policy.postfn.table + m * np.arange(steps)[:, None]
     probs = np.bincount(bins.ravel(), weights=born.ravel(), minlength=steps * m)
     return born, probs.reshape(steps, m)
 
@@ -160,7 +152,7 @@ def sample_action(
     amps = ansatz.run_states(policy.model, params, features_rows)
     if isinstance(policy, MeasurementPolicy):
         outcomes = _sample_rows(qsim.probabilities(amps), rngs)
-        return policy.postfn.action_table()[outcomes], amps
+        return policy.postfn.table[outcomes], amps
     return _sample_rows(_reduce(policy, amps)[1], rngs), amps
 
 
@@ -224,8 +216,8 @@ def trajectory_log_grads(
 
 def _measurement_traj_grads(policy, features_seq, actions, params, amps):
     # d ln p_a = d<Pi_a> / p_a, with Pi_a the taken action's projector.
-    member = _member_matrix(policy.postfn)
-    grads = ansatz.adjoint_grads(policy.model, params, features_seq, member[:, actions].T, amps)
+    taken = (policy.postfn.table == actions[:, None]).astype(float)
+    grads = ansatz.adjoint_grads(policy.model, params, features_seq, taken, amps)
     p_taken = _reduce(policy, amps)[1][np.arange(len(actions)), actions]
     if (p_taken == 0.0).any():
         bad = int(np.nonzero(p_taken == 0.0)[0][0])

@@ -204,13 +204,10 @@ def adam_amsgrad_step(
 
 def rate_vector(policy: Policy, hyper: Hyperparams) -> np.ndarray:
     n_theta, n_lam = ansatz.param_counts(policy.model)
-    rates = [
-        np.full(n_theta, hyper.alpha_theta),
-        np.full(n_lam, hyper.alpha_lambda),
-    ]
-    if isinstance(policy, policy_mod.SoftmaxObservablePolicy):
-        rates.append(np.full(policy.num_actions, hyper.alpha_w))
-    return np.concatenate(rates)
+    rates = np.full(policy_mod.num_trainables(policy), hyper.alpha_w)
+    rates[:n_theta] = hyper.alpha_theta
+    rates[n_theta : n_theta + n_lam] = hyper.alpha_lambda
+    return rates
 
 
 @dataclass(slots=True)

@@ -22,7 +22,7 @@ def collect_episode(env, encoder, pol, params, rng) -> train.Trajectory:
         final = ansatz.run_states(pol.model, params, feats[None, :])
         reading, probs = policy._reduce(pol, final)
         if isinstance(pol, policy.MeasurementPolicy):
-            action = int(pol.postfn.action_table()[sample_index(reading[0], rng)])
+            action = int(pol.postfn.table[sample_index(reading[0], rng)])
         else:
             action = sample_index(probs[0], rng)
         state, reward, terminal = env.step(state, action, rng)
@@ -421,11 +421,11 @@ def recursive_partition_sets(n_qubits: int, num_actions: int) -> dict:
 
 def partition_sets(fn) -> dict:
     """Explicit ``{action: sorted list of basis indices}`` classes."""
-    table = fn.action_table()
+    table = fn.table
     return {a: np.nonzero(table == a)[0].tolist() for a in range(fn.num_actions)}
 
 
-def table_from_sets(n_qubits: int, sets: dict) -> decode.ExplicitTable:
+def table_from_sets(n_qubits: int, sets: dict) -> decode.PostProcessing:
     """An explicit table from ``{action: iterable of basis indices}`` classes."""
     table = np.full(1 << n_qubits, -1, dtype=np.int64)
     for action, members in sets.items():
@@ -435,19 +435,19 @@ def table_from_sets(n_qubits: int, sets: dict) -> decode.ExplicitTable:
             table[b] = action
     if (table < 0).any():
         raise ValueError(f"basis index {np.argmax(table < 0)} not assigned to any action")
-    return decode.ExplicitTable(n_qubits, max(sets) + 1, table)
+    return decode.PostProcessing(n_qubits, max(sets) + 1, table)
 
 
-def extracted_information(fn, bits) -> int:
-    """Extracted information of one outcome (basis index or bit string)."""
-    ei = decode._extracted_information(fn.action_table()[None, :], fn.n_qubits)
-    return int(ei[0, decode._basis_index(fn, bits)])
+def extracted_information(fn, b: int) -> int:
+    """Extracted information of the outcome with basis index ``b``."""
+    ei = decode._extracted_information(fn.table[None, :], fn.n_qubits)
+    return int(ei[0, b])
 
 
 def save_table(path, fn) -> None:
     """Write ``fn`` in the ``bits,action`` table format that ``decode.load_table`` reads."""
     with open(path, "w") as fh:
-        for b, action in enumerate(fn.action_table().tolist()):
+        for b, action in enumerate(fn.table.tolist()):
             fh.write(f"{b:0{fn.n_qubits}b},{action}\n")
 
 

@@ -14,8 +14,10 @@ MINIMAL = "[model]\nn_qubits = 3\n"
         (MINIMAL + MINIMAL, "section 'model' already exists"),
         # A Born policy acts on one measured bitstring; it has no shot count.
         (MINIMAL + "[policy]\nshots = 100\n", "[policy] unknown key 'shots'"),
+        # Each env type has one encoder, picked from the type; no key chooses it.
+        (MINIMAL + "[env]\nencoder = binary\n", "[env] unknown key 'encoder'"),
     ],
-    ids=["section", "key", "duplicate-section", "shots"],
+    ids=["section", "key", "duplicate-section", "shots", "encoder"],
 )
 def test_bad_sections_and_keys_are_rejected(tmp_path, text, message):
     path = tmp_path / "bad.ini"
@@ -42,10 +44,6 @@ BANDITS = "type = bandits\nnum_states = 8\nnum_actions = 4"
 
 # Every pairing that config._cross_validate checks, as (file text, message).
 CROSS_ERRORS = {
-    "cartpole-encoder": (
-        _ini(CARTPOLE + "\nencoder = binary", "n_qubits = 4"),
-        "[env] encoder must be continuous for cartpole, got 'binary'",
-    ),
     "cartpole-bounds": (
         _ini(CARTPOLE + "\nbounds = 1, 2, 3", "n_qubits = 4"),
         "[env] cartpole bounds must have 4 entries",
@@ -54,17 +52,9 @@ CROSS_ERRORS = {
         _ini(CARTPOLE, "n_qubits = 3"),
         "[model] n_qubits must equal the cartpole state dimension 4, got 3",
     ),
-    "frozenlake-encoder": (
-        _ini(LAKE + "\nencoder = continuous", "n_qubits = 4"),
-        "[env] encoder must be binary for frozenlake, got 'continuous'",
-    ),
     "frozenlake-qubits": (
         _ini(LAKE, "n_qubits = 3"),
         "[model] n_qubits=3 cannot binary-encode 16 states",
-    ),
-    "bandits-encoder": (
-        _ini(BANDITS + "\nencoder = continuous", "n_qubits = 3"),
-        "[env] encoder must be binary for bandits, got 'continuous'",
     ),
     "bandits-qubits": (
         _ini(BANDITS, "n_qubits = 2"),

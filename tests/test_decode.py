@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpglab import decode
+from qpglab import analysis, ansatz, decode, envs, policy, train
 from oracles import (
     actions_from_masks,
     enumerate_balanced_masks,
@@ -37,7 +37,7 @@ def test_worked_table_decodes_0111(worked_table):
 
 
 def test_worked_table_ei_0111(worked_table):
-    assert extracted_information(worked_table, "0111") == 2
+    assert extracted_information(worked_table, 0b0111) == 2
 
 
 def test_worked_table_ei_split_by_msb(worked_table):
@@ -83,7 +83,7 @@ def test_closed_form_agrees_with_recursion(n, m):
     recursive = recursive_partition_sets(n, m)
     for action, members in recursive.items():
         for b in members:
-            assert decode.decode(fn, b) == action
+            assert fn.table[b] == action
     assert sum(len(v) for v in recursive.values()) == 1 << n
 
 
@@ -226,8 +226,44 @@ def test_decode_validates_inputs(worked_table):
         decode.decode(worked_table, "011")  # wrong length
     with pytest.raises(ValueError):
         decode.decode(worked_table, "01x1")
-    with pytest.raises(ValueError):
-        decode.decode(worked_table, 16)
+
+
+_TABLES = {
+    "msb": lambda: decode.MostSignificantBit(3),
+    "prefix-parity": lambda: decode.PrefixParity(4, 2),
+    "recursive-parity": lambda: decode.RecursiveParity(4, 8),
+    "explicit": lambda: decode.PostProcessing(2, 3, np.array([2, 0, 1, 2], dtype=np.int32)),
+}
+
+
+@pytest.mark.parametrize("make", list(_TABLES.values()), ids=list(_TABLES))
+def test_table_is_a_checked_read_only_copy(make):
+    fn = make()
+    n, m = fn.n_qubits, fn.num_actions
+    assert fn.table.dtype == np.int64
+    assert fn.table.shape == (1 << n,)
+    assert not fn.table.flags.writeable
+    source = fn.table.copy()
+    rebuilt = decode.PostProcessing(n, m, source)
+    source[:] = (source + 1) % m
+    assert (rebuilt.table == fn.table).all()
+    with pytest.raises(ValueError, match=f"table must assign all {1 << n} strings"):
+        decode.PostProcessing(n, m, fn.table[:-1])
+    for bad in (-1, m):
+        table = fn.table.copy()
+        table[-1] = bad
+        with pytest.raises(ValueError, match=r"table actions must lie in \[0, num_actions\)"):
+            decode.PostProcessing(n, m, table)
+
+
+def test_born_runs_leave_the_decoding_as_built():
+    fn = decode.RecursiveParity(3, 4)
+    pol = policy.MeasurementPolicy(ansatz.ModelConfig(3, 2), fn)
+    env = envs.ContextualBandits(8, 4, envs.optimal_map("blocks", 8, 4), "acc01")
+    train.train_run(env, envs.BinaryEncoder(3), pol, train.Hyperparams(episodes=4, batch_size=2), 0)
+    sampler = analysis.normal_state_sampler(3, 0.5)
+    analysis.sample_fims(pol, sampler, 2, 3, np.random.default_rng(0))
+    assert set(vars(fn)) == {"n_qubits", "num_actions", "table"}
 
 
 def test_recursive_parity_validates_action_count():
@@ -240,8 +276,8 @@ def test_recursive_parity_validates_action_count():
 def test_table_file_round_trip(tmp_path, worked_table):
     path = tmp_path / "table.txt"
     save_table(path, worked_table)
-    loaded = decode.load_table(path)
-    assert (loaded.action_table() == worked_table.action_table()).all()
+    loaded = decode.load_table(path, 4)
+    assert (loaded.table == worked_table.table).all()
     assert loaded.num_actions == 4
 
 
@@ -249,7 +285,7 @@ def test_table_file_rejects_missing_rows(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("00,0\n01,1\n10,0\n")
     with pytest.raises(ValueError):
-        decode.load_table(path)
+        decode.load_table(path, 2)
 
 
 @given(st.integers(2, 6), st.integers(0, 63))
@@ -289,9 +325,9 @@ def test_globality_ei_matches_brute_force(data):
     elif kind == "balanced":
         m = data.draw(st.sampled_from([1 << k for k in range(1, n + 1)]))
         perm = data.draw(st.permutations(range(1 << n)))
-        fn = decode.ExplicitTable(n, m, np.argsort(perm) // ((1 << n) // m))
+        fn = decode.PostProcessing(n, m, np.argsort(perm) // ((1 << n) // m))
     else:
         m = data.draw(st.integers(2, 4))
         table = data.draw(st.lists(st.integers(0, m - 1), min_size=1 << n, max_size=1 << n))
-        fn = decode.ExplicitTable(n, m, table)
-    assert (decode.globality(fn).ei == _brute_force_ei(fn.action_table(), n)).all()
+        fn = decode.PostProcessing(n, m, table)
+    assert (decode.globality(fn).ei == _brute_force_ei(fn.table, n)).all()

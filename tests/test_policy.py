@@ -254,7 +254,7 @@ def _shift_rule_log_grads(pol, feats, actions, params):
     if isinstance(pol, policy.SoftmaxObservablePolicy):
         weights = np.tile(policy._z_signs(pol.model.n_qubits, pol.z_qubits), (len(actions), 1))
     else:
-        weights = policy._member_matrix(pol.postfn)[:, actions].T
+        weights = (pol.postfn.table == actions[:, None]).astype(float)
     d_expval = shift_rule_expval_grads(pol.model, params, feats, weights)
     pis = np.array([state_action_probs(pol, f, params) for f in feats])
     if isinstance(pol, policy.MeasurementPolicy):
@@ -321,7 +321,7 @@ def test_born_sampling_is_one_measurement_in_every_eval_mode():
     # The same generator measures one bitstring per row, which is decoded.
     measured = np.random.default_rng(21)
     born = qsim.probabilities(ansatz.run_states(config, params, feats))
-    table = pol.postfn.action_table()
+    table = pol.postfn.table
     assert draws == [int(table[sample_index(p, measured)]) for p in born]
     assert len(set(draws)) > 1
 
@@ -342,7 +342,7 @@ def test_sample_action_rows_match_one_row_draws(kind):
         reading, probs = policy._reduce(pol, ansatz.run_states(config, params, f[None, :]))
         alone = np.random.default_rng(seed)
         if kind == "born":
-            expected.append(int(pol.postfn.action_table()[sample_index(reading[0], alone)]))
+            expected.append(int(pol.postfn.table[sample_index(reading[0], alone)]))
         else:
             expected.append(sample_index(probs[0], alone))
     assert batched.tolist() == expected

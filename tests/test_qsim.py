@@ -212,7 +212,7 @@ def test_sampling_reproducible_with_seed():
     # action the measured basis index.
     config, params = _zero_angle_circuit(2)
     params.theta[1] = 1.1
-    pol = policy.MeasurementPolicy(config, decode.ExplicitTable(2, 4, range(4)))
+    pol = policy.MeasurementPolicy(config, decode.PostProcessing(2, 4, range(4)))
     feats = np.zeros((1000, 2))
     first, _ = policy.sample_action(pol, feats, params, [np.random.default_rng(9)] * 1000)
     second, _ = policy.sample_action(pol, feats, params, [np.random.default_rng(9)] * 1000)
