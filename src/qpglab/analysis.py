@@ -89,11 +89,11 @@ def sample_fims(
     """FIM estimates at ``num_param_sets`` random parameter sets.
 
     Parameter sets come from :func:`uniform_param_sampler`.  One batch
-    of ``num_states`` states is shared across all parameter sets; per
-    parameter set, each state takes one circuit call, one action is
-    drawn per state from the policy's exact distribution, in state
-    order, and the exact log-gradient outer products of those final
-    amplitudes are averaged.
+    of ``num_states`` states is shared across all parameter sets.  Each
+    parameter set is bound once; each state takes one circuit call, one
+    action is drawn per state from the policy's exact distribution, in
+    state order, and the exact log-gradient outer products of those
+    final amplitudes are averaged.
     """
     param_sampler = uniform_param_sampler(policy)
     dim = policy_mod.num_trainables(policy)
@@ -104,9 +104,8 @@ def sample_fims(
     per_set = np.empty((num_param_sets, dim, dim))
     for matrix in per_set:
         params_j, policy_j = param_sampler(rng)
-        amps = np.vstack(
-            [ansatz.run_states(policy_j.model, params_j, s[None, :]) for s in states]
-        )
+        bound = ansatz.bind(policy_j.model, params_j)
+        amps = np.vstack([ansatz.run_bound(bound, s[None, :]) for s in states])
         probs = policy_mod._reduce(policy_j, amps)[1]
         actions = policy_mod._sample_rows(probs, [rng] * num_states)
         grads = policy_mod.trajectory_log_grads(policy_j, feats, actions, params_j, amps)

@@ -27,23 +27,30 @@ diagonal, so it is applied as one precomputed sign vector; a CX layer
 permutes basis states, so it is applied as one precomputed index
 permutation.
 
-:func:`run_batch` is the one forward implementation; :func:`run_states`,
-and through it every policy, calls it.  On each wire no entangler
-separates an encoding block E_l from the variational block V_l after
-it, so the forward pass applies the two as one gate, V_l E_l =
+:func:`run_batch` evolves rows that each carry their own parameters;
+:func:`run_bound` evolves feature rows under one parameter set that
+:func:`bind` has prepared, and :func:`run_states`, and through it every
+policy, binds and then runs.  On each wire no entangler separates an
+encoding block E_l from the variational block V_l after it, so the
+forward pass applies the two as one gate, V_l E_l =
 Ry(theta') Rz(theta + lam' s) Ry(lam s), with the two Rz angles summed;
 layer 0 is V_0 alone.  Gates on different qubits commute, so each
 layer's gates on qubits (q, q+1), q even, act as one 4x4 factor
 U_{q+1} (x) U_q, and an odd top qubit keeps its 2x2 gate.  A forward
 pass is thus d+1 layers of ceil(n/2) factors, each layer followed by
-the entangler.  It evolves B rows at once, in passes of up to 512
-rows.  One vectorised pass computes the factors of every layer of
-every row of the pass, with one cos and one sin call over all their
-half angles.  Then each factor is one batched contraction that reads
-one of two register buffers and writes the other.  Each factor entry
-is the same elementwise cos/sin and product, and each contraction the
-same per-row sum in the same order, whatever the batch, so row ``r``
-is bit-identical to the same row evaluated alone.
+the entangler.  V_0 acts on |0...0> and reads no feature, so the
+register after it and its entangler is the same for every row of one
+parameter set: :func:`bind` computes it once, from one row, together
+with the theta half angles and the scale-factor terms of layers 1..d,
+and :func:`run_bound` starts each row from it and runs layers 1..d.
+Both entry points run the same pass, in passes of up to 512 rows.  One
+vectorised call computes the factors of every layer of every row of
+the pass, with one cos and one sin call over all their half angles.
+Then each factor is one batched contraction that reads one of two
+register buffers and writes the other.  Each factor entry is the same
+elementwise cos/sin and product, and each contraction the same per-row
+sum in the same order, whatever the batch, so row ``r`` is
+bit-identical to the same row evaluated alone, bound or not.
 
 Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): starting
@@ -67,7 +74,8 @@ writes every output file, checkpoints included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,12 +150,15 @@ def init_params(
     return ParamSet(theta, lam)
 
 
-def _validate(config: ModelConfig, params: ParamSet, features: np.ndarray) -> None:
+def _validate_params(config: ModelConfig, params: ParamSet) -> None:
     n_theta, n_lam = param_counts(config)
     if params.theta.shape != (n_theta,):
         raise ValueError(f"theta must have {n_theta} entries, got {params.theta.shape}")
     if params.lam.shape != (n_lam,):
         raise ValueError(f"lam must have {n_lam} entries, got {params.lam.shape}")
+
+
+def _validate_features(config: ModelConfig, features: np.ndarray) -> None:
     if features.shape[-1] != config.n_qubits:
         raise ValueError(
             f"features must have length {config.n_qubits}, got {features.shape[-1]}"
@@ -198,76 +209,74 @@ def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = Fals
     amps[...] = amps[..., _cx_layer_perms(n)[inverse]]
 
 
-# Rows per gate-table pass of run_batch.  The table holds 256 bytes
-# per pair factor and row, (d+1) floor(n/2) of them, plus 64 per top
-# gate at odd n: 3 KB per row at n = 4, d = 5, more than the register
-# at small n.  Passes of this many rows keep it in cache and bound its
-# memory on large batches.
+# Rows per gate-table pass of run_batch and run_bound.  The table holds
+# 256 bytes per pair factor and row, (d+1) floor(n/2) of them, plus 64
+# per top gate at odd n: 3 KB per row at n = 4, d = 5, more than the
+# register at small n.  Passes of this many rows keep it in cache and
+# bound its memory on large batches.
 _ROWS_PER_PASS = 512
 
 # The factors of the encoded angles in the half angles b/2, (a+c)/2 and
 # (a-c)/2: (lam * s) * -0.5 is -(0.5 * (lam * s)) exactly.
 _HALF_ENCODED = np.array([0.5, 0.5, -0.5])
-# The (re, im) signs of the gate entries (u00, u11) and (u01, u10).
-_DIAGONAL_SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])[..., None]
-_OFF_DIAGONAL_SIGNS = np.array([[-1.0, -1.0], [1.0, -1.0]])[..., None]
+# The gate entries u00, u01, u10 and u11: the f of each (cos, sin, sin,
+# cos) and the signs of its (re, im).
+_ENTRY_TERMS = np.array([0, 1, 1, 0])
+_ENTRY_SIGNS = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])[..., None]
 
 
-def _gate_table(
-    config: ModelConfig,
-    thetas: np.ndarray,
-    lams: np.ndarray,
-    features: np.ndarray,
-) -> list[np.ndarray]:
-    """Per-row factors of one :func:`run_batch` call, in the order it applies them.
+def _gate_table(half: np.ndarray) -> list[np.ndarray]:
+    """Per-row factors of a forward pass, in the order it applies them.
 
-    Per layer: the factor U_{q+1} (x) U_q, shape (B, 4, 4), of each qubit
-    pair (q, q+1) with q even, lowest first, then at odd n the top
-    qubit's gate U_{n-1}, shape (B, 2, 2).  A factor's row and column
-    index the pair's bits as 2 b_{q+1} + b_q.  U_q is the fused gate of
-    qubit q: layer 0 is Ry(theta') @ Rz(theta); layer l >= 1 is
-    Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the encoding block E_l
-    fused into the variational block V_l that follows it.  With b the
-    Rz angle and a, c the outer and inner Ry angles (c = 0 in layer 0),
-    the gate is in SU(2):
+    ``half`` holds each gate's half angles (b/2, (a+c)/2, (a-c)/2) as
+    (term, layer, qubit, row).  Per layer: the factor U_{q+1} (x) U_q,
+    shape (B, 4, 4), of each qubit pair (q, q+1) with q even, lowest
+    first, then at odd n the top qubit's gate U_{n-1}, shape (B, 2, 2).
+    A factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
+    U_q is the fused gate of qubit q: layer 0 is Ry(theta') @ Rz(theta);
+    layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
+    encoding block E_l fused into the variational block V_l that follows
+    it.  With b the Rz angle and a, c the outer and inner Ry angles
+    (c = 0 in layer 0), the gate is in SU(2):
 
         u00 = cos(b/2) cos((a+c)/2) - i sin(b/2) cos((a-c)/2) = conj(u11)
         u01 = -cos(b/2) sin((a+c)/2) - i sin(b/2) sin((a-c)/2) = -conj(u10)
     """
-    n, d = config.n_qubits, config.depth
-    batch = thetas.shape[0]
-    # theta as (axis, layer, qubit, row), its axes (z, y).
-    var = thetas.reshape(batch, d + 1, n, 2).transpose(3, 1, 2, 0)
-    # The encoded lam * s of layers 1..d, lam's axes (y, z) read as the
-    # terms (z, y, y) and scaled by their factors in the half angles.
-    enc = lams.reshape(batch, d, n, 2)[..., [1, 0, 0]] * features[:, None, ::-1, None]
-    enc *= _HALF_ENCODED
-    # The half angles (b/2, (a+c)/2, (a-c)/2) as (term, layer, qubit,
-    # row), stacked so that one cos and one sin call cover all three.
-    half = var[[0, 1, 1]]
-    half *= 0.5
-    half[:, 1:] += enc.transpose(3, 1, 2, 0)
+    _, layers, n, batch = half.shape
+    # One cos and one sin call cover all three terms.
     trig = np.empty((2,) + half.shape)
     np.cos(half, out=trig[0])
     np.sin(half, out=trig[1])
-    trig = trig.reshape(2, 3, (d + 1) * n * batch)
-    # Each entry's (re, im) is +-(cos(b/2) f((a+c)/2), sin(b/2) f((a-c)/2)),
+    trig = trig.reshape(2, 3, layers * n * batch)
+    # Each entry's (re, im) is +-(f((a+c)/2) cos(b/2), f((a-c)/2) sin(b/2)),
     # with f = cos for u00 and u11 and f = sin for u01 and u10, written
     # straight into the gates' (entry, re/im, gate) view.
-    gates = np.empty((d + 1, n, batch, 2, 2), dtype=np.complex128)
+    products = trig[:, 1:] * trig[:, 0]
+    gates = np.empty((layers, n, batch, 2, 2), dtype=np.complex128)
     entries = gates.view(np.float64).reshape(-1, 4, 2).transpose(1, 2, 0)
-    np.multiply(trig[:, 0] * trig[0, 1:], _DIAGONAL_SIGNS, out=entries[0::3])
-    np.multiply(trig[:, 0] * trig[1, 1:], _OFF_DIAGONAL_SIGNS, out=entries[1:3])
+    np.multiply(products[_ENTRY_TERMS], _ENTRY_SIGNS, out=entries)
     # Kronecker products of the pairs, axes (i1, i0, j1, j0) of the
     # entries high[i1, j1] * low[i0, j0].
     low, high = gates[:, 0 : n - 1 : 2], gates[:, 1::2]
     pairs = high[..., :, None, :, None] * low[..., None, :, None, :]
-    factors = list(pairs.reshape((d + 1) * (n // 2), batch, 4, 4))
+    factors = list(pairs.reshape(layers * (n // 2), batch, 4, 4))
     if n % 2:
         # The top qubit's gate closes each layer.
         for layer, top in enumerate(gates[:, n - 1]):
             factors.insert(layer * (n + 1) // 2 + n // 2, top)
     return factors
+
+
+def _encoded_half(lam_terms: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Encoded half angles of layers 1..d as (term, layer, qubit, row).
+
+    ``lam_terms`` are the scale factors read as the terms (z, y, y),
+    shape (..., d, n, 3); the encoded ``lam * s`` is scaled by each
+    term's factor in the half angles.
+    """
+    enc = lam_terms * features[:, None, ::-1, None]
+    enc *= _HALF_ENCODED
+    return enc.transpose(3, 1, 2, 0)
 
 
 def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -296,26 +305,116 @@ def run_batch(
     (B, n).  Returns the final amplitudes, shape (B, 2**n).  Row ``r``
     equals the state prepared from row ``r``'s parameters alone.
     """
-    if len(thetas) <= _ROWS_PER_PASS:
-        return _run_pass(config, thetas, lams, features)
-    passes = [slice(i, i + _ROWS_PER_PASS) for i in range(0, len(thetas), _ROWS_PER_PASS)]
-    return np.concatenate([_run_pass(config, thetas[p], lams[p], features[p]) for p in passes])
+    return _in_passes(partial(_rows_pass, config), thetas, lams, features)
 
 
-def _run_pass(config, thetas, lams, features) -> np.ndarray:
-    """:func:`run_batch` on at most ``_ROWS_PER_PASS`` rows."""
-    n, batch = config.n_qubits, len(thetas)
+def _rows_pass(config, thetas, lams, features) -> np.ndarray:
+    n, d = config.n_qubits, config.depth
+    batch = len(thetas)
+    # theta's axes (z, y) read as the half-angle terms (z, y, y).
+    half = thetas.reshape(batch, d + 1, n, 2).transpose(3, 1, 2, 0)[[0, 1, 1]]
+    half *= 0.5
+    half[:, 1:] += _encoded_half(lams.reshape(batch, d, n, 2)[..., [1, 0, 0]], features)
+    return _run_pass(config, _basis_state(n), half)
+
+
+# A NamedTuple, not a dataclass: it is as immutable, and its class is
+# built in a fraction of the time, which every import pays.
+class BoundParams(NamedTuple):
+    """One parameter set bound to a circuit shape by :func:`bind`.
+
+    ``theta_half`` holds the theta half angles of layers 1..d as
+    (term, layer, qubit, 1); ``lam_terms`` the scale factors read as
+    the encoded terms, (layer, qubit, term); ``start`` the register
+    (2**n,) after V_0 and its entangler, the same for every feature row.
+    """
+
+    config: ModelConfig
+    theta_half: np.ndarray
+    lam_terms: np.ndarray
+    start: np.ndarray
+
+
+def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
+    """Validate ``params`` and evaluate their feature-free part once.
+
+    V_0 acts on |0...0> with no feature, so its layer runs here, from
+    one row, and :func:`run_bound` runs layers 1..d only.
+    """
+    n, d = config.n_qubits, config.depth
+    _validate_params(config, params)
+    half = params.theta.reshape(d + 1, n, 2, 1).transpose(2, 0, 1, 3)[[0, 1, 1]]
+    half *= 0.5
+    start = _run_pass(config, _basis_state(n), half[:, :1])[0]
+    lam_terms = params.lam.reshape(d, n, 2)[..., [1, 0, 0]]
+    for array in (half, lam_terms, start):
+        array.setflags(write=False)
+    return BoundParams(config, half[:, 1:], lam_terms, start)
+
+
+def run_bound(bound: BoundParams, features) -> np.ndarray:
+    """Final amplitudes (T, 2**n) of a bound parameter set at ``T`` feature rows.
+
+    Row ``t`` equals the call on ``features[t:t+1]`` alone, and
+    :func:`run_batch` on the same parameters in every row, bit for bit.
+    """
+    features = np.asarray(features, dtype=float)
+    _validate_features(bound.config, features)
+    return _in_passes(partial(_bound_pass, bound), features)
+
+
+def _bound_pass(bound, features) -> np.ndarray:
+    half = bound.theta_half + _encoded_half(bound.lam_terms, features)
+    return _run_pass(bound.config, bound.start, half)
+
+
+def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
+    """Final amplitudes (T, 2**n) of one parameter set at ``T`` feature rows.
+
+    Binds ``params`` and runs them; a caller that runs one set many
+    times binds it once instead.  Row ``t`` equals the call on
+    ``features[t:t+1]`` alone, bit for bit.
+    """
+    return run_bound(bind(config, params), features)
+
+
+def _in_passes(run, *rows) -> np.ndarray:
+    """``run`` on the row arrays ``rows`` in passes of at most ``_ROWS_PER_PASS`` rows."""
+    count = len(rows[0])
+    if count <= _ROWS_PER_PASS:
+        return run(*rows)
+    return np.concatenate(
+        [run(*(r[i : i + _ROWS_PER_PASS] for r in rows)) for i in range(0, count, _ROWS_PER_PASS)]
+    )
+
+
+@lru_cache(maxsize=None)
+def _basis_state(n: int) -> np.ndarray:
+    """|0...0> as (2**n,) amplitudes."""
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[0] = 1.0
+    state.setflags(write=False)
+    return state
+
+
+def _run_pass(config, start, half) -> np.ndarray:
+    """Every row of ``start`` (broadcast to the rows) through the layers of ``half``.
+
+    ``half`` is the gates' half angles, (term, layer, qubit, row), as
+    :func:`_gate_table` reads them; each layer ends with the entangler.
+    """
+    n, batch = config.n_qubits, half.shape[-1]
     # Two registers: each contraction reads one and writes the other,
     # through views of the factor's shape (outer, width, inner) built
     # once per pass.
-    registers = np.zeros((2, batch, 1 << n), dtype=np.complex128)
-    registers[0, :, 0] = 1.0
+    registers = np.empty((2, batch, 1 << n), dtype=np.complex128)
+    registers[0] = start
     views = []
     for low in range(0, n, 2):
         width = min(4, 1 << (n - low))
         shape = (2, batch, (1 << n) // (width << low), width, 1 << low)
         views.append(tuple(registers.reshape(shape)))
-    factors = _gate_table(config, thetas, lams, features)
+    factors = _gate_table(half)
     live = 0
     for layer in range(0, len(factors), len(views)):
         for view, factor in zip(views, factors[layer : layer + len(views)]):
@@ -325,23 +424,6 @@ def _run_pass(config, thetas, lams, features) -> np.ndarray:
             live = 1 - live
         _apply_entangler(registers[live], config)
     return registers[live]
-
-
-def _param_rows(params: ParamSet, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    # One parameter set as ``steps`` batch rows.  A gather costs less
-    # per call than np.broadcast_to at the few rows a rollout runs.
-    rows = np.zeros(steps, dtype=np.intp)
-    return params.theta[None][rows], params.lam[None][rows]
-
-
-def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
-    """Final amplitudes (T, 2**n) of one parameter set at ``T`` feature rows.
-
-    Row ``t`` equals the call on ``features[t:t+1]`` alone, bit for bit.
-    """
-    features = np.asarray(features, dtype=float)
-    _validate(config, params, features)
-    return run_batch(config, *_param_rows(params, len(features)), features)
 
 
 def adjoint_grads(
@@ -382,7 +464,8 @@ def adjoint_grads(
     """
     n, d = config.n_qubits, config.depth
     features = np.asarray(features, dtype=float)
-    _validate(config, params, features)
+    _validate_params(config, params)
+    _validate_features(config, features)
     if amps.shape != (len(features), 1 << n):
         raise ValueError(
             f"amps must have shape {(len(features), 1 << n)}, got {amps.shape}"

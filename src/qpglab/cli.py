@@ -2,8 +2,14 @@
 
 Subcommands: train, globality, enum, fim, effdim, bound, decode.
 Common flags: --config, --seed, --out-dir; ``train`` also takes --jobs,
-the number of seeds trained in parallel.  Exit codes: 0 on success, 2
-for configuration/usage errors, 3 for runtime failures.
+the number of seeds trained in parallel, one worker process each.
+OpenBLAS in each worker may start a thread per core, so the workers
+can oversubscribe the cores; ``OPENBLAS_NUM_THREADS=1`` in the
+environment keeps each worker on one.  Exit codes: 0 on success, 2 for
+configuration/usage errors, 3 for runtime failures.  A usage error
+that the flags alone show, such as ``globality --ei-dump`` above 8
+qubits or an ``enum`` request that the histogram would refuse, exits 2
+before any work and before any output directory is made.
 
 A command builds nothing itself: :func:`qpglab.config.load_config`
 builds the environment, encoder, policy and state sampler once, before
@@ -29,6 +35,9 @@ import numpy as np
 
 from . import analysis, config as config_mod, decode, policy as policy_mod, train as train_mod
 from .config import ConfigError
+
+# Largest qubit count whose per-bitstring EI ``globality --ei-dump`` prints.
+EI_DUMP_QUBITS = 8
 
 
 def _write(out_dir, name, rows, cfg=None, extra=()) -> None:
@@ -114,18 +123,22 @@ def _parse_postfn(args) -> decode.PostProcessing:
 
 
 def cmd_globality(args) -> int:
+    if args.ei_dump and args.n > EI_DUMP_QUBITS:
+        raise ConfigError(f"--ei-dump is limited to {EI_DUMP_QUBITS} qubits")
     fn = _parse_postfn(args)
     report = decode.globality(fn)
     print(f"globality = {report.value} ({float(report.value)!r})")
     if args.ei_dump:
-        if fn.n_qubits > 8:
-            raise RuntimeError("EI dump is limited to 8 qubits")
         for b, action in enumerate(fn.table.tolist()):
             print(f"{format(b, f'0{fn.n_qubits}b')},{action},{report.ei[b]}")
     return 0
 
 
 def cmd_enum(args) -> int:
+    try:
+        decode.check_histogram_request(args.n, args.m, args.mode)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out_dir = _ensure_out_dir(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed or 0))
     hist = decode.globality_histogram(
@@ -244,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="REINFORCE training, learning-curve CSVs")
     add_common(p, config=True)
     p.add_argument(
-        "--jobs", type=_int_at_least(1), default=1, help="seeds trained in parallel"
+        "--jobs",
+        type=_int_at_least(1),
+        default=1,
+        help="seeds trained in parallel, one process each; OpenBLAS may use every "
+        "core in each, so set OPENBLAS_NUM_THREADS=1",
     )
     p.set_defaults(func=cmd_train)
 
@@ -252,7 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--postfn", required=True, help="global | msb | parity:<q> | table:<path>")
     p.add_argument("--n", type=_int_at_least(1), required=True, help="qubit count")
     p.add_argument("--m", type=_int_at_least(2), required=True, help="action count")
-    p.add_argument("--ei-dump", action="store_true", help="print per-bitstring EI (n <= 8)")
+    p.add_argument(
+        "--ei-dump",
+        action="store_true",
+        help=f"print per-bitstring EI (n <= {EI_DUMP_QUBITS})",
+    )
     p.set_defaults(func=cmd_globality)
 
     p = sub.add_parser("enum", help="histogram of globality over balanced partitionings")

@@ -267,6 +267,27 @@ class HistogramResult:
         return sorted(self.counts.items())
 
 
+def check_histogram_request(n_qubits: int, num_actions: int, mode: str) -> None:
+    """Raise ValueError unless :func:`globality_histogram` accepts the request.
+
+    It needs at most ``_QUBIT_LIMIT`` qubits, an action count that
+    divides 2**n, and, in exhaustive mode, a census of at most
+    ``EXHAUSTIVE_LIMIT`` partitionings.
+    """
+    _check_qubits(n_qubits, "histograms")
+    if num_actions < 2 or (1 << n_qubits) % num_actions:
+        raise ValueError("num_actions must be >= 2 and divide 2**n_qubits")
+    if mode == "exhaustive":
+        census = count_balanced_partitionings(n_qubits, num_actions)
+        if census > EXHAUSTIVE_LIMIT:
+            raise ValueError(
+                f"{census} partitionings exceed the exhaustive limit "
+                f"{EXHAUSTIVE_LIMIT}; use sampled mode"
+            )
+    elif mode != "sampled":
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def globality_histogram(
     n_qubits: int,
     num_actions: int,
@@ -276,30 +297,20 @@ def globality_histogram(
 ) -> HistogramResult:
     """Distribution of globality over balanced partitionings.
 
-    ``mode="exhaustive"`` enumerates every partitioning (refused when
-    the census exceeds ``EXHAUSTIVE_LIMIT``); ``mode="sampled"`` draws
-    ``samples`` uniform balanced partitionings from ``rng``.
+    ``mode="exhaustive"`` enumerates every partitioning; ``mode="sampled"``
+    draws ``samples`` uniform balanced partitionings from ``rng``.  The
+    request must pass :func:`check_histogram_request`.
     """
+    check_histogram_request(n_qubits, num_actions, mode)
     big_n = 1 << n_qubits
-    if num_actions < 2 or big_n % num_actions:
-        raise ValueError("num_actions must be >= 2 and divide 2**n_qubits")
-    _check_qubits(n_qubits, "histograms")
     # Tables per extracted-information pass, which holds 3**n entries each.
     rows = max(1, _CHUNK_ENTRIES // 3**n_qubits)
     if mode == "exhaustive":
-        census = count_balanced_partitionings(n_qubits, num_actions)
-        if census > EXHAUSTIVE_LIMIT:
-            raise ValueError(
-                f"{census} partitionings exceed the exhaustive limit "
-                f"{EXHAUSTIVE_LIMIT}; use sampled mode"
-            )
         chunks = _balanced_tables(big_n, num_actions, rows)
-    elif mode == "sampled":
+    else:
         if rng is None:
             raise ValueError("sampled mode needs an rng")
         chunks = _sampled_tables(big_n, num_actions, samples, rng, rows)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     sums: dict = {}
     total = 0
     for tables in chunks:

@@ -14,6 +14,10 @@ distributions for :func:`batch_action_probs`, the softmax policy's
 :func:`sample_action` and both gradient paths.  A Born policy's
 :func:`sample_action` draws a basis index from the Born probabilities
 and decodes it, so it needs no action distribution.
+:func:`sample_action` takes its parameter set bound
+(:func:`qpglab.ansatz.bind`): a caller that samples many times under one
+set, as a rollout does, binds it once, and the feature-free first
+circuit layer runs once for all those calls.
 
 Log-policy gradients are exact: the taken action's projector (Born
 policy) or the Z-mask observable (softmax policy) is differentiated by
@@ -138,18 +142,22 @@ def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.nd
 
 
 def sample_action(
-    policy: Policy, features_rows, params: ParamSet, rngs
+    policy: Policy, features_rows, bound: ansatz.BoundParams, rngs
 ) -> tuple[np.ndarray, np.ndarray]:
     """One action per feature row, row ``t`` drawn with ``rngs[t]``.
 
-    Returns ``(actions, amps)``: the actions (T,) and the final
-    amplitudes (T, 2**n) they were drawn from, which
-    :func:`trajectory_log_grads` takes back.  All rows go through one
-    circuit call, and each row takes one ``random()`` draw from its
-    generator, in row order, so a row's action does not depend on the
-    other rows.  A Born policy measures one bitstring and decodes it.
+    ``bound`` is the parameter set as :func:`qpglab.ansatz.bind` binds it
+    to the policy's model, once for any number of calls.  Returns
+    ``(actions, amps)``: the actions (T,) and the final amplitudes
+    (T, 2**n) they were drawn from, which :func:`trajectory_log_grads`
+    takes back.  All rows go through one circuit call, and each row
+    takes one ``random()`` draw from its generator, in row order, so a
+    row's action does not depend on the other rows.  A Born policy
+    measures one bitstring and decodes it.
     """
-    amps = ansatz.run_states(policy.model, params, features_rows)
+    if bound.config != policy.model:
+        raise ValueError(f"parameters bound to {bound.config}, policy model is {policy.model}")
+    amps = ansatz.run_bound(bound, features_rows)
     if isinstance(policy, MeasurementPolicy):
         outcomes = _sample_rows(qsim.probabilities(amps), rngs)
         return policy.postfn.table[outcomes], amps

@@ -7,8 +7,10 @@ batch boundaries (one trajectory per update by default for the
 paper-style per-episode runs; larger batches are a config choice).
 
 The episodes of one batch share one parameter set, so they are
-stepped in lockstep (:func:`collect_episodes`): each time step makes
-one circuit call over the episodes still running.  An episode ends on
+stepped in lockstep (:func:`collect_episodes`): the set is bound once
+per batch (:func:`qpglab.ansatz.bind`), which runs the feature-free
+first circuit layer once per batch, and each time step makes one
+circuit call over the episodes still running.  An episode ends on
 a terminal transition or after the environment's ``horizon`` steps.
 The update differentiates the final amplitudes that the rollout drew
 its actions from, so each step is simulated once.
@@ -113,7 +115,9 @@ def run_streams(seed: int) -> tuple[np.random.Generator, np.random.SeedSequence]
 def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> list[Trajectory]:
     """Run one episode per generator in lockstep, episode ``e`` on ``rngs[e]``.
 
-    Each time step makes one ``encoder.encode`` call and one
+    ``params`` are bound once (:func:`qpglab.ansatz.bind`), so the
+    feature-free first layer runs once per batch.  Each time step makes
+    one ``encoder.encode`` call and one
     :func:`qpglab.policy.sample_action` call over the episodes still
     running, then one ``env.step`` per episode; each trajectory keeps the
     final amplitudes of its steps for the gradient.
@@ -125,11 +129,12 @@ def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> li
     states = [env.reset(rng) for rng in rngs]
     features, amps, actions, rewards = ([[] for _ in rngs] for _ in range(4))
     live = list(range(len(rngs)))
+    bound = ansatz.bind(policy.model, params)
     for _ in range(env.horizon):
         if not live:
             break
         rows = encoder.encode([states[e] for e in live])
-        chosen, finals = policy_mod.sample_action(policy, rows, params, [rngs[e] for e in live])
+        chosen, finals = policy_mod.sample_action(policy, rows, bound, [rngs[e] for e in live])
         running = []
         for e, row, final, action in zip(live, rows, finals, chosen.tolist()):
             states[e], reward, terminal = env.step(states[e], action, rngs[e])

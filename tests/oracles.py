@@ -122,6 +122,11 @@ def apply_1q_halves(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
     a0[...] = new0
 
 
+def param_rows(params, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """One parameter set as ``steps`` rows of :func:`qpglab.ansatz.run_batch`."""
+    return np.tile(params.theta, (steps, 1)), np.tile(params.lam, (steps, 1))
+
+
 def per_rotation_gate_table(config, thetas, lams, features) -> np.ndarray:
     """The 2x2 entries of every rotation block, before any fusing.
 
@@ -164,7 +169,7 @@ def per_qubit_adjoint_grads(config, params, features, weights, amps) -> np.ndarr
     """
     n = config.n_qubits
     features = np.asarray(features, dtype=float)
-    rows = ansatz._param_rows(params, len(amps))
+    rows = param_rows(params, len(amps))
     undo = per_rotation_gate_table(config, *rows, features).conj()
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)
     pair[0] = amps
@@ -317,7 +322,8 @@ def shift_rows(
     zero contribute no rows (their derivative is identically zero).
     """
     features = np.asarray(features, dtype=float)
-    ansatz._validate(config, params, features)
+    ansatz._validate_params(config, params)
+    ansatz._validate_features(config, features)
     n_theta, n_lam = ansatz.param_counts(config)
     n = config.n_qubits
     rows_theta = []

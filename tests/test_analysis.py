@@ -45,6 +45,16 @@ def test_sample_fims_draws_the_per_state_actions(monkeypatch, pol):
     assert seen == _per_state_actions(pol, sampler, 4, 30, 17)
 
 
+def test_sample_fims_binds_each_parameter_set_once(monkeypatch):
+    bind, run_bound = ansatz.bind, ansatz.run_bound
+    calls = []
+    monkeypatch.setattr(ansatz, "bind", lambda *args: calls.append("bind") or bind(*args))
+    monkeypatch.setattr(ansatz, "run_bound", lambda *args: calls.append("run") or run_bound(*args))
+    sampler = analysis.normal_state_sampler(3)
+    analysis.sample_fims(_policies()[0], sampler, 4, 6, np.random.default_rng(5))
+    assert calls == (["bind"] + ["run"] * 6) * 4
+
+
 @pytest.mark.parametrize("pol", _policies(), ids=["born", "softmax"])
 def test_sampled_fims_are_psd_and_trace_normalised(pol):
     sampler = analysis.uniform_angle_state_sampler(3)

@@ -12,6 +12,7 @@ from oracles import (
     batch_coeff,
     cx_layer_pairwise,
     gate_counts,
+    param_rows,
     per_qubit_adjoint_grads,
     shift_rows,
 )
@@ -513,7 +514,7 @@ def _random_rows(config, rng, steps):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
-def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps, monkeypatch):
+def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps):
     config = ModelConfig(n, depth, entangler)
     params, rng = _random_params(config, 1000 * n + 10 * depth + steps)
     rows = _random_rows(config, rng, steps)
@@ -523,10 +524,57 @@ def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps, mo
     assert np.abs(amps - _per_rotation_run_batch(config, *rows)).max() <= FORWARD_ORACLE_TOL
     features = rows[2]
     states = ansatz.run_states(config, params, features)
-    monkeypatch.setattr(ansatz, "run_batch", _per_pair_run_batch)
-    assert _same_bits(states, ansatz.run_states(config, params, features))
-    monkeypatch.setattr(ansatz, "run_batch", _per_rotation_run_batch)
-    assert np.abs(states - ansatz.run_states(config, params, features)).max() <= FORWARD_ORACLE_TOL
+    shared = (*param_rows(params, steps), features)
+    assert _same_bits(states, _per_pair_run_batch(config, *shared))
+    assert np.abs(states - _per_rotation_run_batch(config, *shared)).max() <= FORWARD_ORACLE_TOL
+
+
+@pytest.mark.parametrize("steps", [1, 7, 2 * ansatz._ROWS_PER_PASS + 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_bound_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps):
+    config = ModelConfig(n, depth, entangler)
+    params, rng = _random_params(config, 2000 * n + 10 * depth + steps)
+    features = _random_rows(config, rng, steps)[2]
+    amps = ansatz.run_bound(ansatz.bind(config, params), features)
+    rows = (*param_rows(params, steps), features)
+    assert amps.flags.c_contiguous
+    assert _same_bits(amps, ansatz.run_batch(config, *rows))
+    assert np.abs(amps - _per_rotation_run_batch(config, *rows)).max() <= FORWARD_ORACLE_TOL
+    # The per-pair oracle evolves each row alone, so a sample of rows is
+    # as strict as all of them: the first seven and both sides of every
+    # pass boundary.
+    edges = [p + i for p in range(ansatz._ROWS_PER_PASS, steps, ansatz._ROWS_PER_PASS) for i in (-1, 0)]
+    sample = np.unique([*range(min(steps, 7)), *edges, steps - 1])
+    oracle = _per_pair_run_batch(config, *(r[sample] for r in rows))
+    assert _same_bits(amps[sample], oracle)
+
+
+def test_one_bound_set_gives_the_same_rows_at_every_call_size():
+    config = ModelConfig(4, 5, "cx")
+    params, rng = _random_params(config, 5)
+    bound = ansatz.bind(config, params)
+    features = rng.uniform(-2, 2, (2 * ansatz._ROWS_PER_PASS + 3, 4))
+    whole = ansatz.run_bound(bound, features)
+    for size in (1, 5, 7, ansatz._ROWS_PER_PASS + 1):
+        parts = [ansatz.run_bound(bound, features[i : i + size]) for i in range(0, 40, size)]
+        assert _same_bits(np.vstack(parts)[:40], whole[:40])
+    assert _same_bits(ansatz.run_bound(bound, features[::-1])[::-1], whole)
+    for array in (bound.theta_half, bound.lam_terms, bound.start):
+        assert not array.flags.writeable
+
+
+def test_bind_checks_parameters_and_run_bound_checks_features():
+    config = ModelConfig(3, 2)
+    params, rng = _random_params(config, 6)
+    with pytest.raises(ValueError, match="theta must have 18 entries"):
+        ansatz.bind(config, ParamSet(params.theta[:-1], params.lam))
+    with pytest.raises(ValueError, match="lam must have 12 entries"):
+        ansatz.bind(config, ParamSet(params.theta, params.lam[:-1]))
+    bound = ansatz.bind(config, params)
+    with pytest.raises(ValueError, match="features must have length 3"):
+        ansatz.run_bound(bound, rng.uniform(-1, 1, (2, 4)))
 
 
 def test_forward_bit_identical_across_row_passes():
@@ -558,16 +606,26 @@ def test_run_batch_rows_do_not_depend_on_grouping(entangler, n, depth):
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])
 def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
     # Each layer's fused gates act as one contraction per qubit pair,
-    # plus one for the top qubit at odd n.
+    # plus one for the top qubit at odd n.  Binding runs layer 0 once,
+    # so a bound call runs layers 1..d.
     config = ModelConfig(n, depth)
     calls = []
     einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda *args, **kw: (calls.append(1), einsum(*args, **kw))[1])
     rng = np.random.default_rng(3)
+    per_layer = (n + 1) // 2
+    params = _random_params(config, 3)[0]
+    calls.clear()
+    bound = ansatz.bind(config, params)
+    assert len(calls) == per_layer
     for count, passes in ((1, 1), (2 * ansatz._ROWS_PER_PASS + 3, 3)):
+        rows = _random_rows(config, rng, count)
         calls.clear()
-        ansatz.run_batch(config, *_random_rows(config, rng, count))
-        assert len(calls) == passes * (depth + 1) * ((n + 1) // 2)
+        ansatz.run_batch(config, *rows)
+        assert len(calls) == passes * (depth + 1) * per_layer
+        calls.clear()
+        ansatz.run_bound(bound, rows[2])
+        assert len(calls) == passes * depth * per_layer
 
 
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])
@@ -584,8 +642,13 @@ def test_gate_table_takes_cos_and_sin_once_per_row_pass(monkeypatch, n, depth):
 
     for name in ("cos", "sin"):
         monkeypatch.setattr(np, name, counted(name))
+    params = _random_params(config, 4)[0]
+    calls.clear()
+    bound = ansatz.bind(config, params)
+    assert sorted(calls) == ["cos", "sin"]
     for count, passes in ((1, 1), (7, 1), (2 * ansatz._ROWS_PER_PASS + 3, 3)):
         rows = _random_rows(config, rng, count)
-        calls.clear()
-        ansatz.run_batch(config, *rows)
-        assert sorted(calls) == ["cos"] * passes + ["sin"] * passes
+        for run in (lambda: ansatz.run_batch(config, *rows), lambda: ansatz.run_bound(bound, rows[2])):
+            calls.clear()
+            run()
+            assert sorted(calls) == ["cos"] * passes + ["sin"] * passes

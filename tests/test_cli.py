@@ -209,10 +209,43 @@ def test_config_errors_exit_two(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-def test_runtime_failure_exits_three(capsys):
+def test_runtime_failure_exits_three(capsys, monkeypatch):
+    def fail(fn):
+        raise RuntimeError("globality failed")
+
+    monkeypatch.setattr(decode, "globality", fail)
+    assert cli.main(["globality", "--postfn", "global", "--n", "3", "--m", "2"]) == 3
+    assert capsys.readouterr() == ("", "error: globality failed\n")
+
+
+def test_ei_dump_above_eight_qubits_is_a_usage_error(capsys, monkeypatch):
+    # The flags are checked before the decoding is built or scored.
+    def refuse(*args):
+        raise AssertionError("the command did work before checking its flags")
+
+    monkeypatch.setattr(config, "build_postfn", refuse)
     argv = ["globality", "--postfn", "global", "--n", "9", "--m", "2", "--ei-dump"]
-    assert cli.main(argv) == 3
-    assert "EI dump is limited to 8 qubits" in capsys.readouterr().err
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "config error: --ei-dump is limited to 8 qubits\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--n", "17", "--m", "2", "--mode", "sampled"], "histograms is limited to 16 qubits"),
+        (["--n", "3", "--m", "3"], "num_actions must be >= 2 and divide 2**n_qubits"),
+        (
+            ["--n", "5", "--m", "2"],
+            "300540195 partitionings exceed the exhaustive limit 10000000; use sampled mode",
+        ),
+    ],
+    ids=["qubits", "divisor", "census"],
+)
+def test_enum_checks_its_request_before_the_output_directory(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    assert cli.main(["enum", *argv, "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out_dir.exists()
 
 
 def test_table_with_the_wrong_qubit_count_fails(tmp_path, capsys):

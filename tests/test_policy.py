@@ -105,7 +105,8 @@ def test_single_measurement_sampling_matches_distribution():
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
     exact = state_action_probs(pol, features, params)
     trials = 20_000
-    draws, _ = policy.sample_action(pol, np.tile(features, (trials, 1)), params, [rng] * trials)
+    bound = ansatz.bind(config, params)
+    draws, _ = policy.sample_action(pol, np.tile(features, (trials, 1)), bound, [rng] * trials)
     freq = np.mean(draws == 1)
     sigma = np.sqrt(exact[1] * (1 - exact[1]) / trials)
     assert abs(freq - exact[1]) < 3.5 * sigma + 1e-4
@@ -114,12 +115,13 @@ def test_single_measurement_sampling_matches_distribution():
 def test_sample_action_deterministic_given_seed():
     config, params, features, _ = _instance(seed=5)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
+    bound = ansatz.bind(config, params)
     first = [
-        policy.sample_action(pol, features[None, :], params, [np.random.default_rng(11)])[0][0]
+        policy.sample_action(pol, features[None, :], bound, [np.random.default_rng(11)])[0][0]
         for _ in range(3)
     ]
     second = [
-        policy.sample_action(pol, features[None, :], params, [np.random.default_rng(11)])[0][0]
+        policy.sample_action(pol, features[None, :], bound, [np.random.default_rng(11)])[0][0]
         for _ in range(3)
     ]
     assert first == second
@@ -317,7 +319,8 @@ def test_born_sampling_is_one_measurement_in_every_eval_mode():
     feats = rng.uniform(-1, 1, (40, 4))
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(4, 4))
     seeded = np.random.default_rng(21)
-    draws = policy.sample_action(pol, feats, params, [seeded] * len(feats))[0].tolist()
+    bound = ansatz.bind(config, params)
+    draws = policy.sample_action(pol, feats, bound, [seeded] * len(feats))[0].tolist()
     # The same generator measures one bitstring per row, which is decoded.
     measured = np.random.default_rng(21)
     born = qsim.probabilities(ansatz.run_states(config, params, feats))
@@ -335,7 +338,8 @@ def test_sample_action_rows_match_one_row_draws(kind):
         pol = policy.SoftmaxObservablePolicy(config, np.array([2.0, -1.5, 0.5, 3.0]), beta=2.0)
     feats = rng.uniform(-np.pi, np.pi, (25, 3))
     rngs = [np.random.default_rng(seed) for seed in range(25)]
-    batched, amps = policy.sample_action(pol, feats, params, rngs)
+    bound = ansatz.bind(config, params)
+    batched, amps = policy.sample_action(pol, feats, bound, rngs)
     assert amps.tobytes() == ansatz.run_states(config, params, feats).tobytes()
     expected = []
     for seed, f in enumerate(feats):
@@ -348,7 +352,15 @@ def test_sample_action_rows_match_one_row_draws(kind):
     assert batched.tolist() == expected
     assert len(set(expected)) > 1
     with pytest.raises(ValueError, match="one generator per row"):
-        policy.sample_action(pol, feats, params, [rng] * 24)
+        policy.sample_action(pol, feats, bound, [rng] * 24)
+
+
+def test_sample_action_refuses_parameters_bound_to_another_model():
+    config, params, features, rng = _instance(seed=18)
+    pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
+    other = ModelConfig(3, 2, "cx")
+    with pytest.raises(ValueError, match="parameters bound to"):
+        policy.sample_action(pol, features[None, :], ansatz.bind(other, params), [rng])
 
 
 def test_born_sample_action_draws_from_born_probabilities_without_reduce(monkeypatch):
@@ -356,13 +368,14 @@ def test_born_sample_action_draws_from_born_probabilities_without_reduce(monkeyp
     config, params, _, rng = _instance(n=3, d=2, seed=17)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 4))
     feats = rng.uniform(-np.pi, np.pi, (6, 3))
-    expected, _ = policy.sample_action(pol, feats, params, episode_rngs(1, 6))
+    bound = ansatz.bind(config, params)
+    expected, _ = policy.sample_action(pol, feats, bound, episode_rngs(1, 6))
 
     def refuse(*args):
         raise AssertionError("a Born sample_action called _reduce")
 
     monkeypatch.setattr(policy, "_reduce", refuse)
-    drawn, _ = policy.sample_action(pol, feats, params, episode_rngs(1, 6))
+    drawn, _ = policy.sample_action(pol, feats, bound, episode_rngs(1, 6))
     assert drawn.tolist() == expected.tolist()
 
 

@@ -214,8 +214,9 @@ def test_sampling_reproducible_with_seed():
     params.theta[1] = 1.1
     pol = policy.MeasurementPolicy(config, decode.PostProcessing(2, 4, range(4)))
     feats = np.zeros((1000, 2))
-    first, _ = policy.sample_action(pol, feats, params, [np.random.default_rng(9)] * 1000)
-    second, _ = policy.sample_action(pol, feats, params, [np.random.default_rng(9)] * 1000)
+    bound = ansatz.bind(config, params)
+    first, _ = policy.sample_action(pol, feats, bound, [np.random.default_rng(9)] * 1000)
+    second, _ = policy.sample_action(pol, feats, bound, [np.random.default_rng(9)] * 1000)
     assert (first == second).all()
 
 

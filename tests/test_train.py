@@ -212,6 +212,21 @@ def test_train_run_batches_equal_one_at_a_time(monkeypatch, task, size, episodes
     assert [rec.episode for rec in result.records] == list(range(episodes))
 
 
+@pytest.mark.parametrize("task", ["cartpole_born", "bandit_softmax"])
+def test_each_batch_binds_its_parameters_once(monkeypatch, task):
+    env, encoder, pol = TASKS[task]()
+    bind = ansatz.bind
+    bound = []
+    monkeypatch.setattr(ansatz, "bind", lambda *args: bound.append(bind(*args)) or bound[-1])
+    params = ansatz.init_params(pol.model, np.random.default_rng(2))
+    batch = train.collect_episodes(env, encoder, pol, params, episode_rngs(2, 10))
+    # One bind serves every step of the batch, however many calls it makes.
+    assert len(bound) == 1 and len(batch) == 10
+    bound.clear()
+    train.train_run(env, encoder, pol, train.Hyperparams(batch_size=4, episodes=10), seed=3)
+    assert len(bound) == 3
+
+
 def test_run_streams_are_separate_children_of_the_seed():
     init, episodes = train.run_streams(4)
     first, second = np.random.SeedSequence(4).spawn(2)
@@ -232,9 +247,9 @@ def test_first_batch_does_not_depend_on_batch_size():
 def _fixed_actions(monkeypatch, choose):
     """Replace the policy's draws by ``choose(feature_row)``."""
 
-    def sample_action(pol, feats, params, rngs):
+    def sample_action(pol, feats, bound, rngs):
         actions = np.array([choose(row) for row in feats], dtype=np.int64)
-        return actions, ansatz.run_states(pol.model, params, feats)
+        return actions, ansatz.run_bound(bound, feats)
 
     monkeypatch.setattr(policy, "sample_action", sample_action)
 
