@@ -27,30 +27,29 @@ diagonal, so it is applied as one precomputed sign vector; a CX layer
 permutes basis states, so it is applied as one precomputed index
 permutation.
 
-:func:`run_batch` evolves rows that each carry their own parameters;
-:func:`run_bound` evolves feature rows under one parameter set that
-:func:`bind` has prepared, and :func:`run_states`, and through it every
-policy, binds and then runs.  On each wire no entangler separates an
-encoding block E_l from the variational block V_l after it, so the
-forward pass applies the two as one gate, V_l E_l =
-Ry(theta') Rz(theta + lam' s) Ry(lam s), with the two Rz angles summed;
-layer 0 is V_0 alone.  Gates on different qubits commute, so each
-layer's gates on qubits (q, q+1), q even, act as one 4x4 factor
-U_{q+1} (x) U_q, and an odd top qubit keeps its 2x2 gate.  A forward
-pass is thus d+1 layers of ceil(n/2) factors, each layer followed by
-the entangler.  V_0 acts on |0...0> and reads no feature, so the
-register after it and its entangler is the same for every row of one
-parameter set: :func:`bind` computes it once, from one row, together
-with the theta half angles and the scale-factor terms of layers 1..d,
-and :func:`run_bound` starts each row from it and runs layers 1..d.
-Both entry points run the same pass, in passes of up to 512 rows.  One
+The forward pass evaluates one parameter set at many feature rows:
+:func:`bind` prepares the set once, :func:`run_bound` evolves feature
+rows under it, and :func:`run_states`, which the policies use, does the
+two in one call.  On each wire no entangler separates an encoding
+block E_l from the variational block V_l after it, so the forward pass
+applies the two as one gate, V_l E_l = Ry(theta') Rz(theta + lam' s)
+Ry(lam s), with the two Rz angles summed; layer 0 is V_0 alone.  Gates
+on different qubits commute, so each layer's gates on qubits (q, q+1),
+q even, act as one 4x4 factor U_{q+1} (x) U_q, and an odd top qubit
+keeps its 2x2 gate.  A forward pass is thus d+1 layers of ceil(n/2)
+factors, each layer followed by the entangler.  V_0 acts on |0...0>
+and reads no feature, so the register after it and its entangler is
+the same for every row of one parameter set: :func:`bind` computes it
+once, from one row, together with the theta half angles and the
+scale-factor terms of layers 1..d, and :func:`run_bound` starts each
+row from it and runs layers 1..d, in passes of up to 512 rows.  One
 vectorised call computes the factors of every layer of every row of
 the pass, with one cos and one sin call over all their half angles.
 Then each factor is one batched contraction that reads one of two
 register buffers and writes the other.  Each factor entry is the same
 elementwise cos/sin and product, and each contraction the same per-row
 sum in the same order, whatever the batch, so row ``r`` is
-bit-identical to the same row evaluated alone, bound or not.
+bit-identical to the same row evaluated alone.
 
 Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): starting
@@ -74,7 +73,7 @@ writes every output file, checkpoints included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -209,10 +208,10 @@ def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = Fals
     amps[...] = amps[..., _cx_layer_perms(n)[inverse]]
 
 
-# Rows per gate-table pass of run_batch and run_bound.  The table holds
-# 256 bytes per pair factor and row, (d+1) floor(n/2) of them, plus 64
-# per top gate at odd n: 3 KB per row at n = 4, d = 5, more than the
-# register at small n.  Passes of this many rows keep it in cache and
+# Rows per gate-table pass of run_bound.  The table holds 256 bytes
+# per pair factor and row, d floor(n/2) of them, plus 64 per top gate
+# at odd n: 2.5 KB per row at n = 4, d = 5, more than the register at
+# small n.  Passes of this many rows keep it in cache and
 # bound its memory on large batches.
 _ROWS_PER_PASS = 512
 
@@ -267,18 +266,6 @@ def _gate_table(half: np.ndarray) -> list[np.ndarray]:
     return factors
 
 
-def _encoded_half(lam_terms: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Encoded half angles of layers 1..d as (term, layer, qubit, row).
-
-    ``lam_terms`` are the scale factors read as the terms (z, y, y),
-    shape (..., d, n, 3); the encoded ``lam * s`` is scaled by each
-    term's factor in the half angles.
-    """
-    enc = lam_terms * features[:, None, ::-1, None]
-    enc *= _HALF_ENCODED
-    return enc.transpose(3, 1, 2, 0)
-
-
 def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Inverse of the backward sweep's angle layout: d/d(angle) as
     (z, y, block, qubit, row), rotation blocks in circuit order V_0,
@@ -291,31 +278,6 @@ def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
     return np.hstack(
         [d_theta.reshape(batch, (blocks + 1) * n), d_lam.reshape(batch, (blocks - 1) * n)]
     )
-
-
-def run_batch(
-    config: ModelConfig,
-    thetas: np.ndarray,
-    lams: np.ndarray,
-    features: np.ndarray,
-) -> np.ndarray:
-    """Evolve a batch of parameter/feature rows through the circuit.
-
-    ``thetas`` is (B, |theta|), ``lams`` is (B, |lam|), ``features`` is
-    (B, n).  Returns the final amplitudes, shape (B, 2**n).  Row ``r``
-    equals the state prepared from row ``r``'s parameters alone.
-    """
-    return _in_passes(partial(_rows_pass, config), thetas, lams, features)
-
-
-def _rows_pass(config, thetas, lams, features) -> np.ndarray:
-    n, d = config.n_qubits, config.depth
-    batch = len(thetas)
-    # theta's axes (z, y) read as the half-angle terms (z, y, y).
-    half = thetas.reshape(batch, d + 1, n, 2).transpose(3, 1, 2, 0)[[0, 1, 1]]
-    half *= 0.5
-    half[:, 1:] += _encoded_half(lams.reshape(batch, d, n, 2)[..., [1, 0, 0]], features)
-    return _run_pass(config, _basis_state(n), half)
 
 
 # A NamedTuple, not a dataclass: it is as immutable, and its class is
@@ -355,17 +317,22 @@ def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
 def run_bound(bound: BoundParams, features) -> np.ndarray:
     """Final amplitudes (T, 2**n) of a bound parameter set at ``T`` feature rows.
 
-    Row ``t`` equals the call on ``features[t:t+1]`` alone, and
-    :func:`run_batch` on the same parameters in every row, bit for bit.
+    Runs layers 1..d from ``bound.start``, in passes of at most
+    ``_ROWS_PER_PASS`` rows.  Row ``t`` equals the call on
+    ``features[t:t+1]`` alone, bit for bit.
     """
     features = np.asarray(features, dtype=float)
     _validate_features(bound.config, features)
-    return _in_passes(partial(_bound_pass, bound), features)
-
-
-def _bound_pass(bound, features) -> np.ndarray:
-    half = bound.theta_half + _encoded_half(bound.lam_terms, features)
-    return _run_pass(bound.config, bound.start, half)
+    passes = []
+    # One pass even with no rows, which gives a (0, 2**n) result.
+    for low in range(0, max(len(features), 1), _ROWS_PER_PASS):
+        # The encoded lam * s, scaled by each half-angle term's factor,
+        # as (term, layer, qubit, row).
+        enc = bound.lam_terms * features[low : low + _ROWS_PER_PASS, None, ::-1, None]
+        enc *= _HALF_ENCODED
+        half = bound.theta_half + enc.transpose(3, 1, 2, 0)
+        passes.append(_run_pass(bound.config, bound.start, half))
+    return passes[0] if len(passes) == 1 else np.concatenate(passes)
 
 
 def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
@@ -376,16 +343,6 @@ def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
     ``features[t:t+1]`` alone, bit for bit.
     """
     return run_bound(bind(config, params), features)
-
-
-def _in_passes(run, *rows) -> np.ndarray:
-    """``run`` on the row arrays ``rows`` in passes of at most ``_ROWS_PER_PASS`` rows."""
-    count = len(rows[0])
-    if count <= _ROWS_PER_PASS:
-        return run(*rows)
-    return np.concatenate(
-        [run(*(r[i : i + _ROWS_PER_PASS] for r in rows)) for i in range(0, count, _ROWS_PER_PASS)]
-    )
 
 
 @lru_cache(maxsize=None)

@@ -7,9 +7,12 @@ OpenBLAS in each worker may start a thread per core, so the workers
 can oversubscribe the cores; ``OPENBLAS_NUM_THREADS=1`` in the
 environment keeps each worker on one.  Exit codes: 0 on success, 2 for
 configuration/usage errors, 3 for runtime failures.  A usage error
-that the flags alone show, such as ``globality --ei-dump`` above 8
-qubits or an ``enum`` request that the histogram would refuse, exits 2
-before any work and before any output directory is made.
+that the flags alone show exits 2 before any work and before any
+output directory is made: ``globality --ei-dump`` above 8 qubits, an
+``enum`` request that the histogram would refuse, and for
+``globality`` and ``decode`` a ``--postfn`` that names no decoding
+with ``--n`` qubits and ``--m`` actions, an ``--n`` above the
+command's qubit limit, or a ``--bits`` that is not an n-bit string.
 
 A command builds nothing itself: :func:`qpglab.config.load_config`
 builds the environment, encoder, policy and state sampler once, before
@@ -33,7 +36,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, config as config_mod, decode, policy as policy_mod, train as train_mod
+from . import analysis, config as config_mod, decode, policy as policy_mod, qsim, train as train_mod
 from .config import ConfigError
 
 # Largest qubit count whose per-bitstring EI ``globality --ei-dump`` prints.
@@ -118,14 +121,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_postfn(args) -> decode.PostProcessing:
-    return config_mod.build_postfn(args.postfn, args.n, args.m)
+def _parse_postfn(args, max_qubits: int) -> decode.PostProcessing:
+    """The decoding that --postfn, --n and --m name; a bad one is a usage error.
+
+    ``--n`` is checked against ``max_qubits`` before any table is built.
+    """
+    if args.n > max_qubits:
+        raise ConfigError(f"{args.command} is limited to {max_qubits} qubits")
+    return config_mod._checked("--postfn:", config_mod.build_postfn, args.postfn, args.n, args.m)
 
 
 def cmd_globality(args) -> int:
     if args.ei_dump and args.n > EI_DUMP_QUBITS:
         raise ConfigError(f"--ei-dump is limited to {EI_DUMP_QUBITS} qubits")
-    fn = _parse_postfn(args)
+    fn = _parse_postfn(args, decode.QUBIT_LIMIT)
     report = decode.globality(fn)
     print(f"globality = {report.value} ({float(report.value)!r})")
     if args.ei_dump:
@@ -233,8 +242,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    fn = _parse_postfn(args)
-    print(decode.decode(fn, args.bits))
+    config_mod._checked("--bits:", decode.decode_bits_to_index, args.n, args.bits)
+    print(decode.decode(_parse_postfn(args, qsim.MAX_QUBITS), args.bits))
     return 0
 
 

@@ -307,11 +307,6 @@ def _build(cfg: ExperimentConfig) -> Experiment:
 
     where = "[policy] postfn:" if cfg.policy.kind == "measurement" else "[policy]"
     policy = _checked(where, build_policy, cfg, env.num_actions)
-    if policy.num_actions != env.num_actions:
-        raise ConfigError(
-            f"[policy] postfn provides {policy.num_actions} actions, "
-            f"environment needs {env.num_actions}"
-        )
     sampler = _checked("[analysis] state_sampler:", build_state_sampler, cfg)
     return Experiment(cfg, env, encoder, policy, sampler)
 
@@ -320,20 +315,28 @@ def build_postfn(spec: str, n_qubits: int, num_actions: int) -> decode.PostProce
     """Instantiate a post-processing function from its config spec string.
 
     ``global`` (recursive parity construction), ``msb``, ``parity:<q>``
-    or ``table:<path>``.
+    or ``table:<path>``.  The decoding must have ``num_actions`` actions;
+    ``msb`` and ``parity:<q>`` have two.
     """
     if spec == "global":
-        return decode.RecursiveParity(n_qubits, num_actions)
-    if spec == "msb":
-        return decode.MostSignificantBit(n_qubits)
-    if spec.startswith("parity:"):
-        return decode.PrefixParity(n_qubits, int(spec.split(":", 1)[1]))
-    if spec.startswith("table:"):
+        fn = decode.RecursiveParity(n_qubits, num_actions)
+    elif spec == "msb":
+        fn = decode.MostSignificantBit(n_qubits)
+    elif spec.startswith("parity:"):
+        try:
+            q = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"parity:<q> needs an integer q, got {spec!r}") from None
+        fn = decode.PrefixParity(n_qubits, q)
+    elif spec.startswith("table:"):
         fn = decode.load_table(spec.split(":", 1)[1], num_actions)
         if fn.n_qubits != n_qubits:
             raise ValueError(f"table has {fn.n_qubits} qubits, expected {n_qubits}")
-        return fn
-    raise ValueError(f"unknown postfn spec {spec!r}")
+    else:
+        raise ValueError(f"unknown postfn spec {spec!r}")
+    if fn.num_actions != num_actions:
+        raise ValueError(f"{spec} provides {fn.num_actions} actions, not {num_actions}")
+    return fn
 
 
 def build_env(cfg: ExperimentConfig):

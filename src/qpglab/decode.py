@@ -27,12 +27,12 @@ import numpy as np
 
 # Largest qubit count for explicit classes, extracted information and
 # histograms: the subcube pass holds 3**n entries per table.
-_QUBIT_LIMIT = 16
+QUBIT_LIMIT = 16
 
 
 def _check_qubits(n: int, what: str) -> None:
-    if n > _QUBIT_LIMIT:
-        raise ValueError(f"{what} is limited to {_QUBIT_LIMIT} qubits")
+    if n > QUBIT_LIMIT:
+        raise ValueError(f"{what} is limited to {QUBIT_LIMIT} qubits")
 
 
 class PostProcessing:
@@ -270,7 +270,7 @@ class HistogramResult:
 def check_histogram_request(n_qubits: int, num_actions: int, mode: str) -> None:
     """Raise ValueError unless :func:`globality_histogram` accepts the request.
 
-    It needs at most ``_QUBIT_LIMIT`` qubits, an action count that
+    It needs at most ``QUBIT_LIMIT`` qubits, an action count that
     divides 2**n, and, in exhaustive mode, a census of at most
     ``EXHAUSTIVE_LIMIT`` partitionings.
     """

@@ -123,7 +123,7 @@ def apply_1q_halves(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
 
 
 def param_rows(params, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """One parameter set as ``steps`` rows of :func:`qpglab.ansatz.run_batch`."""
+    """One parameter set as ``steps`` rows of (thetas, lams), as the forward oracles read them."""
     return np.tile(params.theta, (steps, 1)), np.tile(params.lam, (steps, 1))
 
 

@@ -105,7 +105,7 @@ def _gatewise_reference(config, params, features):
 
 
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
-def test_prepare_state_matches_gatewise_construction(entangler):
+def test_run_states_matches_gatewise_construction(entangler):
     config = ModelConfig(3, 2, entangler)
     params, rng = _random_params(config, 11)
     features = rng.uniform(-1, 1, 3)
@@ -114,7 +114,7 @@ def test_prepare_state_matches_gatewise_construction(entangler):
     assert np.abs(fast - slow).max() < 1e-12
 
 
-def test_prepare_state_deterministic():
+def test_run_states_deterministic():
     config = ModelConfig(4, 1)
     params, rng = _random_params(config, 3)
     features = rng.uniform(-1, 1, 4)
@@ -124,7 +124,7 @@ def test_prepare_state_deterministic():
     assert np.sum(np.abs(first) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_prepare_state_rejects_dimension_mismatch():
+def test_run_states_rejects_dimension_mismatch():
     config = ModelConfig(3, 1)
     params, _ = _random_params(config, 0)
     with pytest.raises(ValueError):
@@ -214,7 +214,9 @@ def shift_rule_expval_grads(config, params, features, weights):
     out = np.zeros((len(features), ansatz.total_params(config)))
     for t, f in enumerate(features):
         thetas, lams, coeffs, owner = shift_rows(config, params, f)
-        amps = ansatz.run_batch(config, thetas, lams, np.broadcast_to(f, (len(coeffs), len(f))))
+        amps = _per_rotation_run_batch(
+            config, thetas, lams, np.broadcast_to(f, (len(coeffs), len(f)))
+        )
         np.add.at(out[t], owner, coeffs * ((np.abs(amps) ** 2) @ weights[t]))
     return out
 
@@ -357,19 +359,6 @@ def test_gate_count_audit(n, d):
     counts = gate_counts(ModelConfig(n, d))
     assert counts["rotations"] == 2 * n * (d + 1) + 2 * n * d
     assert counts["entanglers"] == (d + 1) * n * (n - 1) // 2
-
-
-def test_batch_rows_match_single_evaluations():
-    config = ModelConfig(3, 2)
-    params, rng = _random_params(config, 30)
-    features = rng.uniform(-1, 1, 3)
-    thetas, lams, coeffs, owner = shift_rows(config, params, features)
-    batch = ansatz.run_batch(
-        config, thetas, lams, np.broadcast_to(features, (len(coeffs), 3))
-    )
-    for row in range(0, len(coeffs), 7):
-        single = _state(config, ParamSet(thetas[row], lams[row]), features)
-        assert (batch[row] == single).all()
 
 
 def test_init_params_conventions():
@@ -517,13 +506,9 @@ def _random_rows(config, rng, steps):
 def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps):
     config = ModelConfig(n, depth, entangler)
     params, rng = _random_params(config, 1000 * n + 10 * depth + steps)
-    rows = _random_rows(config, rng, steps)
-    amps = ansatz.run_batch(config, *rows)
-    assert amps.flags.c_contiguous
-    assert _same_bits(amps, _per_pair_run_batch(config, *rows))
-    assert np.abs(amps - _per_rotation_run_batch(config, *rows)).max() <= FORWARD_ORACLE_TOL
-    features = rows[2]
+    features = _random_rows(config, rng, steps)[2]
     states = ansatz.run_states(config, params, features)
+    assert states.flags.c_contiguous
     shared = (*param_rows(params, steps), features)
     assert _same_bits(states, _per_pair_run_batch(config, *shared))
     assert np.abs(states - _per_rotation_run_batch(config, *shared)).max() <= FORWARD_ORACLE_TOL
@@ -540,7 +525,6 @@ def test_bound_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, ste
     amps = ansatz.run_bound(ansatz.bind(config, params), features)
     rows = (*param_rows(params, steps), features)
     assert amps.flags.c_contiguous
-    assert _same_bits(amps, ansatz.run_batch(config, *rows))
     assert np.abs(amps - _per_rotation_run_batch(config, *rows)).max() <= FORWARD_ORACLE_TOL
     # The per-pair oracle evolves each row alone, so a sample of rows is
     # as strict as all of them: the first seven and both sides of every
@@ -565,6 +549,23 @@ def test_one_bound_set_gives_the_same_rows_at_every_call_size():
         assert not array.flags.writeable
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_bound_rows_do_not_depend_on_grouping(entangler, n, depth):
+    # The lockstep rollouts of train.collect_episodes rest on this.
+    config = ModelConfig(n, depth, entangler)
+    params, rng = _random_params(config, 90 + 10 * n + depth)
+    bound = ansatz.bind(config, params)
+    count = 2 * ansatz._ROWS_PER_PASS + 3
+    features = _random_rows(config, rng, count)[2]
+    whole = ansatz.run_bound(bound, features)
+    for size in (7, 1):
+        parts = [ansatz.run_bound(bound, features[i : i + size]) for i in range(0, count, size)]
+        assert _same_bits(np.vstack(parts), whole)
+    assert _same_bits(ansatz.run_bound(bound, features[::-1])[::-1], whole)
+
+
 def test_bind_checks_parameters_and_run_bound_checks_features():
     config = ModelConfig(3, 2)
     params, rng = _random_params(config, 6)
@@ -575,32 +576,6 @@ def test_bind_checks_parameters_and_run_bound_checks_features():
     bound = ansatz.bind(config, params)
     with pytest.raises(ValueError, match="features must have length 3"):
         ansatz.run_bound(bound, rng.uniform(-1, 1, (2, 4)))
-
-
-def test_forward_bit_identical_across_row_passes():
-    config = ModelConfig(3, 2, "cx")
-    rows = _random_rows(config, np.random.default_rng(17), 2 * ansatz._ROWS_PER_PASS + 3)
-    amps = ansatz.run_batch(config, *rows)
-    assert amps.flags.c_contiguous
-    assert _same_bits(amps, _per_pair_run_batch(config, *rows))
-    assert np.abs(amps - _per_rotation_run_batch(config, *rows)).max() <= FORWARD_ORACLE_TOL
-
-
-@pytest.mark.parametrize("depth", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("entangler", ["cz", "cx"])
-def test_run_batch_rows_do_not_depend_on_grouping(entangler, n, depth):
-    # The lockstep rollouts of train.collect_episodes rest on this.
-    config = ModelConfig(n, depth, entangler)
-    count = 2 * ansatz._ROWS_PER_PASS + 3
-    rows = _random_rows(config, np.random.default_rng(90 + 10 * n + depth), count)
-    whole = ansatz.run_batch(config, *rows)
-    for size in (7, 1):
-        parts = [
-            ansatz.run_batch(config, *(r[i : i + size] for r in rows))
-            for i in range(0, count, size)
-        ]
-        assert _same_bits(np.vstack(parts), whole)
 
 
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])
@@ -619,12 +594,9 @@ def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
     bound = ansatz.bind(config, params)
     assert len(calls) == per_layer
     for count, passes in ((1, 1), (2 * ansatz._ROWS_PER_PASS + 3, 3)):
-        rows = _random_rows(config, rng, count)
+        features = _random_rows(config, rng, count)[2]
         calls.clear()
-        ansatz.run_batch(config, *rows)
-        assert len(calls) == passes * (depth + 1) * per_layer
-        calls.clear()
-        ansatz.run_bound(bound, rows[2])
+        ansatz.run_bound(bound, features)
         assert len(calls) == passes * depth * per_layer
 
 
@@ -647,8 +619,7 @@ def test_gate_table_takes_cos_and_sin_once_per_row_pass(monkeypatch, n, depth):
     bound = ansatz.bind(config, params)
     assert sorted(calls) == ["cos", "sin"]
     for count, passes in ((1, 1), (7, 1), (2 * ansatz._ROWS_PER_PASS + 3, 3)):
-        rows = _random_rows(config, rng, count)
-        for run in (lambda: ansatz.run_batch(config, *rows), lambda: ansatz.run_bound(bound, rows[2])):
-            calls.clear()
-            run()
-            assert sorted(calls) == ["cos"] * passes + ["sin"] * passes
+        features = _random_rows(config, rng, count)[2]
+        calls.clear()
+        ansatz.run_bound(bound, features)
+        assert sorted(calls) == ["cos"] * passes + ["sin"] * passes

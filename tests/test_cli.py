@@ -251,8 +251,77 @@ def test_enum_checks_its_request_before_the_output_directory(tmp_path, capsys, a
 def test_table_with_the_wrong_qubit_count_fails(tmp_path, capsys):
     path = tmp_path / "table.txt"
     path.write_text("00,0\n01,0\n10,1\n11,1\n")
-    assert cli.main(["globality", "--postfn", f"table:{path}", "--n", "4", "--m", "2"]) == 3
-    assert "table has 2 qubits, expected 4" in capsys.readouterr().err
+    assert cli.main(["globality", "--postfn", f"table:{path}", "--n", "4", "--m", "2"]) == 2
+    assert capsys.readouterr() == ("", "config error: --postfn: table has 2 qubits, expected 4\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--postfn", "bogus", "--n", "4", "--m", "2"], "unknown postfn spec 'bogus'"),
+        (
+            ["--postfn", "parity:x", "--n", "4", "--m", "2"],
+            "parity:<q> needs an integer q, got 'parity:x'",
+        ),
+        (["--postfn", "parity:9", "--n", "4", "--m", "2"], "prefix length q=9 must be in [1, 4]"),
+        (["--postfn", "global", "--n", "4", "--m", "3"], "num_actions must be a power of two >= 2"),
+        (["--postfn", "msb", "--n", "4", "--m", "4"], "msb provides 2 actions, not 4"),
+        (["--postfn", "parity:2", "--n", "4", "--m", "4"], "parity:2 provides 2 actions, not 4"),
+    ],
+    ids=[
+        "unknown",
+        "parity-not-an-integer",
+        "parity-too-long",
+        "global-actions",
+        "msb-actions",
+        "parity-actions",
+    ],
+)
+@pytest.mark.parametrize("command", ["globality", "decode"])
+def test_a_postfn_that_names_no_decoding_is_a_usage_error(capsys, command, argv, message):
+    bits = ["--bits", "1100"] if command == "decode" else []
+    assert cli.main([command, *argv, *bits]) == 2
+    assert capsys.readouterr() == ("", f"config error: --postfn: {message}\n")
+
+
+def test_a_missing_table_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "absent.txt"
+    assert cli.main(["globality", "--postfn", f"table:{path}", "--n", "2", "--m", "2"]) == 2
+    expected = f"config error: --postfn: cannot read {path}: No such file or directory\n"
+    assert capsys.readouterr() == ("", expected)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["globality", "--postfn", "global", "--n", "17", "--m", "2"],
+            "globality is limited to 16 qubits",
+        ),
+        (
+            ["decode", "--postfn", "global", "--n", "21", "--m", "2", "--bits", "1" * 21],
+            "decode is limited to 20 qubits",
+        ),
+        (
+            ["decode", "--postfn", "global", "--n", "4", "--m", "4", "--bits", "01x1"],
+            "--bits: bitstring '01x1' is not a 4-bit binary string",
+        ),
+        (
+            ["decode", "--postfn", "global", "--n", "4", "--m", "4", "--bits", "011"],
+            "--bits: bitstring '011' is not a 4-bit binary string",
+        ),
+    ],
+    ids=["globality-qubits", "decode-qubits", "bits-not-binary", "bits-too-short"],
+)
+def test_decode_requests_are_checked_before_the_table_is_built(
+    capsys, monkeypatch, argv, message
+):
+    def refuse(*args):
+        raise AssertionError("the command built a decoding before checking its flags")
+
+    monkeypatch.setattr(config, "build_postfn", refuse)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 @pytest.mark.parametrize(

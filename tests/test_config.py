@@ -42,7 +42,7 @@ CARTPOLE = "type = cartpole"
 LAKE = "type = frozenlake"
 BANDITS = "type = bandits\nnum_states = 8\nnum_actions = 4"
 
-# Every pairing that config._cross_validate checks, as (file text, message).
+# Every pairing that config._build checks, as (file text, message).
 CROSS_ERRORS = {
     "cartpole-bounds": (
         _ini(CARTPOLE + "\nbounds = 1, 2, 3", "n_qubits = 4"),
@@ -70,7 +70,7 @@ CROSS_ERRORS = {
     ),
     "policy-action-count": (
         _ini(BANDITS, "n_qubits = 3", "postfn = msb"),
-        "[policy] postfn provides 2 actions, environment needs 4",
+        "[policy] postfn: msb provides 2 actions, not 4",
     ),
     "policy-z-qubits": (
         _ini(BANDITS, "n_qubits = 3", "kind = softmax\nz_qubits = 0, 3"),
