@@ -41,10 +41,10 @@ factors, each layer followed by the entangler.  V_0 acts on |0...0>
 and reads no feature, so the register after it and its entangler is
 the same for every row of one parameter set: :func:`bind` computes it
 once, from one row, together with the theta half angles and the
-scale-factor terms of layers 1..d, and :func:`run_bound` starts each
-row from it and runs layers 1..d, in passes of up to 512 rows.  One
-vectorised call computes the factors of every layer of every row of
-the pass, with one cos and one sin call over all their half angles.
+scale-factor terms of layers 1..d, and :func:`run_bound` starts every
+row of a call from it and runs layers 1..d over all the rows at once.
+One vectorised call computes the factors of every layer of every row,
+with one cos and one sin call over all their half angles.
 Then each factor is one batched contraction that reads one of two
 register buffers and writes the other.  Each factor entry is the same
 elementwise cos/sin and product, and each contraction the same per-row
@@ -208,13 +208,6 @@ def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = Fals
     amps[...] = amps[..., _cx_layer_perms(n)[inverse]]
 
 
-# Rows per gate-table pass of run_bound.  The table holds 256 bytes
-# per pair factor and row, d floor(n/2) of them, plus 64 per top gate
-# at odd n: 2.5 KB per row at n = 4, d = 5, more than the register at
-# small n.  Passes of this many rows keep it in cache and
-# bound its memory on large batches.
-_ROWS_PER_PASS = 512
-
 # The factors of the encoded angles in the half angles b/2, (a+c)/2 and
 # (a-c)/2: (lam * s) * -0.5 is -(0.5 * (lam * s)) exactly.
 _HALF_ENCODED = np.array([0.5, 0.5, -0.5])
@@ -317,22 +310,16 @@ def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
 def run_bound(bound: BoundParams, features) -> np.ndarray:
     """Final amplitudes (T, 2**n) of a bound parameter set at ``T`` feature rows.
 
-    Runs layers 1..d from ``bound.start``, in passes of at most
-    ``_ROWS_PER_PASS`` rows.  Row ``t`` equals the call on
-    ``features[t:t+1]`` alone, bit for bit.
+    Runs layers 1..d from ``bound.start`` in one pass over all rows.
+    Row ``t`` equals the call on ``features[t:t+1]`` alone, bit for bit.
     """
     features = np.asarray(features, dtype=float)
     _validate_features(bound.config, features)
-    passes = []
-    # One pass even with no rows, which gives a (0, 2**n) result.
-    for low in range(0, max(len(features), 1), _ROWS_PER_PASS):
-        # The encoded lam * s, scaled by each half-angle term's factor,
-        # as (term, layer, qubit, row).
-        enc = bound.lam_terms * features[low : low + _ROWS_PER_PASS, None, ::-1, None]
-        enc *= _HALF_ENCODED
-        half = bound.theta_half + enc.transpose(3, 1, 2, 0)
-        passes.append(_run_pass(bound.config, bound.start, half))
-    return passes[0] if len(passes) == 1 else np.concatenate(passes)
+    # The encoded lam * s, scaled by each half-angle term's factor,
+    # as (term, layer, qubit, row).
+    enc = bound.lam_terms * features[:, None, ::-1, None]
+    enc *= _HALF_ENCODED
+    return _run_pass(bound.config, bound.start, bound.theta_half + enc.transpose(3, 1, 2, 0))
 
 
 def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
@@ -359,11 +346,13 @@ def _run_pass(config, start, half) -> np.ndarray:
 
     ``half`` is the gates' half angles, (term, layer, qubit, row), as
     :func:`_gate_table` reads them; each layer ends with the entangler.
+    All rows go through together: one gate table, then one contraction
+    per factor.
     """
     n, batch = config.n_qubits, half.shape[-1]
     # Two registers: each contraction reads one and writes the other,
     # through views of the factor's shape (outer, width, inner) built
-    # once per pass.
+    # once per call.
     registers = np.empty((2, batch, 1 << n), dtype=np.complex128)
     registers[0] = start
     views = []

@@ -66,6 +66,37 @@ def test_sampled_fims_are_psd_and_trace_normalised(pol):
     assert mean_trace == pytest.approx(fims.dim, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["born", "softmax"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_sampled_fims_and_their_aggregate_are_symmetric_bit_for_bit(n, kind):
+    # spectrum_stats and effective_dimension read these matrices as they
+    # are, without symmetrising them again.
+    model = ansatz.ModelConfig(n, 2)
+    if kind == "born":
+        pol = policy.MeasurementPolicy(model, decode.RecursiveParity(n, 4))
+    else:
+        pol = policy.SoftmaxObservablePolicy(model, np.zeros(4))
+    sampler = analysis.normal_state_sampler(n, 0.5)
+    fims = analysis.sample_fims(pol, sampler, 4, 15, np.random.default_rng(10 * n + 1))
+    for m in [*fims.per_set, fims.aggregate]:
+        assert (m == m.T).all()
+    eigs = analysis.spectrum_stats(fims.aggregate).eigenvalues
+    assert (np.diff(eigs) >= 0).all()
+
+
+def test_spectrum_is_ascending_with_round_off_negatives_at_zero():
+    rng = np.random.default_rng(8)
+    q = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    m = q @ np.diag([2.0, -5e-11, 0.3, -1e-12, 1.1]) @ q.T
+    stats = analysis.spectrum_stats((m + m.T) / 2)
+    assert (np.diff(stats.eigenvalues) >= 0).all()
+    assert stats.eigenvalues[:2].tolist() == [0.0, 0.0]
+    assert stats.eigenvalues[2:] == pytest.approx([0.3, 1.1, 2.0], rel=1e-12)
+    assert stats.near_zero_fraction == 0.4
+    with pytest.raises(ValueError, match="matrix indefinite"):
+        analysis.spectrum_stats(-m)
+
+
 def test_fim_samples_keep_each_matrix_once():
     pol = _policies()[0]
     fims = analysis.sample_fims(

@@ -514,7 +514,7 @@ def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps):
     assert np.abs(states - _per_rotation_run_batch(config, *shared)).max() <= FORWARD_ORACLE_TOL
 
 
-@pytest.mark.parametrize("steps", [1, 7, 2 * ansatz._ROWS_PER_PASS + 3])
+@pytest.mark.parametrize("steps", [1, 7, 2 * 512 + 3])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
@@ -527,9 +527,9 @@ def test_bound_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, ste
     assert amps.flags.c_contiguous
     assert np.abs(amps - _per_rotation_run_batch(config, *rows)).max() <= FORWARD_ORACLE_TOL
     # The per-pair oracle evolves each row alone, so a sample of rows is
-    # as strict as all of them: the first seven and both sides of every
-    # pass boundary.
-    edges = [p + i for p in range(ansatz._ROWS_PER_PASS, steps, ansatz._ROWS_PER_PASS) for i in (-1, 0)]
+    # as strict as all of them: the first seven, both sides of every
+    # multiple of 512, and the last.
+    edges = [p + i for p in range(512, steps, 512) for i in (-1, 0)]
     sample = np.unique([*range(min(steps, 7)), *edges, steps - 1])
     oracle = _per_pair_run_batch(config, *(r[sample] for r in rows))
     assert _same_bits(amps[sample], oracle)
@@ -539,9 +539,9 @@ def test_one_bound_set_gives_the_same_rows_at_every_call_size():
     config = ModelConfig(4, 5, "cx")
     params, rng = _random_params(config, 5)
     bound = ansatz.bind(config, params)
-    features = rng.uniform(-2, 2, (2 * ansatz._ROWS_PER_PASS + 3, 4))
+    features = rng.uniform(-2, 2, (2 * 512 + 3, 4))
     whole = ansatz.run_bound(bound, features)
-    for size in (1, 5, 7, ansatz._ROWS_PER_PASS + 1):
+    for size in (1, 5, 7, 512 + 1):
         parts = [ansatz.run_bound(bound, features[i : i + size]) for i in range(0, 40, size)]
         assert _same_bits(np.vstack(parts)[:40], whole[:40])
     assert _same_bits(ansatz.run_bound(bound, features[::-1])[::-1], whole)
@@ -557,13 +557,14 @@ def test_bound_rows_do_not_depend_on_grouping(entangler, n, depth):
     config = ModelConfig(n, depth, entangler)
     params, rng = _random_params(config, 90 + 10 * n + depth)
     bound = ansatz.bind(config, params)
-    count = 2 * ansatz._ROWS_PER_PASS + 3
+    count = 2 * 512 + 3
     features = _random_rows(config, rng, count)[2]
     whole = ansatz.run_bound(bound, features)
     for size in (7, 1):
         parts = [ansatz.run_bound(bound, features[i : i + size]) for i in range(0, count, size)]
         assert _same_bits(np.vstack(parts), whole)
     assert _same_bits(ansatz.run_bound(bound, features[::-1])[::-1], whole)
+    assert ansatz.run_bound(bound, features[:0]).shape == (0, 1 << n)
 
 
 def test_bind_checks_parameters_and_run_bound_checks_features():
@@ -582,7 +583,7 @@ def test_bind_checks_parameters_and_run_bound_checks_features():
 def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
     # Each layer's fused gates act as one contraction per qubit pair,
     # plus one for the top qubit at odd n.  Binding runs layer 0 once,
-    # so a bound call runs layers 1..d.
+    # so a bound call of any size runs layers 1..d, once.
     config = ModelConfig(n, depth)
     calls = []
     einsum = np.einsum
@@ -593,17 +594,18 @@ def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
     calls.clear()
     bound = ansatz.bind(config, params)
     assert len(calls) == per_layer
-    for count, passes in ((1, 1), (2 * ansatz._ROWS_PER_PASS + 3, 3)):
+    for count in (1, 2 * 512 + 3):
         features = _random_rows(config, rng, count)[2]
         calls.clear()
         ansatz.run_bound(bound, features)
-        assert len(calls) == passes * depth * per_layer
+        assert len(calls) == depth * per_layer
 
 
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])
 def test_gate_table_takes_cos_and_sin_once_per_row_pass(monkeypatch, n, depth):
-    # The half angles of every layer, qubit and row are stacked, so each
-    # row pass makes one cos and one sin call.
+    # The half angles of every layer, qubit and row are stacked, and a
+    # call of any size runs as one pass, with one gate table, so each
+    # call makes one cos and one sin call.
     config = ModelConfig(n, depth)
     rng = np.random.default_rng(4)
     calls = []
@@ -618,8 +620,13 @@ def test_gate_table_takes_cos_and_sin_once_per_row_pass(monkeypatch, n, depth):
     calls.clear()
     bound = ansatz.bind(config, params)
     assert sorted(calls) == ["cos", "sin"]
-    for count, passes in ((1, 1), (7, 1), (2 * ansatz._ROWS_PER_PASS + 3, 3)):
+    tables = []
+    gate_table = ansatz._gate_table
+    monkeypatch.setattr(ansatz, "_gate_table", lambda half: tables.append(1) or gate_table(half))
+    for count in (1, 7, 2 * 512 + 3):
         features = _random_rows(config, rng, count)[2]
         calls.clear()
+        tables.clear()
         ansatz.run_bound(bound, features)
-        assert sorted(calls) == ["cos"] * passes + ["sin"] * passes
+        assert sorted(calls) == ["cos", "sin"]
+        assert len(tables) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import load_checkpoint, save_table
-from qpglab import ansatz, cli, config, decode, policy, train
+from qpglab import analysis, ansatz, cli, config, decode, policy, train
 
 BANDIT_CONFIG = """
 [experiment]
@@ -190,6 +190,47 @@ def test_bound_preconditions_exit_two_before_the_output_directory(tmp_path, caps
     assert cli.main(["bound", "--config", str(path), "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out_dir.exists()
+
+
+def test_bound_for_an_odd_action_count_is_a_usage_error(capsys):
+    assert cli.main(["bound", "--m", "5"]) == 2
+    assert capsys.readouterr() == ("", f"config error: --m: {BOUND_ERRORS['odd-actions'][1]}\n")
+
+
+@pytest.mark.parametrize("order", ["m-first", "config-first"])
+def test_bound_takes_m_or_a_config_not_both(tmp_path, capsys, order):
+    # A config names its own action count; --m would be ignored.
+    path = tmp_path / "bound.ini"
+    path.write_text(BANDIT_CONFIG.format(kind="softmax", actions=4))
+    out_dir = tmp_path / "out"
+    flags = [["--m", "6"], ["--config", str(path)]]
+    if order == "config-first":
+        flags.reverse()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound", *flags[0], *flags[1], "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
+    assert not out_dir.exists()
+
+
+def test_bound_reports_the_exact_accuracy_of_each_trained_checkpoint(tmp_path):
+    path = tmp_path / "bound.ini"
+    path.write_text(
+        BANDIT_CONFIG.format(kind="softmax", actions=4).replace("seeds = 0, 1", "seeds = 0, 1, 2")
+    )
+    for command in ("train", "bound"):
+        assert cli.main([command, "--config", str(path), "--out-dir", str(tmp_path / command)]) == 0
+    exp = config.load_config(path)
+    lines = (tmp_path / "bound" / "bound_report.csv").read_text().splitlines()
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert rows.pop(0) == ["seed", "accuracy", "within_bound"]
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    for seed, accuracy, within in rows:
+        params, pol = load_checkpoint(tmp_path / "train" / f"params_seed{seed}.txt", exp.policy)
+        assert accuracy == repr(float(analysis.exact_accuracy(exp.env, exp.encoder, pol, params)))
+        assert within == str(float(accuracy) <= 0.75 + 0.02)
 
 
 def test_globality_exits_zero(capsys):
