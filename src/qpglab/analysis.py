@@ -49,16 +49,6 @@ def uniform_angle_state_sampler(dim: int):
     return sample
 
 
-def uniform_param_sampler(policy: Policy):
-    """Full trainable vectors (angles, scales, weights) from [-pi, pi)."""
-
-    def sample(rng: np.random.Generator):
-        flat = rng.uniform(-np.pi, np.pi, size=policy_mod.num_trainables(policy))
-        return policy_mod.apply_flat(policy, flat)
-
-    return sample
-
-
 @dataclass
 class FimSamples:
     """FIM estimates over sampled parameter sets, trace-normalised.
@@ -88,14 +78,13 @@ def sample_fims(
 ) -> FimSamples:
     """FIM estimates at ``num_param_sets`` random parameter sets.
 
-    Parameter sets come from :func:`uniform_param_sampler`.  One batch
-    of ``num_states`` states is shared across all parameter sets.  Each
-    parameter set is bound once; each state takes one circuit call, one
-    action is drawn per state from the policy's exact distribution, in
-    state order, and the exact log-gradient outer products of those
-    final amplitudes are averaged.
+    Each set is a trainable vector (angles, scales, any action weights)
+    drawn uniformly from [-pi, pi), and is bound once.  One batch of
+    ``num_states`` states is shared across all sets; each state takes one
+    circuit call, one action is drawn per state from the policy's exact
+    distribution, in state order, and the exact log-gradient outer
+    products of those final amplitudes are averaged.
     """
-    param_sampler = uniform_param_sampler(policy)
     dim = policy_mod.num_trainables(policy)
     states = [state_sampler(rng) for _ in range(num_states)]
     feats = np.array(states)
@@ -103,7 +92,8 @@ def sample_fims(
     # held once and the block is the only allocation the result keeps.
     per_set = np.empty((num_param_sets, dim, dim))
     for matrix in per_set:
-        params_j, policy_j = param_sampler(rng)
+        flat = rng.uniform(-np.pi, np.pi, size=dim)
+        params_j, policy_j = policy_mod.apply_flat(policy, flat)
         bound = ansatz.bind(policy_j.model, params_j)
         amps = np.vstack([ansatz.run_bound(bound, s[None, :]) for s in states])
         probs = policy_mod._reduce(policy_j, amps)[1]
@@ -152,12 +142,11 @@ def spectrum_stats(matrix: np.ndarray, near_zero: float = NEAR_ZERO_THRESHOLD) -
 
 @dataclass
 class EffDimReport:
-    """Effective dimension per data size, raw and divided by dim."""
+    """Effective dimension per data size, raw and divided by the FIM dimension."""
 
     data_sizes: list
     values: list
     normalized: list
-    dim: int
 
 
 def effective_dimension(fims: FimSamples, data_sizes) -> EffDimReport:
@@ -181,7 +170,7 @@ def effective_dimension(fims: FimSamples, data_sizes) -> EffDimReport:
         ed = 2.0 * log_mean / math.log(kappa)
         values.append(ed)
         normalized.append(ed / dim)
-    return EffDimReport(list(data_sizes), values, normalized, dim)
+    return EffDimReport(list(data_sizes), values, normalized)
 
 
 def data_size_kappa(n) -> float:
@@ -236,7 +225,7 @@ def exact_accuracy(env, encoder, policy: Policy, params) -> float:
     total = 0.0
     for state in range(env.num_states):
         total += probs[state, env.optimal[state]]
-    return total / env.num_states
+    return float(total / env.num_states)
 
 
 def check_bound_task(env, policy: Policy) -> Fraction:

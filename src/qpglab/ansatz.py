@@ -28,9 +28,8 @@ permutes basis states, so it is applied as one precomputed index
 permutation.
 
 The forward pass evaluates one parameter set at many feature rows:
-:func:`bind` prepares the set once, :func:`run_bound` evolves feature
-rows under it, and :func:`run_states`, which the policies use, does the
-two in one call.  On each wire no entangler separates an encoding
+:func:`bind` prepares the set once and :func:`run_bound` evolves feature
+rows under it.  On each wire no entangler separates an encoding
 block E_l from the variational block V_l after it, so the forward pass
 applies the two as one gate, V_l E_l = Ry(theta') Rz(theta + lam' s)
 Ry(lam s), with the two Rz angles summed; layer 0 is V_0 alone.  Gates
@@ -107,9 +106,6 @@ class ParamSet:
     theta: np.ndarray
     lam: np.ndarray
 
-    def copy(self) -> "ParamSet":
-        return ParamSet(self.theta.copy(), self.lam.copy())
-
     def flat(self) -> np.ndarray:
         return np.concatenate([self.theta, self.lam])
 
@@ -118,11 +114,6 @@ def param_counts(config: ModelConfig) -> tuple[int, int]:
     """Number of (rotation, scale) parameters for a model shape."""
     n, d = config.n_qubits, config.depth
     return 2 * n * (d + 1), 2 * n * d
-
-
-def total_params(config: ModelConfig) -> int:
-    n_theta, n_lam = param_counts(config)
-    return n_theta + n_lam
 
 
 def init_params(
@@ -322,16 +313,6 @@ def run_bound(bound: BoundParams, features) -> np.ndarray:
     return _run_pass(bound.config, bound.start, bound.theta_half + enc.transpose(3, 1, 2, 0))
 
 
-def run_states(config: ModelConfig, params: ParamSet, features) -> np.ndarray:
-    """Final amplitudes (T, 2**n) of one parameter set at ``T`` feature rows.
-
-    Binds ``params`` and runs them; a caller that runs one set many
-    times binds it once instead.  Row ``t`` equals the call on
-    ``features[t:t+1]`` alone, bit for bit.
-    """
-    return run_bound(bind(config, params), features)
-
-
 @lru_cache(maxsize=None)
 def _basis_state(n: int) -> np.ndarray:
     """|0...0> as (2**n,) amplitudes."""
@@ -385,7 +366,7 @@ def adjoint_grads(
     shared ``params`` and measures the real diagonal observable
     ``diag(weights[t])``; ``weights`` is (T, 2**n) or one (2**n,) row for
     all.  ``amps`` are the rows' final amplitudes (T, 2**n), as
-    :func:`run_states` gives them; the sweep starts from them and runs
+    :func:`run_bound` gives them; the sweep starts from them and runs
     no forward pass.  Returns ``d<psi_t|diag(w_t)|psi_t>/d(theta, lam)``
     of shape (T, |theta| + |lam|) in the flat layout.
 
@@ -459,19 +440,14 @@ def _z_reads(pair: np.ndarray, z_signs: np.ndarray) -> np.ndarray:
     return z_signs @ im.T
 
 
-@lru_cache(maxsize=None)
-def _half_z_sign_table(n: int) -> np.ndarray:
-    """The Z sign table times 1/2, the factor of :func:`_undo_phases`."""
-    half = 0.5 * _z_sign_table(n)
-    half.setflags(write=False)
-    return half
-
-
 def _undo_phases(angles: np.ndarray) -> np.ndarray:
     """Diagonal exp(+i/2 angles @ Z signs) that undoes an Rz layer with
     ``angles`` (..., n) per qubit.
     """
-    half = angles @ _half_z_sign_table(angles.shape[-1])
+    # Halving is exact.  ``angles`` goes in as given: a contiguous copy of
+    # a strided view can change how the matmul rounds.
+    half = angles @ _z_sign_table(angles.shape[-1])
+    half *= 0.5
     phases = np.empty(half.shape, dtype=np.complex128)
     np.cos(half, out=phases.real)
     np.sin(half, out=phases.imag)

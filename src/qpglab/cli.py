@@ -13,8 +13,8 @@ output directory is made: ``globality --ei-dump`` above 8 qubits, an
 ``globality`` and ``decode`` a ``--postfn`` that names no decoding
 with ``--n`` qubits and ``--m`` actions, an ``--n`` above the
 command's qubit limit, or a ``--bits`` that is not an n-bit string;
-for ``bound`` an odd ``--m``, or ``--m`` with ``--config``, whose
-action count the config names.
+for ``bound`` an odd ``--m``, ``--m`` with ``--config`` (which names
+the action count), or ``--seed`` or ``--out-dir`` without ``--config``.
 
 A command builds nothing itself: :func:`qpglab.config.load_config`
 builds the environment, encoder, policy and state sampler once, before
@@ -59,8 +59,10 @@ def _write(out_dir, name, rows, cfg=None, extra=()) -> None:
 
 
 def _ensure_out_dir(args) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
+    # ``bound`` leaves --out-dir unset, so that it can tell whether it was given.
+    out_dir = "runs" if args.out_dir is None else args.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
 def _int_at_least(low: int):
@@ -167,7 +169,7 @@ def cmd_enum(args) -> int:
         f"seed = {args.seed or 0}",
     ]
     rows = ["g_value,count"]
-    rows.extend(f"{float(value)!r},{count}" for value, count in hist.sorted_items())
+    rows.extend(f"{float(value)!r},{count}" for value, count in sorted(hist.counts.items()))
     _write(out_dir, "histogram.csv", rows, extra=extra)
     census = decode.count_balanced_partitionings(args.n, args.m)
     print(f"{hist.total} partitionings examined of {census} total")
@@ -219,6 +221,9 @@ def cmd_effdim(args) -> int:
 
 def cmd_bound(args) -> int:
     if args.config is None:
+        for flag, value in (("--seed", args.seed), ("--out-dir", args.out_dir)):
+            if value is not None:
+                raise ConfigError(f"{flag} applies to the compliance experiment only; give --config")
         bound = config_mod._checked("--m:", analysis.accuracy_bound, args.m or 4)
         print(f"accuracy bound = {bound} ({float(bound)!r})")
         return 0
@@ -237,7 +242,7 @@ def cmd_bound(args) -> int:
     within = [acc <= float(bound) + analysis.BOUND_SLACK for acc in accuracies]
     extra = [f"bound = {bound} ({float(bound)!r})", f"slack = {analysis.BOUND_SLACK!r}"]
     rows = ["seed,accuracy,within_bound"]
-    rows.extend(f"{seed},{float(acc)!r},{ok}" for seed, acc, ok in zip(seeds, accuracies, within))
+    rows.extend(f"{seed},{acc!r},{ok}" for seed, acc, ok in zip(seeds, accuracies, within))
     _write(out_dir, "bound_report.csv", rows, cfg, extra)
     print(f"bound {float(bound)!r}: {'all seeds within' if all(within) else 'VIOLATED'}")
     return 0 if all(within) else 3
@@ -308,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     task = p.add_mutually_exclusive_group()
     task.add_argument("--m", type=_int_at_least(2), help="bare-bound action count (default 4)")
     task.add_argument("--config", default=None, help="run the training compliance experiment")
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
-    p.add_argument("--out-dir", default="runs")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="with --config only")
+    p.add_argument("--out-dir", default=None, help="with --config only (default runs)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("decode", help="decode one bitstring")

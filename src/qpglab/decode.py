@@ -58,15 +58,6 @@ class PostProcessing:
         self.table = table
 
 
-class MostSignificantBit(PostProcessing):
-    """Two actions decided by the uppermost qubit alone (globality 1)."""
-
-    def __init__(self, n_qubits: int):
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        super().__init__(n_qubits, 2, np.arange(1 << n_qubits) >> (n_qubits - 1))
-
-
 class PrefixParity(PostProcessing):
     """Two actions from the parity of the q most significant bits.
 
@@ -79,6 +70,13 @@ class PrefixParity(PostProcessing):
             raise ValueError(f"prefix length q={q} must be in [1, {n_qubits}]")
         idx = np.arange(1 << n_qubits, dtype=np.uint64)
         super().__init__(n_qubits, 2, np.bitwise_count(idx >> np.uint64(n_qubits - q)) & 1)
+
+
+class MostSignificantBit(PrefixParity):
+    """Two actions decided by the uppermost qubit alone: the one-bit prefix parity."""
+
+    def __init__(self, n_qubits: int):
+        super().__init__(n_qubits, 1)
 
 
 class RecursiveParity(PostProcessing):
@@ -153,11 +151,8 @@ def decode_bits_to_index(n_qubits: int, bits: str) -> int:
 class GlobalityReport:
     """Per-string extracted information and its exact average."""
 
-    n_qubits: int
-    num_actions: int
     ei: np.ndarray
     value: Fraction
-    balanced: bool
 
 
 def globality(fn: PostProcessing) -> GlobalityReport:
@@ -183,7 +178,7 @@ def globality(fn: PostProcessing) -> GlobalityReport:
             f"globality {value} fell below log2({fn.num_actions}) "
             "on a balanced partitioning"
         )
-    return GlobalityReport(n, fn.num_actions, ei, value, balanced)
+    return GlobalityReport(ei, value)
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +252,8 @@ def _sampled_tables(big_n: int, num_actions: int, samples: int, rng, rows: int):
 class HistogramResult:
     """Counts of globality values over balanced partitionings."""
 
-    n_qubits: int
-    num_actions: int
-    mode: str
     total: int
     counts: dict  # Fraction -> int
-
-    def sorted_items(self):
-        return sorted(self.counts.items())
 
 
 def check_histogram_request(n_qubits: int, num_actions: int, mode: str) -> None:
@@ -321,7 +310,7 @@ def globality_histogram(
             sums[ei_sum] = sums.get(ei_sum, 0) + count
         total += len(tables)
     counts = {Fraction(ei_sum, big_n): count for ei_sum, count in sums.items()}
-    return HistogramResult(n_qubits, num_actions, mode, total, counts)
+    return HistogramResult(total, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -87,13 +87,10 @@ class ContextualBandits:
             reward = 1.0 if hit else 0.0
         return state, reward, True
 
-    def preimage_sizes(self) -> np.ndarray:
-        return np.bincount(self.optimal, minlength=self.num_actions)
-
     def is_uniform(self) -> bool:
         """Equal-size optimal-action preimages; with the uniform state
         draw, each action's state set is then visited 1/M of the time."""
-        sizes = self.preimage_sizes()
+        sizes = np.bincount(self.optimal, minlength=self.num_actions)
         return bool((sizes == self.num_states // self.num_actions).all()) and (
             self.num_states % self.num_actions == 0
         )

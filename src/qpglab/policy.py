@@ -138,7 +138,8 @@ def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.nd
 
     Row ``t`` is bit-identical to the same state evaluated alone.
     """
-    return _reduce(policy, ansatz.run_states(policy.model, params, features_rows))[1]
+    amps = ansatz.run_bound(ansatz.bind(policy.model, params), features_rows)
+    return _reduce(policy, amps)[1]
 
 
 def sample_action(
@@ -179,7 +180,7 @@ def _sample_rows(probs: np.ndarray, rngs) -> np.ndarray:
 
 
 def num_trainables(policy: Policy) -> int:
-    base = ansatz.total_params(policy.model)
+    base = sum(ansatz.param_counts(policy.model))
     if isinstance(policy, SoftmaxObservablePolicy):
         return base + policy.num_actions
     return base

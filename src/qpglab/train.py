@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import ansatz, policy as policy_mod
-from .ansatz import ModelConfig, ParamSet
+from .ansatz import ParamSet
 from .policy import Policy
 
 
@@ -173,14 +173,16 @@ def reinforce_gradient(
     return returns @ grads / len(batch)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moment accumulators with the AMSGrad running maximum."""
 
     dim: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
@@ -199,12 +201,12 @@ def adam_amsgrad_step(
     if flat.shape != gradient.shape or flat.shape != rates.shape:
         raise ValueError("parameter, gradient and rate shapes must match")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * gradient
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * gradient**2
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * gradient
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * gradient**2
     np.maximum(state.v_max, state.v, out=state.v_max)
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v_max / (1.0 - state.beta2**state.step)
-    return flat + rates * m_hat / (np.sqrt(v_hat) + state.eps)
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = state.v_max / (1.0 - ADAM_BETA2**state.step)
+    return flat + rates * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def rate_vector(policy: Policy, hyper: Hyperparams) -> np.ndarray:

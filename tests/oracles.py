@@ -19,7 +19,7 @@ def collect_episode(env, encoder, pol, params, rng) -> train.Trajectory:
     features, amps, actions, rewards = [], [], [], []
     for _ in range(env.horizon):
         feats = encoder.encode(state)
-        final = ansatz.run_states(pol.model, params, feats[None, :])
+        final = ansatz.run_bound(ansatz.bind(pol.model, params), feats[None, :])
         reading, probs = policy._reduce(pol, final)
         if isinstance(pol, policy.MeasurementPolicy):
             action = int(pol.postfn.table[sample_index(reading[0], rng)])
@@ -51,7 +51,7 @@ def state_action_probs(pol, features, params) -> np.ndarray:
 def log_prob_grad(pol, features, action: int, params) -> np.ndarray:
     """Gradient of ln pi(action | features) for one state alone."""
     feats = np.asarray(features, dtype=float)[None, :]
-    amps = ansatz.run_states(pol.model, params, feats)
+    amps = ansatz.run_bound(ansatz.bind(pol.model, params), feats)
     return policy.trajectory_log_grads(pol, feats, np.array([action]), params, amps)[0]
 
 

@@ -18,11 +18,11 @@ def _policies():
 def _per_state_actions(pol, sampler, num_param_sets, num_states, seed):
     """Oracle: the draws of sample_fims with one single-state call per state."""
     rng = np.random.default_rng(seed)
-    param_sampler = analysis.uniform_param_sampler(pol)
+    dim = policy.num_trainables(pol)
     states = [sampler(rng) for _ in range(num_states)]
     drawn = []
     for _ in range(num_param_sets):
-        params_j, policy_j = param_sampler(rng)
+        params_j, policy_j = policy.apply_flat(pol, rng.uniform(-np.pi, np.pi, size=dim))
         probs = [state_action_probs(policy_j, s, params_j) for s in states]
         drawn.append([sample_index(p, rng) for p in probs])
     return drawn
@@ -35,7 +35,7 @@ def test_sample_fims_draws_the_per_state_actions(monkeypatch, pol):
     grads = policy.trajectory_log_grads
 
     def checked(pol_j, feats, actions, params, amps):
-        states = ansatz.run_states(pol_j.model, params, feats)
+        states = ansatz.run_bound(ansatz.bind(pol_j.model, params), feats)
         assert amps.tobytes() == states.tobytes()
         seen.append(list(actions))
         return grads(pol_j, feats, actions, params, amps)
@@ -118,11 +118,15 @@ def test_accuracy_bound_values():
 def test_exact_accuracy_equals_per_state_sum(pol):
     env = envs.ContextualBandits(8, 4, envs.optimal_map("mod", 8, 4), "acc01")
     encoder = envs.BinaryEncoder(3)
-    params, pol = analysis.uniform_param_sampler(pol)(np.random.default_rng(5))
+    flat = np.random.default_rng(5).uniform(-np.pi, np.pi, size=policy.num_trainables(pol))
+    params, pol = policy.apply_flat(pol, flat)
     total = 0.0
     for state in range(8):
         total += state_action_probs(pol, encoder.encode(state), params)[env.optimal[state]]
-    assert analysis.exact_accuracy(env, encoder, pol, params) == total / 8
+    accuracy = analysis.exact_accuracy(env, encoder, pol, params)
+    assert accuracy == total / 8
+    # A Python float, as documented, not a numpy scalar.
+    assert type(accuracy) is float
 
 
 def test_effective_dimension_matches_the_determinant_formula():

@@ -49,7 +49,8 @@ def test_param_count_examples():
 
 def _state(config, params, features):
     """Final amplitudes (2**n,) of one feature row."""
-    return ansatz.run_states(config, params, np.asarray(features, dtype=float)[None, :])[0]
+    features = np.asarray(features, dtype=float)[None, :]
+    return ansatz.run_bound(ansatz.bind(config, params), features)[0]
 
 
 def _random_params(config, seed, lam_spread=0.4):
@@ -194,8 +195,8 @@ def test_shift_rule_matches_finite_differences_everywhere():
             coeffs[r] * _probability_vector(config, ParamSet(thetas[r], lams[r]), features)
             for r in np.nonzero(owner == idx)[0]
         )
-        up = params.copy()
-        down = params.copy()
+        up = ParamSet(params.theta.copy(), params.lam.copy())
+        down = ParamSet(params.theta.copy(), params.lam.copy())
         if idx < n_theta:
             up.theta[idx] += h
             down.theta[idx] -= h
@@ -211,7 +212,7 @@ def test_shift_rule_matches_finite_differences_everywhere():
 
 def shift_rule_expval_grads(config, params, features, weights):
     """Oracle: d<diag(w_t)>/dparam per row by the parameter-shift rule."""
-    out = np.zeros((len(features), ansatz.total_params(config)))
+    out = np.zeros((len(features), sum(ansatz.param_counts(config))))
     for t, f in enumerate(features):
         thetas, lams, coeffs, owner = shift_rows(config, params, f)
         amps = _per_rotation_run_batch(
@@ -230,7 +231,7 @@ def test_adjoint_grads_match_shift_rule(entangler, n, depth):
     features = rng.uniform(-1, 1, (4, n))
     features[1, 0] = 0.0
     weights = rng.normal(size=(4, 1 << n))
-    amps = ansatz.run_states(config, params, features)
+    amps = ansatz.run_bound(ansatz.bind(config, params), features)
     grads = ansatz.adjoint_grads(config, params, features, weights, amps)
     oracle = shift_rule_expval_grads(config, params, features, weights)
     assert np.abs(grads - oracle).max() < 1e-10
@@ -246,12 +247,12 @@ def test_adjoint_grads_broadcast_one_weight_row():
     params, rng = _random_params(config, 7)
     features = rng.uniform(-1, 1, (5, 3))
     weights = rng.normal(size=8)
-    amps = ansatz.run_states(config, params, features)
+    amps = ansatz.run_bound(ansatz.bind(config, params), features)
     shared = ansatz.adjoint_grads(config, params, features, weights, amps)
     tiled = ansatz.adjoint_grads(config, params, features, np.tile(weights, (5, 1)), amps)
     assert (shared == tiled).all()
     empty = ansatz.adjoint_grads(config, params, features[:0], weights, amps[:0])
-    assert empty.shape == (0, ansatz.total_params(config))
+    assert empty.shape == (0, sum(ansatz.param_counts(config)))
 
 
 # The layer-wide sweep changes basis and sums each derivative in
@@ -269,7 +270,7 @@ def test_adjoint_grads_match_per_qubit_readout(entangler, n, depth):
     config = ModelConfig(n, depth, entangler)
     params, rng = _random_params(config, 500 + 10 * n + depth)
     features = rng.uniform(-2, 2, (57, n))
-    amps = ansatz.run_states(config, params, features)
+    amps = ansatz.run_bound(ansatz.bind(config, params), features)
     for weights in (rng.normal(size=(57, 1 << n)), 1.0 - 2.0 * (rng.random(1 << n) < 0.5)):
         grads = ansatz.adjoint_grads(config, params, features, weights, amps)
         oracle = per_qubit_adjoint_grads(config, params, features, weights, amps)
@@ -287,7 +288,7 @@ def test_adjoint_grads_on_grouped_basis_change(entangler, extra, depth):
     features = rng.uniform(-2, 2, (3, n))
     features[1, 0] = 0.0
     weights = rng.normal(size=(3, 1 << n))
-    amps = ansatz.run_states(config, params, features)
+    amps = ansatz.run_bound(ansatz.bind(config, params), features)
     grads = ansatz.adjoint_grads(config, params, features, weights, amps)
     assert np.abs(grads - shift_rule_expval_grads(config, params, features, weights)).max() < 1e-10
     oracle = per_qubit_adjoint_grads(config, params, features, weights, amps)
@@ -303,7 +304,7 @@ def test_adjoint_grads_build_no_gate_table(monkeypatch):
     params, rng = _random_params(config, 12)
     features = rng.uniform(-1, 1, (4, 3))
     weights = rng.normal(size=(4, 8))
-    amps = ansatz.run_states(config, params, features)
+    amps = ansatz.run_bound(ansatz.bind(config, params), features)
     expected = ansatz.adjoint_grads(config, params, features, weights, amps)
 
     def refuse(*args):
@@ -333,7 +334,7 @@ def test_adjoint_grads_reject_amplitudes_of_another_shape():
     config = ModelConfig(3, 1)
     params, rng = _random_params(config, 9)
     features = rng.uniform(-1, 1, (4, 3))
-    amps = ansatz.run_states(config, params, features)
+    amps = ansatz.run_bound(ansatz.bind(config, params), features)
     with pytest.raises(ValueError, match="amps must have shape"):
         ansatz.adjoint_grads(config, params, features, np.ones(8), amps[:3])
 
@@ -343,7 +344,7 @@ def test_encoding_linear_in_scale_factors():
     config = ModelConfig(3, 1)
     params, rng = _random_params(config, 8)
     features = rng.uniform(-1, 1, 3)
-    doubled_params = params.copy()
+    doubled_params = ParamSet(params.theta.copy(), params.lam.copy())
     qubit = 1
     doubled_params.lam[2 * qubit] *= 2.0
     doubled_params.lam[2 * qubit + 1] *= 2.0
@@ -507,7 +508,7 @@ def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps):
     config = ModelConfig(n, depth, entangler)
     params, rng = _random_params(config, 1000 * n + 10 * depth + steps)
     features = _random_rows(config, rng, steps)[2]
-    states = ansatz.run_states(config, params, features)
+    states = ansatz.run_bound(ansatz.bind(config, params), features)
     assert states.flags.c_contiguous
     shared = (*param_rows(params, steps), features)
     assert _same_bits(states, _per_pair_run_batch(config, *shared))

@@ -100,7 +100,7 @@ def test_every_checkpoint_parses_as_data(tmp_path, kind):
         fields = dict(item.split("=") for item in head.split())
         n, depth = int(fields.pop("n")), int(fields.pop("d"))
         assert (n, depth, fields.pop("entangler")) == (3, 1, "cz")
-        expected = ansatz.total_params(ansatz.ModelConfig(n, depth))
+        expected = sum(ansatz.param_counts(ansatz.ModelConfig(n, depth)))
         if kind == "softmax":
             assert fields.pop("kind") == "softmax"
             expected += int(fields.pop("weights"))
@@ -197,6 +197,24 @@ def test_bound_for_an_odd_action_count_is_a_usage_error(capsys):
     assert capsys.readouterr() == ("", f"config error: --m: {BOUND_ERRORS['odd-actions'][1]}\n")
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--out-dir", "bare-out")])
+def test_bare_bound_refuses_the_experiment_flags(tmp_path, monkeypatch, capsys, flag, value):
+    # Only the compliance experiment reads them; the bare bound would ignore them.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["bound", flag, value]) == 2
+    message = f"{flag} applies to the compliance experiment only; give --config"
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bound_config_writes_to_runs_by_default(tmp_path, monkeypatch):
+    path = tmp_path / "bound.ini"
+    path.write_text(BANDIT_CONFIG.format(kind="softmax", actions=4))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["bound", "--config", str(path), "--seed", "1"]) == 0
+    assert (tmp_path / "runs" / "bound_report.csv").is_file()
+
+
 @pytest.mark.parametrize("order", ["m-first", "config-first"])
 def test_bound_takes_m_or_a_config_not_both(tmp_path, capsys, order):
     # A config names its own action count; --m would be ignored.
@@ -229,7 +247,7 @@ def test_bound_reports_the_exact_accuracy_of_each_trained_checkpoint(tmp_path):
     assert [row[0] for row in rows] == ["0", "1", "2"]
     for seed, accuracy, within in rows:
         params, pol = load_checkpoint(tmp_path / "train" / f"params_seed{seed}.txt", exp.policy)
-        assert accuracy == repr(float(analysis.exact_accuracy(exp.env, exp.encoder, pol, params)))
+        assert accuracy == repr(analysis.exact_accuracy(exp.env, exp.encoder, pol, params))
         assert within == str(float(accuracy) <= 0.75 + 0.02)
 
 

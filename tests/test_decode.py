@@ -108,6 +108,11 @@ def test_msb_local_everything():
     report = decode.globality(fn)
     assert (report.ei == 1).all()
     assert report.value == 1
+    # The uppermost bit is the one-bit prefix parity.
+    for n in range(1, 9):
+        upper = np.arange(1 << n) >> (n - 1)
+        assert (decode.MostSignificantBit(n).table == upper).all()
+        assert (decode.PrefixParity(n, 1).table == upper).all()
 
 
 def test_full_parity_needs_all_bits():

@@ -71,7 +71,7 @@ def test_parity_policy_matches_dense_observable():
     config, params, features, _ = _instance(seed=4)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
     probs = state_action_probs(pol, features, params)
-    state = ansatz.run_states(config, params, features[None, :])[0]
+    state = ansatz.run_bound(ansatz.bind(config, params), features[None, :])[0]
     expv = np.real(np.conj(state) @ (dense_z(3, {0, 1, 2}) @ state))
     for a in (0, 1):
         assert probs[a] == pytest.approx(((-1) ** a * expv + 1) / 2, abs=1e-12)
@@ -80,7 +80,7 @@ def test_parity_policy_matches_dense_observable():
 @pytest.mark.parametrize("seed", range(5))
 def test_observable_equivalences(seed):
     config, params, features, _ = _instance(n=4, d=1, seed=seed)
-    state = ansatz.run_states(config, params, features[None, :])[0]
+    state = ansatz.run_bound(ansatz.bind(config, params), features[None, :])[0]
 
     cases = [
         (decode.MostSignificantBit(4), {3}),
@@ -225,7 +225,7 @@ def test_softmax_log_grad_matches_finite_differences(seed):
 def test_softmax_weight_grads_sum_to_zero_over_actions():
     config, params, features, _ = _instance(seed=7)
     pol = policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3, 0.1, 0.8]))
-    n_circuit = ansatz.total_params(config)
+    n_circuit = sum(ansatz.param_counts(config))
     for action in range(4):
         grad = log_prob_grad(pol, features, action, params)
         assert abs(grad[n_circuit:].sum()) < 1e-12
@@ -235,7 +235,7 @@ def test_softmax_equal_weights_kill_circuit_gradient():
     config, params, features, _ = _instance(seed=7)
     pol = policy.SoftmaxObservablePolicy(config, np.full(4, 0.2))
     grad = log_prob_grad(pol, features, 1, params)
-    n_circuit = ansatz.total_params(config)
+    n_circuit = sum(ansatz.param_counts(config))
     assert np.abs(grad[:n_circuit]).max() < 1e-12
 
 
@@ -244,7 +244,7 @@ def test_trajectory_grads_match_single_step_calls():
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
     feats = rng.uniform(-1, 1, (5, 3))
     actions = rng.integers(0, 2, 5)
-    amps = ansatz.run_states(config, params, feats)
+    amps = ansatz.run_bound(ansatz.bind(config, params), feats)
     stacked = policy.trajectory_log_grads(pol, feats, actions, params, amps)
     for t in range(5):
         single = log_prob_grad(pol, feats[t], int(actions[t]), params)
@@ -280,9 +280,9 @@ def test_trajectory_grads_match_shift_rule(entangler, n, kind):
     feats = rng.uniform(-1, 1, (4, n))
     feats[2, n - 1] = 0.0
     actions = rng.integers(0, pol.num_actions, 4)
-    amps = ansatz.run_states(config, params, feats)
+    amps = ansatz.run_bound(ansatz.bind(config, params), feats)
     grads = policy.trajectory_log_grads(pol, feats, actions, params, amps)
-    n_circuit = ansatz.total_params(config)
+    n_circuit = sum(ansatz.param_counts(config))
     oracle = _shift_rule_log_grads(pol, feats, actions, params)
     assert np.abs(grads[:, :n_circuit] - oracle).max() < 1e-10
 
@@ -299,17 +299,69 @@ def test_batch_action_probs_rows_equal_single_state_calls():
         assert (batch == single).all()
 
 
+def _composite_table(fn, config):
+    """The decoding read through the last entangler layer: the map that the
+    policy applies to the state before that layer.  A CZ layer only signs
+    amplitudes; a CX layer moves the amplitude of index ``inverse[y]`` to ``y``."""
+    if config.entangler == "cz":
+        return fn.table
+    return fn.table[ansatz._cx_layer_perms(config.n_qubits)[1]]
+
+
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: decode.PrefixParity(n, 2),
+        lambda n: decode.RecursiveParity(n, 4),
+        lambda n: decode.PostProcessing(n, 3, np.random.default_rng(n).integers(3, size=1 << n)),
+    ],
+    ids=["prefix-parity", "recursive-parity", "random-table"],
+)
+@pytest.mark.parametrize("n", [3, 4])
+def test_composite_table_of_the_state_before_the_last_entangler_gives_the_policy(
+    entangler, make, n
+):
+    config = ModelConfig(n, 2, entangler)
+    params = ansatz.init_params(config, np.random.default_rng(31))
+    feats = np.random.default_rng(32).uniform(-1, 1, (6, n))
+    fn = make(n)
+    before = ansatz.run_bound(ansatz.bind(config, params), feats)
+    ansatz._apply_entangler(before, config, inverse=True)
+    composite = decode.PostProcessing(n, fn.num_actions, _composite_table(fn, config))
+    sums = policy._reduce(policy.MeasurementPolicy(config, composite), before)[1]
+    probs = policy.batch_action_probs(policy.MeasurementPolicy(config, fn), feats, params)
+    if entangler == "cz":
+        assert (sums == probs).all()
+    else:
+        # The class sums run over the basis states in another order.
+        assert np.abs(sums - probs).max() <= 1e-15
+
+
+def test_cx_composite_of_prefix_parity_has_lower_globality():
+    # Under CX the last layer turns PrefixParity(4, q) into a decoding that
+    # reads fewer wires: full parity becomes a function of one wire.
+    config = ModelConfig(4, 1, "cx")
+    values = [
+        decode.globality(
+            decode.PostProcessing(4, 2, _composite_table(decode.PrefixParity(4, q), config))
+        ).value
+        for q in range(1, 5)
+    ]
+    assert values == [2, 2, 2, 1]
+
+
 def test_batch_action_probs_checks_norm_per_row(monkeypatch):
     config, params, _, rng = _instance(seed=14)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
-    run_states = ansatz.run_states
+    run_bound = ansatz.run_bound
 
     def drifted(*args):
-        amps = run_states(*args)
+        amps = run_bound(*args)
         amps[1] *= 1.001
         return amps
 
-    monkeypatch.setattr(ansatz, "run_states", drifted)
+    monkeypatch.setattr(ansatz, "run_bound", drifted)
     with pytest.raises(qsim.NormDriftError):
         policy.batch_action_probs(pol, rng.uniform(-1, 1, (3, 3)), params)
 
@@ -323,7 +375,7 @@ def test_born_sampling_is_one_measurement_in_every_eval_mode():
     draws = policy.sample_action(pol, feats, bound, [seeded] * len(feats))[0].tolist()
     # The same generator measures one bitstring per row, which is decoded.
     measured = np.random.default_rng(21)
-    born = qsim.probabilities(ansatz.run_states(config, params, feats))
+    born = qsim.probabilities(ansatz.run_bound(ansatz.bind(config, params), feats))
     table = pol.postfn.table
     assert draws == [int(table[sample_index(p, measured)]) for p in born]
     assert len(set(draws)) > 1
@@ -340,10 +392,10 @@ def test_sample_action_rows_match_one_row_draws(kind):
     rngs = [np.random.default_rng(seed) for seed in range(25)]
     bound = ansatz.bind(config, params)
     batched, amps = policy.sample_action(pol, feats, bound, rngs)
-    assert amps.tobytes() == ansatz.run_states(config, params, feats).tobytes()
+    assert amps.tobytes() == ansatz.run_bound(bound, feats).tobytes()
     expected = []
     for seed, f in enumerate(feats):
-        reading, probs = policy._reduce(pol, ansatz.run_states(config, params, f[None, :]))
+        reading, probs = policy._reduce(pol, ansatz.run_bound(bound, f[None, :]))
         alone = np.random.default_rng(seed)
         if kind == "born":
             expected.append(int(pol.postfn.table[sample_index(reading[0], alone)]))

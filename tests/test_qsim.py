@@ -26,7 +26,7 @@ def _circuit_start(n):
     # Every rotation at angle zero is the identity and CZ fixes |0...0>,
     # so the output is the state the circuit starts from.
     config, params = _zero_angle_circuit(n)
-    return ansatz.run_states(config, params, np.zeros((1, n)))[0]
+    return ansatz.run_bound(ansatz.bind(config, params), np.zeros((1, n)))[0]
 
 
 def test_zero_state_two_qubits():

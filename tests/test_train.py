@@ -182,7 +182,7 @@ def test_lockstep_episodes_equal_one_at_a_time(task, size):
     alone = [collect_episode(env, encoder, pol, params, rng) for rng in episode_rngs(5, size)]
     _same_trajectories(lockstep, alone)
     for traj in lockstep:
-        states = ansatz.run_states(pol.model, params, traj.features)
+        states = ansatz.run_bound(ansatz.bind(pol.model, params), traj.features)
         assert traj.amps.shape == states.shape and traj.amps.tobytes() == states.tobytes()
     if size == 10 and not task.startswith("bandit"):
         assert len({len(traj) for traj in lockstep}) > 1  # episodes end at different steps
