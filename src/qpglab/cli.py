@@ -1,20 +1,28 @@
 """Command-line front end: config-driven experiments with CSV outputs.
 
-Subcommands: train, globality, enum, fim, effdim, bound, decode.
+Subcommands: train, globality, enum, fim, bound, decode.
 Common flags: --config, --seed, --out-dir; ``train`` also takes --jobs,
-the number of seeds trained in parallel, one worker process each.
-OpenBLAS in each worker may start a thread per core, so the workers
-can oversubscribe the cores; ``OPENBLAS_NUM_THREADS=1`` in the
-environment keeps each worker on one.  Exit codes: 0 on success, 2 for
-configuration/usage errors, 3 for runtime failures.  A usage error
-that the flags alone show exits 2 before any work and before any
-output directory is made: ``globality --ei-dump`` above 8 qubits, an
-``enum`` request that the histogram would refuse, and for
-``globality`` and ``decode`` a ``--postfn`` that names no decoding
-with ``--n`` qubits and ``--m`` actions, an ``--n`` above the
-command's qubit limit, or a ``--bits`` that is not an n-bit string;
-for ``bound`` an odd ``--m``, ``--m`` with ``--config`` (which names
-the action count), or ``--seed`` or ``--out-dir`` without ``--config``.
+the number of seeds trained in parallel, one spawned worker process
+each.  A worker runs OpenBLAS on one thread, so the workers do not
+oversubscribe the cores, unless ``OPENBLAS_NUM_THREADS`` in the
+environment says otherwise.  Exit codes: 0 on success, 2 for
+configuration/usage errors, 3 for runtime failures and for a bound
+report with a seed above the bound.  A usage error that the flags
+alone show exits 2 before any work and before any output directory is
+made: ``globality --ei-dump`` above 8 qubits, an ``enum`` request that
+the histogram would refuse, and for ``globality`` and ``decode`` a
+``--postfn`` that names no decoding with ``--n`` qubits and ``--m``
+actions, an ``--n`` above the command's qubit limit, or a ``--bits``
+that is not an n-bit string; for ``bound``, which takes only ``--m``
+and prints the closed-form bound, an odd ``--m``.
+
+Each expensive computation runs once, and its command writes every
+file that it supports.  ``train`` writes ``curve_seed<k>.csv`` and
+``params_seed<k>.txt`` per seed and ``curve_aggregate.csv``; on a task
+that :func:`qpglab.analysis.check_bound_task` covers it also writes
+``bound_report.csv``, the exact accuracy of each trained checkpoint
+against the softmax accuracy bound.  ``fim`` samples the FIMs once and
+writes ``spectrum.csv``, ``fim_aggregate.csv`` and ``effdim.csv``.
 
 A command builds nothing itself: :func:`qpglab.config.load_config`
 builds the environment, encoder, policy and state sampler once, before
@@ -58,13 +66,6 @@ def _write(out_dir, name, rows, cfg=None, extra=()) -> None:
         fh.write("\n".join(lines + rows) + "\n")
 
 
-def _ensure_out_dir(args) -> str:
-    # ``bound`` leaves --out-dir unset, so that it can tell whether it was given.
-    out_dir = "runs" if args.out_dir is None else args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
 
@@ -80,12 +81,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _seeds(cfg, args) -> tuple:
-    if args.seed is not None:
-        return (args.seed,)
-    return cfg.seeds
-
-
 def _checkpoint(result) -> list[str]:
     model = result.policy.model
     head = f"n={model.n_qubits} d={model.depth} entangler={model.entangler}"
@@ -95,23 +90,25 @@ def _checkpoint(result) -> list[str]:
     return [head] + [repr(float(v)) for v in flat]
 
 
-def _train_seeds(exp, seeds, jobs: int = 1) -> list:
-    """Train each seed, ``jobs`` at a time in worker processes; results in seed order."""
-    run = functools.partial(train_mod.train_run, exp.env, exp.encoder, exp.policy, exp.config.train)
-    if jobs > 1 and len(seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, seeds))
-    return list(map(run, seeds))
-
-
 def cmd_train(args) -> int:
     exp = config_mod.load_config(args.config)
     cfg = exp.config
-    out_dir = _ensure_out_dir(args)
-    seeds = _seeds(cfg, args)
-    results = _train_seeds(exp, seeds, args.jobs)
+    bound = analysis.check_bound_task(exp.env, exp.policy)
+    out_dir = args.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    seeds = (args.seed,) if args.seed is not None else cfg.seeds
+    run = functools.partial(train_mod.train_run, exp.env, exp.encoder, exp.policy, cfg.train)
+    if args.jobs > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        # A spawned worker loads OpenBLAS afresh and reads this; a forked
+        # one would inherit the thread pool of this process.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=get_context("spawn")) as pool:
+            results = list(pool.map(run, seeds))
+    else:
+        results = list(map(run, seeds))
 
     for seed, result in zip(seeds, results):
         rows = ["episode,reward,avg20"]
@@ -126,7 +123,19 @@ def cmd_train(args) -> int:
     )
     _write(out_dir, "curve_aggregate.csv", rows, cfg, [f"seeds = {','.join(map(str, seeds))}"])
     print(f"wrote {len(seeds)} learning curves to {out_dir}")
-    return 0
+    if bound is None:
+        return 0
+    accuracies = [
+        analysis.exact_accuracy(exp.env, exp.encoder, result.policy, result.params)
+        for result in results
+    ]
+    within = [acc <= float(bound) + analysis.BOUND_SLACK for acc in accuracies]
+    extra = [f"bound = {bound} ({float(bound)!r})", f"slack = {analysis.BOUND_SLACK!r}"]
+    rows = ["seed,accuracy,within_bound"]
+    rows.extend(f"{seed},{acc!r},{ok}" for seed, acc, ok in zip(seeds, accuracies, within))
+    _write(out_dir, "bound_report.csv", rows, cfg, extra)
+    print(f"bound {float(bound)!r}: {'all seeds within' if all(within) else 'VIOLATED'}")
+    return 0 if all(within) else 3
 
 
 def _parse_postfn(args, max_qubits: int) -> decode.PostProcessing:
@@ -156,7 +165,7 @@ def cmd_enum(args) -> int:
         decode.check_histogram_request(args.n, args.m, args.mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    out_dir = _ensure_out_dir(args)
+    os.makedirs(args.out_dir, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed or 0))
     hist = decode.globality_histogram(
         args.n, args.m, mode=args.mode, samples=args.samples, rng=rng
@@ -170,14 +179,13 @@ def cmd_enum(args) -> int:
     ]
     rows = ["g_value,count"]
     rows.extend(f"{float(value)!r},{count}" for value, count in sorted(hist.counts.items()))
-    _write(out_dir, "histogram.csv", rows, extra=extra)
+    _write(args.out_dir, "histogram.csv", rows, extra=extra)
     census = decode.count_balanced_partitionings(args.n, args.m)
     print(f"{hist.total} partitionings examined of {census} total")
     return 0
 
 
-def _load_fims(args):
-    """The config, its seed, and the FIMs sampled under that seed."""
+def cmd_fim(args) -> int:
     exp = config_mod.load_config(args.config)
     cfg = exp.config
     seed = args.seed if args.seed is not None else cfg.seeds[0]
@@ -185,67 +193,34 @@ def _load_fims(args):
     fims = analysis.sample_fims(
         exp.policy, exp.state_sampler, cfg.analysis.param_sets, cfg.analysis.states, rng
     )
-    return cfg, seed, fims
-
-
-def cmd_fim(args) -> int:
-    cfg, seed, fims = _load_fims(args)
-    out_dir = _ensure_out_dir(args)
+    os.makedirs(args.out_dir, exist_ok=True)
+    extra = [f"seed = {seed}"]
     aggregate = fims.aggregate
     stats = analysis.spectrum_stats(aggregate, cfg.analysis.near_zero)
     rows = ["bucket_low,bucket_high,count"]
     rows.extend(f"{low!r},{high!r},{count}" for low, high, count in stats.buckets)
-    _write(out_dir, "spectrum.csv", rows, cfg, [f"seed = {seed}"])
+    _write(args.out_dir, "spectrum.csv", rows, cfg, extra)
     rows = [",".join(repr(float(v)) for v in row) for row in aggregate]
-    _write(out_dir, "fim_aggregate.csv", rows, cfg, [f"seed = {seed}"])
-    print(
-        f"near-zero eigenvalue fraction: {stats.near_zero_fraction!r} "
-        f"(threshold {cfg.analysis.near_zero!r})"
-    )
-    return 0
-
-
-def cmd_effdim(args) -> int:
-    cfg, seed, fims = _load_fims(args)
-    out_dir = _ensure_out_dir(args)
+    _write(args.out_dir, "fim_aggregate.csv", rows, cfg, extra)
     report = analysis.effective_dimension(fims, cfg.analysis.data_sizes)
     rows = ["data_size,eff_dim,normalized"]
     rows.extend(
         f"{size},{float(value)!r},{float(norm)!r}"
         for size, value, norm in zip(report.data_sizes, report.values, report.normalized)
     )
-    _write(out_dir, "effdim.csv", rows, cfg, [f"seed = {seed}"])
+    _write(args.out_dir, "effdim.csv", rows, cfg, extra)
+    print(
+        f"near-zero eigenvalue fraction: {stats.near_zero_fraction!r} "
+        f"(threshold {cfg.analysis.near_zero!r})"
+    )
     print(f"effective dimension at {report.data_sizes[-1]}: {float(report.values[-1])!r}")
     return 0
 
 
 def cmd_bound(args) -> int:
-    if args.config is None:
-        for flag, value in (("--seed", args.seed), ("--out-dir", args.out_dir)):
-            if value is not None:
-                raise ConfigError(f"{flag} applies to the compliance experiment only; give --config")
-        bound = config_mod._checked("--m:", analysis.accuracy_bound, args.m or 4)
-        print(f"accuracy bound = {bound} ({float(bound)!r})")
-        return 0
-    exp = config_mod.load_config(args.config)
-    cfg = exp.config
-    try:
-        bound = analysis.check_bound_task(exp.env, exp.policy)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    out_dir = _ensure_out_dir(args)
-    seeds = _seeds(cfg, args)
-    accuracies = [
-        analysis.exact_accuracy(exp.env, exp.encoder, result.policy, result.params)
-        for result in _train_seeds(exp, seeds)
-    ]
-    within = [acc <= float(bound) + analysis.BOUND_SLACK for acc in accuracies]
-    extra = [f"bound = {bound} ({float(bound)!r})", f"slack = {analysis.BOUND_SLACK!r}"]
-    rows = ["seed,accuracy,within_bound"]
-    rows.extend(f"{seed},{acc!r},{ok}" for seed, acc, ok in zip(seeds, accuracies, within))
-    _write(out_dir, "bound_report.csv", rows, cfg, extra)
-    print(f"bound {float(bound)!r}: {'all seeds within' if all(within) else 'VIOLATED'}")
-    return 0 if all(within) else 3
+    bound = config_mod._checked("--m:", analysis.accuracy_bound, args.m)
+    print(f"accuracy bound = {bound} ({float(bound)!r})")
+    return 0
 
 
 def cmd_decode(args) -> int:
@@ -270,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", required=True, help="experiment config file")
 
-    p = sub.add_parser("train", help="REINFORCE training, learning-curve CSVs")
+    p = sub.add_parser("train", help="REINFORCE training, learning curves, bound report")
     add_common(p, config=True)
     p.add_argument(
         "--jobs",
         type=_int_at_least(1),
         default=1,
-        help="seeds trained in parallel, one process each; OpenBLAS may use every "
-        "core in each, so set OPENBLAS_NUM_THREADS=1",
+        help="seeds trained in parallel, one process each; each worker runs "
+        "OpenBLAS on one thread unless OPENBLAS_NUM_THREADS says otherwise",
     )
     p.set_defaults(func=cmd_train)
 
@@ -300,21 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_enum)
 
-    p = sub.add_parser("fim", help="empirical Fisher information spectrum")
+    p = sub.add_parser("fim", help="Fisher information spectrum and effective dimension")
     add_common(p, config=True)
     p.set_defaults(func=cmd_fim)
 
-    p = sub.add_parser("effdim", help="effective dimension over data sizes")
-    add_common(p, config=True)
-    p.set_defaults(func=cmd_effdim)
-
-    p = sub.add_parser("bound", help="softmax accuracy bound / compliance experiment")
-    # A config names its own action count, so --m goes with the bare bound only.
-    task = p.add_mutually_exclusive_group()
-    task.add_argument("--m", type=_int_at_least(2), help="bare-bound action count (default 4)")
-    task.add_argument("--config", default=None, help="run the training compliance experiment")
-    p.add_argument("--seed", type=_int_at_least(0), default=None, help="with --config only")
-    p.add_argument("--out-dir", default=None, help="with --config only (default runs)")
+    p = sub.add_parser("bound", help="softmax accuracy bound")
+    p.add_argument("--m", type=_int_at_least(2), default=4, help="action count")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("decode", help="decode one bitstring")

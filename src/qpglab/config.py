@@ -77,7 +77,7 @@ class AnalysisBlock:
     param_sets: int = 100
     states: int = 100
     data_sizes: tuple = (5000, 10000, 100000, 1000000)
-    near_zero: float = 1e-7
+    near_zero: float = analysis_mod.NEAR_ZERO_THRESHOLD
 
 
 @dataclass

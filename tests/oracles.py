@@ -55,6 +55,25 @@ def log_prob_grad(pol, features, action: int, params) -> np.ndarray:
     return policy.trajectory_log_grads(pol, feats, np.array([action]), params, amps)[0]
 
 
+def exact_fim(pol, features, params) -> np.ndarray:
+    """Exact FIM (P, P) of ``T`` states at one parameter set, not normalised.
+
+    F = (1/T) sum_s sum_a p_a(s) g_a(s) g_a(s)^T with g_a = grad ln p_a,
+    the expectation over actions that sampling one action per state
+    estimates: one forward pass, then one ``trajectory_log_grads`` call
+    per action over the shared amplitudes.
+    """
+    feats = np.asarray(features, dtype=float)
+    amps = ansatz.run_bound(ansatz.bind(pol.model, params), feats)
+    probs = policy._reduce(pol, amps)[1]
+    fim = 0.0
+    for action in range(pol.num_actions):
+        taken = np.full(len(feats), action)
+        grads = policy.trajectory_log_grads(pol, feats, taken, params, amps)
+        fim = fim + (probs[:, action, None] * grads).T @ grads
+    return fim / len(feats)
+
+
 def _num_qubits(amps: np.ndarray) -> int:
     """Qubit count of amplitudes (..., 2**n)."""
     return amps.shape[-1].bit_length() - 1

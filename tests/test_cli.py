@@ -1,6 +1,8 @@
 import builtins
 import collections
+import concurrent.futures
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -35,12 +37,14 @@ states = 10
 data_sizes = 100, 1000
 """
 
-# Subcommand, policy kind and action count, files it writes.
+CURVES = ["curve_seed0.csv", "curve_seed1.csv", "curve_aggregate.csv"]
+# Output family, the subcommand that writes it, policy kind and action
+# count, files in the family.
 RUNS = [
-    ("train", "measurement", 2, ["curve_seed0.csv", "curve_seed1.csv", "curve_aggregate.csv"]),
-    ("fim", "measurement", 2, ["spectrum.csv", "fim_aggregate.csv"]),
-    ("effdim", "measurement", 2, ["effdim.csv"]),
-    ("bound", "softmax", 4, ["bound_report.csv"]),
+    ("train", "train", "measurement", 2, CURVES),
+    ("fim", "fim", "measurement", 2, ["spectrum.csv", "fim_aggregate.csv"]),
+    ("effdim", "fim", "measurement", 2, ["effdim.csv"]),
+    ("bound", "train", "softmax", 4, ["bound_report.csv"]),
 ]
 
 # Columns that hold a verdict rather than a number.
@@ -58,8 +62,8 @@ def _run(tmp_path, command, kind, actions, out_name):
     return out_dir
 
 
-@pytest.mark.parametrize("command,kind,actions,files", RUNS, ids=[r[0] for r in RUNS])
-def test_every_csv_parses_as_numbers(tmp_path, capsys, command, kind, actions, files):
+@pytest.mark.parametrize("family,command,kind,actions,files", RUNS, ids=[r[0] for r in RUNS])
+def test_every_csv_parses_as_numbers(tmp_path, capsys, family, command, kind, actions, files):
     out_dir = _run(tmp_path, command, kind, actions, "out")
     assert "np." not in capsys.readouterr().out
     for name in files:
@@ -76,8 +80,8 @@ def test_every_csv_parses_as_numbers(tmp_path, capsys, command, kind, actions, f
                     float(cell)
 
 
-@pytest.mark.parametrize("command,kind,actions,files", RUNS, ids=[r[0] for r in RUNS])
-def test_reruns_are_byte_identical(tmp_path, command, kind, actions, files):
+@pytest.mark.parametrize("family,command,kind,actions,files", RUNS, ids=[r[0] for r in RUNS])
+def test_reruns_are_byte_identical(tmp_path, family, command, kind, actions, files):
     first = _run(tmp_path, command, kind, actions, "first")
     second = _run(tmp_path, command, kind, actions, "second")
     # Every file written, the checkpoints of ``train`` included.
@@ -155,100 +159,115 @@ def test_train_reads_each_input_file_once(tmp_path, monkeypatch, key):
     assert reads[str(path)] == 1
 
 
-NOT_UNIFORM = "bound compliance needs a uniform bandit task (equal optimal preimages)"
-# Configs that ``bound`` cannot run, as (file text, message).
-BOUND_ERRORS = {
-    "born": (
-        BANDIT_CONFIG.format(kind="measurement", actions=4),
-        "bound compliance applies to the softmax policy family",
+SHORT_SOFTMAX = "[policy]\nkind = softmax\n[train]\nepisodes = 4\nbatch_size = 2\n"
+# Configs whose task the accuracy bound does not cover.
+BOUND_UNCOVERED = {
+    "born": BANDIT_CONFIG.format(kind="measurement", actions=4),
+    "non-uniform": BANDIT_CONFIG.format(kind="softmax", actions=2).replace(
+        "reward = acc01", "reward = acc01\noptimal_map = list:0,0,0,0,0,0,1,1"
     ),
-    "non-uniform": (
-        BANDIT_CONFIG.format(kind="softmax", actions=2).replace(
-            "reward = acc01", "reward = acc01\noptimal_map = list:0,0,0,0,0,0,1,1"
-        ),
-        NOT_UNIFORM,
-    ),
-    "cartpole": (
-        "[env]\ntype = cartpole\n[model]\nn_qubits = 4\n[policy]\nkind = softmax\n",
-        NOT_UNIFORM,
-    ),
+    "cartpole": "[env]\ntype = cartpole\n[model]\nn_qubits = 4\n" + SHORT_SOFTMAX,
     "odd-actions": (
-        "[env]\nnum_states = 9\nnum_actions = 3\n"
-        "[model]\nn_qubits = 4\n[policy]\nkind = softmax\n",
-        "bound implemented for even action counts; the odd case requires "
-        "adapting the weight-ordering count",
+        "[env]\nnum_states = 9\nnum_actions = 3\n[model]\nn_qubits = 4\n" + SHORT_SOFTMAX
     ),
 }
 
 
-@pytest.mark.parametrize("case", list(BOUND_ERRORS))
-def test_bound_preconditions_exit_two_before_the_output_directory(tmp_path, capsys, case):
-    text, message = BOUND_ERRORS[case]
-    path = tmp_path / "bound.ini"
-    path.write_text(text)
+@pytest.mark.parametrize("case", list(BOUND_UNCOVERED))
+def test_train_writes_no_bound_report_off_the_bound_task(tmp_path, capsys, case):
+    path = tmp_path / "train.ini"
+    path.write_text(BOUND_UNCOVERED[case])
+    exp = config.load_config(path)
+    assert analysis.check_bound_task(exp.env, exp.policy) is None
     out_dir = tmp_path / "out"
-    assert cli.main(["bound", "--config", str(path), "--out-dir", str(out_dir)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out_dir.exists()
+    assert cli.main(["train", "--config", str(path), "--out-dir", str(out_dir)]) == 0
+    seeds = len(exp.config.seeds)
+    assert capsys.readouterr().out == f"wrote {seeds} learning curves to {out_dir}\n"
+    assert "bound_report.csv" not in [p.name for p in out_dir.iterdir()]
 
 
 def test_bound_for_an_odd_action_count_is_a_usage_error(capsys):
+    message = (
+        "bound implemented for even action counts; the odd case requires "
+        "adapting the weight-ordering count"
+    )
     assert cli.main(["bound", "--m", "5"]) == 2
-    assert capsys.readouterr() == ("", f"config error: --m: {BOUND_ERRORS['odd-actions'][1]}\n")
+    assert capsys.readouterr() == ("", f"config error: --m: {message}\n")
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--out-dir", "bare-out")])
 def test_bare_bound_refuses_the_experiment_flags(tmp_path, monkeypatch, capsys, flag, value):
-    # Only the compliance experiment reads them; the bare bound would ignore them.
+    # The bound takes only --m; ``train`` writes the bound report of a config.
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["bound", flag, value]) == 2
-    message = f"{flag} applies to the compliance experiment only; give --config"
-    assert capsys.readouterr() == ("", f"config error: {message}\n")
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_bound_config_writes_to_runs_by_default(tmp_path, monkeypatch):
-    path = tmp_path / "bound.ini"
-    path.write_text(BANDIT_CONFIG.format(kind="softmax", actions=4))
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["bound", "--config", str(path), "--seed", "1"]) == 0
-    assert (tmp_path / "runs" / "bound_report.csv").is_file()
-
-
-@pytest.mark.parametrize("order", ["m-first", "config-first"])
-def test_bound_takes_m_or_a_config_not_both(tmp_path, capsys, order):
-    # A config names its own action count; --m would be ignored.
-    path = tmp_path / "bound.ini"
-    path.write_text(BANDIT_CONFIG.format(kind="softmax", actions=4))
-    out_dir = tmp_path / "out"
-    flags = [["--m", "6"], ["--config", str(path)]]
-    if order == "config-first":
-        flags.reverse()
     with pytest.raises(SystemExit) as exc:
-        cli.main(["bound", *flags[0], *flags[1], "--out-dir", str(out_dir)])
+        cli.main(["bound", "--m", "6", flag, value])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "not allowed with argument" in err
-    assert not out_dir.exists()
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_bound_reports_the_exact_accuracy_of_each_trained_checkpoint(tmp_path):
+@pytest.mark.parametrize("order", ["m-first", "config-first"])
+def test_bound_takes_m_or_a_config_not_both(tmp_path, monkeypatch, capsys, order):
+    # The bound takes only --m; a config's bound report is written by ``train``.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bound.ini").write_text(BANDIT_CONFIG.format(kind="softmax", actions=4))
+    flags = [["--m", "6"], ["--config", "bound.ini"]]
+    if order == "config-first":
+        flags.reverse()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound", *flags[0], *flags[1]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --config bound.ini" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bound.ini"]
+
+
+def test_bound_config_writes_to_runs_by_default(tmp_path, monkeypatch):
+    # The bound report goes with the curves into the default directory.
+    path = tmp_path / "bound.ini"
+    path.write_text(BANDIT_CONFIG.format(kind="softmax", actions=4))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--config", str(path), "--seed", "1"]) == 0
+    assert (tmp_path / "runs" / "bound_report.csv").is_file()
+
+
+def _bound_rows(out_dir) -> list:
+    lines = (out_dir / "bound_report.csv").read_text().splitlines()
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert rows.pop(0) == ["seed", "accuracy", "within_bound"]
+    return rows
+
+
+def test_bound_reports_the_exact_accuracy_of_each_trained_checkpoint(tmp_path, capsys):
     path = tmp_path / "bound.ini"
     path.write_text(
         BANDIT_CONFIG.format(kind="softmax", actions=4).replace("seeds = 0, 1", "seeds = 0, 1, 2")
     )
-    for command in ("train", "bound"):
-        assert cli.main([command, "--config", str(path), "--out-dir", str(tmp_path / command)]) == 0
+    out_dir = tmp_path / "out"
+    assert cli.main(["train", "--config", str(path), "--out-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "bound 0.75: all seeds within"
     exp = config.load_config(path)
-    lines = (tmp_path / "bound" / "bound_report.csv").read_text().splitlines()
-    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
-    assert rows.pop(0) == ["seed", "accuracy", "within_bound"]
+    rows = _bound_rows(out_dir)
     assert [row[0] for row in rows] == ["0", "1", "2"]
     for seed, accuracy, within in rows:
-        params, pol = load_checkpoint(tmp_path / "train" / f"params_seed{seed}.txt", exp.policy)
+        params, pol = load_checkpoint(out_dir / f"params_seed{seed}.txt", exp.policy)
         assert accuracy == repr(analysis.exact_accuracy(exp.env, exp.encoder, pol, params))
         assert within == str(float(accuracy) <= 0.75 + 0.02)
+
+
+def test_train_exits_three_when_a_seed_is_above_the_bound(tmp_path, capsys, monkeypatch):
+    # A slack of -1 puts every accuracy above the bound.
+    monkeypatch.setattr(analysis, "BOUND_SLACK", -1.0)
+    path = tmp_path / "bound.ini"
+    path.write_text(BANDIT_CONFIG.format(kind="softmax", actions=4))
+    out_dir = tmp_path / "out"
+    assert cli.main(["train", "--config", str(path), "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().out.splitlines()[1] == "bound 0.75: VIOLATED"
+    assert [within for _, _, within in _bound_rows(out_dir)] == ["False", "False"]
+    assert (out_dir / "curve_aggregate.csv").is_file()
 
 
 def test_globality_exits_zero(capsys):
@@ -400,7 +419,45 @@ def test_options_that_did_nothing_are_gone(argv):
     assert exc.value.code == 2
 
 
-def test_train_jobs_two_writes_the_files_of_jobs_one(tmp_path):
+def test_effdim_is_gone_because_fim_writes_it(tmp_path, capsys):
+    config = tmp_path / "fim.ini"
+    config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["effdim", "--config", str(config), "--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid choice: 'effdim'" in err
+    assert not out_dir.exists()
+
+
+def test_fim_samples_once_and_writes_spectrum_aggregate_and_effdim(tmp_path, capsys, monkeypatch):
+    sample_fims = analysis.sample_fims
+    samples = []
+    monkeypatch.setattr(
+        analysis, "sample_fims", lambda *args: samples.append(sample_fims(*args)) or samples[-1]
+    )
+    out_dir = _run(tmp_path, "fim", "measurement", 2, "out")
+    assert len(samples) == 1
+    names = sorted(path.name for path in out_dir.iterdir())
+    assert names == ["effdim.csv", "fim_aggregate.csv", "spectrum.csv"]
+    stats = analysis.spectrum_stats(samples[0].aggregate)
+    report = analysis.effective_dimension(samples[0], (100, 1000))
+    assert capsys.readouterr().out == (
+        f"near-zero eigenvalue fraction: {stats.near_zero_fraction!r} (threshold 1e-07)\n"
+        f"effective dimension at 1000: {float(report.values[-1])!r}\n"
+    )
+
+
+def _unset_blas_threads(monkeypatch) -> None:
+    # Set before deleting, so that teardown removes what ``train`` sets.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+
+
+def test_train_jobs_two_writes_the_files_of_jobs_one(tmp_path, monkeypatch):
+    _unset_blas_threads(monkeypatch)
     config = tmp_path / "train.ini"
     config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2))
     outs = [tmp_path / "jobs1", tmp_path / "jobs2"]
@@ -414,15 +471,46 @@ def test_train_jobs_two_writes_the_files_of_jobs_one(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")], ids=["unset", "user"])
+def test_train_jobs_workers_run_blas_on_one_thread(tmp_path, monkeypatch, preset, expected):
+    _unset_blas_threads(monkeypatch)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    seen = []
+
+    class InProcessPool:
+        """Records how the pool is made, then runs its tasks here."""
+
+        def __init__(self, max_workers, mp_context):
+            method = mp_context.get_start_method()
+            seen.append((max_workers, method, os.environ["OPENBLAS_NUM_THREADS"]))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = tmp_path / "train.ini"
+    config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2))
+    argv = ["train", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--jobs", "2"]
+    assert cli.main(argv) == 0
+    # A spawned worker loads OpenBLAS afresh, so it reads the variable.
+    assert seen == [(2, "spawn", expected)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["train", "--config", "c.ini", "--seed", "-2"],
         ["fim", "--config", "c.ini", "--seed", "-1"],
         ["enum", "--n", "2", "--m", "2", "--seed", "-1"],
-        ["bound", "--seed", "-1"],
     ],
-    ids=["train", "fim", "enum", "bound"],
+    ids=["train", "fim", "enum"],
 )
 def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, argv):
     out_dir = tmp_path / "out"
@@ -453,7 +541,7 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, argv):
 )
 def test_integer_flags_below_their_floor_are_usage_errors(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"
-    if argv[0] in ("enum", "bound"):
+    if argv[0] == "enum":
         argv = argv + ["--out-dir", str(out_dir)]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

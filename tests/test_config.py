@@ -146,7 +146,7 @@ def test_analysis_error_exits_two_before_the_output_directory(tmp_path, capsys, 
     path = tmp_path / "bad.ini"
     path.write_text(MINIMAL + f"[analysis]\n{line}\n")
     out_dir = tmp_path / "out"
-    assert cli.main(["effdim", "--config", str(path), "--out-dir", str(out_dir)]) == 2
+    assert cli.main(["fim", "--config", str(path), "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out_dir.exists()
 
