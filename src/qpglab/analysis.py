@@ -169,8 +169,8 @@ def effective_dimension(fims: FimSamples, data_sizes) -> EffDimReport:
         peak = half_logdets.max()
         log_mean = peak + math.log(np.mean(np.exp(half_logdets - peak)))
         ed = 2.0 * log_mean / math.log(kappa)
-        values.append(ed)
-        normalized.append(ed / dim)
+        values.append(float(ed))
+        normalized.append(float(ed) / dim)
     return EffDimReport(list(data_sizes), values, normalized)
 
 

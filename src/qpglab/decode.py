@@ -120,25 +120,43 @@ def _extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
     constant.  One pass builds the action of every subcube of
     {0,1,*}**n (-1 where it is not constant), a second takes the best
     star count over the subcubes around each string.
+
+    Both passes hold the tables innermost, as (subcubes, B), so every
+    numpy operation runs over long contiguous stretches.  The subcube
+    pass expands the lowest bit first: after k steps the array is
+    (2**(n-k), 3**k * B), unexpanded bits outermost, and the next step
+    splits bit k off as (-1, 2, 3**k * B) and writes its (0, 1, *)
+    block into a fresh (-1, 3, 3**k * B) array.  The contiguous run
+    3**k * B grows with the array, so the largest steps have the
+    longest runs.  The result is the radix-3 index with bit n-1 most
+    significant, the layout that the second pass reduces from the top.
     """
     batch = len(tables)
     # The narrowest signed type that holds every action and the -1 mark.
-    value = tables.astype(np.min_scalar_type(-int(tables.max()) - 1))
+    dtype = np.min_scalar_type(-int(tables.max()) - 1)
+    value = tables.T.astype(dtype, order="C")
     stars = np.zeros(1, dtype=np.int8)
-    for axis in range(n):
-        # Axes 0..axis-1 already range over {0,1,*}; give this one its *.
-        value = value.reshape(batch, 3**axis, 2, -1)
-        v0, v1 = value[:, :, 0], value[:, :, 1]
-        star = np.where(v0 == v1, v0, -1)[:, :, None]
-        value = np.concatenate([value, star], axis=2)
-        stars = (stars[:, None] + np.array([0, 0, 1], dtype=np.int8)).ravel()
-    score = np.where(value.reshape(batch, -1) >= 0, stars, np.int8(-1))
-    del value
+    for k in range(n):
+        pairs = value.reshape(-1, 2, 3**k * batch)
+        value = np.empty((len(pairs), 3, pairs.shape[2]), dtype=dtype)
+        value[:, :2] = pairs
+        # The * entry, built in place: -(v0 != v1) is 0 where the halves
+        # agree and -1 (all bits set) where not, so OR-ing v0 into it
+        # gives v0 or -1.
+        star, v0 = value[:, 2], pairs[:, 0]
+        np.not_equal(v0, pairs[:, 1], out=star, casting="unsafe")
+        np.negative(star, out=star)
+        star |= v0
+        stars = (np.array([0, 0, 1], dtype=np.int8)[:, None] + stars).ravel()
+    # The sign bit spread over the word: 0 where constant, -1 where not;
+    # OR-ing the star count into it scores the constant subcubes.
+    score = np.right_shift(value, 8 * value.itemsize - 1, out=value).reshape(-1, batch)
+    score |= stars[:, None]
     for axis in range(n):
         # Each string may free this position or keep it.
-        score = score.reshape(batch, 2**axis, 3, -1)
-        score = np.maximum(score[:, :, :2], score[:, :, 2:])
-    return n - score.reshape(batch, -1).astype(np.int64)
+        score = score.reshape(2**axis, 3, -1)
+        score = np.maximum(score[:, :2], score[:, 2:])
+    return n - score.reshape(-1, batch).T.astype(np.int64)
 
 
 def decode_bits_to_index(n_qubits: int, bits: str) -> int:

@@ -463,6 +463,32 @@ def table_from_sets(n_qubits: int, sets: dict) -> decode.PostProcessing:
     return decode.PostProcessing(n_qubits, max(sets) + 1, table)
 
 
+def subcube_extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
+    """``decode._extracted_information`` with tables outermost, top bit first.
+
+    The same two passes over the subcubes of {0,1,*}**n, on a (B, 2**n)
+    layout: each step splits the most significant unexpanded bit and
+    concatenates its * block, so the contiguous runs are 2**(n-axis-1)
+    entries and shortest in the largest steps.
+    """
+    batch = len(tables)
+    value = tables.astype(np.min_scalar_type(-int(tables.max()) - 1))
+    stars = np.zeros(1, dtype=np.int8)
+    for axis in range(n):
+        # Axes 0..axis-1 already range over {0,1,*}; give this one its *.
+        value = value.reshape(batch, 3**axis, 2, -1)
+        v0, v1 = value[:, :, 0], value[:, :, 1]
+        star = np.where(v0 == v1, v0, -1)[:, :, None]
+        value = np.concatenate([value, star], axis=2)
+        stars = (stars[:, None] + np.array([0, 0, 1], dtype=np.int8)).ravel()
+    score = np.where(value.reshape(batch, -1) >= 0, stars, np.int8(-1))
+    for axis in range(n):
+        # Each string may free this position or keep it.
+        score = score.reshape(batch, 2**axis, 3, -1)
+        score = np.maximum(score[:, :, :2], score[:, :, 2:])
+    return n - score.reshape(batch, -1).astype(np.int64)
+
+
 def extracted_information(fn, b: int) -> int:
     """Extracted information of the outcome with basis index ``b``."""
     ei = decode._extracted_information(fn.table[None, :], fn.n_qubits)

@@ -211,6 +211,14 @@ def test_effective_dimension_matches_the_determinant_formula():
     assert report.normalized == pytest.approx([v / 5 for v in report.values], rel=1e-15)
 
 
+def test_effective_dimension_entries_are_python_floats():
+    a = np.random.default_rng(3).normal(size=(4, 4))
+    fims = analysis.FimSamples(np.array([a @ a.T / 4, np.eye(4)]))
+    report = analysis.effective_dimension(fims, [100, 1000])
+    # Python floats, as the field annotations say, not numpy scalars.
+    assert all(type(v) is float for v in report.values + report.normalized)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_effective_dimension_is_below_dim_and_grows_with_data(seed):
     # Each eigenvalue lam adds ln(1 + kappa lam) / ln(kappa) per set.  That

@@ -14,6 +14,7 @@ from oracles import (
     partition_sets,
     recursive_partition_sets,
     save_table,
+    subcube_extracted_information,
     table_from_sets,
 )
 
@@ -74,11 +75,10 @@ def test_recursive_parity_m8_action_five():
     assert sets[5] == [0b0101, 0b1001]
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-@pytest.mark.parametrize("m", [2, 4, 8])
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in (2, 4, 8) for n in range(2, 9) if m <= 1 << n]
+)
 def test_closed_form_agrees_with_recursion(n, m):
-    if m > (1 << n):
-        pytest.skip("more actions than strings")
     fn = decode.RecursiveParity(n, m)
     recursive = recursive_partition_sets(n, m)
     for action, members in recursive.items():
@@ -336,3 +336,51 @@ def test_globality_ei_matches_brute_force(data):
         table = data.draw(st.lists(st.integers(0, m - 1), min_size=1 << n, max_size=1 << n))
         fn = decode.PostProcessing(n, m, table)
     assert (decode.globality(fn).ei == _brute_force_ei(fn.table, n)).all()
+
+
+# The globality benchmark's decodings (n = 10, 11) and RecursiveParity at n = 12,
+# the largest size of the end-to-end globality runs.
+_LARGE_DECODINGS = [
+    decode.RecursiveParity(10, 2),
+    decode.RecursiveParity(10, 8),
+    decode.PrefixParity(10, 6),
+    decode.MostSignificantBit(11),
+    decode.PrefixParity(11, 2),
+    decode.RecursiveParity(12, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "fn", _LARGE_DECODINGS, ids=lambda fn: f"{type(fn).__name__}-{fn.n_qubits}-{fn.num_actions}"
+)
+def test_ei_kernel_matches_the_subcube_oracle_on_large_decodings(fn):
+    table = fn.table[None, :]
+    ei = decode._extracted_information(table, fn.n_qubits)
+    assert ei.dtype == np.int64
+    assert np.array_equal(ei, subcube_extracted_information(table, fn.n_qubits))
+
+
+def _check_batch_against_oracle(tables, n):
+    ei = decode._extracted_information(tables, n)
+    assert np.array_equal(ei, subcube_extracted_information(tables, n))
+    for table, row in zip(tables, ei):
+        assert np.array_equal(decode._extracted_information(table[None, :], n)[0], row)
+
+
+@pytest.mark.parametrize(
+    "n, m, dtype",
+    [(1, 2, np.int64), (3, 3, np.int8), (4, 4, np.int8), (5, 2, np.int64), (6, 7, np.int64)],
+)
+def test_ei_kernel_rows_equal_each_table_alone_and_the_oracle(n, m, dtype):
+    _check_batch_against_oracle(
+        np.random.default_rng(n).integers(0, m, size=(9, 1 << n)).astype(dtype), n
+    )
+
+
+def test_ei_kernel_matches_the_oracle_with_actions_past_int8():
+    # Unbalanced 200-action tables: the pass runs in int16.
+    n, m = 8, 200
+    tables = np.random.default_rng(0).integers(0, m, size=(5, 1 << n))
+    tables[:, :64] = m - 1
+    assert np.min_scalar_type(-int(tables.max()) - 1) == np.int16
+    _check_batch_against_oracle(tables, n)
