@@ -38,10 +38,13 @@ q even, act as one 4x4 factor U_{q+1} (x) U_q, and an odd top qubit
 keeps its 2x2 gate.  A forward pass is thus d+1 layers of ceil(n/2)
 factors, each layer followed by the entangler.  V_0 acts on |0...0>
 and reads no feature, so the register after it and its entangler is
-the same for every row of one parameter set: :func:`bind` computes it
-once, from one row, together with the theta half angles and the
-scale-factor terms of layers 1..d, and :func:`run_bound` starts every
-row of a call from it and runs layers 1..d over all the rows at once.
+the same for every row of one parameter set: a product state, the
+Kronecker product of column 0 of each V_0 gate.  :func:`bind` builds it
+once in closed form, with the same entries, products and contractions
+that running layer 0 on one row would make, together with the theta
+half angles and the scale-factor terms of layers 1..d, and
+:func:`run_bound` starts every row of a call from it and runs layers
+1..d over all the rows at once.
 One vectorised call computes the factors of every layer of every row,
 with one cos and one sin call over all their half angles.
 Then each factor is one batched contraction that reads one of two
@@ -284,18 +287,53 @@ class BoundParams(NamedTuple):
 def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
     """Validate ``params`` and evaluate their feature-free part once.
 
-    V_0 acts on |0...0> with no feature, so its layer runs here, from
-    one row, and :func:`run_bound` runs layers 1..d only.
+    V_0 acts on |0...0> with no feature, so the register after it is
+    the product of column 0 of each of its gates, built here in closed
+    form, and :func:`run_bound` runs layers 1..d only.
     """
     n, d = config.n_qubits, config.depth
     _validate_params(config, params)
     half = params.theta.reshape(d + 1, n, 2, 1).transpose(2, 0, 1, 3)[[0, 1, 1]]
     half *= 0.5
-    start = _run_pass(config, _basis_state(n), half[:, :1])[0]
+    start = _start_register(config, half[:2, 0, :, 0])
     lam_terms = params.lam.reshape(d, n, 2)[..., [1, 0, 0]]
     for array in (half, lam_terms, start):
         array.setflags(write=False)
     return BoundParams(config, half[:, 1:], lam_terms, start)
+
+
+def _start_register(config: ModelConfig, half: np.ndarray) -> np.ndarray:
+    """The register (2**n,) after V_0 and its entangler, from |0...0>.
+
+    ``half`` holds layer 0's half angles (b/2, a/2) as (term, qubit).
+    The register is the Kronecker product of column 0, (u00, u10), of
+    each gate, computed as one row of :func:`_run_pass` computes it: the
+    entries are :func:`_gate_table`'s with c = 0, a pair's column is one
+    multiply, as in its factor, and the pairs and the odd top qubit are
+    combined lowest first by einsum, which rounds as the contractions do.
+    """
+    n = config.n_qubits
+    trig = np.empty((2,) + half.shape)
+    np.cos(half, out=trig[0])
+    np.sin(half, out=trig[1])
+    # Column 0 of each gate, (qubit, row), is (f(a/2) cos(b/2),
+    # -f(a/2) sin(b/2)), f = cos in row 0 and sin in row 1, written
+    # straight into its (qubit, row, re/im) view.
+    columns = np.empty((n, 2), dtype=np.complex128)
+    entries = columns.view(np.float64).reshape(n, 2, 2)
+    np.multiply(trig[:, 1].T[:, :, None], trig[:, 0].T[:, None, :], out=entries)
+    entries[..., 1] *= -1.0
+    low, high = columns[0 : n - 1 : 2], columns[1::2]
+    pieces = list((high[:, :, None] * low[:, None, :]).reshape(n // 2, 4))
+    if n % 2:
+        pieces.append(columns[n - 1])
+    # A sum from zero turns a -0.0 into +0.0, so the first piece gets
+    # one, as its contraction with |0...0> gave it.
+    start = pieces[0] + 0.0
+    for piece in pieces[1:]:
+        start = np.einsum("i,k->ik", piece, start).reshape(-1)
+    _apply_entangler(start, config)
+    return start
 
 
 def run_bound(bound: BoundParams, features) -> np.ndarray:
@@ -311,15 +349,6 @@ def run_bound(bound: BoundParams, features) -> np.ndarray:
     enc = bound.lam_terms * features[:, None, ::-1, None]
     enc *= _HALF_ENCODED
     return _run_pass(bound.config, bound.start, bound.theta_half + enc.transpose(3, 1, 2, 0))
-
-
-@lru_cache(maxsize=None)
-def _basis_state(n: int) -> np.ndarray:
-    """|0...0> as (2**n,) amplitudes."""
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[0] = 1.0
-    state.setflags(write=False)
-    return state
 
 
 def _run_pass(config, start, half) -> np.ndarray:

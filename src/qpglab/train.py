@@ -18,7 +18,10 @@ its actions from, so each step is simulated once.
 Everything is a pure function of (config, seed), through independent
 streams (:func:`run_streams`): one generator draws the initial
 parameters, and episode ``e`` draws its start state, its actions and
-any environment randomness from its own child stream ``e``.  Episode
+any environment randomness from its own generator ``e``.  They are the
+generators numpy's ``SeedSequence(seed).spawn`` tree gives, state for
+state, but each is seeded straight from hashed words: the seed's hash
+runs once per run, and the rest once per chunk of episodes.  Episode
 ``e``'s trajectory therefore depends only on (seed, e, parameters),
 not on the batch size or on which other episodes run beside it, and
 reruns produce identical records.  Each action takes one ``random()``
@@ -32,7 +35,10 @@ writes its outputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -100,16 +106,99 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
     return returns
 
 
-def run_streams(seed: int) -> tuple[np.random.Generator, np.random.SeedSequence]:
-    """The parameter-initialisation generator and the episode stream of a run.
+# numpy's SeedSequence hash (after O'Neill's seed_seq_fe): the hash
+# constants of mixing entropy into the pool (A) and of generating state
+# from it (B), and the mix's multipliers.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Episodes whose seed words one vectorised pass computes.
+_STREAM_CHUNK = 1024
 
-    Both are children of ``SeedSequence(seed)``.  Episode ``e`` draws
-    from child ``e`` of the episode stream; ``spawn`` numbers children
-    consecutively over successive calls, so spawning them batch by
-    batch gives the same streams as spawning them all at once.
+
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """Hash constants ``first .. first + count - 1``, init * mult**k mod 2**32."""
+    consts = [init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(first, first + count)]
+    return np.array(consts, dtype=np.uint32)
+
+
+# generate_state's 8 hashes, each pool word twice.
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 ``value``, column k under hash
+    constant k; ``consts`` holds one more, each column's successor.
     """
-    init, episodes = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(init), episodes
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
+
+
+def _seed_words(stream: np.random.SeedSequence, last: np.ndarray) -> np.ndarray:
+    """PCG64 seed words (len(last), 4), uint64, of the children of
+    ``stream`` with the key words ``last`` (uint32): each child's
+    ``generate_state(4, np.uint64)``.
+
+    A child's entropy is ``stream``'s words, the 32-bit words of its int
+    entropy padded to the pool size of 4 and then its one-word key
+    words, and last its own key word.  Mixing in L >= 4 words takes 4 L
+    hashes (4 fill the pool, 12 cross-mix it, 4 per further word), so
+    the last word takes hashes 4 L .. 4 L + 3, one per pool word.  The
+    state hashes the pool twice over.
+    """
+    words = max(4, -(-int(stream.entropy).bit_length() // 32)) + len(stream.spawn_key)
+    hashed = _hashmix(last[:, None], _hash_consts(_INIT_A, _MULT_A, 4 * words, 5))
+    pool = _MIX_L * stream.pool - _MIX_R * hashed
+    pool ^= pool >> 16
+    state = _hashmix(np.concatenate([pool, pool], axis=1), _STATE_CONSTS)
+    # Pairs of words read little-endian, as generate_state reads them.
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@lru_cache(maxsize=None)
+def _seed_words_type() -> type:
+    """The seed sequence that hands PCG64 the 4 uint64 words it seeds from.
+
+    Built on first use: its base class lives in numpy.random, whose
+    import every ``import qpglab`` would otherwise pay.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds the 4 uint64 words that seed a PCG64 only")
+            return self.words
+
+    return SeedWords
+
+
+def run_streams(seed: int, episodes: int) -> tuple[np.random.Generator, Iterator]:
+    """The parameter-initialisation generator and the episode generators of a run.
+
+    They are numpy's ``default_rng`` of children 0 and 1 of
+    ``SeedSequence(seed)``, and episode ``e`` draws from ``default_rng``
+    of child ``e`` of child 1; the iterator yields episodes 0 ..
+    ``episodes - 1`` in order.  Their states are computed from the seed
+    sequence's hash with no SeedSequence object per episode: the pool of
+    child 1 is mixed once per run, and the rest on uint32 arrays once per
+    chunk of episodes.  A key word is 32 bits, so a run has at most
+    2**32 episodes.
+    """
+    if episodes > 1 << 32:
+        raise ValueError("a run has at most 2**32 episodes: an index is one 32-bit word")
+    init = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    return init, _episode_generators(np.random.SeedSequence(seed, spawn_key=(1,)), episodes)
+
+
+def _episode_generators(stream, episodes: int) -> Iterator[np.random.Generator]:
+    seed_words = _seed_words_type()
+    for start in range(0, episodes, _STREAM_CHUNK):
+        last = np.arange(start, min(start + _STREAM_CHUNK, episodes), dtype=np.uint32)
+        for words in _seed_words(stream, last):
+            yield np.random.Generator(np.random.PCG64(seed_words(words)))
 
 
 def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> list[Trajectory]:
@@ -245,7 +334,7 @@ def train_run(
     partial batch is collected and logged but never used for an update,
     so the returned parameters are those of the last full batch.
     """
-    init_rng, episode_stream = run_streams(seed)
+    init_rng, episode_rngs = run_streams(seed, hyper.episodes)
     params = ansatz.init_params(
         policy.model,
         init_rng,
@@ -259,7 +348,7 @@ def train_run(
     totals: list[float] = []
     for start in range(0, hyper.episodes, hyper.batch_size):
         size = min(hyper.batch_size, hyper.episodes - start)
-        rngs = [np.random.default_rng(child) for child in episode_stream.spawn(size)]
+        rngs = list(islice(episode_rngs, size))
         batch = collect_episodes(env, encoder, policy, params, rngs)
         if size == hyper.batch_size:
             grad = reinforce_gradient(batch, policy, params, hyper.gamma)

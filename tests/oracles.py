@@ -38,9 +38,28 @@ def collect_episode(env, encoder, pol, params, rng) -> train.Trajectory:
 
 
 def episode_rngs(seed: int, count: int) -> list:
-    """Generators of episodes 0 .. count-1 of a run seeded with ``seed``."""
-    _, stream = train.run_streams(seed)
+    """Generators of episodes 0 .. count-1 of a run seeded with ``seed``:
+    ``default_rng`` of the children of child 1 of ``SeedSequence(seed)``.
+    """
+    _, stream = np.random.SeedSequence(seed).spawn(2)
     return [np.random.default_rng(child) for child in stream.spawn(count)]
+
+
+def init_rng(seed: int) -> np.random.Generator:
+    """Parameter-initialisation generator of a run seeded with ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
+def start_register(config, params) -> np.ndarray:
+    """The register (2**n,) after V_0 and its entangler: layer 0 run on
+    |0...0> as one row of the forward pass, gate table and contractions.
+    """
+    n, d = config.n_qubits, config.depth
+    half = params.theta.reshape(d + 1, n, 2, 1).transpose(2, 0, 1, 3)[[0, 1, 1]]
+    half *= 0.5
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[0] = 1.0
+    return ansatz._run_pass(config, state, half[:, :1])[0]
 
 
 def state_action_probs(pol, features, params) -> np.ndarray:

@@ -15,6 +15,7 @@ from oracles import (
     param_rows,
     per_qubit_adjoint_grads,
     shift_rows,
+    start_register,
 )
 
 # Published model sizes: ((n, d), |theta| + |lam|).
@@ -568,6 +569,27 @@ def test_bound_rows_do_not_depend_on_grouping(entangler, n, depth):
     assert ansatz.run_bound(bound, features[:0]).shape == (0, 1 << n)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_bind_start_register_bit_identical_to_one_row_layer_zero(entangler, n):
+    # bind builds the register after V_0 in closed form; it must equal
+    # layer 0 run as one row of the forward pass bit for bit, signed
+    # zeros included, at every angle scale and at angles that give
+    # exact zeros (0, -0.0) and the cos(pi/2) rounding (+-pi).
+    config = ModelConfig(n, 2, entangler)
+    params, rng = _random_params(config, 700 + n)
+    for scale in (1.0, 10.0, 1e-3):
+        for trial in range(6):
+            theta = rng.uniform(-np.pi, np.pi, params.theta.shape) * scale
+            if trial:
+                special = rng.random(theta.shape) < 0.5
+                theta[special] = rng.choice([0.0, -0.0, np.pi, -np.pi], special.sum())
+            angles = ParamSet(theta, params.lam)
+            assert _same_bits(ansatz.bind(config, angles).start, start_register(config, angles))
+    zeros = ParamSet(np.zeros_like(params.theta), params.lam)
+    assert _same_bits(ansatz.bind(config, zeros).start, start_register(config, zeros))
+
+
 def test_bind_checks_parameters_and_run_bound_checks_features():
     config = ModelConfig(3, 2)
     params, rng = _random_params(config, 6)
@@ -583,8 +605,10 @@ def test_bind_checks_parameters_and_run_bound_checks_features():
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])
 def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
     # Each layer's fused gates act as one contraction per qubit pair,
-    # plus one for the top qubit at odd n.  Binding runs layer 0 once,
-    # so a bound call of any size runs layers 1..d, once.
+    # plus one for the top qubit at odd n.  Binding builds the register
+    # after layer 0 from its first pair (or lone qubit) with one
+    # contraction per further pair or top qubit, and a bound call of any
+    # size runs layers 1..d, once.
     config = ModelConfig(n, depth)
     calls = []
     einsum = np.einsum
@@ -594,7 +618,7 @@ def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
     params = _random_params(config, 3)[0]
     calls.clear()
     bound = ansatz.bind(config, params)
-    assert len(calls) == per_layer
+    assert len(calls) == per_layer - 1
     for count in (1, 2 * 512 + 3):
         features = _random_rows(config, rng, count)[2]
         calls.clear()

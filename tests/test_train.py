@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpglab import ansatz, decode, envs, policy, train
-from oracles import collect_episode, episode_rngs
+from oracles import collect_episode, episode_rngs, init_rng
 
 
 def _bandit(kind="born"):
@@ -227,11 +227,72 @@ def test_each_batch_binds_its_parameters_once(monkeypatch, task):
     assert len(bound) == 3
 
 
+def _states(rngs) -> list:
+    return [rng.bit_generator.state for rng in rngs]
+
+
 def test_run_streams_are_separate_children_of_the_seed():
-    init, episodes = train.run_streams(4)
+    # Child 0 of SeedSequence(seed) seeds the initial parameters, and
+    # child e of child 1 seeds episode e.
+    init, episodes = train.run_streams(4, 3)
     first, second = np.random.SeedSequence(4).spawn(2)
-    assert init.random(3).tolist() == np.random.default_rng(first).random(3).tolist()
-    assert (episodes.entropy, episodes.spawn_key) == (4, second.spawn_key) == (4, (1,))
+    assert init.bit_generator.state == np.random.default_rng(first).bit_generator.state
+    assert _states(episodes) == _states(np.random.default_rng(c) for c in second.spawn(3))
+
+
+# Multi-word entropy from 2**32 on; 2**130 + 1 has more words than the pool.
+STREAM_SEEDS = [0, 11, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 1]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_run_streams_states_equal_numpy_spawn(seed):
+    # Two whole chunks of vectorised seed words and a ragged tail.
+    count = 2 * train._STREAM_CHUNK + 5
+    init, episodes = train.run_streams(seed, count)
+    assert init.bit_generator.state == init_rng(seed).bit_generator.state
+    got = list(episodes)
+    assert len(got) == count
+    assert _states(got) == _states(episode_rngs(seed, count))
+    # Each is a working generator: its draws are numpy's.
+    assert got[-1].random(3).tolist() == episode_rngs(seed, count)[-1].random(3).tolist()
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 + 7])
+def test_train_run_hands_each_batch_the_numpy_spawn_states(monkeypatch, seed):
+    env, encoder, pol = _bandit("softmax")
+    handed = []
+    collect = train.collect_episodes
+
+    def recorded(env, encoder, pol, params, rngs):
+        handed.append(_states(rngs))
+        return collect(env, encoder, pol, params, rngs)
+
+    monkeypatch.setattr(train, "collect_episodes", recorded)
+    hyper = train.Hyperparams(batch_size=4, episodes=10)
+    train.train_run(env, encoder, pol, hyper, seed)
+    expected = _states(episode_rngs(seed, 10))
+    assert handed == [expected[0:4], expected[4:8], expected[8:10]]
+
+
+def test_run_streams_refuses_episode_indices_past_one_word():
+    with pytest.raises(ValueError, match="at most 2\\*\\*32 episodes"):
+        train.run_streams(0, 2**32 + 1)
+    env, encoder, pol = _bandit("softmax")
+    with pytest.raises(ValueError, match="at most 2\\*\\*32 episodes"):
+        train.train_run(env, encoder, pol, train.Hyperparams(episodes=2**32 + 1), 0)
+    # 2**32 episodes are allowed; the streams are built as they are drawn.
+    for seed in (3, 2**64 + 7):
+        _, episodes = train.run_streams(seed, 2**32)
+        child = np.random.SeedSequence(seed, spawn_key=(1, 0))
+        assert _states([next(episodes)]) == _states([np.random.default_rng(child)])
+        # The last index is one word: numpy's child 2**32 - 1.
+        stream = np.random.SeedSequence(seed, spawn_key=(1,))
+        last = train._seed_words(stream, np.array([2**32 - 1], dtype=np.uint32))
+        got = np.random.Generator(np.random.PCG64(train._seed_words_type()(last[0])))
+        child = np.random.SeedSequence(seed, spawn_key=(1, 2**32 - 1))
+        assert _states([got]) == _states([np.random.default_rng(child)])
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            train._seed_words_type()(last[0]).generate_state(8)
 
 
 def test_first_batch_does_not_depend_on_batch_size():
