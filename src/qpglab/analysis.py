@@ -98,9 +98,9 @@ def sample_fims(
         params_j, policy_j = policy_mod.apply_flat(policy, flat)
         bound = ansatz.bind(policy_j.model, params_j)
         amps = np.vstack([ansatz.run_bound(bound, s[None, :]) for s in states])
-        probs = policy_mod._reduce(policy_j, amps)[1]
-        actions = policy_mod._sample_rows(probs, [rng] * num_states)
-        grads = policy_mod.trajectory_log_grads(policy_j, feats, actions, params_j, amps)
+        reduced = policy_mod._reduce(policy_j, amps)
+        actions = policy_mod._sample_rows(reduced[1], [rng] * num_states)
+        grads = policy_mod.trajectory_log_grads(policy_j, feats, actions, params_j, amps, reduced)
         fim = grads.T @ grads / num_states
         np.add(fim, fim.T, out=matrix)
         matrix /= 2.0

@@ -9,28 +9,26 @@ Two families are implemented:
   <O>`` with a single shared Pauli-Z-mask observable and per-action
   weights.
 
-One row-by-row reduction turns final amplitudes into action
-distributions for :func:`batch_action_probs`, the softmax policy's
-:func:`sample_action` and both gradient paths.  A Born policy's
-:func:`sample_action` draws a basis index from the Born probabilities
-and decodes it, so it needs no action distribution.
-:func:`sample_action` takes its parameter set bound
-(:func:`qpglab.ansatz.bind`): a caller that samples many times under one
-set, as a rollout does, binds it once, and the feature-free first
-circuit layer runs once for all those calls.
+Data path.  :func:`sample_action` takes its parameter set bound
+(:func:`qpglab.ansatz.bind`), once for all of a rollout's calls, and
+returns each row's action, final amplitudes and, for a softmax policy,
+the row's reduction ``(reading, pi)`` (:func:`_reduce`), which it drew
+from.  A Born policy draws a basis index from the Born probabilities
+and decodes it, with no action distribution.  :func:`trajectory_log_grads`
+takes the amplitudes and any reduction back, so each row is simulated
+once and reduced once: by the softmax draw, or else by the gradient.
 
 Log-policy gradients are exact: the taken action's projector (Born
 policy) or the Z-mask observable (softmax policy) is differentiated by
 the adjoint sweep of :func:`qpglab.ansatz.adjoint_grads`, one backward
-pass for a whole trajectory that starts from the final amplitudes
-:func:`sample_action` already computed and undoes one rotation layer
-per phase multiply, and the softmax factors are applied in closed
-form.  The Born gradient reads the decoding's action table directly:
-the taken action's projector is the 0/1 mask of basis indices whose
-table entry is that action, as in sampling and in the class sums.  A
-Born policy acts by measuring one bitstring and decoding it, as on
-hardware; its probabilities and gradients are exact expectations of
-the simulated state, never shot estimates.
+pass over all rows that starts from their final amplitudes and undoes
+one rotation layer per phase multiply, and the softmax factors are
+applied in closed form.  The Born gradient reads the decoding's action
+table directly: the taken action's projector is the 0/1 mask of basis
+indices whose table entry is that action, as in sampling and in the
+class sums.  A Born policy acts by measuring one bitstring and
+decoding it, as on hardware; its probabilities and gradients are exact
+expectations of the simulated state, never shot estimates.
 """
 
 from __future__ import annotations
@@ -149,20 +147,22 @@ def sample_action(
 
     ``bound`` is the parameter set as :func:`qpglab.ansatz.bind` binds it
     to the policy's model, once for any number of calls.  Returns
-    ``(actions, amps)``: the actions (T,) and the final amplitudes
-    (T, 2**n) they were drawn from, which :func:`trajectory_log_grads`
-    takes back.  All rows go through one circuit call, and each row
-    takes one ``random()`` draw from its generator, in row order, so a
-    row's action does not depend on the other rows.  A Born policy
-    measures one bitstring and decodes it.
+    ``(actions, amps, reduced)``: the actions (T,), the final amplitudes
+    (T, 2**n) they were drawn from and, for a softmax policy, their
+    :func:`_reduce` result (None for a Born policy), which
+    :func:`trajectory_log_grads` takes back.  All rows go through one
+    circuit call, and each row takes one ``random()`` draw from its
+    generator, in row order, so a row's action does not depend on the
+    other rows.  A Born policy measures one bitstring and decodes it.
     """
     if bound.config != policy.model:
         raise ValueError(f"parameters bound to {bound.config}, policy model is {policy.model}")
     amps = ansatz.run_bound(bound, features_rows)
     if isinstance(policy, MeasurementPolicy):
         outcomes = _sample_rows(qsim.probabilities(amps), rngs)
-        return policy.postfn.table[outcomes], amps
-    return _sample_rows(_reduce(policy, amps)[1], rngs), amps
+        return policy.postfn.table[outcomes], amps, None
+    reduced = _reduce(policy, amps)
+    return _sample_rows(reduced[1], rngs), amps, reduced
 
 
 def _sample_rows(probs: np.ndarray, rngs) -> np.ndarray:
@@ -208,26 +208,30 @@ def trajectory_log_grads(
     actions: np.ndarray,
     params: ParamSet,
     amps: np.ndarray,
+    reduced: tuple | None = None,
 ) -> np.ndarray:
     """Log-policy gradients for every (state, action) step of a trajectory.
 
-    ``amps`` are the steps' final amplitudes (T, 2**n), as
-    :func:`sample_action` returns them; no step is simulated again.
+    ``amps`` are the steps' final amplitudes (T, 2**n) and ``reduced``
+    their :func:`_reduce` result, as :func:`sample_action` returns them,
+    so no step is simulated or reduced again; None reduces them here.
     One adjoint sweep over all steps together; returns shape
     (T, num_trainables).  The steps need not come from one episode.
     """
     features_seq = np.asarray(features_seq, dtype=float)
     actions = np.asarray(actions, dtype=np.int64)
+    if reduced is None:
+        reduced = _reduce(policy, amps)
     if isinstance(policy, SoftmaxObservablePolicy):
-        return _softmax_traj_grads(policy, features_seq, actions, params, amps)
-    return _measurement_traj_grads(policy, features_seq, actions, params, amps)
+        return _softmax_traj_grads(policy, features_seq, actions, params, amps, reduced)
+    return _measurement_traj_grads(policy, features_seq, actions, params, amps, reduced)
 
 
-def _measurement_traj_grads(policy, features_seq, actions, params, amps):
+def _measurement_traj_grads(policy, features_seq, actions, params, amps, reduced):
     # d ln p_a = d<Pi_a> / p_a, with Pi_a the taken action's projector.
     taken = (policy.postfn.table == actions[:, None]).astype(float)
     grads = ansatz.adjoint_grads(policy.model, params, features_seq, taken, amps)
-    p_taken = _reduce(policy, amps)[1][np.arange(len(actions)), actions]
+    p_taken = reduced[1][np.arange(len(actions)), actions]
     if (p_taken == 0.0).any():
         bad = int(np.nonzero(p_taken == 0.0)[0][0])
         raise ZeroProbabilityError(
@@ -236,10 +240,10 @@ def _measurement_traj_grads(policy, features_seq, actions, params, amps):
     return grads / np.maximum(p_taken, PROB_CLAMP)[:, None]
 
 
-def _softmax_traj_grads(policy, features_seq, actions, params, amps):
+def _softmax_traj_grads(policy, features_seq, actions, params, amps, reduced):
     signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
     grad_obs = ansatz.adjoint_grads(policy.model, params, features_seq, signs, amps)
-    obs, pi = _reduce(policy, amps)
+    obs, pi = reduced
     steps = np.arange(len(actions))
     bracket = policy.weights[actions] - pi @ policy.weights
     indicator = np.zeros_like(pi)

@@ -1,44 +1,44 @@
 """REINFORCE training loop with Adam/AMSGrad ascent updates.
 
-The gradient estimator is the vanilla policy-gradient form: average
-over batch trajectories of ``sum_t grad ln pi(a_t | s_t) * G_t`` with
-discounted returns ``G_t`` and no baseline.  Updates are synchronous at
-batch boundaries (one trajectory per update by default for the
-paper-style per-episode runs; larger batches are a config choice).
+The gradient estimator is the vanilla policy-gradient form: the batch
+average of ``sum_t grad ln pi(a_t | s_t) * G_t`` with discounted returns
+``G_t`` and no baseline.  An update runs after every ``batch_size``
+episodes (one by default, as in the paper's per-episode runs).
 
-The episodes of one batch share one parameter set, so they are
-stepped in lockstep (:func:`collect_episodes`): the set is bound once
-per batch (:func:`qpglab.ansatz.bind`), which runs the feature-free
-first circuit layer once per batch, and each time step makes one
-circuit call over the episodes still running.  An episode ends on
+The data path of an update.  The batch's episodes share one parameter
+set, bound once (:func:`qpglab.ansatz.bind`), and run in lockstep
+(:func:`collect_episodes`): each time step makes one circuit call over
+the episodes still running and keeps one time-major block of their
+rows, final amplitudes, actions and, for a softmax policy, the
+reduction ``(reading, pi)`` that sampling computed.  An episode ends on
 a terminal transition or after the environment's ``horizon`` steps.
-The update differentiates the final amplitudes that the rollout drew
-its actions from, so each step is simulated once.
+One stable sort by episode turns the blocks into one episode-major
+:class:`Batch`, and :func:`reinforce_gradient` makes one
+:func:`qpglab.policy.trajectory_log_grads` call on it as it stands, so
+no step is simulated or reduced twice.  Rewards stay Python floats:
+each episode's returns and total come from them with no array.
 
 Everything is a pure function of (config, seed), through independent
 streams (:func:`run_streams`): one generator draws the initial
 parameters, and episode ``e`` draws its start state, its actions and
-any environment randomness from its own generator ``e``.  They are the
-generators numpy's ``SeedSequence(seed).spawn`` tree gives, state for
-state, but each is seeded straight from hashed words: the seed's hash
-runs once per run, and the rest once per chunk of episodes.  Episode
-``e``'s trajectory therefore depends only on (seed, e, parameters),
-not on the batch size or on which other episodes run beside it, and
-reruns produce identical records.  Each action takes one ``random()``
-draw: a Born policy measures one bitstring per step.
-:func:`train_run` returns the per-episode records and the final
-parameters and policy; it builds nothing and writes no file, since
-``qpglab.config`` builds the run's objects once and ``qpglab.cli``
-writes its outputs.
+any environment randomness from its own generator ``e``, the one
+numpy's ``SeedSequence(seed).spawn`` tree gives.  Episode ``e``'s steps
+therefore depend only on (seed, e, parameters), not on the batch size
+or on the other episodes, and reruns produce identical records.  Each
+action takes one ``random()`` draw.  :func:`train_run` returns the
+per-episode records and the final parameters and policy; it builds
+nothing and writes no file.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice
+from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import accumulate, islice
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,23 +48,19 @@ from .ansatz import ParamSet
 from .policy import Policy
 
 
-@dataclass
-class Trajectory:
-    """One episode in step order: encoded features, the circuit's final
-    amplitudes at each step, chosen actions and rewards.
+class Batch(NamedTuple):
+    """A batch's steps, episode-major: rows of ``features`` (N, n),
+    ``amps`` (N, 2**n) and ``actions`` (N,), episode ``e``'s
+    ``len(rewards[e])`` steps after those of episodes ``0 .. e-1``.
+    ``reduced`` is the rows' softmax ``(reading, pi)`` that sampling
+    computed (None for a Born policy); ``rewards`` are Python floats.
     """
 
-    features: np.ndarray  # (T, n)
-    amps: np.ndarray  # (T, 2**n)
-    actions: np.ndarray  # (T,)
-    rewards: np.ndarray  # (T,)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    @property
-    def total_reward(self) -> float:
-        return float(self.rewards.sum())
+    features: np.ndarray
+    amps: np.ndarray
+    actions: np.ndarray
+    reduced: tuple | None
+    rewards: list[list[float]]
 
 
 @dataclass
@@ -89,21 +85,37 @@ class Hyperparams:
             raise ValueError("learning rates must be finite and positive")
         if not 0 <= self.theta_scale < math.inf:
             raise ValueError("theta_scale must be finite and >= 0")
+        if not math.isfinite(self.lambda_init):
+            raise ValueError("lambda_init must be finite")
+        if self.theta_init not in ("uniform", "normal"):
+            raise ValueError(f"theta_init must be 'uniform' or 'normal', got {self.theta_init!r}")
         if self.batch_size < 1 or self.episodes < 1:
             raise ValueError("batch_size and episodes must be >= 1")
 
 
-def discounted_returns(rewards, gamma: float) -> np.ndarray:
-    """Backward recursion G_t = r_t + gamma * G_{t+1}."""
-    rewards = np.asarray(rewards, dtype=float)
-    if rewards.size == 0:
+def discounted_returns(rewards: list, gamma: float) -> list[float]:
+    """Backward recursion G_t = r_t + gamma * G_{t+1}, on Python floats."""
+    if not rewards:
         raise ValueError("empty reward sequence")
-    returns = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        returns[t] = acc
-    return returns
+    returns = accumulate(reversed(rewards), lambda acc, r: r + gamma * acc, initial=0.0)
+    return list(returns)[:0:-1]
+
+
+def _reward_total(rewards: list) -> float:
+    """``np.sum`` of an episode's rewards, bit for bit, on Python floats:
+    numpy adds the whole multiples of 8 terms in 8 interleaved lanes,
+    combines the lanes pairwise and adds the rest in order, from a start
+    of 0.0; it halves runs above 128 terms at a multiple of 8.
+    """
+    n = len(rewards)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _reward_total(rewards[:half]) + _reward_total(rewards[half:])
+    body, acc = n - n % 8, 0.0
+    if body:
+        a = [reduce(add, rewards[lane:body:8]) for lane in range(8)]
+        acc += ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    return reduce(add, rewards[body:], acc)
 
 
 # numpy's SeedSequence hash (after O'Neill's seed_seq_fe): the hash
@@ -201,65 +213,58 @@ def _episode_generators(stream, episodes: int) -> Iterator[np.random.Generator]:
             yield np.random.Generator(np.random.PCG64(seed_words(words)))
 
 
-def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> list[Trajectory]:
+def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> Batch:
     """Run one episode per generator in lockstep, episode ``e`` on ``rngs[e]``.
 
     ``params`` are bound once (:func:`qpglab.ansatz.bind`), so the
     feature-free first layer runs once per batch.  Each time step makes
     one ``encoder.encode`` call and one
     :func:`qpglab.policy.sample_action` call over the episodes still
-    running, then one ``env.step`` per episode; each trajectory keeps the
-    final amplitudes of its steps for the gradient.
-    Every draw of episode ``e`` comes from ``rngs[e]`` in the order a
-    lone run of it would make, so its trajectory equals the one it
-    gives when collected alone.  Episodes are truncated after
-    ``env.horizon`` steps.
+    running, then one ``env.step`` per episode, and keeps one block of
+    the live episodes' ids, rows, final amplitudes, actions and any
+    softmax reduction; one stable sort of the ids orders the blocks'
+    rows episode-major.  Every draw of episode ``e`` comes from
+    ``rngs[e]`` in the order a lone run of it would make, so its steps
+    equal the ones it gives when collected alone.  Episodes are
+    truncated after ``env.horizon`` steps.
     """
     states = [env.reset(rng) for rng in rngs]
-    features, amps, actions, rewards = ([[] for _ in rngs] for _ in range(4))
+    rewards = [[] for _ in rngs]
+    blocks = []
     live = list(range(len(rngs)))
     bound = ansatz.bind(policy.model, params)
     for _ in range(env.horizon):
         if not live:
             break
         rows = encoder.encode([states[e] for e in live])
-        chosen, finals = policy_mod.sample_action(policy, rows, bound, [rngs[e] for e in live])
+        chosen, *drawn = policy_mod.sample_action(policy, rows, bound, [rngs[e] for e in live])
+        blocks.append((live, rows, chosen, *drawn))
         running = []
-        for e, row, final, action in zip(live, rows, finals, chosen.tolist()):
+        for e, action in zip(live, chosen.tolist()):
             states[e], reward, terminal = env.step(states[e], action, rngs[e])
-            features[e].append(row)
-            amps[e].append(final)
-            actions[e].append(action)
             rewards[e].append(reward)
             if not terminal:
                 running.append(e)
         live = running
-    return [
-        Trajectory(np.array(f), np.array(p), np.array(a, dtype=np.int64), np.array(r))
-        for f, p, a, r in zip(features, amps, actions, rewards)
-    ]
+    ids, rows, chosen, finals, reductions = zip(*blocks)
+    order = np.argsort(np.concatenate(ids), kind="stable")
+
+    def gather(fields):
+        return np.concatenate(fields)[order]
+
+    reduced = None if reductions[0] is None else tuple(map(gather, zip(*reductions)))
+    return Batch(gather(rows), gather(finals), gather(chosen), reduced, rewards)
 
 
-def reinforce_gradient(
-    batch: list[Trajectory], policy: Policy, params: ParamSet, gamma: float
-) -> np.ndarray:
-    """Ascent-direction gradient of the REINFORCE objective over a batch.
-
-    The steps of all trajectories go through one gradient call, which
-    starts from the amplitudes the rollout computed, so no step is
-    simulated twice.
+def reinforce_gradient(batch: Batch, policy: Policy, params: ParamSet, gamma: float) -> np.ndarray:
+    """Ascent-direction gradient of the REINFORCE objective over a batch,
+    from one gradient call on the rollout's amplitudes and reduction.
     """
-    if not batch:
-        raise ValueError("empty batch")
-    returns = np.concatenate([discounted_returns(traj.rewards, gamma) for traj in batch])
+    returns = [g for rewards in batch.rewards for g in discounted_returns(rewards, gamma)]
     grads = policy_mod.trajectory_log_grads(
-        policy,
-        np.concatenate([traj.features for traj in batch]),
-        np.concatenate([traj.actions for traj in batch]),
-        params,
-        np.concatenate([traj.amps for traj in batch]),
+        policy, batch.features, batch.actions, params, batch.amps, batch.reduced
     )
-    return returns @ grads / len(batch)
+    return np.array(returns) @ grads / len(batch.rewards)
 
 
 ADAM_BETA1 = 0.9
@@ -267,20 +272,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
 class AdamState:
     """Adam moment accumulators with the AMSGrad running maximum."""
 
-    dim: int
-    step: int = 0
-    m: np.ndarray = field(init=False)
-    v: np.ndarray = field(init=False)
-    v_max: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.m = np.zeros(self.dim)
-        self.v = np.zeros(self.dim)
-        self.v_max = np.zeros(self.dim)
+    def __init__(self, dim: int):
+        self.step = 0
+        self.m, self.v, self.v_max = np.zeros(dim), np.zeros(dim), np.zeros(dim)
 
 
 def adam_amsgrad_step(
@@ -313,8 +310,7 @@ class EpisodeRecord:
     avg20: float
 
 
-@dataclass
-class TrainResult:
+class TrainResult(NamedTuple):
     records: list[EpisodeRecord]
     params: ParamSet
     policy: Policy
@@ -355,7 +351,7 @@ def train_run(
             flat = policy_mod.flat_trainables(policy, params)
             flat = adam_amsgrad_step(opt, flat, grad, rates)
             params, policy = policy_mod.apply_flat(policy, flat)
-        totals.extend(traj.total_reward for traj in batch)
+        totals.extend(map(_reward_total, batch.rewards))
     records = [
         EpisodeRecord(episode, reward, avg)
         for episode, (reward, avg) in enumerate(zip(totals, _trailing_means(totals, 20)))

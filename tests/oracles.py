@@ -13,10 +13,15 @@ def sample_index(probs, rng) -> int:
     return int(min(np.searchsorted(cdf, rng.random(), side="right"), len(probs) - 1))
 
 
-def collect_episode(env, encoder, pol, params, rng) -> train.Trajectory:
-    """One episode alone: a single-row circuit call and one draw per step."""
+def collect_episode(env, encoder, pol, params, rng) -> tuple:
+    """One episode alone: a single-row circuit call and one draw per step.
+
+    Returns per-step arrays ``(features, amps, actions, reduced)`` and
+    the rewards list; ``reduced`` is the softmax ``(reading, pi)`` of
+    each row alone, or None for a Born policy.
+    """
     state = env.reset(rng)
-    features, amps, actions, rewards = [], [], [], []
+    features, amps, actions, readings, pis, rewards = [], [], [], [], [], []
     for _ in range(env.horizon):
         feats = encoder.encode(state)
         final = ansatz.run_bound(ansatz.bind(pol.model, params), feats[None, :])
@@ -29,11 +34,29 @@ def collect_episode(env, encoder, pol, params, rng) -> train.Trajectory:
         features.append(feats)
         amps.append(final[0])
         actions.append(action)
+        readings.append(reading[0])
+        pis.append(probs[0])
         rewards.append(reward)
         if terminal:
             break
-    return train.Trajectory(
-        np.array(features), np.array(amps), np.array(actions, dtype=np.int64), np.array(rewards)
+    reduced = None
+    if isinstance(pol, policy.SoftmaxObservablePolicy):
+        reduced = (np.array(readings), np.array(pis))
+    steps = (np.array(features), np.array(amps), np.array(actions, dtype=np.int64), reduced)
+    return steps, rewards
+
+
+def collect_alone(env, encoder, pol, params, rngs) -> train.Batch:
+    """The episodes of ``rngs``, each collected alone, stacked episode-major."""
+    episodes = [collect_episode(env, encoder, pol, params, rng) for rng in rngs]
+    features, amps, actions, reduced = zip(*(steps for steps, _ in episodes))
+    reduced = None if reduced[0] is None else tuple(map(np.concatenate, zip(*reduced)))
+    return train.Batch(
+        np.concatenate(features),
+        np.concatenate(amps),
+        np.concatenate(actions),
+        reduced,
+        [rewards for _, rewards in episodes],
     )
 
 
@@ -48,6 +71,45 @@ def episode_rngs(seed: int, count: int) -> list:
 def init_rng(seed: int) -> np.random.Generator:
     """Parameter-initialisation generator of a run seeded with ``seed``."""
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
+def train_run(env, encoder, pol, hyper, seed) -> train.TrainResult:
+    """``train.train_run`` one episode at a time, from per-episode arrays.
+
+    Each episode is collected alone (:func:`collect_episode`), its total
+    is ``np.sum`` of its reward array and its returns come from
+    ``discounted_returns`` alone; an update stacks the episodes'
+    arrays episode-major into one gradient call, which reduces the
+    amplitudes itself.
+    """
+    params = ansatz.init_params(
+        pol.model,
+        init_rng(seed),
+        theta_init=hyper.theta_init,
+        theta_scale=hyper.theta_scale,
+        lam_init=hyper.lambda_init,
+    )
+    opt = train.AdamState(policy.num_trainables(pol))
+    rates = train.rate_vector(pol, hyper)
+    rngs = episode_rngs(seed, hyper.episodes)
+    totals = []
+    for start in range(0, hyper.episodes, hyper.batch_size):
+        batch = collect_alone(env, encoder, pol, params, rngs[start : start + hyper.batch_size])
+        if len(batch.rewards) == hyper.batch_size:
+            returns = np.concatenate(
+                [np.array(train.discounted_returns(r, hyper.gamma)) for r in batch.rewards]
+            )
+            grads = policy.trajectory_log_grads(
+                pol, batch.features, batch.actions, params, batch.amps
+            )
+            flat = train.adam_amsgrad_step(
+                opt, policy.flat_trainables(pol, params), returns @ grads / len(batch.rewards), rates
+            )
+            params, pol = policy.apply_flat(pol, flat)
+        totals += [float(np.array(rewards).sum()) for rewards in batch.rewards]
+    means = train._trailing_means(totals, 20)
+    records = [train.EpisodeRecord(e, *pair) for e, pair in enumerate(zip(totals, means))]
+    return train.TrainResult(records, params, pol)
 
 
 def start_register(config, params) -> np.ndarray:

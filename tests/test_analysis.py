@@ -34,15 +34,30 @@ def test_sample_fims_draws_the_per_state_actions(monkeypatch, pol):
     seen = []
     grads = policy.trajectory_log_grads
 
-    def checked(pol_j, feats, actions, params, amps):
+    def checked(pol_j, feats, actions, params, amps, reduced):
         states = ansatz.run_bound(ansatz.bind(pol_j.model, params), feats)
         assert amps.tobytes() == states.tobytes()
+        # The reduction the draws came from is handed to the gradient.
+        for got, want in zip(reduced, policy._reduce(pol_j, amps), strict=True):
+            assert got.tobytes() == want.tobytes()
         seen.append(list(actions))
-        return grads(pol_j, feats, actions, params, amps)
+        return grads(pol_j, feats, actions, params, amps, reduced)
 
     monkeypatch.setattr(policy, "trajectory_log_grads", checked)
     analysis.sample_fims(pol, sampler, 4, 30, np.random.default_rng(17))
     assert seen == _per_state_actions(pol, sampler, 4, 30, 17)
+
+
+@pytest.mark.parametrize("pol", _policies(), ids=["born", "softmax"])
+def test_sample_fims_reduces_each_parameter_set_once(monkeypatch, pol):
+    # The draws' reduction is handed to the gradient, not recomputed.
+    reduce = policy._reduce
+    reduced_rows = []
+    monkeypatch.setattr(
+        policy, "_reduce", lambda pol, amps: reduced_rows.append(len(amps)) or reduce(pol, amps)
+    )
+    analysis.sample_fims(pol, analysis.normal_state_sampler(3), 4, 30, np.random.default_rng(2))
+    assert reduced_rows == [30] * 4
 
 
 def test_sample_fims_binds_each_parameter_set_once(monkeypatch):

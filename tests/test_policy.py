@@ -106,7 +106,7 @@ def test_single_measurement_sampling_matches_distribution():
     exact = state_action_probs(pol, features, params)
     trials = 20_000
     bound = ansatz.bind(config, params)
-    draws, _ = policy.sample_action(pol, np.tile(features, (trials, 1)), bound, [rng] * trials)
+    draws = policy.sample_action(pol, np.tile(features, (trials, 1)), bound, [rng] * trials)[0]
     freq = np.mean(draws == 1)
     sigma = np.sqrt(exact[1] * (1 - exact[1]) / trials)
     assert abs(freq - exact[1]) < 3.5 * sigma + 1e-4
@@ -391,8 +391,14 @@ def test_sample_action_rows_match_one_row_draws(kind):
     feats = rng.uniform(-np.pi, np.pi, (25, 3))
     rngs = [np.random.default_rng(seed) for seed in range(25)]
     bound = ansatz.bind(config, params)
-    batched, amps = policy.sample_action(pol, feats, bound, rngs)
+    batched, amps, reduced = policy.sample_action(pol, feats, bound, rngs)
     assert amps.tobytes() == ansatz.run_bound(bound, feats).tobytes()
+    # The softmax reduction comes back for the gradient; a Born draw has none.
+    if kind == "born":
+        assert reduced is None
+    else:
+        for got, want in zip(reduced, policy._reduce(pol, amps)):
+            assert got.tobytes() == want.tobytes()
     expected = []
     for seed, f in enumerate(feats):
         reading, probs = policy._reduce(pol, ansatz.run_bound(bound, f[None, :]))
@@ -421,14 +427,15 @@ def test_born_sample_action_draws_from_born_probabilities_without_reduce(monkeyp
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 4))
     feats = rng.uniform(-np.pi, np.pi, (6, 3))
     bound = ansatz.bind(config, params)
-    expected, _ = policy.sample_action(pol, feats, bound, episode_rngs(1, 6))
+    expected = policy.sample_action(pol, feats, bound, episode_rngs(1, 6))[0]
 
     def refuse(*args):
         raise AssertionError("a Born sample_action called _reduce")
 
     monkeypatch.setattr(policy, "_reduce", refuse)
-    drawn, _ = policy.sample_action(pol, feats, bound, episode_rngs(1, 6))
+    drawn, _, reduced = policy.sample_action(pol, feats, bound, episode_rngs(1, 6))
     assert drawn.tolist() == expected.tolist()
+    assert reduced is None
 
 
 def test_row_sampling_matches_searchsorted_at_cdf_edges():

@@ -215,8 +215,8 @@ def test_sampling_reproducible_with_seed():
     pol = policy.MeasurementPolicy(config, decode.PostProcessing(2, 4, range(4)))
     feats = np.zeros((1000, 2))
     bound = ansatz.bind(config, params)
-    first, _ = policy.sample_action(pol, feats, bound, [np.random.default_rng(9)] * 1000)
-    second, _ = policy.sample_action(pol, feats, bound, [np.random.default_rng(9)] * 1000)
+    first = policy.sample_action(pol, feats, bound, [np.random.default_rng(9)] * 1000)[0]
+    second = policy.sample_action(pol, feats, bound, [np.random.default_rng(9)] * 1000)[0]
     assert (first == second).all()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpglab import ansatz, decode, envs, policy, train
-from oracles import collect_episode, episode_rngs, init_rng
+from oracles import collect_alone, episode_rngs, init_rng, train_run as train_alone
 
 
 def _bandit(kind="born"):
@@ -35,8 +35,20 @@ def _slippery_lake():
         ("alpha_w", 0.0, "learning rates must be finite and positive"),
         ("theta_scale", -0.1, "theta_scale must be finite and >= 0"),
         ("theta_scale", float("nan"), "theta_scale must be finite and >= 0"),
+        ("lambda_init", float("nan"), "lambda_init must be finite"),
+        ("lambda_init", float("-inf"), "lambda_init must be finite"),
+        ("theta_init", "bogus", "theta_init must be 'uniform' or 'normal'"),
     ],
-    ids=["alpha-theta-nan", "alpha-lambda-inf", "alpha-w-zero", "scale-negative", "scale-nan"],
+    ids=[
+        "alpha-theta-nan",
+        "alpha-lambda-inf",
+        "alpha-w-zero",
+        "scale-negative",
+        "scale-nan",
+        "lambda-init-nan",
+        "lambda-init-inf",
+        "theta-init-unknown",
+    ],
 )
 def test_hyperparams_reject_non_finite_and_out_of_range_values(key, value, message):
     with pytest.raises(ValueError, match=message):
@@ -49,6 +61,69 @@ TASKS = {
     "bandit_softmax": lambda: _bandit("softmax"),
     "slippery_lake_born": _slippery_lake,
 }
+
+
+def _lake(kind):
+    """Slippery 4x4 lake with non-integer rewards, so totals round."""
+    rewards = envs.FrozenLakeRewards(-0.1, -1.3, 2.7)
+    model = ansatz.ModelConfig(4, 1)
+    if kind == "born":
+        pol = policy.MeasurementPolicy(model, decode.RecursiveParity(4, 4))
+    else:
+        pol = policy.SoftmaxObservablePolicy(model, np.array([0.4, -0.3, 0.2, 0.6]), beta=2.0)
+    lake = envs.FrozenLake(rewards=rewards, horizon=30, slippery=True)
+    return lake, envs.BinaryEncoder(4), pol
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("kind", ["born", "softmax"])
+def test_flat_batches_train_as_per_episode_arrays(kind, seed):
+    # Batch 7 with a ragged tail of 3; the oracle collects each episode
+    # alone, sums its reward array with np.sum, takes its returns alone
+    # and forms each update's gradient episode-major.
+    env, encoder, pol = _lake(kind)
+    hyper = train.Hyperparams(batch_size=7, episodes=31, alpha_theta=0.05, alpha_lambda=0.05)
+    got = train.train_run(env, encoder, pol, hyper, seed)
+    expected = train_alone(env, encoder, pol, hyper, seed)
+    assert got.records == expected.records
+    assert got.params.flat().tobytes() == expected.params.flat().tobytes()
+    if kind == "softmax":
+        assert got.policy.weights.tobytes() == expected.policy.weights.tobytes()
+    # The first batch has episodes on both sides of numpy's 8-term pairwise sum.
+    params = ansatz.init_params(pol.model, init_rng(seed))
+    first = collect_alone(env, encoder, pol, params, episode_rngs(seed, 7))
+    assert min(map(len, first.rewards)) < 8 < max(map(len, first.rewards))
+
+
+def test_reward_total_equals_numpy_sum_bit_for_bit():
+    rng = np.random.default_rng(4)
+    lengths = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 257, 1000, 4099]
+    for length in lengths:
+        for values in (
+            rng.choice([-0.1, -1.3, 2.7], size=length),
+            rng.normal(size=length) * 10.0 ** rng.uniform(-8, 8, size=length),
+            np.full(length, -0.0),
+        ):
+            got = train._reward_total(values.tolist())
+            assert type(got) is float
+            assert np.float64(got).tobytes() == values.sum().tobytes()
+
+
+def test_softmax_update_reduces_each_rollout_step_once(monkeypatch):
+    # Sampling reduces each time step's rows; the gradient reuses them.
+    env, encoder, pol = _lake("softmax")
+    params = ansatz.init_params(pol.model, np.random.default_rng(1))
+    reduce = policy._reduce
+    reduced_rows = []
+    monkeypatch.setattr(
+        policy, "_reduce", lambda pol, amps: reduced_rows.append(len(amps)) or reduce(pol, amps)
+    )
+    batch = train.collect_episodes(env, encoder, pol, params, episode_rngs(2, 7))
+    lengths = [len(rewards) for rewards in batch.rewards]
+    assert reduced_rows == [sum(n > t for n in lengths) for t in range(max(lengths))]
+    reduced_rows.clear()
+    train.reinforce_gradient(batch, pol, params, 0.99)
+    assert reduced_rows == []
 
 
 def test_discounted_returns_hand_worked():
@@ -100,12 +175,17 @@ def test_train_run_is_identical_on_rerun():
 
 
 def _per_trajectory_sum(batch, pol, params, gamma):
-    """Oracle: the REINFORCE gradient one trajectory at a time."""
+    """Oracle: the REINFORCE gradient one episode at a time."""
     total = np.zeros(policy.num_trainables(pol))
-    for traj in batch:
-        grads = policy.trajectory_log_grads(pol, traj.features, traj.actions, params, traj.amps)
-        total += train.discounted_returns(traj.rewards, gamma) @ grads
-    return total / len(batch)
+    start = 0
+    for rewards in batch.rewards:
+        steps = slice(start, start + len(rewards))
+        start = steps.stop
+        grads = policy.trajectory_log_grads(
+            pol, batch.features[steps], batch.actions[steps], params, batch.amps[steps]
+        )
+        total += np.array(train.discounted_returns(rewards, gamma)) @ grads
+    return total / len(batch.rewards)
 
 
 @pytest.mark.parametrize("task", ["cartpole_born", "bandit_softmax"])
@@ -128,7 +208,7 @@ def test_reinforce_gradient_makes_one_gradient_call(monkeypatch):
         policy, "trajectory_log_grads", lambda *args: calls.append(len(args[2])) or grads(*args)
     )
     train.reinforce_gradient(batch, pol, params, 0.99)
-    assert calls == [sum(len(traj) for traj in batch)]
+    assert calls == [sum(map(len, batch.rewards))] == [len(batch.actions)]
 
 
 @pytest.mark.parametrize("task", ["cartpole_born", "bandit_softmax"])
@@ -144,7 +224,7 @@ def test_collect_episodes_encodes_once_per_time_step(task):
             return encoder.encode(states)
 
     batch = train.collect_episodes(env, CountingEncoder(), pol, params, episode_rngs(3, 6))
-    lengths = [len(traj) for traj in batch]
+    lengths = [len(rewards) for rewards in batch.rewards]
     assert len(live_counts) == max(lengths)
     assert live_counts == [sum(length > t for length in lengths) for t in range(max(lengths))]
 
@@ -165,12 +245,19 @@ def test_trailing_partial_batch_is_logged_but_not_used(monkeypatch):
     assert (ragged.params.flat() == full.params.flat()).all()
 
 
+def _same_arrays(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def _same_trajectories(got, expected):
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        for field in ("features", "amps", "actions", "rewards"):
-            x, y = getattr(a, field), getattr(b, field)
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    """Two batches hold the same steps, bit for bit, and the same rewards."""
+    for field in ("features", "amps", "actions"):
+        _same_arrays(getattr(got, field), getattr(expected, field))
+    assert (got.reduced is None) == (expected.reduced is None)
+    for x, y in zip(got.reduced or (), expected.reduced or ()):
+        _same_arrays(x, y)
+    assert got.rewards == expected.rewards
+    assert all(type(reward) is float for rewards in got.rewards for reward in rewards)
 
 
 @pytest.mark.parametrize("size", [1, 3, 10])
@@ -179,13 +266,13 @@ def test_lockstep_episodes_equal_one_at_a_time(task, size):
     env, encoder, pol = TASKS[task]()
     params = ansatz.init_params(pol.model, np.random.default_rng(size))
     lockstep = train.collect_episodes(env, encoder, pol, params, episode_rngs(5, size))
-    alone = [collect_episode(env, encoder, pol, params, rng) for rng in episode_rngs(5, size)]
+    alone = collect_alone(env, encoder, pol, params, episode_rngs(5, size))
     _same_trajectories(lockstep, alone)
-    for traj in lockstep:
-        states = ansatz.run_bound(ansatz.bind(pol.model, params), traj.features)
-        assert traj.amps.shape == states.shape and traj.amps.tobytes() == states.tobytes()
+    states = ansatz.run_bound(ansatz.bind(pol.model, params), lockstep.features)
+    _same_arrays(lockstep.amps, states)
     if size == 10 and not task.startswith("bandit"):
-        assert len({len(traj) for traj in lockstep}) > 1  # episodes end at different steps
+        # Episodes end at different steps.
+        assert len({len(rewards) for rewards in lockstep.rewards}) > 1
 
 
 @pytest.mark.parametrize("size,episodes", [(1, 3), (3, 7), (10, 23)])
@@ -200,7 +287,7 @@ def test_train_run_batches_equal_one_at_a_time(monkeypatch, task, size, episodes
         for copy, rng in zip(copies, rngs):
             copy.bit_generator.state = rng.bit_generator.state
         batch = lockstep(env, encoder, pol, params, rngs)
-        _same_trajectories(batch, [collect_episode(env, encoder, pol, params, c) for c in copies])
+        _same_trajectories(batch, collect_alone(env, encoder, pol, params, copies))
         sizes.append(len(rngs))
         return batch
 
@@ -221,7 +308,7 @@ def test_each_batch_binds_its_parameters_once(monkeypatch, task):
     params = ansatz.init_params(pol.model, np.random.default_rng(2))
     batch = train.collect_episodes(env, encoder, pol, params, episode_rngs(2, 10))
     # One bind serves every step of the batch, however many calls it makes.
-    assert len(bound) == 1 and len(batch) == 10
+    assert len(bound) == 1 and len(batch.rewards) == 10
     bound.clear()
     train.train_run(env, encoder, pol, train.Hyperparams(batch_size=4, episodes=10), seed=3)
     assert len(bound) == 3
@@ -310,7 +397,7 @@ def _fixed_actions(monkeypatch, choose):
 
     def sample_action(pol, feats, bound, rngs):
         actions = np.array([choose(row) for row in feats], dtype=np.int64)
-        return actions, ansatz.run_bound(bound, feats)
+        return actions, ansatz.run_bound(bound, feats), None
 
     monkeypatch.setattr(policy, "sample_action", sample_action)
 
@@ -321,9 +408,8 @@ def test_runner_truncates_frozenlake_at_the_horizon(monkeypatch):
     lake = envs.FrozenLake(horizon=3)
     params = ansatz.init_params(pol.model, np.random.default_rng(0))
     batch = train.collect_episodes(lake, encoder, pol, params, episode_rngs(0, 2))
-    for traj in batch:
-        assert traj.rewards.tolist() == [-1.0, -1.0, -1.0]
-        assert traj.actions.tolist() == [3, 3, 3]
+    assert batch.rewards == [[-1.0, -1.0, -1.0]] * 2
+    assert batch.actions.tolist() == [3] * 6
 
 
 def test_runner_truncates_cartpole_at_the_horizon(monkeypatch):
@@ -336,10 +422,10 @@ def test_runner_truncates_cartpole_at_the_horizon(monkeypatch):
         batch = train.collect_episodes(
             envs.CartPole(version), encoder, pol, params, episode_rngs(1, 3)
         )
-        assert [traj.total_reward for traj in batch] == [float(horizon)] * 3
+        assert [train._reward_total(rewards) for rewards in batch.rewards] == [float(horizon)] * 3
     _fixed_actions(monkeypatch, lambda row: 1)
     batch = train.collect_episodes(envs.CartPole(), encoder, pol, params, episode_rngs(1, 3))
-    assert all(len(traj) < 200 for traj in batch)
+    assert all(len(rewards) < 200 for rewards in batch.rewards)
 
 
 @pytest.mark.parametrize("length", [1, 19, 20, 21, 300])
