@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -111,6 +112,22 @@ def decode(fn: PostProcessing, bits: str) -> int:
 # Extracted information and globality
 
 
+@lru_cache(maxsize=None)
+def _star_counts(n: int) -> np.ndarray:
+    """Free positions of every subcube of {0,1,*}**n, as read-only int8.
+
+    Entry i is the number of digits 2 (the * symbol) in the radix-3
+    index i, the subcube layout of :func:`_extracted_information`.  It
+    depends on n alone, so it is built once per qubit count: 3**n bytes,
+    about 43 MB at ``QUBIT_LIMIT``.
+    """
+    stars = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        stars = (np.array([0, 0, 1], dtype=np.int8)[:, None] + stars).ravel()
+    stars.setflags(write=False)
+    return stars
+
+
 def _extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
     """Extracted information of every string, for a batch of action tables.
 
@@ -119,7 +136,9 @@ def _extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
     positions of a subcube that contains b and on which the action is
     constant.  One pass builds the action of every subcube of
     {0,1,*}**n (-1 where it is not constant), a second takes the best
-    star count over the subcubes around each string.
+    star count over the subcubes around each string.  The star counts
+    depend on n alone and come from :func:`_star_counts`, built once per
+    n, so all the work of a call is work on its tables.
 
     Both passes hold the tables innermost, as (subcubes, B), so every
     numpy operation runs over long contiguous stretches.  The subcube
@@ -135,7 +154,6 @@ def _extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
     # The narrowest signed type that holds every action and the -1 mark.
     dtype = np.min_scalar_type(-int(tables.max()) - 1)
     value = tables.T.astype(dtype, order="C")
-    stars = np.zeros(1, dtype=np.int8)
     for k in range(n):
         pairs = value.reshape(-1, 2, 3**k * batch)
         value = np.empty((len(pairs), 3, pairs.shape[2]), dtype=dtype)
@@ -147,11 +165,10 @@ def _extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
         np.not_equal(v0, pairs[:, 1], out=star, casting="unsafe")
         np.negative(star, out=star)
         star |= v0
-        stars = (np.array([0, 0, 1], dtype=np.int8)[:, None] + stars).ravel()
     # The sign bit spread over the word: 0 where constant, -1 where not;
     # OR-ing the star count into it scores the constant subcubes.
     score = np.right_shift(value, 8 * value.itemsize - 1, out=value).reshape(-1, batch)
-    score |= stars[:, None]
+    score |= _star_counts(n)[:, None]
     for axis in range(n):
         # Each string may free this position or keep it.
         score = score.reshape(2**axis, 3, -1)
@@ -259,11 +276,16 @@ def _sampled_tables(big_n: int, num_actions: int, samples: int, rng, rows: int):
     """Yield ``samples`` uniform balanced tables as arrays of at most ``rows``.
 
     One permutation per sample; its a-th block of N/M strings is class a.
+    A chunk shuffles all its rows in one ``rng.permuted`` call, which
+    draws row after row exactly as one ``rng.permutation(N)`` call per
+    sample would, so the tables and the generator's state afterwards do
+    not depend on the chunk size.
     """
     size = big_n // num_actions
     for start in range(0, samples, rows):
         count = min(rows, samples - start)
-        yield np.array([np.argsort(rng.permutation(big_n)) // size for _ in range(count)])
+        perms = rng.permuted(np.tile(np.arange(big_n), (count, 1)), axis=1)
+        yield np.argsort(perms, axis=1) // size
 
 
 @dataclass

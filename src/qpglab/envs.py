@@ -40,9 +40,16 @@ def optimal_map(kind: str, num_states: int, num_actions: int) -> np.ndarray:
     if kind == "mod":
         return np.arange(num_states) % num_actions
     if kind.startswith("bit:"):
-        j = int(kind.split(":", 1)[1])
         if num_actions != 2:
             raise ValueError("bit:<j> maps need exactly 2 actions")
+        # A bit no state index sets would make action 0 optimal everywhere.
+        bits = (num_states - 1).bit_length()
+        try:
+            j = int(kind.split(":", 1)[1])
+        except ValueError:
+            j = -1  # not an integer: refused as out of range
+        if not 0 <= j < bits:
+            raise ValueError(f"{kind!r} needs a bit index j with 0 <= j < {bits}")
         return (np.arange(num_states) >> j) & 1
     if kind.startswith("list:"):
         values = np.array([int(v) for v in kind.split(":", 1)[1].split(",")])

@@ -81,6 +81,11 @@ class SoftmaxObservablePolicy:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim != 1 or len(self.weights) < 2:
             raise ValueError("need one weight per action, at least two actions")
+        # A non-finite logit makes every action distribution NaN.
+        if not np.isfinite(self.weights).all():
+            raise ValueError(f"weights must be finite, got {self.weights}")
+        if not np.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
         if self.z_qubits is None:
             self.z_qubits = tuple(range(self.model.n_qubits))
         self.z_qubits = tuple(sorted(self.z_qubits))

@@ -496,6 +496,13 @@ def actions_from_masks(big_n: int, class_masks: list[int]) -> list[int]:
     return actions
 
 
+def sampled_table(big_n: int, num_actions: int, rng) -> np.ndarray:
+    """One uniform balanced table from one ``rng.permutation(N)`` call.
+
+    The reference draw of :func:`qpglab.decode._sampled_tables`: the
+    a-th block of N/M strings of the permutation is class a.
+    """
+    return np.argsort(rng.permutation(big_n)) // (big_n // num_actions)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,13 @@ CROSS_ERRORS = {
         _ini(BANDITS + "\noptimal_map = bit:0", "n_qubits = 3"),
         "[env] optimal_map: bit:<j> maps need exactly 2 actions",
     ),
+    "bandits-optimal-map-bit": (
+        _ini(
+            "type = bandits\nnum_states = 8\nnum_actions = 2\noptimal_map = bit:3",
+            "n_qubits = 3",
+        ),
+        "[env] optimal_map: 'bit:3' needs a bit index j with 0 <= j < 3",
+    ),
     "policy-postfn": (
         _ini(BANDITS, "n_qubits = 3", "postfn = nonsense"),
         "[policy] postfn: unknown postfn spec 'nonsense'",

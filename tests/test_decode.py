@@ -13,6 +13,7 @@ from oracles import (
     extracted_information,
     partition_sets,
     recursive_partition_sets,
+    sampled_table,
     save_table,
     subcube_extracted_information,
     table_from_sets,
@@ -217,6 +218,51 @@ def test_sampled_histogram_reproducible():
     )
     assert first.counts == second.counts
     assert first.total == 200
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32])
+@pytest.mark.parametrize("n,m", [(1, 2), (3, 2), (4, 4), (5, 8), (8, 2)])
+def test_sampled_tables_draw_one_permutation_per_sample(n, m, seed):
+    big_n = 1 << n
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    # Chunks of 10, 10 and 3 rows.
+    chunks = list(decode._sampled_tables(big_n, m, 23, fast, 10))
+    assert [len(chunk) for chunk in chunks] == [10, 10, 3]
+    tables = np.concatenate(chunks)
+    reference = np.array([sampled_table(big_n, m, slow) for _ in range(23)])
+    assert tables.dtype == reference.dtype == np.int64
+    assert np.array_equal(tables, reference)
+    # The generator is left where the per-sample draws leave it.
+    assert fast.random() == slow.random()
+
+
+def test_sampled_histogram_spans_chunks_with_the_per_sample_draws():
+    # At n=8 a chunk holds 2**22 // 3**8 = 639 tables, so 700 samples take two.
+    n, m, samples = 8, 2, 700
+    hist = decode.globality_histogram(
+        n, m, mode="sampled", samples=samples, rng=np.random.default_rng(5)
+    )
+    slow = np.random.default_rng(5)
+    tables = np.array([sampled_table(1 << n, m, slow) for _ in range(samples)])
+    values, freq = np.unique(
+        subcube_extracted_information(tables, n).sum(axis=1), return_counts=True
+    )
+    assert hist.total == samples
+    assert hist.counts == {
+        Fraction(v, 1 << n): f for v, f in zip(values.tolist(), freq.tolist())
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_star_counts_are_built_once_per_qubit_count_read_only(n):
+    stars = decode._star_counts(n)
+    assert not stars.flags.writeable
+    index = np.arange(3**n)
+    twos = np.zeros(3**n, dtype=np.int64)
+    for k in range(n):
+        twos += (index // 3**k) % 3 == 2
+    assert np.array_equal(stars, twos)
+    assert decode._star_counts(n) is stars
 
 
 def test_explicit_table_rejects_partial_and_overlapping():

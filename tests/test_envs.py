@@ -15,6 +15,14 @@ def test_optimal_map_kinds():
         envs.optimal_map("bit:0", 8, 4)
 
 
+@pytest.mark.parametrize("kind", ["bit:3", "bit:7", "bit:-1", "bit:x", "bit:1.5"])
+def test_bit_map_needs_a_bit_of_the_state_index(kind):
+    # At 8 states only bits 0-2 vary; any other bit would give a constant map.
+    with pytest.raises(ValueError, match=f"'{kind}' needs a bit index j with 0 <= j < 3"):
+        envs.optimal_map(kind, 8, 2)
+    assert list(envs.optimal_map("bit:2", 8, 2)) == [0, 0, 0, 0, 1, 1, 1, 1]
+
+
 def _bandit(num_states=8, num_actions=2, scheme="pm1", map_kind="bit:1"):
     mapping = envs.optimal_map(map_kind, num_states, num_actions)
     return envs.ContextualBandits(num_states, num_actions, mapping, scheme)

@@ -49,6 +49,32 @@ def test_softmax_z_qubits_are_distinct_qubits_in_range(z_qubits, message):
         policy.SoftmaxObservablePolicy(ModelConfig(3, 1), np.zeros(2), z_qubits=z_qubits)
 
 
+@pytest.mark.parametrize(
+    "weights,beta,message",
+    [
+        ([0.5, np.nan], 1.0, "weights must be finite"),
+        ([np.inf, 0.5], 1.0, "weights must be finite"),
+        ([0.5, -0.3], np.nan, "beta must be finite"),
+        ([0.5, -0.3], np.inf, "beta must be finite"),
+        ([0.5, -0.3], -np.inf, "beta must be finite"),
+    ],
+    ids=["nan-weight", "inf-weight", "nan-beta", "inf-beta", "minus-inf-beta"],
+)
+def test_softmax_refuses_non_finite_weights_and_beta(weights, beta, message):
+    # A non-finite logit would make every action distribution NaN.
+    with pytest.raises(ValueError, match=message):
+        policy.SoftmaxObservablePolicy(ModelConfig(3, 1), np.array(weights), beta=beta)
+
+
+def test_apply_flat_refuses_a_non_finite_weight_step():
+    config = ModelConfig(3, 1)
+    pol = policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3]))
+    flat = policy.flat_trainables(pol, ansatz.init_params(config, np.random.default_rng(0)))
+    flat[-1] = np.nan
+    with pytest.raises(ValueError, match="weights must be finite"):
+        policy.apply_flat(pol, flat)
+
+
 def test_all_zero_parameters_give_point_mass():
     config = ModelConfig(3, 1)
     n_theta, n_lam = ansatz.param_counts(config)
