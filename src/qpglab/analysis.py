@@ -32,39 +32,59 @@ SPECTRUM_BUCKETS = ((0.0, 0.5), (0.5, 1.0), (1.0, 1.5), (1.5, 2.0), (2.0, 2.5), 
 
 
 def normal_state_sampler(dim: int, sigma: float = 0.5):
-    """Feature vectors with i.i.d. N(0, sigma) components."""
+    """``count`` feature vectors (count, dim) with i.i.d. N(0, sigma) components."""
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, sigma, size=dim)
+    def sample(rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.normal(0.0, sigma, size=(count, dim))
 
     return sample
 
 
 def uniform_angle_state_sampler(dim: int):
-    """Feature vectors with i.i.d. components uniform on [-pi, pi)."""
+    """``count`` feature vectors (count, dim) with i.i.d. components uniform on [-pi, pi)."""
 
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-np.pi, np.pi, size=dim)
+    def sample(rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.uniform(-np.pi, np.pi, size=(count, dim))
 
     return sample
 
 
-@dataclass
 class FimSamples:
     """FIM estimates over sampled parameter sets, trace-normalised.
 
-    ``per_set`` is the (sets, P, P) block of one normalised matrix per
-    parameter sample, :attr:`dim` the trainable count P, and
-    :attr:`aggregate` their average; every one of them is symmetric bit
-    for bit.  The normalisation constant makes the Monte Carlo mean of
-    the trace equal P exactly.
+    Built from the (sets, P, P) block of one normalised matrix per
+    parameter sample, each of which must be symmetric bit for bit; the
+    constructor refuses any other block.  It keeps only their upper
+    triangles, row by row, in one (sets, P(P+1)/2) block :attr:`upper`,
+    half the memory of the full block.  :attr:`per_set` rebuilds the full
+    block exactly, :attr:`dim` is the trainable count P, and
+    :attr:`aggregate` is the mean of the rebuilt block over its sets, so
+    it is symmetric bit for bit too (a mean of the packed rows rounds
+    differently).  The normalisation constant makes the Monte Carlo mean
+    of the trace equal P exactly.
     """
 
-    per_set: np.ndarray
+    def __init__(self, per_set: np.ndarray):
+        per_set = np.asarray(per_set, dtype=float)
+        if per_set.ndim != 3 or per_set.shape[1] != per_set.shape[2]:
+            raise ValueError(f"need a (sets, P, P) block, got shape {per_set.shape}")
+        bits = per_set.view(np.uint64)
+        if not (bits == bits.transpose(0, 2, 1)).all():
+            raise ValueError("FIM block is not symmetric bit for bit")
+        rows, cols = np.triu_indices(per_set.shape[1])
+        self.upper = per_set[:, rows, cols]
 
     @property
     def dim(self) -> int:
-        return self.per_set.shape[1]
+        return (math.isqrt(8 * self.upper.shape[1] + 1) - 1) // 2
+
+    @property
+    def per_set(self) -> np.ndarray:
+        rows, cols = np.triu_indices(self.dim)
+        full = np.empty((len(self.upper), self.dim, self.dim))
+        full[:, rows, cols] = self.upper
+        full[:, cols, rows] = self.upper
+        return full
 
     @property
     def aggregate(self) -> np.ndarray:
@@ -82,31 +102,37 @@ def sample_fims(
 
     Each set is a trainable vector (angles, scales, any action weights)
     drawn uniformly from [-pi, pi), and is bound once.  One batch of
-    ``num_states`` states is shared across all sets; each state takes one
-    circuit call, one action is drawn per state from the policy's exact
-    distribution, in state order, and the exact log-gradient outer
-    products of those final amplitudes are averaged.
+    ``num_states`` states, drawn by one ``state_sampler(rng, num_states)``
+    call, is shared across all sets.  Each set takes one circuit call
+    over all the states and one ``rng.random(num_states)`` call, which
+    draws one action per state from the policy's exact distribution, in
+    state order; the exact log-gradient outer products of those final
+    amplitudes are averaged.  Every row is bit-identical to the state
+    run alone, so the result equals one circuit call and one draw per
+    state.
     """
+    if num_param_sets < 1:
+        raise ValueError(f"num_param_sets must be at least 1, got {num_param_sets}")
+    if num_states < 1:
+        raise ValueError(f"num_states must be at least 1, got {num_states}")
     dim = policy_mod.num_trainables(policy)
-    states = [state_sampler(rng) for _ in range(num_states)]
-    feats = np.array(states)
-    # One block for every matrix, normalised in place, so that each is
-    # held once and the block is the only allocation the result keeps.
+    feats = state_sampler(rng, num_states)
+    # One block for every matrix, normalised in place.
     per_set = np.empty((num_param_sets, dim, dim))
     for matrix in per_set:
         flat = rng.uniform(-np.pi, np.pi, size=dim)
         params_j, policy_j = policy_mod.apply_flat(policy, flat)
-        bound = ansatz.bind(policy_j.model, params_j)
-        amps = np.vstack([ansatz.run_bound(bound, s[None, :]) for s in states])
+        amps = ansatz.run_bound(ansatz.bind(policy_j.model, params_j), feats)
         reduced = policy_mod._reduce(policy_j, amps)
-        actions = policy_mod._sample_rows(reduced[1], [rng] * num_states)
+        actions = policy_mod._sample_rows(reduced[1], rng.random(num_states))
         grads = policy_mod.trajectory_log_grads(policy_j, feats, actions, params_j, amps, reduced)
         fim = grads.T @ grads / num_states
         np.add(fim, fim.T, out=matrix)
         matrix /= 2.0
     mean_trace = float(np.mean(np.trace(per_set, axis1=1, axis2=2)))
-    if mean_trace <= 0.0:
-        raise ValueError("singular normalisation: average FIM trace is zero")
+    # NaN fails this test too.
+    if not mean_trace > 0.0:
+        raise ValueError(f"singular normalisation: average FIM trace is {mean_trace!r}")
     per_set *= dim / mean_trace
     return FimSamples(per_set)
 
@@ -158,14 +184,17 @@ def effective_dimension(fims: FimSamples, data_sizes) -> EffDimReport:
     determinants evaluated in the log domain (Cholesky) and combined by
     log-sum-exp.  Requires kappa > 1 so the denominator is positive.
     """
+    per_set = fims.per_set
     dim = fims.dim
+    eye = np.eye(dim)
     values: list[float] = []
     normalized: list[float] = []
     for n in data_sizes:
         kappa = data_size_kappa(n)
-        half_logdets = np.array(
-            [_half_logdet_plus(kappa, m) for m in fims.per_set]
-        )
+        # One stacked Cholesky factor per set; 0.5 * logdet is the sum of
+        # the logs of its diagonal.
+        chol = np.linalg.cholesky(eye + kappa * per_set)
+        half_logdets = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
         peak = half_logdets.max()
         log_mean = peak + math.log(np.mean(np.exp(half_logdets - peak)))
         ed = 2.0 * log_mean / math.log(kappa)
@@ -182,13 +211,6 @@ def data_size_kappa(n) -> float:
     if kappa <= 1.0:
         raise ValueError(f"data size {n} gives kappa <= 1")
     return kappa
-
-
-def _half_logdet_plus(kappa: float, matrix: np.ndarray) -> float:
-    """0.5 * logdet(I + kappa * matrix) for a symmetric PSD matrix."""
-    shifted = np.eye(matrix.shape[0]) + kappa * matrix
-    chol = np.linalg.cholesky(shifted)
-    return float(np.sum(np.log(np.diag(chol))))
 
 
 # ---------------------------------------------------------------------------

@@ -162,19 +162,21 @@ def sample_action(
     """
     if bound.config != policy.model:
         raise ValueError(f"parameters bound to {bound.config}, policy model is {policy.model}")
+    if len(rngs) != len(features_rows):
+        raise ValueError(f"need one generator per row: {len(rngs)} for {len(features_rows)} rows")
     amps = ansatz.run_bound(bound, features_rows)
+    draws = np.array([rng.random() for rng in rngs])
     if isinstance(policy, MeasurementPolicy):
-        outcomes = _sample_rows(qsim.probabilities(amps), rngs)
+        outcomes = _sample_rows(qsim.probabilities(amps), draws)
         return policy.postfn.table[outcomes], amps, None
     reduced = _reduce(policy, amps)
-    return _sample_rows(reduced[1], rngs), amps, reduced
+    return _sample_rows(reduced[1], draws), amps, reduced
 
 
-def _sample_rows(probs: np.ndarray, rngs) -> np.ndarray:
-    """Inverse-CDF index of each row of ``probs`` (T, K) at one ``rngs[t].random()``."""
-    if len(rngs) != len(probs):
-        raise ValueError(f"need one generator per row: {len(rngs)} for {len(probs)} rows")
-    draws = np.array([rng.random() for rng in rngs])
+def _sample_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF index of each row of ``probs`` (T, K) at its uniform draw ``draws[t]``."""
+    if len(draws) != len(probs):
+        raise ValueError(f"need one draw per row: {len(draws)} for {len(probs)} rows")
     # Entries of a row's CDF at or below its draw: searchsorted(side="right").
     below = (np.cumsum(probs, axis=1) <= draws[:, None]).sum(axis=1)
     return np.minimum(below, probs.shape[1] - 1)

@@ -155,6 +155,30 @@ def exact_fim(pol, features, params) -> np.ndarray:
     return fim / len(feats)
 
 
+def sample_fims_per_state(pol, sampler, num_param_sets: int, num_states: int, rng) -> np.ndarray:
+    """Normalised FIM block (sets, P, P) of ``analysis.sample_fims``, state by state.
+
+    Each state is drawn by its own ``sampler(rng, 1)`` call and run by
+    its own ``run_bound`` call, and each action draw takes its own
+    ``rng.random()``.
+    """
+    dim = policy.num_trainables(pol)
+    feats = np.vstack([sampler(rng, 1) for _ in range(num_states)])
+    per_set = np.empty((num_param_sets, dim, dim))
+    for matrix in per_set:
+        params_j, policy_j = policy.apply_flat(pol, rng.uniform(-np.pi, np.pi, size=dim))
+        bound = ansatz.bind(policy_j.model, params_j)
+        amps = np.vstack([ansatz.run_bound(bound, f[None, :]) for f in feats])
+        reduced = policy._reduce(policy_j, amps)
+        actions = np.array([sample_index(p, rng) for p in reduced[1]])
+        grads = policy.trajectory_log_grads(policy_j, feats, actions, params_j, amps, reduced)
+        fim = grads.T @ grads / num_states
+        np.add(fim, fim.T, out=matrix)
+        matrix /= 2.0
+    per_set *= dim / np.mean(np.trace(per_set, axis1=1, axis2=2))
+    return per_set
+
+
 def _num_qubits(amps: np.ndarray) -> int:
     """Qubit count of amplitudes (..., 2**n)."""
     return amps.shape[-1].bit_length() - 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpglab import analysis, ansatz, config, decode, envs, policy
-from oracles import exact_fim, sample_index, state_action_probs
+from oracles import exact_fim, sample_fims_per_state, sample_index, state_action_probs
 
 
 def _policies():
@@ -19,7 +19,7 @@ def _per_state_actions(pol, sampler, num_param_sets, num_states, seed):
     """Oracle: the draws of sample_fims with one single-state call per state."""
     rng = np.random.default_rng(seed)
     dim = policy.num_trainables(pol)
-    states = [sampler(rng) for _ in range(num_states)]
+    states = [sampler(rng, 1)[0] for _ in range(num_states)]
     drawn = []
     for _ in range(num_param_sets):
         params_j, policy_j = policy.apply_flat(pol, rng.uniform(-np.pi, np.pi, size=dim))
@@ -67,7 +67,7 @@ def test_sample_fims_binds_each_parameter_set_once(monkeypatch):
     monkeypatch.setattr(ansatz, "run_bound", lambda *args: calls.append("run") or run_bound(*args))
     sampler = analysis.normal_state_sampler(3)
     analysis.sample_fims(_policies()[0], sampler, 4, 6, np.random.default_rng(5))
-    assert calls == (["bind"] + ["run"] * 6) * 4
+    assert calls == ["bind", "run"] * 4
 
 
 @pytest.mark.parametrize("pol", _policies(), ids=["born", "softmax"])
@@ -109,9 +109,8 @@ def test_sampled_fims_at_fixed_states_and_parameters_average_to_the_exact_fim(mo
     feats = rng.normal(0.0, 0.5, size=(6, 3))
     apply_flat = policy.apply_flat
     monkeypatch.setattr(policy, "apply_flat", lambda pol, _: apply_flat(pol, flat))
-    states = iter(feats)
     sets = 800
-    fims = analysis.sample_fims(pol, lambda _: next(states), sets, len(feats), rng)
+    fims = analysis.sample_fims(pol, lambda _rng, count: feats[:count], sets, len(feats), rng)
     params, pol_fixed = apply_flat(pol, flat)
     exact = exact_fim(pol_fixed, feats, params)
     exact *= dim / np.trace(exact)
@@ -184,9 +183,92 @@ def test_fim_samples_keep_each_matrix_once():
     fims = analysis.sample_fims(
         pol, analysis.uniform_angle_state_sampler(3), 3, 10, np.random.default_rng(4)
     )
-    assert fims.per_set.shape == (3, fims.dim, fims.dim)
-    assert list(vars(fims)) == ["per_set"]
+    dim = fims.dim
+    assert fims.per_set.shape == (3, dim, dim)
+    # Only the packed upper triangles are kept.
+    assert list(vars(fims)) == ["upper"]
+    assert fims.upper.nbytes == 3 * dim * (dim + 1) // 2 * 8
     assert fims.aggregate.tobytes() == fims.per_set.mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 30])
+def test_fim_samples_pack_and_rebuild_symmetric_blocks_exactly(dim):
+    rng = np.random.default_rng(dim)
+    # From 8 sets on, a mean over the packed rows rounds differently.
+    a = rng.normal(size=(9, dim, dim))
+    block = a + a.transpose(0, 2, 1)
+    block[0, 0, 0] = -0.0
+    fims = analysis.FimSamples(block)
+    assert fims.dim == dim
+    assert fims.upper.shape == (9, dim * (dim + 1) // 2)
+    assert fims.upper.nbytes == 9 * dim * (dim + 1) // 2 * 8
+    assert fims.per_set.tobytes() == block.tobytes()
+    assert fims.aggregate.tobytes() == block.mean(axis=0).tobytes()
+
+
+def test_fim_samples_refuse_a_block_not_symmetric_bit_for_bit():
+    block = np.stack([np.eye(3), np.eye(3)])
+    block[1, 0, 2] = 1e-300
+    with pytest.raises(ValueError, match="not symmetric bit for bit"):
+        analysis.FimSamples(block)
+    # A signed zero against an unsigned one differs in its bits.
+    block[1, 0, 2] = -0.0
+    with pytest.raises(ValueError, match="not symmetric bit for bit"):
+        analysis.FimSamples(block)
+    with pytest.raises(ValueError, match=r"need a \(sets, P, P\) block"):
+        analysis.FimSamples(np.eye(3))
+
+
+def _oracle_policy(kind, n):
+    model = ansatz.ModelConfig(n, 2)
+    if kind == "born":
+        return policy.MeasurementPolicy(model, decode.RecursiveParity(n, 4))
+    return policy.SoftmaxObservablePolicy(model, np.zeros(4))
+
+
+@pytest.mark.parametrize("sets,states", [(1, 1), (3, 7), (2, 30)])
+@pytest.mark.parametrize("kind", ["born", "softmax"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_sample_fims_equal_one_circuit_call_and_draw_per_state(n, kind, sets, states):
+    pol = _oracle_policy(kind, n)
+    sampler = analysis.normal_state_sampler(n, 0.5)
+    seed = 100 * n + 10 * sets + states
+    rng, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+    fims = analysis.sample_fims(pol, sampler, sets, states, rng)
+    expected = sample_fims_per_state(pol, sampler, sets, states, alone)
+    assert fims.per_set.tobytes() == expected.tobytes()
+    # Both consumed the generator alike.
+    assert rng.random() == alone.random()
+
+
+@pytest.mark.parametrize(
+    "sampler", [analysis.normal_state_sampler(3, 0.7), analysis.uniform_angle_state_sampler(3)]
+)
+def test_state_samplers_draw_count_rows_as_count_single_draws(sampler):
+    for seed in (0, 3, 2**32):
+        rng, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = sampler(rng, 9)
+        assert block.shape == (9, 3)
+        assert block.tobytes() == np.vstack([sampler(alone, 1) for _ in range(9)]).tobytes()
+        assert rng.random() == alone.random()
+
+
+@pytest.mark.parametrize("argument", ["num_param_sets", "num_states"])
+def test_sample_fims_refuses_empty_inputs(argument):
+    counts = {"num_param_sets": 2, "num_states": 3, argument: 0}
+    with pytest.raises(ValueError, match=f"{argument} must be at least 1, got 0"):
+        analysis.sample_fims(
+            _policies()[0], analysis.normal_state_sampler(3), rng=np.random.default_rng(0), **counts
+        )
+
+
+def test_sample_fims_refuses_a_zero_or_nan_trace(monkeypatch):
+    pol = _policies()[0]
+    for value in (0.0, np.nan):
+        grads = lambda *args, value=value: np.full((4, policy.num_trainables(pol)), value)
+        monkeypatch.setattr(policy, "trajectory_log_grads", grads)
+        with pytest.raises(ValueError, match="singular normalisation"):
+            analysis.sample_fims(pol, analysis.normal_state_sampler(3), 2, 4, np.random.default_rng(0))
 
 
 def test_accuracy_bound_values():

@@ -477,5 +477,5 @@ def test_row_sampling_matches_searchsorted_at_cdf_edges():
             return self.value
 
     for u in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.999999):
-        got = policy._sample_rows(probs, [Fixed(u)] * 3).tolist()
+        got = policy._sample_rows(probs, np.full(3, u)).tolist()
         assert got == [sample_index(p, Fixed(u)) for p in probs]

@@ -173,7 +173,7 @@ def test_rotations_invert_and_entanglers_self_invert():
 
 def _draws(probs, shots, rng):
     """``shots`` row draws from one distribution, all from ``rng``."""
-    return policy._sample_rows(np.broadcast_to(probs, (shots, len(probs))), [rng] * shots)
+    return policy._sample_rows(np.broadcast_to(probs, (shots, len(probs))), rng.random(shots))
 
 
 def test_bit_convention_most_significant_bit_is_top_qubit():
@@ -193,8 +193,8 @@ def test_sampling_deterministic_state():
 
 def test_sampling_zero_shots_rejected():
     probs = qsim.probabilities(_ket0(1))[None, :]
-    with pytest.raises(ValueError, match="one generator per row"):
-        policy._sample_rows(probs, [])
+    with pytest.raises(ValueError, match="one draw per row"):
+        policy._sample_rows(probs, np.empty(0))
 
 
 def test_sampling_matches_binomial_interval():
