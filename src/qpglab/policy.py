@@ -9,6 +9,17 @@ Two families are implemented:
   <O>`` with a single shared Pauli-Z-mask observable and per-action
   weights.
 
+Readout.  Each policy reads the final state through one read-only
+diagonal matrix ``readout`` R (2**n, K): the one-hot rows
+``eye(M)[table]`` of a Born policy's decoding (K = M), or the Z-mask
+signs of a softmax policy (K = 1).  :func:`_reduce` contracts the Born
+probabilities with R into the reading (T, K), then applies the link:
+identity for a Born policy, or the softmax of ``beta * w * reading``.
+``(born[:, :, None] * R).sum(axis=1)`` adds each column's terms in
+basis order, as class sums over the table do, and for K = 1 it is
+numpy's pairwise sum of ``born * signs``: zero terms change no bit and
+rows never mix, so both former reductions keep every bit.
+
 Data path.  :func:`sample_action` takes its parameter set bound
 (:func:`qpglab.ansatz.bind`), once for all of a rollout's calls, and
 returns each row's action, final amplitudes and, for a softmax policy,
@@ -18,22 +29,21 @@ and decodes it, with no action distribution.  :func:`trajectory_log_grads`
 takes the amplitudes and any reduction back, so each row is simulated
 once and reduced once: by the softmax draw, or else by the gradient.
 
-Log-policy gradients are exact: the taken action's projector (Born
-policy) or the Z-mask observable (softmax policy) is differentiated by
-the adjoint sweep of :func:`qpglab.ansatz.adjoint_grads`, one backward
-pass over all rows that starts from their final amplitudes and undoes
-one rotation layer per phase multiply, and the softmax factors are
-applied in closed form.  The Born gradient reads the decoding's action
-table directly: the taken action's projector is the 0/1 mask of basis
-indices whose table entry is that action, as in sampling and in the
-class sums.  A Born policy acts by measuring one bitstring and
-decoding it, as on hardware; its probabilities and gradients are exact
-expectations of the simulated state, never shot estimates.
+Log-policy gradients are exact: step ``t`` differentiates the readout
+column ``k_t`` its action reads (the taken action's, or the one Z-mask
+column) in one adjoint sweep over all rows
+(:func:`qpglab.ansatz.adjoint_grads`, weight rows ``R[:, k_t]``) from
+their final amplitudes.  Only the chain-rule factor is per family:
+division by the taken action's probability, or ``beta * (w_a - pi @
+w)`` and the weight block.  A Born policy acts by measuring one
+bitstring and decoding it, as on hardware; its probabilities and
+gradients are exact expectations of the simulated state, never shot
+estimates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,8 +51,6 @@ import numpy as np
 from . import ansatz, qsim
 from .ansatz import ModelConfig, ParamSet
 from .decode import PostProcessing
-
-PROB_CLAMP = 1e-12
 
 
 class ZeroProbabilityError(ValueError):
@@ -55,6 +63,7 @@ class MeasurementPolicy:
 
     model: ModelConfig
     postfn: PostProcessing
+    readout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.postfn.n_qubits != self.model.n_qubits:
@@ -62,6 +71,8 @@ class MeasurementPolicy:
                 f"post-processing acts on {self.postfn.n_qubits} qubits, "
                 f"model has {self.model.n_qubits}"
             )
+        self.readout = np.eye(self.num_actions)[self.postfn.table]
+        self.readout.setflags(write=False)
 
     @property
     def num_actions(self) -> int:
@@ -76,6 +87,7 @@ class SoftmaxObservablePolicy:
     weights: np.ndarray
     beta: float = 1.0
     z_qubits: tuple | None = None  # None means Z on every qubit
+    readout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -89,11 +101,15 @@ class SoftmaxObservablePolicy:
         if self.z_qubits is None:
             self.z_qubits = tuple(range(self.model.n_qubits))
         self.z_qubits = tuple(sorted(self.z_qubits))
+        # An empty mask is the identity: every reading 1, no gradient.
+        if not self.z_qubits:
+            raise ValueError("z_qubits must name at least one qubit")
         for i, q in enumerate(self.z_qubits):
             if not 0 <= q < self.model.n_qubits:
                 raise ValueError(f"z_qubits entry {q} out of range")
             if q in self.z_qubits[:i]:
                 raise ValueError(f"z_qubits entry {q} repeated")
+        self.readout = _z_signs(self.model.n_qubits, self.z_qubits)[:, None]
 
     @property
     def num_actions(self) -> int:
@@ -118,22 +134,17 @@ def _z_signs(n: int, qubits: tuple) -> np.ndarray:
 
 
 def _reduce(policy: Policy, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reading and action distributions (T, M) of final amplitudes (T, 2**n).
+    """Reading (T, K) and action distributions (T, M) of final amplitudes (T, 2**n).
 
-    The reading is the Born probabilities (T, 2**n) of a Born policy or
-    the Z-mask values (T,) of a softmax policy.  Rows never mix.
+    The reading is each row's expectation of the readout columns; a
+    Born policy's is its action distribution.  Rows never mix.
     """
-    born = qsim.probabilities(amps)
-    if isinstance(policy, SoftmaxObservablePolicy):
-        obs = (born * _z_signs(policy.model.n_qubits, policy.z_qubits)).sum(axis=1)
-        logits = policy.beta * policy.weights * obs[:, None]
-        pi = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return obs, pi / pi.sum(axis=1, keepdims=True)
-    # Row t's classes are bins t*M .. t*M + M-1, summed in basis order.
-    steps, m = len(born), policy.num_actions
-    bins = policy.postfn.table + m * np.arange(steps)[:, None]
-    probs = np.bincount(bins.ravel(), weights=born.ravel(), minlength=steps * m)
-    return born, probs.reshape(steps, m)
+    reading = (qsim.probabilities(amps)[:, :, None] * policy.readout).sum(axis=1)
+    if isinstance(policy, MeasurementPolicy):
+        return reading, reading
+    logits = policy.beta * policy.weights * reading
+    pi = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return reading, pi / pi.sum(axis=1, keepdims=True)
 
 
 def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.ndarray:
@@ -222,42 +233,27 @@ def trajectory_log_grads(
     ``amps`` are the steps' final amplitudes (T, 2**n) and ``reduced``
     their :func:`_reduce` result, as :func:`sample_action` returns them,
     so no step is simulated or reduced again; None reduces them here.
-    One adjoint sweep over all steps together; returns shape
+    One adjoint sweep over all steps together, with step ``t`` weighted
+    by the readout column its action reads; returns shape
     (T, num_trainables).  The steps need not come from one episode.
     """
     features_seq = np.asarray(features_seq, dtype=float)
     actions = np.asarray(actions, dtype=np.int64)
-    if reduced is None:
-        reduced = _reduce(policy, amps)
-    if isinstance(policy, SoftmaxObservablePolicy):
-        return _softmax_traj_grads(policy, features_seq, actions, params, amps, reduced)
-    return _measurement_traj_grads(policy, features_seq, actions, params, amps, reduced)
-
-
-def _measurement_traj_grads(policy, features_seq, actions, params, amps, reduced):
-    # d ln p_a = d<Pi_a> / p_a, with Pi_a the taken action's projector.
-    taken = (policy.postfn.table == actions[:, None]).astype(float)
-    grads = ansatz.adjoint_grads(policy.model, params, features_seq, taken, amps)
-    p_taken = reduced[1][np.arange(len(actions)), actions]
-    if (p_taken == 0.0).any():
-        bad = int(np.nonzero(p_taken == 0.0)[0][0])
-        raise ZeroProbabilityError(
-            f"action {actions[bad]} has zero probability at step {bad}"
-        )
-    return grads / np.maximum(p_taken, PROB_CLAMP)[:, None]
-
-
-def _softmax_traj_grads(policy, features_seq, actions, params, amps, reduced):
-    signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
-    grad_obs = ansatz.adjoint_grads(policy.model, params, features_seq, signs, amps)
-    obs, pi = reduced
+    reading, pi = _reduce(policy, amps) if reduced is None else reduced
+    softmax = isinstance(policy, SoftmaxObservablePolicy)
+    columns = np.zeros_like(actions) if softmax else actions
+    weights = policy.readout.T[columns]
+    grads = ansatz.adjoint_grads(policy.model, params, features_seq, weights, amps)
     steps = np.arange(len(actions))
+    if not softmax:
+        # d ln p_a = d<Pi_a> / p_a, with Pi_a the taken action's projector.
+        p_taken = pi[steps, actions]
+        if (p_taken == 0.0).any():
+            bad = int(np.nonzero(p_taken == 0.0)[0][0])
+            raise ZeroProbabilityError(f"action {actions[bad]} has zero probability at step {bad}")
+        return grads / p_taken[:, None]
     bracket = policy.weights[actions] - pi @ policy.weights
     indicator = np.zeros_like(pi)
     indicator[steps, actions] = 1.0
-    return np.hstack(
-        [
-            policy.beta * bracket[:, None] * grad_obs,
-            policy.beta * obs[:, None] * (indicator - pi),
-        ]
-    )
+    weight_block = policy.beta * reading * (indicator - pi)
+    return np.hstack([policy.beta * bracket[:, None] * grads, weight_block])

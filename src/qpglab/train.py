@@ -52,8 +52,9 @@ class Batch(NamedTuple):
     """A batch's steps, episode-major: rows of ``features`` (N, n),
     ``amps`` (N, 2**n) and ``actions`` (N,), episode ``e``'s
     ``len(rewards[e])`` steps after those of episodes ``0 .. e-1``.
-    ``reduced`` is the rows' softmax ``(reading, pi)`` that sampling
-    computed (None for a Born policy); ``rewards`` are Python floats.
+    ``reduced`` is the rows' softmax ``(reading (N, 1), pi)`` that
+    sampling computed (None for a Born policy); ``rewards`` are Python
+    floats.
     """
 
     features: np.ndarray

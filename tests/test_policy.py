@@ -4,12 +4,14 @@ import pytest
 from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
 from oracles import (
+    class_sums,
     episode_rngs,
     log_prob_grad,
     parity_via_ancilla,
     sample_index,
     state_action_probs,
     z_mask_expectation,
+    z_mask_sums,
 )
 from test_ansatz import shift_rule_expval_grads
 
@@ -40,11 +42,13 @@ def dense_z(n, qubits):
         ((0, 0), "entry 0 repeated"),
         ((2, 1, 2), "entry 2 repeated"),
         ((0, 3), "entry 3 out of range"),
+        ((), "must name at least one qubit"),
     ],
-    ids=["pair", "among-others", "range"],
+    ids=["pair", "among-others", "range", "empty"],
 )
 def test_softmax_z_qubits_are_distinct_qubits_in_range(z_qubits, message):
-    # A repeated qubit would cancel out of the Z mask, not square Z.
+    # A repeated qubit would cancel out of the Z mask, not square Z; an
+    # empty mask is the identity, which reads 1 on every state.
     with pytest.raises(ValueError, match=f"z_qubits {message}"):
         policy.SoftmaxObservablePolicy(ModelConfig(3, 1), np.zeros(2), z_qubits=z_qubits)
 
@@ -201,6 +205,18 @@ def test_probability_weighted_grads_sum_to_zero():
     assert np.abs(acc).max() < 1e-8
 
 
+def test_born_log_grad_divides_by_tiny_probabilities_exactly():
+    # Ry(theta) on |0> at theta = 2e-7 gives p_1 = sin(theta/2)**2 = 1e-14,
+    # and d ln p_1 / d theta = cot(theta/2) = 1e7: no floor on p bends it.
+    config = ModelConfig(1, 1)
+    params = ParamSet(*(np.zeros(k) for k in ansatz.param_counts(config)))
+    params.theta[1] = 2e-7
+    pol = policy.MeasurementPolicy(config, decode.MostSignificantBit(1))
+    assert state_action_probs(pol, np.zeros(1), params)[1] == pytest.approx(1e-14, rel=1e-9)
+    grad = log_prob_grad(pol, np.zeros(1), 1, params)
+    assert grad[1] == pytest.approx(1.0 / np.tan(1e-7), rel=1e-9)
+
+
 def test_zero_probability_action_raises():
     config = ModelConfig(2, 1)
     n_theta, n_lam = ansatz.param_counts(config)
@@ -325,6 +341,41 @@ def test_batch_action_probs_rows_equal_single_state_calls():
         assert (batch == single).all()
 
 
+def _random_amps(n, steps, rng):
+    amps = rng.normal(size=(steps, 1 << n)) + 1j * rng.normal(size=(steps, 1 << n))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_reduce_equals_class_sums_and_z_mask_sums_bit_for_bit(n):
+    # The one readout contraction keeps the bits of the two reductions it
+    # replaced, and each row equals the row reduced alone.
+    rng = np.random.default_rng(n)
+    config = ModelConfig(n, 1)
+    pols = [
+        policy.MeasurementPolicy(config, decode.PostProcessing(n, m, rng.integers(m, size=1 << n)))
+        for m in (2, 4, 8)
+    ]
+    pols += [
+        policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3, 0.8]), beta=1.3),
+        policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3]), z_qubits=range(0, n, 2)),
+    ]
+    for steps in (1, 3, 50, 257):
+        amps = _random_amps(n, steps, rng)
+        for pol in pols:
+            reading, probs = policy._reduce(pol, amps)
+            if isinstance(pol, policy.MeasurementPolicy):
+                assert reading.tobytes() == class_sums(pol, amps).tobytes()
+                assert probs is reading
+            else:
+                assert reading.shape == (steps, 1)
+                assert reading.tobytes() == z_mask_sums(pol, amps).tobytes()
+            for t in range(steps):
+                alone = policy._reduce(pol, amps[t : t + 1])
+                assert alone[0].tobytes() == reading[t : t + 1].tobytes()
+                assert alone[1].tobytes() == probs[t : t + 1].tobytes()
+
+
 def _composite_table(fn, config):
     """The decoding read through the last entangler layer: the map that the
     policy applies to the state before that layer.  A CZ layer only signs
@@ -427,12 +478,13 @@ def test_sample_action_rows_match_one_row_draws(kind):
             assert got.tobytes() == want.tobytes()
     expected = []
     for seed, f in enumerate(feats):
-        reading, probs = policy._reduce(pol, ansatz.run_bound(bound, f[None, :]))
+        final = ansatz.run_bound(bound, f[None, :])
         alone = np.random.default_rng(seed)
         if kind == "born":
-            expected.append(int(pol.postfn.table[sample_index(reading[0], alone)]))
+            born = qsim.probabilities(final)[0]
+            expected.append(int(pol.postfn.table[sample_index(born, alone)]))
         else:
-            expected.append(sample_index(probs[0], alone))
+            expected.append(sample_index(policy._reduce(pol, final)[1][0], alone))
     assert batched.tolist() == expected
     assert len(set(expected)) > 1
     with pytest.raises(ValueError, match="one generator per row"):
