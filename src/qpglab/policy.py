@@ -9,16 +9,14 @@ Two families are implemented:
   <O>`` with a single shared Pauli-Z-mask observable and per-action
   weights.
 
-Readout.  Each policy reads the final state through one read-only
-diagonal matrix ``readout`` R (2**n, K): the one-hot rows
-``eye(M)[table]`` of a Born policy's decoding (K = M), or the Z-mask
-signs of a softmax policy (K = 1).  :func:`_reduce` contracts the Born
-probabilities with R into the reading (T, K), then applies the link:
-identity for a Born policy, or the softmax of ``beta * w * reading``.
-``(born[:, :, None] * R).sum(axis=1)`` adds each column's terms in
-basis order, as class sums over the table do, and for K = 1 it is
-numpy's pairwise sum of ``born * signs``: zero terms change no bit and
-rows never mix, so both former reductions keep every bit.
+Readout.  Each policy reads the final state through a diagonal
+readout R (2**n, K), held in index form, never dense (M may reach
+2**n): a Born policy's decoding table stands for the one-hot rows
+``eye(M)[table]`` (K = M), a softmax policy's Z-mask signs for one
+column (K = 1).  :func:`_reduce` gives the reading (T, K), the
+expectations of R's columns, as ``np.bincount`` class sums in basis
+order (memory O(T 2**n) at any M) or as the sum of ``born * signs``;
+the link then gives pi: identity, or softmax of ``beta * w * reading``.
 
 Data path.  :func:`sample_action` takes its parameter set bound
 (:func:`qpglab.ansatz.bind`), once for all of a rollout's calls, and
@@ -29,21 +27,19 @@ and decodes it, with no action distribution.  :func:`trajectory_log_grads`
 takes the amplitudes and any reduction back, so each row is simulated
 once and reduced once: by the softmax draw, or else by the gradient.
 
-Log-policy gradients are exact: step ``t`` differentiates the readout
-column ``k_t`` its action reads (the taken action's, or the one Z-mask
-column) in one adjoint sweep over all rows
-(:func:`qpglab.ansatz.adjoint_grads`, weight rows ``R[:, k_t]``) from
-their final amplitudes.  Only the chain-rule factor is per family:
-division by the taken action's probability, or ``beta * (w_a - pi @
-w)`` and the weight block.  A Born policy acts by measuring one
-bitstring and decoding it, as on hardware; its probabilities and
-gradients are exact expectations of the simulated state, never shot
-estimates.
+Log-policy gradients are exact: one adjoint sweep over all rows
+(:func:`qpglab.ansatz.adjoint_grads`) from their final amplitudes
+differentiates, for step ``t``, the readout column its action reads:
+the mask ``table == a_t``, or the one sign row.  Only the chain-rule
+factor is per family: 1 / p_taken, or ``beta * (w_a - pi @ w)`` and the
+weight block.  A Born policy acts by measuring one bitstring and
+decoding it, as on hardware; its probabilities and gradients are exact
+expectations of the simulated state, never shot estimates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -63,7 +59,6 @@ class MeasurementPolicy:
 
     model: ModelConfig
     postfn: PostProcessing
-    readout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.postfn.n_qubits != self.model.n_qubits:
@@ -71,8 +66,6 @@ class MeasurementPolicy:
                 f"post-processing acts on {self.postfn.n_qubits} qubits, "
                 f"model has {self.model.n_qubits}"
             )
-        self.readout = np.eye(self.num_actions)[self.postfn.table]
-        self.readout.setflags(write=False)
 
     @property
     def num_actions(self) -> int:
@@ -87,7 +80,6 @@ class SoftmaxObservablePolicy:
     weights: np.ndarray
     beta: float = 1.0
     z_qubits: tuple | None = None  # None means Z on every qubit
-    readout: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -109,7 +101,6 @@ class SoftmaxObservablePolicy:
                 raise ValueError(f"z_qubits entry {q} out of range")
             if q in self.z_qubits[:i]:
                 raise ValueError(f"z_qubits entry {q} repeated")
-        self.readout = _z_signs(self.model.n_qubits, self.z_qubits)[:, None]
 
     @property
     def num_actions(self) -> int:
@@ -139,12 +130,18 @@ def _reduce(policy: Policy, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The reading is each row's expectation of the readout columns; a
     Born policy's is its action distribution.  Rows never mix.
     """
-    reading = (qsim.probabilities(amps)[:, :, None] * policy.readout).sum(axis=1)
-    if isinstance(policy, MeasurementPolicy):
-        return reading, reading
-    logits = policy.beta * policy.weights * reading
-    pi = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return reading, pi / pi.sum(axis=1, keepdims=True)
+    born = qsim.probabilities(amps)
+    if isinstance(policy, SoftmaxObservablePolicy):
+        signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
+        reading = (born * signs).sum(axis=1, keepdims=True)
+        logits = policy.beta * policy.weights * reading
+        pi = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return reading, pi / pi.sum(axis=1, keepdims=True)
+    # Row t's classes are bins t*M .. t*M + M-1, summed in basis order.
+    steps, m = len(born), policy.num_actions
+    bins = policy.postfn.table + m * np.arange(steps)[:, None]
+    probs = np.bincount(bins.ravel(), weights=born.ravel(), minlength=steps * m).reshape(steps, m)
+    return probs, probs
 
 
 def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.ndarray:
@@ -233,16 +230,17 @@ def trajectory_log_grads(
     ``amps`` are the steps' final amplitudes (T, 2**n) and ``reduced``
     their :func:`_reduce` result, as :func:`sample_action` returns them,
     so no step is simulated or reduced again; None reduces them here.
-    One adjoint sweep over all steps together, with step ``t`` weighted
-    by the readout column its action reads; returns shape
+    One adjoint sweep over all steps together; returns shape
     (T, num_trainables).  The steps need not come from one episode.
     """
     features_seq = np.asarray(features_seq, dtype=float)
     actions = np.asarray(actions, dtype=np.int64)
     reading, pi = _reduce(policy, amps) if reduced is None else reduced
     softmax = isinstance(policy, SoftmaxObservablePolicy)
-    columns = np.zeros_like(actions) if softmax else actions
-    weights = policy.readout.T[columns]
+    if softmax:
+        weights = _z_signs(policy.model.n_qubits, policy.z_qubits)
+    else:
+        weights = (policy.postfn.table == actions[:, None]).astype(float)
     grads = ansatz.adjoint_grads(policy.model, params, features_seq, weights, amps)
     steps = np.arange(len(actions))
     if not softmax:

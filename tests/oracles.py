@@ -125,34 +125,30 @@ def start_register(config, params) -> np.ndarray:
     return ansatz._run_pass(config, state, half[:, :1])[0]
 
 
-def class_sums(pol, amps) -> np.ndarray:
-    """A Born policy's action distributions (T, M) as ``np.bincount`` class sums.
+def running_class_sums(pol, amps) -> np.ndarray:
+    """A Born policy's action distributions (T, M), each class summed in basis order.
 
-    Row t's classes are bins t*M .. t*M + M-1, each summed in basis order.
+    Column a is the last running sum of the Born probabilities masked to
+    class a: adding a masked-out 0.0 changes no bit, so each sum takes its
+    class's terms one at a time, lowest basis index first.
     """
     born = qsim.probabilities(amps)
-    steps, m = len(born), pol.num_actions
-    bins = pol.postfn.table + m * np.arange(steps)[:, None]
-    probs = np.bincount(bins.ravel(), weights=born.ravel(), minlength=steps * m)
-    return probs.reshape(steps, m)
-
-
-def z_mask_sums(pol, amps) -> np.ndarray:
-    """A softmax policy's Z-mask values (T,), one sum of ``born * signs`` per row."""
-    born = qsim.probabilities(amps)
-    return (born * policy._z_signs(pol.model.n_qubits, pol.z_qubits)).sum(axis=1)
+    table = pol.postfn.table
+    sums = [np.cumsum(np.where(table == a, born, 0.0), axis=1)[:, -1] for a in range(pol.num_actions)]
+    return np.stack(sums, axis=1)
 
 
 def exact_policy_gradient(env, encoder, pol, params) -> np.ndarray:
     """Exact gradient (P,) of a bandit's expected reward, in the flat layout.
 
     J = mean over states s of sum_a r(s, a) pi(a|s).  One circuit call and
-    one ``adjoint_grads`` call over the S states: with the readout R
-    (2**n, K), a Born policy's pi(.|s) is its reading, so state s takes the
-    weight row ``r_s @ R.T``; a softmax policy's reading x_s enters through
-    d pi_a / d x = beta pi_a (w_a - pi @ w), so state s takes the column of
-    R times sum_a r(s, a) of that, and the weight block is
-    d pi_a / d w_b = beta x pi_a (delta_ab - pi_b) summed against r(s, a).
+    one ``adjoint_grads`` call over the S states.  A Born policy's pi(a|s)
+    is the expectation of the class mask ``table == a``, so state s takes
+    the weight row ``r_s @ R.T = r(s, table)``.  A softmax policy's Z-mask
+    reading x_s enters through d pi_a / d x = beta pi_a (w_a - pi @ w), so
+    state s takes the sign row times sum_a r(s, a) of that, and the weight
+    block is d pi_a / d w_b = beta x pi_a (delta_ab - pi_b) summed against
+    r(s, a).
     """
     states = np.arange(env.num_states)
     feats = encoder.encode(states)
@@ -160,12 +156,12 @@ def exact_policy_gradient(env, encoder, pol, params) -> np.ndarray:
     reading, pi = policy._reduce(pol, amps)
     rewards = np.array([[env.step(s, a)[1] for a in range(env.num_actions)] for s in states])
     if isinstance(pol, policy.MeasurementPolicy):
-        weights = rewards @ pol.readout.T
+        weights = rewards[:, pol.postfn.table]
         block = np.empty((len(states), 0))
     else:
         gain = rewards * pi
         coeff = pol.beta * (gain @ pol.weights - gain.sum(axis=1) * (pi @ pol.weights))
-        weights = coeff[:, None] * pol.readout.T
+        weights = coeff[:, None] * policy._z_signs(pol.model.n_qubits, pol.z_qubits)
         block = pol.beta * reading * (gain - gain.sum(axis=1, keepdims=True) * pi)
     grads = ansatz.adjoint_grads(pol.model, params, feats, weights, amps)
     return np.hstack([grads, block]).mean(axis=0)

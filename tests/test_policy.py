@@ -1,17 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
 from oracles import (
-    class_sums,
     episode_rngs,
     log_prob_grad,
     parity_via_ancilla,
+    running_class_sums,
     sample_index,
     state_action_probs,
     z_mask_expectation,
-    z_mask_sums,
 )
 from test_ansatz import shift_rule_expval_grads
 
@@ -347,9 +348,9 @@ def _random_amps(n, steps, rng):
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_reduce_equals_class_sums_and_z_mask_sums_bit_for_bit(n):
-    # The one readout contraction keeps the bits of the two reductions it
-    # replaced, and each row equals the row reduced alone.
+def test_reduce_sums_each_class_in_basis_order_and_each_row_alone(n):
+    # Recorded outputs depend on the Born class sums' order: one term at a
+    # time, lowest basis index first.  Each row equals the row reduced alone.
     rng = np.random.default_rng(n)
     config = ModelConfig(n, 1)
     pols = [
@@ -365,15 +366,38 @@ def test_reduce_equals_class_sums_and_z_mask_sums_bit_for_bit(n):
         for pol in pols:
             reading, probs = policy._reduce(pol, amps)
             if isinstance(pol, policy.MeasurementPolicy):
-                assert reading.tobytes() == class_sums(pol, amps).tobytes()
+                assert reading.tobytes() == running_class_sums(pol, amps).tobytes()
                 assert probs is reading
             else:
+                want = [z_mask_expectation(row, pol.z_qubits) for row in amps]
                 assert reading.shape == (steps, 1)
-                assert reading.tobytes() == z_mask_sums(pol, amps).tobytes()
+                np.testing.assert_allclose(reading[:, 0], want, rtol=0, atol=1e-13)
             for t in range(steps):
                 alone = policy._reduce(pol, amps[t : t + 1])
                 assert alone[0].tobytes() == reading[t : t + 1].tobytes()
                 assert alone[1].tobytes() == probs[t : t + 1].tobytes()
+
+
+def test_born_reduce_and_gradient_memory_does_not_grow_with_the_action_count():
+    # M may reach 2**n: a dense (2**n, M) readout, or a (T, 2**n, M)
+    # product, would take M times the Born probabilities' bytes.
+    n, steps = 10, 8
+    config = ModelConfig(n, 1)
+    params = ParamSet(*(np.full(k, 0.3) for k in ansatz.param_counts(config)))
+    feats = np.random.default_rng(0).uniform(-1, 1, size=(steps, n))
+    amps = ansatz.run_bound(ansatz.bind(config, params), feats)
+    peaks = {}
+    for m in (2, 1 << n):
+        table = np.arange(1 << n) % m
+        tracemalloc.start()
+        pol = policy.MeasurementPolicy(config, decode.PostProcessing(n, m, table))
+        reduced = policy._reduce(pol, amps)
+        actions = np.argmax(reduced[1], axis=1)
+        policy.trajectory_log_grads(pol, feats, actions, params, amps, reduced)
+        peaks[m] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    # The (T, M) distributions themselves take one (T, 2**n) block at M = 2**n.
+    assert peaks[1 << n] <= peaks[2] + 2 * amps.real.nbytes, peaks
 
 
 def _composite_table(fn, config):
