@@ -7,7 +7,9 @@ each.  A worker runs OpenBLAS on one thread, so the workers do not
 oversubscribe the cores, unless ``OPENBLAS_NUM_THREADS`` in the
 environment says otherwise.  Exit codes: 0 on success, 2 for
 configuration/usage errors, 3 for runtime failures and for a bound
-report with a seed above the bound.  A usage error that the flags
+report with a seed above the bound.  :func:`main` returns every exit
+code, argparse's usage errors and ``--help`` included, and raises no
+``SystemExit``.  A usage error that the flags
 alone show exits 2 before any work and before any output directory is
 made: ``globality --ei-dump`` above 8 qubits, an ``enum`` request that
 the histogram would refuse, and for ``globality`` and ``decode`` a
@@ -295,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -358,7 +358,8 @@ def globality_histogram(
 
 
 def load_table(path, num_actions: int) -> PostProcessing:
-    """Read an explicit table from its text form, validating coverage."""
+    """Read an explicit table from its text form, validating coverage;
+    a malformed line's ``ValueError`` is led by ``path:lineno``."""
     entries = {}
     n_qubits = None
     with open(path) as fh:
@@ -366,16 +367,25 @@ def load_table(path, num_actions: int) -> PostProcessing:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}:"
             try:
                 bits, action = line.split(",")
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'bits,action'") from None
+                raise ValueError(f"{where} expected 'bits,action'") from None
+            if not bits:
+                raise ValueError(f"{where} empty bitstring")
             if n_qubits is None:
                 n_qubits = len(bits)
-            index = decode_bits_to_index(n_qubits, bits)
+            try:
+                index = decode_bits_to_index(n_qubits, bits)
+            except ValueError as exc:
+                raise ValueError(f"{where} {exc}") from None
             if index in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate bitstring {bits}")
-            entries[index] = int(action)
+                raise ValueError(f"{where} duplicate bitstring {bits}")
+            try:
+                entries[index] = int(action)
+            except ValueError:
+                raise ValueError(f"{where} action {action!r} is not an integer") from None
     if n_qubits is None:
         raise ValueError(f"{path}: empty table")
     if len(entries) != 1 << n_qubits:

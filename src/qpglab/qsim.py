@@ -42,13 +42,14 @@ class NormDriftError(RuntimeError):
 def probabilities(amps: np.ndarray) -> np.ndarray:
     """Measurement probabilities ``|c_i|^2`` of amplitudes (..., 2**n).
 
-    Row ``r`` of a batch equals the call on that row alone, bit for bit.
+    Row ``r`` of a batch equals the call on that row alone, bit for bit;
+    a batch of zero rows gives zero rows.
     Raises :class:`NormDriftError` if any row sums to further than
     ``NORM_DRIFT_LIMIT`` from 1 or is not finite.
     """
     probs = np.abs(amps) ** 2
     drift = np.abs(probs.sum(axis=-1) - 1.0).ravel()
-    row = int(np.argmax(drift))
-    if not drift[row] <= NORM_DRIFT_LIMIT:  # NaN amplitudes fail too
+    if drift.size and not drift.max() <= NORM_DRIFT_LIMIT:  # NaN amplitudes fail too
+        row = int(np.argmax(drift))
         raise NormDriftError(f"state norm squared off by {drift[row]:.3e} at row {row}")
     return probs

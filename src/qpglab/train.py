@@ -16,7 +16,8 @@ One stable sort by episode turns the blocks into one episode-major
 :class:`Batch`, and :func:`reinforce_gradient` makes one
 :func:`qpglab.policy.trajectory_log_grads` call on it as it stands, so
 no step is simulated or reduced twice.  Rewards stay Python floats:
-each episode's returns and total come from them with no array.
+each episode's returns come from them with no array, and its total is
+their correctly rounded sum, ``math.fsum``.
 
 Everything is a pure function of (config, seed), through independent
 streams (:func:`run_streams`): one generator draws the initial
@@ -35,9 +36,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, islice
-from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -100,23 +100,6 @@ def discounted_returns(rewards: list, gamma: float) -> list[float]:
         raise ValueError("empty reward sequence")
     returns = accumulate(reversed(rewards), lambda acc, r: r + gamma * acc, initial=0.0)
     return list(returns)[:0:-1]
-
-
-def _reward_total(rewards: list) -> float:
-    """``np.sum`` of an episode's rewards, bit for bit, on Python floats:
-    numpy adds the whole multiples of 8 terms in 8 interleaved lanes,
-    combines the lanes pairwise and adds the rest in order, from a start
-    of 0.0; it halves runs above 128 terms at a multiple of 8.
-    """
-    n = len(rewards)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _reward_total(rewards[:half]) + _reward_total(rewards[half:])
-    body, acc = n - n % 8, 0.0
-    if body:
-        a = [reduce(add, rewards[lane:body:8]) for lane in range(8)]
-        acc += ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-    return reduce(add, rewards[body:], acc)
 
 
 # numpy's SeedSequence hash (after O'Neill's seed_seq_fe): the hash
@@ -352,7 +335,7 @@ def train_run(
             flat = policy_mod.flat_trainables(policy, params)
             flat = adam_amsgrad_step(opt, flat, grad, rates)
             params, policy = policy_mod.apply_flat(policy, flat)
-        totals.extend(map(_reward_total, batch.rewards))
+        totals.extend(map(math.fsum, batch.rewards))
     records = [
         EpisodeRecord(episode, reward, avg)
         for episode, (reward, avg) in enumerate(zip(totals, _trailing_means(totals, 20)))

@@ -1,5 +1,6 @@
 """Slow one-at-a-time references for the batched paths of ``qpglab``."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -78,7 +79,7 @@ def train_run(env, encoder, pol, hyper, seed) -> train.TrainResult:
     """``train.train_run`` one episode at a time, from per-episode arrays.
 
     Each episode is collected alone (:func:`collect_episode`), its total
-    is ``np.sum`` of its reward array and its returns come from
+    is the exact sum of its rewards rounded once and its returns come from
     ``discounted_returns`` alone; an update stacks the episodes'
     arrays episode-major into one gradient call, which reduces the
     amplitudes itself.
@@ -107,7 +108,7 @@ def train_run(env, encoder, pol, hyper, seed) -> train.TrainResult:
                 opt, policy.flat_trainables(pol, params), returns @ grads / len(batch.rewards), rates
             )
             params, pol = policy.apply_flat(pol, flat)
-        totals += [float(np.array(rewards).sum()) for rewards in batch.rewards]
+        totals += [float(sum(map(Fraction, rewards))) for rewards in batch.rewards]
     means = train._trailing_means(totals, 20)
     records = [train.EpisodeRecord(e, *pair) for e, pair in enumerate(zip(totals, means))]
     return train.TrainResult(records, params, pol)

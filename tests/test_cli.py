@@ -1,14 +1,22 @@
 import builtins
 import collections
 import concurrent.futures
+import contextlib
 import csv
+import io
+import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from oracles import load_checkpoint, save_table
-from qpglab import analysis, ansatz, cli, config, decode, policy, train
+from qpglab import analysis, cli, config, decode, policy, train
 
 BANDIT_CONFIG = """
 [experiment]
@@ -37,21 +45,6 @@ states = 10
 data_sizes = 100, 1000
 """
 
-CURVES = ["curve_seed0.csv", "curve_seed1.csv", "curve_aggregate.csv"]
-# Output family, the subcommand that writes it, policy kind and action
-# count, files in the family.
-RUNS = [
-    ("train", "train", "measurement", 2, CURVES),
-    ("fim", "fim", "measurement", 2, ["spectrum.csv", "fim_aggregate.csv"]),
-    ("effdim", "fim", "measurement", 2, ["effdim.csv"]),
-    ("bound", "train", "softmax", 4, ["bound_report.csv"]),
-]
-
-# Columns that hold a verdict rather than a number.
-BOOLEAN_COLUMNS = {"within_bound"}
-# The FIM matrix is written as bare rows, without a column header.
-HEADERLESS = {"fim_aggregate.csv"}
-
 
 def _run(tmp_path, command, kind, actions, out_name):
     config = tmp_path / f"{command}.ini"
@@ -62,15 +55,192 @@ def _run(tmp_path, command, kind, actions, out_name):
     return out_dir
 
 
-@pytest.mark.parametrize("family,command,kind,actions,files", RUNS, ids=[r[0] for r in RUNS])
-def test_every_csv_parses_as_numbers(tmp_path, capsys, family, command, kind, actions, files):
-    out_dir = _run(tmp_path, command, kind, actions, "out")
-    assert "np." not in capsys.readouterr().out
-    for name in files:
-        lines = [ln for ln in (out_dir / name).read_text().splitlines() if not ln.startswith("#")]
+class Run(NamedTuple):
+    """A command that succeeds, run in a directory of its own: the input
+    ``files`` written there first, the ``outputs`` it writes to ``out``
+    and, where given, its exact ``stdout``."""
+
+    argv: str
+    files: dict = {}
+    outputs: tuple = ()
+    stdout: str | None = None
+
+
+def _train(config, seeds=(0,), bound=False, seed=None, files={}) -> Run:
+    """A ``train`` row on ``config``; ``seed`` overrides its ``seeds``."""
+    flag, seeds = ("", seeds) if seed is None else (f" --seed {seed}", (seed,))
+    per_seed = [f"{k}_seed{s}.{e}" for s in seeds for k, e in [("curve", "csv"), ("params", "txt")]]
+    outputs = ("curve_aggregate.csv", *per_seed, *["bound_report.csv"] * bound)
+    stdout = f"wrote {len(seeds)} learning curves to out\n"
+    stdout += "bound 0.75: all seeds within\n" * bound
+    argv = f"train --config c.ini{flag} --out-dir out"
+    return Run(argv, {"c.ini": config, **files}, outputs, stdout)
+
+
+def _fim(config) -> Run:
+    files = ("spectrum.csv", "fim_aggregate.csv", "effdim.csv")
+    return Run("fim --config c.ini --out-dir out", {"c.ini": config}, files)
+
+
+BORN_BANDIT = (
+    "[env]\ntype = bandits\nnum_states = 8\nnum_actions = 2\n[model]\nn_qubits = 3\n"
+    "[train]\nepisodes = 20\n[analysis]\nparam_sets = 2\nstates = 5\n[policy]\nkind = measurement\n"
+)
+SOFTMAX_BANDIT = (
+    "[env]\ntype = bandits\nnum_states = 8\nnum_actions = 4\nreward = acc01\n"
+    "[model]\nn_qubits = 3\n[policy]\nkind = softmax\n[train]\nepisodes = 40\n"
+)
+CARTPOLE = "[env]\ntype = cartpole\n[model]\nn_qubits = 4\ndepth = 5\n[train]\nepisodes = 20\n"
+# A slippery lake: extra [env] keys, extra [model] keys and sections, episodes.
+LAKE = (
+    "[env]\ntype = frozenlake\nslippery = true\n{}[model]\nn_qubits = 4\n{}"
+    "[train]\nepisodes = {}\nbatch_size = 7\n"
+)
+PARITY2 = {"parity2.txt": "00,0\n01,1\n10,1\n11,0\n"}
+# Every command whose outputs must parse as data and rerun byte for byte.
+RUNS = {
+    "train": _train(BANDIT_CONFIG.format(kind="measurement", actions=2), seeds=(0, 1)),
+    "fim": _fim(BANDIT_CONFIG.format(kind="measurement", actions=2)),
+    # effdim.csv over four data sizes rather than the two of the [fim] row.
+    "effdim": _fim(
+        BANDIT_CONFIG.format(kind="measurement", actions=2).replace(
+            "data_sizes = 100, 1000", "data_sizes = 100, 1000, 10000, 100000"
+        )
+    ),
+    "bound": _train(BANDIT_CONFIG.format(kind="softmax", actions=4), seeds=(0, 1), bound=True),
+    "born-bandit-train": _train(BORN_BANDIT),
+    "born-bandit-fim": _fim(BORN_BANDIT),
+    "softmax-bandit-train": _train(SOFTMAX_BANDIT, bound=True),
+    # The aggregate is the mean of the sets' matrices rebuilt from their upper triangles.
+    "softmax-bandit-fim": _fim(SOFTMAX_BANDIT),
+    "cartpole-train": _train(CARTPOLE),
+    "cartpole-fim": _fim(CARTPOLE + "[analysis]\nparam_sets = 4\nstates = 10\n"),
+    # A seed of two 32-bit words; the slippery moves draw from the episode streams.
+    "slippery-lake-seed-2**32": _train(LAKE.format("", "", 30), seed=4294967296),
+    # Non-integer rewards, so episode totals and returns round, and a ragged last batch.
+    "lake-rewards": _train(
+        LAKE.format("reward_step = -0.1\nreward_hole = -1.3\nreward_goal = 2.7\n", "", 31), seed=7
+    ),
+    # Four one-hot readout columns under CX.
+    "table-bandit-cx": _train(
+        "[env]\ntype = bandits\nnum_states = 8\nnum_actions = 4\nreward = acc01\n[model]\n"
+        "n_qubits = 3\nentangler = cx\n[policy]\nkind = measurement\npostfn = table:table4.txt\n"
+        "[train]\nepisodes = 60\n",
+        files={"table4.txt": "000,2\n001,0\n010,3\n011,1\n100,1\n101,3\n110,0\n111,2\n"},
+    ),
+    # One Z-mask column that reads qubits 0 and 2 only, under CX.
+    "softmax-lake-cx": _train(
+        LAKE.format("", "entangler = cx\n[policy]\nkind = softmax\nz_qubits = 0, 2\n", 30)
+    ),
+    # Sampled enum shuffles each chunk's tables in one Generator.permuted call.
+    "sampled-enum": Run(
+        "enum --n 4 --m 4 --mode sampled --samples 20000 --seed 3 --out-dir out",
+        outputs=("histogram.csv",),
+        stdout="20000 partitionings examined of 2627625 total\n",
+    ),
+    "bound-m4": Run("bound --m 4", stdout="accuracy bound = 3/4 (0.75)\n"),
+    # Globality at the end-to-end sizes, against the closed forms.
+    "globality-n11": Run("globality --postfn msb --n 11 --m 2", stdout="globality = 1 (1.0)\n"),
+    "globality-n12": Run("globality --postfn global --n 12 --m 2", stdout="globality = 12 (12.0)\n"),
+    "decode-global": Run("decode --postfn global --n 4 --m 4 --bits 0111", stdout="2\n"),
+    # An explicit table file is a decoding: 2-qubit full parity.
+    "globality-parity2-table": Run(
+        "globality --postfn table:parity2.txt --n 2 --m 2", PARITY2, stdout="globality = 2 (2.0)\n"
+    ),
+    "decode-parity2-table": Run(
+        "decode --postfn table:parity2.txt --n 2 --m 2 --bits 10", PARITY2, stdout="1\n"
+    ),
+}
+
+
+def _run_all(root) -> dict:
+    """Run each RUNS row in ``root/<name>``; return its exit code and stdout."""
+    results = {}
+    home = os.getcwd()
+    for name, run in RUNS.items():
+        cwd = os.path.join(root, name)
+        os.makedirs(cwd)
+        for file, text in run.files.items():
+            with open(os.path.join(cwd, file), "w") as fh:
+                fh.write(text)
+        os.chdir(cwd)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                results[name] = [cli.main(run.argv.split()), out.getvalue()]
+        finally:
+            os.chdir(home)
+    return results
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Every RUNS row run here into ``first``, then into ``second`` by one
+    fresh interpreter that imports the same ``qpglab`` under another
+    ``PYTHONHASHSEED``; the root and each side's codes and stdouts."""
+    root = tmp_path_factory.mktemp("runs")
+    path = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONHASHSEED=seed)
+    code = (
+        "import json, sys, test_cli as t; "
+        "print(json.dumps([t.cli.__file__, t._run_all(sys.argv[1])]))"
+    )
+    # The fresh interpreter runs while this one does; its stderr is captured with the fixture's.
+    argv = [sys.executable, "-c", code, str(root / "second")]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+    here = _run_all(root / "first")
+    out = proc.communicate(timeout=300)[0]
+    assert proc.returncode == 0
+    imported, there = json.loads(out)
+    assert imported == cli.__file__
+    return root, here, there
+
+
+def _tree(root) -> dict:
+    """Every path below ``root``: a file's bytes, or False for a directory."""
+    return {p.relative_to(root).as_posix(): p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_reruns_are_byte_identical(runs, name):
+    root, here, there = runs
+    run = RUNS[name]
+    code, out = here[name]
+    assert code == 0
+    assert "np." not in out
+    if run.stdout is not None:
+        assert out == run.stdout
+    assert there[name] == here[name]
+    first = _tree(root / "first" / name)
+    expected = {*run.files, *(["out"] if run.outputs else []), *(f"out/{f}" for f in run.outputs)}
+    assert set(first) == expected
+    assert _tree(root / "second" / name) == first
+
+
+# Output family: the names its CSV files start with.
+CSV_FAMILIES = {
+    "train": ("curve_",),
+    "fim": ("spectrum", "fim_aggregate"),
+    "effdim": ("effdim",),
+    "bound": ("bound_report",),
+    "enum": ("histogram",),
+}
+# Columns that hold a verdict rather than a number.
+BOOLEAN_COLUMNS = {"within_bound"}
+# The FIM matrix is written as bare rows, without a column header.
+HEADERLESS = {"fim_aggregate.csv"}
+
+
+@pytest.mark.parametrize("family", list(CSV_FAMILIES))
+def test_every_csv_parses_as_numbers(runs, family):
+    paths = (runs[0] / "first").glob("*/out/*.csv")
+    paths = [path for path in paths if path.name.startswith(CSV_FAMILIES[family])]
+    assert paths
+    for path in paths:
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
         rows = list(csv.reader(lines))
-        header = [""] * len(rows[0]) if name in HEADERLESS else rows.pop(0)
-        assert rows, name
+        header = [""] * len(rows[0]) if path.name in HEADERLESS else rows.pop(0)
+        assert rows, path
         for row in rows:
             assert len(row) == len(header)
             for column, cell in enumerate(row):
@@ -80,36 +250,20 @@ def test_every_csv_parses_as_numbers(tmp_path, capsys, family, command, kind, ac
                     float(cell)
 
 
-@pytest.mark.parametrize("family,command,kind,actions,files", RUNS, ids=[r[0] for r in RUNS])
-def test_reruns_are_byte_identical(tmp_path, family, command, kind, actions, files):
-    first = _run(tmp_path, command, kind, actions, "first")
-    second = _run(tmp_path, command, kind, actions, "second")
-    # Every file written, the checkpoints of ``train`` included.
-    names = sorted(path.name for path in first.iterdir())
-    assert names == sorted(path.name for path in second.iterdir())
-    assert set(files) <= set(names)
-    for name in names:
-        assert (first / name).read_bytes() == (second / name).read_bytes()
-
-
 # Policy kind and the action count its bandit is trained on.
 KINDS = {"measurement": 2, "softmax": 4}
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
-def test_every_checkpoint_parses_as_data(tmp_path, kind):
-    out_dir = _run(tmp_path, "train", kind, KINDS[kind], "out")
-    for seed in (0, 1):
-        head, *values = (out_dir / f"params_seed{seed}.txt").read_text().splitlines()
-        fields = dict(item.split("=") for item in head.split())
-        n, depth = int(fields.pop("n")), int(fields.pop("d"))
-        assert (n, depth, fields.pop("entangler")) == (3, 1, "cz")
-        expected = sum(ansatz.param_counts(ansatz.ModelConfig(n, depth)))
-        if kind == "softmax":
-            assert fields.pop("kind") == "softmax"
-            expected += int(fields.pop("weights"))
-        assert fields == {}
-        assert len([float(value) for value in values]) == expected
+def test_every_checkpoint_parses_as_data(runs, monkeypatch, kind):
+    checked = 0
+    for path in sorted((runs[0] / "first").glob("*/out/params_seed*.txt")):
+        monkeypatch.chdir(path.parents[1])  # where a table: decoding is read
+        pol = config.load_config("c.ini").policy
+        if isinstance(pol, policy.SoftmaxObservablePolicy) == (kind == "softmax"):
+            load_checkpoint(path, pol)
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
@@ -186,45 +340,6 @@ def test_train_writes_no_bound_report_off_the_bound_task(tmp_path, capsys, case)
     assert "bound_report.csv" not in [p.name for p in out_dir.iterdir()]
 
 
-def test_bound_for_an_odd_action_count_is_a_usage_error(capsys):
-    message = (
-        "bound implemented for even action counts; the odd case requires "
-        "adapting the weight-ordering count"
-    )
-    assert cli.main(["bound", "--m", "5"]) == 2
-    assert capsys.readouterr() == ("", f"config error: --m: {message}\n")
-
-
-@pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--out-dir", "bare-out")])
-def test_bare_bound_refuses_the_experiment_flags(tmp_path, monkeypatch, capsys, flag, value):
-    # The bound takes only --m; ``train`` writes the bound report of a config.
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bound", "--m", "6", flag, value])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"unrecognized arguments: {flag} {value}" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("order", ["m-first", "config-first"])
-def test_bound_takes_m_or_a_config_not_both(tmp_path, monkeypatch, capsys, order):
-    # The bound takes only --m; a config's bound report is written by ``train``.
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "bound.ini").write_text(BANDIT_CONFIG.format(kind="softmax", actions=4))
-    flags = [["--m", "6"], ["--config", "bound.ini"]]
-    if order == "config-first":
-        flags.reverse()
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bound", *flags[0], *flags[1]])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "unrecognized arguments: --config bound.ini" in err
-    assert [p.name for p in tmp_path.iterdir()] == ["bound.ini"]
-
-
 def test_bound_config_writes_to_runs_by_default(tmp_path, monkeypatch):
     # The bound report goes with the curves into the default directory.
     path = tmp_path / "bound.ini"
@@ -270,21 +385,14 @@ def test_train_exits_three_when_a_seed_is_above_the_bound(tmp_path, capsys, monk
     assert (out_dir / "curve_aggregate.csv").is_file()
 
 
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: qpglab")
+
+
 def test_globality_exits_zero(capsys):
     assert cli.main(["globality", "--postfn", "global", "--n", "3", "--m", "2"]) == 0
     assert capsys.readouterr().out == "globality = 3 (3.0)\n"
-
-
-@pytest.mark.parametrize(
-    "old,new",
-    [("[model]", "[extras]\nkey = 1\n\n[model]"), ("depth = 1", "depth = 1\ndepth_typo = 2")],
-    ids=["unknown-section", "unknown-key"],
-)
-def test_config_errors_exit_two(tmp_path, capsys, old, new):
-    config = tmp_path / "bad.ini"
-    config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2).replace(old, new))
-    assert cli.main(["fim", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_runtime_failure_exits_three(capsys, monkeypatch):
@@ -294,142 +402,6 @@ def test_runtime_failure_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(decode, "globality", fail)
     assert cli.main(["globality", "--postfn", "global", "--n", "3", "--m", "2"]) == 3
     assert capsys.readouterr() == ("", "error: globality failed\n")
-
-
-def test_ei_dump_above_eight_qubits_is_a_usage_error(capsys, monkeypatch):
-    # The flags are checked before the decoding is built or scored.
-    def refuse(*args):
-        raise AssertionError("the command did work before checking its flags")
-
-    monkeypatch.setattr(config, "build_postfn", refuse)
-    argv = ["globality", "--postfn", "global", "--n", "9", "--m", "2", "--ei-dump"]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr() == ("", "config error: --ei-dump is limited to 8 qubits\n")
-
-
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["--n", "17", "--m", "2", "--mode", "sampled"], "histograms is limited to 16 qubits"),
-        (["--n", "3", "--m", "3"], "num_actions must be >= 2 and divide 2**n_qubits"),
-        (
-            ["--n", "5", "--m", "2"],
-            "300540195 partitionings exceed the exhaustive limit 10000000; use sampled mode",
-        ),
-    ],
-    ids=["qubits", "divisor", "census"],
-)
-def test_enum_checks_its_request_before_the_output_directory(tmp_path, capsys, argv, message):
-    out_dir = tmp_path / "out"
-    assert cli.main(["enum", *argv, "--out-dir", str(out_dir)]) == 2
-    assert capsys.readouterr() == ("", f"config error: {message}\n")
-    assert not out_dir.exists()
-
-
-def test_table_with_the_wrong_qubit_count_fails(tmp_path, capsys):
-    path = tmp_path / "table.txt"
-    path.write_text("00,0\n01,0\n10,1\n11,1\n")
-    assert cli.main(["globality", "--postfn", f"table:{path}", "--n", "4", "--m", "2"]) == 2
-    assert capsys.readouterr() == ("", "config error: --postfn: table has 2 qubits, expected 4\n")
-
-
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["--postfn", "bogus", "--n", "4", "--m", "2"], "unknown postfn spec 'bogus'"),
-        (
-            ["--postfn", "parity:x", "--n", "4", "--m", "2"],
-            "parity:<q> needs an integer q, got 'parity:x'",
-        ),
-        (["--postfn", "parity:9", "--n", "4", "--m", "2"], "prefix length q=9 must be in [1, 4]"),
-        (["--postfn", "global", "--n", "4", "--m", "3"], "num_actions must be a power of two >= 2"),
-        (["--postfn", "msb", "--n", "4", "--m", "4"], "msb provides 2 actions, not 4"),
-        (["--postfn", "parity:2", "--n", "4", "--m", "4"], "parity:2 provides 2 actions, not 4"),
-    ],
-    ids=[
-        "unknown",
-        "parity-not-an-integer",
-        "parity-too-long",
-        "global-actions",
-        "msb-actions",
-        "parity-actions",
-    ],
-)
-@pytest.mark.parametrize("command", ["globality", "decode"])
-def test_a_postfn_that_names_no_decoding_is_a_usage_error(capsys, command, argv, message):
-    bits = ["--bits", "1100"] if command == "decode" else []
-    assert cli.main([command, *argv, *bits]) == 2
-    assert capsys.readouterr() == ("", f"config error: --postfn: {message}\n")
-
-
-def test_a_missing_table_file_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "absent.txt"
-    assert cli.main(["globality", "--postfn", f"table:{path}", "--n", "2", "--m", "2"]) == 2
-    expected = f"config error: --postfn: cannot read {path}: No such file or directory\n"
-    assert capsys.readouterr() == ("", expected)
-
-
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (
-            ["globality", "--postfn", "global", "--n", "17", "--m", "2"],
-            "globality is limited to 16 qubits",
-        ),
-        (
-            ["decode", "--postfn", "global", "--n", "21", "--m", "2", "--bits", "1" * 21],
-            "decode is limited to 20 qubits",
-        ),
-        (
-            ["decode", "--postfn", "global", "--n", "4", "--m", "4", "--bits", "01x1"],
-            "--bits: bitstring '01x1' is not a 4-bit binary string",
-        ),
-        (
-            ["decode", "--postfn", "global", "--n", "4", "--m", "4", "--bits", "011"],
-            "--bits: bitstring '011' is not a 4-bit binary string",
-        ),
-    ],
-    ids=["globality-qubits", "decode-qubits", "bits-not-binary", "bits-too-short"],
-)
-def test_decode_requests_are_checked_before_the_table_is_built(
-    capsys, monkeypatch, argv, message
-):
-    def refuse(*args):
-        raise AssertionError("the command built a decoding before checking its flags")
-
-    monkeypatch.setattr(config, "build_postfn", refuse)
-    assert cli.main(argv) == 2
-    assert capsys.readouterr() == ("", f"config error: {message}\n")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["fim", "--config", "c.ini", "--jobs", "2"],
-        ["effdim", "--config", "c.ini", "--jobs", "2"],
-        ["enum", "--n", "2", "--m", "2", "--jobs", "2"],
-        ["bound", "--jobs", "2"],
-        ["globality", "--postfn", "msb", "--n", "2", "--m", "2", "--seed", "1"],
-    ],
-    ids=["fim", "effdim", "enum", "bound", "globality"],
-)
-def test_options_that_did_nothing_are_gone(argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-
-
-def test_effdim_is_gone_because_fim_writes_it(tmp_path, capsys):
-    config = tmp_path / "fim.ini"
-    config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2))
-    out_dir = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["effdim", "--config", str(config), "--out-dir", str(out_dir)])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "invalid choice: 'effdim'" in err
-    assert not out_dir.exists()
 
 
 def test_fim_samples_once_and_writes_spectrum_aggregate_and_effdim(tmp_path, capsys, monkeypatch):
@@ -503,64 +475,244 @@ def test_train_jobs_workers_run_blas_on_one_thread(tmp_path, monkeypatch, preset
     assert seen == [(2, "spawn", expected)]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["train", "--config", "c.ini", "--seed", "-2"],
-        ["fim", "--config", "c.ini", "--seed", "-1"],
-        ["enum", "--n", "2", "--m", "2", "--seed", "-1"],
-    ],
-    ids=["train", "fim", "enum"],
-)
-def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, argv):
-    out_dir = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--out-dir", str(out_dir)])
-    assert exc.value.code == 2
-    assert "argument --seed: must be >= 0" in capsys.readouterr().err
-    assert not out_dir.exists()
+class Refusal(NamedTuple):
+    """A usage error: the command, the stderr line it ends with, the
+    input ``files`` it reads, and ``early`` when it must be refused
+    before any decoding is built."""
+
+    argv: str
+    stderr: str
+    files: dict = {}
+    early: bool = False
 
 
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["globality", "--postfn", "global", "--n", "-1", "--m", "2"], "--n: must be >= 1, got -1"),
-        (["globality", "--postfn", "global", "--n", "3", "--m", "1"], "--m: must be >= 2, got 1"),
-        (["decode", "--postfn", "msb", "--n", "0", "--m", "2", "--bits", "0"], "--n: must be >= 1, got 0"),
-        (["enum", "--n", "2", "--m", "0"], "--m: must be >= 2, got 0"),
-        (["enum", "--n", "x", "--m", "2"], "--n: expected an integer, got 'x'"),
-        (
-            ["enum", "--n", "2", "--m", "2", "--mode", "sampled", "--samples", "-5"],
-            "--samples: must be >= 1, got -5",
+def _refused(row, tmp_path, monkeypatch, capsys) -> None:
+    """Exit 2, nothing on stdout, the one stated error line, no file made."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in row.files.items():
+        (tmp_path / name).write_text(text)
+    if row.early:
+
+        def refuse(*args):
+            raise AssertionError("the command built a decoding before checking its flags")
+
+        monkeypatch.setattr(config, "build_postfn", refuse)
+    assert cli.main(row.argv.split()) == 2
+    out, err = capsys.readouterr()
+    usage, _, line = err.rstrip("\n").rpartition("\n")
+    # argparse prints its usage first, and lists choices in a form that
+    # varies between Python versions.
+    assert (out, re.sub(r" \(choose from .*\)$", "", line)) == ("", row.stderr)
+    assert usage.startswith("usage: qpglab") if line.startswith("qpglab") else usage == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(row.files)
+
+
+def _refusal_test(rows):
+    """The test of ``rows`` by :func:`_refused`; a lone row ``None`` is
+    unparametrized."""
+    if None in rows:
+
+        def test(tmp_path, monkeypatch, capsys):
+            _refused(rows[None], tmp_path, monkeypatch, capsys)
+
+        return test
+
+    @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+    def test(row, tmp_path, monkeypatch, capsys):
+        _refused(row, tmp_path, monkeypatch, capsys)
+
+    return test
+
+
+TRAIN = {"c.ini": BANDIT_CONFIG.format(kind="measurement", actions=2)}
+SOFTMAX = {"c.ini": BANDIT_CONFIG.format(kind="softmax", actions=4)}
+UNRECOGNIZED = "qpglab: error: unrecognized arguments:"
+NO_EFFDIM = "qpglab: error: argument command: invalid choice: 'effdim'"
+TABLE = "globality --postfn table:t.txt --n {} --m 2"
+BITS = "config error: --bits: bitstring '{}' is not a 4-bit binary string"
+POSTFN = [
+    ("unknown", "bogus --n 4 --m 2", "unknown postfn spec 'bogus'"),
+    (
+        "parity-not-an-integer",
+        "parity:x --n 4 --m 2",
+        "parity:<q> needs an integer q, got 'parity:x'",
+    ),
+    ("parity-too-long", "parity:9 --n 4 --m 2", "prefix length q=9 must be in [1, 4]"),
+    ("global-actions", "global --n 4 --m 3", "num_actions must be a power of two >= 2"),
+    ("msb-actions", "msb --n 4 --m 4", "msb provides 2 actions, not 4"),
+    ("parity-actions", "parity:2 --n 4 --m 4", "parity:2 provides 2 actions, not 4"),
+]
+INTEGER_FLAGS = [
+    ("globality-n", "globality --postfn global --n -1 --m 2", "--n: must be >= 1, got -1"),
+    ("globality-m", "globality --postfn global --n 3 --m 1", "--m: must be >= 2, got 1"),
+    ("decode-n", "decode --postfn msb --n 0 --m 2 --bits 0", "--n: must be >= 1, got 0"),
+    ("enum-m", "enum --n 2 --m 0 --out-dir o", "--m: must be >= 2, got 0"),
+    ("enum-n-word", "enum --n x --m 2 --out-dir o", "--n: expected an integer, got 'x'"),
+    (
+        "enum-samples",
+        "enum --n 2 --m 2 --mode sampled --samples -5 --out-dir o",
+        "--samples: must be >= 1, got -5",
+    ),
+    ("bound-m", "bound --m 1", "--m: must be >= 2, got 1"),
+]
+# Each test name, then one row per usage error, by id.
+REFUSALS = {
+    "test_bound_for_an_odd_action_count_is_a_usage_error": {
+        None: Refusal(
+            "bound --m 5",
+            "config error: --m: bound implemented for even action counts; the odd case requires "
+            "adapting the weight-ordering count",
         ),
-        (["bound", "--m", "1"], "--m: must be >= 2, got 1"),
-    ],
-    ids=[
-        "globality-n", "globality-m", "decode-n", "enum-m", "enum-n-word", "enum-samples", "bound-m"
-    ],
-)
-def test_integer_flags_below_their_floor_are_usage_errors(tmp_path, capsys, argv, message):
-    out_dir = tmp_path / "out"
-    if argv[0] == "enum":
-        argv = argv + ["--out-dir", str(out_dir)]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert f"argument {message}" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize(
-    "jobs,message",
-    [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"), ("two", "expected an integer")],
-    ids=["zero", "negative", "word"],
-)
-def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs, message):
-    config = tmp_path / "train.ini"
-    config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2))
-    out_dir = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["train", "--config", str(config), "--out-dir", str(out_dir), "--jobs", jobs])
-    assert exc.value.code == 2
-    assert f"argument --jobs: {message}" in capsys.readouterr().err
-    assert not out_dir.exists()
+    },
+    # The bound takes only --m; ``train`` writes the bound report of a config.
+    "test_bare_bound_refuses_the_experiment_flags": {
+        "--seed-3": Refusal("bound --m 6 --seed 3", f"{UNRECOGNIZED} --seed 3"),
+        "--out-dir-bare-out": Refusal(
+            "bound --m 6 --out-dir bare-out", f"{UNRECOGNIZED} --out-dir bare-out"
+        ),
+        "--config": Refusal(
+            "bound --config c.ini --out-dir o",
+            f"{UNRECOGNIZED} --config c.ini --out-dir o",
+            SOFTMAX,
+        ),
+    },
+    "test_bound_takes_m_or_a_config_not_both": {
+        "m-first": Refusal("bound --m 6 --config c.ini", f"{UNRECOGNIZED} --config c.ini", SOFTMAX),
+        "config-first": Refusal(
+            "bound --config c.ini --m 6", f"{UNRECOGNIZED} --config c.ini", SOFTMAX
+        ),
+    },
+    "test_config_errors_exit_two": {
+        "unknown-section": Refusal(
+            "fim --config c.ini --out-dir o",
+            "config error: unknown section [extras]",
+            {"c.ini": TRAIN["c.ini"].replace("[model]", "[extras]\nkey = 1\n\n[model]")},
+        ),
+        "unknown-key": Refusal(
+            "fim --config c.ini --out-dir o",
+            "config error: [model] unknown key 'depth_typo'",
+            {"c.ini": TRAIN["c.ini"].replace("depth = 1", "depth = 1\ndepth_typo = 2")},
+        ),
+        # A Born policy has no shot count.
+        "born-shots": Refusal(
+            "train --config c.ini --out-dir o",
+            "config error: [policy] unknown key 'shots'",
+            {"c.ini": BORN_BANDIT + "shots = 100\n"},
+        ),
+        # Constructor checks run on load.
+        "cartpole-bounds": Refusal(
+            "train --config c.ini --out-dir o",
+            "config error: [env] bounds must be positive",
+            {"c.ini": "[env]\ntype = cartpole\nbounds = 0, 1, 1, 1\n[model]\nn_qubits = 4\n"},
+        ),
+    },
+    "test_ei_dump_above_eight_qubits_is_a_usage_error": {
+        None: Refusal(
+            "globality --postfn global --n 9 --m 2 --ei-dump",
+            "config error: --ei-dump is limited to 8 qubits",
+            early=True,
+        ),
+    },
+    "test_enum_checks_its_request_before_the_output_directory": {
+        "qubits": Refusal(
+            "enum --n 17 --m 2 --mode sampled --out-dir o",
+            "config error: histograms is limited to 16 qubits",
+        ),
+        "divisor": Refusal(
+            "enum --n 3 --m 3 --out-dir o",
+            "config error: num_actions must be >= 2 and divide 2**n_qubits",
+        ),
+        "census": Refusal(
+            "enum --n 5 --m 2 --out-dir o",
+            "config error: 300540195 partitionings exceed the exhaustive limit 10000000; "
+            "use sampled mode",
+        ),
+    },
+    "test_table_with_the_wrong_qubit_count_fails": {
+        None: Refusal(
+            TABLE.format(4),
+            "config error: --postfn: table has 2 qubits, expected 4",
+            {"t.txt": "00,0\n01,0\n10,1\n11,1\n"},
+        ),
+    },
+    "test_a_postfn_that_names_no_decoding_is_a_usage_error": {
+        f"{command}-{key}": Refusal(
+            f"{command} --postfn {argv}" + " --bits 1100" * (command == "decode"),
+            f"config error: --postfn: {message}",
+        )
+        for key, argv, message in POSTFN
+        for command in ("globality", "decode")
+    },
+    "test_a_missing_table_file_is_a_usage_error": {
+        None: Refusal(
+            TABLE.format(2), "config error: --postfn: cannot read t.txt: No such file or directory"
+        ),
+    },
+    # Each message names the file and line.
+    "test_a_malformed_table_file_is_a_usage_error": {
+        key: Refusal(TABLE.format(2), f"config error: --postfn: t.txt:{message}", {"t.txt": text})
+        for key, text, message in [
+            ("action-not-an-integer", "00,0\n01,x\n", "2: action 'x' is not an integer"),
+            ("bits-too-long", "00,0\n011,1\n", "2: bitstring '011' is not a 2-bit binary string"),
+            ("empty-bits", ",0\n", "1: empty bitstring"),
+        ]
+    },
+    "test_decode_requests_are_checked_before_the_table_is_built": {
+        "globality-qubits": Refusal(
+            "globality --postfn global --n 17 --m 2",
+            "config error: globality is limited to 16 qubits",
+            early=True,
+        ),
+        "decode-qubits": Refusal(
+            "decode --postfn global --n 21 --m 2 --bits " + "1" * 21,
+            "config error: decode is limited to 20 qubits",
+            early=True,
+        ),
+        "bits-not-binary": Refusal(
+            "decode --postfn global --n 4 --m 4 --bits 01x1", BITS.format("01x1"), early=True
+        ),
+        "bits-too-short": Refusal(
+            "decode --postfn global --n 4 --m 4 --bits 011", BITS.format("011"), early=True
+        ),
+    },
+    "test_options_that_did_nothing_are_gone": {
+        "fim": Refusal("fim --config c.ini --jobs 2", f"{UNRECOGNIZED} --jobs 2"),
+        "effdim": Refusal("effdim --config c.ini --jobs 2", NO_EFFDIM),
+        "enum": Refusal("enum --n 2 --m 2 --jobs 2", f"{UNRECOGNIZED} --jobs 2"),
+        "bound": Refusal("bound --jobs 2", f"{UNRECOGNIZED} --jobs 2"),
+        "globality": Refusal(
+            "globality --postfn msb --n 2 --m 2 --seed 1", f"{UNRECOGNIZED} --seed 1"
+        ),
+    },
+    # fim writes the effective dimension.
+    "test_effdim_is_gone_because_fim_writes_it": {
+        None: Refusal("effdim --config c.ini --out-dir o", NO_EFFDIM, TRAIN),
+    },
+    "test_negative_seed_flag_is_a_usage_error": {
+        argv.split()[0]: Refusal(
+            f"{argv} --seed {seed} --out-dir o",
+            f"qpglab {argv.split()[0]}: error: argument --seed: must be >= 0, got {seed}",
+        )
+        for argv, seed in [
+            ("train --config c.ini", -2), ("fim --config c.ini", -1), ("enum --n 2 --m 2", -1)
+        ]
+    },
+    "test_integer_flags_below_their_floor_are_usage_errors": {
+        key: Refusal(argv, f"qpglab {argv.split()[0]}: error: argument {message}")
+        for key, argv, message in INTEGER_FLAGS
+    },
+    "test_jobs_below_one_is_a_usage_error": {
+        key: Refusal(
+            f"train --config c.ini --out-dir o --jobs {jobs}",
+            f"qpglab train: error: argument --jobs: {message}",
+            TRAIN,
+        )
+        for key, jobs, message in [
+            ("zero", "0", "must be >= 1, got 0"),
+            ("negative", "-3", "must be >= 1, got -3"),
+            ("word", "two", "expected an integer, got 'two'"),
+        ]
+    },
+}
+# Each group keeps the name of the test that it replaced.
+globals().update({name: _refusal_test(rows) for name, rows in REFUSALS.items()})

@@ -340,6 +340,7 @@ def test_batch_action_probs_rows_equal_single_state_calls():
         batch = policy.batch_action_probs(pol, feats, params)
         single = np.array([state_action_probs(pol, f, params) for f in feats])
         assert (batch == single).all()
+        assert policy.batch_action_probs(pol, feats[:0], params).shape == (0, 4)
 
 
 def _random_amps(n, steps, rng):

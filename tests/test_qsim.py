@@ -245,6 +245,7 @@ def test_batched_probabilities_check_every_row_alone():
     batch = qsim.probabilities(amps)
     for row, single in zip(batch, amps):
         assert row.tobytes() == qsim.probabilities(single).tobytes()
+    assert qsim.probabilities(amps[:0]).shape == (0, 8)
     amps[3] *= 1.001
     with pytest.raises(qsim.NormDriftError, match="at row 3"):
         qsim.probabilities(amps)
