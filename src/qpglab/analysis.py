@@ -18,12 +18,13 @@ agnostic), combined with parameter sets drawn uniformly from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from . import ansatz, envs, policy as policy_mod
+from . import ansatz, envs, policy as policy_mod, qsim
 from .policy import Policy
 
 PSD_TOLERANCE = 1e-10
@@ -49,6 +50,16 @@ def uniform_angle_state_sampler(dim: int):
     return sample
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(dim)``, built once per dimension: every packing
+    and rebuild of a :class:`FimSamples` block reads them."""
+    rows, cols = np.triu_indices(dim)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 class FimSamples:
     """FIM estimates over sampled parameter sets, trace-normalised.
 
@@ -61,18 +72,25 @@ class FimSamples:
     :attr:`aggregate` is the mean of the rebuilt block over its sets, so
     it is symmetric bit for bit too (a mean of the packed rows rounds
     differently).  The normalisation constant makes the Monte Carlo mean
-    of the trace equal P exactly.
+    of the trace equal P exactly.  :attr:`raw_traces` (sets,) are the
+    traces before that normalisation, the scale it divides out; a block
+    given without them is taken as its own raw block.
     """
 
-    def __init__(self, per_set: np.ndarray):
+    def __init__(self, per_set: np.ndarray, raw_traces=None):
         per_set = np.asarray(per_set, dtype=float)
         if per_set.ndim != 3 or per_set.shape[1] != per_set.shape[2]:
             raise ValueError(f"need a (sets, P, P) block, got shape {per_set.shape}")
         bits = per_set.view(np.uint64)
         if not (bits == bits.transpose(0, 2, 1)).all():
             raise ValueError("FIM block is not symmetric bit for bit")
-        rows, cols = np.triu_indices(per_set.shape[1])
+        rows, cols = _upper_indices(per_set.shape[1])
         self.upper = per_set[:, rows, cols]
+        if raw_traces is None:
+            raw_traces = np.trace(per_set, axis1=1, axis2=2)
+        self.raw_traces = np.asarray(raw_traces, dtype=float)
+        if self.raw_traces.shape != (len(per_set),):
+            raise ValueError(f"need one raw trace per set, got shape {self.raw_traces.shape}")
 
     @property
     def dim(self) -> int:
@@ -80,7 +98,7 @@ class FimSamples:
 
     @property
     def per_set(self) -> np.ndarray:
-        rows, cols = np.triu_indices(self.dim)
+        rows, cols = _upper_indices(self.dim)
         full = np.empty((len(self.upper), self.dim, self.dim))
         full[:, rows, cols] = self.upper
         full[:, cols, rows] = self.upper
@@ -89,6 +107,13 @@ class FimSamples:
     @property
     def aggregate(self) -> np.ndarray:
         return self.per_set.mean(axis=0)
+
+
+# Amplitudes one stacked circuit call of :func:`sample_fims` may hold: a
+# chunk takes as many parameter sets as fit, rows x 2**n <= this, and at
+# least one.  At n = 4 and 100 states that is 40 sets a call; from 100
+# states at n >= 10, one.
+FIM_CHUNK_AMPLITUDES = 1 << 16
 
 
 def sample_fims(
@@ -101,44 +126,75 @@ def sample_fims(
     """FIM estimates at ``num_param_sets`` random parameter sets.
 
     Each set is a trainable vector (angles, scales, any action weights)
-    drawn uniformly from [-pi, pi), and is bound once.  One batch of
-    ``num_states`` states, drawn by one ``state_sampler(rng, num_states)``
-    call, is shared across all sets.  Each set takes one circuit call
-    over all the states and one ``rng.random(num_states)`` call, which
-    draws one action per state from the policy's exact distribution, in
-    state order; the exact log-gradient outer products of those final
-    amplitudes are averaged.  Every row is bit-identical to the state
-    run alone, so the result equals one circuit call and one draw per
-    state.
+    drawn uniformly from [-pi, pi).  One batch of ``num_states`` states,
+    drawn by one ``state_sampler(rng, num_states)`` call, is shared
+    across all sets.  Each set then takes one ``rng.random(num_states)``
+    call, right after its own parameter draw, which draws one action per
+    state from the policy's exact distribution at that set, in state
+    order; the exact log-gradient outer products of those final
+    amplitudes are averaged.
+
+    The sets run in chunks of as many as fit :data:`FIM_CHUNK_AMPLITUDES`.
+    A chunk is bound once as a stack of sets (:func:`qpglab.ansatz.bind`)
+    and takes one circuit call, one reduction and one adjoint sweep over
+    all its sets' rows, each row reading its set through a row-to-set
+    index.  Every row is bit-identical to the state run alone under its
+    set, and each set's gradients to the call on that set alone, so the
+    result equals one circuit call and one draw per state, and the
+    generator is consumed exactly as by one set at a time.
     """
     if num_param_sets < 1:
         raise ValueError(f"num_param_sets must be at least 1, got {num_param_sets}")
     if num_states < 1:
         raise ValueError(f"num_states must be at least 1, got {num_states}")
     dim = policy_mod.num_trainables(policy)
+    n_theta, n_lam = ansatz.param_counts(policy.model)
+    softmax = isinstance(policy, policy_mod.SoftmaxObservablePolicy)
     feats = state_sampler(rng, num_states)
+    chunk = max(1, FIM_CHUNK_AMPLITUDES // (num_states << policy.model.n_qubits))
     # One block for every matrix, normalised in place.
     per_set = np.empty((num_param_sets, dim, dim))
-    for matrix in per_set:
-        flat = rng.uniform(-np.pi, np.pi, size=dim)
-        params_j, policy_j = policy_mod.apply_flat(policy, flat)
-        amps = ansatz.run_bound(ansatz.bind(policy_j.model, params_j), feats)
-        reduced = policy_mod._reduce(policy_j, amps)
-        actions = policy_mod._sample_rows(reduced[1], rng.random(num_states))
-        grads = policy_mod.trajectory_log_grads(policy_j, feats, actions, params_j, amps, reduced)
-        fim = grads.T @ grads / num_states
-        np.add(fim, fim.T, out=matrix)
-        matrix /= 2.0
-    mean_trace = float(np.mean(np.trace(per_set, axis1=1, axis2=2)))
+    for first in range(0, num_param_sets, chunk):
+        count = min(chunk, num_param_sets - first)
+        flats = np.empty((count, dim))
+        draws = np.empty((count, num_states))
+        for flat, draw in zip(flats, draws):
+            flat[:] = rng.uniform(-np.pi, np.pi, size=dim)
+            draw[:] = rng.random(num_states)
+        params = ansatz.ParamSet(flats[:, :n_theta], flats[:, n_theta : n_theta + n_lam])
+        weights = flats[:, n_theta + n_lam :] if softmax else None
+        sets = np.repeat(np.arange(count), num_states)
+        rows = np.tile(feats, (count, 1))
+        amps = ansatz.run_bound(ansatz.bind(policy.model, params), rows, sets=sets)
+        try:
+            reduced = policy_mod._reduce(policy, amps, sets=sets, weights=weights)
+        except qsim.NormDriftError as error:
+            j, state = divmod(error.row, num_states)
+            raise qsim.NormDriftError(
+                f"state norm squared off by {error.drift:.3e} at parameter set {first + j}, "
+                f"state {state}"
+            ) from None
+        actions = policy_mod._sample_rows(reduced[1], draws.ravel())
+        grads = policy_mod.trajectory_log_grads(
+            policy, rows, actions, params, amps, reduced, sets=sets, weights=weights
+        )
+        for j, matrix in enumerate(per_set[first : first + count]):
+            block = grads[j * num_states : (j + 1) * num_states]
+            fim = block.T @ block / num_states
+            np.add(fim, fim.T, out=matrix)
+            matrix /= 2.0
+    raw_traces = np.trace(per_set, axis1=1, axis2=2)
+    mean_trace = float(np.mean(raw_traces))
     # NaN fails this test too.
     if not mean_trace > 0.0:
         raise ValueError(f"singular normalisation: average FIM trace is {mean_trace!r}")
     per_set *= dim / mean_trace
-    return FimSamples(per_set)
+    return FimSamples(per_set, raw_traces)
 
 
-@dataclass
-class SpectrumStats:
+# NamedTuples, not dataclasses: their classes are built in a fraction of
+# the time, which every import pays.
+class SpectrumStats(NamedTuple):
     """Eigenvalue summary of one (normalised) FIM."""
 
     eigenvalues: np.ndarray
@@ -167,13 +223,19 @@ def spectrum_stats(matrix: np.ndarray, near_zero: float = NEAR_ZERO_THRESHOLD) -
     return SpectrumStats(eigs, frac, buckets)
 
 
-@dataclass
-class EffDimReport:
+class EffDimReport(NamedTuple):
     """Effective dimension per data size, raw and divided by the FIM dimension."""
 
     data_sizes: list
     values: list
     normalized: list
+
+
+# Matrix entries one stacked Cholesky of :func:`effective_dimension` may
+# hold: a chunk takes as many data sizes as fit, sizes x sets x P**2 <=
+# this, and at least one.  The benchmark's 4 sizes x 2 sets at P = 56 are
+# one call; 100 sets at P = 88 take one size a call.
+CHOLESKY_CHUNK_ENTRIES = 1 << 16
 
 
 def effective_dimension(fims: FimSamples, data_sizes) -> EffDimReport:
@@ -183,20 +245,27 @@ def effective_dimension(fims: FimSamples, data_sizes) -> EffDimReport:
     ``2 * ln(mean_j sqrt(det(I + kappa F_j))) / ln(kappa)`` with the
     determinants evaluated in the log domain (Cholesky) and combined by
     log-sum-exp.  Requires kappa > 1 so the denominator is positive.
+    The data sizes are factored in chunks of as many as fit
+    :data:`CHOLESKY_CHUNK_ENTRIES`, each chunk's sets in one stacked
+    Cholesky.
     """
     per_set = fims.per_set
     dim = fims.dim
-    eye = np.eye(dim)
+    kappas = [data_size_kappa(n) for n in data_sizes]
+    chunk = max(1, CHOLESKY_CHUNK_ENTRIES // per_set.size)
+    # One Cholesky factor per data size and set; 0.5 * logdet is the sum
+    # of the logs of its diagonal.
+    half_logdets = []
+    for first in range(0, len(kappas), chunk):
+        stack = np.multiply.outer(kappas[first : first + chunk], per_set)
+        stack += np.eye(dim)
+        chol = np.linalg.cholesky(stack)
+        half_logdets.extend(np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1))
     values: list[float] = []
     normalized: list[float] = []
-    for n in data_sizes:
-        kappa = data_size_kappa(n)
-        # One stacked Cholesky factor per set; 0.5 * logdet is the sum of
-        # the logs of its diagonal.
-        chol = np.linalg.cholesky(eye + kappa * per_set)
-        half_logdets = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        peak = half_logdets.max()
-        log_mean = peak + math.log(np.mean(np.exp(half_logdets - peak)))
+    for kappa, logs in zip(kappas, half_logdets):
+        peak = logs.max()
+        log_mean = peak + math.log(np.mean(np.exp(logs - peak)))
         ed = 2.0 * log_mean / math.log(kappa)
         values.append(float(ed))
         normalized.append(float(ed) / dim)

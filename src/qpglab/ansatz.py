@@ -27,9 +27,13 @@ diagonal, so it is applied as one precomputed sign vector; a CX layer
 permutes basis states, so it is applied as one precomputed index
 permutation.
 
-The forward pass evaluates one parameter set at many feature rows:
-:func:`bind` prepares the set once and :func:`run_bound` evolves feature
-rows under it.  On each wire no entangler separates an encoding
+The forward pass evaluates parameter sets at many feature rows:
+:func:`bind` prepares a stack of R sets once (one set is a stack of
+one) and :func:`run_bound` evolves feature rows under it, each row
+under the set that a row-to-set index names.  Every per-row table reads
+its row's set from the stack, so a row is bit-identical to the same
+row run under its set alone, however the sets are stacked and the rows
+ordered.  On each wire no entangler separates an encoding
 block E_l from the variational block V_l after it, so the forward pass
 applies the two as one gate, V_l E_l = Ry(theta') Rz(theta + lam' s)
 Ry(lam s), with the two Rz angles summed; layer 0 is V_0 alone.  Gates
@@ -43,10 +47,12 @@ Kronecker product of column 0 of each V_0 gate.  :func:`bind` builds it
 once in closed form, with the same entries, products and contractions
 that running layer 0 on one row would make, together with the theta
 half angles and the scale-factor terms of layers 1..d, and
-:func:`run_bound` starts every row of a call from it and runs layers
-1..d over all the rows at once.
+:func:`run_bound` starts every row from its set's register and runs
+layers 1..d over all the rows at once.
 One vectorised call computes the factors of every layer of every row,
-with one cos and one sin call over all their half angles.
+with one cos and one sin call over all their half angles, laid out
+with the rows innermost so that each Kronecker product of a pair runs
+over contiguous rows.
 Then each factor is one batched contraction that reads one of two
 register buffers and writes the other.  Each factor entry is the same
 elementwise cos/sin and product, and each contraction the same per-row
@@ -57,7 +63,11 @@ Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): starting
 from final amplitudes the caller already holds, one backward sweep
 carries the state and the observable-weighted state back through the
-circuit a whole rotation layer at a time.  Each Rz layer is one phase
+circuit a whole rotation layer at a time, over the same stack of sets
+and row-to-set index as the forward pass.  BLAS rounds a row of a
+matrix product by its place in the call, so the sweep's products run
+one set's rows at a time and each set's gradients equal the call on
+that set alone.  Each Rz layer is one phase
 multiply; each Ry layer is one phase multiply in the eigenbasis of Y,
 reached by a change of basis shared by all qubits.  Every derivative
 of a layer is one product with a table of Z signs.  A scale factor
@@ -143,12 +153,34 @@ def init_params(
     return ParamSet(theta, lam)
 
 
-def _validate_params(config: ModelConfig, params: ParamSet) -> None:
+def _validate_params(config: ModelConfig, params: ParamSet) -> int:
+    """Check one parameter set, or a stack (R, ...) of them; return R (1 for one set)."""
     n_theta, n_lam = param_counts(config)
-    if params.theta.shape != (n_theta,):
-        raise ValueError(f"theta must have {n_theta} entries, got {params.theta.shape}")
-    if params.lam.shape != (n_lam,):
-        raise ValueError(f"lam must have {n_lam} entries, got {params.lam.shape}")
+    theta, lam = params.theta, params.lam
+    if theta.ndim not in (1, 2) or theta.shape[-1] != n_theta or not theta.size:
+        raise ValueError(f"theta must have {n_theta} entries, got {theta.shape}")
+    if lam.shape != theta.shape[:-1] + (n_lam,):
+        raise ValueError(f"lam must have {n_lam} entries, got {lam.shape}")
+    return len(theta) if theta.ndim == 2 else 1
+
+
+def _row_sets(num_sets: int, sets, rows: int):
+    """Index of each row's set into a stack of ``num_sets`` sets.
+
+    ``sets`` is the (rows,) row-to-set index, in any order, or None for
+    a single set.  A single set is read through ``slice(None)``, so its
+    (1, ...) tables broadcast over the rows as they are.
+    """
+    if sets is None:
+        if num_sets != 1:
+            raise ValueError(f"a stack of {num_sets} sets needs a row-to-set index")
+        return slice(None)
+    sets = np.asarray(sets)
+    if sets.shape != (rows,) or sets.dtype.kind not in "iu":
+        raise ValueError(f"need one integer set index per row: {sets.shape} for {rows} rows")
+    if rows and not (sets.min() >= 0 and sets.max() < num_sets):
+        raise ValueError(f"set indices must lie in [0, {num_sets})")
+    return slice(None) if num_sets == 1 else sets
 
 
 def _validate_features(config: ModelConfig, features: np.ndarray) -> None:
@@ -208,7 +240,7 @@ _HALF_ENCODED = np.array([0.5, 0.5, -0.5])
 # The gate entries u00, u01, u10 and u11: the f of each (cos, sin, sin,
 # cos) and the signs of its (re, im).
 _ENTRY_TERMS = np.array([0, 1, 1, 0])
-_ENTRY_SIGNS = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])[..., None]
+_ENTRY_SIGNS = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])[..., None, None, None]
 
 
 def _gate_table(half: np.ndarray) -> list[np.ndarray]:
@@ -233,22 +265,24 @@ def _gate_table(half: np.ndarray) -> list[np.ndarray]:
     trig = np.empty((2,) + half.shape)
     np.cos(half, out=trig[0])
     np.sin(half, out=trig[1])
-    trig = trig.reshape(2, 3, layers * n * batch)
     # Each entry's (re, im) is +-(f((a+c)/2) cos(b/2), f((a-c)/2) sin(b/2)),
     # with f = cos for u00 and u11 and f = sin for u01 and u10, written
-    # straight into the gates' (entry, re/im, gate) view.
+    # straight into the gates' (entry, re/im, layer, qubit, row) view.
+    # The gates are laid out (layer, qubit, i, j, row), rows innermost,
+    # so each Kronecker product below runs over contiguous rows.
     products = trig[:, 1:] * trig[:, 0]
-    gates = np.empty((layers, n, batch, 2, 2), dtype=np.complex128)
-    entries = gates.view(np.float64).reshape(-1, 4, 2).transpose(1, 2, 0)
+    gates = np.empty((layers, n, 2, 2, batch), dtype=np.complex128)
+    entries = gates.view(np.float64).reshape(layers, n, 4, batch, 2).transpose(2, 4, 0, 1, 3)
     np.multiply(products[_ENTRY_TERMS], _ENTRY_SIGNS, out=entries)
     # Kronecker products of the pairs, axes (i1, i0, j1, j0) of the
     # entries high[i1, j1] * low[i0, j0].
     low, high = gates[:, 0 : n - 1 : 2], gates[:, 1::2]
-    pairs = high[..., :, None, :, None] * low[..., None, :, None, :]
-    factors = list(pairs.reshape(layers * (n // 2), batch, 4, 4))
+    pairs = high[:, :, :, None, :, None] * low[:, :, None, :, None, :]
+    # The factors handed on are (row, i, j) views.
+    factors = list(pairs.reshape(layers * (n // 2), 4, 4, batch).transpose(0, 3, 1, 2))
     if n % 2:
         # The top qubit's gate closes each layer.
-        for layer, top in enumerate(gates[:, n - 1]):
+        for layer, top in enumerate(gates[:, n - 1].transpose(0, 3, 1, 2)):
             factors.insert(layer * (n + 1) // 2 + n // 2, top)
     return factors
 
@@ -270,12 +304,13 @@ def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
 # A NamedTuple, not a dataclass: it is as immutable, and its class is
 # built in a fraction of the time, which every import pays.
 class BoundParams(NamedTuple):
-    """One parameter set bound to a circuit shape by :func:`bind`.
+    """A stack of R parameter sets bound to a circuit shape by :func:`bind`.
 
     ``theta_half`` holds the theta half angles of layers 1..d as
-    (term, layer, qubit, 1); ``lam_terms`` the scale factors read as
-    the encoded terms, (layer, qubit, term); ``start`` the register
-    (2**n,) after V_0 and its entangler, the same for every feature row.
+    (term, layer, qubit, set); ``lam_terms`` the scale factors read as
+    the encoded terms, (set, layer, qubit, term); ``start`` each set's
+    register (R, 2**n) after V_0 and its entangler, the same for every
+    feature row of that set.
     """
 
     config: ModelConfig
@@ -287,72 +322,81 @@ class BoundParams(NamedTuple):
 def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
     """Validate ``params`` and evaluate their feature-free part once.
 
-    V_0 acts on |0...0> with no feature, so the register after it is
-    the product of column 0 of each of its gates, built here in closed
-    form, and :func:`run_bound` runs layers 1..d only.
+    ``params`` is one set, with flat ``theta`` and ``lam``, or a stack of
+    R sets, with ``theta`` (R, |theta|) and ``lam`` (R, |lam|); one set
+    binds as a stack of one.  V_0 acts on |0...0> with no feature, so
+    the register after it is the product of column 0 of each of its
+    gates, built here in closed form, and :func:`run_bound` runs layers
+    1..d only.
     """
     n, d = config.n_qubits, config.depth
-    _validate_params(config, params)
-    half = params.theta.reshape(d + 1, n, 2, 1).transpose(2, 0, 1, 3)[[0, 1, 1]]
+    sets = _validate_params(config, params)
+    half = params.theta.reshape(sets, d + 1, n, 2).transpose(3, 1, 2, 0)[[0, 1, 1]]
     half *= 0.5
-    start = _start_register(config, half[:2, 0, :, 0])
-    lam_terms = params.lam.reshape(d, n, 2)[..., [1, 0, 0]]
+    start = _start_register(config, half[:2, 0])
+    lam_terms = params.lam.reshape(sets, d, n, 2)[..., [1, 0, 0]]
     for array in (half, lam_terms, start):
         array.setflags(write=False)
     return BoundParams(config, half[:, 1:], lam_terms, start)
 
 
 def _start_register(config: ModelConfig, half: np.ndarray) -> np.ndarray:
-    """The register (2**n,) after V_0 and its entangler, from |0...0>.
+    """Each set's register (R, 2**n) after V_0 and its entangler, from |0...0>.
 
-    ``half`` holds layer 0's half angles (b/2, a/2) as (term, qubit).
+    ``half`` holds layer 0's half angles (b/2, a/2) as (term, qubit, set).
     The register is the Kronecker product of column 0, (u00, u10), of
     each gate, computed as one row of :func:`_run_pass` computes it: the
     entries are :func:`_gate_table`'s with c = 0, a pair's column is one
     multiply, as in its factor, and the pairs and the odd top qubit are
     combined lowest first by einsum, which rounds as the contractions do.
     """
-    n = config.n_qubits
+    n, sets = config.n_qubits, half.shape[-1]
     trig = np.empty((2,) + half.shape)
     np.cos(half, out=trig[0])
     np.sin(half, out=trig[1])
-    # Column 0 of each gate, (qubit, row), is (f(a/2) cos(b/2),
+    # Column 0 of each gate, (qubit, set, row), is (f(a/2) cos(b/2),
     # -f(a/2) sin(b/2)), f = cos in row 0 and sin in row 1, written
-    # straight into its (qubit, row, re/im) view.
-    columns = np.empty((n, 2), dtype=np.complex128)
-    entries = columns.view(np.float64).reshape(n, 2, 2)
-    np.multiply(trig[:, 1].T[:, :, None], trig[:, 0].T[:, None, :], out=entries)
+    # straight into its (qubit, set, row, re/im) view.
+    columns = np.empty((n, sets, 2), dtype=np.complex128)
+    entries = columns.view(np.float64).reshape(n, sets, 2, 2)
+    f_terms, b_terms = trig[:, 1].transpose(1, 2, 0), trig[:, 0].transpose(1, 2, 0)
+    np.multiply(f_terms[:, :, :, None], b_terms[:, :, None], out=entries)
     entries[..., 1] *= -1.0
     low, high = columns[0 : n - 1 : 2], columns[1::2]
-    pieces = list((high[:, :, None] * low[:, None, :]).reshape(n // 2, 4))
+    pieces = list((high[:, :, :, None] * low[:, :, None, :]).reshape(n // 2, sets, 4))
     if n % 2:
         pieces.append(columns[n - 1])
     # A sum from zero turns a -0.0 into +0.0, so the first piece gets
     # one, as its contraction with |0...0> gave it.
     start = pieces[0] + 0.0
     for piece in pieces[1:]:
-        start = np.einsum("i,k->ik", piece, start).reshape(-1)
+        start = np.einsum("ri,rk->rik", piece, start).reshape(sets, -1)
     _apply_entangler(start, config)
     return start
 
 
-def run_bound(bound: BoundParams, features) -> np.ndarray:
-    """Final amplitudes (T, 2**n) of a bound parameter set at ``T`` feature rows.
+def run_bound(bound: BoundParams, features, *, sets=None) -> np.ndarray:
+    """Final amplitudes (T, 2**n) of bound parameter sets at ``T`` feature rows.
 
-    Runs layers 1..d from ``bound.start`` in one pass over all rows.
-    Row ``t`` equals the call on ``features[t:t+1]`` alone, bit for bit.
+    Row ``t`` runs under set ``sets[t]`` of the bound stack; ``sets`` is
+    the (T,) row-to-set index, in any order, and may be None when one
+    set is bound.  Runs layers 1..d from each row's ``bound.start`` in
+    one pass over all rows.  Row ``t`` equals the call on
+    ``features[t:t+1]`` under its set alone, bit for bit.
     """
     features = np.asarray(features, dtype=float)
     _validate_features(bound.config, features)
+    rows = _row_sets(len(bound.start), sets, len(features))
     # The encoded lam * s, scaled by each half-angle term's factor,
     # as (term, layer, qubit, row).
-    enc = bound.lam_terms * features[:, None, ::-1, None]
+    enc = bound.lam_terms[rows] * features[:, None, ::-1, None]
     enc *= _HALF_ENCODED
-    return _run_pass(bound.config, bound.start, bound.theta_half + enc.transpose(3, 1, 2, 0))
+    half = bound.theta_half[..., rows] + enc.transpose(3, 1, 2, 0)
+    return _run_pass(bound.config, bound.start[rows], half)
 
 
 def _run_pass(config, start, half) -> np.ndarray:
-    """Every row of ``start`` (broadcast to the rows) through the layers of ``half``.
+    """Every row of ``start`` (one row broadcast to all) through the layers of ``half``.
 
     ``half`` is the gates' half angles, (term, layer, qubit, row), as
     :func:`_gate_table` reads them; each layer ends with the entangler.
@@ -388,16 +432,21 @@ def adjoint_grads(
     features,
     weights,
     amps: np.ndarray,
+    *,
+    sets=None,
 ) -> np.ndarray:
     """Gradients of diagonal expectations by one backward sweep.
 
-    Row ``t`` runs feature row ``features[t]`` (shape (T, n)) under the
-    shared ``params`` and measures the real diagonal observable
-    ``diag(weights[t])``; ``weights`` is (T, 2**n) or one (2**n,) row for
-    all.  ``amps`` are the rows' final amplitudes (T, 2**n), as
-    :func:`run_bound` gives them; the sweep starts from them and runs
-    no forward pass.  Returns ``d<psi_t|diag(w_t)|psi_t>/d(theta, lam)``
-    of shape (T, |theta| + |lam|) in the flat layout.
+    Row ``t`` runs feature row ``features[t]`` (shape (T, n)) under
+    parameter set ``sets[t]`` of ``params`` and measures the real
+    diagonal observable ``diag(weights[t])``; ``weights`` is (T, 2**n)
+    or one (2**n,) row for all.  ``params`` and ``sets`` are as
+    :func:`bind` and :func:`run_bound` take them: one set, or a stack of
+    R sets with the (T,) row-to-set index.  ``amps`` are the rows' final
+    amplitudes (T, 2**n), as :func:`run_bound` gives them; the sweep
+    starts from them and runs no forward pass.  Returns
+    ``d<psi_t|diag(w_t)|psi_t>/d(theta, lam)`` of row ``t``'s set, shape
+    (T, |theta| + |lam|) in the flat layout.
 
     Each rotation exp(-i phi P / 2) contributes Im<lam|P|psi>, where
     ``psi`` is the state and ``lam = diag(w) psi`` the weighted state,
@@ -417,36 +466,73 @@ def adjoint_grads(
       for every q at once and Ry(a) = A Rz(a) A^dag, so the pair is
       mapped by A^dag (:func:`_change_basis`), read and undone there as
       an Rz layer, and mapped back.
+
+    The phases of a variational Ry layer depend on the set alone, so
+    they are one (n,) product per set, read per row; a stacked (R, n)
+    product would round differently.  Every other matrix product runs
+    over one set's rows at a time, since BLAS rounds a row of a product
+    by its place in the call, so each row is bit-identical to the call
+    on its set's rows alone, in their order.  Rows given out of set
+    order are swept in set order.
     """
     n, d = config.n_qubits, config.depth
     features = np.asarray(features, dtype=float)
-    _validate_params(config, params)
+    num_sets = _validate_params(config, params)
     _validate_features(config, features)
-    if amps.shape != (len(features), 1 << n):
-        raise ValueError(
-            f"amps must have shape {(len(features), 1 << n)}, got {amps.shape}"
+    steps = len(features)
+    if amps.shape != (steps, 1 << n):
+        raise ValueError(f"amps must have shape {(steps, 1 << n)}, got {amps.shape}")
+    rows = _row_sets(num_sets, sets, steps)
+    if steps and not isinstance(rows, slice) and (np.diff(rows) < 0).any():
+        # Sweep the rows in set order, so that each set's rows are one
+        # contiguous block, and return them in the caller's order.
+        order = np.argsort(rows, kind="stable")
+        weights = np.asarray(weights)
+        rows_weights = weights[order] if weights.ndim == 2 else weights
+        grads = np.empty((steps, sum(param_counts(config))))
+        grads[order] = adjoint_grads(
+            config, params, features[order], rows_weights, amps[order], sets=rows[order]
         )
-    z_signs = _z_sign_table(n)
-    # (block, qubit, (z, y)) angles of the variational blocks, and
+        return grads
+    # The rows are in set order: each set's rows are one block, and the
+    # products run block by block; a single set takes each product at once.
+    blocks = None
+    if num_sets > 1:
+        cuts = [0, *(np.flatnonzero(np.diff(rows)) + 1), steps]
+        blocks = [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+    # (set, block, qubit, (z, y)) angles of the variational blocks, and
     # (block, row, qubit, (y, z)) angles of the encoding blocks; an
     # encoding Rz layer is undone together with the variational Rz layer
-    # after it, at their summed angles (block, row, qubit).
-    var = params.theta.reshape(d + 1, n, 2)
-    enc = params.lam.reshape(d, 1, n, 2) * features[:, ::-1, None]
-    rz_sums = var[1:, None, :, 0] + enc[..., 1]
+    # after it, at their summed angles (block, row, qubit).  Both per-row
+    # tables are C-ordered, as the phase products read them.
+    var = params.theta.reshape(num_sets, d + 1, n, 2)
+    enc = np.empty((d, steps, n, 2))
+    np.multiply(
+        params.lam.reshape(num_sets, d, n, 2)[rows].transpose(1, 0, 2, 3),
+        features[:, ::-1, None],
+        out=enc,
+    )
+    rz_sums = np.empty((d, steps, n))
+    np.add(var[rows, 1:, :, 0].transpose(1, 0, 2), enc[..., 1], out=rz_sums)
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])
     # d/d(angle) as (z, y, block, qubit, row), the layout _flat_grads reads.
-    angle_grads = np.empty((2, 2 * d + 1, n, len(amps)))
+    angle_grads = np.empty((2, 2 * d + 1, n, steps))
     for layer in range(d, -1, -1):
         _apply_entangler(pair, config, inverse=True)
-        pair, angle_grads[1, 2 * layer] = _undo_ry_layer(pair, var[layer, :, 1], z_signs)
-        angle_grads[0, 2 * layer] = _z_reads(pair, z_signs)
+        # The variational Ry phases: one (n,) product per set.
+        if blocks is None:
+            ry_phases = _undo_phases(var[0, layer, :, 1])
+        else:
+            ry_phases = _undo_phases(var[:, layer, :, 1], range(num_sets))[rows]
+        pair = _undo_ry_layer(pair, ry_phases, angle_grads[1, 2 * layer], blocks)
+        _z_reads(pair, angle_grads[0, 2 * layer], blocks)
         if layer == 0:
             break
-        pair *= _undo_phases(rz_sums[layer - 1])
-        pair, angle_grads[1, 2 * layer - 1] = _undo_ry_layer(pair, enc[layer - 1, ..., 0], z_signs)
+        pair *= _undo_phases(rz_sums[layer - 1], blocks)
+        phases = _undo_phases(enc[layer - 1, ..., 0], blocks)
+        pair = _undo_ry_layer(pair, phases, angle_grads[1, 2 * layer - 1], blocks)
     # An encoding Rz layer shares its reading with the variational one.
     angle_grads[0, 1::2] = angle_grads[0, 2::2]
     return _flat_grads(angle_grads, features)
@@ -461,21 +547,35 @@ def _z_sign_table(n: int) -> np.ndarray:
     return signs
 
 
-def _z_reads(pair: np.ndarray, z_signs: np.ndarray) -> np.ndarray:
-    """Im<lam|Z_q|psi> for every qubit q, shape (n, T), of the stacked ``(psi, lam)``."""
+def _z_reads(pair: np.ndarray, out: np.ndarray, blocks=None) -> None:
+    """Im<lam|Z_q|psi> for every qubit q of the stacked ``(psi, lam)``,
+    into ``out`` (n, T), one product per block of rows (None: all rows).
+    """
     psi, lam = pair
     im = lam.real * psi.imag
     im -= lam.imag * psi.real
-    return z_signs @ im.T
+    z_signs = _z_sign_table(out.shape[0])
+    if blocks is None:
+        np.matmul(z_signs, im.T, out=out)
+    else:
+        for rows in blocks:
+            np.matmul(z_signs, im[rows].T, out=out[:, rows])
 
 
-def _undo_phases(angles: np.ndarray) -> np.ndarray:
+def _undo_phases(angles: np.ndarray, blocks=None) -> np.ndarray:
     """Diagonal exp(+i/2 angles @ Z signs) that undoes an Rz layer with
-    ``angles`` (..., n) per qubit.
+    ``angles`` (..., n) per qubit, one product per block, an index into
+    the leading axes (None: one product for all).
     """
+    z_signs = _z_sign_table(angles.shape[-1])
     # Halving is exact.  ``angles`` goes in as given: a contiguous copy of
     # a strided view can change how the matmul rounds.
-    half = angles @ _z_sign_table(angles.shape[-1])
+    if blocks is None:
+        half = angles @ z_signs
+    else:
+        half = np.empty(angles.shape[:-1] + z_signs.shape[1:])
+        for rows in blocks:
+            np.matmul(angles[rows], z_signs, out=half[rows])
     half *= 0.5
     phases = np.empty(half.shape, dtype=np.complex128)
     np.cos(half, out=phases.real)
@@ -483,18 +583,19 @@ def _undo_phases(angles: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _undo_ry_layer(pair, angles, z_signs) -> tuple[np.ndarray, np.ndarray]:
-    """Undo an Ry layer with ``angles`` (..., n) on the stacked ``(psi, lam)``.
+def _undo_ry_layer(pair, phases, out, blocks) -> np.ndarray:
+    """Undo an Ry layer on the stacked ``(psi, lam)``, given the
+    :func:`_undo_phases` of its angles, (T, 2**n) or one row for all.
 
-    Returns the undone pair, a new array, and the layer's derivatives
-    (n, T).  Both come from the Y eigenbasis, where the layer is an Rz
-    layer.
+    Returns the undone pair, a new array, and writes the layer's
+    derivatives (n, T) into ``out``.  Both come from the Y eigenbasis,
+    where the layer is an Rz layer.
     """
-    n = z_signs.shape[0]
+    n = out.shape[0]
     pair = _change_basis(pair, n, back=False)
-    grads = _z_reads(pair, z_signs)
-    pair *= _undo_phases(angles)
-    return _change_basis(pair, n, back=True), grads
+    _z_reads(pair, out, blocks)
+    pair *= phases
+    return _change_basis(pair, n, back=True)
 
 
 # Qubits per dense factor of the Y-eigenbasis change.  A factor on g

@@ -24,7 +24,12 @@ file that it supports.  ``train`` writes ``curve_seed<k>.csv`` and
 that :func:`qpglab.analysis.check_bound_task` covers it also writes
 ``bound_report.csv``, the exact accuracy of each trained checkpoint
 against the softmax accuracy bound.  ``fim`` samples the FIMs once and
-writes ``spectrum.csv``, ``fim_aggregate.csv`` and ``effdim.csv``.
+writes ``spectrum.csv``, ``fim_aggregate.csv`` and ``effdim.csv``; it
+prints what it computed: the sets and states sampled, the eigenvalue
+range of the aggregate, the mean raw trace per parameter (the scale
+that the normalisation divides out) and its spread across sets, the
+near-zero eigenvalue fraction and the largest data size's effective
+dimension.
 
 A command builds nothing itself: :func:`qpglab.config.load_config`
 builds the environment, encoder, policy and state sampler once, before
@@ -211,6 +216,14 @@ def cmd_fim(args) -> int:
         for size, value, norm in zip(report.data_sizes, report.values, report.normalized)
     )
     _write(args.out_dir, "effdim.csv", rows, cfg, extra)
+    eigs = stats.eigenvalues
+    per_parameter = fims.raw_traces / fims.dim
+    print(f"sampled {len(per_parameter)} parameter sets x {cfg.analysis.states} states")
+    print(f"aggregate eigenvalues from {float(eigs[0])!r} to {float(eigs[-1])!r}")
+    print(
+        f"raw trace per parameter: mean {float(per_parameter.mean())!r}, "
+        f"std {float(per_parameter.std())!r} across sets"
+    )
     print(
         f"near-zero eigenvalue fraction: {stats.near_zero_fraction!r} "
         f"(threshold {cfg.analysis.near_zero!r})"

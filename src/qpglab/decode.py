@@ -359,7 +359,8 @@ def globality_histogram(
 
 def load_table(path, num_actions: int) -> PostProcessing:
     """Read an explicit table from its text form, validating coverage;
-    a malformed line's ``ValueError`` is led by ``path:lineno``."""
+    a malformed line's ``ValueError``, an action outside
+    [0, num_actions) included, is led by ``path:lineno``."""
     entries = {}
     n_qubits = None
     with open(path) as fh:
@@ -386,6 +387,8 @@ def load_table(path, num_actions: int) -> PostProcessing:
                 entries[index] = int(action)
             except ValueError:
                 raise ValueError(f"{where} action {action!r} is not an integer") from None
+            if not 0 <= entries[index] < num_actions:
+                raise ValueError(f"{where} action {entries[index]} is not in [0, {num_actions})")
     if n_qubits is None:
         raise ValueError(f"{path}: empty table")
     if len(entries) != 1 << n_qubits:

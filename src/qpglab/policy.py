@@ -124,17 +124,23 @@ def _z_signs(n: int, qubits: tuple) -> np.ndarray:
 # Action distributions and sampling
 
 
-def _reduce(policy: Policy, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reduce(
+    policy: Policy, amps: np.ndarray, *, sets=None, weights=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Reading (T, K) and action distributions (T, M) of final amplitudes (T, 2**n).
 
     The reading is each row's expectation of the readout columns; a
-    Born policy's is its action distribution.  Rows never mix.
+    Born policy's is its action distribution.  Rows never mix.  For a
+    softmax policy, ``weights`` (R, M) holds the action weights of R
+    parameter sets and ``sets`` the (T,) row-to-set index, as
+    :func:`qpglab.ansatz.run_bound` takes it; None reads
+    ``policy.weights`` in every row.
     """
     born = qsim.probabilities(amps)
     if isinstance(policy, SoftmaxObservablePolicy):
         signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
         reading = (born * signs).sum(axis=1, keepdims=True)
-        logits = policy.beta * policy.weights * reading
+        logits = policy.beta * _row_weights(policy, weights, sets, len(amps)) * reading
         pi = np.exp(logits - logits.max(axis=1, keepdims=True))
         return reading, pi / pi.sum(axis=1, keepdims=True)
     # Row t's classes are bins t*M .. t*M + M-1, summed in basis order.
@@ -142,6 +148,17 @@ def _reduce(policy: Policy, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bins = policy.postfn.table + m * np.arange(steps)[:, None]
     probs = np.bincount(bins.ravel(), weights=born.ravel(), minlength=steps * m).reshape(steps, m)
     return probs, probs
+
+
+def _row_weights(policy: SoftmaxObservablePolicy, weights, sets, steps: int) -> np.ndarray:
+    """Each row's action weights: ``policy.weights``, or the row of the
+    per-set ``weights`` (R, M) that ``sets`` names."""
+    if weights is None:
+        return policy.weights
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != policy.num_actions:
+        raise ValueError(f"need (sets, {policy.num_actions}) action weights, got {weights.shape}")
+    return weights[ansatz._row_sets(len(weights), sets, steps)]
 
 
 def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.ndarray:
@@ -224,6 +241,9 @@ def trajectory_log_grads(
     params: ParamSet,
     amps: np.ndarray,
     reduced: tuple | None = None,
+    *,
+    sets=None,
+    weights=None,
 ) -> np.ndarray:
     """Log-policy gradients for every (state, action) step of a trajectory.
 
@@ -232,16 +252,23 @@ def trajectory_log_grads(
     so no step is simulated or reduced again; None reduces them here.
     One adjoint sweep over all steps together; returns shape
     (T, num_trainables).  The steps need not come from one episode.
+    ``params`` may be a stack of R sets, with ``sets`` the (T,)
+    row-to-set index and, for a softmax policy, ``weights`` each set's
+    action weights (R, M), as :func:`_reduce` takes them; row ``t``'s
+    gradient is then that of its set, bit-identical to the call on its
+    set's rows alone.
     """
     features_seq = np.asarray(features_seq, dtype=float)
     actions = np.asarray(actions, dtype=np.int64)
-    reading, pi = _reduce(policy, amps) if reduced is None else reduced
+    if reduced is None:
+        reduced = _reduce(policy, amps, sets=sets, weights=weights)
+    reading, pi = reduced
     softmax = isinstance(policy, SoftmaxObservablePolicy)
     if softmax:
-        weights = _z_signs(policy.model.n_qubits, policy.z_qubits)
+        observable = _z_signs(policy.model.n_qubits, policy.z_qubits)
     else:
-        weights = (policy.postfn.table == actions[:, None]).astype(float)
-    grads = ansatz.adjoint_grads(policy.model, params, features_seq, weights, amps)
+        observable = (policy.postfn.table == actions[:, None]).astype(float)
+    grads = ansatz.adjoint_grads(policy.model, params, features_seq, observable, amps, sets=sets)
     steps = np.arange(len(actions))
     if not softmax:
         # d ln p_a = d<Pi_a> / p_a, with Pi_a the taken action's projector.
@@ -250,7 +277,16 @@ def trajectory_log_grads(
             bad = int(np.nonzero(p_taken == 0.0)[0][0])
             raise ZeroProbabilityError(f"action {actions[bad]} has zero probability at step {bad}")
         return grads / p_taken[:, None]
-    bracket = policy.weights[actions] - pi @ policy.weights
+    if weights is None:
+        bracket = policy.weights[actions] - pi @ policy.weights
+    else:
+        # pi @ w rounds a row by its place in the product, so each set's
+        # rows take their own product, as in the call on that set alone.
+        owner = np.zeros(len(actions), dtype=np.int64) if sets is None else np.asarray(sets)
+        bracket = np.empty(len(actions))
+        for index, row_weights in enumerate(np.asarray(weights, dtype=float)):
+            rows = owner == index
+            bracket[rows] = row_weights[actions[rows]] - pi[rows] @ row_weights
     indicator = np.zeros_like(pi)
     indicator[steps, actions] = 1.0
     weight_block = policy.beta * reading * (indicator - pi)

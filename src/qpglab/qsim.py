@@ -36,7 +36,14 @@ NORM_DRIFT_LIMIT = 1e-9
 
 
 class NormDriftError(RuntimeError):
-    """State norm drifted further than rounding can explain."""
+    """State norm drifted further than rounding can explain.
+
+    :func:`probabilities` sets ``drift``, the offending row's
+    ``|norm**2 - 1|``, and ``row``, its index in the flat batch of rows.
+    """
+
+    drift: float
+    row: int
 
 
 def probabilities(amps: np.ndarray) -> np.ndarray:
@@ -51,5 +58,7 @@ def probabilities(amps: np.ndarray) -> np.ndarray:
     drift = np.abs(probs.sum(axis=-1) - 1.0).ravel()
     if drift.size and not drift.max() <= NORM_DRIFT_LIMIT:  # NaN amplitudes fail too
         row = int(np.argmax(drift))
-        raise NormDriftError(f"state norm squared off by {drift[row]:.3e} at row {row}")
+        error = NormDriftError(f"state norm squared off by {drift[row]:.3e} at row {row}")
+        error.drift, error.row = float(drift[row]), row
+        raise error
     return probs

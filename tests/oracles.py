@@ -223,6 +223,28 @@ def sample_fims_per_state(pol, sampler, num_param_sets: int, num_states: int, rn
     return per_set
 
 
+def sample_fims_per_set(pol, sampler, num_param_sets: int, num_states: int, rng) -> np.ndarray:
+    """Unnormalised FIM block (sets, P, P) of ``analysis.sample_fims``, set by set.
+
+    Each set is bound alone, runs all states in one ``run_bound`` call,
+    reduces them once, draws its actions with one ``rng.random`` call
+    and takes one ``trajectory_log_grads`` call.
+    """
+    dim = policy.num_trainables(pol)
+    feats = sampler(rng, num_states)
+    per_set = np.empty((num_param_sets, dim, dim))
+    for matrix in per_set:
+        params_j, policy_j = policy.apply_flat(pol, rng.uniform(-np.pi, np.pi, size=dim))
+        amps = ansatz.run_bound(ansatz.bind(policy_j.model, params_j), feats)
+        reduced = policy._reduce(policy_j, amps)
+        actions = policy._sample_rows(reduced[1], rng.random(num_states))
+        grads = policy.trajectory_log_grads(policy_j, feats, actions, params_j, amps, reduced)
+        fim = grads.T @ grads / num_states
+        np.add(fim, fim.T, out=matrix)
+        matrix /= 2.0
+    return per_set
+
+
 def _num_qubits(amps: np.ndarray) -> int:
     """Qubit count of amplitudes (..., 2**n)."""
     return amps.shape[-1].bit_length() - 1

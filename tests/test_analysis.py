@@ -3,8 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qpglab import analysis, ansatz, config, decode, envs, policy
-from oracles import exact_fim, sample_fims_per_state, sample_index, state_action_probs
+from qpglab import analysis, ansatz, config, decode, envs, policy, qsim
+from oracles import (
+    exact_fim,
+    sample_fims_per_set,
+    sample_fims_per_state,
+    sample_index,
+    state_action_probs,
+)
 
 
 def _policies():
@@ -34,14 +40,15 @@ def test_sample_fims_draws_the_per_state_actions(monkeypatch, pol):
     seen = []
     grads = policy.trajectory_log_grads
 
-    def checked(pol_j, feats, actions, params, amps, reduced):
-        states = ansatz.run_bound(ansatz.bind(pol_j.model, params), feats)
+    def checked(pol, feats, actions, params, amps, reduced, *, sets, weights):
+        states = ansatz.run_bound(ansatz.bind(pol.model, params), feats, sets=sets)
         assert amps.tobytes() == states.tobytes()
         # The reduction the draws came from is handed to the gradient.
-        for got, want in zip(reduced, policy._reduce(pol_j, amps), strict=True):
+        again = policy._reduce(pol, amps, sets=sets, weights=weights)
+        for got, want in zip(reduced, again, strict=True):
             assert got.tobytes() == want.tobytes()
-        seen.append(list(actions))
-        return grads(pol_j, feats, actions, params, amps, reduced)
+        seen.extend(list(actions[sets == j]) for j in range(sets[-1] + 1))
+        return grads(pol, feats, actions, params, amps, reduced, sets=sets, weights=weights)
 
     monkeypatch.setattr(policy, "trajectory_log_grads", checked)
     analysis.sample_fims(pol, sampler, 4, 30, np.random.default_rng(17))
@@ -50,24 +57,97 @@ def test_sample_fims_draws_the_per_state_actions(monkeypatch, pol):
 
 @pytest.mark.parametrize("pol", _policies(), ids=["born", "softmax"])
 def test_sample_fims_reduces_each_parameter_set_once(monkeypatch, pol):
-    # The draws' reduction is handed to the gradient, not recomputed.
+    # The draws' reduction is handed to the gradient, not recomputed;
+    # the four sets of 30 states fit one chunk.
     reduce = policy._reduce
     reduced_rows = []
-    monkeypatch.setattr(
-        policy, "_reduce", lambda pol, amps: reduced_rows.append(len(amps)) or reduce(pol, amps)
-    )
+
+    def counted(pol, amps, **kw):
+        reduced_rows.append(len(amps))
+        return reduce(pol, amps, **kw)
+
+    monkeypatch.setattr(policy, "_reduce", counted)
     analysis.sample_fims(pol, analysis.normal_state_sampler(3), 4, 30, np.random.default_rng(2))
-    assert reduced_rows == [30] * 4
+    assert reduced_rows == [4 * 30]
 
 
 def test_sample_fims_binds_each_parameter_set_once(monkeypatch):
-    bind, run_bound = ansatz.bind, ansatz.run_bound
+    # A budget of 3 sets x 6 states x 2**3 amplitudes splits 7 sets into
+    # chunks of 3, 3 and 1; each chunk is one bind of its stack of sets,
+    # one circuit call and one adjoint sweep over all its rows.
     calls = []
-    monkeypatch.setattr(ansatz, "bind", lambda *args: calls.append("bind") or bind(*args))
-    monkeypatch.setattr(ansatz, "run_bound", lambda *args: calls.append("run") or run_bound(*args))
+
+    def counted(name, fn, rows):
+        return lambda *args, **kw: calls.append((name, rows(args))) or fn(*args, **kw)
+
     sampler = analysis.normal_state_sampler(3)
-    analysis.sample_fims(_policies()[0], sampler, 4, 6, np.random.default_rng(5))
-    assert calls == ["bind", "run"] * 4
+    per_chunk = [("bind", 3), ("run_bound", 18), ("adjoint_grads", 18)]
+    for pol in _policies():
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "FIM_CHUNK_AMPLITUDES", 3 * 6 * 8 + 7)
+            for name, rows in [
+                ("bind", lambda args: len(np.atleast_2d(args[1].theta))),
+                ("run_bound", lambda args: len(args[1])),
+                ("adjoint_grads", lambda args: len(args[2])),
+            ]:
+                patch.setattr(ansatz, name, counted(name, getattr(ansatz, name), rows))
+            calls.clear()
+            fims = analysis.sample_fims(pol, sampler, 7, 6, np.random.default_rng(5))
+        assert calls == per_chunk * 2 + [("bind", 1), ("run_bound", 6), ("adjoint_grads", 6)]
+        expected = sample_fims_per_set(pol, sampler, 7, 6, np.random.default_rng(5))
+        assert fims.raw_traces.tobytes() == np.trace(expected, axis1=1, axis2=2).tobytes()
+
+
+def test_fim_chunks_hold_as_many_sets_as_the_amplitude_budget_allows():
+    # rows x 2**n <= 2**16: the benchmark's 2 x 100 rows at n = 4 are one
+    # call, as are 40 sets of the default 100 states; from n = 10, one set.
+    assert analysis.FIM_CHUNK_AMPLITUDES == 1 << 16
+    assert analysis.FIM_CHUNK_AMPLITUDES // (100 << 4) == 40
+    assert analysis.FIM_CHUNK_AMPLITUDES // (100 << 10) == 0
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2 * 9 * 16])
+@pytest.mark.parametrize("sets,states", [(1, 1), (5, 1), (5, 9), (3, 30)])
+@pytest.mark.parametrize("kind", ["born", "softmax"])
+def test_sample_fims_equal_the_per_set_oracle(monkeypatch, kind, sets, states, budget):
+    # Stacked chunks give every matrix, its raw trace and the generator's
+    # state bit for bit as one set at a time, whatever the chunk size:
+    # the default, one set per chunk, and two sets of nine states.
+    if budget is not None:
+        monkeypatch.setattr(analysis, "FIM_CHUNK_AMPLITUDES", budget)
+    pol = _oracle_policy(kind, 4)
+    sampler = analysis.normal_state_sampler(4, 0.5)
+    seed = 1000 + 10 * sets + states
+    rng, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+    fims = analysis.sample_fims(pol, sampler, sets, states, rng)
+    raw = sample_fims_per_set(pol, sampler, sets, states, alone)
+    traces = np.trace(raw, axis1=1, axis2=2)
+    assert fims.raw_traces.tobytes() == traces.tobytes()
+    raw *= fims.dim / float(np.mean(traces))
+    assert fims.per_set.tobytes() == raw.tobytes()
+    assert rng.random() == alone.random()
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_norm_drift_in_a_stacked_call_names_the_set_and_state(monkeypatch, chunk):
+    # Set 3's state 2 drifts; the flat row index differs by chunk size.
+    run_bound = ansatz.run_bound
+
+    def drifted(bound, feats, *, sets):
+        amps = run_bound(bound, feats, sets=sets)
+        rows = np.flatnonzero(sets == 3 - first[0])
+        if len(rows):
+            amps[rows[2]] *= 1.001
+        first[0] += len(bound.start)
+        return amps
+
+    first = [0]
+    monkeypatch.setattr(analysis, "FIM_CHUNK_AMPLITUDES", chunk * 5 * 8)
+    monkeypatch.setattr(ansatz, "run_bound", drifted)
+    sampler = analysis.normal_state_sampler(3)
+    message = r"off by 2\.00\de-03 at parameter set 3, state 2$"
+    with pytest.raises(qsim.NormDriftError, match=message):
+        analysis.sample_fims(_policies()[0], sampler, 5, 5, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("pol", _policies(), ids=["born", "softmax"])
@@ -100,18 +180,28 @@ def test_sampled_fims_and_their_aggregate_are_symmetric_bit_for_bit(n, kind):
 
 
 @pytest.mark.parametrize("pol", _policies(), ids=["born", "softmax"])
-def test_sampled_fims_at_fixed_states_and_parameters_average_to_the_exact_fim(monkeypatch, pol):
+def test_sampled_fims_at_fixed_states_and_parameters_average_to_the_exact_fim(pol):
     # Every set binds one fixed parameter vector and sees the same six
     # states, so the sets differ only in their action draws.
     rng = np.random.default_rng(21)
     dim = policy.num_trainables(pol)
     flat = rng.uniform(-np.pi, np.pi, size=dim)
     feats = rng.normal(0.0, 0.5, size=(6, 3))
-    apply_flat = policy.apply_flat
-    monkeypatch.setattr(policy, "apply_flat", lambda pol, _: apply_flat(pol, flat))
+
+    class FixedParameters:
+        """Every parameter draw gives ``flat``; action draws come from ``rng``."""
+
+        def uniform(self, low, high, size):
+            return flat.copy()
+
+        def random(self, size):
+            return rng.random(size)
+
     sets = 800
-    fims = analysis.sample_fims(pol, lambda _rng, count: feats[:count], sets, len(feats), rng)
-    params, pol_fixed = apply_flat(pol, flat)
+    fims = analysis.sample_fims(
+        pol, lambda _rng, count: feats[:count], sets, len(feats), FixedParameters()
+    )
+    params, pol_fixed = policy.apply_flat(pol, flat)
     exact = exact_fim(pol_fixed, feats, params)
     exact *= dim / np.trace(exact)
     # Residuals of the sets against the exact matrix at each set's own
@@ -185,9 +275,10 @@ def test_fim_samples_keep_each_matrix_once():
     )
     dim = fims.dim
     assert fims.per_set.shape == (3, dim, dim)
-    # Only the packed upper triangles are kept.
-    assert list(vars(fims)) == ["upper"]
+    # Only the packed upper triangles are kept, and one raw trace per set.
+    assert list(vars(fims)) == ["upper", "raw_traces"]
     assert fims.upper.nbytes == 3 * dim * (dim + 1) // 2 * 8
+    assert fims.raw_traces.shape == (3,)
     assert fims.aggregate.tobytes() == fims.per_set.mean(axis=0).tobytes()
 
 
@@ -265,7 +356,9 @@ def test_sample_fims_refuses_empty_inputs(argument):
 def test_sample_fims_refuses_a_zero_or_nan_trace(monkeypatch):
     pol = _policies()[0]
     for value in (0.0, np.nan):
-        grads = lambda *args, value=value: np.full((4, policy.num_trainables(pol)), value)
+        grads = lambda pol, feats, *args, value=value, **kw: np.full(
+            (len(feats), policy.num_trainables(pol)), value
+        )
         monkeypatch.setattr(policy, "trajectory_log_grads", grads)
         with pytest.raises(ValueError, match="singular normalisation"):
             analysis.sample_fims(pol, analysis.normal_state_sampler(3), 2, 4, np.random.default_rng(0))
@@ -306,6 +399,24 @@ def test_effective_dimension_matches_the_determinant_formula():
         dets = [np.linalg.det(np.eye(5) + kappa * m) for m in per_set]
         assert value == pytest.approx(2 * np.log(np.mean(np.sqrt(dets))) / np.log(kappa), rel=1e-10)
     assert report.normalized == pytest.approx([v / 5 for v in report.values], rel=1e-15)
+
+
+@pytest.mark.parametrize("budget,calls", [(None, 1), (2 * 3 * 25, 2), (1, 4)])
+def test_effective_dimension_factors_data_sizes_in_chunks_bit_for_bit(monkeypatch, budget, calls):
+    # One stacked Cholesky per chunk of data sizes: all four sizes of 3
+    # sets at P = 5 in one call, two a call, or one.  Every value is the
+    # same bit for bit.
+    a = np.random.default_rng(11).normal(size=(3, 5, 5))
+    fims = analysis.FimSamples(a @ a.transpose(0, 2, 1) / 5)
+    sizes = config.AnalysisBlock().data_sizes
+    expected = analysis.effective_dimension(fims, sizes)
+    cholesky, factored = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: factored.append(len(m)) or cholesky(m))
+    if budget is not None:
+        monkeypatch.setattr(analysis, "CHOLESKY_CHUNK_ENTRIES", budget)
+    report = analysis.effective_dimension(fims, sizes)
+    assert len(factored) == calls
+    assert report.values == expected.values and report.normalized == expected.normalized
 
 
 def test_effective_dimension_entries_are_python_floats():

@@ -576,8 +576,10 @@ def test_bind_start_register_bit_identical_to_one_row_layer_zero(entangler, n):
     # layer 0 run as one row of the forward pass bit for bit, signed
     # zeros included, at every angle scale and at angles that give
     # exact zeros (0, -0.0) and the cos(pi/2) rounding (+-pi).
+    # A stack of sets binds each set's register as that set alone.
     config = ModelConfig(n, 2, entangler)
     params, rng = _random_params(config, 700 + n)
+    thetas = []
     for scale in (1.0, 10.0, 1e-3):
         for trial in range(6):
             theta = rng.uniform(-np.pi, np.pi, params.theta.shape) * scale
@@ -585,9 +587,15 @@ def test_bind_start_register_bit_identical_to_one_row_layer_zero(entangler, n):
                 special = rng.random(theta.shape) < 0.5
                 theta[special] = rng.choice([0.0, -0.0, np.pi, -np.pi], special.sum())
             angles = ParamSet(theta, params.lam)
-            assert _same_bits(ansatz.bind(config, angles).start, start_register(config, angles))
+            expected = start_register(config, angles)
+            assert _same_bits(ansatz.bind(config, angles).start, expected[None])
+            thetas.append(theta)
     zeros = ParamSet(np.zeros_like(params.theta), params.lam)
-    assert _same_bits(ansatz.bind(config, zeros).start, start_register(config, zeros))
+    assert _same_bits(ansatz.bind(config, zeros).start[0], start_register(config, zeros))
+    stack = ParamSet(np.array(thetas), np.tile(params.lam, (len(thetas), 1)))
+    starts = ansatz.bind(config, stack).start
+    for theta, start in zip(thetas, starts, strict=True):
+        assert _same_bits(start, start_register(config, ParamSet(theta, params.lam)))
 
 
 def test_bind_checks_parameters_and_run_bound_checks_features():
@@ -600,6 +608,65 @@ def test_bind_checks_parameters_and_run_bound_checks_features():
     bound = ansatz.bind(config, params)
     with pytest.raises(ValueError, match="features must have length 3"):
         ansatz.run_bound(bound, rng.uniform(-1, 1, (2, 4)))
+
+
+@pytest.mark.parametrize("num_sets", [1, 2, 5])
+@pytest.mark.parametrize("n,depth", [(1, 2), (2, 1), (3, 2), (5, 1), (6, 3), (8, 2)])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_stacked_sets_equal_per_set_calls_bit_for_bit(entangler, n, depth, num_sets):
+    # Rows read their set through an unsorted row-to-set index, with
+    # sets of 1, 3, 8, 2 and 5 rows: a set of one row runs numpy's
+    # matrix-vector path alone, and BLAS rounds a row of a product by its
+    # place in the call, so both depend on the sweep grouping each set.
+    config = ModelConfig(n, depth, entangler)
+    rng = np.random.default_rng(100 * n + 10 * depth + num_sets)
+    n_theta, n_lam = ansatz.param_counts(config)
+    stack = ParamSet(
+        rng.uniform(-np.pi, np.pi, (num_sets, n_theta)), rng.normal(1.0, 0.5, (num_sets, n_lam))
+    )
+    sets = rng.permutation(np.repeat(np.arange(num_sets), [1, 3, 8, 2, 5][:num_sets]))
+    features = rng.uniform(-2, 2, (len(sets), n))
+    features[0, -1] = 0.0
+    bound = ansatz.bind(config, stack)
+    amps = ansatz.run_bound(bound, features, sets=sets)
+    for weights in (rng.normal(size=(len(sets), 1 << n)), rng.normal(size=1 << n)):
+        grads = ansatz.adjoint_grads(config, stack, features, weights, amps, sets=sets)
+        for index in range(num_sets):
+            rows = np.flatnonzero(sets == index)
+            alone = ParamSet(stack.theta[index].copy(), stack.lam[index].copy())
+            amps_alone = ansatz.run_bound(ansatz.bind(config, alone), features[rows])
+            assert _same_bits(amps[rows], amps_alone)
+            rows_weights = weights[rows] if weights.ndim == 2 else weights
+            expected = ansatz.adjoint_grads(config, alone, features[rows], rows_weights, amps_alone)
+            assert _same_bits(grads[rows], expected)
+    for array in (bound.theta_half, bound.lam_terms, bound.start):
+        assert not array.flags.writeable
+
+
+def test_stacked_sets_need_a_valid_row_to_set_index():
+    config = ModelConfig(3, 2)
+    rng = np.random.default_rng(8)
+    n_theta, n_lam = ansatz.param_counts(config)
+    stack = ParamSet(rng.uniform(-1, 1, (2, n_theta)), rng.uniform(-1, 1, (2, n_lam)))
+    bound = ansatz.bind(config, stack)
+    features = rng.uniform(-1, 1, (3, 3))
+    with pytest.raises(ValueError, match="lam must have 12 entries"):
+        ansatz.bind(config, ParamSet(stack.theta, stack.lam[:1]))
+    with pytest.raises(ValueError, match="theta must have 18 entries"):
+        ansatz.bind(config, ParamSet(stack.theta[:0], stack.lam[:0]))
+    with pytest.raises(ValueError, match="a stack of 2 sets needs a row-to-set index"):
+        ansatz.run_bound(bound, features)
+    for sets, message in [
+        ([0, 1], r"one integer set index per row: \(2,\) for 3 rows"),
+        ([0.0, 1.0, 1.0], "one integer set index per row"),
+        ([0, 2, 1], r"set indices must lie in \[0, 2\)"),
+        ([0, -1, 1], r"set indices must lie in \[0, 2\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ansatz.run_bound(bound, features, sets=np.array(sets))
+        amps = np.zeros((3, 8), dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            ansatz.adjoint_grads(config, stack, features, np.ones(8), amps, sets=np.array(sets))
 
 
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])

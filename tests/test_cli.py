@@ -416,7 +416,13 @@ def test_fim_samples_once_and_writes_spectrum_aggregate_and_effdim(tmp_path, cap
     assert names == ["effdim.csv", "fim_aggregate.csv", "spectrum.csv"]
     stats = analysis.spectrum_stats(samples[0].aggregate)
     report = analysis.effective_dimension(samples[0], (100, 1000))
+    traces = samples[0].raw_traces / samples[0].dim
     assert capsys.readouterr().out == (
+        "sampled 3 parameter sets x 10 states\n"
+        f"aggregate eigenvalues from {float(stats.eigenvalues[0])!r} "
+        f"to {float(stats.eigenvalues[-1])!r}\n"
+        f"raw trace per parameter: mean {float(traces.mean())!r}, "
+        f"std {float(traces.std())!r} across sets\n"
         f"near-zero eigenvalue fraction: {stats.near_zero_fraction!r} (threshold 1e-07)\n"
         f"effective dimension at 1000: {float(report.values[-1])!r}\n"
     )
@@ -655,6 +661,7 @@ REFUSALS = {
             ("action-not-an-integer", "00,0\n01,x\n", "2: action 'x' is not an integer"),
             ("bits-too-long", "00,0\n011,1\n", "2: bitstring '011' is not a 2-bit binary string"),
             ("empty-bits", ",0\n", "1: empty bitstring"),
+            ("action-out-of-range", "00,0\n01,7\n", "2: action 7 is not in [0, 2)"),
         ]
     },
     "test_decode_requests_are_checked_before_the_table_is_built": {

@@ -294,6 +294,49 @@ def test_trajectory_grads_match_single_step_calls():
         assert np.abs(stacked[t] - single).max() < 1e-14
 
 
+@pytest.mark.parametrize("kind", ["born", "softmax"])
+def test_stacked_sets_reduce_and_differentiate_as_each_set_alone(kind):
+    # Three parameter sets, a softmax policy's action weights among them,
+    # read through an unsorted row-to-set index with sets of 5, 1 and 9
+    # rows: the reduction and the gradients equal each set's own calls
+    # bit for bit.
+    config = ModelConfig(4, 2, "cx")
+    if kind == "born":
+        pol = policy.MeasurementPolicy(config, decode.RecursiveParity(4, 4))
+    else:
+        pol = policy.SoftmaxObservablePolicy(config, np.zeros(4), beta=1.5, z_qubits=(0, 3))
+    rng = np.random.default_rng(31)
+    flats = rng.uniform(-np.pi, np.pi, (3, policy.num_trainables(pol)))
+    n_theta, n_lam = ansatz.param_counts(config)
+    stack = ParamSet(flats[:, :n_theta], flats[:, n_theta : n_theta + n_lam])
+    weights = flats[:, n_theta + n_lam :] if kind == "softmax" else None
+    sets = rng.permutation(np.repeat(np.arange(3), [5, 1, 9]))
+    feats = rng.uniform(-1, 1, (len(sets), 4))
+    actions = rng.integers(0, 4, len(sets))
+    amps = ansatz.run_bound(ansatz.bind(config, stack), feats, sets=sets)
+    reduced = policy._reduce(pol, amps, sets=sets, weights=weights)
+    grads = policy.trajectory_log_grads(
+        pol, feats, actions, stack, amps, reduced, sets=sets, weights=weights
+    )
+    for index, flat in enumerate(flats):
+        rows = np.flatnonzero(sets == index)
+        params, pol_alone = policy.apply_flat(pol, flat)
+        alone = ansatz.run_bound(ansatz.bind(config, params), feats[rows])
+        expected = policy._reduce(pol_alone, alone)
+        for got, want in zip(reduced, expected, strict=True):
+            assert got[rows].tobytes() == want.tobytes()
+        single = policy.trajectory_log_grads(pol_alone, feats[rows], actions[rows], params, alone)
+        assert grads[rows].tobytes() == single.tobytes()
+    # Reduced here from the same index, the gradients are the same.
+    again = policy.trajectory_log_grads(
+        pol, feats, actions, stack, amps, sets=sets, weights=weights
+    )
+    assert again.tobytes() == grads.tobytes()
+    if kind == "softmax":
+        with pytest.raises(ValueError, match=r"need \(sets, 4\) action weights, got \(3, 3\)"):
+            policy._reduce(pol, amps, sets=sets, weights=weights[:, :3])
+
+
 def _shift_rule_log_grads(pol, feats, actions, params):
     """Oracle: circuit part of the log-policy gradients by parameter shift."""
     if isinstance(pol, policy.SoftmaxObservablePolicy):
