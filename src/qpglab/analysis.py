@@ -148,8 +148,6 @@ def sample_fims(
     if num_states < 1:
         raise ValueError(f"num_states must be at least 1, got {num_states}")
     dim = policy_mod.num_trainables(policy)
-    n_theta, n_lam = ansatz.param_counts(policy.model)
-    softmax = isinstance(policy, policy_mod.SoftmaxObservablePolicy)
     feats = state_sampler(rng, num_states)
     chunk = max(1, FIM_CHUNK_AMPLITUDES // (num_states << policy.model.n_qubits))
     # One block for every matrix, normalised in place.
@@ -161,11 +159,11 @@ def sample_fims(
         for flat, draw in zip(flats, draws):
             flat[:] = rng.uniform(-np.pi, np.pi, size=dim)
             draw[:] = rng.random(num_states)
-        params = ansatz.ParamSet(flats[:, :n_theta], flats[:, n_theta : n_theta + n_lam])
-        weights = flats[:, n_theta + n_lam :] if softmax else None
+        params, weights = policy_mod.split_flat(policy, flats)
         sets = np.repeat(np.arange(count), num_states)
         rows = np.tile(feats, (count, 1))
-        amps = ansatz.run_bound(ansatz.bind(policy.model, params), rows, sets=sets)
+        bound = ansatz.bind(policy.model, params)
+        amps = ansatz.run_bound(bound, rows, sets=sets)
         try:
             reduced = policy_mod._reduce(policy, amps, sets=sets, weights=weights)
         except qsim.NormDriftError as error:
@@ -176,7 +174,7 @@ def sample_fims(
             ) from None
         actions = policy_mod._sample_rows(reduced[1], draws.ravel())
         grads = policy_mod.trajectory_log_grads(
-            policy, rows, actions, params, amps, reduced, sets=sets, weights=weights
+            policy, rows, actions, bound, amps, reduced, sets=sets, weights=weights
         )
         for j, matrix in enumerate(per_set[first : first + count]):
             block = grads[j * num_states : (j + 1) * num_states]

@@ -30,10 +30,11 @@ permutation.
 The forward pass evaluates parameter sets at many feature rows:
 :func:`bind` prepares a stack of R sets once (one set is a stack of
 one) and :func:`run_bound` evolves feature rows under it, each row
-under the set that a row-to-set index names.  Every per-row table reads
-its row's set from the stack, so a row is bit-identical to the same
-row run under its set alone, however the sets are stacked and the rows
-ordered.  On each wire no entangler separates an encoding
+under the set that a row-to-set index names; the index never
+decreases, so each set's rows are one contiguous block.  Every per-row
+table reads its row's set from the stack, so a row is bit-identical to
+the same row run under its set alone, however the sets are stacked.
+On each wire no entangler separates an encoding
 block E_l from the variational block V_l after it, so the forward pass
 applies the two as one gate, V_l E_l = Ry(theta') Rz(theta + lam' s)
 Ry(lam s), with the two Rz angles summed; layer 0 is V_0 alone.  Gates
@@ -43,10 +44,10 @@ keeps its 2x2 gate.  A forward pass is thus d+1 layers of ceil(n/2)
 factors, each layer followed by the entangler.  V_0 acts on |0...0>
 and reads no feature, so the register after it and its entangler is
 the same for every row of one parameter set: a product state, the
-Kronecker product of column 0 of each V_0 gate.  :func:`bind` builds it
-once in closed form, with the same entries, products and contractions
-that running layer 0 on one row would make, together with the theta
-half angles and the scale-factor terms of layers 1..d, and
+Kronecker product of column 0 of each V_0 factor.  :func:`bind` builds
+it once from layer 0's gate table, with the same contractions that
+running layer 0 on one row would make, together with the theta half
+angles and the scale-factor terms of layers 1..d, and
 :func:`run_bound` starts every row from its set's register and runs
 layers 1..d over all the rows at once.
 One vectorised call computes the factors of every layer of every row,
@@ -63,11 +64,11 @@ Gradients of diagonal expectations come from :func:`adjoint_grads`
 (adjoint differentiation, Jones & Gacon, arXiv:2009.02823): starting
 from final amplitudes the caller already holds, one backward sweep
 carries the state and the observable-weighted state back through the
-circuit a whole rotation layer at a time, over the same stack of sets
-and row-to-set index as the forward pass.  BLAS rounds a row of a
-matrix product by its place in the call, so the sweep's products run
-one set's rows at a time and each set's gradients equal the call on
-that set alone.  Each Rz layer is one phase
+circuit a whole rotation layer at a time.  It reads the parameters the
+forward pass bound, the same :class:`BoundParams` and row-to-set index.
+BLAS rounds a row of a matrix product by its place in the call, so the
+sweep's products run one set's block of rows at a time and each set's
+gradients equal the call on that set alone.  Each Rz layer is one phase
 multiply; each Ry layer is one phase multiply in the eigenbasis of Y,
 reached by a change of basis shared by all qubits.  Every derivative
 of a layer is one product with a table of Z signs.  A scale factor
@@ -165,22 +166,30 @@ def _validate_params(config: ModelConfig, params: ParamSet) -> int:
 
 
 def _row_sets(num_sets: int, sets, rows: int):
-    """Index of each row's set into a stack of ``num_sets`` sets.
+    """Each row's set in a stack of ``num_sets`` sets, and each set's rows.
 
-    ``sets`` is the (rows,) row-to-set index, in any order, or None for
-    a single set.  A single set is read through ``slice(None)``, so its
-    (1, ...) tables broadcast over the rows as they are.
+    ``sets`` is the (rows,) row-to-set index, non-decreasing, or None
+    for a single set.  Returns the index into the stack's leading axis
+    and one slice of rows per set that has rows.  A single set is read
+    through ``slice(None)``, so its (1, ...) tables broadcast over the
+    rows as they are, and has no slices (None).
     """
     if sets is None:
         if num_sets != 1:
             raise ValueError(f"a stack of {num_sets} sets needs a row-to-set index")
-        return slice(None)
+        return slice(None), None
     sets = np.asarray(sets)
     if sets.shape != (rows,) or sets.dtype.kind not in "iu":
         raise ValueError(f"need one integer set index per row: {sets.shape} for {rows} rows")
     if rows and not (sets.min() >= 0 and sets.max() < num_sets):
         raise ValueError(f"set indices must lie in [0, {num_sets})")
-    return slice(None) if num_sets == 1 else sets
+    steps = np.diff(sets)
+    if (steps < 0).any():
+        raise ValueError("set indices must not decrease: each set's rows are one block")
+    if num_sets == 1:
+        return slice(None), None
+    cuts = [0, *(np.flatnonzero(steps) + 1), rows]
+    return sets, [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
 
 def _validate_features(config: ModelConfig, features: np.ndarray) -> None:
@@ -218,7 +227,8 @@ def _cx_layer_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
     perm = np.arange(1 << n)
     for i, j in reversed(entangler_pairs(n)):
         perm ^= ((perm >> i) & 1) << j
-    inverse = np.argsort(perm)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(1 << n)
     perm.setflags(write=False)
     inverse.setflags(write=False)
     return perm, inverse
@@ -310,13 +320,17 @@ class BoundParams(NamedTuple):
     (term, layer, qubit, set); ``lam_terms`` the scale factors read as
     the encoded terms, (set, layer, qubit, term); ``start`` each set's
     register (R, 2**n) after V_0 and its entangler, the same for every
-    feature row of that set.
+    feature row of that set.  ``theta`` (R, d+1, n, 2) and ``lam``
+    (R, d, n, 2) are read-only views of the parameters as given, which
+    :func:`adjoint_grads` reads.
     """
 
     config: ModelConfig
     theta_half: np.ndarray
     lam_terms: np.ndarray
     start: np.ndarray
+    theta: np.ndarray
+    lam: np.ndarray
 
 
 def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
@@ -326,51 +340,37 @@ def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
     R sets, with ``theta`` (R, |theta|) and ``lam`` (R, |lam|); one set
     binds as a stack of one.  V_0 acts on |0...0> with no feature, so
     the register after it is the product of column 0 of each of its
-    gates, built here in closed form, and :func:`run_bound` runs layers
-    1..d only.
+    gates, built here, and :func:`run_bound` runs layers 1..d only.
     """
     n, d = config.n_qubits, config.depth
     sets = _validate_params(config, params)
-    half = params.theta.reshape(sets, d + 1, n, 2).transpose(3, 1, 2, 0)[[0, 1, 1]]
+    theta = params.theta.reshape(sets, d + 1, n, 2)
+    lam = params.lam.reshape(sets, d, n, 2)
+    half = theta.transpose(3, 1, 2, 0)[[0, 1, 1]]
     half *= 0.5
-    start = _start_register(config, half[:2, 0])
-    lam_terms = params.lam.reshape(sets, d, n, 2)[..., [1, 0, 0]]
-    for array in (half, lam_terms, start):
+    start = _start_register(config, half[:, :1])
+    lam_terms = lam[..., [1, 0, 0]]
+    for array in (half, lam_terms, start, theta, lam):
         array.setflags(write=False)
-    return BoundParams(config, half[:, 1:], lam_terms, start)
+    return BoundParams(config, half[:, 1:], lam_terms, start, theta, lam)
 
 
 def _start_register(config: ModelConfig, half: np.ndarray) -> np.ndarray:
     """Each set's register (R, 2**n) after V_0 and its entangler, from |0...0>.
 
-    ``half`` holds layer 0's half angles (b/2, a/2) as (term, qubit, set).
-    The register is the Kronecker product of column 0, (u00, u10), of
-    each gate, computed as one row of :func:`_run_pass` computes it: the
-    entries are :func:`_gate_table`'s with c = 0, a pair's column is one
-    multiply, as in its factor, and the pairs and the odd top qubit are
-    combined lowest first by einsum, which rounds as the contractions do.
+    ``half`` holds layer 0's half angles as (term, 1, qubit, set), as
+    :func:`_gate_table` reads them.  The register is the Kronecker
+    product of column 0 of each of the layer's factors, computed as one
+    row of :func:`_run_pass` computes it: the column entries are the
+    factors', and the pairs and the odd top qubit are combined lowest
+    first by einsum, which rounds as the contractions do.
     """
-    n, sets = config.n_qubits, half.shape[-1]
-    trig = np.empty((2,) + half.shape)
-    np.cos(half, out=trig[0])
-    np.sin(half, out=trig[1])
-    # Column 0 of each gate, (qubit, set, row), is (f(a/2) cos(b/2),
-    # -f(a/2) sin(b/2)), f = cos in row 0 and sin in row 1, written
-    # straight into its (qubit, set, row, re/im) view.
-    columns = np.empty((n, sets, 2), dtype=np.complex128)
-    entries = columns.view(np.float64).reshape(n, sets, 2, 2)
-    f_terms, b_terms = trig[:, 1].transpose(1, 2, 0), trig[:, 0].transpose(1, 2, 0)
-    np.multiply(f_terms[:, :, :, None], b_terms[:, :, None], out=entries)
-    entries[..., 1] *= -1.0
-    low, high = columns[0 : n - 1 : 2], columns[1::2]
-    pieces = list((high[:, :, :, None] * low[:, :, None, :]).reshape(n // 2, sets, 4))
-    if n % 2:
-        pieces.append(columns[n - 1])
+    pieces = [factor[:, :, 0] for factor in _gate_table(half)]
     # A sum from zero turns a -0.0 into +0.0, so the first piece gets
     # one, as its contraction with |0...0> gave it.
     start = pieces[0] + 0.0
     for piece in pieces[1:]:
-        start = np.einsum("ri,rk->rik", piece, start).reshape(sets, -1)
+        start = np.einsum("ri,rk->rik", piece, start).reshape(len(start), -1)
     _apply_entangler(start, config)
     return start
 
@@ -379,14 +379,15 @@ def run_bound(bound: BoundParams, features, *, sets=None) -> np.ndarray:
     """Final amplitudes (T, 2**n) of bound parameter sets at ``T`` feature rows.
 
     Row ``t`` runs under set ``sets[t]`` of the bound stack; ``sets`` is
-    the (T,) row-to-set index, in any order, and may be None when one
-    set is bound.  Runs layers 1..d from each row's ``bound.start`` in
-    one pass over all rows.  Row ``t`` equals the call on
-    ``features[t:t+1]`` under its set alone, bit for bit.
+    the (T,) row-to-set index, non-decreasing, so that each set's rows
+    are one block, and may be None when one set is bound.  Runs layers
+    1..d from each row's ``bound.start`` in one pass over all rows.  Row
+    ``t`` equals the call on ``features[t:t+1]`` under its set alone,
+    bit for bit.
     """
     features = np.asarray(features, dtype=float)
     _validate_features(bound.config, features)
-    rows = _row_sets(len(bound.start), sets, len(features))
+    rows = _row_sets(len(bound.start), sets, len(features))[0]
     # The encoded lam * s, scaled by each half-angle term's factor,
     # as (term, layer, qubit, row).
     enc = bound.lam_terms[rows] * features[:, None, ::-1, None]
@@ -427,26 +428,20 @@ def _run_pass(config, start, half) -> np.ndarray:
 
 
 def adjoint_grads(
-    config: ModelConfig,
-    params: ParamSet,
-    features,
-    weights,
-    amps: np.ndarray,
-    *,
-    sets=None,
+    bound: BoundParams, features, weights, amps: np.ndarray, *, sets=None
 ) -> np.ndarray:
     """Gradients of diagonal expectations by one backward sweep.
 
-    Row ``t`` runs feature row ``features[t]`` (shape (T, n)) under
-    parameter set ``sets[t]`` of ``params`` and measures the real
-    diagonal observable ``diag(weights[t])``; ``weights`` is (T, 2**n)
-    or one (2**n,) row for all.  ``params`` and ``sets`` are as
-    :func:`bind` and :func:`run_bound` take them: one set, or a stack of
-    R sets with the (T,) row-to-set index.  ``amps`` are the rows' final
-    amplitudes (T, 2**n), as :func:`run_bound` gives them; the sweep
-    starts from them and runs no forward pass.  Returns
-    ``d<psi_t|diag(w_t)|psi_t>/d(theta, lam)`` of row ``t``'s set, shape
-    (T, |theta| + |lam|) in the flat layout.
+    Row ``t`` runs feature row ``features[t]`` (shape (T, n)) under set
+    ``sets[t]`` of the bound stack and measures the real diagonal
+    observable ``diag(weights[t])``; ``weights`` is (T, 2**n) or one
+    (2**n,) row for all.  ``bound`` and ``sets`` are as
+    :func:`run_bound` takes them: the stack :func:`bind` made and the
+    (T,) row-to-set index, non-decreasing, or None for one set.
+    ``amps`` are the rows' final amplitudes (T, 2**n), as
+    :func:`run_bound` gives them; the sweep starts from them and runs no
+    forward pass.  Returns ``d<psi_t|diag(w_t)|psi_t>/d(theta, lam)`` of
+    row ``t``'s set, shape (T, |theta| + |lam|) in the flat layout.
 
     Each rotation exp(-i phi P / 2) contributes Im<lam|P|psi>, where
     ``psi`` is the state and ``lam = diag(w) psi`` the weighted state,
@@ -470,48 +465,27 @@ def adjoint_grads(
     The phases of a variational Ry layer depend on the set alone, so
     they are one (n,) product per set, read per row; a stacked (R, n)
     product would round differently.  Every other matrix product runs
-    over one set's rows at a time, since BLAS rounds a row of a product
-    by its place in the call, so each row is bit-identical to the call
-    on its set's rows alone, in their order.  Rows given out of set
-    order are swept in set order.
+    over one set's block of rows at a time, since BLAS rounds a row of
+    a product by its place in the call, so each row is bit-identical to
+    the call on its set's rows alone, in their order.
     """
+    config = bound.config
     n, d = config.n_qubits, config.depth
     features = np.asarray(features, dtype=float)
-    num_sets = _validate_params(config, params)
     _validate_features(config, features)
     steps = len(features)
     if amps.shape != (steps, 1 << n):
         raise ValueError(f"amps must have shape {(steps, 1 << n)}, got {amps.shape}")
-    rows = _row_sets(num_sets, sets, steps)
-    if steps and not isinstance(rows, slice) and (np.diff(rows) < 0).any():
-        # Sweep the rows in set order, so that each set's rows are one
-        # contiguous block, and return them in the caller's order.
-        order = np.argsort(rows, kind="stable")
-        weights = np.asarray(weights)
-        rows_weights = weights[order] if weights.ndim == 2 else weights
-        grads = np.empty((steps, sum(param_counts(config))))
-        grads[order] = adjoint_grads(
-            config, params, features[order], rows_weights, amps[order], sets=rows[order]
-        )
-        return grads
-    # The rows are in set order: each set's rows are one block, and the
-    # products run block by block; a single set takes each product at once.
-    blocks = None
-    if num_sets > 1:
-        cuts = [0, *(np.flatnonzero(np.diff(rows)) + 1), steps]
-        blocks = [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+    num_sets = len(bound.start)
+    rows, blocks = _row_sets(num_sets, sets, steps)
     # (set, block, qubit, (z, y)) angles of the variational blocks, and
     # (block, row, qubit, (y, z)) angles of the encoding blocks; an
     # encoding Rz layer is undone together with the variational Rz layer
     # after it, at their summed angles (block, row, qubit).  Both per-row
     # tables are C-ordered, as the phase products read them.
-    var = params.theta.reshape(num_sets, d + 1, n, 2)
+    var = bound.theta
     enc = np.empty((d, steps, n, 2))
-    np.multiply(
-        params.lam.reshape(num_sets, d, n, 2)[rows].transpose(1, 0, 2, 3),
-        features[:, ::-1, None],
-        out=enc,
-    )
+    np.multiply(bound.lam[rows].transpose(1, 0, 2, 3), features[:, ::-1, None], out=enc)
     rz_sums = np.empty((d, steps, n))
     np.add(var[rows, 1:, :, 0].transpose(1, 0, 2), enc[..., 1], out=rz_sums)
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)

@@ -24,8 +24,10 @@ returns each row's action, final amplitudes and, for a softmax policy,
 the row's reduction ``(reading, pi)`` (:func:`_reduce`), which it drew
 from.  A Born policy draws a basis index from the Born probabilities
 and decodes it, with no action distribution.  :func:`trajectory_log_grads`
-takes the amplitudes and any reduction back, so each row is simulated
-once and reduced once: by the softmax draw, or else by the gradient.
+takes the same bound parameters, the amplitudes and any reduction back,
+so each set is bound once and each row simulated once and reduced once:
+by the softmax draw, or else by the gradient.  Both refuse parameters
+bound to another model.
 
 Log-policy gradients are exact: one adjoint sweep over all rows
 (:func:`qpglab.ansatz.adjoint_grads`) from their final amplitudes
@@ -158,7 +160,7 @@ def _row_weights(policy: SoftmaxObservablePolicy, weights, sets, steps: int) -> 
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != policy.num_actions:
         raise ValueError(f"need (sets, {policy.num_actions}) action weights, got {weights.shape}")
-    return weights[ansatz._row_sets(len(weights), sets, steps)]
+    return weights[ansatz._row_sets(len(weights), sets, steps)[0]]
 
 
 def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.ndarray:
@@ -172,7 +174,7 @@ def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.nd
 
 def sample_action(
     policy: Policy, features_rows, bound: ansatz.BoundParams, rngs
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """One action per feature row, row ``t`` drawn with ``rngs[t]``.
 
     ``bound`` is the parameter set as :func:`qpglab.ansatz.bind` binds it
@@ -185,8 +187,7 @@ def sample_action(
     generator, in row order, so a row's action does not depend on the
     other rows.  A Born policy measures one bitstring and decodes it.
     """
-    if bound.config != policy.model:
-        raise ValueError(f"parameters bound to {bound.config}, policy model is {policy.model}")
+    _check_bound(policy, bound)
     if len(rngs) != len(features_rows):
         raise ValueError(f"need one generator per row: {len(rngs)} for {len(features_rows)} rows")
     amps = ansatz.run_bound(bound, features_rows)
@@ -196,6 +197,11 @@ def sample_action(
         return policy.postfn.table[outcomes], amps, None
     reduced = _reduce(policy, amps)
     return _sample_rows(reduced[1], draws), amps, reduced
+
+
+def _check_bound(policy: Policy, bound: ansatz.BoundParams) -> None:
+    if bound.config != policy.model:
+        raise ValueError(f"parameters bound to {bound.config}, policy model is {policy.model}")
 
 
 def _sample_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -224,21 +230,30 @@ def flat_trainables(policy: Policy, params: ParamSet) -> np.ndarray:
     return params.flat()
 
 
-def apply_flat(policy: Policy, flat: np.ndarray) -> tuple[ParamSet, Policy]:
-    """Rebuild (params, policy) from a flat trainable vector."""
+def split_flat(policy: Policy, flat: np.ndarray) -> tuple[ParamSet, np.ndarray | None]:
+    """Views of the (theta, lam) and, for a softmax policy, the action
+    weights (None for a Born policy) in a flat trainable vector (P,) or
+    a stack of them (R, P)."""
     n_theta, n_lam = ansatz.param_counts(policy.model)
-    params = ParamSet(flat[:n_theta].copy(), flat[n_theta : n_theta + n_lam].copy())
+    params = ParamSet(flat[..., :n_theta], flat[..., n_theta : n_theta + n_lam])
     if isinstance(policy, SoftmaxObservablePolicy):
-        weights = flat[n_theta + n_lam :].copy()
-        return params, replace(policy, weights=weights)
-    return params, policy
+        return params, flat[..., n_theta + n_lam :]
+    return params, None
+
+
+def apply_flat(policy: Policy, flat: np.ndarray) -> tuple[ParamSet, Policy]:
+    """Rebuild (params, policy) from a copy of a flat trainable vector."""
+    params, weights = split_flat(policy, flat.copy())
+    if weights is None:
+        return params, policy
+    return params, replace(policy, weights=weights)
 
 
 def trajectory_log_grads(
     policy: Policy,
-    features_seq: np.ndarray,
+    features: np.ndarray,
     actions: np.ndarray,
-    params: ParamSet,
+    bound: ansatz.BoundParams,
     amps: np.ndarray,
     reduced: tuple | None = None,
     *,
@@ -247,18 +262,19 @@ def trajectory_log_grads(
 ) -> np.ndarray:
     """Log-policy gradients for every (state, action) step of a trajectory.
 
-    ``amps`` are the steps' final amplitudes (T, 2**n) and ``reduced``
-    their :func:`_reduce` result, as :func:`sample_action` returns them,
-    so no step is simulated or reduced again; None reduces them here.
-    One adjoint sweep over all steps together; returns shape
-    (T, num_trainables).  The steps need not come from one episode.
-    ``params`` may be a stack of R sets, with ``sets`` the (T,)
-    row-to-set index and, for a softmax policy, ``weights`` each set's
-    action weights (R, M), as :func:`_reduce` takes them; row ``t``'s
-    gradient is then that of its set, bit-identical to the call on its
-    set's rows alone.
+    ``bound`` is the parameters as :func:`qpglab.ansatz.bind` bound them
+    for the steps' forward pass, ``amps`` the steps' final amplitudes
+    (T, 2**n) and ``reduced`` their :func:`_reduce` result, as
+    :func:`sample_action` returns them, so no step is simulated or
+    reduced again; None reduces them here.  One adjoint sweep over all
+    steps together; returns shape (T, num_trainables).  The steps need
+    not come from one episode.  ``bound`` may be a stack of R sets, with
+    ``sets`` the (T,) row-to-set index, non-decreasing, and, for a
+    softmax policy, ``weights`` each set's action weights (R, M), as
+    :func:`_reduce` takes them; row ``t``'s gradient is then that of its
+    set, bit-identical to the call on its set's rows alone.
     """
-    features_seq = np.asarray(features_seq, dtype=float)
+    _check_bound(policy, bound)
     actions = np.asarray(actions, dtype=np.int64)
     if reduced is None:
         reduced = _reduce(policy, amps, sets=sets, weights=weights)
@@ -268,7 +284,7 @@ def trajectory_log_grads(
         observable = _z_signs(policy.model.n_qubits, policy.z_qubits)
     else:
         observable = (policy.postfn.table == actions[:, None]).astype(float)
-    grads = ansatz.adjoint_grads(policy.model, params, features_seq, observable, amps, sets=sets)
+    grads = ansatz.adjoint_grads(bound, features, observable, amps, sets=sets)
     steps = np.arange(len(actions))
     if not softmax:
         # d ln p_a = d<Pi_a> / p_a, with Pi_a the taken action's projector.
@@ -281,12 +297,13 @@ def trajectory_log_grads(
         bracket = policy.weights[actions] - pi @ policy.weights
     else:
         # pi @ w rounds a row by its place in the product, so each set's
-        # rows take their own product, as in the call on that set alone.
-        owner = np.zeros(len(actions), dtype=np.int64) if sets is None else np.asarray(sets)
+        # block of rows takes its own product, as in the call on that set alone.
+        weights = np.asarray(weights, dtype=float)
+        index, blocks = ansatz._row_sets(len(weights), sets, len(actions))
+        owners = [(0, slice(None))] if blocks is None else [(index[b.start], b) for b in blocks]
         bracket = np.empty(len(actions))
-        for index, row_weights in enumerate(np.asarray(weights, dtype=float)):
-            rows = owner == index
-            bracket[rows] = row_weights[actions[rows]] - pi[rows] @ row_weights
+        for owner, rows in owners:
+            bracket[rows] = weights[owner][actions[rows]] - pi[rows] @ weights[owner]
     indicator = np.zeros_like(pi)
     indicator[steps, actions] = 1.0
     weight_block = policy.beta * reading * (indicator - pi)

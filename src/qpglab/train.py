@@ -6,7 +6,8 @@ average of ``sum_t grad ln pi(a_t | s_t) * G_t`` with discounted returns
 episodes (one by default, as in the paper's per-episode runs).
 
 The data path of an update.  The batch's episodes share one parameter
-set, bound once (:func:`qpglab.ansatz.bind`), and run in lockstep
+set, bound once (:func:`qpglab.ansatz.bind`) for both the rollout and
+the gradient, and run in lockstep
 (:func:`collect_episodes`): each time step makes one circuit call over
 the episodes still running and keeps one time-major block of their
 rows, final amplitudes, actions and, for a softmax policy, the
@@ -14,8 +15,9 @@ reduction ``(reading, pi)`` that sampling computed.  An episode ends on
 a terminal transition or after the environment's ``horizon`` steps.
 One stable sort by episode turns the blocks into one episode-major
 :class:`Batch`, and :func:`reinforce_gradient` makes one
-:func:`qpglab.policy.trajectory_log_grads` call on it as it stands, so
-no step is simulated or reduced twice.  Rewards stay Python floats:
+:func:`qpglab.policy.trajectory_log_grads` call on it and the same
+bound parameters, so no parameter set is bound twice and no step is
+simulated or reduced twice.  Rewards stay Python floats:
 each episode's returns come from them with no array, and its total is
 their correctly rounded sum, ``math.fsum``.
 
@@ -197,11 +199,11 @@ def _episode_generators(stream, episodes: int) -> Iterator[np.random.Generator]:
             yield np.random.Generator(np.random.PCG64(seed_words(words)))
 
 
-def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> Batch:
+def collect_episodes(env, encoder, policy: Policy, bound: ansatz.BoundParams, rngs) -> Batch:
     """Run one episode per generator in lockstep, episode ``e`` on ``rngs[e]``.
 
-    ``params`` are bound once (:func:`qpglab.ansatz.bind`), so the
-    feature-free first layer runs once per batch.  Each time step makes
+    ``bound`` is the batch's parameter set as :func:`qpglab.ansatz.bind`
+    binds it to the policy's model.  Each time step makes
     one ``encoder.encode`` call and one
     :func:`qpglab.policy.sample_action` call over the episodes still
     running, then one ``env.step`` per episode, and keeps one block of
@@ -216,7 +218,6 @@ def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> Ba
     rewards = [[] for _ in rngs]
     blocks = []
     live = list(range(len(rngs)))
-    bound = ansatz.bind(policy.model, params)
     for _ in range(env.horizon):
         if not live:
             break
@@ -240,13 +241,16 @@ def collect_episodes(env, encoder, policy: Policy, params: ParamSet, rngs) -> Ba
     return Batch(gather(rows), gather(finals), gather(chosen), reduced, rewards)
 
 
-def reinforce_gradient(batch: Batch, policy: Policy, params: ParamSet, gamma: float) -> np.ndarray:
+def reinforce_gradient(
+    batch: Batch, policy: Policy, bound: ansatz.BoundParams, gamma: float
+) -> np.ndarray:
     """Ascent-direction gradient of the REINFORCE objective over a batch,
-    from one gradient call on the rollout's amplitudes and reduction.
+    from one gradient call on the rollout's bound parameters, amplitudes
+    and reduction.
     """
     returns = [g for rewards in batch.rewards for g in discounted_returns(rewards, gamma)]
     grads = policy_mod.trajectory_log_grads(
-        policy, batch.features, batch.actions, params, batch.amps, batch.reduced
+        policy, batch.features, batch.actions, bound, batch.amps, batch.reduced
     )
     return np.array(returns) @ grads / len(batch.rewards)
 
@@ -280,10 +284,10 @@ def adam_amsgrad_step(
 
 
 def rate_vector(policy: Policy, hyper: Hyperparams) -> np.ndarray:
-    n_theta, n_lam = ansatz.param_counts(policy.model)
     rates = np.full(policy_mod.num_trainables(policy), hyper.alpha_w)
-    rates[:n_theta] = hyper.alpha_theta
-    rates[n_theta : n_theta + n_lam] = hyper.alpha_lambda
+    params, _ = policy_mod.split_flat(policy, rates)
+    params.theta[:] = hyper.alpha_theta
+    params.lam[:] = hyper.alpha_lambda
     return rates
 
 
@@ -329,9 +333,10 @@ def train_run(
     for start in range(0, hyper.episodes, hyper.batch_size):
         size = min(hyper.batch_size, hyper.episodes - start)
         rngs = list(islice(episode_rngs, size))
-        batch = collect_episodes(env, encoder, policy, params, rngs)
+        bound = ansatz.bind(policy.model, params)
+        batch = collect_episodes(env, encoder, policy, bound, rngs)
         if size == hyper.batch_size:
-            grad = reinforce_gradient(batch, policy, params, hyper.gamma)
+            grad = reinforce_gradient(batch, policy, bound, hyper.gamma)
             flat = policy_mod.flat_trainables(policy, params)
             flat = adam_amsgrad_step(opt, flat, grad, rates)
             params, policy = policy_mod.apply_flat(policy, flat)

@@ -101,8 +101,9 @@ def train_run(env, encoder, pol, hyper, seed) -> train.TrainResult:
             returns = np.concatenate(
                 [np.array(train.discounted_returns(r, hyper.gamma)) for r in batch.rewards]
             )
+            bound = ansatz.bind(pol.model, params)
             grads = policy.trajectory_log_grads(
-                pol, batch.features, batch.actions, params, batch.amps
+                pol, batch.features, batch.actions, bound, batch.amps
             )
             flat = train.adam_amsgrad_step(
                 opt, policy.flat_trainables(pol, params), returns @ grads / len(batch.rewards), rates
@@ -153,7 +154,8 @@ def exact_policy_gradient(env, encoder, pol, params) -> np.ndarray:
     """
     states = np.arange(env.num_states)
     feats = encoder.encode(states)
-    amps = ansatz.run_bound(ansatz.bind(pol.model, params), feats)
+    bound = ansatz.bind(pol.model, params)
+    amps = ansatz.run_bound(bound, feats)
     reading, pi = policy._reduce(pol, amps)
     rewards = np.array([[env.step(s, a)[1] for a in range(env.num_actions)] for s in states])
     if isinstance(pol, policy.MeasurementPolicy):
@@ -164,7 +166,7 @@ def exact_policy_gradient(env, encoder, pol, params) -> np.ndarray:
         coeff = pol.beta * (gain @ pol.weights - gain.sum(axis=1) * (pi @ pol.weights))
         weights = coeff[:, None] * policy._z_signs(pol.model.n_qubits, pol.z_qubits)
         block = pol.beta * reading * (gain - gain.sum(axis=1, keepdims=True) * pi)
-    grads = ansatz.adjoint_grads(pol.model, params, feats, weights, amps)
+    grads = ansatz.adjoint_grads(bound, feats, weights, amps)
     return np.hstack([grads, block]).mean(axis=0)
 
 
@@ -176,8 +178,9 @@ def state_action_probs(pol, features, params) -> np.ndarray:
 def log_prob_grad(pol, features, action: int, params) -> np.ndarray:
     """Gradient of ln pi(action | features) for one state alone."""
     feats = np.asarray(features, dtype=float)[None, :]
-    amps = ansatz.run_bound(ansatz.bind(pol.model, params), feats)
-    return policy.trajectory_log_grads(pol, feats, np.array([action]), params, amps)[0]
+    bound = ansatz.bind(pol.model, params)
+    amps = ansatz.run_bound(bound, feats)
+    return policy.trajectory_log_grads(pol, feats, np.array([action]), bound, amps)[0]
 
 
 def exact_fim(pol, features, params) -> np.ndarray:
@@ -189,12 +192,13 @@ def exact_fim(pol, features, params) -> np.ndarray:
     per action over the shared amplitudes.
     """
     feats = np.asarray(features, dtype=float)
-    amps = ansatz.run_bound(ansatz.bind(pol.model, params), feats)
+    bound = ansatz.bind(pol.model, params)
+    amps = ansatz.run_bound(bound, feats)
     probs = policy._reduce(pol, amps)[1]
     fim = 0.0
     for action in range(pol.num_actions):
         taken = np.full(len(feats), action)
-        grads = policy.trajectory_log_grads(pol, feats, taken, params, amps)
+        grads = policy.trajectory_log_grads(pol, feats, taken, bound, amps)
         fim = fim + (probs[:, action, None] * grads).T @ grads
     return fim / len(feats)
 
@@ -215,7 +219,7 @@ def sample_fims_per_state(pol, sampler, num_param_sets: int, num_states: int, rn
         amps = np.vstack([ansatz.run_bound(bound, f[None, :]) for f in feats])
         reduced = policy._reduce(policy_j, amps)
         actions = np.array([sample_index(p, rng) for p in reduced[1]])
-        grads = policy.trajectory_log_grads(policy_j, feats, actions, params_j, amps, reduced)
+        grads = policy.trajectory_log_grads(policy_j, feats, actions, bound, amps, reduced)
         fim = grads.T @ grads / num_states
         np.add(fim, fim.T, out=matrix)
         matrix /= 2.0
@@ -235,10 +239,11 @@ def sample_fims_per_set(pol, sampler, num_param_sets: int, num_states: int, rng)
     per_set = np.empty((num_param_sets, dim, dim))
     for matrix in per_set:
         params_j, policy_j = policy.apply_flat(pol, rng.uniform(-np.pi, np.pi, size=dim))
-        amps = ansatz.run_bound(ansatz.bind(policy_j.model, params_j), feats)
+        bound = ansatz.bind(policy_j.model, params_j)
+        amps = ansatz.run_bound(bound, feats)
         reduced = policy._reduce(policy_j, amps)
         actions = policy._sample_rows(reduced[1], rng.random(num_states))
-        grads = policy.trajectory_log_grads(policy_j, feats, actions, params_j, amps, reduced)
+        grads = policy.trajectory_log_grads(policy_j, feats, actions, bound, amps, reduced)
         fim = grads.T @ grads / num_states
         np.add(fim, fim.T, out=matrix)
         matrix /= 2.0

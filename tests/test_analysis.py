@@ -40,15 +40,15 @@ def test_sample_fims_draws_the_per_state_actions(monkeypatch, pol):
     seen = []
     grads = policy.trajectory_log_grads
 
-    def checked(pol, feats, actions, params, amps, reduced, *, sets, weights):
-        states = ansatz.run_bound(ansatz.bind(pol.model, params), feats, sets=sets)
+    def checked(pol, feats, actions, bound, amps, reduced, *, sets, weights):
+        states = ansatz.run_bound(bound, feats, sets=sets)
         assert amps.tobytes() == states.tobytes()
         # The reduction the draws came from is handed to the gradient.
         again = policy._reduce(pol, amps, sets=sets, weights=weights)
         for got, want in zip(reduced, again, strict=True):
             assert got.tobytes() == want.tobytes()
         seen.extend(list(actions[sets == j]) for j in range(sets[-1] + 1))
-        return grads(pol, feats, actions, params, amps, reduced, sets=sets, weights=weights)
+        return grads(pol, feats, actions, bound, amps, reduced, sets=sets, weights=weights)
 
     monkeypatch.setattr(policy, "trajectory_log_grads", checked)
     analysis.sample_fims(pol, sampler, 4, 30, np.random.default_rng(17))
@@ -74,11 +74,18 @@ def test_sample_fims_reduces_each_parameter_set_once(monkeypatch, pol):
 def test_sample_fims_binds_each_parameter_set_once(monkeypatch):
     # A budget of 3 sets x 6 states x 2**3 amplitudes splits 7 sets into
     # chunks of 3, 3 and 1; each chunk is one bind of its stack of sets,
-    # one circuit call and one adjoint sweep over all its rows.
-    calls = []
+    # one circuit call and one adjoint sweep over all its rows, both of
+    # which read the chunk's bound stack.
+    calls, handed = [], []
 
     def counted(name, fn, rows):
-        return lambda *args, **kw: calls.append((name, rows(args))) or fn(*args, **kw)
+        def call(*args, **kw):
+            calls.append((name, rows(args)))
+            result = fn(*args, **kw)
+            handed.append(result if name == "bind" else args[0])
+            return result
+
+        return call
 
     sampler = analysis.normal_state_sampler(3)
     per_chunk = [("bind", 3), ("run_bound", 18), ("adjoint_grads", 18)]
@@ -88,12 +95,15 @@ def test_sample_fims_binds_each_parameter_set_once(monkeypatch):
             for name, rows in [
                 ("bind", lambda args: len(np.atleast_2d(args[1].theta))),
                 ("run_bound", lambda args: len(args[1])),
-                ("adjoint_grads", lambda args: len(args[2])),
+                ("adjoint_grads", lambda args: len(args[1])),
             ]:
                 patch.setattr(ansatz, name, counted(name, getattr(ansatz, name), rows))
             calls.clear()
+            handed.clear()
             fims = analysis.sample_fims(pol, sampler, 7, 6, np.random.default_rng(5))
         assert calls == per_chunk * 2 + [("bind", 1), ("run_bound", 6), ("adjoint_grads", 6)]
+        for bound, *readers in zip(handed[0::3], handed[1::3], handed[2::3], strict=True):
+            assert all(reader is bound for reader in readers)
         expected = sample_fims_per_set(pol, sampler, 7, 6, np.random.default_rng(5))
         assert fims.raw_traces.tobytes() == np.trace(expected, axis1=1, axis2=2).tobytes()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpglab import ansatz, qsim
+from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
 from oracles import (
     apply_1q,
@@ -232,8 +232,9 @@ def test_adjoint_grads_match_shift_rule(entangler, n, depth):
     features = rng.uniform(-1, 1, (4, n))
     features[1, 0] = 0.0
     weights = rng.normal(size=(4, 1 << n))
-    amps = ansatz.run_bound(ansatz.bind(config, params), features)
-    grads = ansatz.adjoint_grads(config, params, features, weights, amps)
+    bound = ansatz.bind(config, params)
+    amps = ansatz.run_bound(bound, features)
+    grads = ansatz.adjoint_grads(bound, features, weights, amps)
     oracle = shift_rule_expval_grads(config, params, features, weights)
     assert np.abs(grads - oracle).max() < 1e-10
     # features[1, 0] drives qubit n-1, whose scale entries are 2(n-1), 2(n-1)+1.
@@ -248,11 +249,12 @@ def test_adjoint_grads_broadcast_one_weight_row():
     params, rng = _random_params(config, 7)
     features = rng.uniform(-1, 1, (5, 3))
     weights = rng.normal(size=8)
-    amps = ansatz.run_bound(ansatz.bind(config, params), features)
-    shared = ansatz.adjoint_grads(config, params, features, weights, amps)
-    tiled = ansatz.adjoint_grads(config, params, features, np.tile(weights, (5, 1)), amps)
+    bound = ansatz.bind(config, params)
+    amps = ansatz.run_bound(bound, features)
+    shared = ansatz.adjoint_grads(bound, features, weights, amps)
+    tiled = ansatz.adjoint_grads(bound, features, np.tile(weights, (5, 1)), amps)
     assert (shared == tiled).all()
-    empty = ansatz.adjoint_grads(config, params, features[:0], weights, amps[:0])
+    empty = ansatz.adjoint_grads(bound, features[:0], weights, amps[:0])
     assert empty.shape == (0, sum(ansatz.param_counts(config)))
 
 
@@ -271,9 +273,10 @@ def test_adjoint_grads_match_per_qubit_readout(entangler, n, depth):
     config = ModelConfig(n, depth, entangler)
     params, rng = _random_params(config, 500 + 10 * n + depth)
     features = rng.uniform(-2, 2, (57, n))
-    amps = ansatz.run_bound(ansatz.bind(config, params), features)
+    bound = ansatz.bind(config, params)
+    amps = ansatz.run_bound(bound, features)
     for weights in (rng.normal(size=(57, 1 << n)), 1.0 - 2.0 * (rng.random(1 << n) < 0.5)):
-        grads = ansatz.adjoint_grads(config, params, features, weights, amps)
+        grads = ansatz.adjoint_grads(bound, features, weights, amps)
         oracle = per_qubit_adjoint_grads(config, params, features, weights, amps)
         assert np.abs(grads - oracle).max() <= PER_QUBIT_READOUT_TOL
 
@@ -289,8 +292,9 @@ def test_adjoint_grads_on_grouped_basis_change(entangler, extra, depth):
     features = rng.uniform(-2, 2, (3, n))
     features[1, 0] = 0.0
     weights = rng.normal(size=(3, 1 << n))
-    amps = ansatz.run_bound(ansatz.bind(config, params), features)
-    grads = ansatz.adjoint_grads(config, params, features, weights, amps)
+    bound = ansatz.bind(config, params)
+    amps = ansatz.run_bound(bound, features)
+    grads = ansatz.adjoint_grads(bound, features, weights, amps)
     assert np.abs(grads - shift_rule_expval_grads(config, params, features, weights)).max() < 1e-10
     oracle = per_qubit_adjoint_grads(config, params, features, weights, amps)
     assert np.abs(grads - oracle).max() <= PER_QUBIT_READOUT_TOL
@@ -305,14 +309,15 @@ def test_adjoint_grads_build_no_gate_table(monkeypatch):
     params, rng = _random_params(config, 12)
     features = rng.uniform(-1, 1, (4, 3))
     weights = rng.normal(size=(4, 8))
-    amps = ansatz.run_bound(ansatz.bind(config, params), features)
-    expected = ansatz.adjoint_grads(config, params, features, weights, amps)
+    bound = ansatz.bind(config, params)
+    amps = ansatz.run_bound(bound, features)
+    expected = ansatz.adjoint_grads(bound, features, weights, amps)
 
     def refuse(*args):
         raise AssertionError("adjoint_grads built a gate table")
 
     monkeypatch.setattr(ansatz, "_gate_table", refuse)
-    grads = ansatz.adjoint_grads(config, params, features, weights, amps)
+    grads = ansatz.adjoint_grads(bound, features, weights, amps)
     assert grads.tobytes() == expected.tobytes()
 
 
@@ -335,9 +340,10 @@ def test_adjoint_grads_reject_amplitudes_of_another_shape():
     config = ModelConfig(3, 1)
     params, rng = _random_params(config, 9)
     features = rng.uniform(-1, 1, (4, 3))
-    amps = ansatz.run_bound(ansatz.bind(config, params), features)
+    bound = ansatz.bind(config, params)
+    amps = ansatz.run_bound(bound, features)
     with pytest.raises(ValueError, match="amps must have shape"):
-        ansatz.adjoint_grads(config, params, features, np.ones(8), amps[:3])
+        ansatz.adjoint_grads(bound, features, np.ones(8), amps[:3])
 
 
 def test_encoding_linear_in_scale_factors():
@@ -614,7 +620,7 @@ def test_bind_checks_parameters_and_run_bound_checks_features():
 @pytest.mark.parametrize("n,depth", [(1, 2), (2, 1), (3, 2), (5, 1), (6, 3), (8, 2)])
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
 def test_stacked_sets_equal_per_set_calls_bit_for_bit(entangler, n, depth, num_sets):
-    # Rows read their set through an unsorted row-to-set index, with
+    # Rows read their set through a row-to-set index in set order, with
     # sets of 1, 3, 8, 2 and 5 rows: a set of one row runs numpy's
     # matrix-vector path alone, and BLAS rounds a row of a product by its
     # place in the call, so both depend on the sweep grouping each set.
@@ -624,20 +630,21 @@ def test_stacked_sets_equal_per_set_calls_bit_for_bit(entangler, n, depth, num_s
     stack = ParamSet(
         rng.uniform(-np.pi, np.pi, (num_sets, n_theta)), rng.normal(1.0, 0.5, (num_sets, n_lam))
     )
-    sets = rng.permutation(np.repeat(np.arange(num_sets), [1, 3, 8, 2, 5][:num_sets]))
+    sets = np.repeat(np.arange(num_sets), [1, 3, 8, 2, 5][:num_sets])
     features = rng.uniform(-2, 2, (len(sets), n))
     features[0, -1] = 0.0
     bound = ansatz.bind(config, stack)
     amps = ansatz.run_bound(bound, features, sets=sets)
     for weights in (rng.normal(size=(len(sets), 1 << n)), rng.normal(size=1 << n)):
-        grads = ansatz.adjoint_grads(config, stack, features, weights, amps, sets=sets)
+        grads = ansatz.adjoint_grads(bound, features, weights, amps, sets=sets)
         for index in range(num_sets):
             rows = np.flatnonzero(sets == index)
             alone = ParamSet(stack.theta[index].copy(), stack.lam[index].copy())
-            amps_alone = ansatz.run_bound(ansatz.bind(config, alone), features[rows])
+            bound_alone = ansatz.bind(config, alone)
+            amps_alone = ansatz.run_bound(bound_alone, features[rows])
             assert _same_bits(amps[rows], amps_alone)
             rows_weights = weights[rows] if weights.ndim == 2 else weights
-            expected = ansatz.adjoint_grads(config, alone, features[rows], rows_weights, amps_alone)
+            expected = ansatz.adjoint_grads(bound_alone, features[rows], rows_weights, amps_alone)
             assert _same_bits(grads[rows], expected)
     for array in (bound.theta_half, bound.lam_terms, bound.start):
         assert not array.flags.writeable
@@ -656,17 +663,30 @@ def test_stacked_sets_need_a_valid_row_to_set_index():
         ansatz.bind(config, ParamSet(stack.theta[:0], stack.lam[:0]))
     with pytest.raises(ValueError, match="a stack of 2 sets needs a row-to-set index"):
         ansatz.run_bound(bound, features)
+    # The policy layer reads the same index: a softmax reduction per set
+    # of action weights, and the gradients of both policy kinds.
+    amps = ansatz.run_bound(bound, features, sets=np.array([0, 0, 1]))
+    softmax = policy.SoftmaxObservablePolicy(config, np.zeros(2))
+    born = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
+    actions, weights = np.array([0, 1, 1]), np.zeros((2, 2))
     for sets, message in [
         ([0, 1], r"one integer set index per row: \(2,\) for 3 rows"),
         ([0.0, 1.0, 1.0], "one integer set index per row"),
         ([0, 2, 1], r"set indices must lie in \[0, 2\)"),
         ([0, -1, 1], r"set indices must lie in \[0, 2\)"),
+        ([0, 1, 0], "set indices must not decrease: each set's rows are one block"),
     ]:
         with pytest.raises(ValueError, match=message):
             ansatz.run_bound(bound, features, sets=np.array(sets))
-        amps = np.zeros((3, 8), dtype=complex)
         with pytest.raises(ValueError, match=message):
-            ansatz.adjoint_grads(config, stack, features, np.ones(8), amps, sets=np.array(sets))
+            ansatz.adjoint_grads(bound, features, np.ones(8), amps, sets=np.array(sets))
+        with pytest.raises(ValueError, match=message):
+            policy._reduce(softmax, amps, sets=np.array(sets), weights=weights)
+        for pol, kw in [(softmax, {"weights": weights}), (born, {})]:
+            with pytest.raises(ValueError, match=message):
+                policy.trajectory_log_grads(
+                    pol, features, actions, bound, amps, sets=np.array(sets), **kw
+                )
 
 
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])

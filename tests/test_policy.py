@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,33 @@ def test_apply_flat_refuses_a_non_finite_weight_step():
     flat[-1] = np.nan
     with pytest.raises(ValueError, match="weights must be finite"):
         policy.apply_flat(pol, flat)
+
+
+def test_split_flat_reads_the_flat_layout_of_one_set_or_a_stack():
+    # (theta, lam[, weights]) in that order; a stack splits row by row,
+    # as views, and apply_flat rebuilds from a copy.
+    config = ModelConfig(3, 2)
+    n_theta, n_lam = ansatz.param_counts(config)
+    for pol in (
+        policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2)),
+        policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3, 0.1])),
+    ):
+        flats = np.random.default_rng(3).uniform(-1, 1, (4, policy.num_trainables(pol)))
+        stack, weights = policy.split_flat(pol, flats)
+        assert (stack.theta == flats[:, :n_theta]).all()
+        assert (stack.lam == flats[:, n_theta : n_theta + n_lam]).all()
+        assert np.shares_memory(stack.theta, flats) and np.shares_memory(stack.lam, flats)
+        params, alone = policy.split_flat(pol, flats[1])
+        assert (params.flat() == flats[1, : n_theta + n_lam]).all()
+        rebuilt, pol_rebuilt = policy.apply_flat(pol, flats[1])
+        assert (policy.flat_trainables(pol_rebuilt, rebuilt) == flats[1]).all()
+        assert not np.shares_memory(rebuilt.theta, flats)
+        if isinstance(pol, policy.MeasurementPolicy):
+            assert weights is None and alone is None
+        else:
+            assert (weights == flats[:, n_theta + n_lam :]).all()
+            assert (alone == flats[1, n_theta + n_lam :]).all()
+            assert not np.shares_memory(pol_rebuilt.weights, flats)
 
 
 def test_all_zero_parameters_give_point_mass():
@@ -287,8 +315,9 @@ def test_trajectory_grads_match_single_step_calls():
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
     feats = rng.uniform(-1, 1, (5, 3))
     actions = rng.integers(0, 2, 5)
-    amps = ansatz.run_bound(ansatz.bind(config, params), feats)
-    stacked = policy.trajectory_log_grads(pol, feats, actions, params, amps)
+    bound = ansatz.bind(config, params)
+    amps = ansatz.run_bound(bound, feats)
+    stacked = policy.trajectory_log_grads(pol, feats, actions, bound, amps)
     for t in range(5):
         single = log_prob_grad(pol, feats[t], int(actions[t]), params)
         assert np.abs(stacked[t] - single).max() < 1e-14
@@ -297,8 +326,8 @@ def test_trajectory_grads_match_single_step_calls():
 @pytest.mark.parametrize("kind", ["born", "softmax"])
 def test_stacked_sets_reduce_and_differentiate_as_each_set_alone(kind):
     # Three parameter sets, a softmax policy's action weights among them,
-    # read through an unsorted row-to-set index with sets of 5, 1 and 9
-    # rows: the reduction and the gradients equal each set's own calls
+    # read through a row-to-set index in set order with sets of 5, 1 and
+    # 9 rows: the reduction and the gradients equal each set's own calls
     # bit for bit.
     config = ModelConfig(4, 2, "cx")
     if kind == "born":
@@ -307,29 +336,31 @@ def test_stacked_sets_reduce_and_differentiate_as_each_set_alone(kind):
         pol = policy.SoftmaxObservablePolicy(config, np.zeros(4), beta=1.5, z_qubits=(0, 3))
     rng = np.random.default_rng(31)
     flats = rng.uniform(-np.pi, np.pi, (3, policy.num_trainables(pol)))
-    n_theta, n_lam = ansatz.param_counts(config)
-    stack = ParamSet(flats[:, :n_theta], flats[:, n_theta : n_theta + n_lam])
-    weights = flats[:, n_theta + n_lam :] if kind == "softmax" else None
-    sets = rng.permutation(np.repeat(np.arange(3), [5, 1, 9]))
+    stack, weights = policy.split_flat(pol, flats)
+    sets = np.repeat(np.arange(3), [5, 1, 9])
     feats = rng.uniform(-1, 1, (len(sets), 4))
     actions = rng.integers(0, 4, len(sets))
-    amps = ansatz.run_bound(ansatz.bind(config, stack), feats, sets=sets)
+    bound = ansatz.bind(config, stack)
+    amps = ansatz.run_bound(bound, feats, sets=sets)
     reduced = policy._reduce(pol, amps, sets=sets, weights=weights)
     grads = policy.trajectory_log_grads(
-        pol, feats, actions, stack, amps, reduced, sets=sets, weights=weights
+        pol, feats, actions, bound, amps, reduced, sets=sets, weights=weights
     )
     for index, flat in enumerate(flats):
         rows = np.flatnonzero(sets == index)
         params, pol_alone = policy.apply_flat(pol, flat)
-        alone = ansatz.run_bound(ansatz.bind(config, params), feats[rows])
+        bound_alone = ansatz.bind(config, params)
+        alone = ansatz.run_bound(bound_alone, feats[rows])
         expected = policy._reduce(pol_alone, alone)
         for got, want in zip(reduced, expected, strict=True):
             assert got[rows].tobytes() == want.tobytes()
-        single = policy.trajectory_log_grads(pol_alone, feats[rows], actions[rows], params, alone)
+        single = policy.trajectory_log_grads(
+            pol_alone, feats[rows], actions[rows], bound_alone, alone
+        )
         assert grads[rows].tobytes() == single.tobytes()
     # Reduced here from the same index, the gradients are the same.
     again = policy.trajectory_log_grads(
-        pol, feats, actions, stack, amps, sets=sets, weights=weights
+        pol, feats, actions, bound, amps, sets=sets, weights=weights
     )
     assert again.tobytes() == grads.tobytes()
     if kind == "softmax":
@@ -366,8 +397,9 @@ def test_trajectory_grads_match_shift_rule(entangler, n, kind):
     feats = rng.uniform(-1, 1, (4, n))
     feats[2, n - 1] = 0.0
     actions = rng.integers(0, pol.num_actions, 4)
-    amps = ansatz.run_bound(ansatz.bind(config, params), feats)
-    grads = policy.trajectory_log_grads(pol, feats, actions, params, amps)
+    bound = ansatz.bind(config, params)
+    amps = ansatz.run_bound(bound, feats)
+    grads = policy.trajectory_log_grads(pol, feats, actions, bound, amps)
     n_circuit = sum(ansatz.param_counts(config))
     oracle = _shift_rule_log_grads(pol, feats, actions, params)
     assert np.abs(grads[:, :n_circuit] - oracle).max() < 1e-10
@@ -429,7 +461,8 @@ def test_born_reduce_and_gradient_memory_does_not_grow_with_the_action_count():
     config = ModelConfig(n, 1)
     params = ParamSet(*(np.full(k, 0.3) for k in ansatz.param_counts(config)))
     feats = np.random.default_rng(0).uniform(-1, 1, size=(steps, n))
-    amps = ansatz.run_bound(ansatz.bind(config, params), feats)
+    bound = ansatz.bind(config, params)
+    amps = ansatz.run_bound(bound, feats)
     peaks = {}
     for m in (2, 1 << n):
         table = np.arange(1 << n) % m
@@ -437,7 +470,7 @@ def test_born_reduce_and_gradient_memory_does_not_grow_with_the_action_count():
         pol = policy.MeasurementPolicy(config, decode.PostProcessing(n, m, table))
         reduced = policy._reduce(pol, amps)
         actions = np.argmax(reduced[1], axis=1)
-        policy.trajectory_log_grads(pol, feats, actions, params, amps, reduced)
+        policy.trajectory_log_grads(pol, feats, actions, bound, amps, reduced)
         peaks[m] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     # The (T, M) distributions themselves take one (T, 2**n) block at M = 2**n.
@@ -565,6 +598,26 @@ def test_sample_action_refuses_parameters_bound_to_another_model():
     other = ModelConfig(3, 2, "cx")
     with pytest.raises(ValueError, match="parameters bound to"):
         policy.sample_action(pol, features[None, :], ansatz.bind(other, params), [rng])
+
+
+def test_trajectory_log_grads_refuse_parameters_bound_to_another_model():
+    # Same n and d, another entangler: the sweep would run on the bound
+    # circuit and differentiate it silently, so it is refused before,
+    # with sample_action's message.
+    config, params, features, rng = _instance(seed=19)
+    other = ModelConfig(3, 2, "cx")
+    feats = features[None, :]
+    bound = ansatz.bind(other, params)
+    amps = ansatz.run_bound(bound, feats)
+    message = f"parameters bound to {other}, policy model is {config}"
+    for pol in (
+        policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2)),
+        policy.SoftmaxObservablePolicy(config, np.array([0.5, -0.3])),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            policy.trajectory_log_grads(pol, feats, np.array([1]), bound, amps)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            policy.sample_action(pol, feats, bound, [rng])
 
 
 def test_born_sample_action_draws_from_born_probabilities_without_reduce(monkeypatch):

@@ -121,11 +121,12 @@ def test_softmax_update_reduces_each_rollout_step_once(monkeypatch):
     monkeypatch.setattr(
         policy, "_reduce", lambda pol, amps: reduced_rows.append(len(amps)) or reduce(pol, amps)
     )
-    batch = train.collect_episodes(env, encoder, pol, params, episode_rngs(2, 7))
+    bound = ansatz.bind(pol.model, params)
+    batch = train.collect_episodes(env, encoder, pol, bound, episode_rngs(2, 7))
     lengths = [len(rewards) for rewards in batch.rewards]
     assert reduced_rows == [sum(n > t for n in lengths) for t in range(max(lengths))]
     reduced_rows.clear()
-    train.reinforce_gradient(batch, pol, params, 0.99)
+    train.reinforce_gradient(batch, pol, bound, 0.99)
     assert reduced_rows == []
 
 
@@ -178,14 +179,15 @@ def test_mean_reinforce_gradient_is_the_exact_gradient_on_a_bandit(kind):
     sides are rounding noise there, far below 1e-14.
     """
     env, encoder, pol, params = _exact_gradient_bandit(kind)
+    bound = ansatz.bind(pol.model, params)
     batches, size = 300, 50
     _, streams = train.run_streams(0, batches * size)
     estimates = np.array(
         [
             train.reinforce_gradient(
-                train.collect_episodes(env, encoder, pol, params, list(islice(streams, size))),
+                train.collect_episodes(env, encoder, pol, bound, list(islice(streams, size))),
                 pol,
-                params,
+                bound,
                 1.0,
             )
             for _ in range(batches)
@@ -249,7 +251,7 @@ def test_train_run_is_identical_on_rerun():
     assert (first.policy.weights == second.policy.weights).all()
 
 
-def _per_trajectory_sum(batch, pol, params, gamma):
+def _per_trajectory_sum(batch, pol, bound, gamma):
     """Oracle: the REINFORCE gradient one episode at a time."""
     total = np.zeros(policy.num_trainables(pol))
     start = 0
@@ -257,7 +259,7 @@ def _per_trajectory_sum(batch, pol, params, gamma):
         steps = slice(start, start + len(rewards))
         start = steps.stop
         grads = policy.trajectory_log_grads(
-            pol, batch.features[steps], batch.actions[steps], params, batch.amps[steps]
+            pol, batch.features[steps], batch.actions[steps], bound, batch.amps[steps]
         )
         total += np.array(train.discounted_returns(rewards, gamma)) @ grads
     return total / len(batch.rewards)
@@ -266,23 +268,23 @@ def _per_trajectory_sum(batch, pol, params, gamma):
 @pytest.mark.parametrize("task", ["cartpole_born", "bandit_softmax"])
 def test_batched_reinforce_gradient_equals_per_trajectory_sum(task):
     env, encoder, pol = _cartpole() if task == "cartpole_born" else _bandit("softmax")
-    params = ansatz.init_params(pol.model, np.random.default_rng(9))
-    batch = train.collect_episodes(env, encoder, pol, params, episode_rngs(9, 4))
-    batched = train.reinforce_gradient(batch, pol, params, 0.99)
-    oracle = _per_trajectory_sum(batch, pol, params, 0.99)
+    bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(9)))
+    batch = train.collect_episodes(env, encoder, pol, bound, episode_rngs(9, 4))
+    batched = train.reinforce_gradient(batch, pol, bound, 0.99)
+    oracle = _per_trajectory_sum(batch, pol, bound, 0.99)
     assert np.abs(batched - oracle).max() < 1e-12
 
 
 def test_reinforce_gradient_makes_one_gradient_call(monkeypatch):
     env, encoder, pol = _cartpole()
-    params = ansatz.init_params(pol.model, np.random.default_rng(2))
-    batch = train.collect_episodes(env, encoder, pol, params, episode_rngs(2, 3))
+    bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(2)))
+    batch = train.collect_episodes(env, encoder, pol, bound, episode_rngs(2, 3))
     calls = []
     grads = policy.trajectory_log_grads
     monkeypatch.setattr(
         policy, "trajectory_log_grads", lambda *args: calls.append(len(args[2])) or grads(*args)
     )
-    train.reinforce_gradient(batch, pol, params, 0.99)
+    train.reinforce_gradient(batch, pol, bound, 0.99)
     assert calls == [sum(map(len, batch.rewards))] == [len(batch.actions)]
 
 
@@ -290,7 +292,7 @@ def test_reinforce_gradient_makes_one_gradient_call(monkeypatch):
 def test_collect_episodes_encodes_once_per_time_step(task):
     # One encode call per lockstep time step, over the live episodes.
     env, encoder, pol = TASKS[task]()
-    params = ansatz.init_params(pol.model, np.random.default_rng(6))
+    bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(6)))
     live_counts = []
 
     class CountingEncoder:
@@ -298,7 +300,7 @@ def test_collect_episodes_encodes_once_per_time_step(task):
             live_counts.append(len(states))
             return encoder.encode(states)
 
-    batch = train.collect_episodes(env, CountingEncoder(), pol, params, episode_rngs(3, 6))
+    batch = train.collect_episodes(env, CountingEncoder(), pol, bound, episode_rngs(3, 6))
     lengths = [len(rewards) for rewards in batch.rewards]
     assert len(live_counts) == max(lengths)
     assert live_counts == [sum(length > t for length in lengths) for t in range(max(lengths))]
@@ -340,10 +342,11 @@ def _same_trajectories(got, expected):
 def test_lockstep_episodes_equal_one_at_a_time(task, size):
     env, encoder, pol = TASKS[task]()
     params = ansatz.init_params(pol.model, np.random.default_rng(size))
-    lockstep = train.collect_episodes(env, encoder, pol, params, episode_rngs(5, size))
+    bound = ansatz.bind(pol.model, params)
+    lockstep = train.collect_episodes(env, encoder, pol, bound, episode_rngs(5, size))
     alone = collect_alone(env, encoder, pol, params, episode_rngs(5, size))
     _same_trajectories(lockstep, alone)
-    states = ansatz.run_bound(ansatz.bind(pol.model, params), lockstep.features)
+    states = ansatz.run_bound(bound, lockstep.features)
     _same_arrays(lockstep.amps, states)
     if size == 10 and not task.startswith("bandit"):
         # Episodes end at different steps.
@@ -357,11 +360,12 @@ def test_train_run_batches_equal_one_at_a_time(monkeypatch, task, size, episodes
     lockstep = train.collect_episodes
     sizes = []
 
-    def checked(env, encoder, pol, params, rngs):
+    def checked(env, encoder, pol, bound, rngs):
         copies = [np.random.default_rng() for _ in rngs]
         for copy, rng in zip(copies, rngs):
             copy.bit_generator.state = rng.bit_generator.state
-        batch = lockstep(env, encoder, pol, params, rngs)
+        batch = lockstep(env, encoder, pol, bound, rngs)
+        params = ansatz.ParamSet(bound.theta.ravel(), bound.lam.ravel())
         _same_trajectories(batch, collect_alone(env, encoder, pol, params, copies))
         sizes.append(len(rngs))
         return batch
@@ -376,17 +380,28 @@ def test_train_run_batches_equal_one_at_a_time(monkeypatch, task, size, episodes
 
 @pytest.mark.parametrize("task", ["cartpole_born", "bandit_softmax"])
 def test_each_batch_binds_its_parameters_once(monkeypatch, task):
+    # train_run binds each batch's parameters once, the trailing partial
+    # batch included, and hands that one bound stack to every step of
+    # the rollout and to the gradient; neither binds again.
     env, encoder, pol = TASKS[task]()
-    bind = ansatz.bind
-    bound = []
+    bind, collect, gradient = ansatz.bind, train.collect_episodes, train.reinforce_gradient
+    bound, collected, differentiated = [], [], []
     monkeypatch.setattr(ansatz, "bind", lambda *args: bound.append(bind(*args)) or bound[-1])
-    params = ansatz.init_params(pol.model, np.random.default_rng(2))
-    batch = train.collect_episodes(env, encoder, pol, params, episode_rngs(2, 10))
-    # One bind serves every step of the batch, however many calls it makes.
-    assert len(bound) == 1 and len(batch.rewards) == 10
-    bound.clear()
+
+    def collected_with(env, encoder, pol, bound, rngs):
+        collected.append(bound)
+        return collect(env, encoder, pol, bound, rngs)
+
+    def differentiated_with(batch, pol, bound, gamma):
+        differentiated.append(bound)
+        return gradient(batch, pol, bound, gamma)
+
+    monkeypatch.setattr(train, "collect_episodes", collected_with)
+    monkeypatch.setattr(train, "reinforce_gradient", differentiated_with)
     train.train_run(env, encoder, pol, train.Hyperparams(batch_size=4, episodes=10), seed=3)
     assert len(bound) == 3
+    assert all(got is want for got, want in zip(collected, bound, strict=True))
+    assert all(got is want for got, want in zip(differentiated, bound[:2], strict=True))
 
 
 def _states(rngs) -> list:
@@ -425,9 +440,9 @@ def test_train_run_hands_each_batch_the_numpy_spawn_states(monkeypatch, seed):
     handed = []
     collect = train.collect_episodes
 
-    def recorded(env, encoder, pol, params, rngs):
+    def recorded(env, encoder, pol, bound, rngs):
         handed.append(_states(rngs))
-        return collect(env, encoder, pol, params, rngs)
+        return collect(env, encoder, pol, bound, rngs)
 
     monkeypatch.setattr(train, "collect_episodes", recorded)
     hyper = train.Hyperparams(batch_size=4, episodes=10)
@@ -481,8 +496,8 @@ def test_runner_truncates_frozenlake_at_the_horizon(monkeypatch):
     _fixed_actions(monkeypatch, lambda row: 3)  # "up" keeps the start cell
     _, encoder, pol = _slippery_lake()
     lake = envs.FrozenLake(horizon=3)
-    params = ansatz.init_params(pol.model, np.random.default_rng(0))
-    batch = train.collect_episodes(lake, encoder, pol, params, episode_rngs(0, 2))
+    bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(0)))
+    batch = train.collect_episodes(lake, encoder, pol, bound, episode_rngs(0, 2))
     assert batch.rewards == [[-1.0, -1.0, -1.0]] * 2
     assert batch.actions.tolist() == [3] * 6
 
@@ -491,15 +506,15 @@ def test_runner_truncates_cartpole_at_the_horizon(monkeypatch):
     # A balancing push never fails, so every episode runs to the horizon;
     # a straight push ends the same batch early.
     _, encoder, pol = _cartpole()
-    params = ansatz.init_params(pol.model, np.random.default_rng(0))
+    bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(0)))
     for version, horizon in (("v0", 200), ("v1", 500)):
         _fixed_actions(monkeypatch, lambda row: int(row[2] + 0.5 * row[3] > 0))
         batch = train.collect_episodes(
-            envs.CartPole(version), encoder, pol, params, episode_rngs(1, 3)
+            envs.CartPole(version), encoder, pol, bound, episode_rngs(1, 3)
         )
         assert [math.fsum(rewards) for rewards in batch.rewards] == [float(horizon)] * 3
     _fixed_actions(monkeypatch, lambda row: 1)
-    batch = train.collect_episodes(envs.CartPole(), encoder, pol, params, episode_rngs(1, 3))
+    batch = train.collect_episodes(envs.CartPole(), encoder, pol, bound, episode_rngs(1, 3))
     assert all(len(rewards) < 200 for rewards in batch.rewards)
 
 
