@@ -136,12 +136,12 @@ def sample_fims(
 
     The sets run in chunks of as many as fit :data:`FIM_CHUNK_AMPLITUDES`.
     A chunk is bound once as a stack of sets (:func:`qpglab.ansatz.bind`)
-    and takes one circuit call, one reduction and one adjoint sweep over
-    all its sets' rows, each row reading its set through a row-to-set
-    index.  Every row is bit-identical to the state run alone under its
-    set, and each set's gradients to the call on that set alone, so the
-    result equals one circuit call and one draw per state, and the
-    generator is consumed exactly as by one set at a time.
+    and takes one circuit call and one reduction over all its sets' rows,
+    each row reading its set through a row-to-set index, and one adjoint
+    sweep per set over its rows.  Every row is bit-identical to the state
+    run alone under its set, and each set's gradients to the call on that
+    set alone, so the result equals one circuit call and one draw per
+    state, and the generator is consumed exactly as by one set at a time.
     """
     if num_param_sets < 1:
         raise ValueError(f"num_param_sets must be at least 1, got {num_param_sets}")

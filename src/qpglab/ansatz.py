@@ -65,18 +65,17 @@ Gradients of diagonal expectations come from :func:`adjoint_grads`
 from final amplitudes the caller already holds, one backward sweep
 carries the state and the observable-weighted state back through the
 circuit a whole rotation layer at a time.  It reads the parameters the
-forward pass bound, the same :class:`BoundParams` and row-to-set index.
-BLAS rounds a row of a matrix product by its place in the call, so the
-sweep's products run one set's block of rows at a time and each set's
-gradients equal the call on that set alone.  Each Rz layer is one phase
-multiply; each Ry layer is one phase multiply in the eigenbasis of Y,
-reached by a change of basis shared by all qubits.  Every derivative
-of a layer is one product with a table of Z signs.  A scale factor
-feeding feature ``s`` enters only through the angle ``lam * s``, so its
-derivative is ``s`` times the angle's; for ``s`` exactly zero it is
-zero.  The parameter-shift rule (Schuld et al., arXiv:1811.11184), the
-rule hardware runs, gives the same derivatives at two circuits per
-parameter; it is the tests' oracle for the sweep.
+forward pass bound, the same :class:`BoundParams` and row-to-set index,
+and sweeps each set's rows alone, so each set's gradients are the call
+on that set alone.  Each Rz layer is one phase multiply; each Ry layer
+is one phase multiply in the eigenbasis of Y, reached by a change of
+basis shared by all qubits.  Every derivative of a layer is one product
+with a table of Z signs.  A scale factor feeding feature ``s`` enters
+only through the angle ``lam * s``, so its derivative is ``s`` times
+the angle's; for ``s`` exactly zero it is zero.  The parameter-shift
+rule (Schuld et al., arXiv:1811.11184), the rule hardware runs, gives
+the same derivatives at two circuits per parameter; it is the tests'
+oracle for the sweep.
 
 This module reads and writes no file: ``qpglab.config`` builds an
 experiment's model once, when its config is loaded, and ``qpglab.cli``
@@ -170,14 +169,15 @@ def _row_sets(num_sets: int, sets, rows: int):
 
     ``sets`` is the (rows,) row-to-set index, non-decreasing, or None
     for a single set.  Returns the index into the stack's leading axis
-    and one slice of rows per set that has rows.  A single set is read
-    through ``slice(None)``, so its (1, ...) tables broadcast over the
-    rows as they are, and has no slices (None).
+    and one ``(set, rows)`` pair, ``rows`` a slice, per set that has
+    rows.  A single set is read through ``slice(None)``, so its (1, ...)
+    tables broadcast over the rows as they are, and is the one pair
+    ``(0, slice(None))``.
     """
     if sets is None:
         if num_sets != 1:
             raise ValueError(f"a stack of {num_sets} sets needs a row-to-set index")
-        return slice(None), None
+        return slice(None), [(0, slice(None))]
     sets = np.asarray(sets)
     if sets.shape != (rows,) or sets.dtype.kind not in "iu":
         raise ValueError(f"need one integer set index per row: {sets.shape} for {rows} rows")
@@ -187,9 +187,11 @@ def _row_sets(num_sets: int, sets, rows: int):
     if (steps < 0).any():
         raise ValueError("set indices must not decrease: each set's rows are one block")
     if num_sets == 1:
-        return slice(None), None
+        return slice(None), [(0, slice(None))]
+    if not rows:
+        return sets, []
     cuts = [0, *(np.flatnonzero(steps) + 1), rows]
-    return sets, [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+    return sets, [(sets[start], slice(start, stop)) for start, stop in zip(cuts, cuts[1:])]
 
 
 def _validate_features(config: ModelConfig, features: np.ndarray) -> None:
@@ -430,7 +432,7 @@ def _run_pass(config, start, half) -> np.ndarray:
 def adjoint_grads(
     bound: BoundParams, features, weights, amps: np.ndarray, *, sets=None
 ) -> np.ndarray:
-    """Gradients of diagonal expectations by one backward sweep.
+    """Gradients of diagonal expectations by one backward sweep per parameter set.
 
     Row ``t`` runs feature row ``features[t]`` (shape (T, n)) under set
     ``sets[t]`` of the bound stack and measures the real diagonal
@@ -442,6 +444,8 @@ def adjoint_grads(
     :func:`run_bound` gives them; the sweep starts from them and runs no
     forward pass.  Returns ``d<psi_t|diag(w_t)|psi_t>/d(theta, lam)`` of
     row ``t``'s set, shape (T, |theta| + |lam|) in the flat layout.
+    Each set's rows are swept alone, so row ``t`` is bit-identical to
+    the call on its set's rows alone, in their order.
 
     Each rotation exp(-i phi P / 2) contributes Im<lam|P|psi>, where
     ``psi`` is the state and ``lam = diag(w) psi`` the weighted state,
@@ -461,33 +465,41 @@ def adjoint_grads(
       for every q at once and Ry(a) = A Rz(a) A^dag, so the pair is
       mapped by A^dag (:func:`_change_basis`), read and undone there as
       an Rz layer, and mapped back.
-
-    The phases of a variational Ry layer depend on the set alone, so
-    they are one (n,) product per set, read per row; a stacked (R, n)
-    product would round differently.  Every other matrix product runs
-    over one set's block of rows at a time, since BLAS rounds a row of
-    a product by its place in the call, so each row is bit-identical to
-    the call on its set's rows alone, in their order.
     """
     config = bound.config
-    n, d = config.n_qubits, config.depth
     features = np.asarray(features, dtype=float)
     _validate_features(config, features)
     steps = len(features)
-    if amps.shape != (steps, 1 << n):
-        raise ValueError(f"amps must have shape {(steps, 1 << n)}, got {amps.shape}")
-    num_sets = len(bound.start)
-    rows, blocks = _row_sets(num_sets, sets, steps)
-    # (set, block, qubit, (z, y)) angles of the variational blocks, and
+    if amps.shape != (steps, 1 << config.n_qubits):
+        raise ValueError(f"amps must have shape {(steps, 1 << config.n_qubits)}, got {amps.shape}")
+    weights = np.asarray(weights)
+    if weights.shape not in (amps.shape, amps.shape[1:]):
+        shapes = f"{amps.shape} or {amps.shape[1:]}"
+        raise ValueError(f"weights must have shape {shapes}, got {weights.shape}")
+    grads = np.empty((steps, sum(param_counts(config))))
+    for index, rows in _row_sets(len(bound.start), sets, steps)[1]:
+        # One (2**n,) row of weights serves every row as it is.
+        rows_weights = weights[rows] if weights.ndim == 2 else weights
+        grads[rows] = _sweep(
+            config, bound.theta[index], bound.lam[index], features[rows], rows_weights, amps[rows]
+        )
+    return grads
+
+
+def _sweep(config, var, lam, features, weights, amps) -> np.ndarray:
+    """:func:`adjoint_grads` of one parameter set, its theta ``var``
+    (d+1, n, 2) and its lam (d, n, 2), at every row of ``features``."""
+    n, d = config.n_qubits, config.depth
+    steps = len(features)
+    # (block, qubit, (z, y)) angles of the variational blocks, and
     # (block, row, qubit, (y, z)) angles of the encoding blocks; an
     # encoding Rz layer is undone together with the variational Rz layer
     # after it, at their summed angles (block, row, qubit).  Both per-row
     # tables are C-ordered, as the phase products read them.
-    var = bound.theta
     enc = np.empty((d, steps, n, 2))
-    np.multiply(bound.lam[rows].transpose(1, 0, 2, 3), features[:, ::-1, None], out=enc)
+    np.multiply(lam[:, None], features[:, ::-1, None], out=enc)
     rz_sums = np.empty((d, steps, n))
-    np.add(var[rows, 1:, :, 0].transpose(1, 0, 2), enc[..., 1], out=rz_sums)
+    np.add(var[1:, None, :, 0], enc[..., 1], out=rz_sums)
     pair = np.empty((2,) + amps.shape, dtype=np.complex128)
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])
@@ -495,18 +507,13 @@ def adjoint_grads(
     angle_grads = np.empty((2, 2 * d + 1, n, steps))
     for layer in range(d, -1, -1):
         _apply_entangler(pair, config, inverse=True)
-        # The variational Ry phases: one (n,) product per set.
-        if blocks is None:
-            ry_phases = _undo_phases(var[0, layer, :, 1])
-        else:
-            ry_phases = _undo_phases(var[:, layer, :, 1], range(num_sets))[rows]
-        pair = _undo_ry_layer(pair, ry_phases, angle_grads[1, 2 * layer], blocks)
-        _z_reads(pair, angle_grads[0, 2 * layer], blocks)
+        pair = _undo_ry_layer(pair, _undo_phases(var[layer, :, 1]), angle_grads[1, 2 * layer])
+        _z_reads(pair, angle_grads[0, 2 * layer])
         if layer == 0:
             break
-        pair *= _undo_phases(rz_sums[layer - 1], blocks)
-        phases = _undo_phases(enc[layer - 1, ..., 0], blocks)
-        pair = _undo_ry_layer(pair, phases, angle_grads[1, 2 * layer - 1], blocks)
+        pair *= _undo_phases(rz_sums[layer - 1])
+        phases = _undo_phases(enc[layer - 1, ..., 0])
+        pair = _undo_ry_layer(pair, phases, angle_grads[1, 2 * layer - 1])
     # An encoding Rz layer shares its reading with the variational one.
     angle_grads[0, 1::2] = angle_grads[0, 2::2]
     return _flat_grads(angle_grads, features)
@@ -521,35 +528,20 @@ def _z_sign_table(n: int) -> np.ndarray:
     return signs
 
 
-def _z_reads(pair: np.ndarray, out: np.ndarray, blocks=None) -> None:
-    """Im<lam|Z_q|psi> for every qubit q of the stacked ``(psi, lam)``,
-    into ``out`` (n, T), one product per block of rows (None: all rows).
-    """
+def _z_reads(pair: np.ndarray, out: np.ndarray) -> None:
+    """Im<lam|Z_q|psi> for every qubit q of the stacked ``(psi, lam)``, into ``out`` (n, T)."""
     psi, lam = pair
     im = lam.real * psi.imag
     im -= lam.imag * psi.real
-    z_signs = _z_sign_table(out.shape[0])
-    if blocks is None:
-        np.matmul(z_signs, im.T, out=out)
-    else:
-        for rows in blocks:
-            np.matmul(z_signs, im[rows].T, out=out[:, rows])
+    np.matmul(_z_sign_table(out.shape[0]), im.T, out=out)
 
 
-def _undo_phases(angles: np.ndarray, blocks=None) -> np.ndarray:
+def _undo_phases(angles: np.ndarray) -> np.ndarray:
     """Diagonal exp(+i/2 angles @ Z signs) that undoes an Rz layer with
-    ``angles`` (..., n) per qubit, one product per block, an index into
-    the leading axes (None: one product for all).
-    """
-    z_signs = _z_sign_table(angles.shape[-1])
+    ``angles`` (..., n) per qubit."""
     # Halving is exact.  ``angles`` goes in as given: a contiguous copy of
     # a strided view can change how the matmul rounds.
-    if blocks is None:
-        half = angles @ z_signs
-    else:
-        half = np.empty(angles.shape[:-1] + z_signs.shape[1:])
-        for rows in blocks:
-            np.matmul(angles[rows], z_signs, out=half[rows])
+    half = angles @ _z_sign_table(angles.shape[-1])
     half *= 0.5
     phases = np.empty(half.shape, dtype=np.complex128)
     np.cos(half, out=phases.real)
@@ -557,7 +549,7 @@ def _undo_phases(angles: np.ndarray, blocks=None) -> np.ndarray:
     return phases
 
 
-def _undo_ry_layer(pair, phases, out, blocks) -> np.ndarray:
+def _undo_ry_layer(pair, phases, out) -> np.ndarray:
     """Undo an Ry layer on the stacked ``(psi, lam)``, given the
     :func:`_undo_phases` of its angles, (T, 2**n) or one row for all.
 
@@ -567,7 +559,7 @@ def _undo_ry_layer(pair, phases, out, blocks) -> np.ndarray:
     """
     n = out.shape[0]
     pair = _change_basis(pair, n, back=False)
-    _z_reads(pair, out, blocks)
+    _z_reads(pair, out)
     pair *= phases
     return _change_basis(pair, n, back=True)
 

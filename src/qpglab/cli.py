@@ -1,11 +1,14 @@
 """Command-line front end: config-driven experiments with CSV outputs.
 
 Subcommands: train, globality, enum, fim, bound, decode.
-Common flags: --config, --seed, --out-dir; ``train`` also takes --jobs,
-the number of seeds trained in parallel, one spawned worker process
-each.  A worker runs OpenBLAS on one thread, so the workers do not
-oversubscribe the cores, unless ``OPENBLAS_NUM_THREADS`` in the
-environment says otherwise.  Exit codes: 0 on success, 2 for
+``train``, ``enum`` and ``fim`` take --seed and --out-dir, and
+``train`` and ``fim`` also --config; ``globality``, ``bound`` and
+``decode`` take their inputs as flags and print their results.
+``train`` also takes --jobs, the number of seeds trained in parallel,
+one spawned worker process each.  A worker runs OpenBLAS on one
+thread, so the workers do not oversubscribe the cores, unless
+``OPENBLAS_NUM_THREADS`` in the environment says otherwise; the
+caller's environment is left as it was.  Exit codes: 0 on success, 2 for
 configuration/usage errors, 3 for runtime failures and for a bound
 report with a seed above the bound.  :func:`main` returns every exit
 code, argparse's usage errors and ``--help`` included, and raises no
@@ -111,9 +114,14 @@ def cmd_train(args) -> int:
 
         # A spawned worker loads OpenBLAS afresh and reads this; a forked
         # one would inherit the thread pool of this process.
+        preset = os.environ.get("OPENBLAS_NUM_THREADS")
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=get_context("spawn")) as pool:
-            results = list(pool.map(run, seeds))
+        try:
+            with ProcessPoolExecutor(args.jobs, mp_context=get_context("spawn")) as pool:
+                results = list(pool.map(run, seeds))
+        finally:
+            if preset is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
     else:
         results = list(map(run, seeds))
 

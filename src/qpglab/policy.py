@@ -29,14 +29,15 @@ so each set is bound once and each row simulated once and reduced once:
 by the softmax draw, or else by the gradient.  Both refuse parameters
 bound to another model.
 
-Log-policy gradients are exact: one adjoint sweep over all rows
-(:func:`qpglab.ansatz.adjoint_grads`) from their final amplitudes
-differentiates, for step ``t``, the readout column its action reads:
-the mask ``table == a_t``, or the one sign row.  Only the chain-rule
-factor is per family: 1 / p_taken, or ``beta * (w_a - pi @ w)`` and the
-weight block.  A Born policy acts by measuring one bitstring and
-decoding it, as on hardware; its probabilities and gradients are exact
-expectations of the simulated state, never shot estimates.
+Log-policy gradients are exact: the adjoint sweep
+(:func:`qpglab.ansatz.adjoint_grads`), one per parameter set over its
+rows, from their final amplitudes differentiates, for step ``t``, the
+readout column its action reads: the mask ``table == a_t``, or the one
+sign row.  Only the chain-rule factor is per family: 1 / p_taken, or
+``beta * (w_a - pi @ w)`` and the weight block.  A Born policy acts by
+measuring one bitstring and decoding it, as on hardware; its
+probabilities and gradients are exact expectations of the simulated
+state, never shot estimates.
 """
 
 from __future__ import annotations
@@ -135,14 +136,15 @@ def _reduce(
     Born policy's is its action distribution.  Rows never mix.  For a
     softmax policy, ``weights`` (R, M) holds the action weights of R
     parameter sets and ``sets`` the (T,) row-to-set index, as
-    :func:`qpglab.ansatz.run_bound` takes it; None reads
-    ``policy.weights`` in every row.
+    :func:`qpglab.ansatz.run_bound` takes it; None is
+    ``policy.weights``, a stack of one.
     """
     born = qsim.probabilities(amps)
     if isinstance(policy, SoftmaxObservablePolicy):
         signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
         reading = (born * signs).sum(axis=1, keepdims=True)
-        logits = policy.beta * _row_weights(policy, weights, sets, len(amps)) * reading
+        weights, rows, _ = _set_weights(policy, weights, sets, len(amps))
+        logits = policy.beta * weights[rows] * reading
         pi = np.exp(logits - logits.max(axis=1, keepdims=True))
         return reading, pi / pi.sum(axis=1, keepdims=True)
     # Row t's classes are bins t*M .. t*M + M-1, summed in basis order.
@@ -152,15 +154,16 @@ def _reduce(
     return probs, probs
 
 
-def _row_weights(policy: SoftmaxObservablePolicy, weights, sets, steps: int) -> np.ndarray:
-    """Each row's action weights: ``policy.weights``, or the row of the
-    per-set ``weights`` (R, M) that ``sets`` names."""
+def _set_weights(policy: SoftmaxObservablePolicy, weights, sets, steps: int):
+    """The per-set action weights (R, M), checked, and the
+    :func:`qpglab.ansatz._row_sets` of the ``steps`` rows in their stack;
+    None is ``policy.weights``, a stack of one."""
     if weights is None:
-        return policy.weights
+        weights = policy.weights[None]
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != policy.num_actions:
         raise ValueError(f"need (sets, {policy.num_actions}) action weights, got {weights.shape}")
-    return weights[ansatz._row_sets(len(weights), sets, steps)[0]]
+    return weights, *ansatz._row_sets(len(weights), sets, steps)
 
 
 def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.ndarray:
@@ -266,13 +269,13 @@ def trajectory_log_grads(
     for the steps' forward pass, ``amps`` the steps' final amplitudes
     (T, 2**n) and ``reduced`` their :func:`_reduce` result, as
     :func:`sample_action` returns them, so no step is simulated or
-    reduced again; None reduces them here.  One adjoint sweep over all
-    steps together; returns shape (T, num_trainables).  The steps need
-    not come from one episode.  ``bound`` may be a stack of R sets, with
-    ``sets`` the (T,) row-to-set index, non-decreasing, and, for a
-    softmax policy, ``weights`` each set's action weights (R, M), as
-    :func:`_reduce` takes them; row ``t``'s gradient is then that of its
-    set, bit-identical to the call on its set's rows alone.
+    reduced again; None reduces them here.  One adjoint sweep per
+    parameter set over its steps; returns shape (T, num_trainables).
+    The steps need not come from one episode.  ``bound`` may be a stack
+    of R sets, with ``sets`` the (T,) row-to-set index, non-decreasing,
+    and, for a softmax policy, ``weights`` each set's action weights
+    (R, M), as :func:`_reduce` takes them; row ``t``'s gradient is then
+    that of its set, bit-identical to the call on its set's rows alone.
     """
     _check_bound(policy, bound)
     actions = np.asarray(actions, dtype=np.int64)
@@ -281,6 +284,7 @@ def trajectory_log_grads(
     reading, pi = reduced
     softmax = isinstance(policy, SoftmaxObservablePolicy)
     if softmax:
+        weights, _, pairs = _set_weights(policy, weights, sets, len(actions))
         observable = _z_signs(policy.model.n_qubits, policy.z_qubits)
     else:
         observable = (policy.postfn.table == actions[:, None]).astype(float)
@@ -293,17 +297,11 @@ def trajectory_log_grads(
             bad = int(np.nonzero(p_taken == 0.0)[0][0])
             raise ZeroProbabilityError(f"action {actions[bad]} has zero probability at step {bad}")
         return grads / p_taken[:, None]
-    if weights is None:
-        bracket = policy.weights[actions] - pi @ policy.weights
-    else:
-        # pi @ w rounds a row by its place in the product, so each set's
-        # block of rows takes its own product, as in the call on that set alone.
-        weights = np.asarray(weights, dtype=float)
-        index, blocks = ansatz._row_sets(len(weights), sets, len(actions))
-        owners = [(0, slice(None))] if blocks is None else [(index[b.start], b) for b in blocks]
-        bracket = np.empty(len(actions))
-        for owner, rows in owners:
-            bracket[rows] = weights[owner][actions[rows]] - pi[rows] @ weights[owner]
+    # pi @ w rounds a row by its place in the product, so each set's
+    # block of rows takes its own product, as in the call on that set alone.
+    bracket = np.empty(len(actions))
+    for index, rows in pairs:
+        bracket[rows] = weights[index][actions[rows]] - pi[rows] @ weights[index]
     indicator = np.zeros_like(pi)
     indicator[steps, actions] = 1.0
     weight_block = policy.beta * reading * (indicator - pi)

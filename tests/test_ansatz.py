@@ -256,6 +256,10 @@ def test_adjoint_grads_broadcast_one_weight_row():
     assert (shared == tiled).all()
     empty = ansatz.adjoint_grads(bound, features[:0], weights, amps[:0])
     assert empty.shape == (0, sum(ansatz.param_counts(config)))
+    # Any other shape is refused, alone as in a stack of sets.
+    message = r"weights must have shape \(5, 8\) or \(8,\), got \(1, 8\)"
+    with pytest.raises(ValueError, match=message):
+        ansatz.adjoint_grads(bound, features, weights[None], amps)
 
 
 # The layer-wide sweep changes basis and sums each derivative in
@@ -687,6 +691,15 @@ def test_stacked_sets_need_a_valid_row_to_set_index():
                 policy.trajectory_log_grads(
                     pol, features, actions, bound, amps, sets=np.array(sets), **kw
                 )
+    # Per-set action weights of another shape: the same refusal whether
+    # the gradient reduces the rows or is handed their reduction.
+    sets = np.array([0, 0, 1])
+    reduced = policy._reduce(softmax, amps, sets=sets, weights=weights)
+    for handed in (None, reduced):
+        with pytest.raises(ValueError, match=r"need \(sets, 2\) action weights, got \(2, 3\)"):
+            policy.trajectory_log_grads(
+                softmax, features, actions, bound, amps, handed, sets=sets, weights=np.zeros((2, 3))
+            )
 
 
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])

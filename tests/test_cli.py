@@ -385,6 +385,15 @@ def test_train_exits_three_when_a_seed_is_above_the_bound(tmp_path, capsys, monk
     assert (out_dir / "curve_aggregate.csv").is_file()
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # Every command pays what the import loads; numpy.random is loaded
+    # only by the commands that draw random numbers.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, qpglab.cli; print(sorted(m for m in sys.modules if 'numpy.random' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: qpglab")
@@ -428,14 +437,8 @@ def test_fim_samples_once_and_writes_spectrum_aggregate_and_effdim(tmp_path, cap
     )
 
 
-def _unset_blas_threads(monkeypatch) -> None:
-    # Set before deleting, so that teardown removes what ``train`` sets.
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-
-
 def test_train_jobs_two_writes_the_files_of_jobs_one(tmp_path, monkeypatch):
-    _unset_blas_threads(monkeypatch)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     config = tmp_path / "train.ini"
     config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2))
     outs = [tmp_path / "jobs1", tmp_path / "jobs2"]
@@ -447,11 +450,12 @@ def test_train_jobs_two_writes_the_files_of_jobs_one(tmp_path, monkeypatch):
     assert len(names) == 5  # two curves, two parameter files, the aggregate
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")], ids=["unset", "user"])
 def test_train_jobs_workers_run_blas_on_one_thread(tmp_path, monkeypatch, preset, expected):
-    _unset_blas_threads(monkeypatch)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     if preset is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
     seen = []
@@ -477,8 +481,10 @@ def test_train_jobs_workers_run_blas_on_one_thread(tmp_path, monkeypatch, preset
     config.write_text(BANDIT_CONFIG.format(kind="measurement", actions=2))
     argv = ["train", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--jobs", "2"]
     assert cli.main(argv) == 0
-    # A spawned worker loads OpenBLAS afresh, so it reads the variable.
+    # A spawned worker loads OpenBLAS afresh, so it reads the variable;
+    # the caller's environment is as it was.
     assert seen == [(2, "spawn", expected)]
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == preset
 
 
 class Refusal(NamedTuple):

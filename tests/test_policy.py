@@ -366,6 +366,13 @@ def test_stacked_sets_reduce_and_differentiate_as_each_set_alone(kind):
     if kind == "softmax":
         with pytest.raises(ValueError, match=r"need \(sets, 4\) action weights, got \(3, 3\)"):
             policy._reduce(pol, amps, sets=sets, weights=weights[:, :3])
+    # No rows at all: an empty gradient, as from one set.
+    none = np.zeros(0, int)
+    empty = ansatz.run_bound(bound, feats[:0], sets=none)
+    got = policy.trajectory_log_grads(
+        pol, feats[:0], actions[:0], bound, empty, sets=none, weights=weights
+    )
+    assert got.shape == (0, policy.num_trainables(pol))
 
 
 def _shift_rule_log_grads(pol, feats, actions, params):
