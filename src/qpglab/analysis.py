@@ -51,13 +51,19 @@ def uniform_angle_state_sampler(dim: int):
 
 
 @lru_cache(maxsize=None)
-def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(dim)``, built once per dimension: every packing
-    and rebuild of a :class:`FimSamples` block reads them."""
+def _index_maps(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat index maps of a (P, P) matrix and its packed upper
+    triangle, built once per P: ``pack`` lists the flat index of each
+    upper-triangle entry, row by row, and ``unpack`` the packed index of
+    each of the P * P entries, (i, j) and (j, i) alike.
+    """
     rows, cols = np.triu_indices(dim)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+    unpack = np.empty((dim, dim), dtype=np.intp)
+    unpack[rows, cols] = unpack[cols, rows] = np.arange(len(rows))
+    pack, unpack = rows * dim + cols, unpack.ravel()
+    pack.setflags(write=False)
+    unpack.setflags(write=False)
+    return pack, unpack
 
 
 class FimSamples:
@@ -71,10 +77,14 @@ class FimSamples:
     block exactly, :attr:`dim` is the trainable count P, and
     :attr:`aggregate` is the mean of the rebuilt block over its sets, so
     it is symmetric bit for bit too (a mean of the packed rows rounds
-    differently).  The normalisation constant makes the Monte Carlo mean
-    of the trace equal P exactly.  :attr:`raw_traces` (sets,) are the
-    traces before that normalisation, the scale it divides out; a block
-    given without them is taken as its own raw block.
+    differently).  Packing and rebuilding are each one ``np.take`` along
+    the flattened matrices through the cached index maps of P, so both
+    blocks come out C-ordered; a mixed slice-and-array index would give
+    an F-ordered block, whose mean rounds differently.  The normalisation
+    constant makes the Monte Carlo mean of the trace equal P exactly.
+    :attr:`raw_traces` (sets,) are the traces before that normalisation,
+    the scale it divides out; a block given without them is taken as its
+    own raw block.
     """
 
     def __init__(self, per_set: np.ndarray, raw_traces=None):
@@ -84,8 +94,8 @@ class FimSamples:
         bits = per_set.view(np.uint64)
         if not (bits == bits.transpose(0, 2, 1)).all():
             raise ValueError("FIM block is not symmetric bit for bit")
-        rows, cols = _upper_indices(per_set.shape[1])
-        self.upper = per_set[:, rows, cols]
+        sets, dim = per_set.shape[:2]
+        self.upper = np.take(per_set.reshape(sets, dim * dim), _index_maps(dim)[0], axis=1)
         if raw_traces is None:
             raw_traces = np.trace(per_set, axis1=1, axis2=2)
         self.raw_traces = np.asarray(raw_traces, dtype=float)
@@ -98,11 +108,9 @@ class FimSamples:
 
     @property
     def per_set(self) -> np.ndarray:
-        rows, cols = _upper_indices(self.dim)
-        full = np.empty((len(self.upper), self.dim, self.dim))
-        full[:, rows, cols] = self.upper
-        full[:, cols, rows] = self.upper
-        return full
+        dim = self.dim
+        full = np.take(self.upper, _index_maps(dim)[1], axis=1)
+        return full.reshape(len(self.upper), dim, dim)
 
     @property
     def aggregate(self) -> np.ndarray:

@@ -51,13 +51,16 @@ angles and the scale-factor terms of layers 1..d, and
 :func:`run_bound` starts every row from its set's register and runs
 layers 1..d over all the rows at once.
 One vectorised call computes the factors of every layer of every row,
-with one cos and one sin call over all their half angles, laid out
-with the rows innermost so that each Kronecker product of a pair runs
-over contiguous rows.
-Then each factor is one batched contraction that reads one of two
-register buffers and writes the other.  Each factor entry is the same
-elementwise cos/sin and product, and each contraction the same per-row
-sum in the same order, whatever the batch, so row ``r`` is
+with one cos and one sin call over all their half angles.  Rows are the
+innermost axis from the half angles through the registers: factors are
+(4, 4, row) and (2, 2, row), registers (2**n, row).  Each factor is one
+batched contraction that reads one of two registers and writes the
+other, and a call returns a C-contiguous (row, 2**n) copy of the last.
+Every table and register of a call is written into one workspace kept
+per forward shape (:class:`_Workspace`), so a warm call allocates
+little beyond its result and faults no pages.  Each factor entry is the
+same elementwise cos/sin and product, and each contraction the same
+per-row sum in the same order, whatever the batch, so row ``r`` is
 bit-identical to the same row evaluated alone.
 
 Gradients of diagonal expectations come from :func:`adjoint_grads`
@@ -236,33 +239,122 @@ def _cx_layer_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, inverse
 
 
-def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse: bool = False) -> None:
+def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse=False, axis=-1, out=None):
+    """The entangler layer, or its inverse, on ``amps`` along its amplitude axis ``axis``.
+
+    A CZ layer multiplies ``amps`` in place.  A CX layer gathers the
+    permuted amplitudes into ``out``, or back into ``amps`` when ``out``
+    is None.  Returns the array that holds the result.
+    """
     n = config.n_qubits
     if n == 1:
-        return
+        return amps
     if config.entangler == "cz":
-        amps *= _cz_layer_signs(n)
-        return
-    amps[...] = amps[..., _cx_layer_perms(n)[inverse]]
+        signs = _cz_layer_signs(n)
+        amps *= signs.reshape(signs.shape + (1,) * (amps.ndim - 1 - axis % amps.ndim))
+        return amps
+    perm = _cx_layer_perms(n)[inverse]
+    if out is None:
+        amps[...] = np.take(amps, perm, axis=axis)
+        return amps
+    return np.take(amps, perm, axis=axis, out=out, mode="clip")
 
 
 # The factors of the encoded angles in the half angles b/2, (a+c)/2 and
-# (a-c)/2: (lam * s) * -0.5 is -(0.5 * (lam * s)) exactly.
-_HALF_ENCODED = np.array([0.5, 0.5, -0.5])
+# (a-c)/2, per term: (lam * s) * -0.5 is -(0.5 * (lam * s)) exactly.
+_HALF_ENCODED = np.array([0.5, 0.5, -0.5])[:, None, None, None]
 # The gate entries u00, u01, u10 and u11: the f of each (cos, sin, sin,
 # cos) and the signs of its (re, im).
 _ENTRY_TERMS = np.array([0, 1, 1, 0])
 _ENTRY_SIGNS = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])[..., None, None, None]
 
+# Bytes that the kept forward workspaces may hold together, per process.
+_WORKSPACE_BYTES = 1 << 25
+_WORKSPACES: dict = {}
 
-def _gate_table(half: np.ndarray) -> list[np.ndarray]:
+
+class _Workspace:
+    """Every buffer of a forward pass of one shape, and its views, made once.
+
+    The shape is the half angles' (term, layer, qubit, row).  Each array
+    has the rows innermost: ``half``, ``trig`` (cos, sin), ``products``,
+    ``terms`` (the products each gate entry reads), ``gates`` (layer,
+    qubit, i, j, row), ``pairs`` (the Kronecker products of the qubit
+    pairs) and the two ``registers`` (2**n, row) that the contractions
+    read and write in turn.  ``factors`` are the (4, 4, row) and (2, 2,
+    row) factors in the order a pass applies them, and ``layers`` pairs
+    each factor of a layer with both registers viewed as (outer, width,
+    inner, row) for its width.  :func:`_workspace` keeps workspaces per
+    process, at most :data:`_WORKSPACE_BYTES` (32 MiB) of them together;
+    one larger serves its call alone.  They are not thread-safe: two
+    threads running the same shape at once would share buffers
+    (``qpglab train --jobs`` runs processes).
+    """
+
+    def __init__(self, shape: tuple):
+        _, layers, n, batch = shape
+        self.half = np.empty(shape)
+        self.trig = np.empty((2,) + shape)
+        self.products = np.empty((2, 2) + shape[1:])
+        self.terms = np.empty((4, 2) + shape[1:])
+        gates = np.empty((layers, n, 2, 2, batch), dtype=np.complex128)
+        # The gates' (entry, re/im, layer, qubit, row) view.
+        entries = gates.view(np.float64).reshape(layers, n, 4, batch, 2)
+        self.entries = entries.transpose(2, 4, 0, 1, 3)
+        # Kronecker products of the pairs, axes (i1, i0, j1, j0) of the
+        # entries high[i1, j1] * low[i0, j0].
+        low, high = gates[:, 0 : n - 1 : 2], gates[:, 1::2]
+        self.kron = (high[:, :, :, None, :, None], low[:, :, None, :, None, :])
+        self.pairs = np.empty((layers, n // 2, 2, 2, 2, 2, batch), dtype=np.complex128)
+        self.factors = list(self.pairs.reshape(layers * (n // 2), 4, 4, batch))
+        if n % 2:
+            # The top qubit's gate closes each layer.
+            for layer, top in enumerate(gates[:, n - 1]):
+                self.factors.insert(layer * (n + 1) // 2 + n // 2, top)
+        registers = np.empty((2, 1 << n, batch), dtype=np.complex128)
+        self.registers = tuple(registers)
+        views = []
+        for low in range(0, n, 2):
+            width = min(4, 1 << (n - low))
+            shape = (2, (1 << n) // (width << low), width, 1 << low, batch)
+            views.append(tuple(registers.reshape(shape)))
+        # Each layer's (register views, factor) pairs.
+        self.layers = [
+            list(zip(views, self.factors[first : first + len(views)]))
+            for first in range(0, len(self.factors), len(views))
+        ]
+        self.buffers = (self.half, self.trig, self.products, self.terms, gates, self.pairs)
+        self.buffers += (registers,)
+        self.nbytes = sum(buffer.nbytes for buffer in self.buffers)
+
+
+def _workspace(shape: tuple) -> _Workspace:
+    """The kept workspace of a half-angle shape, made on first use.
+
+    A new workspace evicts the oldest kept ones until all fit
+    :data:`_WORKSPACE_BYTES`; one that never fits is not kept.
+    """
+    work = _WORKSPACES.get(shape)
+    if work is None:
+        work = _Workspace(shape)
+        if work.nbytes <= _WORKSPACE_BYTES:
+            kept = sum(other.nbytes for other in _WORKSPACES.values())
+            while kept + work.nbytes > _WORKSPACE_BYTES:
+                kept -= _WORKSPACES.pop(next(iter(_WORKSPACES))).nbytes
+            _WORKSPACES[shape] = work
+    return work
+
+
+def _gate_table(work: _Workspace) -> list[np.ndarray]:
     """Per-row factors of a forward pass, in the order it applies them.
 
-    ``half`` holds each gate's half angles (b/2, (a+c)/2, (a-c)/2) as
-    (term, layer, qubit, row).  Per layer: the factor U_{q+1} (x) U_q,
-    shape (B, 4, 4), of each qubit pair (q, q+1) with q even, lowest
-    first, then at odd n the top qubit's gate U_{n-1}, shape (B, 2, 2).
-    A factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
+    Reads the gates' half angles (b/2, (a+c)/2, (a-c)/2) from
+    ``work.half``, (term, layer, qubit, row), and writes every table into
+    the workspace.  Per layer: the factor U_{q+1} (x) U_q, shape (4, 4,
+    row), of each qubit pair (q, q+1) with q even, lowest first, then at
+    odd n the top qubit's gate U_{n-1}, shape (2, 2, row).  The factors
+    are views of the workspace laid out as built, rows innermost.  A
+    factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
     U_q is the fused gate of qubit q: layer 0 is Ry(theta') @ Rz(theta);
     layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
     encoding block E_l fused into the variational block V_l that follows
@@ -272,31 +364,19 @@ def _gate_table(half: np.ndarray) -> list[np.ndarray]:
         u00 = cos(b/2) cos((a+c)/2) - i sin(b/2) cos((a-c)/2) = conj(u11)
         u01 = -cos(b/2) sin((a+c)/2) - i sin(b/2) sin((a-c)/2) = -conj(u10)
     """
-    _, layers, n, batch = half.shape
     # One cos and one sin call cover all three terms.
-    trig = np.empty((2,) + half.shape)
-    np.cos(half, out=trig[0])
-    np.sin(half, out=trig[1])
+    trig = work.trig
+    np.cos(work.half, out=trig[0])
+    np.sin(work.half, out=trig[1])
     # Each entry's (re, im) is +-(f((a+c)/2) cos(b/2), f((a-c)/2) sin(b/2)),
     # with f = cos for u00 and u11 and f = sin for u01 and u10, written
-    # straight into the gates' (entry, re/im, layer, qubit, row) view.
-    # The gates are laid out (layer, qubit, i, j, row), rows innermost,
-    # so each Kronecker product below runs over contiguous rows.
-    products = trig[:, 1:] * trig[:, 0]
-    gates = np.empty((layers, n, 2, 2, batch), dtype=np.complex128)
-    entries = gates.view(np.float64).reshape(layers, n, 4, batch, 2).transpose(2, 4, 0, 1, 3)
-    np.multiply(products[_ENTRY_TERMS], _ENTRY_SIGNS, out=entries)
-    # Kronecker products of the pairs, axes (i1, i0, j1, j0) of the
-    # entries high[i1, j1] * low[i0, j0].
-    low, high = gates[:, 0 : n - 1 : 2], gates[:, 1::2]
-    pairs = high[:, :, :, None, :, None] * low[:, :, None, :, None, :]
-    # The factors handed on are (row, i, j) views.
-    factors = list(pairs.reshape(layers * (n // 2), 4, 4, batch).transpose(0, 3, 1, 2))
-    if n % 2:
-        # The top qubit's gate closes each layer.
-        for layer, top in enumerate(gates[:, n - 1].transpose(0, 3, 1, 2)):
-            factors.insert(layer * (n + 1) // 2 + n // 2, top)
-    return factors
+    # straight into the gates' entry view.  ``take`` with mode="raise"
+    # would buffer its output; the terms are in range.
+    np.multiply(trig[:, 1:], trig[:, 0], out=work.products)
+    np.take(work.products, _ENTRY_TERMS, axis=0, out=work.terms, mode="clip")
+    np.multiply(work.terms, _ENTRY_SIGNS, out=work.entries)
+    np.multiply(*work.kron, out=work.pairs)
+    return work.factors
 
 
 def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -318,11 +398,11 @@ def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
 class BoundParams(NamedTuple):
     """A stack of R parameter sets bound to a circuit shape by :func:`bind`.
 
-    ``theta_half`` holds the theta half angles of layers 1..d as
-    (term, layer, qubit, set); ``lam_terms`` the scale factors read as
-    the encoded terms, (set, layer, qubit, term); ``start`` each set's
-    register (R, 2**n) after V_0 and its entangler, the same for every
-    feature row of that set.  ``theta`` (R, d+1, n, 2) and ``lam``
+    ``theta_half`` holds the theta half angles of layers 1..d and
+    ``lam_terms`` the scale factors read as the encoded terms, both as
+    (term, layer, qubit, set); ``start`` each set's register (R, 2**n)
+    after V_0 and its entangler, the same for every feature row of that
+    set.  ``theta`` (R, d+1, n, 2) and ``lam``
     (R, d, n, 2) are read-only views of the parameters as given, which
     :func:`adjoint_grads` reads.
     """
@@ -351,7 +431,7 @@ def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
     half = theta.transpose(3, 1, 2, 0)[[0, 1, 1]]
     half *= 0.5
     start = _start_register(config, half[:, :1])
-    lam_terms = lam[..., [1, 0, 0]]
+    lam_terms = lam.transpose(3, 1, 2, 0)[[1, 0, 0]]
     for array in (half, lam_terms, start, theta, lam):
         array.setflags(write=False)
     return BoundParams(config, half[:, 1:], lam_terms, start, theta, lam)
@@ -367,14 +447,16 @@ def _start_register(config: ModelConfig, half: np.ndarray) -> np.ndarray:
     factors', and the pairs and the odd top qubit are combined lowest
     first by einsum, which rounds as the contractions do.
     """
-    pieces = [factor[:, :, 0] for factor in _gate_table(half)]
+    work = _workspace(half.shape)
+    np.copyto(work.half, half)
+    pieces = [factor[:, 0] for factor in _gate_table(work)]
     # A sum from zero turns a -0.0 into +0.0, so the first piece gets
     # one, as its contraction with |0...0> gave it.
     start = pieces[0] + 0.0
     for piece in pieces[1:]:
-        start = np.einsum("ri,rk->rik", piece, start).reshape(len(start), -1)
-    _apply_entangler(start, config)
-    return start
+        start = np.einsum("ir,kr->ikr", piece, start).reshape(-1, start.shape[-1])
+    _apply_entangler(start, config, axis=0)
+    return start.T.copy()
 
 
 def run_bound(bound: BoundParams, features, *, sets=None) -> np.ndarray:
@@ -385,48 +467,52 @@ def run_bound(bound: BoundParams, features, *, sets=None) -> np.ndarray:
     are one block, and may be None when one set is bound.  Runs layers
     1..d from each row's ``bound.start`` in one pass over all rows.  Row
     ``t`` equals the call on ``features[t:t+1]`` under its set alone,
-    bit for bit.
+    bit for bit.  The result is a new C-contiguous array.
     """
     features = np.asarray(features, dtype=float)
     _validate_features(bound.config, features)
     rows = _row_sets(len(bound.start), sets, len(features))[0]
-    # The encoded lam * s, scaled by each half-angle term's factor,
-    # as (term, layer, qubit, row).
-    enc = bound.lam_terms[rows] * features[:, None, ::-1, None]
-    enc *= _HALF_ENCODED
-    half = bound.theta_half[..., rows] + enc.transpose(3, 1, 2, 0)
-    return _run_pass(bound.config, bound.start[rows], half)
+    work = _workspace(bound.theta_half.shape[:3] + (len(features),))
+    # The encoded lam * s, scaled by each half-angle term's factor, plus
+    # the theta half angles, as (term, layer, qubit, row).  A stack's
+    # tables are gathered per row into the workspace, the theta half
+    # angles into trig[0], which the gate table's cos overwrites.
+    half = work.half
+    if isinstance(rows, slice):
+        np.multiply(bound.lam_terms[..., rows], features.T[::-1], out=half)
+        half *= _HALF_ENCODED
+        half += bound.theta_half[..., rows]
+        np.copyto(work.registers[0], bound.start[rows].T)
+    else:
+        np.take(bound.lam_terms, rows, axis=3, out=half, mode="clip")
+        half *= features.T[::-1]
+        half *= _HALF_ENCODED
+        half += np.take(bound.theta_half, rows, axis=3, out=work.trig[0], mode="clip")
+        np.take(bound.start.T, rows, axis=1, out=work.registers[0], mode="clip")
+    return _run_pass(bound.config, work)
 
 
-def _run_pass(config, start, half) -> np.ndarray:
-    """Every row of ``start`` (one row broadcast to all) through the layers of ``half``.
+def _run_pass(config: ModelConfig, work: _Workspace) -> np.ndarray:
+    """Every row of ``work.registers[0]`` through the layers of ``work.half``.
 
-    ``half`` is the gates' half angles, (term, layer, qubit, row), as
-    :func:`_gate_table` reads them; each layer ends with the entangler.
-    All rows go through together: one gate table, then one contraction
-    per factor.
+    Both are filled by the caller: the registers (2**n, row) and the
+    gates' half angles (term, layer, qubit, row), as :func:`_gate_table`
+    reads them; each layer ends with the entangler.  All rows go through
+    together: one gate table, then one contraction per factor, each
+    reading one register and writing the other with the rows innermost.
+    Returns the final amplitudes as a new (row, 2**n) array.
     """
-    n, batch = config.n_qubits, half.shape[-1]
-    # Two registers: each contraction reads one and writes the other,
-    # through views of the factor's shape (outer, width, inner) built
-    # once per call.
-    registers = np.empty((2, batch, 1 << n), dtype=np.complex128)
-    registers[0] = start
-    views = []
-    for low in range(0, n, 2):
-        width = min(4, 1 << (n - low))
-        shape = (2, batch, (1 << n) // (width << low), width, 1 << low)
-        views.append(tuple(registers.reshape(shape)))
-    factors = _gate_table(half)
+    _gate_table(work)
+    registers = work.registers
     live = 0
-    for layer in range(0, len(factors), len(views)):
-        for view, factor in zip(views, factors[layer : layer + len(views)]):
-            # order="C" iterates in the registers' layout; with ``out``
-            # given, einsum's default order ran slower at some widths.
-            np.einsum("bij,bojk->boik", factor, view[live], out=view[1 - live], order="C")
+    for layer in work.layers:
+        for view, factor in layer:
+            np.einsum("ijb,ojkb->oikb", factor, view[live], out=view[1 - live])
             live = 1 - live
-        _apply_entangler(registers[live], config)
-    return registers[live]
+        state = registers[live]
+        if _apply_entangler(state, config, axis=0, out=registers[1 - live]) is not state:
+            live = 1 - live
+    return registers[live].T.copy()
 
 
 def adjoint_grads(

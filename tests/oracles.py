@@ -115,16 +115,126 @@ def train_run(env, encoder, pol, hyper, seed) -> train.TrainResult:
     return train.TrainResult(records, params, pol)
 
 
+# The forward pass with row-major registers (row, 2**n) and (row, i, j)
+# factor views, as ``qpglab.ansatz`` ran it before its registers put
+# the rows innermost.  ``ansatz.run_bound`` must equal it bit for bit.
+
+# The factors of the encoded angles in the half angles b/2, (a+c)/2 and
+# (a-c)/2: (lam * s) * -0.5 is -(0.5 * (lam * s)) exactly.
+_HALF_ENCODED = np.array([0.5, 0.5, -0.5])
+# The gate entries u00, u01, u10 and u11: the f of each (cos, sin, sin,
+# cos) and the signs of its (re, im).
+_ENTRY_TERMS = np.array([0, 1, 1, 0])
+_ENTRY_SIGNS = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])[..., None, None, None]
+
+
+def row_major_gate_table(half: np.ndarray) -> list[np.ndarray]:
+    """Per-row factors of a forward pass, in the order it applies them.
+
+    ``half`` holds each gate's half angles (b/2, (a+c)/2, (a-c)/2) as
+    (term, layer, qubit, row).  Per layer: the factor U_{q+1} (x) U_q,
+    shape (B, 4, 4), of each qubit pair (q, q+1) with q even, lowest
+    first, then at odd n the top qubit's gate U_{n-1}, shape (B, 2, 2).
+    A factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
+    U_q is the fused gate of qubit q: layer 0 is Ry(theta') @ Rz(theta);
+    layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
+    encoding block E_l fused into the variational block V_l that follows
+    it.  With b the Rz angle and a, c the outer and inner Ry angles
+    (c = 0 in layer 0), the gate is in SU(2):
+
+        u00 = cos(b/2) cos((a+c)/2) - i sin(b/2) cos((a-c)/2) = conj(u11)
+        u01 = -cos(b/2) sin((a+c)/2) - i sin(b/2) sin((a-c)/2) = -conj(u10)
+    """
+    _, layers, n, batch = half.shape
+    # One cos and one sin call cover all three terms.
+    trig = np.empty((2,) + half.shape)
+    np.cos(half, out=trig[0])
+    np.sin(half, out=trig[1])
+    # Each entry's (re, im) is +-(f((a+c)/2) cos(b/2), f((a-c)/2) sin(b/2)),
+    # with f = cos for u00 and u11 and f = sin for u01 and u10, written
+    # straight into the gates' (entry, re/im, layer, qubit, row) view.
+    # The gates are laid out (layer, qubit, i, j, row), rows innermost,
+    # so each Kronecker product below runs over contiguous rows.
+    products = trig[:, 1:] * trig[:, 0]
+    gates = np.empty((layers, n, 2, 2, batch), dtype=np.complex128)
+    entries = gates.view(np.float64).reshape(layers, n, 4, batch, 2).transpose(2, 4, 0, 1, 3)
+    np.multiply(products[_ENTRY_TERMS], _ENTRY_SIGNS, out=entries)
+    # Kronecker products of the pairs, axes (i1, i0, j1, j0) of the
+    # entries high[i1, j1] * low[i0, j0].
+    low, high = gates[:, 0 : n - 1 : 2], gates[:, 1::2]
+    pairs = high[:, :, :, None, :, None] * low[:, :, None, :, None, :]
+    # The factors handed on are (row, i, j) views.
+    factors = list(pairs.reshape(layers * (n // 2), 4, 4, batch).transpose(0, 3, 1, 2))
+    if n % 2:
+        # The top qubit's gate closes each layer.
+        for layer, top in enumerate(gates[:, n - 1].transpose(0, 3, 1, 2)):
+            factors.insert(layer * (n + 1) // 2 + n // 2, top)
+    return factors
+
+
+def row_major_pass(config, start, half) -> np.ndarray:
+    """Every row of ``start`` (one row broadcast to all) through the layers of ``half``.
+
+    ``half`` is the gates' half angles, (term, layer, qubit, row), as
+    ``row_major_gate_table`` reads them; each layer ends with the entangler.
+    All rows go through together: one gate table, then one contraction
+    per factor.
+    """
+    n, batch = config.n_qubits, half.shape[-1]
+    # Two registers: each contraction reads one and writes the other,
+    # through views of the factor's shape (outer, width, inner) built
+    # once per call.
+    registers = np.empty((2, batch, 1 << n), dtype=np.complex128)
+    registers[0] = start
+    views = []
+    for low in range(0, n, 2):
+        width = min(4, 1 << (n - low))
+        shape = (2, batch, (1 << n) // (width << low), width, 1 << low)
+        views.append(tuple(registers.reshape(shape)))
+    factors = row_major_gate_table(half)
+    live = 0
+    for layer in range(0, len(factors), len(views)):
+        for view, factor in zip(views, factors[layer : layer + len(views)]):
+            # order="C" iterates in the registers' layout; with ``out``
+            # given, einsum's default order ran slower at some widths.
+            np.einsum("bij,bojk->boik", factor, view[live], out=view[1 - live], order="C")
+            live = 1 - live
+        ansatz._apply_entangler(registers[live], config)
+    return registers[live]
+
+
+def row_major_run_bound(config, params, features, sets=None) -> np.ndarray:
+    """``ansatz.bind`` and ``ansatz.run_bound`` of one set or a stack, on
+    the row-major forward: layer 0 run on |0...0> as one row per set,
+    then layers 1..d over every row from its set's register.
+    """
+    n, d = config.n_qubits, config.depth
+    theta = params.theta.reshape(-1, d + 1, n, 2)
+    lam = params.lam.reshape(-1, d, n, 2)
+    rows = slice(None) if sets is None else np.asarray(sets)
+    half = theta.transpose(3, 1, 2, 0)[[0, 1, 1]]
+    half *= 0.5
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[0] = 1.0
+    start = row_major_pass(config, state, half[:, :1])
+    features = np.asarray(features, dtype=float)
+    enc = lam[..., [1, 0, 0]][rows] * features[:, None, ::-1, None]
+    enc *= _HALF_ENCODED
+    half = half[:, 1:][..., rows] + enc.transpose(3, 1, 2, 0)
+    return row_major_pass(config, start[rows], half)
+
+
 def start_register(config, params) -> np.ndarray:
     """The register (2**n,) after V_0 and its entangler: layer 0 run on
-    |0...0> as one row of the forward pass, gate table and contractions.
+    |0...0> as one row of the row-major forward, gate table and
+    contractions.
     """
     n, d = config.n_qubits, config.depth
     half = params.theta.reshape(d + 1, n, 2, 1).transpose(2, 0, 1, 3)[[0, 1, 1]]
     half *= 0.5
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
-    return ansatz._run_pass(config, state, half[:, :1])[0]
+    return row_major_pass(config, state, half[:, :1])[0]
 
 
 def running_class_sums(pol, amps) -> np.ndarray:

@@ -14,6 +14,7 @@ from oracles import (
     gate_counts,
     param_rows,
     per_qubit_adjoint_grads,
+    row_major_run_bound,
     shift_rows,
     start_register,
 )
@@ -577,6 +578,111 @@ def test_bound_rows_do_not_depend_on_grouping(entangler, n, depth):
         assert _same_bits(np.vstack(parts), whole)
     assert _same_bits(ansatz.run_bound(bound, features[::-1])[::-1], whole)
     assert ansatz.run_bound(bound, features[:0]).shape == (0, 1 << n)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_run_bound_bit_identical_to_row_major_forward(entangler, n, depth):
+    # The registers keep the rows innermost, and each contraction reads
+    # the factors as the gate table lays them out.  einsum forms every
+    # complex product unfused and sums over j in order from +0, whichever
+    # axis is innermost, so each amplitude equals the row-major forward's
+    # bit for bit, signed zeros included.  Exact zeros in the features
+    # and angles make exact zeros in the gates.
+    config = ModelConfig(n, depth, entangler)
+    rng = np.random.default_rng(300 * n + depth + (entangler == "cx"))
+    n_theta, n_lam = ansatz.param_counts(config)
+    for rows in (1, 2, 7, 200):
+        for num_sets in (1, 3):
+            theta = rng.uniform(-np.pi, np.pi, (num_sets, n_theta))
+            theta[rng.random(theta.shape) < 0.1] = 0.0
+            lam = rng.normal(1.0, 0.5, (num_sets, n_lam))
+            features = rng.uniform(-2, 2, (num_sets * rows, n))
+            features[rng.random(features.shape) < 0.2] = 0.0
+            features[0, -1] = 0.0
+            if num_sets == 1:
+                params, sets = ParamSet(theta[0], lam[0]), None
+            else:
+                params, sets = ParamSet(theta, lam), np.repeat(np.arange(num_sets), rows)
+            amps = ansatz.run_bound(ansatz.bind(config, params), features, sets=sets)
+            assert amps.flags.c_contiguous
+            assert _same_bits(amps, row_major_run_bound(config, params, features, sets))
+
+
+@pytest.mark.parametrize("num_sets", [1, 2])
+@pytest.mark.parametrize("n,rows", [(1, 1), (1, 5), (2, 1), (3, 7), (4, 200)])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_results_never_share_memory_with_the_workspace(entangler, n, rows, num_sets):
+    # run_bound hands back a copy of the register it ends in, and bind
+    # its start registers.  At n = 1 with one row the transposed (1, 2)
+    # register is already C-contiguous, so np.ascontiguousarray would
+    # hand back the workspace itself, for the next call to overwrite.
+    config = ModelConfig(n, 2, entangler)
+    rng = np.random.default_rng(40 + 10 * n + rows)
+    n_theta, n_lam = ansatz.param_counts(config)
+    stack = ParamSet(
+        rng.uniform(-np.pi, np.pi, (num_sets, n_theta)), rng.normal(1.0, 0.5, (num_sets, n_lam))
+    )
+    sets = np.repeat(np.arange(num_sets), rows)
+    features = rng.uniform(-2, 2, (len(sets), n))
+    bound = ansatz.bind(config, stack)
+    first = ansatz.run_bound(bound, features, sets=sets)
+    kept, start = first.copy(), bound.start.copy()
+    again = ansatz.bind(config, ParamSet(stack.theta[::-1].copy(), stack.lam[::-1].copy()))
+    second = ansatz.run_bound(again, features[::-1], sets=sets)
+    buffers = [buffer for work in ansatz._WORKSPACES.values() for buffer in work.buffers]
+    for array in (first, second, bound.start, again.start):
+        assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(bound.start, again.start)
+    assert _same_bits(first, kept) and _same_bits(bound.start, start)
+
+
+def test_warm_wide_call_allocates_little_beyond_its_result():
+    # A warm 200-row call at the FIM benchmark's shape (n = 4, d = 3)
+    # writes every table and register into its kept workspace.  Measured
+    # under tracemalloc on numpy 2.4.6, its peak above the memory traced
+    # before it is 201.5 KB: the 50 KB result, and the iterator buffers
+    # numpy allocates inside the gate table's broadcast products (the
+    # row-major forward peaked at 1,053 KB).  The bound is the result
+    # plus two complex buffers of np.getbufsize() elements, what one
+    # buffered product of two broadcast complex operands may take, plus
+    # 16 KB for small objects: 329 KB at numpy's default buffer size.
+    import tracemalloc
+
+    config = ModelConfig(4, 3, "cz")
+    bound = ansatz.bind(config, _random_params(config, 77)[0])
+    features = np.random.default_rng(78).normal(0.0, 0.5, (200, 4))
+    ansatz.run_bound(bound, features)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        amps = ansatz.run_bound(bound, features)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= amps.nbytes + 2 * np.getbufsize() * 16 + (16 << 10)
+
+
+def test_workspaces_stay_within_their_byte_bound(monkeypatch):
+    # A new shape evicts the oldest kept workspaces until all fit, and
+    # a workspace larger than the bound serves its call without being kept.
+    monkeypatch.setattr(ansatz, "_WORKSPACES", {})
+    config = ModelConfig(3, 2)
+    bound = ansatz.bind(config, _random_params(config, 79)[0])
+    small = ansatz._Workspace((3, 2, 3, 10)).nbytes
+    monkeypatch.setattr(ansatz, "_WORKSPACE_BYTES", 3 * small)
+    features = np.random.default_rng(80).uniform(-1, 1, (40, 3))
+    expected = [ansatz.run_bound(bound, features[:rows]) for rows in (10, 9, 8, 40)]
+    for rows in (10, 9, 8, 40, 7):
+        amps = ansatz.run_bound(bound, features[:rows])
+        if rows != 7:
+            assert _same_bits(amps, expected.pop(0))
+        kept = sum(work.nbytes for work in ansatz._WORKSPACES.values())
+        assert kept <= ansatz._WORKSPACE_BYTES
+    assert (3, 2, 3, 40) not in ansatz._WORKSPACES
+    assert list(ansatz._WORKSPACES) == [(3, 2, 3, 9), (3, 2, 3, 8), (3, 2, 3, 7)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
