@@ -31,25 +31,23 @@ The forward pass evaluates parameter sets at many feature rows:
 :func:`bind` prepares a stack of R sets once (one set is a stack of
 one) and :func:`run_bound` evolves feature rows under it, each row
 under the set that a row-to-set index names; the index never
-decreases, so each set's rows are one contiguous block.  Every per-row
-table reads its row's set from the stack, so a row is bit-identical to
-the same row run under its set alone, however the sets are stacked.
-On each wire no entangler separates an encoding
-block E_l from the variational block V_l after it, so the forward pass
-applies the two as one gate, V_l E_l = Ry(theta') Rz(theta + lam' s)
-Ry(lam s), with the two Rz angles summed; layer 0 is V_0 alone.  Gates
-on different qubits commute, so each layer's gates on qubits (q, q+1),
-q even, act as one 4x4 factor U_{q+1} (x) U_q, and an odd top qubit
-keeps its 2x2 gate.  A forward pass is thus d+1 layers of ceil(n/2)
-factors, each layer followed by the entangler.  V_0 acts on |0...0>
-and reads no feature, so the register after it and its entangler is
-the same for every row of one parameter set: a product state, the
-Kronecker product of column 0 of each V_0 factor.  :func:`bind` builds
-it once from layer 0's gate table, with the same contractions that
-running layer 0 on one row would make, together with the theta half
-angles and the scale-factor terms of layers 1..d, and
-:func:`run_bound` starts every row from its set's register and runs
-layers 1..d over all the rows at once.
+decreases, so each set's rows are one contiguous block.  Each block's
+tables are filled from its set as one set's are, by the same broadcast,
+so a row is bit-identical to the same row run under its set alone,
+however the sets are stacked.  On each wire no entangler separates an
+encoding block E_l from the variational block V_l after it, so the
+forward pass applies the two as one gate, V_l E_l = Ry(theta')
+Rz(theta + lam' s) Ry(lam s), with the two Rz angles summed; layer 0
+is V_0 alone.  Gates on different qubits commute, so each layer's
+gates on qubits (q, q+1), q even, act as one 4x4 factor U_{q+1} (x)
+U_q, and an odd top qubit keeps its 2x2 gate.  A forward pass is thus
+d+1 layers of ceil(n/2) factors, each layer followed by the entangler.
+V_0 acts on |0...0> and reads no feature, so the register after it and
+its entangler is the same for every row of one parameter set.
+:func:`bind` runs layer 0 once, as one row per set of the same forward
+pass, together with the theta half angles and the scale-factor terms
+of layers 1..d, and :func:`run_bound` starts every row from its set's
+register and runs layers 1..d over all the rows at once.
 One vectorised call computes the factors of every layer of every row,
 with one cos and one sin call over all their half angles.  Rows are the
 innermost axis from the half angles through the registers: factors are
@@ -167,34 +165,33 @@ def _validate_params(config: ModelConfig, params: ParamSet) -> int:
     return len(theta) if theta.ndim == 2 else 1
 
 
-def _row_sets(num_sets: int, sets, rows: int):
-    """Each row's set in a stack of ``num_sets`` sets, and each set's rows.
+def _row_sets(num_sets: int, sets, rows: int) -> list[tuple[int, slice]]:
+    """The ``(set, rows)`` blocks of ``rows`` rows in a stack of ``num_sets`` sets.
 
     ``sets`` is the (rows,) row-to-set index, non-decreasing, or None
-    for a single set.  Returns the index into the stack's leading axis
-    and one ``(set, rows)`` pair, ``rows`` a slice, per set that has
-    rows.  A single set is read through ``slice(None)``, so its (1, ...)
-    tables broadcast over the rows as they are, and is the one pair
-    ``(0, slice(None))``.
+    for a single set.  Returns one pair per set that has rows, in row
+    order, ``rows`` the slice of that set's block; None is the one
+    block ``(0, slice(None))``, every row.
     """
     if sets is None:
         if num_sets != 1:
             raise ValueError(f"a stack of {num_sets} sets needs a row-to-set index")
-        return slice(None), [(0, slice(None))]
+        return [(0, slice(None))]
     sets = np.asarray(sets)
     if sets.shape != (rows,) or sets.dtype.kind not in "iu":
         raise ValueError(f"need one integer set index per row: {sets.shape} for {rows} rows")
-    if rows and not (sets.min() >= 0 and sets.max() < num_sets):
-        raise ValueError(f"set indices must lie in [0, {num_sets})")
-    steps = np.diff(sets)
-    if (steps < 0).any():
-        raise ValueError("set indices must not decrease: each set's rows are one block")
-    if num_sets == 1:
-        return slice(None), [(0, slice(None))]
     if not rows:
-        return sets, []
-    cuts = [0, *(np.flatnonzero(steps) + 1), rows]
-    return sets, [(sets[start], slice(start, stop)) for start, stop in zip(cuts, cuts[1:])]
+        return []
+    # Each run of equal indices is a block, and every index that occurs
+    # heads one, so the heads alone are checked.  Unsigned indices are
+    # compared, never differenced, which would wrap.
+    starts = [0, *(np.flatnonzero(sets[1:] != sets[:-1]) + 1).tolist()]
+    heads = sets[starts]
+    if not (heads.min() >= 0 and heads.max() < num_sets):
+        raise ValueError(f"set indices must lie in [0, {num_sets})")
+    if (heads[1:] < heads[:-1]).any():
+        raise ValueError("set indices must not decrease: each set's rows are one block")
+    return list(zip(heads.tolist(), map(slice, starts, [*starts[1:], rows])))
 
 
 def _validate_features(config: ModelConfig, features: np.ndarray) -> None:
@@ -202,6 +199,18 @@ def _validate_features(config: ModelConfig, features: np.ndarray) -> None:
         raise ValueError(
             f"features must have length {config.n_qubits}, got {features.shape[-1]}"
         )
+
+
+def _feature_rows(config: ModelConfig, features) -> np.ndarray:
+    """``features`` as a float (T, n) array of feature rows, the one shape
+    :func:`run_bound` and :func:`adjoint_grads` take."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise ValueError(
+            f"features must be (rows, {config.n_qubits}) feature rows, got shape {features.shape}"
+        )
+    _validate_features(config, features)
+    return features
 
 
 @lru_cache(maxsize=None)
@@ -281,14 +290,14 @@ class _Workspace:
     ``terms`` (the products each gate entry reads), ``gates`` (layer,
     qubit, i, j, row), ``pairs`` (the Kronecker products of the qubit
     pairs) and the two ``registers`` (2**n, row) that the contractions
-    read and write in turn.  ``factors`` are the (4, 4, row) and (2, 2,
-    row) factors in the order a pass applies them, and ``layers`` pairs
-    each factor of a layer with both registers viewed as (outer, width,
-    inner, row) for its width.  :func:`_workspace` keeps workspaces per
-    process, at most :data:`_WORKSPACE_BYTES` (32 MiB) of them together;
-    one larger serves its call alone.  They are not thread-safe: two
-    threads running the same shape at once would share buffers
-    (``qpglab train --jobs`` runs processes).
+    read and write in turn.  ``layers`` holds each layer's factors, the
+    (4, 4, row) and (2, 2, row) views of ``pairs`` and ``gates`` in the
+    order a pass applies them, each paired with both registers viewed as
+    (outer, width, inner, row) for its width.  :func:`_workspace` keeps
+    workspaces per process, at most :data:`_WORKSPACE_BYTES` (32 MiB) of
+    them together; one larger serves its call alone.  They are not
+    thread-safe: two threads running the same shape at once would share
+    buffers (``qpglab train --jobs`` runs processes).
     """
 
     def __init__(self, shape: tuple):
@@ -306,11 +315,11 @@ class _Workspace:
         low, high = gates[:, 0 : n - 1 : 2], gates[:, 1::2]
         self.kron = (high[:, :, :, None, :, None], low[:, :, None, :, None, :])
         self.pairs = np.empty((layers, n // 2, 2, 2, 2, 2, batch), dtype=np.complex128)
-        self.factors = list(self.pairs.reshape(layers * (n // 2), 4, 4, batch))
+        factors = list(self.pairs.reshape(layers * (n // 2), 4, 4, batch))
         if n % 2:
             # The top qubit's gate closes each layer.
             for layer, top in enumerate(gates[:, n - 1]):
-                self.factors.insert(layer * (n + 1) // 2 + n // 2, top)
+                factors.insert(layer * (n + 1) // 2 + n // 2, top)
         registers = np.empty((2, 1 << n, batch), dtype=np.complex128)
         self.registers = tuple(registers)
         views = []
@@ -320,8 +329,8 @@ class _Workspace:
             views.append(tuple(registers.reshape(shape)))
         # Each layer's (register views, factor) pairs.
         self.layers = [
-            list(zip(views, self.factors[first : first + len(views)]))
-            for first in range(0, len(self.factors), len(views))
+            list(zip(views, factors[first : first + len(views)]))
+            for first in range(0, len(factors), len(views))
         ]
         self.buffers = (self.half, self.trig, self.products, self.terms, gates, self.pairs)
         self.buffers += (registers,)
@@ -345,16 +354,16 @@ def _workspace(shape: tuple) -> _Workspace:
     return work
 
 
-def _gate_table(work: _Workspace) -> list[np.ndarray]:
-    """Per-row factors of a forward pass, in the order it applies them.
+def _gate_table(work: _Workspace) -> None:
+    """Per-row factors of a forward pass, written into ``work``.
 
     Reads the gates' half angles (b/2, (a+c)/2, (a-c)/2) from
     ``work.half``, (term, layer, qubit, row), and writes every table into
     the workspace.  Per layer: the factor U_{q+1} (x) U_q, shape (4, 4,
     row), of each qubit pair (q, q+1) with q even, lowest first, then at
-    odd n the top qubit's gate U_{n-1}, shape (2, 2, row).  The factors
-    are views of the workspace laid out as built, rows innermost.  A
-    factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
+    odd n the top qubit's gate U_{n-1}, shape (2, 2, row); ``work.layers``
+    reads them in that order, as views laid out as built, rows innermost.
+    A factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
     U_q is the fused gate of qubit q: layer 0 is Ry(theta') @ Rz(theta);
     layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
     encoding block E_l fused into the variational block V_l that follows
@@ -376,7 +385,6 @@ def _gate_table(work: _Workspace) -> list[np.ndarray]:
     np.take(work.products, _ENTRY_TERMS, axis=0, out=work.terms, mode="clip")
     np.multiply(work.terms, _ENTRY_SIGNS, out=work.entries)
     np.multiply(*work.kron, out=work.pairs)
-    return work.factors
 
 
 def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -421,8 +429,8 @@ def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
     ``params`` is one set, with flat ``theta`` and ``lam``, or a stack of
     R sets, with ``theta`` (R, |theta|) and ``lam`` (R, |lam|); one set
     binds as a stack of one.  V_0 acts on |0...0> with no feature, so
-    the register after it is the product of column 0 of each of its
-    gates, built here, and :func:`run_bound` runs layers 1..d only.
+    each set's register after it is run here, by
+    :func:`_start_register`, and :func:`run_bound` runs layers 1..d only.
     """
     n, d = config.n_qubits, config.depth
     sets = _validate_params(config, params)
@@ -438,57 +446,44 @@ def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
 
 
 def _start_register(config: ModelConfig, half: np.ndarray) -> np.ndarray:
-    """Each set's register (R, 2**n) after V_0 and its entangler, from |0...0>.
+    """Each set's register (R, 2**n) after V_0 and its entangler.
 
-    ``half`` holds layer 0's half angles as (term, 1, qubit, set), as
-    :func:`_gate_table` reads them.  The register is the Kronecker
-    product of column 0 of each of the layer's factors, computed as one
-    row of :func:`_run_pass` computes it: the column entries are the
-    factors', and the pairs and the odd top qubit are combined lowest
-    first by einsum, which rounds as the contractions do.
+    ``half`` holds layer 0's half angles as (term, 1, qubit, set).  Layer
+    0 runs through :func:`_run_pass` from |0...0>, one row per set, so a
+    set's register is layer 0 run as one row of the forward pass.
     """
     work = _workspace(half.shape)
     np.copyto(work.half, half)
-    pieces = [factor[:, 0] for factor in _gate_table(work)]
-    # A sum from zero turns a -0.0 into +0.0, so the first piece gets
-    # one, as its contraction with |0...0> gave it.
-    start = pieces[0] + 0.0
-    for piece in pieces[1:]:
-        start = np.einsum("ir,kr->ikr", piece, start).reshape(-1, start.shape[-1])
-    _apply_entangler(start, config, axis=0)
-    return start.T.copy()
+    zero = work.registers[0]
+    zero.fill(0.0)
+    zero[0] = 1.0
+    return _run_pass(config, work)
 
 
 def run_bound(bound: BoundParams, features, *, sets=None) -> np.ndarray:
     """Final amplitudes (T, 2**n) of bound parameter sets at ``T`` feature rows.
 
-    Row ``t`` runs under set ``sets[t]`` of the bound stack; ``sets`` is
-    the (T,) row-to-set index, non-decreasing, so that each set's rows
-    are one block, and may be None when one set is bound.  Runs layers
-    1..d from each row's ``bound.start`` in one pass over all rows.  Row
-    ``t`` equals the call on ``features[t:t+1]`` under its set alone,
-    bit for bit.  The result is a new C-contiguous array.
+    ``features`` is (T, n).  Row ``t`` runs under set ``sets[t]`` of the
+    bound stack; ``sets`` is the (T,) row-to-set index, non-decreasing,
+    so that each set's rows are one block, and may be None when one set
+    is bound.  Each block's half angles and start registers are filled
+    from its set as one set's are, and layers 1..d then run in one pass
+    over all rows.  Row ``t`` equals the call on ``features[t:t+1]``
+    under its set alone, bit for bit.  The result is a new C-contiguous
+    array.
     """
-    features = np.asarray(features, dtype=float)
-    _validate_features(bound.config, features)
-    rows = _row_sets(len(bound.start), sets, len(features))[0]
+    features = _feature_rows(bound.config, features)
     work = _workspace(bound.theta_half.shape[:3] + (len(features),))
     # The encoded lam * s, scaled by each half-angle term's factor, plus
-    # the theta half angles, as (term, layer, qubit, row).  A stack's
-    # tables are gathered per row into the workspace, the theta half
-    # angles into trig[0], which the gate table's cos overwrites.
-    half = work.half
-    if isinstance(rows, slice):
-        np.multiply(bound.lam_terms[..., rows], features.T[::-1], out=half)
+    # the theta half angles, as (term, layer, qubit, row); a block's
+    # (term, layer, qubit, 1) tables of its set broadcast over its rows.
+    for index, rows in _row_sets(len(bound.start), sets, len(features)):
+        block = slice(index, index + 1)
+        half = work.half[..., rows]
+        np.multiply(bound.lam_terms[..., block], features[rows].T[::-1], out=half)
         half *= _HALF_ENCODED
-        half += bound.theta_half[..., rows]
-        np.copyto(work.registers[0], bound.start[rows].T)
-    else:
-        np.take(bound.lam_terms, rows, axis=3, out=half, mode="clip")
-        half *= features.T[::-1]
-        half *= _HALF_ENCODED
-        half += np.take(bound.theta_half, rows, axis=3, out=work.trig[0], mode="clip")
-        np.take(bound.start.T, rows, axis=1, out=work.registers[0], mode="clip")
+        half += bound.theta_half[..., block]
+        np.copyto(work.registers[0][:, rows], bound.start[block].T)
     return _run_pass(bound.config, work)
 
 
@@ -553,8 +548,7 @@ def adjoint_grads(
       an Rz layer, and mapped back.
     """
     config = bound.config
-    features = np.asarray(features, dtype=float)
-    _validate_features(config, features)
+    features = _feature_rows(config, features)
     steps = len(features)
     if amps.shape != (steps, 1 << config.n_qubits):
         raise ValueError(f"amps must have shape {(steps, 1 << config.n_qubits)}, got {amps.shape}")
@@ -563,7 +557,7 @@ def adjoint_grads(
         shapes = f"{amps.shape} or {amps.shape[1:]}"
         raise ValueError(f"weights must have shape {shapes}, got {weights.shape}")
     grads = np.empty((steps, sum(param_counts(config))))
-    for index, rows in _row_sets(len(bound.start), sets, steps)[1]:
+    for index, rows in _row_sets(len(bound.start), sets, steps):
         # One (2**n,) row of weights serves every row as it is.
         rows_weights = weights[rows] if weights.ndim == 2 else weights
         grads[rows] = _sweep(

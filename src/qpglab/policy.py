@@ -137,14 +137,17 @@ def _reduce(
     softmax policy, ``weights`` (R, M) holds the action weights of R
     parameter sets and ``sets`` the (T,) row-to-set index, as
     :func:`qpglab.ansatz.run_bound` takes it; None is
-    ``policy.weights``, a stack of one.
+    ``policy.weights``, a stack of one.  Each set's block of rows takes
+    its logits from that set's weights, as the call on it alone would.
     """
     born = qsim.probabilities(amps)
     if isinstance(policy, SoftmaxObservablePolicy):
         signs = _z_signs(policy.model.n_qubits, policy.z_qubits)
         reading = (born * signs).sum(axis=1, keepdims=True)
-        weights, rows, _ = _set_weights(policy, weights, sets, len(amps))
-        logits = policy.beta * weights[rows] * reading
+        weights, blocks = _set_weights(policy, weights, sets, len(amps))
+        logits = np.empty((len(amps), policy.num_actions))
+        for index, rows in blocks:
+            np.multiply(policy.beta * weights[index], reading[rows], out=logits[rows])
         pi = np.exp(logits - logits.max(axis=1, keepdims=True))
         return reading, pi / pi.sum(axis=1, keepdims=True)
     # Row t's classes are bins t*M .. t*M + M-1, summed in basis order.
@@ -155,15 +158,16 @@ def _reduce(
 
 
 def _set_weights(policy: SoftmaxObservablePolicy, weights, sets, steps: int):
-    """The per-set action weights (R, M), checked, and the
-    :func:`qpglab.ansatz._row_sets` of the ``steps`` rows in their stack;
-    None is ``policy.weights``, a stack of one."""
+    """The per-set action weights (R, M), checked, and the ``(set, rows)``
+    blocks of the ``steps`` rows in their stack
+    (:func:`qpglab.ansatz._row_sets`); None is ``policy.weights``, a
+    stack of one."""
     if weights is None:
         weights = policy.weights[None]
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != policy.num_actions:
         raise ValueError(f"need (sets, {policy.num_actions}) action weights, got {weights.shape}")
-    return weights, *ansatz._row_sets(len(weights), sets, steps)
+    return weights, ansatz._row_sets(len(weights), sets, steps)
 
 
 def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.ndarray:
@@ -284,7 +288,7 @@ def trajectory_log_grads(
     reading, pi = reduced
     softmax = isinstance(policy, SoftmaxObservablePolicy)
     if softmax:
-        weights, _, pairs = _set_weights(policy, weights, sets, len(actions))
+        weights, blocks = _set_weights(policy, weights, sets, len(actions))
         observable = _z_signs(policy.model.n_qubits, policy.z_qubits)
     else:
         observable = (policy.postfn.table == actions[:, None]).astype(float)
@@ -300,7 +304,7 @@ def trajectory_log_grads(
     # pi @ w rounds a row by its place in the product, so each set's
     # block of rows takes its own product, as in the call on that set alone.
     bracket = np.empty(len(actions))
-    for index, rows in pairs:
+    for index, rows in blocks:
         bracket[rows] = weights[index][actions[rows]] - pi[rows] @ weights[index]
     indicator = np.zeros_like(pi)
     indicator[steps, actions] = 1.0

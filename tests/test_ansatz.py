@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -688,8 +690,8 @@ def test_workspaces_stay_within_their_byte_bound(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
 def test_bind_start_register_bit_identical_to_one_row_layer_zero(entangler, n):
-    # bind builds the register after V_0 in closed form; it must equal
-    # layer 0 run as one row of the forward pass bit for bit, signed
+    # bind runs the register after V_0 as one row per set; it must equal
+    # layer 0 run as one row of the row-major forward bit for bit, signed
     # zeros included, at every angle scale and at angles that give
     # exact zeros (0, -0.0) and the cos(pi/2) rounding (+-pi).
     # A stack of sets binds each set's register as that set alone.
@@ -726,36 +728,67 @@ def test_bind_checks_parameters_and_run_bound_checks_features():
         ansatz.run_bound(bound, rng.uniform(-1, 1, (2, 4)))
 
 
-@pytest.mark.parametrize("num_sets", [1, 2, 5])
+def test_forward_and_sweep_take_only_feature_rows():
+    # A lone (n,) vector once ran as n rows, row r encoding feature
+    # f[n-1-r] on every qubit, and a (1, T, n) stack failed inside a
+    # numpy broadcast.  Both calls refuse anything but (T, n) rows.
+    config = ModelConfig(3, 2)
+    params, rng = _random_params(config, 9)
+    bound = ansatz.bind(config, params)
+    rows = rng.uniform(-1, 1, (2, 3))
+    amps = ansatz.run_bound(bound, rows)
+    for features in (rows[0], list(rows[0]), rows[None], 0.5):
+        shape = re.escape(str(np.shape(features)))
+        message = rf"features must be \(rows, 3\) feature rows, got shape {shape}"
+        with pytest.raises(ValueError, match=message):
+            ansatz.run_bound(bound, features)
+        with pytest.raises(ValueError, match=message):
+            ansatz.adjoint_grads(bound, features, np.ones(8), amps)
+
+
+# Rows per set of a stack: first sets of 1, 3, 8, 2 and 5 rows, then
+# stacks with sets that have no rows, which make no block.
+STACK_ROWS = {
+    1: [[1], [0]],
+    2: [[1, 3], [0, 3]],
+    4: [[2, 0, 3, 0], [0, 0, 0, 4]],
+    5: [[1, 3, 8, 2, 5], [0, 3, 0, 2, 0]],
+}
+
+
+@pytest.mark.parametrize("num_sets", [1, 2, 4, 5])
 @pytest.mark.parametrize("n,depth", [(1, 2), (2, 1), (3, 2), (5, 1), (6, 3), (8, 2)])
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
 def test_stacked_sets_equal_per_set_calls_bit_for_bit(entangler, n, depth, num_sets):
-    # Rows read their set through a row-to-set index in set order, with
-    # sets of 1, 3, 8, 2 and 5 rows: a set of one row runs numpy's
-    # matrix-vector path alone, and BLAS rounds a row of a product by its
-    # place in the call, so both depend on the sweep grouping each set.
+    # Rows read their set through a row-to-set index in set order: a set
+    # of one row runs numpy's matrix-vector path alone, and BLAS rounds a
+    # row of a product by its place in the call, so both depend on the
+    # sweep grouping each set.
     config = ModelConfig(n, depth, entangler)
     rng = np.random.default_rng(100 * n + 10 * depth + num_sets)
     n_theta, n_lam = ansatz.param_counts(config)
     stack = ParamSet(
         rng.uniform(-np.pi, np.pi, (num_sets, n_theta)), rng.normal(1.0, 0.5, (num_sets, n_lam))
     )
-    sets = np.repeat(np.arange(num_sets), [1, 3, 8, 2, 5][:num_sets])
-    features = rng.uniform(-2, 2, (len(sets), n))
-    features[0, -1] = 0.0
     bound = ansatz.bind(config, stack)
-    amps = ansatz.run_bound(bound, features, sets=sets)
-    for weights in (rng.normal(size=(len(sets), 1 << n)), rng.normal(size=1 << n)):
-        grads = ansatz.adjoint_grads(bound, features, weights, amps, sets=sets)
-        for index in range(num_sets):
-            rows = np.flatnonzero(sets == index)
-            alone = ParamSet(stack.theta[index].copy(), stack.lam[index].copy())
-            bound_alone = ansatz.bind(config, alone)
-            amps_alone = ansatz.run_bound(bound_alone, features[rows])
-            assert _same_bits(amps[rows], amps_alone)
-            rows_weights = weights[rows] if weights.ndim == 2 else weights
-            expected = ansatz.adjoint_grads(bound_alone, features[rows], rows_weights, amps_alone)
-            assert _same_bits(grads[rows], expected)
+    for sizes in STACK_ROWS[num_sets]:
+        sets = np.repeat(np.arange(num_sets), sizes)
+        features = rng.uniform(-2, 2, (len(sets), n))
+        features[:1, -1] = 0.0
+        amps = ansatz.run_bound(bound, features, sets=sets)
+        for weights in (rng.normal(size=(len(sets), 1 << n)), rng.normal(size=1 << n)):
+            grads = ansatz.adjoint_grads(bound, features, weights, amps, sets=sets)
+            for index in range(num_sets):
+                rows = np.flatnonzero(sets == index)
+                alone = ParamSet(stack.theta[index].copy(), stack.lam[index].copy())
+                bound_alone = ansatz.bind(config, alone)
+                amps_alone = ansatz.run_bound(bound_alone, features[rows])
+                assert _same_bits(amps[rows], amps_alone)
+                rows_weights = weights[rows] if weights.ndim == 2 else weights
+                expected = ansatz.adjoint_grads(
+                    bound_alone, features[rows], rows_weights, amps_alone
+                )
+                assert _same_bits(grads[rows], expected)
     for array in (bound.theta_half, bound.lam_terms, bound.start):
         assert not array.flags.writeable
 
@@ -797,6 +830,9 @@ def test_stacked_sets_need_a_valid_row_to_set_index():
                 policy.trajectory_log_grads(
                     pol, features, actions, bound, amps, sets=np.array(sets), **kw
                 )
+    # Unsigned indices are compared, not differenced, so a decrease shows.
+    with pytest.raises(ValueError, match="set indices must not decrease"):
+        ansatz.run_bound(bound, features, sets=np.array([0, 1, 0], dtype=np.uint8))
     # Per-set action weights of another shape: the same refusal whether
     # the gradient reduces the rows or is handed their reduction.
     sets = np.array([0, 0, 1])
@@ -811,10 +847,8 @@ def test_stacked_sets_need_a_valid_row_to_set_index():
 @pytest.mark.parametrize("n,depth", [(1, 1), (3, 2), (4, 5)])
 def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
     # Each layer's fused gates act as one contraction per qubit pair,
-    # plus one for the top qubit at odd n.  Binding builds the register
-    # after layer 0 from its first pair (or lone qubit) with one
-    # contraction per further pair or top qubit, and a bound call of any
-    # size runs layers 1..d, once.
+    # plus one for the top qubit at odd n.  Binding runs layer 0 as one
+    # row per set, and a bound call of any size runs layers 1..d, once.
     config = ModelConfig(n, depth)
     calls = []
     einsum = np.einsum
@@ -824,7 +858,7 @@ def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
     params = _random_params(config, 3)[0]
     calls.clear()
     bound = ansatz.bind(config, params)
-    assert len(calls) == per_layer - 1
+    assert len(calls) == per_layer
     for count in (1, 2 * 512 + 3):
         features = _random_rows(config, rng, count)[2]
         calls.clear()
