@@ -76,7 +76,15 @@ only through the angle ``lam * s``, so its derivative is ``s`` times
 the angle's; for ``s`` exactly zero it is zero.  The parameter-shift
 rule (Schuld et al., arXiv:1811.11184), the rule hardware runs, gives
 the same derivatives at two circuits per parameter; it is the tests'
-oracle for the sweep.
+oracle for the sweep.  All per-row phase tables of a sweep come from
+one pass: one batched product per angle source, each batch item the
+product one layer alone would take, then one halving and one cos and
+one sin call.  A basis index and its complement 2**n - 1 - x have
+negated half angles, so cos and sin run over the low half of the
+indices and the high half is its conjugate.  Every per-row array of a
+sweep is written into one workspace kept per (n, d)
+(:class:`_SweepWorkspace`), beside the forward's and under the same
+byte bound, so a warm sweep allocates little beyond its result.
 
 This module reads and writes no file: ``qpglab.config`` builds an
 experiment's model once, when its config is loaded, and ``qpglab.cli``
@@ -85,6 +93,7 @@ writes every output file, checkpoints included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -277,7 +286,8 @@ _HALF_ENCODED = np.array([0.5, 0.5, -0.5])[:, None, None, None]
 _ENTRY_TERMS = np.array([0, 1, 1, 0])
 _ENTRY_SIGNS = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])[..., None, None, None]
 
-# Bytes that the kept forward workspaces may hold together, per process.
+# Bytes that the kept forward and sweep workspaces may hold together,
+# per process.
 _WORKSPACE_BYTES = 1 << 25
 _WORKSPACES: dict = {}
 
@@ -294,8 +304,9 @@ class _Workspace:
     (4, 4, row) and (2, 2, row) views of ``pairs`` and ``gates`` in the
     order a pass applies them, each paired with both registers viewed as
     (outer, width, inner, row) for its width.  :func:`_workspace` keeps
-    workspaces per process, at most :data:`_WORKSPACE_BYTES` (32 MiB) of
-    them together; one larger serves its call alone.  They are not
+    workspaces per process, together with the sweep's
+    (:class:`_SweepWorkspace`), at most :data:`_WORKSPACE_BYTES` (32 MiB)
+    of them together; one larger serves its call alone.  Neither kind is
     thread-safe: two threads running the same shape at once would share
     buffers (``qpglab train --jobs`` runs processes).
     """
@@ -337,20 +348,88 @@ class _Workspace:
         self.nbytes = sum(buffer.nbytes for buffer in self.buffers)
 
 
-def _workspace(shape: tuple) -> _Workspace:
-    """The kept workspace of a half-angle shape, made on first use.
+class _SweepWorkspace:
+    """Every per-row buffer of a backward sweep of an (n, d) circuit, made once.
 
-    A new workspace evicts the oldest kept ones until all fit
+    Holds flat buffers for up to ``rows`` rows; :meth:`arrays` views
+    their heads as C-contiguous arrays for a sweep of T <= ``rows``
+    rows, the layout a new array of that shape would have:
+
+    * ``pairs`` (2, 2, T, 2**n): the (psi, lam) pair and its partner,
+      which each step reads and writes in turn;
+    * ``half``, ``phases`` (2 d T + d + 1, 2**n): the angle sums and undo
+      phases of every Rz-sum and encoded Ry layer, (layer, row) in that
+      order, then of each variational Ry layer as one row for all, and
+      the scratch ``lows`` and ``zeros`` of their low and high halves;
+    * ``enc`` (d, T, n, 2) and ``rz_sums`` (d, T, n): the encoded angles
+      and the summed Rz angles;
+    * ``reads`` (2, T, 2**n), the scratch of the reads, and
+      ``angle_grads`` (z/y, block, qubit, T).
+    """
+
+    def __init__(self, n: int, d: int, rows: int):
+        self.n, self.d, self.rows = n, d, rows
+        self.buffers = tuple(
+            np.empty(math.prod(shape), dtype) for shape, dtype in self._layout(rows)
+        )
+        self.nbytes = sum(buffer.nbytes for buffer in self.buffers)
+        self._last = (None, [])
+
+    def _layout(self, rows: int) -> tuple:
+        n, d, size = self.n, self.d, 1 << self.n
+        tables = 2 * d * rows + d + 1
+        return (
+            ((2, 2, rows, size), np.complex128),
+            ((tables, size), np.float64),
+            ((tables, size), np.complex128),
+            ((tables, size // 2), np.complex128),
+            ((tables, size // 2), np.bool_),
+            ((d, rows, n, 2), np.float64),
+            ((d, rows, n), np.float64),
+            ((2, rows, size), np.float64),
+            ((2, 2 * d + 1, n, rows), np.float64),
+        )
+
+    def arrays(self, rows: int) -> list:
+        """``pairs, half, phases, lows, zeros, enc, rz_sums, reads, angle_grads``
+        for ``rows`` rows; the views of the last row count are kept."""
+        if self._last[0] != rows:
+            views = [
+                buffer[: math.prod(shape)].reshape(shape)
+                for buffer, (shape, _) in zip(self.buffers, self._layout(rows))
+            ]
+            self._last = (rows, views)
+        return self._last[1]
+
+
+def _keep(key, work):
+    """Keep ``work`` under ``key``, in place of what it held there.
+
+    The oldest kept workspaces are evicted until all fit
     :data:`_WORKSPACE_BYTES`; one that never fits is not kept.
     """
+    _WORKSPACES.pop(key, None)
+    if work.nbytes <= _WORKSPACE_BYTES:
+        kept = sum(other.nbytes for other in _WORKSPACES.values())
+        while kept + work.nbytes > _WORKSPACE_BYTES:
+            kept -= _WORKSPACES.pop(next(iter(_WORKSPACES))).nbytes
+        _WORKSPACES[key] = work
+    return work
+
+
+def _workspace(shape: tuple) -> _Workspace:
+    """The kept workspace of a half-angle shape, made on first use."""
     work = _WORKSPACES.get(shape)
-    if work is None:
-        work = _Workspace(shape)
-        if work.nbytes <= _WORKSPACE_BYTES:
-            kept = sum(other.nbytes for other in _WORKSPACES.values())
-            while kept + work.nbytes > _WORKSPACE_BYTES:
-                kept -= _WORKSPACES.pop(next(iter(_WORKSPACES))).nbytes
-            _WORKSPACES[shape] = work
+    return _keep(shape, _Workspace(shape)) if work is None else work
+
+
+def _sweep_workspace(n: int, d: int, rows: int) -> _SweepWorkspace:
+    """The kept sweep workspace of an (n, d) circuit, remade when a
+    sweep has more rows than it holds, to hold that many."""
+    key = ("sweep", n, d)
+    work = _WORKSPACES.get(key)
+    if work is None or work.rows < rows:
+        work = _keep(key, _SweepWorkspace(n, d, rows))
     return work
 
 
@@ -387,18 +466,23 @@ def _gate_table(work: _Workspace) -> None:
     np.multiply(*work.kron, out=work.pairs)
 
 
-def _flat_grads(angle_grads: np.ndarray, features: np.ndarray) -> np.ndarray:
+def _flat_grads(angle_grads: np.ndarray, features: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Inverse of the backward sweep's angle layout: d/d(angle) as
     (z, y, block, qubit, row), rotation blocks in circuit order V_0,
-    E_1, V_1, ..., E_d, V_d, to flat (theta, lam) derivatives (B, P).
+    E_1, V_1, ..., E_d, V_d, to flat (theta, lam) derivatives, written
+    into ``out`` (B, P) and returned.
     """
     # Sizes are explicit because reshape cannot infer -1 with no rows.
     _, blocks, n, batch = angle_grads.shape
-    d_theta = angle_grads[:, 0::2].transpose(3, 1, 2, 0)
-    d_lam = angle_grads[::-1, 1::2].transpose(3, 1, 2, 0) * features[:, None, ::-1, None]
-    return np.hstack(
-        [d_theta.reshape(batch, (blocks + 1) * n), d_lam.reshape(batch, (blocks - 1) * n)]
+    n_theta = (blocks + 1) * n
+    # Splitting the unit-stride column axis of a row block is a view.
+    d_theta = out[:, :n_theta].reshape(batch, (blocks + 1) // 2, n, 2)
+    d_lam = out[:, n_theta:].reshape(batch, (blocks - 1) // 2, n, 2)
+    np.copyto(d_theta, angle_grads[:, 0::2].transpose(3, 1, 2, 0))
+    np.multiply(
+        angle_grads[::-1, 1::2].transpose(3, 1, 2, 0), features[:, None, ::-1, None], out=d_lam
     )
+    return out
 
 
 # A NamedTuple, not a dataclass: it is as immutable, and its class is
@@ -477,13 +561,15 @@ def run_bound(bound: BoundParams, features, *, sets=None) -> np.ndarray:
     # The encoded lam * s, scaled by each half-angle term's factor, plus
     # the theta half angles, as (term, layer, qubit, row); a block's
     # (term, layer, qubit, 1) tables of its set broadcast over its rows.
-    for index, rows in _row_sets(len(bound.start), sets, len(features)):
-        block = slice(index, index + 1)
-        half = work.half[..., rows]
-        np.multiply(bound.lam_terms[..., block], features[rows].T[::-1], out=half)
-        half *= _HALF_ENCODED
-        half += bound.theta_half[..., block]
-        np.copyto(work.registers[0][:, rows], bound.start[block].T)
+    # The terms' factors scale every block at once, between the two loops.
+    blocks = _row_sets(len(bound.start), sets, len(features))
+    half = work.half
+    for index, rows in blocks:
+        np.multiply(bound.lam_terms[..., index, None], features[rows].T[::-1], out=half[..., rows])
+    half *= _HALF_ENCODED
+    for index, rows in blocks:
+        half[..., rows] += bound.theta_half[..., index, None]
+        np.copyto(work.registers[0][:, rows], bound.start[index, :, None])
     return _run_pass(bound.config, work)
 
 
@@ -560,43 +646,69 @@ def adjoint_grads(
     for index, rows in _row_sets(len(bound.start), sets, steps):
         # One (2**n,) row of weights serves every row as it is.
         rows_weights = weights[rows] if weights.ndim == 2 else weights
-        grads[rows] = _sweep(
-            config, bound.theta[index], bound.lam[index], features[rows], rows_weights, amps[rows]
+        _sweep(
+            config,
+            bound.theta[index],
+            bound.lam[index],
+            features[rows],
+            rows_weights,
+            amps[rows],
+            grads[rows],
         )
     return grads
 
 
-def _sweep(config, var, lam, features, weights, amps) -> np.ndarray:
+def _sweep(config, var, lam, features, weights, amps, out) -> None:
     """:func:`adjoint_grads` of one parameter set, its theta ``var``
-    (d+1, n, 2) and its lam (d, n, 2), at every row of ``features``."""
+    (d+1, n, 2) and its lam (d, n, 2), at every row of ``features``,
+    written into ``out`` (T, |theta| + |lam|).
+
+    Every per-row array is a view of the kept :class:`_SweepWorkspace`
+    of the circuit shape, so a warm sweep allocates none of its own.
+    """
     n, d = config.n_qubits, config.depth
-    steps = len(features)
-    # (block, qubit, (z, y)) angles of the variational blocks, and
+    steps, size = amps.shape
+    work = _sweep_workspace(n, d, steps)
+    pairs, half, phases, lows, zeros, enc, rz_sums, reads, angle_grads = work.arrays(steps)
     # (block, row, qubit, (y, z)) angles of the encoding blocks; an
     # encoding Rz layer is undone together with the variational Rz layer
     # after it, at their summed angles (block, row, qubit).  Both per-row
     # tables are C-ordered, as the phase products read them.
-    enc = np.empty((d, steps, n, 2))
     np.multiply(lam[:, None], features[:, ::-1, None], out=enc)
-    rz_sums = np.empty((d, steps, n))
     np.add(var[1:, None, :, 0], enc[..., 1], out=rz_sums)
-    pair = np.empty((2,) + amps.shape, dtype=np.complex128)
+    # One batched product per angle source, each batch item the product
+    # a layer alone would take; the variational Ry angles go in as given
+    # views, one row for all.  Then one pass makes every phase table.
+    signs = _z_sign_table(n)
+    per_row = 2 * d * steps
+    rz_half, ry_half = half[:per_row].reshape(2, d, steps, size)
+    np.matmul(rz_sums, signs, out=rz_half)
+    np.matmul(enc[..., 0], signs, out=ry_half)
+    np.matmul(var[:, None, :, 1], signs, out=half[per_row:].reshape(d + 1, 1, size))
+    _phase_table(half, phases, lows, zeros)
+    rz_phases, ry_phases = phases[:per_row].reshape(2, d, steps, size)
+    var_phases = phases[per_row:].reshape(d + 1, 1, size)
+    # The pair (psi, lam) and a partner of its shape, which each step
+    # that cannot work in place writes into; then the two swap roles.
+    pair, partner = pairs
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])
-    # d/d(angle) as (z, y, block, qubit, row), the layout _flat_grads reads.
-    angle_grads = np.empty((2, 2 * d + 1, n, steps))
     for layer in range(d, -1, -1):
-        _apply_entangler(pair, config, inverse=True)
-        pair = _undo_ry_layer(pair, _undo_phases(var[layer, :, 1]), angle_grads[1, 2 * layer])
-        _z_reads(pair, angle_grads[0, 2 * layer])
+        if _apply_entangler(pair, config, inverse=True, out=partner) is partner:
+            pair, partner = partner, pair
+        pair, partner = _undo_ry_layer(
+            pair, partner, var_phases[layer], reads, angle_grads[1, 2 * layer]
+        )
+        _z_reads(pair, reads, angle_grads[0, 2 * layer])
         if layer == 0:
             break
-        pair *= _undo_phases(rz_sums[layer - 1])
-        phases = _undo_phases(enc[layer - 1, ..., 0])
-        pair = _undo_ry_layer(pair, phases, angle_grads[1, 2 * layer - 1])
-    # An encoding Rz layer shares its reading with the variational one.
-    angle_grads[0, 1::2] = angle_grads[0, 2::2]
-    return _flat_grads(angle_grads, features)
+        # An encoding Rz layer shares its reading with the variational one.
+        angle_grads[0, 2 * layer - 1] = angle_grads[0, 2 * layer]
+        pair *= rz_phases[layer - 1]
+        pair, partner = _undo_ry_layer(
+            pair, partner, ry_phases[layer - 1], reads, angle_grads[1, 2 * layer - 1]
+        )
+    _flat_grads(angle_grads, features, out)
 
 
 @lru_cache(maxsize=None)
@@ -608,40 +720,58 @@ def _z_sign_table(n: int) -> np.ndarray:
     return signs
 
 
-def _z_reads(pair: np.ndarray, out: np.ndarray) -> None:
-    """Im<lam|Z_q|psi> for every qubit q of the stacked ``(psi, lam)``, into ``out`` (n, T)."""
+def _z_reads(pair: np.ndarray, reads: np.ndarray, out: np.ndarray) -> None:
+    """Im<lam|Z_q|psi> for every qubit q of the stacked ``(psi, lam)``, into ``out`` (n, T).
+
+    ``reads`` is a (2, T, 2**n) scratch buffer.
+    """
     psi, lam = pair
-    im = lam.real * psi.imag
-    im -= lam.imag * psi.real
+    im, scratch = reads
+    np.multiply(lam.real, psi.imag, out=im)
+    np.multiply(lam.imag, psi.real, out=scratch)
+    im -= scratch
     np.matmul(_z_sign_table(out.shape[0]), im.T, out=out)
 
 
-def _undo_phases(angles: np.ndarray) -> np.ndarray:
-    """Diagonal exp(+i/2 angles @ Z signs) that undoes an Rz layer with
-    ``angles`` (..., n) per qubit."""
-    # Halving is exact.  ``angles`` goes in as given: a contiguous copy of
-    # a strided view can change how the matmul rounds.
-    half = angles @ _z_sign_table(angles.shape[-1])
-    half *= 0.5
-    phases = np.empty(half.shape, dtype=np.complex128)
-    np.cos(half, out=phases.real)
-    np.sin(half, out=phases.imag)
-    return phases
+def _phase_table(half: np.ndarray, phases: np.ndarray, lows: np.ndarray, zeros: np.ndarray) -> None:
+    """Undo phases exp(+i/2 angles @ Z signs) of angle sums, into ``phases``.
 
-
-def _undo_ry_layer(pair, phases, out) -> np.ndarray:
-    """Undo an Ry layer on the stacked ``(psi, lam)``, given the
-    :func:`_undo_phases` of its angles, (T, 2**n) or one row for all.
-
-    Returns the undone pair, a new array, and writes the layer's
-    derivatives (n, T) into ``out``.  Both come from the Y eigenbasis,
-    where the layer is an Rz layer.
+    ``half`` (rows, 2**n) holds the sums ``angles @ Z signs`` and is
+    halved in place (halving is exact); ``lows`` (complex) and ``zeros``
+    (bool) are scratch arrays of its low and high half's shape.  The
+    complement 2**n - 1 - x of a basis index x flips every Z sign, so
+    every term of its sum is x's negated and the sum is too: cos and sin
+    run over the low half of the indices only, and the high half is the
+    low half's conjugate, mirrored.  A zero is the exception, since a
+    sum that cancels is +0 at both ends; where a high half angle is
+    zero, its sine is that zero, sign included.  The low half goes
+    through ``lows``: numpy copies an input that may overlap its output,
+    as a mirrored read of ``phases`` into itself would.
     """
-    n = out.shape[0]
-    pair = _change_basis(pair, n, back=False)
-    _z_reads(pair, out)
+    half *= 0.5
+    low = half.shape[-1] // 2
+    np.cos(half[:, :low], out=lows.real)
+    np.sin(half[:, :low], out=lows.imag)
+    np.copyto(phases[:, :low], lows)
+    np.conjugate(lows[:, ::-1], out=phases[:, low:])
+    np.equal(half[:, low:], 0.0, out=zeros)
+    np.copyto(phases.imag[:, low:], half[:, low:], where=zeros)
+
+
+def _undo_ry_layer(pair, partner, phases, reads, out) -> tuple:
+    """Undo an Ry layer on the stacked ``(psi, lam)``, given the undo
+    phases of its angles (:func:`_phase_table`), (T, 2**n) or one row
+    for all.
+
+    ``partner`` is a buffer of the pair's shape.  Returns the undone
+    pair and the other buffer, and writes the layer's derivatives (n, T)
+    into ``out``.  Both come from the Y eigenbasis, where the layer is
+    an Rz layer.
+    """
+    pair, partner = _change_basis(pair, partner, back=False)
+    _z_reads(pair, reads, out)
     pair *= phases
-    return _change_basis(pair, n, back=True)
+    return _change_basis(pair, partner, back=True)
 
 
 # Qubits per dense factor of the Y-eigenbasis change.  A factor on g
@@ -662,18 +792,22 @@ def _basis_factor(qubits: int, back: bool) -> np.ndarray:
     return factor
 
 
-def _change_basis(amps: np.ndarray, n: int, back: bool) -> np.ndarray:
+def _change_basis(amps: np.ndarray, spare: np.ndarray, back: bool) -> tuple:
     """``amps`` (..., 2**n) mapped to the Y eigenbasis of every qubit, or back.
 
-    Applies A^dag (or A) qubit group by qubit group, lowest group first;
-    returns a new array.
+    Applies A^dag (or A) qubit group by qubit group, lowest group first,
+    each group's product written into the other of ``amps`` and
+    ``spare``, two C-contiguous buffers of one shape.  Returns the
+    buffer that holds the result and the other one.
     """
-    out = amps.reshape(-1, 1 << n)
+    n = amps.shape[-1].bit_length() - 1
     for low in range(0, n, _BASIS_GROUP):
         width = min(_BASIS_GROUP, n - low)
         factor = _basis_factor(width, back)
         if low == 0:
-            out = out.reshape(-1, 1 << width) @ factor.T
+            np.matmul(amps.reshape(-1, 1 << width), factor.T, out=spare.reshape(-1, 1 << width))
         else:
-            out = factor @ out.reshape(-1, 1 << width, 1 << low)
-    return out.reshape(amps.shape)
+            shape = (-1, 1 << width, 1 << low)
+            np.matmul(factor, amps.reshape(shape), out=spare.reshape(shape))
+        amps, spare = spare, amps
+    return amps, spare

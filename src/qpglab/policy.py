@@ -300,7 +300,8 @@ def trajectory_log_grads(
         if (p_taken == 0.0).any():
             bad = int(np.nonzero(p_taken == 0.0)[0][0])
             raise ZeroProbabilityError(f"action {actions[bad]} has zero probability at step {bad}")
-        return grads / p_taken[:, None]
+        grads /= p_taken[:, None]
+        return grads
     # pi @ w rounds a row by its place in the product, so each set's
     # block of rows takes its own product, as in the call on that set alone.
     bracket = np.empty(len(actions))

@@ -491,7 +491,8 @@ def per_qubit_adjoint_grads(config, params, features, weights, amps) -> np.ndarr
             angle_grads[later, block, q] = _pauli_grad(later, a0, a1)
             apply_1q_halves(a0, a1, c00, c10, c01, c11)
             angle_grads[earlier, block, q] = _pauli_grad(earlier, a0, a1)
-    return ansatz._flat_grads(angle_grads, features)
+    grads = np.empty((len(amps), sum(ansatz.param_counts(config))))
+    return ansatz._flat_grads(angle_grads, features, grads)
 
 
 def _pauli_grad(pauli: int, a0, a1) -> np.ndarray:
@@ -504,6 +505,105 @@ def _pauli_grad(pauli: int, a0, a1) -> np.ndarray:
         terms = lam1.real * psi0.real + lam1.imag * psi0.imag
         terms -= lam0.real * psi1.real + lam0.imag * psi1.imag
     return terms.sum(axis=(-2, -1))
+
+
+def per_layer_adjoint_grads(bound, features, weights, amps, sets=None) -> np.ndarray:
+    """:func:`qpglab.ansatz.adjoint_grads` with every table built per layer.
+
+    Each set's block of rows is swept by :func:`per_layer_sweep`, which
+    allocates every temporary afresh and builds each layer's phase table
+    from that layer's angles alone, with one cos and one sin over all
+    ``2**n`` basis indices.
+    """
+    config = bound.config
+    features = np.asarray(features, dtype=float)
+    weights = np.asarray(weights)
+    grads = np.empty((len(features), sum(ansatz.param_counts(config))))
+    for index, rows in ansatz._row_sets(len(bound.start), sets, len(features)):
+        rows_weights = weights[rows] if weights.ndim == 2 else weights
+        grads[rows] = per_layer_sweep(
+            config, bound.theta[index], bound.lam[index], features[rows], rows_weights, amps[rows]
+        )
+    return grads
+
+
+def per_layer_sweep(config, var, lam, features, weights, amps) -> np.ndarray:
+    """The backward sweep of one parameter set, its theta ``var`` (d+1, n, 2)
+    and its lam (d, n, 2), one layer's tables at a time."""
+    d = config.depth
+    enc, rz_sums = _sweep_angles(var, lam, features)
+    pair = np.empty((2,) + amps.shape, dtype=np.complex128)
+    pair[0] = amps
+    np.multiply(amps, weights, out=pair[1])
+    angle_grads = np.empty((2, 2 * d + 1, config.n_qubits, len(features)))
+    for layer in range(d, -1, -1):
+        ansatz._apply_entangler(pair, config, inverse=True)
+        pair = _undo_ry_layer(pair, _undo_phases(var[layer, :, 1]), angle_grads[1, 2 * layer])
+        _z_reads(pair, angle_grads[0, 2 * layer])
+        if layer == 0:
+            break
+        pair *= _undo_phases(rz_sums[layer - 1])
+        phases = _undo_phases(enc[layer - 1, ..., 0])
+        pair = _undo_ry_layer(pair, phases, angle_grads[1, 2 * layer - 1])
+    angle_grads[0, 1::2] = angle_grads[0, 2::2]
+    grads = np.empty((len(amps), sum(ansatz.param_counts(config))))
+    return ansatz._flat_grads(angle_grads, features, grads)
+
+
+def per_layer_phase_tables(config, var, lam, features) -> np.ndarray:
+    """The undo phases of every layer, built layer by layer and stacked
+    as rows (2 d T + d + 1, 2**n): each summed Rz layer's (T, 2**n), then
+    each encoding Ry layer's, then each variational Ry layer's one row."""
+    d = config.depth
+    enc, rz_sums = _sweep_angles(var, lam, features)
+    rz = [_undo_phases(rz_sums[layer]) for layer in range(d)]
+    ry = [_undo_phases(enc[layer, ..., 0]) for layer in range(d)]
+    return np.vstack(rz + ry + [_undo_phases(var[layer, :, 1]) for layer in range(d + 1)])
+
+
+def _sweep_angles(var, lam, features) -> tuple[np.ndarray, np.ndarray]:
+    """The encoded angles (d, T, n, (y, z)) and the summed Rz angles (d, T, n)."""
+    enc = np.empty((len(lam), len(features), lam.shape[1], 2))
+    np.multiply(lam[:, None], features[:, ::-1, None], out=enc)
+    rz_sums = np.empty(enc.shape[:-1])
+    np.add(var[1:, None, :, 0], enc[..., 1], out=rz_sums)
+    return enc, rz_sums
+
+
+def _z_reads(pair, out) -> None:
+    psi, lam = pair
+    im = lam.real * psi.imag
+    im -= lam.imag * psi.real
+    np.matmul(ansatz._z_sign_table(out.shape[0]), im.T, out=out)
+
+
+def _undo_phases(angles) -> np.ndarray:
+    half = angles @ ansatz._z_sign_table(angles.shape[-1])
+    half *= 0.5
+    phases = np.empty(half.shape, dtype=np.complex128)
+    np.cos(half, out=phases.real)
+    np.sin(half, out=phases.imag)
+    return phases
+
+
+def _undo_ry_layer(pair, phases, out) -> np.ndarray:
+    n = out.shape[0]
+    pair = _change_basis(pair, n, back=False)
+    _z_reads(pair, out)
+    pair *= phases
+    return _change_basis(pair, n, back=True)
+
+
+def _change_basis(amps, n: int, back: bool) -> np.ndarray:
+    out = amps.reshape(-1, 1 << n)
+    for low in range(0, n, ansatz._BASIS_GROUP):
+        width = min(ansatz._BASIS_GROUP, n - low)
+        factor = ansatz._basis_factor(width, back)
+        if low == 0:
+            out = out.reshape(-1, 1 << width) @ factor.T
+        else:
+            out = factor @ out.reshape(-1, 1 << width, 1 << low)
+    return out.reshape(amps.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
+from qpglab.envs import BinaryEncoder
 from oracles import (
     apply_1q,
     apply_cx,
@@ -15,6 +16,8 @@ from oracles import (
     cx_layer_pairwise,
     gate_counts,
     param_rows,
+    per_layer_adjoint_grads,
+    per_layer_phase_tables,
     per_qubit_adjoint_grads,
     row_major_run_bound,
     shift_rows,
@@ -326,6 +329,53 @@ def test_adjoint_grads_build_no_gate_table(monkeypatch):
     monkeypatch.setattr(ansatz, "_gate_table", refuse)
     grads = ansatz.adjoint_grads(bound, features, weights, amps)
     assert grads.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_sweep_bit_identical_to_per_layer_oracle(entangler, n, depth):
+    # The sweep takes every phase table from one pass, with cos and sin
+    # over the low half of the basis indices only, and keeps its buffers
+    # between calls; the per-layer sweep builds each table alone and
+    # allocates afresh.  Gradients must agree in every bit, signed zeros
+    # included.  BinaryEncoder's 0/pi features under negative scale
+    # factors make encoded angles of -0.0 and -pi, so half-angle sums of
+    # either zero occur; a third of the angles are 0, -0.0 or +-pi.
+    config = ModelConfig(n, depth, entangler)
+    rng = np.random.default_rng(1000 + 10 * n + depth)
+    encoder = BinaryEncoder(n)
+    n_theta, n_lam = ansatz.param_counts(config)
+
+    def draw_sets(count):
+        theta = rng.uniform(-np.pi, np.pi, (count, n_theta))
+        special = rng.random(theta.shape) < 1 / 3
+        theta[special] = rng.choice([0.0, -0.0, np.pi, -np.pi], special.sum())
+        lam = -rng.choice([0.5, 1.0, 1.0, 2.0], (count, n_lam))
+        return ParamSet(theta, lam)
+
+    def check(bound, features, sets):
+        amps = ansatz.run_bound(bound, features, sets=sets)
+        actions = rng.integers(0, 2, (len(features), 1))
+        born = (rng.integers(0, 2, 1 << n) == actions).astype(float)
+        for weights in (born, rng.normal(size=1 << n)):
+            grads = ansatz.adjoint_grads(bound, features, weights, amps, sets=sets)
+            expected = per_layer_adjoint_grads(bound, features, weights, amps, sets)
+            assert np.array_equal(grads.view(np.uint64), expected.view(np.uint64))
+
+    for rows in (0, 1, 3, 10, 100):
+        features = encoder.encode(rng.integers(0, 1 << n, rows))
+        stack = draw_sets(1)
+        check(ansatz.bind(config, ParamSet(stack.theta[0], stack.lam[0])), features, None)
+        # The last sweep's phase tables, in its kept workspace, bit for
+        # bit: a signed zero of a table seldom reaches a gradient.
+        phases = ansatz._WORKSPACES[("sweep", n, depth)].arrays(rows)[2]
+        var, lam = stack.theta[0].reshape(-1, n, 2), stack.lam[0].reshape(-1, n, 2)
+        expected = per_layer_phase_tables(config, var, lam, features)
+        assert np.array_equal(phases.view(np.uint64), expected.view(np.uint64))
+        sizes = [rows, rows // 2, 1]
+        features = encoder.encode(rng.integers(0, 1 << n, sum(sizes)))
+        check(ansatz.bind(config, draw_sets(3)), features, np.repeat(np.arange(3), sizes))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -687,6 +737,103 @@ def test_workspaces_stay_within_their_byte_bound(monkeypatch):
     assert list(ansatz._WORKSPACES) == [(3, 2, 3, 9), (3, 2, 3, 8), (3, 2, 3, 7)]
 
 
+def _sweep_case(config, rows, seed, num_sets=1):
+    """A bound stack, its (features, weights, amps) and row-to-set index."""
+    rng = np.random.default_rng(seed)
+    n_theta, n_lam = ansatz.param_counts(config)
+    stack = ParamSet(
+        rng.uniform(-np.pi, np.pi, (num_sets, n_theta)), rng.normal(1.0, 0.5, (num_sets, n_lam))
+    )
+    sets = np.repeat(np.arange(num_sets), rows)
+    features = rng.uniform(-2, 2, (len(sets), config.n_qubits))
+    weights = rng.normal(size=(len(sets), 1 << config.n_qubits))
+    bound = ansatz.bind(config, stack)
+    return bound, features, weights, ansatz.run_bound(bound, features, sets=sets), sets
+
+
+@pytest.mark.parametrize("n,depth,rows", [(4, 5, 230), (4, 3, 100)])
+def test_warm_sweep_allocates_little_beyond_its_result(n, depth, rows):
+    # A warm sweep at the CartPole (n = 4, d = 5) and FIM (n = 4, d = 3)
+    # benchmark shapes writes every per-row array into its kept
+    # workspace.  What it still allocates are the iterator buffers numpy
+    # takes inside broadcast products, at most two complex buffers of
+    # np.getbufsize() elements, and small objects.  The buffer size is
+    # cut to 1024 elements so that a table of the sweep's own would
+    # show: measured under tracemalloc on numpy 2.4.6, the peak above
+    # the memory traced before the call is the result plus 34.8 KB at
+    # both shapes, and was the result plus 849 and 261 KB when the sweep
+    # allocated its temporaries per call.
+    import tracemalloc
+
+    bound, features, weights, amps, _ = _sweep_case(ModelConfig(n, depth, "cz"), rows, 81)
+    size = np.setbufsize(1024)
+    try:
+        ansatz.adjoint_grads(bound, features, weights, amps)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grads = ansatz.adjoint_grads(bound, features, weights, amps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    finally:
+        np.setbufsize(size)
+    assert peak <= grads.nbytes + 2 * 1024 * 16 + (16 << 10)
+
+
+def test_forward_and_sweep_workspaces_share_one_byte_bound(monkeypatch):
+    # The sweep's workspace is kept per (n, d), beside the forward's per
+    # shape, under the one byte bound: it grows to the most rows a sweep
+    # has had, evicting the oldest kept workspaces, and one larger than
+    # the bound serves its call without being kept.
+    monkeypatch.setattr(ansatz, "_WORKSPACES", {})
+    config = ModelConfig(3, 2)
+    bound, features, weights, amps, _ = _sweep_case(config, 40, 82)
+    forward = ansatz._Workspace((3, 2, 3, 10)).nbytes
+    sweep = ansatz._SweepWorkspace(3, 2, 10).nbytes
+    monkeypatch.setattr(ansatz, "_WORKSPACE_BYTES", 2 * forward + sweep)
+    monkeypatch.setattr(ansatz, "_WORKSPACES", {})
+    key = ("sweep", 3, 2)
+    calls = [("sweep", 10), ("forward", 10), ("forward", 9), ("sweep", 8), ("sweep", 12)]
+    for stage, rows in calls + [("sweep", 40)]:
+        if stage == "forward":
+            assert _same_bits(ansatz.run_bound(bound, features[:rows]), amps[:rows])
+        else:
+            args = (bound, features[:rows], weights[:rows], amps[:rows])
+            grads = ansatz.adjoint_grads(*args)
+            assert _same_bits(grads, per_layer_adjoint_grads(*args))
+        kept = sum(work.nbytes for work in ansatz._WORKSPACES.values())
+        assert kept <= ansatz._WORKSPACE_BYTES
+        if (stage, rows) == ("sweep", 8):
+            # Fewer rows than it holds: the sweep's workspace is reused.
+            assert list(ansatz._WORKSPACES) == [key, (3, 2, 3, 10), (3, 2, 3, 9)]
+            assert ansatz._WORKSPACES[key].rows == 10
+    # At 12 rows the sweep's workspace was remade, evicting the forward's
+    # oldest; at 40 it would not fit, so the call made it and let it go.
+    assert list(ansatz._WORKSPACES) == [(3, 2, 3, 9)]
+
+
+@pytest.mark.parametrize("num_sets", [1, 2])
+@pytest.mark.parametrize("n,rows", [(1, 1), (2, 3), (5, 7)])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_sweep_results_never_share_memory_with_the_workspace(entangler, n, rows, num_sets):
+    # adjoint_grads hands back an array of its own; a second call, which
+    # rewrites every buffer of the kept sweep workspace, leaves the
+    # first call's gradients as they were.
+    config = ModelConfig(n, 2, entangler)
+    first_case = _sweep_case(config, rows, 90 + n, num_sets)
+    bound, features, weights, amps, sets = first_case
+    first = ansatz.adjoint_grads(bound, features, weights, amps, sets=sets)
+    kept = first.copy()
+    bound, features, weights, amps, sets = _sweep_case(config, rows, 95 + n, num_sets)
+    second = ansatz.adjoint_grads(bound, features, weights, amps, sets=sets)
+    buffers = [buffer for work in ansatz._WORKSPACES.values() for buffer in work.buffers]
+    for array in (first, second):
+        assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+    assert not np.shares_memory(first, second)
+    assert _same_bits(first, kept)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
 def test_bind_start_register_bit_identical_to_one_row_layer_zero(entangler, n):
@@ -747,7 +894,9 @@ def test_forward_and_sweep_take_only_feature_rows():
 
 
 # Rows per set of a stack: first sets of 1, 3, 8, 2 and 5 rows, then
-# stacks with sets that have no rows, which make no block.
+# stacks with sets that have no rows, which make no block.  At n = 5,
+# where BLAS rounded a row of a product by its place in the call, every
+# stack also runs with 1 and with 3 rows in every set.
 STACK_ROWS = {
     1: [[1], [0]],
     2: [[1, 3], [0, 3]],
@@ -771,7 +920,8 @@ def test_stacked_sets_equal_per_set_calls_bit_for_bit(entangler, n, depth, num_s
         rng.uniform(-np.pi, np.pi, (num_sets, n_theta)), rng.normal(1.0, 0.5, (num_sets, n_lam))
     )
     bound = ansatz.bind(config, stack)
-    for sizes in STACK_ROWS[num_sets]:
+    uniform = [[1] * num_sets, [3] * num_sets] if n == 5 else []
+    for sizes in STACK_ROWS[num_sets] + uniform:
         sets = np.repeat(np.arange(num_sets), sizes)
         features = rng.uniform(-2, 2, (len(sets), n))
         features[:1, -1] = 0.0

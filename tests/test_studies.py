@@ -25,8 +25,11 @@ def test_forward_cost_study_writes_one_line_per_shape_and_row_count(tmp_path):
     argv = ["--shapes", "2x1", "3x2", "--rows", "1", "3", "--repeats", "1", "--out", str(out)]
     table = study.main(argv)
     lines = _read(out)
-    assert [(line["n"], line["d"], line["rows"]) for line in lines] == [
-        ("2", "1", "1"), ("2", "1", "3"), ("3", "2", "1"), ("3", "2", "3")
+    assert [(line["stage"], line["n"], line["d"], line["rows"]) for line in lines] == [
+        (stage, *shape, rows)
+        for stage in ("run_bound", "adjoint_grads")
+        for shape in (("2", "1"), ("3", "2"))
+        for rows in ("1", "3")
     ]
     assert lines == [{key: str(value) for key, value in line.items()} for line in table]
     for line in lines:
@@ -40,7 +43,10 @@ def test_forward_cost_table_checked_in_covers_the_default_grid():
     study = _load("forward_cost")
     lines = _read(STUDIES / "forward_cost.csv")
     expected = [
-        (*shape.split("x"), str(rows)) for shape in study.SHAPES for rows in study.ROWS
+        (stage, *shape.split("x"), str(rows))
+        for stage in study.STAGES
+        for shape in study.SHAPES
+        for rows in study.ROWS
     ]
-    assert [(line["n"], line["d"], line["rows"]) for line in lines] == expected
+    assert [(line["stage"], line["n"], line["d"], line["rows"]) for line in lines] == expected
     assert all(list(line) == list(study.COLUMNS) for line in lines)
