@@ -240,12 +240,12 @@ class EffDimReport(NamedTuple):
 # Matrix entries one stacked Cholesky of :func:`effective_dimension` may
 # hold: a chunk takes as many data sizes as fit, sizes x sets x P**2 <=
 # this, and at least one.  At 8 bytes an entry, the stack and its factor
-# stay under 128 KiB, glibc's default mmap threshold, so they come from
-# the heap and reuse its pages; a larger block is mapped afresh and
-# faults in every page on every call.  The benchmark's 4 sizes x 2 sets
-# at P = 56 take two calls of 2 sizes; 100 sets at P = 88 take one size
-# a call.
-CHOLESKY_CHUNK_ENTRIES = 1 << 14
+# stay strictly under 128 KiB, glibc's default mmap threshold, with room
+# for malloc's chunk header, so they come from the heap and reuse its
+# pages; a larger block is mapped afresh and faults in every page on
+# every call.  The benchmark's 4 sizes x 2 sets at P = 56 take two calls
+# of 2 sizes; 100 sets at P = 88 take one size a call.
+CHOLESKY_CHUNK_ENTRIES = (1 << 14) - 64
 
 
 def effective_dimension(fims: FimSamples, data_sizes) -> EffDimReport:

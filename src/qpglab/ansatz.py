@@ -76,15 +76,17 @@ only through the angle ``lam * s``, so its derivative is ``s`` times
 the angle's; for ``s`` exactly zero it is zero.  The parameter-shift
 rule (Schuld et al., arXiv:1811.11184), the rule hardware runs, gives
 the same derivatives at two circuits per parameter; it is the tests'
-oracle for the sweep.  All per-row phase tables of a sweep come from
-one pass: one batched product per angle source, each batch item the
+oracle for the sweep.  The sweep's phase tables come from few passes,
+each one batched product per angle source, each batch item the
 product one layer alone would take, then one halving and one cos and
-one sin call.  A basis index and its complement 2**n - 1 - x have
-negated half angles, so cos and sin run over the low half of the
-indices and the high half is its conjugate.  Every per-row array of a
-sweep is written into one workspace kept per (n, d)
-(:class:`_SweepWorkspace`), beside the forward's and under the same
-byte bound, so a warm sweep allocates little beyond its result.
+one sin call.  A pass makes as many of the 2d per-row tables as
+:data:`_SWEEP_TABLE_ENTRIES` allows, so their memory is bounded, and
+the first pass the variational Ry tables too.  A basis index and its
+complement 2**n - 1 - x have negated half angles, so cos and sin run
+over the low half of the indices and the high half is its conjugate.
+Every per-row array of a sweep is written into one workspace kept per
+(n, d) (:class:`_SweepWorkspace`), beside the forward's and under the
+same byte bound, so a warm sweep allocates little beyond its result.
 
 This module reads and writes no file: ``qpglab.config`` builds an
 experiment's model once, when its config is loaded, and ``qpglab.cli``
@@ -348,6 +350,21 @@ class _Workspace:
         self.nbytes = sum(buffer.nbytes for buffer in self.buffers)
 
 
+# Entries (rows x 2**n) of per-row phase tables that one table pass of
+# the sweep makes: a pass makes as many of a sweep's 2 d tables (T,
+# 2**n) as fit, and at least one.  Few passes save the per-call cost of
+# small sweeps (one table a pass cost 4.4% of FIM sampling at n = 4,
+# d = 3); the bound keeps a large sweep's tables from growing as
+# 2 d T 2**n.  At about 33 bytes an entry (the sums, the phases and
+# their scratch), a pass of more than one table holds at most 2.2 MB.
+_SWEEP_TABLE_ENTRIES = 1 << 16
+
+
+def _tables_per_pass(d: int, rows: int, size: int) -> int:
+    """Per-row phase tables of a sweep of ``rows`` rows made in one pass."""
+    return min(2 * d, max(1, _SWEEP_TABLE_ENTRIES // max(rows * size, 1)))
+
+
 class _SweepWorkspace:
     """Every per-row buffer of a backward sweep of an (n, d) circuit, made once.
 
@@ -357,27 +374,35 @@ class _SweepWorkspace:
 
     * ``pairs`` (2, 2, T, 2**n): the (psi, lam) pair and its partner,
       which each step reads and writes in turn;
-    * ``half``, ``phases`` (2 d T + d + 1, 2**n): the angle sums and undo
-      phases of every Rz-sum and encoded Ry layer, (layer, row) in that
-      order, then of each variational Ry layer as one row for all, and
-      the scratch ``lows`` and ``zeros`` of their low and high halves;
+    * the phase tables: the angle sums, the undo phases and the scratch
+      of their low and high halves (:func:`_phase_table`), each with d+1
+      rows for the variational Ry layers, one row each, then T rows for
+      each per-row table that one table pass makes
+      (:func:`_tables_per_pass`), handed out as ``var_sums`` (d+1, 1,
+      2**n), the variational rows of the sums, and ``passes``, the plan
+      of the table passes (:func:`_table_passes`);
     * ``enc`` (d, T, n, 2) and ``rz_sums`` (d, T, n): the encoded angles
       and the summed Rz angles;
     * ``reads`` (2, T, 2**n), the scratch of the reads, and
       ``angle_grads`` (z/y, block, qubit, T).
+
+    A pass of ``m`` tables has ``m T`` rows: at most ``2 d T``, and
+    beyond one table's T rows at most ``_SWEEP_TABLE_ENTRIES / 2**n``,
+    so the buffers for ``rows`` rows hold those of every T <= ``rows``.
     """
 
     def __init__(self, n: int, d: int, rows: int):
         self.n, self.d, self.rows = n, d, rows
+        table_rows = min(2 * d * rows, max(rows, _SWEEP_TABLE_ENTRIES >> n))
         self.buffers = tuple(
-            np.empty(math.prod(shape), dtype) for shape, dtype in self._layout(rows)
+            np.empty(math.prod(shape), dtype) for shape, dtype in self._layout(rows, table_rows)
         )
         self.nbytes = sum(buffer.nbytes for buffer in self.buffers)
         self._last = (None, [])
 
-    def _layout(self, rows: int) -> tuple:
+    def _layout(self, rows: int, table_rows: int) -> tuple:
         n, d, size = self.n, self.d, 1 << self.n
-        tables = 2 * d * rows + d + 1
+        tables = d + 1 + table_rows
         return (
             ((2, 2, rows, size), np.complex128),
             ((tables, size), np.float64),
@@ -391,13 +416,18 @@ class _SweepWorkspace:
         )
 
     def arrays(self, rows: int) -> list:
-        """``pairs, half, phases, lows, zeros, enc, rz_sums, reads, angle_grads``
+        """``pairs, var_sums, passes, enc, rz_sums, reads, angle_grads``
         for ``rows`` rows; the views of the last row count are kept."""
         if self._last[0] != rows:
-            views = [
+            d, size = self.d, 1 << self.n
+            per_pass = _tables_per_pass(d, rows, size)
+            pairs, *tables, enc, rz_sums, reads, angle_grads = [
                 buffer[: math.prod(shape)].reshape(shape)
-                for buffer, (shape, _) in zip(self.buffers, self._layout(rows))
+                for buffer, (shape, _) in zip(self.buffers, self._layout(rows, per_pass * rows))
             ]
+            var_sums = tables[0][: d + 1].reshape(d + 1, 1, size)
+            passes = _table_passes((rz_sums, enc[..., 0]), tables, per_pass)
+            views = [pairs, var_sums, passes, enc, rz_sums, reads, angle_grads]
             self._last = (rows, views)
         return self._last[1]
 
@@ -667,27 +697,21 @@ def _sweep(config, var, lam, features, weights, amps, out) -> None:
     of the circuit shape, so a warm sweep allocates none of its own.
     """
     n, d = config.n_qubits, config.depth
-    steps, size = amps.shape
+    steps = len(amps)
     work = _sweep_workspace(n, d, steps)
-    pairs, half, phases, lows, zeros, enc, rz_sums, reads, angle_grads = work.arrays(steps)
+    pairs, var_sums, passes, enc, rz_sums, reads, angle_grads = work.arrays(steps)
     # (block, row, qubit, (y, z)) angles of the encoding blocks; an
     # encoding Rz layer is undone together with the variational Rz layer
     # after it, at their summed angles (block, row, qubit).  Both per-row
     # tables are C-ordered, as the phase products read them.
     np.multiply(lam[:, None], features[:, ::-1, None], out=enc)
     np.add(var[1:, None, :, 0], enc[..., 1], out=rz_sums)
-    # One batched product per angle source, each batch item the product
-    # a layer alone would take; the variational Ry angles go in as given
-    # views, one row for all.  Then one pass makes every phase table.
+    # The variational Ry angles go in as given views, one row for all,
+    # each batch item the product one layer alone would take.
     signs = _z_sign_table(n)
-    per_row = 2 * d * steps
-    rz_half, ry_half = half[:per_row].reshape(2, d, steps, size)
-    np.matmul(rz_sums, signs, out=rz_half)
-    np.matmul(enc[..., 0], signs, out=ry_half)
-    np.matmul(var[:, None, :, 1], signs, out=half[per_row:].reshape(d + 1, 1, size))
-    _phase_table(half, phases, lows, zeros)
-    rz_phases, ry_phases = phases[:per_row].reshape(2, d, steps, size)
-    var_phases = phases[per_row:].reshape(d + 1, 1, size)
+    np.matmul(var[:, None, :, 1], signs, out=var_sums)
+    phases = _phase_tables(passes, signs)
+    var_phases = next(phases)
     # The pair (psi, lam) and a partner of its shape, which each step
     # that cannot work in place writes into; then the two swap roles.
     pair, partner = pairs
@@ -704,9 +728,9 @@ def _sweep(config, var, lam, features, weights, amps, out) -> None:
             break
         # An encoding Rz layer shares its reading with the variational one.
         angle_grads[0, 2 * layer - 1] = angle_grads[0, 2 * layer]
-        pair *= rz_phases[layer - 1]
+        pair *= next(phases)
         pair, partner = _undo_ry_layer(
-            pair, partner, ry_phases[layer - 1], reads, angle_grads[1, 2 * layer - 1]
+            pair, partner, next(phases), reads, angle_grads[1, 2 * layer - 1]
         )
     _flat_grads(angle_grads, features, out)
 
@@ -756,6 +780,61 @@ def _phase_table(half: np.ndarray, phases: np.ndarray, lows: np.ndarray, zeros: 
     np.conjugate(lows[:, ::-1], out=phases[:, low:])
     np.equal(half[:, low:], 0.0, out=zeros)
     np.copyto(phases.imag[:, low:], half[:, low:], where=zeros)
+
+
+def _table_passes(sources: tuple, tables: list, per_pass: int) -> list:
+    """The plan of a sweep's table passes, as views of its workspace.
+
+    ``sources`` are the summed Rz angles and the encoded Ry angles, each
+    (d, T, n); the sweep takes layer d's Rz-sum table, then its encoded
+    Ry table, then layer d-1's, down to layer 1's.  ``tables`` are the
+    sums, phases and scratch buffers that :func:`_phase_table` takes,
+    with d+1 rows for the variational tables and then ``per_pass``
+    blocks of T rows.  Each pass is ``(products, rows, made)``: the
+    (angles, out) pair of each source's batched product into the sums,
+    every other block from its first, with the layers from the top
+    down; the rows of ``tables`` that its :func:`_phase_table` call
+    covers, the first pass's including the variational rows; and the
+    phase tables it makes, in the order the sweep takes them.
+    """
+    d, steps, n = sources[0].shape
+    size, total, low = 1 << n, 2 * d, 0
+    sums, phases = tables[:2]
+    passes = []
+    for first in range(0, total, per_pass):
+        count = min(per_pass, total - first)
+        end = d + 1 + count * steps
+        slots = sums[d + 1 : end].reshape(count, steps, size)
+        products = []
+        for source, angles in enumerate(sources):
+            start = (source - first) % 2
+            if start < count:
+                top = d - 1 - (first + start) // 2
+                layers = len(range(start, count, 2))
+                products.append((angles[top - layers + 1 : top + 1][::-1], slots[start::2]))
+        made = list(phases[d + 1 : end].reshape(count, steps, size))
+        if first == 0:
+            made.insert(0, phases[: d + 1])
+        passes.append((products, tuple(table[low:end] for table in tables), made))
+        low = d + 1
+    return passes
+
+
+def _phase_tables(passes: list, signs: np.ndarray):
+    """The undo phases of a sweep, in the order it applies them: the
+    variational Ry layers' (d+1, 2**n), one row each, whose sums the
+    caller wrote, then the per-row tables (T, 2**n).
+
+    Runs the passes of :func:`_table_passes`, each once the last pass's
+    tables are taken: one batched product per angle source, each batch
+    item the product one layer alone would take, then one
+    :func:`_phase_table`.
+    """
+    for products, rows, made in passes:
+        for angles, out in products:
+            np.matmul(angles, signs, out=out)
+        _phase_table(*rows)
+        yield from made
 
 
 def _undo_ry_layer(pair, partner, phases, reads, out) -> tuple:

@@ -96,14 +96,13 @@ def measure(stage: str, n: int, d: int, rows: int, repeats: int) -> dict:
 
 def main(argv=None) -> list[dict]:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--stages", nargs="+", default=STAGES, choices=STAGES)
     parser.add_argument("--shapes", nargs="+", default=SHAPES, help="n x d, e.g. 4x5")
     parser.add_argument("--rows", nargs="+", type=int, default=ROWS)
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--out", type=Path, default=ROOT / "studies" / "forward_cost.csv")
     args = parser.parse_args(argv)
     table = []
-    for stage in args.stages:
+    for stage in STAGES:
         for shape in args.shapes:
             n, d = map(int, shape.split("x"))
             table += [measure(stage, n, d, rows, args.repeats) for rows in args.rows]

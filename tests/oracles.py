@@ -550,15 +550,17 @@ def per_layer_sweep(config, var, lam, features, weights, amps) -> np.ndarray:
     return ansatz._flat_grads(angle_grads, features, grads)
 
 
-def per_layer_phase_tables(config, var, lam, features) -> np.ndarray:
-    """The undo phases of every layer, built layer by layer and stacked
-    as rows (2 d T + d + 1, 2**n): each summed Rz layer's (T, 2**n), then
-    each encoding Ry layer's, then each variational Ry layer's one row."""
+def per_layer_phase_tables(config, var, lam, features) -> list:
+    """The undo phases of every layer, each built from its angles alone,
+    in the order the sweep makes them: the variational Ry layers' one
+    row each, stacked (d+1, 2**n), then per layer from the last down,
+    its summed Rz table (T, 2**n) and its encoding Ry table."""
     d = config.depth
     enc, rz_sums = _sweep_angles(var, lam, features)
-    rz = [_undo_phases(rz_sums[layer]) for layer in range(d)]
-    ry = [_undo_phases(enc[layer, ..., 0]) for layer in range(d)]
-    return np.vstack(rz + ry + [_undo_phases(var[layer, :, 1]) for layer in range(d + 1)])
+    tables = [np.stack([_undo_phases(var[layer, :, 1]) for layer in range(d + 1)])]
+    for layer in range(d - 1, -1, -1):
+        tables += [_undo_phases(rz_sums[layer]), _undo_phases(enc[layer, ..., 0])]
+    return tables
 
 
 def _sweep_angles(var, lam, features) -> tuple[np.ndarray, np.ndarray]:

@@ -334,12 +334,12 @@ def test_adjoint_grads_build_no_gate_table(monkeypatch):
 @pytest.mark.parametrize("depth", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
-def test_sweep_bit_identical_to_per_layer_oracle(entangler, n, depth):
-    # The sweep takes every phase table from one pass, with cos and sin
-    # over the low half of the basis indices only, and keeps its buffers
-    # between calls; the per-layer sweep builds each table alone and
-    # allocates afresh.  Gradients must agree in every bit, signed zeros
-    # included.  BinaryEncoder's 0/pi features under negative scale
+def test_sweep_bit_identical_to_per_layer_oracle(monkeypatch, entangler, n, depth):
+    # The sweep makes its phase tables with cos and sin over the low
+    # half of the basis indices only, the variational Ry tables in one
+    # batched pass, and keeps its buffers between calls; the per-layer
+    # sweep builds each table alone over all indices and allocates
+    # afresh.  Gradients must agree in every bit, signed zeros included.  BinaryEncoder's 0/pi features under negative scale
     # factors make encoded angles of -0.0 and -pi, so half-angle sums of
     # either zero occur; a third of the angles are 0, -0.0 or +-pi.
     config = ModelConfig(n, depth, entangler)
@@ -363,16 +363,25 @@ def test_sweep_bit_identical_to_per_layer_oracle(entangler, n, depth):
             expected = per_layer_adjoint_grads(bound, features, weights, amps, sets)
             assert np.array_equal(grads.view(np.uint64), expected.view(np.uint64))
 
+    phase_table = ansatz._phase_table
+    made = []
+
+    def recorded(half, phases, lows, zeros):
+        phase_table(half, phases, lows, zeros)
+        made.append(phases.copy())
+
     for rows in (0, 1, 3, 10, 100):
         features = encoder.encode(rng.integers(0, 1 << n, rows))
         stack = draw_sets(1)
-        check(ansatz.bind(config, ParamSet(stack.theta[0], stack.lam[0])), features, None)
-        # The last sweep's phase tables, in its kept workspace, bit for
-        # bit: a signed zero of a table seldom reaches a gradient.
-        phases = ansatz._WORKSPACES[("sweep", n, depth)].arrays(rows)[2]
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ansatz, "_phase_table", recorded)
+            check(ansatz.bind(config, ParamSet(stack.theta[0], stack.lam[0])), features, None)
+        # Every phase table the sweep made, bit for bit: a signed zero of
+        # a table seldom reaches a gradient.
         var, lam = stack.theta[0].reshape(-1, n, 2), stack.lam[0].reshape(-1, n, 2)
-        expected = per_layer_phase_tables(config, var, lam, features)
-        assert np.array_equal(phases.view(np.uint64), expected.view(np.uint64))
+        expected = np.vstack(per_layer_phase_tables(config, var, lam, features) * 2)
+        assert np.array_equal(np.vstack(made).view(np.uint64), expected.view(np.uint64))
         sizes = [rows, rows // 2, 1]
         features = encoder.encode(rng.integers(0, 1 << n, sum(sizes)))
         check(ansatz.bind(config, draw_sets(3)), features, np.repeat(np.arange(3), sizes))
@@ -749,6 +758,41 @@ def _sweep_case(config, rows, seed, num_sets=1):
     weights = rng.normal(size=(len(sets), 1 << config.n_qubits))
     bound = ansatz.bind(config, stack)
     return bound, features, weights, ansatz.run_bound(bound, features, sets=sets), sets
+
+
+@pytest.mark.parametrize("n,depth,rows", [(4, 3, 10), (3, 5, 7), (1, 2, 1)])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_sweep_bit_identical_whatever_its_tables_per_pass(monkeypatch, entangler, n, depth, rows):
+    # The sweep makes its per-row phase tables as many at a time as
+    # _SWEEP_TABLE_ENTRIES holds; a pass may start and end within a
+    # layer.  Every count, from one table a pass to all 2 d in one,
+    # gives the per-layer oracle's gradients in every bit.
+    config = ModelConfig(n, depth, entangler)
+    bound, features, weights, amps, sets = _sweep_case(config, rows, 70 + n, num_sets=2)
+    expected = per_layer_adjoint_grads(bound, features, weights, amps, sets)
+    for per_pass in range(1, 2 * depth + 1):
+        monkeypatch.setattr(ansatz, "_SWEEP_TABLE_ENTRIES", per_pass * rows << n)
+        monkeypatch.setattr(ansatz, "_WORKSPACES", {})
+        assert ansatz._tables_per_pass(depth, rows, 1 << n) == per_pass
+        grads = ansatz.adjoint_grads(bound, features, weights, amps, sets=sets)
+        assert _same_bits(grads, expected)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sweep_workspace_holds_every_smaller_row_count(monkeypatch, n, depth):
+    # A kept sweep workspace serves every sweep of fewer rows, whose
+    # passes may make more tables at once than its own would; its views
+    # of every such row count fit its buffers.
+    monkeypatch.setattr(ansatz, "_SWEEP_TABLE_ENTRIES", 1 << 10)
+    for rows in (1, 2, 3, 7, 40, 129, 300):
+        work = ansatz._SweepWorkspace(n, depth, rows)
+        for fewer in range(rows + 1):
+            passes = work.arrays(fewer)[2]
+            per_pass = ansatz._tables_per_pass(depth, fewer, 1 << n)
+            assert len(passes) == -(-2 * depth // per_pass)
+            made = [table.shape for *_, tables in passes for table in tables]
+            assert made == [(depth + 1, 1 << n)] + [(fewer, 1 << n)] * (2 * depth)
 
 
 @pytest.mark.parametrize("n,depth,rows", [(4, 5, 230), (4, 3, 100)])
