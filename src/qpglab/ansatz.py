@@ -54,6 +54,10 @@ innermost axis from the half angles through the registers: factors are
 (4, 4, row) and (2, 2, row), registers (2**n, row).  Each factor is one
 batched contraction that reads one of two registers and writes the
 other, and a call returns a C-contiguous (row, 2**n) copy of the last.
+The contractions call ``c_einsum``, numpy's C einsum, which
+``np.einsum(..., optimize=False)`` returns through: the sums are
+np.einsum's bit for bit, without its Python dispatch, which took about
+a quarter of a contraction's time at the few rows of a rollout step.
 Every table and register of a call is written into one workspace kept
 per forward shape (:class:`_Workspace`), so a warm call allocates
 little beyond its result and faults no pages.  Each factor entry is the
@@ -101,6 +105,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from . import qsim
 
@@ -225,13 +230,16 @@ def _feature_rows(config: ModelConfig, features) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cz_layer_signs(n: int) -> np.ndarray:
+def _cz_layer_signs(n: int, ndim: int, axis: int) -> np.ndarray:
+    """The CZ layer's diagonal, shaped to multiply ``ndim``-axis
+    amplitudes along their amplitude axis ``axis``."""
     # Product of all pairwise CZ diagonals: (-1)^(k choose 2) for an
     # index with k set bits.
     ones = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     # Complex, so that multiplying amplitudes needs no cast: numpy casts a
     # real sign s to s + 0j, so the products are the same.
     signs = np.where((ones * (ones - 1) // 2) % 2 == 1, -1.0, 1.0).astype(np.complex128)
+    signs = signs.reshape(signs.shape + (1,) * (ndim - 1 - axis % ndim))
     signs.setflags(write=False)
     return signs
 
@@ -270,19 +278,15 @@ def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse=False, axis=
     if n == 1:
         return amps
     if config.entangler == "cz":
-        signs = _cz_layer_signs(n)
-        amps *= signs.reshape(signs.shape + (1,) * (amps.ndim - 1 - axis % amps.ndim))
+        amps *= _cz_layer_signs(n, amps.ndim, axis)
         return amps
     perm = _cx_layer_perms(n)[inverse]
     if out is None:
-        amps[...] = np.take(amps, perm, axis=axis)
+        amps[...] = amps.take(perm, axis=axis)
         return amps
-    return np.take(amps, perm, axis=axis, out=out, mode="clip")
+    return amps.take(perm, axis=axis, out=out, mode="clip")
 
 
-# The factors of the encoded angles in the half angles b/2, (a+c)/2 and
-# (a-c)/2, per term: (lam * s) * -0.5 is -(0.5 * (lam * s)) exactly.
-_HALF_ENCODED = np.array([0.5, 0.5, -0.5])[:, None, None, None]
 # The gate entries u00, u01, u10 and u11: the f of each (cos, sin, sin,
 # cos) and the signs of its (re, im).
 _ENTRY_TERMS = np.array([0, 1, 1, 0])
@@ -302,10 +306,11 @@ class _Workspace:
     ``terms`` (the products each gate entry reads), ``gates`` (layer,
     qubit, i, j, row), ``pairs`` (the Kronecker products of the qubit
     pairs) and the two ``registers`` (2**n, row) that the contractions
-    read and write in turn.  ``layers`` holds each layer's factors, the
-    (4, 4, row) and (2, 2, row) views of ``pairs`` and ``gates`` in the
-    order a pass applies them, each paired with both registers viewed as
-    (outer, width, inner, row) for its width.  :func:`_workspace` keeps
+    read and write in turn.  ``plans[in_place]`` is a pass's plan for an
+    entangler that works in place or not: per layer, each factor's
+    (factor, read, write) views in the order a pass applies them, then
+    the register the entangler acts on and its spare; and the register
+    that ends the pass.  :func:`_workspace` keeps
     workspaces per process, together with the sweep's
     (:class:`_SweepWorkspace`), at most :data:`_WORKSPACE_BYTES` (32 MiB)
     of them together; one larger serves its call alone.  Neither kind is
@@ -340,11 +345,18 @@ class _Workspace:
             width = min(4, 1 << (n - low))
             shape = (2, (1 << n) // (width << low), width, 1 << low, batch)
             views.append(tuple(registers.reshape(shape)))
-        # Each layer's (register views, factor) pairs.
-        self.layers = [
-            list(zip(views, factors[first : first + len(views)]))
-            for first in range(0, len(factors), len(views))
-        ]
+        # An entangler not in place gathers into the other register.
+        self.plans = {}
+        for in_place in (True, False):
+            live, steps = 0, []
+            for first in range(0, len(factors), len(views)):
+                contractions = []
+                for view, factor in zip(views, factors[first : first + len(views)]):
+                    contractions.append((factor, view[live], view[1 - live]))
+                    live = 1 - live
+                steps.append((contractions, registers[live], registers[1 - live]))
+                live ^= not in_place
+            self.plans[in_place] = (steps, registers[live])
         self.buffers = (self.half, self.trig, self.products, self.terms, gates, self.pairs)
         self.buffers += (registers,)
         self.nbytes = sum(buffer.nbytes for buffer in self.buffers)
@@ -470,8 +482,8 @@ def _gate_table(work: _Workspace) -> None:
     ``work.half``, (term, layer, qubit, row), and writes every table into
     the workspace.  Per layer: the factor U_{q+1} (x) U_q, shape (4, 4,
     row), of each qubit pair (q, q+1) with q even, lowest first, then at
-    odd n the top qubit's gate U_{n-1}, shape (2, 2, row); ``work.layers``
-    reads them in that order, as views laid out as built, rows innermost.
+    odd n the top qubit's gate U_{n-1}, shape (2, 2, row); ``work.plans``
+    read them in that order, as views laid out as built, rows innermost.
     A factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
     U_q is the fused gate of qubit q: layer 0 is Ry(theta') @ Rz(theta);
     layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
@@ -489,9 +501,10 @@ def _gate_table(work: _Workspace) -> None:
     # Each entry's (re, im) is +-(f((a+c)/2) cos(b/2), f((a-c)/2) sin(b/2)),
     # with f = cos for u00 and u11 and f = sin for u01 and u10, written
     # straight into the gates' entry view.  ``take`` with mode="raise"
-    # would buffer its output; the terms are in range.
+    # would buffer its output; the terms are in range.  The method skips
+    # np.take's Python wrapper, as in :func:`_apply_entangler`.
     np.multiply(trig[:, 1:], trig[:, 0], out=work.products)
-    np.take(work.products, _ENTRY_TERMS, axis=0, out=work.terms, mode="clip")
+    work.products.take(_ENTRY_TERMS, axis=0, out=work.terms, mode="clip")
     np.multiply(work.terms, _ENTRY_SIGNS, out=work.entries)
     np.multiply(*work.kron, out=work.pairs)
 
@@ -521,8 +534,9 @@ class BoundParams(NamedTuple):
     """A stack of R parameter sets bound to a circuit shape by :func:`bind`.
 
     ``theta_half`` holds the theta half angles of layers 1..d and
-    ``lam_terms`` the scale factors read as the encoded terms, both as
-    (term, layer, qubit, set); ``start`` each set's register (R, 2**n)
+    ``lam_terms`` the scale factors read as the encoded terms, the third
+    negated, both as (set, term, layer, qubit, 1), one table per set
+    that broadcasts over its rows; ``start`` each set's register (R, 2**n)
     after V_0 and its entangler, the same for every feature row of that
     set.  ``theta`` (R, d+1, n, 2) and ``lam``
     (R, d, n, 2) are read-only views of the parameters as given, which
@@ -553,10 +567,12 @@ def bind(config: ModelConfig, params: ParamSet) -> BoundParams:
     half = theta.transpose(3, 1, 2, 0)[[0, 1, 1]]
     half *= 0.5
     start = _start_register(config, half[:, :1])
-    lam_terms = lam.transpose(3, 1, 2, 0)[[1, 0, 0]]
-    for array in (half, lam_terms, start, theta, lam):
+    lam_terms = lam.transpose(0, 3, 1, 2)[:, [1, 0, 0], ..., None]
+    np.negative(lam_terms[:, 2], out=lam_terms[:, 2])
+    theta_half = half[:, 1:].transpose(3, 0, 1, 2)[..., None]
+    for array in (theta_half, lam_terms, start, theta, lam):
         array.setflags(write=False)
-    return BoundParams(config, half[:, 1:], lam_terms, start, theta, lam)
+    return BoundParams(config, theta_half, lam_terms, start, theta, lam)
 
 
 def _start_register(config: ModelConfig, half: np.ndarray) -> np.ndarray:
@@ -587,19 +603,19 @@ def run_bound(bound: BoundParams, features, *, sets=None) -> np.ndarray:
     array.
     """
     features = _feature_rows(bound.config, features)
-    work = _workspace(bound.theta_half.shape[:3] + (len(features),))
-    # The encoded lam * s, scaled by each half-angle term's factor, plus
-    # the theta half angles, as (term, layer, qubit, row); a block's
-    # (term, layer, qubit, 1) tables of its set broadcast over its rows.
-    # The terms' factors scale every block at once, between the two loops.
+    work = _workspace(bound.theta_half.shape[1:4] + (len(features),))
+    # The encoded lam * s, halved, plus the theta half angles, as (term,
+    # layer, qubit, row); a block's tables of its set broadcast over its
+    # rows.  The third term's lam is negated, and (-x) * 0.5 is x * -0.5
+    # exactly, so one halving scales the terms by 0.5, 0.5 and -0.5.
     blocks = _row_sets(len(bound.start), sets, len(features))
-    half = work.half
+    half, start = work.half, work.registers[0]
     for index, rows in blocks:
-        np.multiply(bound.lam_terms[..., index, None], features[rows].T[::-1], out=half[..., rows])
-    half *= _HALF_ENCODED
+        np.multiply(bound.lam_terms[index], features[rows].T[::-1], out=half[..., rows])
+    half *= 0.5
     for index, rows in blocks:
-        half[..., rows] += bound.theta_half[..., index, None]
-        np.copyto(work.registers[0][:, rows], bound.start[index, :, None])
+        half[..., rows] += bound.theta_half[index]
+        np.copyto(start[:, rows], bound.start[index, :, None])
     return _run_pass(bound.config, work)
 
 
@@ -614,16 +630,14 @@ def _run_pass(config: ModelConfig, work: _Workspace) -> np.ndarray:
     Returns the final amplitudes as a new (row, 2**n) array.
     """
     _gate_table(work)
-    registers = work.registers
-    live = 0
-    for layer in work.layers:
-        for view, factor in layer:
-            np.einsum("ijb,ojkb->oikb", factor, view[live], out=view[1 - live])
-            live = 1 - live
-        state = registers[live]
-        if _apply_entangler(state, config, axis=0, out=registers[1 - live]) is not state:
-            live = 1 - live
-    return registers[live].T.copy()
+    # A CZ layer signs the live register in place; a CX layer (n > 1)
+    # gathers it into the other one.
+    steps, last = work.plans[config.entangler == "cz" or config.n_qubits == 1]
+    for contractions, state, spare in steps:
+        for factor, read, write in contractions:
+            c_einsum("ijb,ojkb->oikb", factor, read, out=write)
+        _apply_entangler(state, config, axis=0, out=spare)
+    return last.T.copy()
 
 
 def adjoint_grads(

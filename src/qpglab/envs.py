@@ -301,7 +301,10 @@ class ContinuousEncoder:
                 f"state has shape {states.shape}, expected {self.bounds.shape} "
                 f"or (L, {self.output_dim})"
             )
-        return np.clip(states / self.bounds, -1.0, self._upper)
+        # np.clip's bits, without its Python wrapper.
+        scaled = states / self.bounds
+        np.maximum(scaled, -1.0, out=scaled)
+        return np.minimum(scaled, self._upper, out=scaled)
 
 
 CARTPOLE_BOUNDS = (_X_LIMIT, 2.5, _ANGLE_LIMIT, 2.5)

@@ -215,9 +215,11 @@ def _sample_rows(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Inverse-CDF index of each row of ``probs`` (T, K) at its uniform draw ``draws[t]``."""
     if len(draws) != len(probs):
         raise ValueError(f"need one draw per row: {len(draws)} for {len(probs)} rows")
-    # Entries of a row's CDF at or below its draw: searchsorted(side="right").
-    below = (np.cumsum(probs, axis=1) <= draws[:, None]).sum(axis=1)
-    return np.minimum(below, probs.shape[1] - 1)
+    # Entries of a row's CDF at or below its draw, searchsorted(side="right"),
+    # capped at the last index: a CDF never decreases, so counting all
+    # but its last entry caps the count.  np.add.accumulate is np.cumsum
+    # without its Python wrapper.
+    return (np.add.accumulate(probs, axis=1)[:, :-1] <= draws[:, None]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

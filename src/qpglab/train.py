@@ -212,8 +212,10 @@ def collect_episodes(env, encoder, policy: Policy, bound: ansatz.BoundParams, rn
     rows episode-major.  Every draw of episode ``e`` comes from
     ``rngs[e]`` in the order a lone run of it would make, so its steps
     equal the ones it gives when collected alone.  Episodes are
-    truncated after ``env.horizon`` steps.
+    truncated after ``env.horizon`` steps.  An empty ``rngs`` is refused.
     """
+    if not len(rngs):
+        raise ValueError("need at least one episode generator")
     states = [env.reset(rng) for rng in rngs]
     rewards = [[] for _ in rngs]
     blocks = []

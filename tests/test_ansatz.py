@@ -726,6 +726,51 @@ def test_warm_wide_call_allocates_little_beyond_its_result():
     assert peak <= amps.nbytes + 2 * np.getbufsize() * 16 + (16 << 10)
 
 
+def test_warm_rollout_call_allocates_little_beyond_its_result():
+    # A warm 5-row call at the CartPole rollout shape (n = 4, d = 5), as a
+    # lockstep time step makes it.  Measured under tracemalloc on numpy
+    # 2.4.6, its peak above the memory traced before it is 27,160 bytes,
+    # as at the parent (27 KB): the 1,280-byte result and the two
+    # operands of the Kronecker products' broadcast multiply, which
+    # numpy's iterator buffers whole at this size (2 x 800 complex).  The
+    # bound is the result plus two complex buffers of that many elements,
+    # capped at np.getbufsize(), plus 4 KB for small objects.
+    import tracemalloc
+
+    config = ModelConfig(4, 5, "cz")
+    bound = ansatz.bind(config, _random_params(config, 77)[0])
+    features = np.random.default_rng(78).normal(0.0, 0.5, (5, 4))
+    ansatz.run_bound(bound, features)
+    pairs = ansatz._workspace((3, 5, 4, 5)).pairs.size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        amps = ansatz.run_bound(bound, features)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= amps.nbytes + 2 * min(pairs, np.getbufsize()) * 16 + (4 << 10)
+
+
+def test_forward_contracts_through_the_routine_np_einsum_delegates_to():
+    # The pass calls numpy's C einsum directly, skipping np.einsum's
+    # Python dispatch.  np.einsum(..., optimize=False) returns through
+    # this same routine, so a numpy release that moves or changes it
+    # fails here, and the CartPole-shaped calls must still equal the
+    # np.einsum forward of tests/oracles.py bit for bit.
+    from numpy._core import einsumfunc
+
+    assert ansatz.c_einsum is einsumfunc.c_einsum
+    config = ModelConfig(4, 5, "cz")
+    params = ansatz.init_params(config, np.random.default_rng(83))
+    bound = ansatz.bind(config, params)
+    rng = np.random.default_rng(84)
+    for rows in (1, 5, 10):
+        features = rng.uniform(-1.0, 1.0, (rows, 4))
+        amps = ansatz.run_bound(bound, features)
+        assert _same_bits(amps, row_major_run_bound(config, params, features))
+
+
 def test_workspaces_stay_within_their_byte_bound(monkeypatch):
     # A new shape evicts the oldest kept workspaces until all fit, and
     # a workspace larger than the bound serves its call without being kept.
@@ -1043,10 +1088,14 @@ def test_forward_applies_one_gate_per_qubit_and_layer(monkeypatch, n, depth):
     # Each layer's fused gates act as one contraction per qubit pair,
     # plus one for the top qubit at odd n.  Binding runs layer 0 as one
     # row per set, and a bound call of any size runs layers 1..d, once.
+    # The pass contracts through ansatz.c_einsum, the routine np.einsum
+    # delegates to, so that is the name counted.
     config = ModelConfig(n, depth)
     calls = []
-    einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *args, **kw: (calls.append(1), einsum(*args, **kw))[1])
+    einsum = ansatz.c_einsum
+    monkeypatch.setattr(
+        ansatz, "c_einsum", lambda *args, **kw: (calls.append(1), einsum(*args, **kw))[1]
+    )
     rng = np.random.default_rng(3)
     per_layer = (n + 1) // 2
     params = _random_params(config, 3)[0]

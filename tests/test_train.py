@@ -306,6 +306,15 @@ def test_collect_episodes_encodes_once_per_time_step(task):
     assert live_counts == [sum(length > t for length in lengths) for t in range(max(lengths))]
 
 
+def test_collect_episodes_refuses_an_empty_generator_list():
+    # No episode would leave no block to gather; the refusal comes first,
+    # before any encode, circuit call or step.
+    env, encoder, pol = _cartpole()
+    bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(7)))
+    with pytest.raises(ValueError, match="need at least one episode generator"):
+        train.collect_episodes(env, None, pol, bound, [])
+
+
 def test_trailing_partial_batch_is_logged_but_not_used(monkeypatch):
     env, encoder, pol = _bandit("born")
     updates = []
