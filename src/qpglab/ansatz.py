@@ -310,12 +310,12 @@ class _Workspace:
     entangler that works in place or not: per layer, each factor's
     (factor, read, write) views in the order a pass applies them, then
     the register the entangler acts on and its spare; and the register
-    that ends the pass.  :func:`_workspace` keeps
-    workspaces per process, together with the sweep's
-    (:class:`_SweepWorkspace`), at most :data:`_WORKSPACE_BYTES` (32 MiB)
-    of them together; one larger serves its call alone.  Neither kind is
-    thread-safe: two threads running the same shape at once would share
-    buffers (``qpglab train --jobs`` runs processes).
+    that ends the pass.  :func:`_workspace` keeps workspaces per process,
+    together with the sweep's (:class:`_SweepWorkspace`), at most
+    :data:`_WORKSPACE_BYTES` (32 MiB) of them together; one larger
+    serves its call alone.  Neither kind is thread-safe: two threads
+    running the same shape at once would share buffers (``qpglab train
+    --jobs`` runs processes).
     """
 
     def __init__(self, shape: tuple):
