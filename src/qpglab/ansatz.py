@@ -52,12 +52,10 @@ One vectorised call computes the factors of every layer of every row,
 with one cos and one sin call over all their half angles.  Rows are the
 innermost axis from the half angles through the registers: factors are
 (4, 4, row) and (2, 2, row), registers (2**n, row).  Each factor is one
-batched contraction that reads one of two registers and writes the
-other, and a call returns a C-contiguous (row, 2**n) copy of the last.
-The contractions call ``c_einsum``, numpy's C einsum, which
-``np.einsum(..., optimize=False)`` returns through: the sums are
-np.einsum's bit for bit, without its Python dispatch, which took about
-a quarter of a contraction's time at the few rows of a rollout step.
+batched contraction, and a call returns a C-contiguous (row, 2**n) copy
+of the final register.  The contractions call ``c_einsum``, numpy's C
+einsum, which ``np.einsum(..., optimize=False)`` returns through, so
+the sums are np.einsum's bit for bit, without its Python dispatch.
 Every table and register of a call is written into one workspace kept
 per forward shape (:class:`_Workspace`), so a warm call allocates
 little beyond its result and faults no pages.  Each factor entry is the
@@ -81,16 +79,24 @@ the angle's; for ``s`` exactly zero it is zero.  The parameter-shift
 rule (Schuld et al., arXiv:1811.11184), the rule hardware runs, gives
 the same derivatives at two circuits per parameter; it is the tests'
 oracle for the sweep.  The sweep's phase tables come from few passes,
-each one batched product per angle source, each batch item the
-product one layer alone would take, then one halving and one cos and
-one sin call.  A pass makes as many of the 2d per-row tables as
-:data:`_SWEEP_TABLE_ENTRIES` allows, so their memory is bounded, and
-the first pass the variational Ry tables too.  A basis index and its
+each one product per table, the product its layer alone would take,
+then one halving and one cos and one sin call.  A pass makes as many
+of the 2d per-row tables as :data:`_SWEEP_TABLE_ENTRIES` allows, so
+their memory is bounded, and the first pass the variational Ry tables
+too.  A basis index and its
 complement 2**n - 1 - x have negated half angles, so cos and sin run
 over the low half of the indices and the high half is its conjugate.
 Every per-row array of a sweep is written into one workspace kept per
 (n, d) (:class:`_SweepWorkspace`), beside the forward's and under the
 same byte bound, so a warm sweep allocates little beyond its result.
+
+One buffer rule holds for every step that moves amplitudes: it reads
+one of two buffers of one shape and writes the other.  The forward's
+contractions and entangler layers alternate between its two registers,
+and the sweep's inverse entangler layers and the groups of its change
+of basis between the (psi, lam) pair and its partner; only the
+diagonal phase multiplies work in place.  One qubit has no entangler,
+so at n = 1 both skip it.
 
 This module reads and writes no file: ``qpglab.config`` builds an
 experiment's model once, when its config is loaded, and ``qpglab.cli``
@@ -267,24 +273,20 @@ def _cx_layer_perms(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, inverse
 
 
-def _apply_entangler(amps: np.ndarray, config: ModelConfig, inverse=False, axis=-1, out=None):
-    """The entangler layer, or its inverse, on ``amps`` along its amplitude axis ``axis``.
+def _apply_entangler(
+    amps: np.ndarray, config: ModelConfig, out: np.ndarray, inverse=False, axis=-1
+) -> None:
+    """The entangler layer, or its inverse, of ``amps`` along its amplitude
+    axis ``axis``, written into ``out``, another buffer of its shape.
 
-    A CZ layer multiplies ``amps`` in place.  A CX layer gathers the
-    permuted amplitudes into ``out``, or back into ``amps`` when ``out``
-    is None.  Returns the array that holds the result.
+    A CZ layer multiplies by its signs; a CX layer gathers the permuted
+    amplitudes.
     """
     n = config.n_qubits
-    if n == 1:
-        return amps
     if config.entangler == "cz":
-        amps *= _cz_layer_signs(n, amps.ndim, axis)
-        return amps
-    perm = _cx_layer_perms(n)[inverse]
-    if out is None:
-        amps[...] = amps.take(perm, axis=axis)
-        return amps
-    return amps.take(perm, axis=axis, out=out, mode="clip")
+        np.multiply(amps, _cz_layer_signs(n, amps.ndim, axis), out=out)
+    else:
+        amps.take(_cx_layer_perms(n)[inverse], axis=axis, out=out, mode="clip")
 
 
 # The gate entries u00, u01, u10 and u11: the f of each (cos, sin, sin,
@@ -306,16 +308,15 @@ class _Workspace:
     ``terms`` (the products each gate entry reads), ``gates`` (layer,
     qubit, i, j, row), ``pairs`` (the Kronecker products of the qubit
     pairs) and the two ``registers`` (2**n, row) that the contractions
-    read and write in turn.  ``plans[in_place]`` is a pass's plan for an
-    entangler that works in place or not: per layer, each factor's
-    (factor, read, write) views in the order a pass applies them, then
-    the register the entangler acts on and its spare; and the register
-    that ends the pass.  :func:`_workspace` keeps workspaces per process,
-    together with the sweep's (:class:`_SweepWorkspace`), at most
-    :data:`_WORKSPACE_BYTES` (32 MiB) of them together; one larger
-    serves its call alone.  Neither kind is thread-safe: two threads
-    running the same shape at once would share buffers (``qpglab train
-    --jobs`` runs processes).
+    and entanglers read and write in turn.  ``plan`` is a pass's plan:
+    per layer, each factor's (factor, read, write) views in the order a
+    pass applies them, then the register the entangler reads and the one
+    it writes; and the register that ends the pass.  :func:`_workspace`
+    keeps workspaces per process, together with the sweep's
+    (:class:`_SweepWorkspace`), at most :data:`_WORKSPACE_BYTES` (32 MiB)
+    of them together; one larger serves its call alone.  Neither kind is
+    thread-safe: two threads running the same shape at once would share
+    buffers (``qpglab train --jobs`` runs processes).
     """
 
     def __init__(self, shape: tuple):
@@ -345,18 +346,16 @@ class _Workspace:
             width = min(4, 1 << (n - low))
             shape = (2, (1 << n) // (width << low), width, 1 << low, batch)
             views.append(tuple(registers.reshape(shape)))
-        # An entangler not in place gathers into the other register.
-        self.plans = {}
-        for in_place in (True, False):
-            live, steps = 0, []
-            for first in range(0, len(factors), len(views)):
-                contractions = []
-                for view, factor in zip(views, factors[first : first + len(views)]):
-                    contractions.append((factor, view[live], view[1 - live]))
-                    live = 1 - live
-                steps.append((contractions, registers[live], registers[1 - live]))
-                live ^= not in_place
-            self.plans[in_place] = (steps, registers[live])
+        live, steps = 0, []
+        for first in range(0, len(factors), len(views)):
+            contractions = []
+            for view, factor in zip(views, factors[first : first + len(views)]):
+                contractions.append((factor, view[live], view[1 - live]))
+                live = 1 - live
+            steps.append((contractions, registers[live], registers[1 - live]))
+            # At n = 1 there is no entangler.
+            live ^= n > 1
+        self.plan = (steps, registers[live])
         self.buffers = (self.half, self.trig, self.products, self.terms, gates, self.pairs)
         self.buffers += (registers,)
         self.nbytes = sum(buffer.nbytes for buffer in self.buffers)
@@ -385,7 +384,8 @@ class _SweepWorkspace:
     rows, the layout a new array of that shape would have:
 
     * ``pairs`` (2, 2, T, 2**n): the (psi, lam) pair and its partner,
-      which each step reads and writes in turn;
+      the two buffers that each step moving amplitudes reads and writes
+      in turn;
     * the phase tables: the angle sums, the undo phases and the scratch
       of their low and high halves (:func:`_phase_table`), each with d+1
       rows for the variational Ry layers, one row each, then T rows for
@@ -438,7 +438,7 @@ class _SweepWorkspace:
                 for buffer, (shape, _) in zip(self.buffers, self._layout(rows, per_pass * rows))
             ]
             var_sums = tables[0][: d + 1].reshape(d + 1, 1, size)
-            passes = _table_passes((rz_sums, enc[..., 0]), tables, per_pass)
+            passes = _table_passes(rz_sums, enc, tables, per_pass)
             views = [pairs, var_sums, passes, enc, rz_sums, reads, angle_grads]
             self._last = (rows, views)
         return self._last[1]
@@ -482,8 +482,8 @@ def _gate_table(work: _Workspace) -> None:
     ``work.half``, (term, layer, qubit, row), and writes every table into
     the workspace.  Per layer: the factor U_{q+1} (x) U_q, shape (4, 4,
     row), of each qubit pair (q, q+1) with q even, lowest first, then at
-    odd n the top qubit's gate U_{n-1}, shape (2, 2, row); ``work.plans``
-    read them in that order, as views laid out as built, rows innermost.
+    odd n the top qubit's gate U_{n-1}, shape (2, 2, row); ``work.plan``
+    reads them in that order, as views laid out as built, rows innermost.
     A factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
     U_q is the fused gate of qubit q: layer 0 is Ry(theta') @ Rz(theta);
     layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
@@ -630,13 +630,12 @@ def _run_pass(config: ModelConfig, work: _Workspace) -> np.ndarray:
     Returns the final amplitudes as a new (row, 2**n) array.
     """
     _gate_table(work)
-    # A CZ layer signs the live register in place; a CX layer (n > 1)
-    # gathers it into the other one.
-    steps, last = work.plans[config.entangler == "cz" or config.n_qubits == 1]
+    steps, last = work.plan
     for contractions, state, spare in steps:
         for factor, read, write in contractions:
             c_einsum("ijb,ojkb->oikb", factor, read, out=write)
-        _apply_entangler(state, config, axis=0, out=spare)
+        if config.n_qubits > 1:
+            _apply_entangler(state, config, spare, axis=0)
     return last.T.copy()
 
 
@@ -726,26 +725,23 @@ def _sweep(config, var, lam, features, weights, amps, out) -> None:
     np.matmul(var[:, None, :, 1], signs, out=var_sums)
     phases = _phase_tables(passes, signs)
     var_phases = next(phases)
-    # The pair (psi, lam) and a partner of its shape, which each step
-    # that cannot work in place writes into; then the two swap roles.
+    # The pair (psi, lam) and its partner, the spare buffer that the
+    # inverse entangler writes; then the two swap roles.
     pair, partner = pairs
     pair[0] = amps
     np.multiply(amps, weights, out=pair[1])
     for layer in range(d, -1, -1):
-        if _apply_entangler(pair, config, inverse=True, out=partner) is partner:
+        if n > 1:
+            _apply_entangler(pair, config, partner, inverse=True)
             pair, partner = partner, pair
-        pair, partner = _undo_ry_layer(
-            pair, partner, var_phases[layer], reads, angle_grads[1, 2 * layer]
-        )
+        _undo_ry_layer(pair, partner, var_phases[layer], reads, angle_grads[1, 2 * layer])
         _z_reads(pair, reads, angle_grads[0, 2 * layer])
         if layer == 0:
             break
         # An encoding Rz layer shares its reading with the variational one.
         angle_grads[0, 2 * layer - 1] = angle_grads[0, 2 * layer]
         pair *= next(phases)
-        pair, partner = _undo_ry_layer(
-            pair, partner, next(phases), reads, angle_grads[1, 2 * layer - 1]
-        )
+        _undo_ry_layer(pair, partner, next(phases), reads, angle_grads[1, 2 * layer - 1])
     _flat_grads(angle_grads, features, out)
 
 
@@ -796,40 +792,36 @@ def _phase_table(half: np.ndarray, phases: np.ndarray, lows: np.ndarray, zeros: 
     np.copyto(phases.imag[:, low:], half[:, low:], where=zeros)
 
 
-def _table_passes(sources: tuple, tables: list, per_pass: int) -> list:
+def _table_passes(rz_sums: np.ndarray, enc: np.ndarray, tables: list, per_pass: int) -> list:
     """The plan of a sweep's table passes, as views of its workspace.
 
-    ``sources`` are the summed Rz angles and the encoded Ry angles, each
-    (d, T, n); the sweep takes layer d's Rz-sum table, then its encoded
-    Ry table, then layer d-1's, down to layer 1's.  ``tables`` are the
-    sums, phases and scratch buffers that :func:`_phase_table` takes,
-    with d+1 rows for the variational tables and then ``per_pass``
-    blocks of T rows.  Each pass is ``(products, rows, made)``: the
-    (angles, out) pair of each source's batched product into the sums,
-    every other block from its first, with the layers from the top
-    down; the rows of ``tables`` that its :func:`_phase_table` call
-    covers, the first pass's including the variational rows; and the
-    phase tables it makes, in the order the sweep takes them.
+    The sweep takes its 2d per-row tables in the order k = 0, 1, ...:
+    table k is made from ``rz_sums[d-1-k//2]``, the summed Rz angles
+    (T, n), for even k and from ``enc[d-1-k//2, ..., 0]``, the encoded
+    Ry angles, for odd k.  ``tables`` are the sums, phases and scratch
+    buffers that :func:`_phase_table` takes, with d+1 rows for the
+    variational tables and then ``per_pass`` blocks of T rows.  Each
+    pass is ``(products, rows, made)``: the (angles, out) pair of each
+    of its tables' products into the sums; the rows of ``tables`` that
+    its :func:`_phase_table` call covers, the first pass's including the
+    variational rows; and the phase tables it makes, in sweep order.
     """
-    d, steps, n = sources[0].shape
-    size, total, low = 1 << n, 2 * d, 0
+    d, steps, n = rz_sums.shape
+    size, low = 1 << n, 0
     sums, phases = tables[:2]
     passes = []
-    for first in range(0, total, per_pass):
-        count = min(per_pass, total - first)
+    for first in range(0, 2 * d, per_pass):
+        count = min(per_pass, 2 * d - first)
         end = d + 1 + count * steps
         slots = sums[d + 1 : end].reshape(count, steps, size)
-        products = []
-        for source, angles in enumerate(sources):
-            start = (source - first) % 2
-            if start < count:
-                top = d - 1 - (first + start) // 2
-                layers = len(range(start, count, 2))
-                products.append((angles[top - layers + 1 : top + 1][::-1], slots[start::2]))
+        angles = [
+            enc[d - 1 - k // 2, ..., 0] if k % 2 else rz_sums[d - 1 - k // 2]
+            for k in range(first, first + count)
+        ]
         made = list(phases[d + 1 : end].reshape(count, steps, size))
         if first == 0:
             made.insert(0, phases[: d + 1])
-        passes.append((products, tuple(table[low:end] for table in tables), made))
+        passes.append((list(zip(angles, slots)), tuple(table[low:end] for table in tables), made))
         low = d + 1
     return passes
 
@@ -840,8 +832,7 @@ def _phase_tables(passes: list, signs: np.ndarray):
     caller wrote, then the per-row tables (T, 2**n).
 
     Runs the passes of :func:`_table_passes`, each once the last pass's
-    tables are taken: one batched product per angle source, each batch
-    item the product one layer alone would take, then one
+    tables are taken: one product per table, then one
     :func:`_phase_table`.
     """
     for products, rows, made in passes:
@@ -851,20 +842,21 @@ def _phase_tables(passes: list, signs: np.ndarray):
         yield from made
 
 
-def _undo_ry_layer(pair, partner, phases, reads, out) -> tuple:
-    """Undo an Ry layer on the stacked ``(psi, lam)``, given the undo
-    phases of its angles (:func:`_phase_table`), (T, 2**n) or one row
-    for all.
+def _undo_ry_layer(pair, partner, phases, reads, out) -> None:
+    """Undo an Ry layer on the stacked ``(psi, lam)`` in ``pair``, given
+    the undo phases of its angles (:func:`_phase_table`), (T, 2**n) or
+    one row for all, and write the layer's derivatives (n, T) into
+    ``out``.
 
-    ``partner`` is a buffer of the pair's shape.  Returns the undone
-    pair and the other buffer, and writes the layer's derivatives (n, T)
-    into ``out``.  Both come from the Y eigenbasis, where the layer is
-    an Rz layer.
+    Both come from the Y eigenbasis, where the layer is an Rz layer.
+    ``partner`` is the spare buffer of the pair's shape: the change of
+    basis and its inverse take equally many steps between the two, so
+    the undone pair ends in ``pair``.
     """
-    pair, partner = _change_basis(pair, partner, back=False)
-    _z_reads(pair, reads, out)
-    pair *= phases
-    return _change_basis(pair, partner, back=True)
+    changed, spare = _change_basis(pair, partner, back=False)
+    _z_reads(changed, reads, out)
+    changed *= phases
+    _change_basis(changed, spare, back=True)
 
 
 # Qubits per dense factor of the Y-eigenbasis change.  A factor on g

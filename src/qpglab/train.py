@@ -3,7 +3,7 @@
 The gradient estimator is the vanilla policy-gradient form: the batch
 average of ``sum_t grad ln pi(a_t | s_t) * G_t`` with discounted returns
 ``G_t`` and no baseline.  An update runs after every ``batch_size``
-episodes (one by default, as in the paper's per-episode runs).
+episodes, ten by default (:class:`Hyperparams`).
 
 The data path of an update.  The batch's episodes share one parameter
 set, bound once (:func:`qpglab.ansatz.bind`) for both the rollout and

@@ -199,7 +199,7 @@ def row_major_pass(config, start, half) -> np.ndarray:
             # given, einsum's default order ran slower at some widths.
             np.einsum("bij,bojk->boik", factor, view[live], out=view[1 - live], order="C")
             live = 1 - live
-        ansatz._apply_entangler(registers[live], config)
+        entangler_layer(registers[live], config)
     return registers[live]
 
 
@@ -483,7 +483,7 @@ def per_qubit_adjoint_grads(config, params, features, weights, amps) -> np.ndarr
     angle_grads = np.empty((2,) + undo.shape[:2] + (len(amps),))
     for block in range(len(undo) - 1, -1, -1):
         if block % 2 == 0:
-            ansatz._apply_entangler(pair, config, inverse=True)
+            entangler_layer(pair, config, inverse=True)
         later, earlier = (1, 0) if block % 2 == 0 else (0, 1)
         for q in reversed(range(n)):
             a0, a1 = halves[q]
@@ -537,7 +537,7 @@ def per_layer_sweep(config, var, lam, features, weights, amps) -> np.ndarray:
     np.multiply(amps, weights, out=pair[1])
     angle_grads = np.empty((2, 2 * d + 1, config.n_qubits, len(features)))
     for layer in range(d, -1, -1):
-        ansatz._apply_entangler(pair, config, inverse=True)
+        entangler_layer(pair, config, inverse=True)
         pair = _undo_ry_layer(pair, _undo_phases(var[layer, :, 1]), angle_grads[1, 2 * layer])
         _z_reads(pair, angle_grads[0, 2 * layer])
         if layer == 0:
@@ -700,6 +700,32 @@ def cx_layer_pairwise(amps: np.ndarray, n: int, inverse: bool = False) -> None:
     pairs = ansatz.entangler_pairs(n)
     for i, j in reversed(pairs) if inverse else pairs:
         cx_swap(amps, n, i, j)
+
+
+def cz_layer_signs(n: int) -> np.ndarray:
+    """The CZ layer's diagonal (2**n,), complex: (-1)^(k choose 2) at an
+    index with k set bits, the sign of its k (k - 1) / 2 pairs."""
+    ones = np.array([bin(x).count("1") for x in range(1 << n)])
+    return np.where(ones * (ones - 1) // 2 % 2 == 1, -1.0, 1.0).astype(np.complex128)
+
+
+def entangler_layer(amps: np.ndarray, config, inverse: bool = False) -> None:
+    """The entangler layer, or its inverse, on amplitudes (..., 2**n), in place.
+
+    A CZ layer multiplies once by its complex signs, as the package
+    does, so signed zeros agree.  A CX layer gathers through the index
+    permutation that :func:`cx_layer_pairwise` makes of the basis
+    indices.  One qubit has no entangler.
+    """
+    n = config.n_qubits
+    if n == 1:
+        return
+    if config.entangler == "cz":
+        amps *= cz_layer_signs(n)
+    else:
+        perm = np.arange(1 << n)
+        cx_layer_pairwise(perm, n, inverse)
+        amps[...] = amps[..., perm]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from oracles import (
     apply_rz,
     batch_coeff,
     cx_layer_pairwise,
+    cz_layer_signs,
+    entangler_layer,
     gate_counts,
     param_rows,
     per_layer_adjoint_grads,
@@ -387,19 +389,90 @@ def test_sweep_bit_identical_to_per_layer_oracle(monkeypatch, entangler, n, dept
         check(ansatz.bind(config, draw_sets(3)), features, np.repeat(np.arange(3), sizes))
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_sweep_bit_identical_to_per_layer_oracle_at_continuous_inputs(
+    monkeypatch, entangler, n, depth
+):
+    # Features and scale factors from N(0, 1) make encoded angles of
+    # every magnitude, so a sum of angles taken in another order, or by
+    # another product kernel, moves bits of the phase tables.
+    config = ModelConfig(n, depth, entangler)
+    rng = np.random.default_rng(2000 + 10 * n + depth)
+    n_theta, n_lam = ansatz.param_counts(config)
+
+    def draw_sets(count):
+        return ParamSet(
+            rng.uniform(-np.pi, np.pi, (count, n_theta)), rng.normal(size=(count, n_lam))
+        )
+
+    phase_table = ansatz._phase_table
+    made = []
+
+    def recorded(half, phases, lows, zeros):
+        phase_table(half, phases, lows, zeros)
+        made.append(phases.copy())
+
+    monkeypatch.setattr(ansatz, "_phase_table", recorded)
+    for rows in (1, 3, 10):
+        for count in (1, 3):
+            stack = draw_sets(count)
+            sets = np.repeat(np.arange(count), rows)
+            features = rng.normal(size=(len(sets), n))
+            bound = ansatz.bind(config, stack)
+            amps = ansatz.run_bound(bound, features, sets=sets)
+            weights = rng.normal(size=amps.shape)
+            made.clear()
+            grads = ansatz.adjoint_grads(bound, features, weights, amps, sets=sets)
+            expected = per_layer_adjoint_grads(bound, features, weights, amps, sets)
+            assert _same_bits(grads, expected)
+            tables = []
+            for index in range(count):
+                var, lam = stack.theta[index].reshape(-1, n, 2), stack.lam[index].reshape(-1, n, 2)
+                block = features[sets == index]
+                tables += per_layer_phase_tables(config, var, lam, block)
+            assert _same_bits(np.vstack(made), np.vstack(tables))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_cx_layer_permutation_matches_pairwise_swaps(n):
     rng = np.random.default_rng(n)
     amps = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
     config = ModelConfig(n, 1, "cx")
+    kept = amps.copy()
     for inverse in (False, True):
-        fast = amps.copy()
-        ansatz._apply_entangler(fast, config, inverse=inverse)
+        fast = np.empty_like(amps)
+        ansatz._apply_entangler(amps, config, fast, inverse=inverse)
         slow = amps.copy()
         cx_layer_pairwise(slow, n, inverse=inverse)
         assert _same_bits(fast, slow)
-    ansatz._apply_entangler(fast, config)
-    assert _same_bits(fast, amps)
+    back = np.empty_like(amps)
+    ansatz._apply_entangler(fast, config, back)
+    assert _same_bits(back, amps)
+    assert _same_bits(amps, kept)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cz_layer_signs_are_the_product_of_the_pairwise_diagonals(n):
+    # The layer's signs are those of each pair's CZ, one pair at a time;
+    # the entangler writes its spare buffer and leaves its input as it was.
+    diagonal = np.ones(1 << n, dtype=np.complex128)
+    for i, j in ansatz.entangler_pairs(n):
+        apply_cz(diagonal, i, j)
+    # Equal in value: a sign flipped twice has the imaginary part -0.0.
+    assert np.array_equal(cz_layer_signs(n), diagonal)
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    kept = amps.copy()
+    config = ModelConfig(n, 1, "cz")
+    for inverse in (False, True):
+        signed = np.empty_like(amps)
+        ansatz._apply_entangler(amps, config, signed, inverse=inverse)
+        assert _same_bits(signed, amps * diagonal)
+        ansatz._apply_entangler(amps.T, config, signed.T, inverse=inverse, axis=0)
+        assert _same_bits(signed, amps * diagonal)
+    assert _same_bits(amps, kept)
 
 
 def test_adjoint_grads_reject_amplitudes_of_another_shape():
@@ -470,7 +543,7 @@ def _per_rotation_run_batch(config, thetas, lams, features):
                 batch_coeff(thetas[:, base + 2 * q]),
                 z_first=True,
             )
-        ansatz._apply_entangler(amps, config)
+        entangler_layer(amps, config)
         if layer < d:
             for q in range(n):
                 s_q = features[:, n - 1 - q]
@@ -545,7 +618,7 @@ def _per_pair_run_batch(config, thetas, lams, features):
             for low in range(0, n, 2):
                 factor = np.kron(gates[low + 1], gates[low]) if low + 1 < n else gates[low]
                 state = _contract(factor, state.reshape(-1, len(factor), 1 << low)).ravel()
-            ansatz._apply_entangler(state, config)
+            entangler_layer(state, config)
         amps[row] = state
     return amps
 

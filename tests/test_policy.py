@@ -511,8 +511,9 @@ def test_composite_table_of_the_state_before_the_last_entangler_gives_the_policy
     params = ansatz.init_params(config, np.random.default_rng(31))
     feats = np.random.default_rng(32).uniform(-1, 1, (6, n))
     fn = make(n)
-    before = ansatz.run_bound(ansatz.bind(config, params), feats)
-    ansatz._apply_entangler(before, config, inverse=True)
+    after = ansatz.run_bound(ansatz.bind(config, params), feats)
+    before = np.empty_like(after)
+    ansatz._apply_entangler(after, config, before, inverse=True)
     composite = decode.PostProcessing(n, fn.num_actions, _composite_table(fn, config))
     sums = policy._reduce(policy.MeasurementPolicy(config, composite), before)[1]
     probs = policy.batch_action_probs(policy.MeasurementPolicy(config, fn), feats, params)
