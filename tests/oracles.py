@@ -1,6 +1,29 @@
-"""Slow one-at-a-time references for the batched paths of ``qpglab``."""
+"""Slow one-at-a-time references for the batched paths of ``qpglab``.
+
+Each circuit kernel has one bitwise oracle, which states the kernel's
+arithmetic and must equal it in every bit, and one independent
+reference, which must agree with it within a tolerance that
+``tests/test_ansatz.py`` states and measures:
+
+* the forward pass (``ansatz.bind`` and ``ansatz.run_bound``): the
+  oracle :func:`per_pair_forward`; the reference
+  :func:`gate_by_gate_forward`, the circuit one public gate at a time;
+* the adjoint sweep (``ansatz.adjoint_grads``): the oracle
+  :func:`per_layer_adjoint_grads`, with :func:`per_layer_phase_tables`;
+  the reference :func:`shift_rule_grads`, the parameter-shift rule run
+  on the gate-by-gate forward.
+
+Output bytes depend on the machine's SIMD and BLAS kernels, so the last
+bit is guarded only by the bitwise oracles, which run on the same
+machine as the code they check.  A change to a kernel that keeps its
+bits is compared against its parent commit in a scratch checkout.  A
+copy of the parent's kernel is checked in here only when a recorded
+mutant passes every other test; a change that moves bits on purpose
+updates the bitwise oracle with it and says why.
+"""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -113,128 +136,6 @@ def train_run(env, encoder, pol, hyper, seed) -> train.TrainResult:
     means = train._trailing_means(totals, 20)
     records = [train.EpisodeRecord(e, *pair) for e, pair in enumerate(zip(totals, means))]
     return train.TrainResult(records, params, pol)
-
-
-# The forward pass with row-major registers (row, 2**n) and (row, i, j)
-# factor views, as ``qpglab.ansatz`` ran it before its registers put
-# the rows innermost.  ``ansatz.run_bound`` must equal it bit for bit.
-
-# The factors of the encoded angles in the half angles b/2, (a+c)/2 and
-# (a-c)/2: (lam * s) * -0.5 is -(0.5 * (lam * s)) exactly.
-_HALF_ENCODED = np.array([0.5, 0.5, -0.5])
-# The gate entries u00, u01, u10 and u11: the f of each (cos, sin, sin,
-# cos) and the signs of its (re, im).
-_ENTRY_TERMS = np.array([0, 1, 1, 0])
-_ENTRY_SIGNS = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0]])[..., None, None, None]
-
-
-def row_major_gate_table(half: np.ndarray) -> list[np.ndarray]:
-    """Per-row factors of a forward pass, in the order it applies them.
-
-    ``half`` holds each gate's half angles (b/2, (a+c)/2, (a-c)/2) as
-    (term, layer, qubit, row).  Per layer: the factor U_{q+1} (x) U_q,
-    shape (B, 4, 4), of each qubit pair (q, q+1) with q even, lowest
-    first, then at odd n the top qubit's gate U_{n-1}, shape (B, 2, 2).
-    A factor's row and column index the pair's bits as 2 b_{q+1} + b_q.
-    U_q is the fused gate of qubit q: layer 0 is Ry(theta') @ Rz(theta);
-    layer l >= 1 is Ry(theta') @ Rz(theta + lam' s) @ Ry(lam s), the
-    encoding block E_l fused into the variational block V_l that follows
-    it.  With b the Rz angle and a, c the outer and inner Ry angles
-    (c = 0 in layer 0), the gate is in SU(2):
-
-        u00 = cos(b/2) cos((a+c)/2) - i sin(b/2) cos((a-c)/2) = conj(u11)
-        u01 = -cos(b/2) sin((a+c)/2) - i sin(b/2) sin((a-c)/2) = -conj(u10)
-    """
-    _, layers, n, batch = half.shape
-    # One cos and one sin call cover all three terms.
-    trig = np.empty((2,) + half.shape)
-    np.cos(half, out=trig[0])
-    np.sin(half, out=trig[1])
-    # Each entry's (re, im) is +-(f((a+c)/2) cos(b/2), f((a-c)/2) sin(b/2)),
-    # with f = cos for u00 and u11 and f = sin for u01 and u10, written
-    # straight into the gates' (entry, re/im, layer, qubit, row) view.
-    # The gates are laid out (layer, qubit, i, j, row), rows innermost,
-    # so each Kronecker product below runs over contiguous rows.
-    products = trig[:, 1:] * trig[:, 0]
-    gates = np.empty((layers, n, 2, 2, batch), dtype=np.complex128)
-    entries = gates.view(np.float64).reshape(layers, n, 4, batch, 2).transpose(2, 4, 0, 1, 3)
-    np.multiply(products[_ENTRY_TERMS], _ENTRY_SIGNS, out=entries)
-    # Kronecker products of the pairs, axes (i1, i0, j1, j0) of the
-    # entries high[i1, j1] * low[i0, j0].
-    low, high = gates[:, 0 : n - 1 : 2], gates[:, 1::2]
-    pairs = high[:, :, :, None, :, None] * low[:, :, None, :, None, :]
-    # The factors handed on are (row, i, j) views.
-    factors = list(pairs.reshape(layers * (n // 2), 4, 4, batch).transpose(0, 3, 1, 2))
-    if n % 2:
-        # The top qubit's gate closes each layer.
-        for layer, top in enumerate(gates[:, n - 1].transpose(0, 3, 1, 2)):
-            factors.insert(layer * (n + 1) // 2 + n // 2, top)
-    return factors
-
-
-def row_major_pass(config, start, half) -> np.ndarray:
-    """Every row of ``start`` (one row broadcast to all) through the layers of ``half``.
-
-    ``half`` is the gates' half angles, (term, layer, qubit, row), as
-    ``row_major_gate_table`` reads them; each layer ends with the entangler.
-    All rows go through together: one gate table, then one contraction
-    per factor.
-    """
-    n, batch = config.n_qubits, half.shape[-1]
-    # Two registers: each contraction reads one and writes the other,
-    # through views of the factor's shape (outer, width, inner) built
-    # once per call.
-    registers = np.empty((2, batch, 1 << n), dtype=np.complex128)
-    registers[0] = start
-    views = []
-    for low in range(0, n, 2):
-        width = min(4, 1 << (n - low))
-        shape = (2, batch, (1 << n) // (width << low), width, 1 << low)
-        views.append(tuple(registers.reshape(shape)))
-    factors = row_major_gate_table(half)
-    live = 0
-    for layer in range(0, len(factors), len(views)):
-        for view, factor in zip(views, factors[layer : layer + len(views)]):
-            # order="C" iterates in the registers' layout; with ``out``
-            # given, einsum's default order ran slower at some widths.
-            np.einsum("bij,bojk->boik", factor, view[live], out=view[1 - live], order="C")
-            live = 1 - live
-        entangler_layer(registers[live], config)
-    return registers[live]
-
-
-def row_major_run_bound(config, params, features, sets=None) -> np.ndarray:
-    """``ansatz.bind`` and ``ansatz.run_bound`` of one set or a stack, on
-    the row-major forward: layer 0 run on |0...0> as one row per set,
-    then layers 1..d over every row from its set's register.
-    """
-    n, d = config.n_qubits, config.depth
-    theta = params.theta.reshape(-1, d + 1, n, 2)
-    lam = params.lam.reshape(-1, d, n, 2)
-    rows = slice(None) if sets is None else np.asarray(sets)
-    half = theta.transpose(3, 1, 2, 0)[[0, 1, 1]]
-    half *= 0.5
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[0] = 1.0
-    start = row_major_pass(config, state, half[:, :1])
-    features = np.asarray(features, dtype=float)
-    enc = lam[..., [1, 0, 0]][rows] * features[:, None, ::-1, None]
-    enc *= _HALF_ENCODED
-    half = half[:, 1:][..., rows] + enc.transpose(3, 1, 2, 0)
-    return row_major_pass(config, start[rows], half)
-
-
-def start_register(config, params) -> np.ndarray:
-    """The register (2**n,) after V_0 and its entangler: layer 0 run on
-    |0...0> as one row of the row-major forward, gate table and
-    contractions.
-    """
-    n, d = config.n_qubits, config.depth
-    half = params.theta.reshape(d + 1, n, 2, 1).transpose(2, 0, 1, 3)[[0, 1, 1]]
-    half *= 0.5
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[0] = 1.0
-    return row_major_pass(config, state, half[:, :1])[0]
 
 
 def running_class_sums(pol, amps) -> np.ndarray:
@@ -388,123 +289,129 @@ def parity_via_ancilla(amps: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The per-qubit gate kernel on half-views of a register
+# The forward pass: ``ansatz.bind`` and ``ansatz.run_bound``
 
 
-def _paired_view(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    # Groups amplitudes into (outer, bit-of-qubit, inner) blocks; a view,
-    # so in-place writes hit the original array.
-    outer = 1 << (n - 1 - qubit)
-    inner = 1 << qubit
-    return amps.reshape(amps.shape[:-1] + (outer, 2, inner))
+def per_pair_forward(config, theta, lam, features, layers=None) -> np.ndarray:
+    """Amplitudes (T, 2**n) of the feature rows (T, n), one pair factor at a time.
 
+    ``theta`` and ``lam`` are one flat set for every row, or one set per
+    row, (T, |theta|) and (T, |lam|).  Each layer applies the factor
+    np.kron(U_{q+1}, U_q) to each qubit pair (q, q+1) with q even, lowest
+    first, and at odd n the top qubit's own gate, then the entangler.
+    Only the first ``layers`` layers run (all d+1 by default): one layer
+    gives the register that ``ansatz.bind`` keeps per set.
 
-def half_views(amps: np.ndarray, n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views ``(a0, a1)`` of the amplitudes (..., 2**n) whose ``qubit`` bit is 0 and 1.
-
-    Each has shape ``(..., 2**(n-1-qubit), 2**qubit)``; writes through
-    them hit ``amps``.
-    """
-    view = _paired_view(amps, n, qubit)
-    return view[..., 0, :], view[..., 1, :]
-
-
-def apply_1q_halves(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
-    """Apply the gate ``[[u00, u01], [u10, u11]]`` in place to half-views.
-
-    ``a0, a1`` come from :func:`half_views`.  The entries may be scalars
-    or arrays broadcastable against the leading batch dims with two
-    trailing length-1 axes appended.
-    """
-    new0 = u00 * a0
-    new0 += u01 * a1
-    # a1 is updated while a0 still holds its original values.  Its
-    # product is not formed in place: numpy's in-place complex multiply
-    # rounds a single element differently from longer runs, so a
-    # one-row call at n = 1 would differ from the same row in a batch.
-    a1[...] = u11 * a1
-    a1 += u10 * a0
-    a0[...] = new0
-
-
-def param_rows(params, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """One parameter set as ``steps`` rows of (thetas, lams), as the forward oracles read them."""
-    return np.tile(params.theta, (steps, 1)), np.tile(params.lam, (steps, 1))
-
-
-def per_rotation_gate_table(config, thetas, lams, features) -> np.ndarray:
-    """The 2x2 entries of every rotation block, before any fusing.
-
-    Returns shape (2d+1, n, 4, B, 1, 1): rotation blocks in circuit
-    order V_0, E_1, V_1, ..., E_d, V_d, then qubit, then the entries
-    (u00, u01, u10, u11) per row.  A variational rotation is
-    Ry(theta') @ Rz(theta), an encoding one Rz(lam' s) @ Ry(lam s).
+    This is ``ansatz.run_bound``'s arithmetic, stated row by row: each
+    gate entry is one product of the cos and sin of its half angles, and
+    each contraction sums over the factor's columns in order from +0,
+    each complex product formed unfused.  Every step is elementwise over
+    the rows, so each amplitude must equal the kernel's bit for bit,
+    signed zeros included.
     """
     n, d = config.n_qubits, config.depth
-    batch = thetas.shape[0]
-    # (z angle, y angle) of each rotation, blocks in circuit order.
-    angles = np.empty((2, 2 * d + 1, n, batch))
-    angles[:, 0::2] = thetas.reshape(batch, d + 1, n, 2).transpose(3, 1, 2, 0)
-    encoded = lams.reshape(batch, d, n, 2) * features[:, None, ::-1, None]
-    angles[:, 1::2] = encoded.transpose(3, 1, 2, 0)[::-1]
-    angle_z, angle_y = angles
-    c = np.cos(angle_y / 2.0)
-    s = np.sin(angle_y / 2.0)
-    pm = np.exp(-0.5j * angle_z)
-    pp = np.exp(0.5j * angle_z)
-    table = np.empty((2 * d + 1, n, 4, batch), dtype=np.complex128)
-    np.multiply(c, pm, out=table[:, :, 0])
-    np.multiply(c, pp, out=table[:, :, 3])
-    # Rz's e^{+i z/2} sits in column 1 of Ry @ Rz (variational, even
-    # blocks) but in row 1 of Rz @ Ry (encoding, odd blocks).
-    var, enc = slice(0, None, 2), slice(1, None, 2)
-    np.multiply(-s[var], pp[var], out=table[var, :, 1])
-    np.multiply(s[var], pm[var], out=table[var, :, 2])
-    np.multiply(-s[enc], pm[enc], out=table[enc, :, 1])
-    np.multiply(s[enc], pp[enc], out=table[enc, :, 2])
-    return table[..., None, None]
-
-
-def per_qubit_adjoint_grads(config, params, features, weights, amps) -> np.ndarray:
-    """The adjoint sweep reading each derivative at its own rotation.
-
-    Qubit by qubit, the later Pauli factor of a fused rotation is read
-    just before that rotation is undone and the earlier factor just
-    after, each as its own sum over half-views.
-    """
-    n = config.n_qubits
     features = np.asarray(features, dtype=float)
-    rows = param_rows(params, len(amps))
-    undo = per_rotation_gate_table(config, *rows, features).conj()
-    pair = np.empty((2,) + amps.shape, dtype=np.complex128)
-    pair[0] = amps
-    np.multiply(amps, weights, out=pair[1])
-    halves = [half_views(pair, n, q) for q in range(n)]
-    angle_grads = np.empty((2,) + undo.shape[:2] + (len(amps),))
-    for block in range(len(undo) - 1, -1, -1):
-        if block % 2 == 0:
-            entangler_layer(pair, config, inverse=True)
-        later, earlier = (1, 0) if block % 2 == 0 else (0, 1)
-        for q in reversed(range(n)):
-            a0, a1 = halves[q]
-            c00, c01, c10, c11 = undo[block, q]
-            angle_grads[later, block, q] = _pauli_grad(later, a0, a1)
-            apply_1q_halves(a0, a1, c00, c10, c01, c11)
-            angle_grads[earlier, block, q] = _pauli_grad(earlier, a0, a1)
-    grads = np.empty((len(amps), sum(ansatz.param_counts(config))))
-    return ansatz._flat_grads(angle_grads, features, grads)
+    rows = len(features)
+    thetas = np.broadcast_to(theta, (rows, np.shape(theta)[-1]))
+    lams = np.broadcast_to(lam, (rows, np.shape(lam)[-1]))
+    state = np.zeros((rows, 1 << n), dtype=np.complex128)
+    state[:, 0] = 1.0
+    for layer in range(d + 1 if layers is None else layers):
+        gates = [_fused_gates(n, thetas, lams, features, layer, q) for q in range(n)]
+        for low in range(0, n, 2):
+            if low + 1 < n:
+                high = gates[low + 1][:, :, None, :, None]
+                factor = (high * gates[low][:, None, :, None, :]).reshape(rows, 4, 4)
+            else:
+                factor = gates[low]
+            width = factor.shape[-1]
+            state = _contract(factor, state.reshape(rows, -1, width, 1 << low)).reshape(rows, -1)
+        entangler_layer(state, config)
+    return state
 
 
-def _pauli_grad(pauli: int, a0, a1) -> np.ndarray:
-    """Im<lam|P|psi> per row, for P = Z (``pauli`` 0) or Y (``pauli`` 1)."""
-    (psi0, lam0), (psi1, lam1) = a0, a1
-    if pauli == 0:  # Im<lam0|psi0> - Im<lam1|psi1>
-        terms = lam0.real * psi0.imag - lam0.imag * psi0.real
-        terms -= lam1.real * psi1.imag - lam1.imag * psi1.real
-    else:  # Re<lam1|psi0> - Re<lam0|psi1>
-        terms = lam1.real * psi0.real + lam1.imag * psi0.imag
-        terms -= lam0.real * psi1.real + lam0.imag * psi1.imag
-    return terms.sum(axis=(-2, -1))
+def _fused_gates(n: int, thetas, lams, features, layer: int, q: int) -> np.ndarray:
+    """The fused gates (T, 2, 2) of qubit ``q`` in ``layer``, one per row.
+
+    Ry(a) @ Rz(b) @ Ry(c), with b the Rz angle and a, c the outer and inner
+    Ry angles (c = 0 in layer 0), from its closed form in the half angles
+    b/2 and (a +- c)/2:
+
+        u00 = cos(b/2) cos((a+c)/2) - i sin(b/2) cos((a-c)/2) = conj(u11)
+        u01 = -cos(b/2) sin((a+c)/2) - i sin(b/2) sin((a-c)/2) = -conj(u10)
+    """
+    half_b = 0.5 * thetas[:, 2 * n * layer + 2 * q]
+    half_a = 0.5 * thetas[:, 2 * n * layer + 2 * q + 1]
+    half_sum = half_diff = half_a
+    if layer > 0:
+        s_q = features[:, n - 1 - q]
+        enc = 2 * n * (layer - 1) + 2 * q
+        half_b = half_b + 0.5 * (lams[:, enc + 1] * s_q)
+        half_c = 0.5 * (lams[:, enc] * s_q)
+        half_sum, half_diff = half_a + half_c, half_a - half_c
+    cos_b, sin_b = np.cos(half_b), np.sin(half_b)
+    gates = np.empty((len(thetas), 2, 2), dtype=np.complex128)
+    u00, u01 = gates[:, 0, 0], gates[:, 0, 1]
+    u00.real = cos_b * np.cos(half_sum)
+    u00.imag = -(sin_b * np.cos(half_diff))
+    u01.real = -(cos_b * np.sin(half_sum))
+    u01.imag = -(sin_b * np.sin(half_diff))
+    gates[:, 1, 0] = -np.conj(u01)
+    gates[:, 1, 1] = np.conj(u00)
+    return gates
+
+
+def _contract(factor, view) -> np.ndarray:
+    """Each row's ``factor`` (T, w, w) applied to the middle axis of its
+    ``view`` (T, outer, w, inner).
+
+    The sum over the factor's columns runs in order from zero, each
+    complex product formed as (ar br - ai bi) + i (ar bi + ai br).
+    """
+    re, im = np.zeros(view.shape), np.zeros(view.shape)
+    for j in range(factor.shape[-1]):
+        f, v = factor[:, None, :, j, None], view[:, :, j : j + 1]
+        re = re + (f.real * v.real - f.imag * v.imag)
+        im = im + (f.real * v.imag + f.imag * v.real)
+    out = np.empty(view.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def gate_by_gate_forward(config, theta, lam, features) -> np.ndarray:
+    """Amplitudes (T, 2**n) of the feature rows (T, n), one public gate at a time.
+
+    The circuit as the ``ansatz`` docstring lays it out, with no fused
+    gate and no pair factor: per layer l, Rz then Ry on each qubit, the
+    entangler one pair at a time, then before layer l+1 the encoding Ry
+    then Rz on each qubit.  ``theta`` and ``lam`` are one flat set for
+    every row or one set per row, as :func:`per_pair_forward` takes them.
+    """
+    n, d = config.n_qubits, config.depth
+    features = np.asarray(features, dtype=float)
+    theta, lam = np.asarray(theta), np.asarray(lam)
+    state = np.zeros((len(features), 1 << n), dtype=np.complex128)
+    state[:, 0] = 1.0
+    for layer in range(d + 1):
+        base = 2 * n * layer
+        for q in range(n):
+            apply_rz(state, q, theta[..., base + 2 * q])
+            apply_ry(state, q, theta[..., base + 2 * q + 1])
+        for i, j in ansatz.entangler_pairs(n):
+            if config.entangler == "cz":
+                apply_cz(state, i, j)
+            else:
+                apply_cx(state, i, j)
+        if layer < d:
+            for q in range(n):
+                s_q = features[:, n - 1 - q]
+                apply_ry(state, q, lam[..., base + 2 * q] * s_q)
+                apply_rz(state, q, lam[..., base + 2 * q + 1] * s_q)
+    return state
+
+
+# ---------------------------------------------------------------------------
+# The adjoint sweep: ``ansatz.adjoint_grads``
 
 
 def per_layer_adjoint_grads(bound, features, weights, amps, sets=None) -> np.ndarray:
@@ -608,8 +515,28 @@ def _change_basis(amps, n: int, back: bool) -> np.ndarray:
     return out.reshape(amps.shape)
 
 
+def shift_rule_grads(config, params, features, weights) -> np.ndarray:
+    """d<psi_t|diag(w_t)|psi_t>/d(theta, lam) of each feature row t by the
+    parameter-shift rule (Schuld et al., arXiv:1811.11184), (T, |theta| + |lam|).
+
+    The shifted circuits of every row (:func:`shift_rows`) run through
+    :func:`gate_by_gate_forward` as one batch.  ``weights`` is (T, 2**n)
+    or one (2**n,) row for all.
+    """
+    features = np.asarray(features, dtype=float)
+    weights = np.broadcast_to(weights, (len(features), 1 << config.n_qubits))
+    shifts = [shift_rows(config, params, feats) for feats in features]
+    thetas, lams, coeffs, owner = map(np.concatenate, zip(*shifts))
+    row = np.repeat(np.arange(len(features)), [len(shift[2]) for shift in shifts])
+    amps = gate_by_gate_forward(config, thetas, lams, features[row])
+    expectations = (np.abs(amps) ** 2 * weights[row]).sum(axis=1)
+    grads = np.zeros((len(features), sum(ansatz.param_counts(config))))
+    np.add.at(grads, (row, owner), coeffs * expectations)
+    return grads
+
+
 # ---------------------------------------------------------------------------
-# Gates one at a time on one state's amplitudes (2**n,)
+# Gates one at a time on amplitudes (..., 2**n)
 
 
 def _check_qubit(n: int, qubit: int) -> None:
@@ -624,55 +551,62 @@ def _check_pair(n: int, q1: int, q2: int) -> None:
         raise ValueError(f"two-qubit gate needs distinct qubits, got {q1} twice")
 
 
-def apply_1q(amps: np.ndarray, n: int, qubit: int, u00, u01, u10, u11) -> None:
-    """Apply ``[[u00, u01], [u10, u11]]`` to ``qubit`` of amplitudes (..., 2**n) in place.
-
-    Per-row entries are shaped by :func:`batch_coeff`.
-    """
-    apply_1q_halves(*half_views(amps, n, qubit), u00, u01, u10, u11)
-
-
-def batch_coeff(values) -> np.ndarray:
-    """Per-row gate entries with the two trailing axes the kernels broadcast over."""
-    return np.asarray(values)[..., None, None]
+def _halves(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views ``(a0, a1)`` of the amplitudes (..., 2**n) whose ``qubit`` bit
+    is 0 and 1, each (..., 2**(n-1-qubit), 2**qubit); writes through them
+    hit ``amps``."""
+    view = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << qubit))
+    return view[..., 0, :], view[..., 1, :]
 
 
-def apply_ry(amps: np.ndarray, qubit: int, angle: float) -> np.ndarray:
-    """Rotate ``qubit`` about Y by ``angle`` (in place)."""
-    n = _num_qubits(amps)
-    _check_qubit(n, qubit)
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    apply_1q(amps, n, qubit, c, -s, s, c)
+def apply_ry(amps: np.ndarray, qubit: int, angle) -> np.ndarray:
+    """Rotate ``qubit`` about Y by ``angle`` (in place): one angle for
+    amplitudes (..., 2**n), or one per row of amplitudes (T, 2**n)."""
+    _check_qubit(_num_qubits(amps), qubit)
+    half = np.asarray(angle)[..., None, None] / 2.0
+    c, s = np.cos(half), np.sin(half)
+    a0, a1 = _halves(amps, qubit)
+    new0 = c * a0 - s * a1
+    a1 *= c
+    a1 += s * a0
+    a0[...] = new0
     return amps
 
 
-def apply_rz(amps: np.ndarray, qubit: int, angle: float) -> np.ndarray:
-    """Rotate ``qubit`` about Z by ``angle`` (in place)."""
-    n = _num_qubits(amps)
-    _check_qubit(n, qubit)
-    a0, a1 = half_views(amps, n, qubit)
+def apply_rz(amps: np.ndarray, qubit: int, angle) -> np.ndarray:
+    """Rotate ``qubit`` about Z by ``angle`` (in place), one angle or one per row."""
+    _check_qubit(_num_qubits(amps), qubit)
+    angle = np.asarray(angle)[..., None, None]
+    a0, a1 = _halves(amps, qubit)
     a0 *= np.exp(-0.5j * angle)
     a1 *= np.exp(0.5j * angle)
     return amps
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    # The index and sign tables are cached, so none may be written.
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
 def _both_one_indices(n: int, q1: int, q2: int) -> np.ndarray:
     mask = (1 << q1) | (1 << q2)
-    return np.nonzero((np.arange(1 << n) & mask) == mask)[0]
+    return _frozen(np.nonzero((np.arange(1 << n) & mask) == mask)[0])
 
 
+@lru_cache(maxsize=None)
 def _cx_swap_indices(n: int, control: int, target: int) -> tuple:
     basis = np.arange(1 << n)
     src = np.nonzero(((basis >> control) & 1 == 1) & ((basis >> target) & 1 == 0))[0]
-    return src, src | (1 << target)
+    return _frozen(src), _frozen(src | (1 << target))
 
 
 def apply_cz(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Controlled-Z on qubits ``q1, q2`` (symmetric, in place)."""
     n = _num_qubits(amps)
     _check_pair(n, q1, q2)
-    amps[_both_one_indices(n, q1, q2)] *= -1.0
+    amps[..., _both_one_indices(n, q1, q2)] *= -1.0
     return amps
 
 
@@ -702,11 +636,20 @@ def cx_layer_pairwise(amps: np.ndarray, n: int, inverse: bool = False) -> None:
         cx_swap(amps, n, i, j)
 
 
+@lru_cache(maxsize=None)
 def cz_layer_signs(n: int) -> np.ndarray:
     """The CZ layer's diagonal (2**n,), complex: (-1)^(k choose 2) at an
     index with k set bits, the sign of its k (k - 1) / 2 pairs."""
     ones = np.array([bin(x).count("1") for x in range(1 << n)])
-    return np.where(ones * (ones - 1) // 2 % 2 == 1, -1.0, 1.0).astype(np.complex128)
+    return _frozen(np.where(ones * (ones - 1) // 2 % 2 == 1, -1.0, 1.0).astype(np.complex128))
+
+
+@lru_cache(maxsize=None)
+def _cx_layer_perm(n: int, inverse: bool) -> np.ndarray:
+    """The index permutation that :func:`cx_layer_pairwise` makes of the basis indices."""
+    perm = np.arange(1 << n)
+    cx_layer_pairwise(perm, n, inverse)
+    return _frozen(perm)
 
 
 def entangler_layer(amps: np.ndarray, config, inverse: bool = False) -> None:
@@ -723,9 +666,7 @@ def entangler_layer(amps: np.ndarray, config, inverse: bool = False) -> None:
     if config.entangler == "cz":
         amps *= cz_layer_signs(n)
     else:
-        perm = np.arange(1 << n)
-        cx_layer_pairwise(perm, n, inverse)
-        amps[...] = amps[..., perm]
+        amps[...] = amps[..., _cx_layer_perm(n, inverse)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from oracles import (
     parity_via_ancilla,
     running_class_sums,
     sample_index,
+    shift_rule_grads,
     state_action_probs,
     z_mask_expectation,
 )
-from test_ansatz import shift_rule_expval_grads
 
 
 def _instance(n=3, d=2, seed=0, zero_feature=None):
@@ -381,7 +381,7 @@ def _shift_rule_log_grads(pol, feats, actions, params):
         weights = np.tile(policy._z_signs(pol.model.n_qubits, pol.z_qubits), (len(actions), 1))
     else:
         weights = (pol.postfn.table == actions[:, None]).astype(float)
-    d_expval = shift_rule_expval_grads(pol.model, params, feats, weights)
+    d_expval = shift_rule_grads(pol.model, params, feats, weights)
     pis = np.array([state_action_probs(pol, f, params) for f in feats])
     if isinstance(pol, policy.MeasurementPolicy):
         return d_expval / pis[np.arange(len(actions)), actions][:, None]
