@@ -180,10 +180,10 @@ def test_shift_rule_matches_finite_differences_everywhere():
 
 # The shift rule sums two gate-by-gate circuits per parameter, and the
 # sweep sums each derivative over the basis in another order.  The
-# largest difference measured over this grid and the grouped-basis cases
-# was 1.13e-14 on numpy's default SIMD path and 1.18e-14 on its AVX2
-# loops with OpenBLAS's Haswell kernels, and the bound leaves a factor of
-# four above the larger.
+# largest difference measured over the shift-rule, per-qubit-readout and
+# grouped-basis grids was 1.62e-14 on numpy's default SIMD path and
+# 1.47e-14 on its AVX2 loops with OpenBLAS's Haswell kernels, and the
+# bound leaves a factor of three above the larger.
 SHIFT_RULE_TOL = 5e-14
 
 
@@ -203,8 +203,8 @@ def _assert_shift_rule_and_zero_feature(config, params, features, weights_kinds)
                 assert grads[1, n_theta + 2 * n * block + offset] == 0.0
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 5])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("depth", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
 def test_adjoint_grads_match_shift_rule(entangler, n, depth):
     # Per-row Gaussian weights, and one shared row of +-1 weights.
@@ -213,6 +213,23 @@ def test_adjoint_grads_match_shift_rule(entangler, n, depth):
     features = rng.uniform(-2, 2, (4, n))
     features[1, 0] = 0.0
     weights = (rng.normal(size=(4, 1 << n)), 1.0 - 2.0 * (rng.random(1 << n) < 0.5))
+    _assert_shift_rule_and_zero_feature(config, params, features, weights)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_adjoint_grads_match_per_qubit_readout(entangler, n, depth):
+    # The weights a per-qubit decoding reads: row t weighs each basis
+    # state by the Z eigenvalue of qubit t mod n.  Then per-row Gaussian
+    # weights, over 57 rows.
+    config = ModelConfig(n, depth, entangler)
+    params, rng = _random_params(config, 500 + 10 * n + depth)
+    features = rng.uniform(-2, 2, (57, n))
+    features[1, 0] = 0.0
+    qubits = np.arange(57)[:, None] % n
+    readout = 1.0 - 2.0 * ((np.arange(1 << n) >> qubits) & 1)
+    weights = (readout, rng.normal(size=(57, 1 << n)))
     _assert_shift_rule_and_zero_feature(config, params, features, weights)
 
 
@@ -315,14 +332,7 @@ def _continuous_sweep_cases(config, rng):
             yield stack, features, sets, (rng.normal(size=(len(sets), 1 << n)),)
 
 
-SWEEP_CASES = {"binary": (1000, _binary_sweep_cases), "continuous": (2000, _continuous_sweep_cases)}
-
-
-@pytest.mark.parametrize("depth", [1, 2, 3, 5])
-@pytest.mark.parametrize("n", range(1, 9))
-@pytest.mark.parametrize("entangler", ["cz", "cx"])
-@pytest.mark.parametrize("inputs", list(SWEEP_CASES))
-def test_sweep_bit_identical_to_per_layer_oracle(monkeypatch, inputs, entangler, n, depth):
+def _assert_sweep_bit_identical(monkeypatch, config, cases):
     # The sweep makes its phase tables with cos and sin over the low
     # half of the basis indices only, the variational Ry tables in one
     # batched pass, and keeps its buffers between calls; the per-layer
@@ -330,8 +340,6 @@ def test_sweep_bit_identical_to_per_layer_oracle(monkeypatch, inputs, entangler,
     # afresh.  Gradients and every phase table the sweep made must agree
     # in every bit, signed zeros included: a signed zero of a table
     # seldom reaches a gradient.
-    config = ModelConfig(n, depth, entangler)
-    seed, cases = SWEEP_CASES[inputs]
     phase_table = ansatz._phase_table
     made = []
 
@@ -340,8 +348,7 @@ def test_sweep_bit_identical_to_per_layer_oracle(monkeypatch, inputs, entangler,
         made.append(phases.copy())
 
     monkeypatch.setattr(ansatz, "_phase_table", recorded)
-    rng = np.random.default_rng(seed + 10 * n + depth)
-    for params, features, sets, weights_kinds in cases(config, rng):
+    for params, features, sets, weights_kinds in cases:
         bound = ansatz.bind(config, params)
         amps = ansatz.run_bound(bound, features, sets=sets)
         made.clear()
@@ -355,6 +362,26 @@ def test_sweep_bit_identical_to_per_layer_oracle(monkeypatch, inputs, entangler,
             tables += per_layer_phase_tables(config, var, lam, features[rows])
         # One sweep per weights kind, each making every table.
         assert _same_bits(np.vstack(made), np.vstack(tables * len(weights_kinds)))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_sweep_bit_identical_to_per_layer_oracle(monkeypatch, entangler, n, depth):
+    config = ModelConfig(n, depth, entangler)
+    rng = np.random.default_rng(1000 + 10 * n + depth)
+    _assert_sweep_bit_identical(monkeypatch, config, _binary_sweep_cases(config, rng))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_sweep_bit_identical_to_per_layer_oracle_at_continuous_inputs(
+    monkeypatch, entangler, n, depth
+):
+    config = ModelConfig(n, depth, entangler)
+    rng = np.random.default_rng(2000 + 10 * n + depth)
+    _assert_sweep_bit_identical(monkeypatch, config, _continuous_sweep_cases(config, rng))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -447,8 +474,8 @@ def _same_bits(a, b):
 
 # Fusing E_l into V_l and contracting pair factors rounds the forward
 # pass differently from the gate-by-gate reference.  The largest
-# amplitude difference measured over the rows this grid checks was
-# 8.3e-16 (1.2e-15 over every row of its 1,027-row cases), on numpy's
+# amplitude difference measured over the rows the forward tests check was
+# 8.3e-16 (1.2e-15 over every row of the 1,027-row cases), on numpy's
 # default SIMD path and on its AVX2 loops with OpenBLAS's Haswell kernels
 # alike, and the bound leaves a factor of 3.6 above it.
 FORWARD_ORACLE_TOL = 3e-15
@@ -461,21 +488,50 @@ def _random_features(config, rng, rows):
     return features
 
 
+def _assert_forward_matches_both_oracles(config, params, features, sample):
+    # Both oracles evolve each row alone, so a sample of rows is as
+    # strict as all of them.
+    amps = ansatz.run_bound(ansatz.bind(config, params), features)
+    assert amps.flags.c_contiguous
+    theta, lam, rows = params.theta, params.lam, features[sample]
+    assert _same_bits(amps[sample], per_pair_forward(config, theta, lam, rows))
+    reference = gate_by_gate_forward(config, theta, lam, rows)
+    assert np.abs(amps[sample] - reference).max() <= FORWARD_ORACLE_TOL
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps):
+    config = ModelConfig(n, depth, entangler)
+    params, rng = _random_params(config, 1000 * n + 10 * depth + steps)
+    features = _random_features(config, rng, steps)
+    _assert_forward_matches_both_oracles(config, params, features, np.arange(steps))
+
+
 @pytest.mark.parametrize("steps", [1, 7, 2 * 512 + 3])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
-def test_run_bound_matches_gate_by_gate_reference(entangler, n, depth, steps):
+def test_bound_forward_bit_identical_to_per_gate_oracle(entangler, n, depth, steps):
     config = ModelConfig(n, depth, entangler)
     params, rng = _random_params(config, 2000 * n + 10 * depth + steps)
     features = _random_features(config, rng, steps)
-    amps = ansatz.run_bound(ansatz.bind(config, params), features)
-    assert amps.flags.c_contiguous
-    # The reference evolves each row alone, so a sample of rows is as
-    # strict as all of them: the first seven and the last.
-    sample = np.r_[: min(steps, 7), steps - 1]
-    reference = gate_by_gate_forward(config, params.theta, params.lam, features[sample])
-    assert np.abs(amps[sample] - reference).max() <= FORWARD_ORACLE_TOL
+    # The first seven rows, both sides of every multiple of 512, and the last.
+    edges = [p + i for p in range(512, steps, 512) for i in (-1, 0)]
+    sample = np.unique([*range(min(steps, 7)), *edges, steps - 1])
+    _assert_forward_matches_both_oracles(config, params, features, sample)
+
+
+@pytest.mark.parametrize("entangler", ["cz", "cx"])
+def test_run_states_matches_gatewise_construction(entangler):
+    # One row through the one-row call that rollouts make.
+    config = ModelConfig(3, 2, entangler)
+    params, rng = _random_params(config, 11)
+    features = rng.uniform(-1, 1, 3)
+    reference = gate_by_gate_forward(config, params.theta, params.lam, features[None])[0]
+    assert np.abs(_state(config, params, features) - reference).max() <= FORWARD_ORACLE_TOL
 
 
 def test_one_bound_set_gives_the_same_rows_at_every_call_size():
@@ -513,11 +569,12 @@ def test_bound_rows_do_not_depend_on_grouping(entangler, n, depth):
 @pytest.mark.parametrize("depth", [1, 2, 5])
 @pytest.mark.parametrize("n", range(1, 10))
 @pytest.mark.parametrize("entangler", ["cz", "cx"])
-def test_run_bound_bit_identical_to_per_pair_oracle(entangler, n, depth):
+def test_run_bound_bit_identical_to_row_major_forward(entangler, n, depth):
     # The registers keep the rows innermost, and each contraction reads
     # the factors as the gate table lays them out.  einsum forms every
     # complex product unfused and sums over j in order from +0, whichever
-    # axis is innermost, so each amplitude equals the per-pair oracle's
+    # axis is innermost, so each amplitude equals that of the row-major
+    # forward, the per-pair oracle with each row's register contiguous,
     # bit for bit, signed zeros included, and so does each set's start
     # register, the oracle's layer 0.  Exact zeros in the features and
     # angles make exact zeros in the gates.  The oracle runs each row
