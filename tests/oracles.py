@@ -307,31 +307,36 @@ def per_pair_forward(config, theta, lam, features, layers=None) -> np.ndarray:
     each contraction sums over the factor's columns in order from +0,
     each complex product formed unfused.  Every step is elementwise over
     the rows, so each amplitude must equal the kernel's bit for bit,
-    signed zeros included.
+    signed zeros included.  The rows run along the last axis and the
+    contractions keep real and imaginary parts apart, so each step is
+    one pass over contiguous memory.
     """
     n, d = config.n_qubits, config.depth
     features = np.asarray(features, dtype=float)
     rows = len(features)
     thetas = np.broadcast_to(theta, (rows, np.shape(theta)[-1]))
     lams = np.broadcast_to(lam, (rows, np.shape(lam)[-1]))
-    state = np.zeros((rows, 1 << n), dtype=np.complex128)
-    state[:, 0] = 1.0
+    state = np.zeros((1 << n, rows), dtype=np.complex128)
+    state[0] = 1.0
     for layer in range(d + 1 if layers is None else layers):
         gates = [_fused_gates(n, thetas, lams, features, layer, q) for q in range(n)]
+        re, im = state.real.copy(), state.imag.copy()
         for low in range(0, n, 2):
             if low + 1 < n:
-                high = gates[low + 1][:, :, None, :, None]
-                factor = (high * gates[low][:, None, :, None, :]).reshape(rows, 4, 4)
+                high = gates[low + 1][:, None, :, None]
+                factor = (high * gates[low][None, :, None, :]).reshape(4, 4, rows)
             else:
                 factor = gates[low]
-            width = factor.shape[-1]
-            state = _contract(factor, state.reshape(rows, -1, width, 1 << low)).reshape(rows, -1)
-        entangler_layer(state, config)
-    return state
+            shape = (-1, len(factor), 1 << low, rows)
+            re, im = _contract(factor, re.reshape(shape), im.reshape(shape))
+        state = np.empty((1 << n, rows), dtype=np.complex128)
+        state.real, state.imag = re.reshape(state.shape), im.reshape(state.shape)
+        entangler_layer(state.T, config)
+    return np.ascontiguousarray(state.T)
 
 
 def _fused_gates(n: int, thetas, lams, features, layer: int, q: int) -> np.ndarray:
-    """The fused gates (T, 2, 2) of qubit ``q`` in ``layer``, one per row.
+    """The fused gates (2, 2, T) of qubit ``q`` in ``layer``, one per row.
 
     Ry(a) @ Rz(b) @ Ry(c), with b the Rz angle and a, c the outer and inner
     Ry angles (c = 0 in layer 0), from its closed form in the half angles
@@ -350,32 +355,32 @@ def _fused_gates(n: int, thetas, lams, features, layer: int, q: int) -> np.ndarr
         half_c = 0.5 * (lams[:, enc] * s_q)
         half_sum, half_diff = half_a + half_c, half_a - half_c
     cos_b, sin_b = np.cos(half_b), np.sin(half_b)
-    gates = np.empty((len(thetas), 2, 2), dtype=np.complex128)
-    u00, u01 = gates[:, 0, 0], gates[:, 0, 1]
+    gates = np.empty((2, 2, len(thetas)), dtype=np.complex128)
+    u00, u01 = gates[0, 0], gates[0, 1]
     u00.real = cos_b * np.cos(half_sum)
     u00.imag = -(sin_b * np.cos(half_diff))
     u01.real = -(cos_b * np.sin(half_sum))
     u01.imag = -(sin_b * np.sin(half_diff))
-    gates[:, 1, 0] = -np.conj(u01)
-    gates[:, 1, 1] = np.conj(u00)
+    gates[1, 0] = -np.conj(u01)
+    gates[1, 1] = np.conj(u00)
     return gates
 
 
-def _contract(factor, view) -> np.ndarray:
-    """Each row's ``factor`` (T, w, w) applied to the middle axis of its
-    ``view`` (T, outer, w, inner).
+def _contract(factor, re, im) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``factor`` (w, w, T) applied to axis 1 of the real and
+    imaginary parts ``re, im`` (outer, w, inner, T) of its amplitudes.
 
-    The sum over the factor's columns runs in order from zero, each
+    The sum over the factor's columns runs in order from +0, each
     complex product formed as (ar br - ai bi) + i (ar bi + ai br).
     """
-    re, im = np.zeros(view.shape), np.zeros(view.shape)
-    for j in range(factor.shape[-1]):
-        f, v = factor[:, None, :, j, None], view[:, :, j : j + 1]
-        re = re + (f.real * v.real - f.imag * v.imag)
-        im = im + (f.real * v.imag + f.imag * v.real)
-    out = np.empty(view.shape, dtype=np.complex128)
-    out.real, out.imag = re, im
-    return out
+    fr, fi = factor.real.copy(), factor.imag.copy()
+    out_re = out_im = 0.0
+    for j in range(len(factor)):
+        ar, ai = fr[None, :, j, None], fi[None, :, j, None]
+        br, bi = re[:, j : j + 1], im[:, j : j + 1]
+        out_re = out_re + (ar * br - ai * bi)
+        out_im = out_im + (ar * bi + ai * br)
+    return out_re, out_im
 
 
 def gate_by_gate_forward(config, theta, lam, features) -> np.ndarray:
@@ -521,17 +526,19 @@ def shift_rule_grads(config, params, features, weights) -> np.ndarray:
 
     The shifted circuits of every row (:func:`shift_rows`) run through
     :func:`gate_by_gate_forward` as one batch.  ``weights`` is (T, 2**n)
-    or one (2**n,) row for all.
+    or one (2**n,) row for all; a stack (K, T, 2**n) of them reuses the
+    circuits and gives one gradient per weighting, (K, T, |theta| + |lam|).
     """
     features = np.asarray(features, dtype=float)
-    weights = np.broadcast_to(weights, (len(features), 1 << config.n_qubits))
+    rows = (len(features), 1 << config.n_qubits)
+    weights = np.broadcast_to(weights, np.shape(weights)[:-2] + rows)
     shifts = [shift_rows(config, params, feats) for feats in features]
     thetas, lams, coeffs, owner = map(np.concatenate, zip(*shifts))
     row = np.repeat(np.arange(len(features)), [len(shift[2]) for shift in shifts])
     amps = gate_by_gate_forward(config, thetas, lams, features[row])
-    expectations = (np.abs(amps) ** 2 * weights[row]).sum(axis=1)
-    grads = np.zeros((len(features), sum(ansatz.param_counts(config))))
-    np.add.at(grads, (row, owner), coeffs * expectations)
+    expectations = (np.abs(amps) ** 2 * weights[..., row, :]).sum(axis=-1)
+    grads = np.zeros(weights.shape[:-1] + (sum(ansatz.param_counts(config)),))
+    np.add.at(grads, (..., row, owner), coeffs * expectations)
     return grads
 
 
@@ -583,23 +590,15 @@ def apply_rz(amps: np.ndarray, qubit: int, angle) -> np.ndarray:
     return amps
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    # The index and sign tables are cached, so none may be written.
-    array.setflags(write=False)
-    return array
-
-
-@lru_cache(maxsize=None)
 def _both_one_indices(n: int, q1: int, q2: int) -> np.ndarray:
     mask = (1 << q1) | (1 << q2)
-    return _frozen(np.nonzero((np.arange(1 << n) & mask) == mask)[0])
+    return np.nonzero((np.arange(1 << n) & mask) == mask)[0]
 
 
-@lru_cache(maxsize=None)
 def _cx_swap_indices(n: int, control: int, target: int) -> tuple:
     basis = np.arange(1 << n)
     src = np.nonzero(((basis >> control) & 1 == 1) & ((basis >> target) & 1 == 0))[0]
-    return _frozen(src), _frozen(src | (1 << target))
+    return src, src | (1 << target)
 
 
 def apply_cz(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
@@ -636,20 +635,11 @@ def cx_layer_pairwise(amps: np.ndarray, n: int, inverse: bool = False) -> None:
         cx_swap(amps, n, i, j)
 
 
-@lru_cache(maxsize=None)
 def cz_layer_signs(n: int) -> np.ndarray:
     """The CZ layer's diagonal (2**n,), complex: (-1)^(k choose 2) at an
     index with k set bits, the sign of its k (k - 1) / 2 pairs."""
     ones = np.array([bin(x).count("1") for x in range(1 << n)])
-    return _frozen(np.where(ones * (ones - 1) // 2 % 2 == 1, -1.0, 1.0).astype(np.complex128))
-
-
-@lru_cache(maxsize=None)
-def _cx_layer_perm(n: int, inverse: bool) -> np.ndarray:
-    """The index permutation that :func:`cx_layer_pairwise` makes of the basis indices."""
-    perm = np.arange(1 << n)
-    cx_layer_pairwise(perm, n, inverse)
-    return _frozen(perm)
+    return np.where(ones * (ones - 1) // 2 % 2 == 1, -1.0, 1.0).astype(np.complex128)
 
 
 def entangler_layer(amps: np.ndarray, config, inverse: bool = False) -> None:
@@ -663,10 +653,24 @@ def entangler_layer(amps: np.ndarray, config, inverse: bool = False) -> None:
     n = config.n_qubits
     if n == 1:
         return
+    table = _entangler_table(n, config.entangler, inverse)
     if config.entangler == "cz":
-        amps *= cz_layer_signs(n)
+        amps *= table
     else:
-        amps[...] = amps[..., _cx_layer_perm(n, inverse)]
+        amps[...] = amps[..., table]
+
+
+@lru_cache(maxsize=None)
+def _entangler_table(n: int, entangler: str, inverse: bool) -> np.ndarray:
+    # The sweep oracle applies a layer per call at every depth, so each
+    # table is built once and kept read-only.
+    if entangler == "cz":
+        table = cz_layer_signs(n)
+    else:
+        table = np.arange(1 << n)
+        cx_layer_pairwise(table, n, inverse)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
