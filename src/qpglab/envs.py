@@ -1,15 +1,17 @@
 """Benchmark environments and feature encoders.
 
 Environments are stateless transitions, so one object serves any
-number of episodes at once: ``reset(rng)`` returns an initial state
-and ``step(state, action, rng)`` returns ``(state, reward, terminal)``
-without touching the state it was given.  Every random draw of an
-episode comes from the generator passed in, which the runner keeps
-per episode.  ``terminal`` marks a transition that ends the task (a
-hole, the goal, a fallen pole, a bandit's single decision); the runner
-in :mod:`qpglab.train` also ends every episode after ``horizon``
-steps, and no environment counts steps.  States are the observations:
-an index for the discrete tasks, a fresh array for CartPole.
+number of episodes at once: ``reset(u)`` returns an initial state
+and ``step(state, action, u)`` returns ``(state, reward, terminal)``
+without touching the state it was given.  An environment draws
+nothing itself: ``reset`` gets a row of 4 uniforms in [0, 1) and
+``step`` one, which the runner hashes from (seed, episode, step), and
+each reads only the ones it needs.  ``terminal`` marks a transition
+that ends the task (a hole, the goal, a fallen pole, a bandit's single
+decision); the runner in :mod:`qpglab.train` also ends every episode
+after ``horizon`` steps, and no environment counts steps.  States are
+the observations: an index for the discrete tasks, a fresh array for
+CartPole.
 
 Encoders map raw observations to the length-n feature vectors consumed
 by the circuit; features are listed in wire order (the first feature
@@ -81,10 +83,11 @@ class ContextualBandits:
         self.reward_scheme = reward_scheme
         self.horizon = 1
 
-    def reset(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.num_states))
+    def reset(self, u) -> int:
+        # floor(S u[0]) < S: S u rounds below S for u < 1 at any S < 2**53.
+        return int(self.num_states * u[0])
 
-    def step(self, state: int, action: int, rng: np.random.Generator | None = None):
+    def step(self, state: int, action: int, u: float | None = None):
         if not 0 <= action < self.num_actions:
             raise ValueError(f"action {action} out of range")
         hit = action == self.optimal[state]
@@ -122,8 +125,9 @@ class FrozenLake:
     Moves that would leave the grid keep the position unchanged; a hole
     or the goal is terminal, and the runner ends other episodes at the
     horizon.  With ``slippery`` on, the intended move is replaced by one
-    of the two perpendicular moves with probability 1/3 each, drawn from
-    the episode's generator.
+    of the two perpendicular moves with probability 1/3 each: the step's
+    uniform ``u`` keeps it at ``floor(3 u) = 0``, turns it -1 at 1 and
+    +1 at 2 (mod 4).
     """
 
     def __init__(
@@ -164,16 +168,14 @@ class FrozenLake:
     def cell(self, index: int) -> str:
         return self.grid[index // self.cols][index % self.cols]
 
-    def reset(self, rng: np.random.Generator) -> int:
+    def reset(self, u=None) -> int:
         return self.start
 
-    def step(self, state: int, action: int, rng: np.random.Generator | None = None):
+    def step(self, state: int, action: int, u: float | None = None):
         if not 0 <= action < 4:
             raise ValueError(f"action {action} out of range")
         if self.slippery:
-            if rng is None:
-                raise ValueError("slippery dynamics need an rng")
-            roll = rng.integers(3)
+            roll = int(3 * u)
             if roll == 1:
                 action = (action - 1) % 4
             elif roll == 2:
@@ -219,10 +221,11 @@ class CartPole:
         self.num_actions = 2
         self.state_dim = 4
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-0.05, 0.05, size=4)
+    def reset(self, u) -> np.ndarray:
+        # Each component uniform in [-0.05, 0.05).
+        return -0.05 + 0.1 * np.asarray(u, dtype=float)
 
-    def step(self, state: np.ndarray, action: int, rng: np.random.Generator | None = None):
+    def step(self, state: np.ndarray, action: int, u: float | None = None):
         if action not in (0, 1):
             raise ValueError(f"action {action} out of range")
         # Python floats: the same IEEE arithmetic as numpy scalars, faster.

@@ -180,9 +180,9 @@ def batch_action_probs(policy: Policy, features_rows, params: ParamSet) -> np.nd
 
 
 def sample_action(
-    policy: Policy, features_rows, bound: ansatz.BoundParams, rngs
+    policy: Policy, features_rows, bound: ansatz.BoundParams, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """One action per feature row, row ``t`` drawn with ``rngs[t]``.
+    """One action per feature row, row ``t`` drawn at the uniform ``draws[t]``.
 
     ``bound`` is the parameter set as :func:`qpglab.ansatz.bind` binds it
     to the policy's model, once for any number of calls.  Returns
@@ -190,15 +190,13 @@ def sample_action(
     (T, 2**n) they were drawn from and, for a softmax policy, their
     :func:`_reduce` result (None for a Born policy), which
     :func:`trajectory_log_grads` takes back.  All rows go through one
-    circuit call, and each row takes one ``random()`` draw from its
-    generator, in row order, so a row's action does not depend on the
-    other rows.  A Born policy measures one bitstring and decodes it.
+    circuit call, and each row's draw is the inverse CDF of its own
+    distribution at its own uniform in [0, 1), so a row's action does
+    not depend on the other rows.  A Born policy measures one bitstring
+    and decodes it.
     """
     _check_bound(policy, bound)
-    if len(rngs) != len(features_rows):
-        raise ValueError(f"need one generator per row: {len(rngs)} for {len(features_rows)} rows")
     amps = ansatz.run_bound(bound, features_rows)
-    draws = np.array([rng.random() for rng in rngs])
     if isinstance(policy, MeasurementPolicy):
         outcomes = _sample_rows(qsim.probabilities(amps), draws)
         return policy.postfn.table[outcomes], amps, None

@@ -21,25 +21,24 @@ simulated or reduced twice.  Rewards stay Python floats:
 each episode's returns come from them with no array, and its total is
 their correctly rounded sum, ``math.fsum``.
 
-Everything is a pure function of (config, seed), through independent
-streams (:func:`run_streams`): one generator draws the initial
-parameters, and episode ``e`` draws its start state, its actions and
-any environment randomness from its own generator ``e``, the one
-numpy's ``SeedSequence(seed).spawn`` tree gives.  Episode ``e``'s steps
-therefore depend only on (seed, e, parameters), not on the batch size
-or on the other episodes, and reruns produce identical records.  Each
-action takes one ``random()`` draw.  :func:`train_run` returns the
-per-episode records and the final parameters and policy; it builds
-nothing and writes no file.
+Everything is a pure function of (config, seed).  The initial
+parameters come from numpy's ``default_rng`` of child 0 of
+``SeedSequence(seed)``.  Every other random number of a run is a
+counter-based draw (:func:`uniforms`): the uniform of (episode, step,
+kind) is one SplitMix64 output under the run's key (:func:`run_key`),
+with one kind each for the start state, the action and the
+environment's transition.  Episode ``e``'s steps therefore depend only
+on (seed, e, parameters), not on the batch size or on the other
+episodes, and reruns produce identical records.  Each action takes one
+uniform.  :func:`train_run` returns the per-episode records and the
+final parameters and policy; it builds nothing and writes no file.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -104,103 +103,53 @@ def discounted_returns(rewards: list, gamma: float) -> list[float]:
     return list(returns)[:0:-1]
 
 
-# numpy's SeedSequence hash (after O'Neill's seed_seq_fe): the hash
-# constants of mixing entropy into the pool (A) and of generating state
-# from it (B), and the mix's multipliers.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Episodes whose seed words one vectorised pass computes.
-_STREAM_CHUNK = 1024
+# Draw kinds: the start state's uniforms, each action's and each
+# environment transition's.
+RESET, ACTION, TRANSITION = 0, 1, 2
+_KINDS = np.arange(3, dtype=np.uint64)
+# Steps whose draws of every kind the runner hashes in one call, so a
+# batch holds at most batch x block x 3 of them at any horizon.
+_DRAW_BLOCK = 64
+# SplitMix64's increment and its finaliser's multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """Hash constants ``first .. first + count - 1``, init * mult**k mod 2**32."""
-    consts = [init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(first, first + count)]
-    return np.array(consts, dtype=np.uint32)
+def run_key(seed: int) -> np.ndarray:
+    """The key (1,) uint64 of a run's draws: the first word that numpy's
+    ``SeedSequence(seed, spawn_key=(1,))`` generates."""
+    return np.random.SeedSequence(seed, spawn_key=(1,)).generate_state(1, np.uint64)
 
 
-# generate_state's 8 hashes, each pool word twice.
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+def uniforms(key: np.ndarray, episodes: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The draws (len(episodes), len(steps), 3) of each kind, uniform in [0, 1).
 
-
-def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of uint32 ``value``, column k under hash
-    constant k; ``consts`` holds one more, each column's successor.
+    Entry (i, j, k) is SplitMix64 output number c for ``key``, with the
+    counter c = (episodes[i] * 2**30 + steps[j]) * 4 + k: the finaliser
+    of key + (c + 1) * gamma mod 2**64, whose top 53 bits times 2**-53
+    give the uniform.  ``episodes`` and ``steps`` are 1-D uint64 arrays
+    of indices below 2**32 and 2**30, so distinct triples take distinct
+    counters.  Every product is on arrays, which wrap mod 2**64; numpy
+    scalars would warn on overflow instead.
     """
-    value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ value >> 16
+    z = np.add.outer(episodes << 32, np.add.outer(steps << 2, _KINDS))
+    z += 1
+    z *= _GAMMA
+    z += key
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    z >>= 11
+    return z * 2.0**-53
 
 
-def _seed_words(stream: np.random.SeedSequence, last: np.ndarray) -> np.ndarray:
-    """PCG64 seed words (len(last), 4), uint64, of the children of
-    ``stream`` with the key words ``last`` (uint32): each child's
-    ``generate_state(4, np.uint64)``.
-
-    A child's entropy is ``stream``'s words, the 32-bit words of its int
-    entropy padded to the pool size of 4 and then its one-word key
-    words, and last its own key word.  Mixing in L >= 4 words takes 4 L
-    hashes (4 fill the pool, 12 cross-mix it, 4 per further word), so
-    the last word takes hashes 4 L .. 4 L + 3, one per pool word.  The
-    state hashes the pool twice over.
-    """
-    words = max(4, -(-int(stream.entropy).bit_length() // 32)) + len(stream.spawn_key)
-    hashed = _hashmix(last[:, None], _hash_consts(_INIT_A, _MULT_A, 4 * words, 5))
-    pool = _MIX_L * stream.pool - _MIX_R * hashed
-    pool ^= pool >> 16
-    state = _hashmix(np.concatenate([pool, pool], axis=1), _STATE_CONSTS)
-    # Pairs of words read little-endian, as generate_state reads them.
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-@lru_cache(maxsize=None)
-def _seed_words_type() -> type:
-    """The seed sequence that hands PCG64 the 4 uint64 words it seeds from.
-
-    Built on first use: its base class lives in numpy.random, whose
-    import every ``import qpglab`` would otherwise pay.
-    """
-
-    class SeedWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("holds the 4 uint64 words that seed a PCG64 only")
-            return self.words
-
-    return SeedWords
-
-
-def run_streams(seed: int, episodes: int) -> tuple[np.random.Generator, Iterator]:
-    """The parameter-initialisation generator and the episode generators of a run.
-
-    They are numpy's ``default_rng`` of children 0 and 1 of
-    ``SeedSequence(seed)``, and episode ``e`` draws from ``default_rng``
-    of child ``e`` of child 1; the iterator yields episodes 0 ..
-    ``episodes - 1`` in order.  Their states are computed from the seed
-    sequence's hash with no SeedSequence object per episode: the pool of
-    child 1 is mixed once per run, and the rest on uint32 arrays once per
-    chunk of episodes.  A key word is 32 bits, so a run has at most
-    2**32 episodes.
-    """
-    if episodes > 1 << 32:
-        raise ValueError("a run has at most 2**32 episodes: an index is one 32-bit word")
-    init = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    return init, _episode_generators(np.random.SeedSequence(seed, spawn_key=(1,)), episodes)
-
-
-def _episode_generators(stream, episodes: int) -> Iterator[np.random.Generator]:
-    seed_words = _seed_words_type()
-    for start in range(0, episodes, _STREAM_CHUNK):
-        last = np.arange(start, min(start + _STREAM_CHUNK, episodes), dtype=np.uint32)
-        for words in _seed_words(stream, last):
-            yield np.random.Generator(np.random.PCG64(seed_words(words)))
-
-
-def collect_episodes(env, encoder, policy: Policy, bound: ansatz.BoundParams, rngs) -> Batch:
-    """Run one episode per generator in lockstep, episode ``e`` on ``rngs[e]``.
+def collect_episodes(
+    env, encoder, policy: Policy, bound: ansatz.BoundParams, key: np.ndarray, episodes
+) -> Batch:
+    """Run episodes ``episodes`` of the run keyed ``key`` in lockstep.
 
     ``bound`` is the batch's parameter set as :func:`qpglab.ansatz.bind`
     binds it to the policy's model.  Each time step makes
@@ -209,26 +158,43 @@ def collect_episodes(env, encoder, policy: Policy, bound: ansatz.BoundParams, rn
     running, then one ``env.step`` per episode, and keeps one block of
     the live episodes' ids, rows, final amplitudes, actions and any
     softmax reduction; one stable sort of the ids orders the blocks'
-    rows episode-major.  Every draw of episode ``e`` comes from
-    ``rngs[e]`` in the order a lone run of it would make, so its steps
-    equal the ones it gives when collected alone.  Episodes are
-    truncated after ``env.horizon`` steps.  An empty ``rngs`` is refused.
+    rows episode-major.  Episode ``e`` starts from its ``RESET`` draws
+    at steps 0-3, and its step ``t`` takes the ``ACTION`` and
+    ``TRANSITION`` draws at ``t`` (:func:`uniforms`), so its steps equal
+    the ones it gives when collected alone.  One call hashes every kind
+    of a block of steps over all of the batch's episodes.  Episodes are
+    truncated after ``env.horizon`` steps.  An empty ``episodes``, an
+    index of 2**32 or more and a horizon above 2**30 steps are refused:
+    their counters would not fit one word.
     """
-    if not len(rngs):
-        raise ValueError("need at least one episode generator")
-    states = [env.reset(rng) for rng in rngs]
-    rewards = [[] for _ in rngs]
+    episodes = np.asarray(episodes, dtype=np.uint64)
+    if not len(episodes):
+        raise ValueError("need at least one episode")
+    if episodes.max() >= 1 << 32:
+        raise ValueError(f"episode indices lie below 2**32, got {episodes.max()}")
+    if env.horizon > 1 << 30:
+        raise ValueError(f"a horizon has at most 2**30 steps, got {env.horizon}")
+    # The first block holds the reset's 4 steps, even past the horizon.
+    first = np.arange(max(4, min(_DRAW_BLOCK, env.horizon)), dtype=np.uint64)
+    draws = uniforms(key, episodes, first)
+    states = [env.reset(u) for u in draws[:, :4, RESET]]
+    rewards = [[] for _ in states]
     blocks = []
-    live = list(range(len(rngs)))
-    for _ in range(env.horizon):
+    live = list(range(len(states)))
+    for t in range(env.horizon):
         if not live:
             break
+        j = t % _DRAW_BLOCK
+        if t and not j:
+            steps = np.arange(t, min(t + _DRAW_BLOCK, env.horizon), dtype=np.uint64)
+            draws = uniforms(key, episodes, steps)
         rows = encoder.encode([states[e] for e in live])
-        chosen, *drawn = policy_mod.sample_action(policy, rows, bound, [rngs[e] for e in live])
+        step_draws = draws[live, j]
+        chosen, *drawn = policy_mod.sample_action(policy, rows, bound, step_draws[:, ACTION])
         blocks.append((live, rows, chosen, *drawn))
         running = []
-        for e, action in zip(live, chosen.tolist()):
-            states[e], reward, terminal = env.step(states[e], action, rngs[e])
+        for e, action, u in zip(live, chosen.tolist(), step_draws[:, TRANSITION].tolist()):
+            states[e], reward, terminal = env.step(states[e], action, u)
             rewards[e].append(reward)
             if not terminal:
                 running.append(e)
@@ -318,12 +284,16 @@ def train_run(
     An update runs after every ``batch_size`` episodes.  When
     ``episodes`` is not a multiple of ``batch_size``, the trailing
     partial batch is collected and logged but never used for an update,
-    so the returned parameters are those of the last full batch.
+    so the returned parameters are those of the last full batch.  A run
+    has at most 2**32 episodes, refused before any is run, and a horizon
+    of at most 2**30 steps (:func:`collect_episodes`).
     """
-    init_rng, episode_rngs = run_streams(seed, hyper.episodes)
+    if hyper.episodes > 1 << 32:
+        raise ValueError("a run has at most 2**32 episodes: an index is one 32-bit word")
+    key = run_key(seed)
     params = ansatz.init_params(
         policy.model,
-        init_rng,
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))),
         theta_init=hyper.theta_init,
         theta_scale=hyper.theta_scale,
         lam_init=hyper.lambda_init,
@@ -333,11 +303,10 @@ def train_run(
 
     totals: list[float] = []
     for start in range(0, hyper.episodes, hyper.batch_size):
-        size = min(hyper.batch_size, hyper.episodes - start)
-        rngs = list(islice(episode_rngs, size))
+        episodes = np.arange(start, min(start + hyper.batch_size, hyper.episodes), dtype=np.uint64)
         bound = ansatz.bind(policy.model, params)
-        batch = collect_episodes(env, encoder, policy, bound, rngs)
-        if size == hyper.batch_size:
+        batch = collect_episodes(env, encoder, policy, bound, key, episodes)
+        if len(episodes) == hyper.batch_size:
             grad = reinforce_gradient(batch, policy, bound, hyper.gamma)
             flat = policy_mod.flat_trainables(policy, params)
             flat = adam_amsgrad_step(opt, flat, grad, rates)

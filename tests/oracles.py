@@ -31,31 +31,60 @@ import numpy as np
 from qpglab import ansatz, decode, policy, qsim, train
 
 
-def sample_index(probs, rng) -> int:
-    """Inverse-CDF draw of one index with one ``rng.random()`` call."""
+def sample_index(probs, u: float) -> int:
+    """Inverse-CDF index of ``probs`` at the uniform ``u``."""
     cdf = np.cumsum(probs)
-    return int(min(np.searchsorted(cdf, rng.random(), side="right"), len(probs) - 1))
+    return int(min(np.searchsorted(cdf, u, side="right"), len(probs) - 1))
 
 
-def collect_episode(env, encoder, pol, params, rng) -> tuple:
-    """One episode alone: a single-row circuit call and one draw per step.
+# SplitMix64 (Steele, Lea and Flood; Vigna's reference code), on Python ints.
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+WORD = (1 << 64) - 1
+# Draw kinds as the runner's counter layout numbers them.
+RESET, ACTION, TRANSITION = 0, 1, 2
+
+
+def splitmix64(key: int, index: int) -> int:
+    """Output number ``index`` (from 0) of SplitMix64 seeded with ``key``."""
+    z = (key + (index + 1) * SPLITMIX_GAMMA) & WORD
+    z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & WORD
+    z = ((z ^ z >> 27) * 0x94D049BB133111EB) & WORD
+    return z ^ z >> 31
+
+
+def draw(key: int, episode: int, step: int, kind: int) -> float:
+    """One draw of a run keyed ``key``: the top 53 bits of output number
+    (episode * 2**30 + step) * 4 + kind, as a uniform in [0, 1)."""
+    return (splitmix64(key, (episode * 2**30 + step) * 4 + kind) >> 11) * 2.0**-53
+
+
+def draw_key(seed: int) -> int:
+    """The draw key of a run seeded with ``seed``: the first 64-bit word
+    of child 1 of ``SeedSequence(seed)``."""
+    return int(np.random.SeedSequence(seed).spawn(2)[1].generate_state(1, np.uint64)[0])
+
+
+def collect_episode(env, encoder, pol, params, key: int, episode: int) -> tuple:
+    """Episode ``episode`` of the run keyed ``key`` alone: a single-row
+    circuit call and scalar draws at each step.
 
     Returns per-step arrays ``(features, amps, actions, reduced)`` and
     the rewards list; ``reduced`` is the softmax ``(reading, pi)`` of
     each row alone, or None for a Born policy.
     """
-    state = env.reset(rng)
+    state = env.reset(np.array([draw(key, episode, j, RESET) for j in range(4)]))
     features, amps, actions, readings, pis, rewards = [], [], [], [], [], []
-    for _ in range(env.horizon):
+    for t in range(env.horizon):
         feats = encoder.encode(state)
         final = ansatz.run_bound(ansatz.bind(pol.model, params), feats[None, :])
         reading, probs = policy._reduce(pol, final)
+        u = draw(key, episode, t, ACTION)
         if isinstance(pol, policy.MeasurementPolicy):
             born = qsim.probabilities(final)[0]
-            action = int(pol.postfn.table[sample_index(born, rng)])
+            action = int(pol.postfn.table[sample_index(born, u)])
         else:
-            action = sample_index(probs[0], rng)
-        state, reward, terminal = env.step(state, action, rng)
+            action = sample_index(probs[0], u)
+        state, reward, terminal = env.step(state, action, draw(key, episode, t, TRANSITION))
         features.append(feats)
         amps.append(final[0])
         actions.append(action)
@@ -71,26 +100,19 @@ def collect_episode(env, encoder, pol, params, rng) -> tuple:
     return steps, rewards
 
 
-def collect_alone(env, encoder, pol, params, rngs) -> train.Batch:
-    """The episodes of ``rngs``, each collected alone, stacked episode-major."""
-    episodes = [collect_episode(env, encoder, pol, params, rng) for rng in rngs]
-    features, amps, actions, reduced = zip(*(steps for steps, _ in episodes))
+def collect_alone(env, encoder, pol, params, key: int, episodes) -> train.Batch:
+    """Episodes ``episodes`` of the run keyed ``key``, each collected
+    alone, stacked episode-major."""
+    runs = [collect_episode(env, encoder, pol, params, key, e) for e in episodes]
+    features, amps, actions, reduced = zip(*(steps for steps, _ in runs))
     reduced = None if reduced[0] is None else tuple(map(np.concatenate, zip(*reduced)))
     return train.Batch(
         np.concatenate(features),
         np.concatenate(amps),
         np.concatenate(actions),
         reduced,
-        [rewards for _, rewards in episodes],
+        [rewards for _, rewards in runs],
     )
-
-
-def episode_rngs(seed: int, count: int) -> list:
-    """Generators of episodes 0 .. count-1 of a run seeded with ``seed``:
-    ``default_rng`` of the children of child 1 of ``SeedSequence(seed)``.
-    """
-    _, stream = np.random.SeedSequence(seed).spawn(2)
-    return [np.random.default_rng(child) for child in stream.spawn(count)]
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -116,10 +138,11 @@ def train_run(env, encoder, pol, hyper, seed) -> train.TrainResult:
     )
     opt = train.AdamState(policy.num_trainables(pol))
     rates = train.rate_vector(pol, hyper)
-    rngs = episode_rngs(seed, hyper.episodes)
+    key = draw_key(seed)
     totals = []
     for start in range(0, hyper.episodes, hyper.batch_size):
-        batch = collect_alone(env, encoder, pol, params, rngs[start : start + hyper.batch_size])
+        episodes = range(start, min(start + hyper.batch_size, hyper.episodes))
+        batch = collect_alone(env, encoder, pol, params, key, episodes)
         if len(batch.rewards) == hyper.batch_size:
             returns = np.concatenate(
                 [np.array(train.discounted_returns(r, hyper.gamma)) for r in batch.rewards]
@@ -229,7 +252,7 @@ def sample_fims_per_state(pol, sampler, num_param_sets: int, num_states: int, rn
         bound = ansatz.bind(policy_j.model, params_j)
         amps = np.vstack([ansatz.run_bound(bound, f[None, :]) for f in feats])
         reduced = policy._reduce(policy_j, amps)
-        actions = np.array([sample_index(p, rng) for p in reduced[1]])
+        actions = np.array([sample_index(p, rng.random()) for p in reduced[1]])
         grads = policy.trajectory_log_grads(policy_j, feats, actions, bound, amps, reduced)
         fim = grads.T @ grads / num_states
         np.add(fim, fim.T, out=matrix)
@@ -262,8 +285,8 @@ def sample_fims_per_set(pol, sampler, num_param_sets: int, num_states: int, rng)
 
 
 def _num_qubits(amps: np.ndarray) -> int:
-    """Qubit count of amplitudes (..., 2**n)."""
-    return amps.shape[-1].bit_length() - 1
+    """Qubit count of amplitudes (2**n, ...)."""
+    return amps.shape[0].bit_length() - 1
 
 
 def z_mask_expectation(amps: np.ndarray, qubits) -> float:
@@ -395,8 +418,9 @@ def gate_by_gate_forward(config, theta, lam, features) -> np.ndarray:
     n, d = config.n_qubits, config.depth
     features = np.asarray(features, dtype=float)
     theta, lam = np.asarray(theta), np.asarray(lam)
-    state = np.zeros((len(features), 1 << n), dtype=np.complex128)
-    state[:, 0] = 1.0
+    # Rows innermost, so each gate's elementwise loops run over them.
+    state = np.zeros((1 << n, len(features)), dtype=np.complex128)
+    state[0] = 1.0
     for layer in range(d + 1):
         base = 2 * n * layer
         for q in range(n):
@@ -412,7 +436,7 @@ def gate_by_gate_forward(config, theta, lam, features) -> np.ndarray:
                 s_q = features[:, n - 1 - q]
                 apply_ry(state, q, lam[..., base + 2 * q] * s_q)
                 apply_rz(state, q, lam[..., base + 2 * q + 1] * s_q)
-    return state
+    return np.ascontiguousarray(state.T)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +567,9 @@ def shift_rule_grads(config, params, features, weights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gates one at a time on amplitudes (..., 2**n)
+# Gates one at a time on amplitudes (2**n, ...): the basis index first
+# and any rows innermost, so the elementwise loops run over the rows.
+# The entangler layers take the package's layout, (..., 2**n).
 
 
 def _check_qubit(n: int, qubit: int) -> None:
@@ -559,18 +585,18 @@ def _check_pair(n: int, q1: int, q2: int) -> None:
 
 
 def _halves(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views ``(a0, a1)`` of the amplitudes (..., 2**n) whose ``qubit`` bit
-    is 0 and 1, each (..., 2**(n-1-qubit), 2**qubit); writes through them
+    """Views ``(a0, a1)`` of the amplitudes (2**n, ...) whose ``qubit`` bit
+    is 0 and 1, each (2**(n-1-qubit), 2**qubit, ...); writes through them
     hit ``amps``."""
-    view = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << qubit))
-    return view[..., 0, :], view[..., 1, :]
+    view = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
+    return view[:, 0], view[:, 1]
 
 
 def apply_ry(amps: np.ndarray, qubit: int, angle) -> np.ndarray:
     """Rotate ``qubit`` about Y by ``angle`` (in place): one angle for
-    amplitudes (..., 2**n), or one per row of amplitudes (T, 2**n)."""
+    amplitudes (2**n, ...), or one per row of amplitudes (2**n, T)."""
     _check_qubit(_num_qubits(amps), qubit)
-    half = np.asarray(angle)[..., None, None] / 2.0
+    half = np.asarray(angle) / 2.0
     c, s = np.cos(half), np.sin(half)
     a0, a1 = _halves(amps, qubit)
     new0 = c * a0 - s * a1
@@ -583,7 +609,7 @@ def apply_ry(amps: np.ndarray, qubit: int, angle) -> np.ndarray:
 def apply_rz(amps: np.ndarray, qubit: int, angle) -> np.ndarray:
     """Rotate ``qubit`` about Z by ``angle`` (in place), one angle or one per row."""
     _check_qubit(_num_qubits(amps), qubit)
-    angle = np.asarray(angle)[..., None, None]
+    angle = np.asarray(angle)
     a0, a1 = _halves(amps, qubit)
     a0 *= np.exp(-0.5j * angle)
     a1 *= np.exp(0.5j * angle)
@@ -605,7 +631,7 @@ def apply_cz(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Controlled-Z on qubits ``q1, q2`` (symmetric, in place)."""
     n = _num_qubits(amps)
     _check_pair(n, q1, q2)
-    amps[..., _both_one_indices(n, q1, q2)] *= -1.0
+    amps[_both_one_indices(n, q1, q2)] *= -1.0
     return amps
 
 
@@ -613,7 +639,7 @@ def apply_cx(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     """Controlled-X with the given control and target (in place)."""
     n = _num_qubits(amps)
     _check_pair(n, control, target)
-    cx_swap(amps, n, control, target)
+    cx_swap(amps.T, n, control, target)
     return amps
 
 

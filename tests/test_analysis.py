@@ -30,7 +30,7 @@ def _per_state_actions(pol, sampler, num_param_sets, num_states, seed):
     for _ in range(num_param_sets):
         params_j, policy_j = policy.apply_flat(pol, rng.uniform(-np.pi, np.pi, size=dim))
         probs = [state_action_probs(policy_j, s, params_j) for s in states]
-        drawn.append([sample_index(p, rng) for p in probs])
+        drawn.append([sample_index(p, rng.random()) for p in probs])
     return drawn
 
 

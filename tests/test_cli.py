@@ -115,7 +115,8 @@ RUNS = {
     "softmax-bandit-fim": _fim(SOFTMAX_BANDIT),
     "cartpole-train": _train(CARTPOLE),
     "cartpole-fim": _fim(CARTPOLE + "[analysis]\nparam_sets = 4\nstates = 10\n"),
-    # A seed of two 32-bit words; the slippery moves draw from the episode streams.
+    # A seed of two 32-bit words, hashed into the draw key; the slippery moves read the
+    # transition draws.
     "slippery-lake-seed-2**32": _train(LAKE.format("", "", 30), seed=4294967296),
     # Non-integer rewards, so episode totals and returns round, and a ragged last batch.
     "lake-rewards": _train(

@@ -30,8 +30,7 @@ def _bandit(num_states=8, num_actions=2, scheme="pm1", map_kind="bit:1"):
 
 def test_bandit_episode_shape():
     env = _bandit()
-    rng = np.random.default_rng(0)
-    state = env.reset(rng)
+    state = env.reset(np.random.default_rng(0).random(4))
     assert 0 <= state < 8
     next_state, reward, terminal = env.step(state, 0)
     assert terminal and next_state == state
@@ -46,7 +45,7 @@ def test_bandit_uniform_random_policy_expectations():
     total = 0.0
     episodes = 40_000
     for _ in range(episodes):
-        state = env8.reset(rng)
+        state = env8.reset(rng.random(4))
         _, r, _ = env8.step(state, int(rng.integers(8)))
         total += r
     assert abs(total / episodes - (2 - 8) / 8) < 0.02
@@ -54,7 +53,7 @@ def test_bandit_uniform_random_policy_expectations():
     env4 = _bandit(8, 4, "acc01", "blocks")
     total = 0.0
     for _ in range(episodes):
-        state = env4.reset(rng)
+        state = env4.reset(rng.random(4))
         _, r, _ = env4.step(state, int(rng.integers(4)))
         total += r
     assert abs(total / episodes - 0.25) < 0.01
@@ -64,7 +63,7 @@ def test_bandit_optimal_policy_expectation():
     env = _bandit(8, 4, "acc01", "blocks")
     rng = np.random.default_rng(2)
     for _ in range(200):
-        state = env.reset(rng)
+        state = env.reset(rng.random(4))
         _, reward, _ = env.step(state, int(env.optimal[state]))
         assert reward == 1.0
 
@@ -80,7 +79,7 @@ def test_bandit_rejects_bad_maps_and_actions():
     with pytest.raises(ValueError):
         envs.ContextualBandits(4, 2, [0, 1, 1])
     env = _bandit()
-    state = env.reset(np.random.default_rng(0))
+    state = env.reset(np.random.default_rng(0).random(4))
     with pytest.raises(ValueError):
         env.step(state, 5)
 
@@ -109,13 +108,44 @@ def _bfs_shortest_path(lake):
     return None
 
 
+# The largest uniform below 1.
+TOP = np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("num_states", [1, 3, 8, 2**20])
+def test_bandit_reset_maps_the_unit_interval_onto_every_state(num_states):
+    # floor(S u) is 0 at u = 0 and S - 1, never S, just below u = 1.
+    env = envs.ContextualBandits(num_states, 1, np.zeros(num_states, dtype=np.int64))
+    assert env.reset(np.array([0.0, TOP, TOP, TOP])) == 0
+    assert env.reset(np.array([TOP, 0.0, 0.0, 0.0])) == num_states - 1
+
+
+def test_slippery_lake_turns_by_thirds_of_the_unit_interval():
+    # From cell (2, 2), "down" lands on 14; a -1 turn goes left to 9, and
+    # a +1 turn right into the hole at 11.
+    lake = envs.FrozenLake(slippery=True)
+    assert lake.step(10, 1, 0.0)[0] == 14
+    assert lake.step(10, 1, 0.5)[0] == 9
+    assert lake.step(10, 1, TOP)[:2] == (11, lake.rewards.hole)
+    assert envs.FrozenLake().step(10, 1, TOP)[0] == 14  # not slippery: u unread
+
+
+def test_cartpole_reset_spans_the_start_interval():
+    env = envs.CartPole()
+    assert (env.reset(np.zeros(4)) == -0.05).all()
+    top = env.reset(np.full(4, TOP))
+    assert ((0.05 - 1e-16 < top) & (top < 0.05)).all()
+    # Each component reads its own uniform.
+    assert env.reset(np.array([0.0, 0.5, TOP, 0.25])).tolist() == [-0.05, 0.0, top[2], -0.025]
+
+
 def test_frozenlake_shortest_path_is_six_moves():
     assert _bfs_shortest_path(envs.FrozenLake()) == 6
 
 
 def test_frozenlake_wall_clamp():
     lake = envs.FrozenLake()
-    start = lake.reset(np.random.default_rng(0))
+    start = lake.reset()
     pos, _, _ = lake.step(start, 0)  # step left from the corner
     assert pos == lake.start
     pos, _, _ = lake.step(pos, 3)  # step up from the corner
@@ -124,14 +154,13 @@ def test_frozenlake_wall_clamp():
 
 def test_frozenlake_rewards_and_termination():
     lake = envs.FrozenLake(rewards=envs.FrozenLakeRewards(-1.0, -50.0, 25.0))
-    rng = np.random.default_rng(0)
-    pos = lake.reset(rng)
+    pos = lake.reset()
     pos, r, terminal = lake.step(pos, 2)  # onto frozen cell
     assert (r, terminal) == (-1.0, False)
     _, r, terminal = lake.step(pos, 1)  # (1,1) is a hole
     assert (r, terminal) == (-50.0, True)
 
-    pos = lake.reset(rng)
+    pos = lake.reset()
     total = 0.0
     # Down, down, right, right, down, right reaches the goal in 6 moves.
     for action in (1, 1, 2, 2, 1, 2):
@@ -144,7 +173,7 @@ def test_frozenlake_rewards_and_termination():
 def test_frozenlake_counts_no_steps():
     # Truncation at the horizon is the runner's job (tests/test_train.py).
     lake = envs.FrozenLake(horizon=3)
-    pos = lake.reset(np.random.default_rng(0))
+    pos = lake.reset()
     flags = []
     for _ in range(5):
         pos, _, terminal = lake.step(pos, 3)
@@ -191,7 +220,7 @@ def test_cartpole_random_baseline():
     env = envs.CartPole("v0")
     totals = []
     for _ in range(1000):
-        state = env.reset(rng)
+        state = env.reset(rng.random(4))
         total, terminal = 0.0, False
         while not terminal and total < env.horizon:
             state, r, terminal = env.step(state, int(rng.integers(2)))
@@ -204,7 +233,7 @@ def test_cartpole_deterministic_given_seed():
     def rollout(seed):
         rng = np.random.default_rng(seed)
         env = envs.CartPole("v1")
-        s = env.reset(rng)
+        s = env.reset(rng.random(4))
         states = []
         for _ in range(50):
             s, _, terminal = env.step(s, int(rng.integers(2)))

@@ -7,7 +7,6 @@ import pytest
 from qpglab import ansatz, decode, policy, qsim
 from qpglab.ansatz import ModelConfig, ParamSet
 from oracles import (
-    episode_rngs,
     log_prob_grad,
     parity_via_ancilla,
     running_class_sums,
@@ -165,7 +164,7 @@ def test_single_measurement_sampling_matches_distribution():
     exact = state_action_probs(pol, features, params)
     trials = 20_000
     bound = ansatz.bind(config, params)
-    draws = policy.sample_action(pol, np.tile(features, (trials, 1)), bound, [rng] * trials)[0]
+    draws = policy.sample_action(pol, np.tile(features, (trials, 1)), bound, rng.random(trials))[0]
     freq = np.mean(draws == 1)
     sigma = np.sqrt(exact[1] * (1 - exact[1]) / trials)
     assert abs(freq - exact[1]) < 3.5 * sigma + 1e-4
@@ -175,14 +174,9 @@ def test_sample_action_deterministic_given_seed():
     config, params, features, _ = _instance(seed=5)
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
     bound = ansatz.bind(config, params)
-    first = [
-        policy.sample_action(pol, features[None, :], bound, [np.random.default_rng(11)])[0][0]
-        for _ in range(3)
-    ]
-    second = [
-        policy.sample_action(pol, features[None, :], bound, [np.random.default_rng(11)])[0][0]
-        for _ in range(3)
-    ]
+    u = np.random.default_rng(11).random(1)
+    first = [policy.sample_action(pol, features[None, :], bound, u)[0][0] for _ in range(3)]
+    second = [policy.sample_action(pol, features[None, :], bound, u)[0][0] for _ in range(3)]
     assert first == second
 
 
@@ -556,14 +550,13 @@ def test_born_sampling_is_one_measurement_in_every_eval_mode():
     config, params, _, rng = _instance(n=4, d=2, seed=15)
     feats = rng.uniform(-1, 1, (40, 4))
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(4, 4))
-    seeded = np.random.default_rng(21)
+    uniforms = np.random.default_rng(21).random(len(feats))
     bound = ansatz.bind(config, params)
-    draws = policy.sample_action(pol, feats, bound, [seeded] * len(feats))[0].tolist()
-    # The same generator measures one bitstring per row, which is decoded.
-    measured = np.random.default_rng(21)
+    draws = policy.sample_action(pol, feats, bound, uniforms)[0].tolist()
+    # Each row's uniform measures one bitstring, which is decoded.
     born = qsim.probabilities(ansatz.run_bound(ansatz.bind(config, params), feats))
     table = pol.postfn.table
-    assert draws == [int(table[sample_index(p, measured)]) for p in born]
+    assert draws == [int(table[sample_index(p, u)]) for p, u in zip(born, uniforms)]
     assert len(set(draws)) > 1
 
 
@@ -575,9 +568,9 @@ def test_sample_action_rows_match_one_row_draws(kind):
     else:
         pol = policy.SoftmaxObservablePolicy(config, np.array([2.0, -1.5, 0.5, 3.0]), beta=2.0)
     feats = rng.uniform(-np.pi, np.pi, (25, 3))
-    rngs = [np.random.default_rng(seed) for seed in range(25)]
+    uniforms = np.random.default_rng(26).random(25)
     bound = ansatz.bind(config, params)
-    batched, amps, reduced = policy.sample_action(pol, feats, bound, rngs)
+    batched, amps, reduced = policy.sample_action(pol, feats, bound, uniforms)
     assert amps.tobytes() == ansatz.run_bound(bound, feats).tobytes()
     # The softmax reduction comes back for the gradient; a Born draw has none.
     if kind == "born":
@@ -586,18 +579,17 @@ def test_sample_action_rows_match_one_row_draws(kind):
         for got, want in zip(reduced, policy._reduce(pol, amps)):
             assert got.tobytes() == want.tobytes()
     expected = []
-    for seed, f in enumerate(feats):
+    for u, f in zip(uniforms, feats):
         final = ansatz.run_bound(bound, f[None, :])
-        alone = np.random.default_rng(seed)
         if kind == "born":
             born = qsim.probabilities(final)[0]
-            expected.append(int(pol.postfn.table[sample_index(born, alone)]))
+            expected.append(int(pol.postfn.table[sample_index(born, u)]))
         else:
-            expected.append(sample_index(policy._reduce(pol, final)[1][0], alone))
+            expected.append(sample_index(policy._reduce(pol, final)[1][0], u))
     assert batched.tolist() == expected
     assert len(set(expected)) > 1
-    with pytest.raises(ValueError, match="one generator per row"):
-        policy.sample_action(pol, feats, bound, [rng] * 24)
+    with pytest.raises(ValueError, match="need one draw per row: 24 for 25 rows"):
+        policy.sample_action(pol, feats, bound, uniforms[:24])
 
 
 def test_sample_action_refuses_parameters_bound_to_another_model():
@@ -605,7 +597,7 @@ def test_sample_action_refuses_parameters_bound_to_another_model():
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 2))
     other = ModelConfig(3, 2, "cx")
     with pytest.raises(ValueError, match="parameters bound to"):
-        policy.sample_action(pol, features[None, :], ansatz.bind(other, params), [rng])
+        policy.sample_action(pol, features[None, :], ansatz.bind(other, params), rng.random(1))
 
 
 def test_trajectory_log_grads_refuse_parameters_bound_to_another_model():
@@ -625,7 +617,7 @@ def test_trajectory_log_grads_refuse_parameters_bound_to_another_model():
         with pytest.raises(ValueError, match=re.escape(message)):
             policy.trajectory_log_grads(pol, feats, np.array([1]), bound, amps)
         with pytest.raises(ValueError, match=re.escape(message)):
-            policy.sample_action(pol, feats, bound, [rng])
+            policy.sample_action(pol, feats, bound, rng.random(1))
 
 
 def test_born_sample_action_draws_from_born_probabilities_without_reduce(monkeypatch):
@@ -634,13 +626,14 @@ def test_born_sample_action_draws_from_born_probabilities_without_reduce(monkeyp
     pol = policy.MeasurementPolicy(config, decode.RecursiveParity(3, 4))
     feats = rng.uniform(-np.pi, np.pi, (6, 3))
     bound = ansatz.bind(config, params)
-    expected = policy.sample_action(pol, feats, bound, episode_rngs(1, 6))[0]
+    uniforms = rng.random(6)
+    expected = policy.sample_action(pol, feats, bound, uniforms)[0]
 
     def refuse(*args):
         raise AssertionError("a Born sample_action called _reduce")
 
     monkeypatch.setattr(policy, "_reduce", refuse)
-    drawn, _, reduced = policy.sample_action(pol, feats, bound, episode_rngs(1, 6))
+    drawn, _, reduced = policy.sample_action(pol, feats, bound, uniforms)
     assert drawn.tolist() == expected.tolist()
     assert reduced is None
 
@@ -649,14 +642,6 @@ def test_row_sampling_matches_searchsorted_at_cdf_edges():
     # Draws that land exactly on a CDF value, rows with zero entries and
     # a row whose CDF ends below 1 (the last index is the fallback).
     probs = np.array([[0.25, 0.25, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0], [0.1, 0.2, 0.3, 0.3]])
-
-    class Fixed:
-        def __init__(self, value):
-            self.value = value
-
-        def random(self):
-            return self.value
-
     for u in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.999999):
         got = policy._sample_rows(probs, np.full(3, u)).tolist()
-        assert got == [sample_index(p, Fixed(u)) for p in probs]
+        assert got == [sample_index(p, u) for p in probs]

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,9 +7,10 @@ import pytest
 from qpglab import analysis, ansatz, decode, envs, policy, train
 from oracles import (
     collect_alone,
-    episode_rngs,
+    draw,
+    draw_key,
     exact_policy_gradient,
-    init_rng,
+    splitmix64,
     train_run as train_alone,
 )
 
@@ -122,7 +122,7 @@ def test_softmax_update_reduces_each_rollout_step_once(monkeypatch):
         policy, "_reduce", lambda pol, amps: reduced_rows.append(len(amps)) or reduce(pol, amps)
     )
     bound = ansatz.bind(pol.model, params)
-    batch = train.collect_episodes(env, encoder, pol, bound, episode_rngs(2, 7))
+    batch = train.collect_episodes(env, encoder, pol, bound, train.run_key(2), range(7))
     lengths = [len(rewards) for rewards in batch.rewards]
     assert reduced_rows == [sum(n > t for n in lengths) for t in range(max(lengths))]
     reduced_rows.clear()
@@ -170,7 +170,7 @@ def test_mean_reinforce_gradient_is_the_exact_gradient_on_a_bandit(kind):
     """At gamma = 1 a bandit's REINFORCE estimate is unbiased for the exact gradient.
 
     K = 300 batches of 50 episodes (0.3 s per policy, a few percent of
-    the tier-1 suite), from the episode streams of seed 0, and the
+    the tier-1 suite), from the draws of seed 0, and the
     parameters of :func:`_exact_gradient_bandit`; both were fixed before
     the first run.  Each live coordinate's z-score, the mean's distance
     from the exact gradient over its standard error, is near standard
@@ -181,16 +181,16 @@ def test_mean_reinforce_gradient_is_the_exact_gradient_on_a_bandit(kind):
     env, encoder, pol, params = _exact_gradient_bandit(kind)
     bound = ansatz.bind(pol.model, params)
     batches, size = 300, 50
-    _, streams = train.run_streams(0, batches * size)
+    key = train.run_key(0)
     estimates = np.array(
         [
             train.reinforce_gradient(
-                train.collect_episodes(env, encoder, pol, bound, list(islice(streams, size))),
+                train.collect_episodes(env, encoder, pol, bound, key, range(start, start + size)),
                 pol,
                 bound,
                 1.0,
             )
-            for _ in range(batches)
+            for start in range(0, batches * size, size)
         ]
     )
     exact = exact_policy_gradient(env, encoder, pol, params)
@@ -269,7 +269,7 @@ def _per_trajectory_sum(batch, pol, bound, gamma):
 def test_batched_reinforce_gradient_equals_per_trajectory_sum(task):
     env, encoder, pol = _cartpole() if task == "cartpole_born" else _bandit("softmax")
     bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(9)))
-    batch = train.collect_episodes(env, encoder, pol, bound, episode_rngs(9, 4))
+    batch = train.collect_episodes(env, encoder, pol, bound, train.run_key(9), range(4))
     batched = train.reinforce_gradient(batch, pol, bound, 0.99)
     oracle = _per_trajectory_sum(batch, pol, bound, 0.99)
     assert np.abs(batched - oracle).max() < 1e-12
@@ -278,7 +278,7 @@ def test_batched_reinforce_gradient_equals_per_trajectory_sum(task):
 def test_reinforce_gradient_makes_one_gradient_call(monkeypatch):
     env, encoder, pol = _cartpole()
     bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(2)))
-    batch = train.collect_episodes(env, encoder, pol, bound, episode_rngs(2, 3))
+    batch = train.collect_episodes(env, encoder, pol, bound, train.run_key(2), range(3))
     calls = []
     grads = policy.trajectory_log_grads
     monkeypatch.setattr(
@@ -300,7 +300,7 @@ def test_collect_episodes_encodes_once_per_time_step(task):
             live_counts.append(len(states))
             return encoder.encode(states)
 
-    batch = train.collect_episodes(env, CountingEncoder(), pol, bound, episode_rngs(3, 6))
+    batch = train.collect_episodes(env, CountingEncoder(), pol, bound, train.run_key(3), range(6))
     lengths = [len(rewards) for rewards in batch.rewards]
     assert len(live_counts) == max(lengths)
     assert live_counts == [sum(length > t for length in lengths) for t in range(max(lengths))]
@@ -311,8 +311,8 @@ def test_collect_episodes_refuses_an_empty_generator_list():
     # before any encode, circuit call or step.
     env, encoder, pol = _cartpole()
     bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(7)))
-    with pytest.raises(ValueError, match="need at least one episode generator"):
-        train.collect_episodes(env, None, pol, bound, [])
+    with pytest.raises(ValueError, match="need at least one episode"):
+        train.collect_episodes(env, None, pol, bound, train.run_key(0), [])
 
 
 def test_trailing_partial_batch_is_logged_but_not_used(monkeypatch):
@@ -352,8 +352,8 @@ def test_lockstep_episodes_equal_one_at_a_time(task, size):
     env, encoder, pol = TASKS[task]()
     params = ansatz.init_params(pol.model, np.random.default_rng(size))
     bound = ansatz.bind(pol.model, params)
-    lockstep = train.collect_episodes(env, encoder, pol, bound, episode_rngs(5, size))
-    alone = collect_alone(env, encoder, pol, params, episode_rngs(5, size))
+    lockstep = train.collect_episodes(env, encoder, pol, bound, train.run_key(5), range(size))
+    alone = collect_alone(env, encoder, pol, params, draw_key(5), range(size))
     _same_trajectories(lockstep, alone)
     states = ansatz.run_bound(bound, lockstep.features)
     _same_arrays(lockstep.amps, states)
@@ -366,24 +366,24 @@ def test_lockstep_episodes_equal_one_at_a_time(task, size):
 @pytest.mark.parametrize("task", ["cartpole_born", "slippery_lake_born", "bandit_softmax"])
 def test_train_run_batches_equal_one_at_a_time(monkeypatch, task, size, episodes):
     env, encoder, pol = TASKS[task]()
+    # Each batch gets the run's key and its own run of episode indices.
     lockstep = train.collect_episodes
-    sizes = []
+    handed = []
 
-    def checked(env, encoder, pol, bound, rngs):
-        copies = [np.random.default_rng() for _ in rngs]
-        for copy, rng in zip(copies, rngs):
-            copy.bit_generator.state = rng.bit_generator.state
-        batch = lockstep(env, encoder, pol, bound, rngs)
+    def checked(env, encoder, pol, bound, key, indices):
+        batch = lockstep(env, encoder, pol, bound, key, indices)
         params = ansatz.ParamSet(bound.theta.ravel(), bound.lam.ravel())
-        _same_trajectories(batch, collect_alone(env, encoder, pol, params, copies))
-        sizes.append(len(rngs))
+        handed.append(indices.tolist())
+        assert int(key[0]) == draw_key(11)
+        alone = collect_alone(env, encoder, pol, params, draw_key(11), handed[-1])
+        _same_trajectories(batch, alone)
         return batch
 
     monkeypatch.setattr(train, "collect_episodes", checked)
     hyper = train.Hyperparams(batch_size=size, episodes=episodes)
     result = train.train_run(env, encoder, pol, hyper, seed=11)
-    tail = episodes % size
-    assert sizes == [size] * (episodes // size) + ([tail] if tail else [])
+    starts = range(0, episodes, size)
+    assert handed == [list(range(s, min(s + size, episodes))) for s in starts]
     assert [rec.episode for rec in result.records] == list(range(episodes))
 
 
@@ -397,9 +397,9 @@ def test_each_batch_binds_its_parameters_once(monkeypatch, task):
     bound, collected, differentiated = [], [], []
     monkeypatch.setattr(ansatz, "bind", lambda *args: bound.append(bind(*args)) or bound[-1])
 
-    def collected_with(env, encoder, pol, bound, rngs):
+    def collected_with(env, encoder, pol, bound, key, episodes):
         collected.append(bound)
-        return collect(env, encoder, pol, bound, rngs)
+        return collect(env, encoder, pol, bound, key, episodes)
 
     def differentiated_with(batch, pol, bound, gamma):
         differentiated.append(bound)
@@ -413,72 +413,109 @@ def test_each_batch_binds_its_parameters_once(monkeypatch, task):
     assert all(got is want for got, want in zip(differentiated, bound[:2], strict=True))
 
 
-def _states(rngs) -> list:
-    return [rng.bit_generator.state for rng in rngs]
+# Seeds of one and of several 32-bit words; 2**130 + 1 has more words
+# than SeedSequence's pool.
+KEY_SEEDS = [0, 11, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 1]
+# The first and last episode indices and steps a counter holds.
+EDGE_EPISODES = [0, 1, 2**32 - 2, 2**32 - 1]
+EDGE_STEPS = [0, 1, 63, 64, 2**30 - 2, 2**30 - 1]
+KINDS = (train.RESET, train.ACTION, train.TRANSITION)
 
 
-def test_run_streams_are_separate_children_of_the_seed():
-    # Child 0 of SeedSequence(seed) seeds the initial parameters, and
-    # child e of child 1 seeds episode e.
-    init, episodes = train.run_streams(4, 3)
-    first, second = np.random.SeedSequence(4).spawn(2)
-    assert init.bit_generator.state == np.random.default_rng(first).bit_generator.state
-    assert _states(episodes) == _states(np.random.default_rng(c) for c in second.spawn(3))
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_draws_equal_the_scalar_splitmix64_bit_for_bit(seed):
+    # One array call against one Python-int hash per entry, at the edges
+    # of the layout and at every kind.
+    key = train.run_key(seed)
+    assert key.dtype == np.uint64 and key.shape == (1,)
+    assert int(key[0]) == draw_key(seed)
+    episodes = np.array(EDGE_EPISODES, dtype=np.uint64)
+    steps = np.array(EDGE_STEPS, dtype=np.uint64)
+    got = train.uniforms(key, episodes, steps)
+    expected = [
+        [[draw(int(key[0]), e, t, kind) for kind in KINDS] for t in EDGE_STEPS]
+        for e in EDGE_EPISODES
+    ]
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(expected).tobytes()
 
 
-# Multi-word entropy from 2**32 on; 2**130 + 1 has more words than the pool.
-STREAM_SEEDS = [0, 11, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 1]
+def test_draws_are_splitmix64_outputs_in_order():
+    # SplitMix64 seeded with 0 starts 0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4,
+    # 0x06c45d188009454f (Vigna's reference code); under key 0, counters
+    # 0, 1, 2 are (episode 0, step 0) of the three kinds.
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert [splitmix64(0, index) for index in range(3)] == published
+    zero = np.zeros(1, dtype=np.uint64)
+    got = train.uniforms(zero, zero, zero)[0, 0]
+    assert got.tolist() == [(word >> 11) * 2.0**-53 for word in published]
+    assert KINDS == (0, 1, 2)
+    # Episode e, step t and kind k is counter (e * 2**30 + t) * 4 + k.
+    assert draw(5, 3, 7, train.ACTION) == (splitmix64(5, (3 * 2**30 + 7) * 4 + 1) >> 11) * 2.0**-53
 
 
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_run_streams_states_equal_numpy_spawn(seed):
-    # Two whole chunks of vectorised seed words and a ragged tail.
-    count = 2 * train._STREAM_CHUNK + 5
-    init, episodes = train.run_streams(seed, count)
-    assert init.bit_generator.state == init_rng(seed).bit_generator.state
-    got = list(episodes)
-    assert len(got) == count
-    assert _states(got) == _states(episode_rngs(seed, count))
-    # Each is a working generator: its draws are numpy's.
-    assert got[-1].random(3).tolist() == episode_rngs(seed, count)[-1].random(3).tolist()
-
-
-@pytest.mark.parametrize("seed", [7, 2**64 + 7])
-def test_train_run_hands_each_batch_the_numpy_spawn_states(monkeypatch, seed):
-    env, encoder, pol = _bandit("softmax")
-    handed = []
-    collect = train.collect_episodes
-
-    def recorded(env, encoder, pol, bound, rngs):
-        handed.append(_states(rngs))
-        return collect(env, encoder, pol, bound, rngs)
-
-    monkeypatch.setattr(train, "collect_episodes", recorded)
-    hyper = train.Hyperparams(batch_size=4, episodes=10)
-    train.train_run(env, encoder, pol, hyper, seed)
-    expected = _states(episode_rngs(seed, 10))
-    assert handed == [expected[0:4], expected[4:8], expected[8:10]]
-
-
-def test_run_streams_refuses_episode_indices_past_one_word():
-    with pytest.raises(ValueError, match="at most 2\\*\\*32 episodes"):
-        train.run_streams(0, 2**32 + 1)
+def test_draw_layout_is_injective_at_its_edges_and_refuses_more():
+    # Distinct (episode, step, kind) take distinct counters below 2**64;
+    # SplitMix64 is a bijection of its counter, so their draws differ too.
+    triples = [(e, t, k) for e in EDGE_EPISODES for t in EDGE_STEPS for k in KINDS]
+    counters = {(e * 2**30 + t) * 4 + k for e, t, k in triples}
+    assert len(counters) == len(triples) and max(counters) == 2**64 - 2
+    key = train.run_key(0)
+    episodes = np.array(EDGE_EPISODES, dtype=np.uint64)
+    steps = np.array(EDGE_STEPS, dtype=np.uint64)
+    values = train.uniforms(key, episodes, steps).ravel()
+    assert len(set(values.tolist())) == len(triples)
     env, encoder, pol = _bandit("softmax")
     with pytest.raises(ValueError, match="at most 2\\*\\*32 episodes"):
         train.train_run(env, encoder, pol, train.Hyperparams(episodes=2**32 + 1), 0)
-    # 2**32 episodes are allowed; the streams are built as they are drawn.
-    for seed in (3, 2**64 + 7):
-        _, episodes = train.run_streams(seed, 2**32)
-        child = np.random.SeedSequence(seed, spawn_key=(1, 0))
-        assert _states([next(episodes)]) == _states([np.random.default_rng(child)])
-        # The last index is one word: numpy's child 2**32 - 1.
-        stream = np.random.SeedSequence(seed, spawn_key=(1,))
-        last = train._seed_words(stream, np.array([2**32 - 1], dtype=np.uint32))
-        got = np.random.Generator(np.random.PCG64(train._seed_words_type()(last[0])))
-        child = np.random.SeedSequence(seed, spawn_key=(1, 2**32 - 1))
-        assert _states([got]) == _states([np.random.default_rng(child)])
-        with pytest.raises(ValueError, match="4 uint64 words"):
-            train._seed_words_type()(last[0]).generate_state(8)
+    lake = envs.FrozenLake(horizon=2**30 + 1)
+    with pytest.raises(ValueError, match="a horizon has at most 2\\*\\*30 steps, got 1073741825"):
+        train.train_run(lake, envs.BinaryEncoder(4), _slippery_lake()[2], train.Hyperparams(), 0)
+    # A lone batch is refused too, before any draw or step.
+    bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="episode indices lie below 2\\*\\*32, got 4294967296"):
+        train.collect_episodes(env, encoder, pol, bound, train.run_key(0), [0, 2**32])
+
+
+def test_draws_are_uniform_and_uncorrelated():
+    """2**20 draws of the action kind: episodes and steps 0-1023 under
+    the key of seed 0, both fixed before the first run.
+
+    Chi-square over 64 equal bins, 63 degrees of freedom: the bound
+    131.4 is its 1 - 1e-6 quantile (scipy.stats.chi2.isf(1e-6, 63)).
+    Lag-1 correlations, each over about 2**20 pairs, have a standard
+    error of 2**-10 under independence; |r| < 5 * 2**-10 is a two-sided
+    false-alarm rate below 1e-6.  Adjacent episodes are counters 2**32
+    apart, adjacent steps 4 apart and the action and transition kinds of
+    one step 1 apart.
+    """
+    key = train.run_key(0)
+    index = np.arange(1024, dtype=np.uint64)
+    # Blocks of 128 episodes keep the hash's temporaries small.
+    draws = [train.uniforms(key, index[i : i + 128], index) for i in range(0, 1024, 128)]
+    u = np.concatenate([block[..., train.ACTION] for block in draws])
+    moves = np.concatenate([block[..., train.TRANSITION] for block in draws])
+    counts = np.bincount((u * 64).astype(np.int64).ravel(), minlength=64)
+    expected = u.size / 64
+    assert ((counts - expected) ** 2 / expected).sum() < 131.4
+    pairs = [(u[:-1], u[1:]), (u[:, :-1], u[:, 1:]), (u, moves)]
+    for x, y in pairs:
+        assert abs(np.corrcoef(x.ravel(), y.ravel())[0, 1]) < 5 * 2**-10
+
+
+def test_lockstep_draws_cross_step_blocks():
+    # On an open 5x5 slippery lake, episodes run past the 64-step blocks
+    # of hashed draws, and end at different steps.
+    grid = ["SFFFF", "FFFFF", "FFFFF", "FFFFF", "FFFFG"]
+    lake = envs.FrozenLake(grid, horizon=150, slippery=True)
+    pol = policy.MeasurementPolicy(ansatz.ModelConfig(5, 1), decode.RecursiveParity(5, 4))
+    params = ansatz.init_params(pol.model, np.random.default_rng(12))
+    bound = ansatz.bind(pol.model, params)
+    encoder = envs.BinaryEncoder(5)
+    lockstep = train.collect_episodes(lake, encoder, pol, bound, train.run_key(12), range(6))
+    _same_trajectories(lockstep, collect_alone(lake, encoder, pol, params, draw_key(12), range(6)))
+    lengths = [len(rewards) for rewards in lockstep.rewards]
+    assert max(lengths) > 2 * train._DRAW_BLOCK and len(set(lengths)) > 1
 
 
 def test_first_batch_does_not_depend_on_batch_size():
@@ -494,7 +531,7 @@ def test_first_batch_does_not_depend_on_batch_size():
 def _fixed_actions(monkeypatch, choose):
     """Replace the policy's draws by ``choose(feature_row)``."""
 
-    def sample_action(pol, feats, bound, rngs):
+    def sample_action(pol, feats, bound, draws):
         actions = np.array([choose(row) for row in feats], dtype=np.int64)
         return actions, ansatz.run_bound(bound, feats), None
 
@@ -506,7 +543,7 @@ def test_runner_truncates_frozenlake_at_the_horizon(monkeypatch):
     _, encoder, pol = _slippery_lake()
     lake = envs.FrozenLake(horizon=3)
     bound = ansatz.bind(pol.model, ansatz.init_params(pol.model, np.random.default_rng(0)))
-    batch = train.collect_episodes(lake, encoder, pol, bound, episode_rngs(0, 2))
+    batch = train.collect_episodes(lake, encoder, pol, bound, train.run_key(0), range(2))
     assert batch.rewards == [[-1.0, -1.0, -1.0]] * 2
     assert batch.actions.tolist() == [3] * 6
 
@@ -519,11 +556,13 @@ def test_runner_truncates_cartpole_at_the_horizon(monkeypatch):
     for version, horizon in (("v0", 200), ("v1", 500)):
         _fixed_actions(monkeypatch, lambda row: int(row[2] + 0.5 * row[3] > 0))
         batch = train.collect_episodes(
-            envs.CartPole(version), encoder, pol, bound, episode_rngs(1, 3)
+            envs.CartPole(version), encoder, pol, bound, train.run_key(1), range(3)
         )
         assert [math.fsum(rewards) for rewards in batch.rewards] == [float(horizon)] * 3
     _fixed_actions(monkeypatch, lambda row: 1)
-    batch = train.collect_episodes(envs.CartPole(), encoder, pol, bound, episode_rngs(1, 3))
+    batch = train.collect_episodes(
+        envs.CartPole(), encoder, pol, bound, train.run_key(1), range(3)
+    )
     assert all(len(rewards) < 200 for rewards in batch.rewards)
 
 
