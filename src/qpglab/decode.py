@@ -27,8 +27,10 @@ from itertools import combinations
 import numpy as np
 
 # Largest qubit count for explicit classes, extracted information and
-# histograms: the subcube pass holds 3**n entries per table.
+# histograms: a kernel pass holds 3**n entries per table, strings outer.
 QUBIT_LIMIT = 16
+# Entries that a kernel step runs over at least, where n allows: a 64-byte line of int8.
+_RUN_ENTRIES = 64
 
 
 def _check_qubits(n: int, what: str) -> None:
@@ -116,10 +118,9 @@ def decode(fn: PostProcessing, bits: str) -> int:
 def _star_counts(n: int) -> np.ndarray:
     """Free positions of every subcube of {0,1,*}**n, as read-only int8.
 
-    Entry i is the number of digits 2 (the * symbol) in the radix-3
-    index i, the subcube layout of :func:`_extracted_information`.  It
-    depends on n alone, so it is built once per qubit count: 3**n bytes,
-    about 43 MB at ``QUBIT_LIMIT``.
+    Entry i counts the digits 2 (the * symbol) of the radix-3 index i.
+    It depends on n alone, so it is built once per qubit count: 3**n
+    bytes, about 43 MB at ``QUBIT_LIMIT``.
     """
     stars = np.zeros(1, dtype=np.int8)
     for _ in range(n):
@@ -131,49 +132,50 @@ def _star_counts(n: int) -> np.ndarray:
 def _extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
     """Extracted information of every string, for a batch of action tables.
 
-    ``tables`` has shape (B, 2**n); so has the result.  EI(b) is the
-    certificate complexity of the decoding at b: n minus the most free
-    positions of a subcube that contains b and on which the action is
-    constant.  One pass builds the action of every subcube of
-    {0,1,*}**n (-1 where it is not constant), a second takes the best
-    star count over the subcubes around each string.  The star counts
-    depend on n alone and come from :func:`_star_counts`, built once per
-    n, so all the work of a call is work on its tables.
+    ``tables`` is (B, 2**n); the result is (2**n, B) in the pass's narrow
+    signed type.  EI(b), the certificate complexity at b, is n minus the
+    most free positions of a subcube around b with one action.  One pass
+    builds the action of every subcube of {0,1,*}**n (-1 where not
+    constant), a second the best star count around each string.
 
-    Both passes hold the tables innermost, as (subcubes, B), so every
-    numpy operation runs over long contiguous stretches.  The subcube
-    pass expands the lowest bit first: after k steps the array is
-    (2**(n-k), 3**k * B), unexpanded bits outermost, and the next step
-    splits bit k off as (-1, 2, 3**k * B) and writes its (0, 1, *)
-    block into a fresh (-1, 3, 3**k * B) array.  The contiguous run
-    3**k * B grows with the array, so the largest steps have the
-    longest runs.  The result is the radix-3 index with bit n-1 most
-    significant, the layout that the second pass reduces from the top.
+    Both passes hold strings outer and tables inner, and the first half
+    of each carries the m lowest bits inside its runs, m the fewest with
+    2**m * B >= ``_RUN_ENTRIES`` (at most n; 0 for large B), so a step
+    runs over at least 2**m * B contiguous entries.  The subcube pass
+    expands bits m..n-1, transposes, and expands bits 0..m-1, each step
+    writing one bit's (0, 1, *) block into a fresh array.  Its radix-3
+    index has bits m-1..0 most significant, then n-1..m; star counts
+    ignore digit order.  The second pass frees m-1..0, transposes back
+    and frees n-1..m, leaving the strings in index order.
     """
     batch = len(tables)
+    low = min(n, ((_RUN_ENTRIES - 1) // batch).bit_length())
+    high = 3 ** (n - low)
     # The narrowest signed type that holds every action and the -1 mark.
-    dtype = np.min_scalar_type(-int(tables.max()) - 1)
-    value = tables.T.astype(dtype, order="C")
-    for k in range(n):
-        pairs = value.reshape(-1, 2, 3**k * batch)
-        value = np.empty((len(pairs), 3, pairs.shape[2]), dtype=dtype)
-        value[:, :2] = pairs
-        # The * entry, built in place: -(v0 != v1) is 0 where the halves
-        # agree and -1 (all bits set) where not, so OR-ing v0 into it
-        # gives v0 or -1.
-        star, v0 = value[:, 2], pairs[:, 0]
-        np.not_equal(v0, pairs[:, 1], out=star, casting="unsafe")
-        np.negative(star, out=star)
-        star |= v0
+    value = tables.T.astype(np.min_scalar_type(-int(tables.max()) - 1), order="C")
+    # Each half of a pass starts with its transpose; the first half's is a view.
+    for rows, bits, run in ((1, n - low, batch << low), (high, low, high * batch)):
+        value = np.ascontiguousarray(value.reshape(rows, -1, batch).swapaxes(0, 1))
+        for k in range(bits):
+            pairs = value.reshape(-1, 2, 3**k * run)
+            value = np.empty((len(pairs), 3, pairs.shape[2]), dtype=value.dtype)
+            value[:, :2] = pairs
+            # The * entry in place: -(v0 != v1) | v0 is v0 or -1 (all bits).
+            star, v0 = value[:, 2], pairs[:, 0]
+            np.not_equal(v0, pairs[:, 1], out=star, casting="unsafe")
+            np.negative(star, out=star)
+            star |= v0
     # The sign bit spread over the word: 0 where constant, -1 where not;
     # OR-ing the star count into it scores the constant subcubes.
     score = np.right_shift(value, 8 * value.itemsize - 1, out=value).reshape(-1, batch)
     score |= _star_counts(n)[:, None]
-    for axis in range(n):
-        # Each string may free this position or keep it.
-        score = score.reshape(2**axis, 3, -1)
-        score = np.maximum(score[:, :2], score[:, 2:])
-    return n - score.reshape(-1, batch).T.astype(np.int64)
+    for rows, trits in ((1, low), (1 << low, n - low)):
+        score = np.ascontiguousarray(score.reshape(rows, -1, batch).swapaxes(0, 1))
+        for axis in range(trits):
+            # Each string may free this position or keep it.
+            score = score.reshape(2**axis, 3, -1)
+            score = np.maximum(score[:, :2], score[:, 2:])
+    return np.subtract(n, score, out=score).reshape(-1, batch)
 
 
 def decode_bits_to_index(n_qubits: int, bits: str) -> int:
@@ -200,19 +202,18 @@ def globality(fn: PostProcessing) -> GlobalityReport:
     """
     n = fn.n_qubits
     _check_qubits(n, "globality")
-    table = fn.table
-    ei = _extracted_information(table[None, :], n)[0]
-    value = Fraction(int(ei.sum()), 1 << n)
-    sizes = np.bincount(table, minlength=fn.num_actions)
-    balanced = bool((sizes == (1 << n) // fn.num_actions).all())
-    if value > n:
+    ei = _extracted_information(fn.table[None, :], n)[:, 0]
+    total = int(ei.sum())
+    value = Fraction(total, 1 << n)
+    if total > n << n:
         raise RuntimeError(f"globality {value} exceeds the qubit count {n}")
-    if balanced and 2.0 ** float(value) < fn.num_actions - 1e-9:
-        # G >= log2(M) holds for balanced partitionings; checked as 2**G >= M.
-        raise RuntimeError(
-            f"globality {value} fell below log2({fn.num_actions}) "
-            "on a balanced partitioning"
-        )
+    # G >= log2(M) holds when classes are equal; their sizes are read only if 2**G < M.
+    if 2.0 ** (total / (1 << n)) < fn.num_actions - 1e-9:
+        sizes = np.bincount(fn.table, minlength=fn.num_actions)
+        if (sizes == (1 << n) // fn.num_actions).all():
+            raise RuntimeError(
+                f"globality {value} fell below log2({fn.num_actions}) on a balanced partitioning"
+            )
     return GlobalityReport(ei, value)
 
 
@@ -268,7 +269,7 @@ def _balanced_tables(big_n: int, num_actions: int, rows: int):
 
 
 EXHAUSTIVE_LIMIT = 10**7
-# Histograms score their tables in batches of about this many subcubes.
+# Subcubes per histogram chunk: one kernel call, 3**n entries per table.
 _CHUNK_ENTRIES = 1 << 22
 
 
@@ -343,9 +344,8 @@ def globality_histogram(
     sums: dict = {}
     total = 0
     for tables in chunks:
-        values, freq = np.unique(
-            _extracted_information(tables, n_qubits).sum(axis=1), return_counts=True
-        )
+        ei_sums = _extracted_information(tables, n_qubits).sum(axis=0, dtype=np.int64)
+        values, freq = np.unique(ei_sums, return_counts=True)
         for ei_sum, count in zip(values.tolist(), freq.tolist()):
             sums[ei_sum] = sums.get(ei_sum, 0) + count
         total += len(tables)

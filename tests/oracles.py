@@ -861,7 +861,8 @@ def subcube_extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
     The same two passes over the subcubes of {0,1,*}**n, on a (B, 2**n)
     layout: each step splits the most significant unexpanded bit and
     concatenates its * block, so the contiguous runs are 2**(n-axis-1)
-    entries and shortest in the largest steps.
+    entries and shortest in the largest steps.  The result is (B, 2**n)
+    int64, the transpose of the kernel's.
     """
     batch = len(tables)
     value = tables.astype(np.min_scalar_type(-int(tables.max()) - 1))
@@ -884,7 +885,7 @@ def subcube_extracted_information(tables: np.ndarray, n: int) -> np.ndarray:
 def extracted_information(fn, b: int) -> int:
     """Extracted information of the outcome with basis index ``b``."""
     ei = decode._extracted_information(fn.table[None, :], fn.n_qubits)
-    return int(ei[0, b])
+    return int(ei[b, 0])
 
 
 def save_table(path, fn) -> None:

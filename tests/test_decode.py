@@ -384,8 +384,30 @@ def test_globality_ei_matches_brute_force(data):
     assert (decode.globality(fn).ei == _brute_force_ei(fn.table, n)).all()
 
 
-# The globality benchmark's decodings (n = 10, 11) and RecursiveParity at n = 12,
-# the largest size of the end-to-end globality runs.
+@pytest.mark.parametrize(
+    "table, num_actions, ei, message",
+    [
+        (decode.RecursiveParity(2, 4).table, 4, 3, "globality 3 exceeds the qubit count 2"),
+        (decode.RecursiveParity(2, 4).table, 4, 0, r"globality 0 fell below log2\(4\)"),
+        ([0, 0, 0, 1], 4, 0, None),
+    ],
+    ids=["above-n", "balanced-below-log2m", "unbalanced-below-log2m"],
+)
+def test_globality_bounds_fail_loudly_on_wrong_ei(monkeypatch, table, num_actions, ei, message):
+    fn = decode.PostProcessing(2, num_actions, table)
+    monkeypatch.setattr(
+        decode, "_extracted_information", lambda tables, n: np.full((1 << n, 1), ei, np.int8)
+    )
+    if message is None:
+        assert decode.globality(fn).value == ei
+    else:
+        with pytest.raises(RuntimeError, match=message):
+            decode.globality(fn)
+
+
+# The globality benchmark's decodings (n = 10, 11), RecursiveParity at n = 12,
+# the largest size of the end-to-end globality runs, and random unbalanced
+# tables at n = 9-11, the last with 200 actions (an int16 pass).
 _LARGE_DECODINGS = [
     decode.RecursiveParity(10, 2),
     decode.RecursiveParity(10, 8),
@@ -393,6 +415,9 @@ _LARGE_DECODINGS = [
     decode.MostSignificantBit(11),
     decode.PrefixParity(11, 2),
     decode.RecursiveParity(12, 2),
+] + [
+    decode.PostProcessing(n, m, np.random.default_rng(n).integers(0, m, 1 << n))
+    for n, m in ((9, 3), (10, 5), (11, 200))
 ]
 
 
@@ -402,15 +427,23 @@ _LARGE_DECODINGS = [
 def test_ei_kernel_matches_the_subcube_oracle_on_large_decodings(fn):
     table = fn.table[None, :]
     ei = decode._extracted_information(table, fn.n_qubits)
-    assert ei.dtype == np.int64
-    assert np.array_equal(ei, subcube_extracted_information(table, fn.n_qubits))
+    assert ei.shape == (1 << fn.n_qubits, 1)
+    assert np.array_equal(ei.T, subcube_extracted_information(table, fn.n_qubits))
 
 
-def _check_batch_against_oracle(tables, n):
-    ei = decode._extracted_information(tables, n)
-    assert np.array_equal(ei, subcube_extracted_information(tables, n))
-    for table, row in zip(tables, ei):
-        assert np.array_equal(decode._extracted_information(table[None, :], n)[0], row)
+# Batch sizes on both sides of the kernel's split: at B = 1 and 2 the first
+# half of each pass carries low bits in its runs (m > 0); m reaches 0 at
+# B = _RUN_ENTRIES.
+_BATCHES = (1, 2, decode._RUN_ENTRIES, decode._RUN_ENTRIES + 1)
+
+
+def _check_batches_against_oracle(tables, n):
+    for batch in _BATCHES:
+        ei = decode._extracted_information(tables[:batch], n)
+        assert ei.shape == (1 << n, batch)
+        assert np.array_equal(ei.T, subcube_extracted_information(tables[:batch], n))
+        for table, column in zip(tables, ei.T):
+            assert np.array_equal(decode._extracted_information(table[None, :], n)[:, 0], column)
 
 
 @pytest.mark.parametrize(
@@ -418,15 +451,15 @@ def _check_batch_against_oracle(tables, n):
     [(1, 2, np.int64), (3, 3, np.int8), (4, 4, np.int8), (5, 2, np.int64), (6, 7, np.int64)],
 )
 def test_ei_kernel_rows_equal_each_table_alone_and_the_oracle(n, m, dtype):
-    _check_batch_against_oracle(
-        np.random.default_rng(n).integers(0, m, size=(9, 1 << n)).astype(dtype), n
-    )
+    # Random tables, unbalanced in general, with actions in int8's range.
+    size = (_BATCHES[-1], 1 << n)
+    _check_batches_against_oracle(np.random.default_rng(n).integers(0, m, size).astype(dtype), n)
 
 
 def test_ei_kernel_matches_the_oracle_with_actions_past_int8():
     # Unbalanced 200-action tables: the pass runs in int16.
     n, m = 8, 200
-    tables = np.random.default_rng(0).integers(0, m, size=(5, 1 << n))
+    tables = np.random.default_rng(0).integers(0, m, size=(_BATCHES[-1], 1 << n))
     tables[:, :64] = m - 1
     assert np.min_scalar_type(-int(tables.max()) - 1) == np.int16
-    _check_batch_against_oracle(tables, n)
+    _check_batches_against_oracle(tables, n)

@@ -26,6 +26,15 @@ def _final_accuracy(pol, seed):
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SEEDS)
 def test_born_global_decoding_learns_uniform_bandit(seed):
+    """Exact accuracy at least 0.99 after 1,500 episodes, at seeds 0-2.
+
+    The margin is thin: over seeds 0-29, 28 pass with the counter-based
+    draws and seeds 17 and 24 fail, so a change of episode stream may
+    fail one of seeds 0-2 without a fault.  The seeds and the bound stay
+    as they are.  To list the failing seeds (about 3 s)::
+
+        PYTHONPATH=src:tests python -c "import test_paper_claims as t; from qpglab import ansatz, decode, policy; p = policy.MeasurementPolicy(ansatz.ModelConfig(3, 2), decode.RecursiveParity(3, 4)); print([s for s in range(30) if t._final_accuracy(p, s) < 0.99])"
+    """
     pol = policy.MeasurementPolicy(ansatz.ModelConfig(3, 2), decode.RecursiveParity(3, 4))
     assert _final_accuracy(pol, seed) >= 0.99
 
